@@ -15,7 +15,7 @@ from fractions import Fraction
 from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3
 from .groups import GroupReport, validate_cocycle
 from .skeleton import SkeletonError, dual_data_pointed
-from .wha import RMatrixCandidate, WeakHopfAlgebra, _acc
+from .wha import PlainAlgebra, RMatrixCandidate, WeakHopfAlgebra, _acc
 
 
 def _new_tensors(d, n):
@@ -322,25 +322,13 @@ def build_groupoid_algebra(gpd, conductor=1):
 # ---------------------------------------------------------------------------
 
 
-class SeparableFrobenius:
+class SeparableFrobenius(PlainAlgebra):
     """Algebra with a bimodule-map comultiplication s splitting mu."""
 
-    def __init__(self, dim, conductor, mu_pairs, unit, s_terms, delta, name="B"):
-        self.dim = dim
-        self.conductor = conductor
-        self.mu_pairs = mu_pairs      # (i, j) -> list of (k, coeff)
-        self.unit = unit              # sparse vector
+    def __init__(self, labels, conductor, mu, unit, s_terms, delta, name="B"):
+        super().__init__(labels, conductor, mu, unit, name)
         self.s_terms = s_terms        # i -> list of (j, k, coeff)
         self.delta = delta            # sparse covector
-        self.name = name
-
-    def mul(self, u, v):
-        out = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                for k, c in self.mu_pairs.get((i, j), ()):
-                    _acc(out, k, ci * cj * c)
-        return out
 
     def s_of(self, u):
         out = {}
@@ -436,20 +424,22 @@ def standard_frobenius(kind, nsize, conductor=1):
     one = Cyclotomic.one(n)
     if kind == "diagonal":
         d = nsize
-        mu_pairs = {(i, i): [(i, one)] for i in range(d)}
+        mu = SparseTensor3((d, d, d), n)
+        for i in range(d):
+            mu.add_to(i, i, i, one)
         unit = {i: one for i in range(d)}
         s_terms = {i: [(i, i, one)] for i in range(d)}
         delta = {i: one for i in range(d)}
-        return SeparableFrobenius(d, n, mu_pairs, unit, s_terms, delta,
+        return SeparableFrobenius(range(d), n, mu, unit, s_terms, delta,
                                   name=f"k^{nsize}")
     if kind == "matrix":
         m = nsize
         d = m * m
         idx = lambda i, j: i * m + j
-        mu_pairs = {}
+        mu = SparseTensor3((d, d, d), n)
         for i, j, k, l in itertools.product(range(m), repeat=4):
             if j == k:
-                mu_pairs[(idx(i, j), idx(k, l))] = [(idx(i, l), one)]
+                mu.add_to(idx(i, j), idx(k, l), idx(i, l), one)
         unit = {idx(i, i): one for i in range(m)}
         inv_m = Cyclotomic.rational(n, Fraction(1, m))
         s_terms = {}
@@ -457,7 +447,7 @@ def standard_frobenius(kind, nsize, conductor=1):
             # s(E_kl) = (1/m) sum_j E_kj (x) E_jl
             s_terms[idx(k, l)] = [(idx(k, j), idx(j, l), inv_m) for j in range(m)]
         delta = {idx(i, i): Cyclotomic.rational(n, m) for i in range(m)}
-        return SeparableFrobenius(d, n, mu_pairs, unit, s_terms, delta,
+        return SeparableFrobenius(range(d), n, mu, unit, s_terms, delta,
                                   name=f"M_{m}")
     raise ValueError("kind must be 'diagonal' or 'matrix'")
 

@@ -159,7 +159,6 @@ def copairing(P):
     rep = Report(f"copairing[{P.B.name}]", "copairing")
 
     # snake 1: sum <b_k, a_i> X[i, j] b_j = b_k
-    ok = True
     M = P.matrix
     prod = M.matmul(X)
     ok = prod == SparseMatrix.identity(P.B.dim, P.B.conductor)
@@ -204,15 +203,15 @@ def build_drinfeld_double(P):
                 out[i] = tot
         return out
 
-    gens = []
+    gens = {}  # (generator, flat index) -> coefficient, one row per generator
+    ngens = 0
     for xsrc, side in ((baA.basis_l, "l"), (baA.basis_r, "r")):
         for x in xsrc:
             pair_row = pair_elem_left(x)
             for b in range(dB):
                 for a in range(dA):
-                    gen = {}
                     for k, ck in A.mul(x, A.basis_elem(a)).items():
-                        _acc(gen, flat(b, k), ck)
+                        _acc(gens, (ngens, flat(b, k)), ck)
                     for (p, q), c in d1B.items():
                         if side == "l":
                             val = pair_row.get(p)
@@ -223,13 +222,10 @@ def build_drinfeld_double(P):
                         if not val:
                             continue
                         for k, ck in B.mul(B.basis_elem(b), B.basis_elem(other)).items():
-                            _acc(gen, flat(k, a), -(val * c * ck))
-                    if gen:
-                        gens.append(gen)
+                            _acc(gens, (ngens, flat(k, a)), -(val * c * ck))
+                    ngens += 1
 
-    from .exactmath import _rref
-
-    ech, pivots = _rref(gens, n)
+    ech, pivots = SparseMatrix(ngens, dB * dA, n, gens).rref()
     pivot_set = set(pivots)
     piv_row = {p: r for r, p in enumerate(pivots)}
     reps = [f for f in range(dB * dA) if f not in pivot_set]

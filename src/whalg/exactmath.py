@@ -287,14 +287,6 @@ def root_of_unity(n, k=1):
     return Cyclotomic.from_pairs(n, ((k % n, Fraction(1)),))
 
 
-def cyclo_mul(a, b):
-    return a * b
-
-
-def cyclo_inverse(a):
-    return a.inverse()
-
-
 def _dense_solve(rows, rhs):
     # small dense rational solver (cyclotomic inversion only)
     n = len(rows)
@@ -463,15 +455,23 @@ class SparseMatrix:
 
     # -- elimination-backed queries ------------------------------------------
 
+    def rref(self):
+        """Exact reduced row echelon form as (rows, pivot columns).
+
+        Each returned row is a sparse dict {col: scalar} with a 1 in its
+        pivot column; the pivot rule is the deterministic one of `_rref`.
+        """
+        return _rref(self.row_dicts(), self.n)
+
     def rank(self):
-        ech, _ = _rref(self.row_dicts(), self.n)
+        ech, _ = self.rref()
         return len(ech)
 
     def nullspace_dim(self):
         return self.cols - self.rank()
 
     def nullspace_basis(self):
-        ech, pivots = _rref(self.row_dicts(), self.n)
+        ech, pivots = self.rref()
         piv_of = {p: r for r, p in enumerate(pivots)}
         one = Cyclotomic.one(self.n)
         basis = []
@@ -488,7 +488,7 @@ class SparseMatrix:
 
     def pivot_columns(self):
         """Deterministic pivot column set of the column space."""
-        ech, pivots = _rref(self.row_dicts(), self.n)
+        _ech, pivots = self.rref()
         return sorted(pivots)
 
     def solve(self, b):
@@ -570,8 +570,9 @@ class SparseTensor3:
 def _rref(rows, n, aug_col=None):
     """Sparse exact reduced row echelon form.
 
-    rows: list of {col: Cyclotomic}.  Returns (rref_rows, pivot_cols); the
-    pivot of each returned row is the lowest column index present when the
+    rows: list of {col: Cyclotomic}; the dicts are reduced in place, so
+    callers pass fresh ones.  Returns (rref_rows, pivot_cols); the pivot of
+    each returned row is the lowest column index present when the
     row was processed (a deterministic rule), rows are processed shortest
     first, and every pivot column is eliminated from all other rows, so the
     result is a genuine RREF.  With `aug_col` set, a pivot landing on that
@@ -580,7 +581,7 @@ def _rref(rows, n, aug_col=None):
     Exact field arithmetic throughout; Fraction keeps every coefficient
     gcd-normalized, which bounds intermediate swell at desk scale.
     """
-    work = [dict(r) for r in rows if r]
+    work = [r for r in rows if r]
     work.sort(key=len, reverse=True)
     ech = []
     pivots = []
@@ -644,16 +645,3 @@ def _rref(rows, n, aug_col=None):
         ech.append(row)
         pivots.append(p)
     return ech, pivots
-
-
-def solve_linear(M, b):
-    """Exact solution of M x = b, or None when none exists."""
-    return M.solve(b)
-
-
-def rank(M):
-    return M.rank()
-
-
-def nullspace_dim(M):
-    return M.nullspace_dim()

@@ -120,12 +120,10 @@ def retract_of_idempotent(e):
     for col_out, p in enumerate(pivots):
         for row, v in e.column(p).items():
             i_mat.data[(row, col_out)] = v
-    from .exactmath import _rref
-
-    rows = i_mat.row_dicts()
+    aug = SparseMatrix(e.rows, len(pivots) + e.cols, n, dict(i_mat.data))
     for (r0, c0), v in e.data.items():
-        rows[r0][len(pivots) + c0] = v
-    ech, pivcols = _rref(rows, n)
+        aug.data[(r0, len(pivots) + c0)] = v
+    ech, pivcols = aug.rref()
     r_mat = SparseMatrix(len(pivots), e.cols, n)
     for rr, p in enumerate(pivcols):
         if p >= len(pivots):
@@ -217,33 +215,19 @@ def intertwiner_space(V, W):
     A = V.algebra
     n = A.conductor
     col = lambda r, c: r * V.dim + c  # T entry (row in W, col in V)
-    rows = {}
+    row_of = {}  # (x, r, c) -> row index, in order of first use
+    data = {}
     for x in range(A.dim):
         mv = V.action_matrix(x)
         mw = W.action_matrix(x)
         for (j, c), v in mv.data.items():
             for r in range(W.dim):
-                row = rows.setdefault((x, r, c), {})
-                _acc(row, col(r, j), v)
+                _acc(data, (row_of.setdefault((x, r, c), len(row_of)), col(r, j)), v)
         for (r, j), v in mw.data.items():
             for c in range(V.dim):
-                row = rows.setdefault((x, r, c), {})
-                _acc(row, col(j, c), -v)
-    from .exactmath import _rref
-
-    ech, pivots = _rref([r for r in rows.values() if r], n)
-    piv_of = {p: r for r, p in enumerate(pivots)}
-    one = Cyclotomic.one(n)
-    total = W.dim * V.dim
+                _acc(data, (row_of.setdefault((x, r, c), len(row_of)), col(j, c)), -v)
     basis = []
-    for j in range(total):
-        if j in piv_of:
-            continue
-        vec = {j: one}
-        for p, r in piv_of.items():
-            c = ech[r].get(j)
-            if c:
-                vec[p] = -c
+    for vec in SparseMatrix(len(row_of), W.dim * V.dim, n, data).nullspace_basis():
         T = SparseMatrix(W.dim, V.dim, n)
         for key, v in vec.items():
             T.data[(key // V.dim, key % V.dim)] = v

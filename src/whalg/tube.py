@@ -14,7 +14,7 @@ import itertools
 from .exactmath import Cyclotomic, SparseTensor3
 from .report import Report
 from .skeleton import SkeletonError, dual_data_pointed
-from .wha import _acc
+from .wha import PlainAlgebra, _acc
 
 
 # ---------------------------------------------------------------------------
@@ -138,78 +138,8 @@ class WordCalc:
 
 
 # ---------------------------------------------------------------------------
-# plain algebras and bimodules
+# bimodules
 # ---------------------------------------------------------------------------
-
-
-class PlainAlgebra:
-    """Associative unital algebra by sparse structure constants."""
-
-    def __init__(self, labels, conductor, mu, unit, name="T"):
-        self.labels = list(labels)
-        self.dim = len(self.labels)
-        self.conductor = conductor
-        self.mu = mu
-        self.unit = unit
-        self.name = name
-        self.label_index = {lab: i for i, lab in enumerate(self.labels)}
-        self._mu_pairs = None
-
-    @property
-    def mu_pairs(self):
-        if self._mu_pairs is None:
-            out = {}
-            for (i, j, k), c in self.mu.data.items():
-                out.setdefault((i, j), []).append((k, c))
-            self._mu_pairs = out
-        return self._mu_pairs
-
-    def basis_elem(self, i):
-        return {i: Cyclotomic.one(self.conductor)}
-
-    def mul(self, u, v):
-        out = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                for k, c in self.mu_pairs.get((i, j), ()):
-                    _acc(out, k, ci * cj * c)
-        return out
-
-    def one(self):
-        return dict(self.unit)
-
-    def label_str(self, i):
-        return repr(self.labels[i])
-
-    def validate(self):
-        rep = Report(self.name, "plain-algebra")
-        one = self.one()
-        detail = None
-        for x in range(self.dim):
-            ex = self.basis_elem(x)
-            if self.mul(one, ex) != ex or self.mul(ex, one) != ex:
-                detail = f"unit law fails at {self.label_str(x)}"
-                break
-        rep.add("unit-law", detail is None, detail)
-        detail = None
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.mul(self.basis_elem(i), self.basis_elem(j))
-                for z in range(self.dim):
-                    lhs = self.mul(ij, self.basis_elem(z))
-                    rhs = self.mul(self.basis_elem(i), self.mul(self.basis_elem(j), self.basis_elem(z)))
-                    if lhs != rhs:
-                        detail = (
-                            f"associativity fails at ({self.label_str(i)}, "
-                            f"{self.label_str(j)}, {self.label_str(z)})"
-                        )
-                        break
-                if detail:
-                    break
-            if detail:
-                break
-        rep.add("associativity", detail is None, detail)
-        return rep
 
 
 class Bimodule:

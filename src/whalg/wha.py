@@ -1,5 +1,11 @@
 """Weak Hopf algebra data model and the exact axiom verifier suites.
 
+`PlainAlgebra` is the shared base of every algebra in the package (tube
+algebras, separable Frobenius algebras and `WeakHopfAlgebra`): it owns the
+labeled basis, the sparse indexes of mu, the element product and the one
+product on tensor powers A^(x)k, and validates its unit and associativity
+laws with the same sweeps as the weak bialgebra suite.
+
 Structure constants live in sparse tensors; every law is checked on basis
 tuples (sufficient by multilinearity) by streaming sparse contractions that
 enumerate exactly the tuples on which either side can be nonzero, so the
@@ -8,6 +14,7 @@ sweeps are equivalent to the dense loops while staying feasible at dim 1296.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 
@@ -25,50 +32,20 @@ def default_threads():
     return 1
 
 
-class WeakHopfAlgebra:
-    """Labeled basis plus sparse structure tensors for mu, eta, Delta, eps, S.
+class PlainAlgebra:
+    """Associative unital algebra by sparse structure constants."""
 
-    Nothing is assumed at construction: the verifier suites below establish
-    (or refute) every axiom.
-    """
-
-    def __init__(self, labels, conductor, mu, unit, delta, counit, antipode, name="A", meta=None):
+    def __init__(self, labels, conductor, mu, unit, name="T"):
         self.labels = list(labels)
         self.dim = len(self.labels)
         self.conductor = conductor
         self.mu = mu            # SparseTensor3: (i, j, k) -> coeff of e_k in e_i e_j
         self.unit = unit        # sparse vector {i: coeff}
-        self.delta = delta      # SparseTensor3: (i, j, k) -> coeff of e_j (x) e_k in Delta(e_i)
-        self.counit = counit    # sparse covector {i: coeff}
-        self.antipode = antipode  # SparseMatrix: (k, i) -> coeff of e_k in S(e_i)
         self.name = name
-        self.meta = meta or {}
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self.label_index) != self.dim:
             raise ValueError("labels must be distinct")
         self._caches = {}
-        self._intern_coefficients()
-
-    def _intern_coefficients(self):
-        # structure constants repeat a handful of values; sharing one object
-        # per value makes the verifier sweeps' scalar products cacheable
-        pool = {}
-
-        def intern(v):
-            w = pool.get(v)
-            if w is None:
-                pool[v] = v
-                return v
-            return w
-
-        for tensor in (self.mu, self.delta):
-            for k in tensor.data:
-                tensor.data[k] = intern(tensor.data[k])
-        for vec in (self.unit, self.counit):
-            for k in vec:
-                vec[k] = intern(vec[k])
-        for k in self.antipode.data:
-            self.antipode.data[k] = intern(self.antipode.data[k])
 
     # -- derived sparse indexes (built once) ---------------------------------
 
@@ -99,17 +76,6 @@ class WeakHopfAlgebra:
         return self._cache("right_companions", build)
 
     @property
-    def left_companions(self):
-        def build():
-            out = {}
-            for (i, j) in self.mu_pairs:
-                out.setdefault(j, []).append(i)
-            for v in out.values():
-                v.sort()
-            return out
-        return self._cache("left_companions", build)
-
-    @property
     def mu_by_result(self):
         def build():
             out = {}
@@ -117,6 +83,132 @@ class WeakHopfAlgebra:
                 out.setdefault(k, []).append((i, j, c))
             return out
         return self._cache("mu_by_result", build)
+
+    # -- element arithmetic ---------------------------------------------------
+
+    def zero_scalar(self):
+        return Cyclotomic.zero(self.conductor)
+
+    def one_scalar(self):
+        return Cyclotomic.one(self.conductor)
+
+    def basis_elem(self, i):
+        return {i: self.one_scalar()}
+
+    def one(self):
+        return dict(self.unit)
+
+    def mul(self, u, v):
+        """Product of sparse elements of A."""
+        mp = self.mu_pairs
+        out = {}
+        for i, ci in u.items():
+            for j, cj in v.items():
+                terms = mp.get((i, j))
+                if terms:
+                    cij = ci * cj
+                    for k, c in terms:
+                        _acc(out, k, cij * c)
+        return out
+
+    def mul_tensor(self, U, V):
+        """Product of sparse elements of A^(x)k, keyed by k-tuples of indices.
+
+        V is indexed by its first leg; each term of U then meets only the V
+        terms whose first leg it multiplies to nonzero, walking whichever of
+        its right companions or V's first legs is the shorter list.
+        """
+        mp = self.mu_pairs
+        rc = self.right_companions
+        by_first = {}
+        for key, c in V.items():
+            by_first.setdefault(key[0], []).append((key, c))
+        out = {}
+        for key1, c1 in U.items():
+            i1 = key1[0]
+            companions = rc.get(i1, ())
+            if len(companions) < len(by_first):
+                groups = ((i2, by_first.get(i2)) for i2 in companions)
+            else:
+                groups = by_first.items()
+            for i2, group in groups:
+                first = mp.get((i1, i2)) if group else None
+                if not first:
+                    continue
+                for key2, c2 in group:
+                    legs = [first]
+                    for a, b in zip(key1[1:], key2[1:]):
+                        terms = mp.get((a, b))
+                        if not terms:
+                            break
+                        legs.append(terms)
+                    else:
+                        c12 = c1 * c2
+                        for combo in itertools.product(*legs):
+                            c = c12
+                            for _k, ck in combo:
+                                c = c * ck
+                            _acc(out, tuple(k for k, _ck in combo), c)
+        return out
+
+    def mul2(self, U, V):
+        """Product of sparse elements of A (x) A."""
+        return self.mul_tensor(U, V)
+
+    def mul3(self, U, V):
+        """Product of sparse elements of A (x) A (x) A."""
+        return self.mul_tensor(U, V)
+
+    def label_str(self, i):
+        return repr(self.labels[i])
+
+    def validate(self):
+        """Unit law and associativity, swept like the weak bialgebra suite."""
+        rep = Report(self.name, "plain-algebra")
+        detail = _unit_law(self)
+        rep.add("unit-law", detail is None, detail)
+        detail = _sweep(self, _assoc_range, default_threads())
+        rep.add("associativity", detail is None, detail)
+        return rep
+
+
+class WeakHopfAlgebra(PlainAlgebra):
+    """A `PlainAlgebra` plus sparse structure tensors for Delta, eps and S.
+
+    Nothing is assumed at construction: the verifier suites below establish
+    (or refute) every axiom.
+    """
+
+    def __init__(self, labels, conductor, mu, unit, delta, counit, antipode, name="A", meta=None):
+        super().__init__(labels, conductor, mu, unit, name)
+        self.delta = delta      # SparseTensor3: (i, j, k) -> coeff of e_j (x) e_k in Delta(e_i)
+        self.counit = counit    # sparse covector {i: coeff}
+        self.antipode = antipode  # SparseMatrix: (k, i) -> coeff of e_k in S(e_i)
+        self.meta = meta or {}
+        self._intern_coefficients()
+
+    def _intern_coefficients(self):
+        # structure constants repeat a handful of values; sharing one object
+        # per value makes the verifier sweeps' scalar products cacheable
+        pool = {}
+
+        def intern(v):
+            w = pool.get(v)
+            if w is None:
+                pool[v] = v
+                return v
+            return w
+
+        for tensor in (self.mu, self.delta):
+            for k in tensor.data:
+                tensor.data[k] = intern(tensor.data[k])
+        for vec in (self.unit, self.counit):
+            for k in vec:
+                vec[k] = intern(vec[k])
+        for k in self.antipode.data:
+            self.antipode.data[k] = intern(self.antipode.data[k])
+
+    # -- comultiplication and antipode indexes (built once) -----------------
 
     @property
     def delta_terms(self):
@@ -154,73 +246,7 @@ class WeakHopfAlgebra:
             return out
         return self._cache("delta_of_unit", build)
 
-    # -- element arithmetic ---------------------------------------------------
-
-    def zero_scalar(self):
-        return Cyclotomic.zero(self.conductor)
-
-    def one_scalar(self):
-        return Cyclotomic.one(self.conductor)
-
-    def basis_elem(self, i):
-        return {i: self.one_scalar()}
-
-    def one(self):
-        return dict(self.unit)
-
-    def mul(self, u, v):
-        """Product of sparse elements of A."""
-        mp = self.mu_pairs
-        out = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                terms = mp.get((i, j))
-                if terms:
-                    cij = ci * cj
-                    for k, c in terms:
-                        _acc(out, k, cij * c)
-        return out
-
-    def mul2(self, U, V):
-        """Product of sparse elements of A (x) A."""
-        mp = self.mu_pairs
-        out = {}
-        for (i1, j1), c1 in U.items():
-            for (i2, j2), c2 in V.items():
-                t1 = mp.get((i1, i2))
-                if not t1:
-                    continue
-                t2 = mp.get((j1, j2))
-                if not t2:
-                    continue
-                c12 = c1 * c2
-                for k1, a in t1:
-                    for k2, b in t2:
-                        _acc(out, (k1, k2), c12 * a * b)
-        return out
-
-    def mul3(self, U, V):
-        """Product of sparse elements of A (x) A (x) A."""
-        mp = self.mu_pairs
-        out = {}
-        for (i1, j1, l1), c1 in U.items():
-            for (i2, j2, l2), c2 in V.items():
-                t1 = mp.get((i1, i2))
-                if not t1:
-                    continue
-                t2 = mp.get((j1, j2))
-                if not t2:
-                    continue
-                t3 = mp.get((l1, l2))
-                if not t3:
-                    continue
-                c12 = c1 * c2
-                for k1, a in t1:
-                    for k2, b in t2:
-                        ab = a * b
-                        for k3, cc in t3:
-                            _acc(out, (k1, k2, k3), c12 * ab * cc)
-        return out
+    # -- coalgebra and antipode arithmetic ------------------------------------
 
     def coproduct(self, u):
         out = {}
@@ -274,9 +300,6 @@ class WeakHopfAlgebra:
                 _acc(out, p, val)
         return out
 
-    def label_str(self, i):
-        return repr(self.labels[i])
-
     def elem_str(self, u):
         if not u:
             return "0"
@@ -318,6 +341,16 @@ class RMatrixCandidate:
 # ---------------------------------------------------------------------------
 # weak bialgebra verifier
 # ---------------------------------------------------------------------------
+
+
+def _unit_law(A):
+    """First basis element on which 1 fails to act as a two-sided unit."""
+    one = A.one()
+    for x in range(A.dim):
+        ex = A.basis_elem(x)
+        if A.mul(one, ex) != ex or A.mul(ex, one) != ex:
+            return f"unit law fails at {A.label_str(x)}"
+    return None
 
 
 def _assoc_range(A, lo, hi):
@@ -494,15 +527,8 @@ def verify_weak_bialgebra(A, threads=None, dense=False):
     """
     threads = default_threads() if threads is None else threads
     rep = Report(A.name, "weak-bialgebra")
-    one = A.one()
 
-    # unit law
-    detail = None
-    for x in range(A.dim):
-        ex = A.basis_elem(x)
-        if A.mul(one, ex) != ex or A.mul(ex, one) != ex:
-            detail = f"unit law fails at {A.label_str(x)}"
-            break
+    detail = _unit_law(A)
     rep.add("unit-law", detail is None, detail)
 
     # associativity
@@ -911,16 +937,12 @@ def base_algebras(A):
 
 def center_dim(A):
     """dim of {z : zx = xz for all x}, via the commutator nullspace."""
-    rows = {}
+    row_of = {}  # (j, k) or (i, k) -> row index, in order of first use
+    data = {}
     for (i, j, k), c in A.mu.data.items():
-        row = rows.setdefault((j, k), {})
-        _acc(row, i, c)
-        row = rows.setdefault((i, k), {})
-        _acc(row, j, -c)
-    from .exactmath import _rref
-
-    ech, _ = _rref([r for r in rows.values() if r], A.conductor)
-    return A.dim - len(ech)
+        _acc(data, (row_of.setdefault((j, k), len(row_of)), i), c)
+        _acc(data, (row_of.setdefault((i, k), len(row_of)), j), -c)
+    return SparseMatrix(len(row_of), A.dim, A.conductor, data).nullspace_dim()
 
 
 def is_cocommutative(A):
@@ -978,11 +1000,14 @@ def _cop(U):
 
 
 def verify_quasitriangular(A, cand, threads=None):
-    """The five quasi-triangular laws plus the Yang-Baxter identity."""
+    """The five quasi-triangular laws plus the Yang-Baxter identity.
+
+    `threads` is accepted for call compatibility with the other suites and
+    ignored: these laws are checked serially.
+    """
     rep = Report(A.name, "quasi-triangular")
     R = cand.terms
     d1 = A.delta_of_unit()
-    d1cop = _cop(d1)
 
     ok = A.mul2(R, d1) == R
     rep.add("r-lives-in-right-ideal", ok, None if ok else "R Delta(1) != R")

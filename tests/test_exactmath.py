@@ -7,13 +7,8 @@ from whalg.exactmath import (
     ConductorMismatch,
     Cyclotomic,
     SparseMatrix,
-    cyclo_inverse,
-    cyclo_mul,
     cyclotomic_polynomial,
-    nullspace_dim,
-    rank,
     root_of_unity,
-    solve_linear,
 )
 
 
@@ -32,34 +27,34 @@ def test_cyclotomic_polynomials():
 
 def test_zeta4_squared_is_minus_one():
     z4 = root_of_unity(4)
-    assert cyclo_mul(z4, z4) == Cyclotomic.rational(4, -1)
+    assert z4 * z4 == Cyclotomic.rational(4, -1)
 
 
 def test_zeta3_times_zeta3_squared_is_one():
     z3 = root_of_unity(3)
-    assert cyclo_mul(z3, root_of_unity(3, 2)).is_one()
+    assert (z3 * root_of_unity(3, 2)).is_one()
 
 
 def test_vanishing_root_of_unity_sum():
     s = C(5, (0, 1), (1, 1), (2, 1), (3, 1), (4, 1))
-    assert cyclo_mul(s, root_of_unity(5)).is_zero()
+    assert (s * root_of_unity(5)).is_zero()
     assert s.is_zero()  # 1 + z + z^2 + z^3 + z^4 = Phi_5(z) = 0
 
 
 def test_inverse_examples():
     two = Cyclotomic.rational(3, 2)
-    assert cyclo_inverse(two) == Cyclotomic.rational(3, Fraction(1, 2))
+    assert two.inverse() == Cyclotomic.rational(3, Fraction(1, 2))
     z3 = root_of_unity(3)
-    assert cyclo_inverse(z3) == root_of_unity(3, 2)
+    assert z3.inverse() == root_of_unity(3, 2)
     m1 = Cyclotomic.rational(7, -1)
-    assert cyclo_inverse(m1) == m1
+    assert m1.inverse() == m1
     with pytest.raises(ZeroDivisionError):
-        cyclo_inverse(Cyclotomic.zero(5))
+        Cyclotomic.zero(5).inverse()
 
 
 def test_conductor_mismatch():
     with pytest.raises(ConductorMismatch):
-        cyclo_mul(root_of_unity(3), root_of_unity(4))
+        root_of_unity(3) * root_of_unity(4)
 
 
 def test_canonical_reduction_idempotent():
@@ -128,7 +123,7 @@ def test_rank_nullity(n, entries):
     m = SparseMatrix(4, 4, n)
     for i, j, v in entries:
         m.set(i, j, Cyclotomic.rational(n, v))
-    assert rank(m) + nullspace_dim(m) == 4
+    assert m.rank() + m.nullspace_dim() == 4
     for vec in m.nullspace_basis():
         assert not m.apply(vec)
 
@@ -136,18 +131,33 @@ def test_rank_nullity(n, entries):
 def test_solve_identity():
     m = SparseMatrix.identity(3, 1)
     b = {0: Cyclotomic.one(1)}
-    assert solve_linear(m, b) == b
+    assert m.solve(b) == b
 
 
 def test_rank_of_all_ones():
     one = Cyclotomic.one(1)
     m = SparseMatrix(2, 2, 1, {(0, 0): one, (0, 1): one, (1, 0): one, (1, 1): one})
-    assert rank(m) == 1
+    assert m.rank() == 1
 
 
 def test_nullspace_of_zero_matrix():
     m = SparseMatrix(2, 3, 1)
-    assert nullspace_dim(m) == 3
+    assert m.nullspace_dim() == 3
+
+
+def test_rref():
+    n = 3
+    one = Cyclotomic.one(n)
+    z = root_of_unity(3)
+    m = SparseMatrix(4, 3, n, {(0, 0): one, (0, 2): z, (2, 0): z, (2, 2): z * z, (3, 1): one + one})
+    ech, pivots = m.rref()
+    assert sorted(pivots) == [0, 1] == m.pivot_columns()
+    assert len(ech) == m.rank() == 2
+    for row, p in zip(ech, pivots):
+        assert row[p].is_one()
+        assert all(q == p or q not in row for q in pivots)
+    assert ech[pivots.index(0)] == {0: one, 2: z}
+    assert ech[pivots.index(1)] == {1: one}
 
 
 def test_solve_consistency_and_failure():
@@ -157,12 +167,12 @@ def test_solve_consistency_and_failure():
     m = SparseMatrix(3, 2, n, {(0, 0): one, (1, 1): z, (2, 0): one, (2, 1): one})
     x = {0: Cyclotomic.rational(4, 2), 1: z}
     b = m.apply(x)
-    sol = solve_linear(m, b)
+    sol = m.solve(b)
     assert sol is not None
     assert m.apply(sol) == b
     bad = dict(b)
     bad[2] = b.get(2, Cyclotomic.zero(n)) + one
-    assert solve_linear(m, bad) is None
+    assert m.solve(bad) is None
 
 
 def test_inverse_matrix():

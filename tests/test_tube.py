@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
-from whalg.exactmath import Cyclotomic
+from whalg.exactmath import Cyclotomic, SparseTensor3
 from whalg.builders import build_a_g_omega
 from whalg.groups import cyclic_group, standard_cocycle, trivial_cocycle
 from whalg.skeleton import fib_fusion_ring, pointed_skeleton
 from whalg.tube import (
+    PlainAlgebra,
     TubeFamily,
     build_tube,
     build_tube_bimodule,
@@ -18,7 +19,7 @@ from whalg.tube import (
     verify_morita_section,
     weak_bialgebra_obstruction,
 )
-from whalg.wha import center_dim
+from whalg.wha import _assoc_dense, center_dim
 
 
 def pointed(n, p):
@@ -203,3 +204,61 @@ def test_obstruction_monotone():
     small_keys = {(id0["name"], id1["name"]) for id0, id1, _, _ in pairs_small}
     big_keys = {(id0["name"], id1["name"]) for id0, id1, _, _ in pairs_big}
     assert small_keys <= big_keys
+
+
+# ---------------------------------------------------------------------------
+# the sparse validator against the dense reference
+# ---------------------------------------------------------------------------
+
+
+_TUBES = {
+    "tube-z3": lambda: build_tube(pointed(3, 1)[0]),
+    "tube-prime-z3": lambda: build_tube_prime(pointed(3, 1)[0], 1),
+    "tube-level2-z2": lambda: TubeFamily(pointed(2, 1)[0]).algebra(2),
+    "tube-prime-level2-z2": lambda: build_tube_prime(pointed(2, 1)[0], 2),
+}
+
+
+def _tampered(T):
+    """T with one structure constant off the unit's rows and columns doubled."""
+    i, j, k = next(key for key in sorted(T.mu.data) if key[0] not in T.unit and key[1] not in T.unit)
+    mu = SparseTensor3(T.mu.dims, T.conductor, dict(T.mu.data))
+    mu.data[(i, j, k)] = mu.data[(i, j, k)] * Cyclotomic.rational(T.conductor, 2)
+    return PlainAlgebra(T.labels, T.conductor, mu, dict(T.unit), name=T.name + "'")
+
+
+def _check(rep, name):
+    return next(c for c in rep.checks if c.name == name)
+
+
+@pytest.mark.parametrize("name", sorted(_TUBES))
+def test_validate_agrees_with_dense_reference(name):
+    T = _TUBES[name]()
+    rep = T.validate()
+    assert [c.name for c in rep.checks] == ["unit-law", "associativity"]
+    assert rep.ok
+    assert _assoc_dense(T) is None
+
+    bad = _tampered(T)
+    rep = bad.validate()
+    assert _check(rep, "unit-law").ok
+    assoc = _check(rep, "associativity")
+    assert not assoc.ok
+    assert assoc.detail is not None
+    assert assoc.detail == _assoc_dense(bad)
+
+
+def test_validate_forked_matches_serial(monkeypatch):
+    C, _, _ = pointed(3, 1)
+    bad = _tampered(build_tube_prime(C, 2))
+    monkeypatch.setenv("WHALG_THREADS", "1")
+    serial = bad.validate().to_json()
+    monkeypatch.setenv("WHALG_THREADS", "2")
+    assert bad.validate().to_json() == serial
+    assert not serial["ok"]
+
+
+def test_plain_algebra_rejects_duplicate_labels():
+    mu = SparseTensor3((2, 2, 2), 1)
+    with pytest.raises(ValueError, match="distinct"):
+        PlainAlgebra(["a", "a"], 1, mu, {})

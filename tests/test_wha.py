@@ -1,6 +1,8 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from whalg.exactmath import Cyclotomic, SparseMatrix, SparseTensor3
 from whalg.builders import (
@@ -11,6 +13,7 @@ from whalg.builders import (
 )
 from whalg.groups import cyclic_group, standard_cocycle, trivial_cocycle
 from whalg.wha import (
+    PlainAlgebra,
     RMatrixCandidate,
     WeakHopfAlgebra,
     base_algebras,
@@ -220,3 +223,107 @@ def test_parallel_matches_serial():
     A, _ = build_a_g_omega(cyclic_group(3), standard_cocycle(3, 1))
     assert verify_weak_bialgebra(A, threads=2).ok
     assert verify_antipode(A, threads=2).ok
+
+
+# ---------------------------------------------------------------------------
+# the product on tensor powers A^(x)k
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _a_z3():
+    A, _ = build_a_g_omega(cyclic_group(3), standard_cocycle(3, 1))
+    return A
+
+
+@functools.lru_cache(maxsize=None)
+def _a_z2_shifted():
+    """A(Z2, p=1) in the basis f_i = e_i + e_(i+1): products have many terms."""
+    A, _ = a_z2(p=1)
+    d, n = A.dim, A.conductor
+    one = A.one_scalar()
+    f = [{i: one, i + 1: one} if i + 1 < d else {i: one} for i in range(d)]
+    to_f = SparseMatrix.from_columns(d, f, n).inverse()
+    mu = SparseTensor3((d, d, d), n)
+    for i in range(d):
+        for j in range(d):
+            for k, c in to_f.apply(A.mul(f[i], f[j])).items():
+                mu.add_to(i, j, k, c)
+    return PlainAlgebra(range(d), n, mu, to_f.apply(A.unit))
+
+
+_TENSOR_ALGEBRAS = [_a_z3, _a_z2_shifted]
+
+
+def _naive_tensor_product(A, U, V):
+    """Reference: every one of the |U|.|V| term pairs, legwise element products."""
+    out = {}
+    for key1, c1 in U.items():
+        for key2, c2 in V.items():
+            legs = [A.mul(A.basis_elem(a), A.basis_elem(b)).items() for a, b in zip(key1, key2)]
+            for combo in itertools.product(*legs):
+                c = c1 * c2
+                for _k, ck in combo:
+                    c = c * ck
+                key = tuple(k for k, _ck in combo)
+                out[key] = out.get(key, A.zero_scalar()) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _scalars(n):
+    z = Cyclotomic.from_pairs(n, ((1, 1),))
+    return [Cyclotomic.one(n), Cyclotomic.rational(n, -2), z, z * z + Cyclotomic.rational(n, 3)]
+
+
+@st.composite
+def _operand_pair(draw, which, k):
+    """(which, U, V) with U, V in A^(x)k; V's keys lean toward U's right companions."""
+    A = _TENSOR_ALGEBRAS[which]()
+    index = st.integers(0, A.dim - 1)
+    coeff = st.sampled_from(_scalars(A.conductor))
+    U = draw(st.dictionaries(st.tuples(*[index] * k), coeff, max_size=5))
+    rc = A.right_companions
+    keys = st.tuples(*[index] * k)
+    if U:
+        partner = st.sampled_from(sorted(U)).flatmap(
+            lambda key: st.tuples(*[st.sampled_from(rc[i]) for i in key])
+        )
+        keys = st.one_of(keys, partner)
+    # up to 15 terms, so V's first legs can outnumber a term's right companions
+    V = draw(st.dictionaries(keys, coeff, max_size=15))
+    return which, U, V
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([(0, 2), (0, 3), (1, 2), (1, 3)]).flatmap(lambda wk: _operand_pair(*wk)))
+def test_mul_tensor_matches_naive_reference(case):
+    which, U, V = case
+    A = _TENSOR_ALGEBRAS[which]()
+    assert A.mul_tensor(U, V) == _naive_tensor_product(A, U, V)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_mul_tensor_empty_and_singleton_operands(k):
+    A = _a_z3()
+    one = A.one_scalar()
+    z = Cyclotomic.from_pairs(A.conductor, ((1, 1),))
+    i = 5
+    j = A.right_companions[i][-1]
+    dead = next(x for x in range(A.dim) if x not in A.right_companions[i])
+    single = {(i,) * k: z}
+    live = {(j,) * k: one}
+    every = {(x,) * k: one for x in range(A.dim)}
+    cases = [
+        (single, every),
+        (every, single),
+        ({}, {}),
+        ({}, single),
+        (single, {}),
+        (single, live),
+        (single, {(dead,) * k: one}),
+        (single, {(j,) * (k - 1) + (dead,): one}),
+    ]
+    for U, V in cases:
+        assert A.mul_tensor(U, V) == _naive_tensor_product(A, U, V)
+    assert A.mul_tensor(single, live)
+    assert A.mul_tensor(single, {(j,) * (k - 1) + (dead,): one}) == {}

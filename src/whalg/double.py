@@ -17,7 +17,7 @@ from .skeleton import (
     regular_module,
     right_regular_module,
 )
-from .wha import RMatrixCandidate, WeakHopfAlgebra, _acc
+from .wha import RMatrixCandidate, WeakHopfAlgebra, _acc, _hom_range
 
 
 def _decode3(lab):
@@ -310,18 +310,17 @@ def build_drinfeld_double(P):
         if val:
             counit[t] = val
 
-    D = WeakHopfAlgebra(
-        labels, n, mu, unit, delta, counit,
-        antipode=SparseMatrix(d, d, n),
-        name=f"D[{A.name}]",
-        meta={"builder": "drinfeld-double"},
-    )
-    smat = solve_antipode(D)
+    def with_antipode(antipode):
+        return WeakHopfAlgebra(
+            labels, n, mu, unit, delta, counit, antipode,
+            name=f"D[{A.name}]",
+            meta={"builder": "drinfeld-double"},
+        )
+
+    smat = solve_antipode(with_antipode(SparseMatrix(d, d, n)))
     if smat is None:
         raise ValueError("no antipode solves Axiom 4 for the double")
-    D.antipode = smat
-    D._caches.pop("antipode_cols", None)
-    D._intern_coefficients()
+    D = with_antipode(smat)
 
     theta, _ = copairing(P)
     r_terms = {}
@@ -496,16 +495,8 @@ def sharp_iso(C, double=None, pairing=None):
     ok = push_quot(D.one()) == Abox.one()
     rep.add("sharp-unital", ok, None if ok else "sharp(1) != unit")
 
-    detail = None
-    for t1 in range(D.dim):
-        for t2 in range(D.dim):
-            lhs = push_quot(D.mul(D.basis_elem(t1), D.basis_elem(t2)))
-            rhs = Abox.mul(images[t1], images[t2])
-            if lhs != rhs:
-                detail = f"sharp(uv) != sharp(u)sharp(v) at ({t1}, {t2})"
-                break
-        if detail:
-            break
+    bad = _hom_range(images, D, Abox, 0, D.dim)
+    detail = None if bad is None else f"sharp(uv) != sharp(u)sharp(v) at ({bad[0]}, {bad[1]})"
     rep.add("sharp-multiplicative", detail is None, detail)
 
     # R-matrix transport

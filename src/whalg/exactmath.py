@@ -385,7 +385,7 @@ class SparseMatrix:
         return m
 
     def column(self, j):
-        return {i: v for (i, jj), v in self.data.items() if jj == j}
+        return dict(self._cols().get(j, ()))
 
     def transpose(self):
         return SparseMatrix(

@@ -14,7 +14,7 @@ import random
 
 from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3
 from .report import Report
-from .wha import _acc, base_algebras
+from .wha import _acc, _bilinear_index, _mixed_assoc_range, base_algebras
 
 
 class WHAModule:
@@ -64,20 +64,12 @@ def validate_module(A, V):
     ok = V.rho(A.one()) == idm
     rep.add("unit-acts-as-identity", ok, None if ok else "eta(1) does not act as id")
 
+    act = _bilinear_index({(a, c, r): v for (a, r, c), v in V.action.data.items()})
+    bad = _mixed_assoc_range(act, A.mu_index, act, act, 0, A.dim)
     detail = None
-    for i in range(A.dim):
-        mi = V.action_matrix(i)
-        for j in range(A.dim):
-            lhs = mi.matmul(V.action_matrix(j))
-            rhs = SparseMatrix(V.dim, V.dim, A.conductor)
-            for k, c in A.mu_pairs.get((i, j), ()):
-                for (r, cc), v in V.action_matrix(k).data.items():
-                    rhs.add_to(r, cc, c * v)
-            if lhs != rhs:
-                detail = f"(xy).v != x.(y.v) at ({A.label_str(i)}, {A.label_str(j)})"
-                break
-        if detail:
-            break
+    if bad is not None:
+        i, j, _v = bad
+        detail = f"(xy).v != x.(y.v) at ({A.label_str(i)}, {A.label_str(j)})"
     rep.add("action-multiplicative", detail is None, detail)
     return rep
 

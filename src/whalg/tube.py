@@ -14,7 +14,7 @@ import itertools
 from .exactmath import Cyclotomic, SparseTensor3
 from .report import Report
 from .skeleton import SkeletonError, dual_data_pointed
-from .wha import PlainAlgebra, _acc
+from .wha import PlainAlgebra, _bilinear_index, _hom_range, _mixed_assoc_range, _product, _push
 
 
 # ---------------------------------------------------------------------------
@@ -150,56 +150,33 @@ class Bimodule:
         self.right_alg = right_alg
         self.labels = list(labels)
         self.dim = len(self.labels)
-        self.left_action = left_action    # dict (a_idx, m_idx) -> list[(m_idx, c)]
-        self.right_action = right_action  # dict (m_idx, b_idx) -> list[(m_idx, c)]
+        self.left_action = left_action    # {(a_idx, m_idx, m_idx'): coeff}
+        self.right_action = right_action  # {(m_idx, b_idx, m_idx'): coeff}
         self.name = name
 
     def validate(self):
         rep = Report(self.name, "bimodule")
-        n = self.left_alg.conductor
+        left = _bilinear_index(self.left_action)
+        right = _bilinear_index(self.right_action)
 
-        def act_left(a_vec, m_vec):
-            out = {}
-            for a, ca in a_vec.items():
-                for m, cm in m_vec.items():
-                    for m2, c in self.left_action.get((a, m), ()):
-                        _acc(out, m2, ca * cm * c)
-            return out
-
-        def act_right(m_vec, b_vec):
-            out = {}
-            for m, cm in m_vec.items():
-                for b, cb in b_vec.items():
-                    for m2, c in self.right_action.get((m, b), ()):
-                        _acc(out, m2, cm * cb * c)
-            return out
-
-        one = Cyclotomic.one(n)
+        one = Cyclotomic.one(self.left_alg.conductor)
         detail = None
         for m in range(self.dim):
             mv = {m: one}
-            if act_left(self.left_alg.one(), mv) != mv:
+            if _product(left[0], self.left_alg.one(), mv) != mv:
                 detail = f"left unit law fails at {m}"
                 break
-            if act_right(mv, self.right_alg.one()) != mv:
+            if _product(right[0], mv, self.right_alg.one()) != mv:
                 detail = f"right unit law fails at {m}"
                 break
         rep.add("unit-laws", detail is None, detail)
 
+        # (a m) b = a (m b), least (a, m, b) first
+        bad = _mixed_assoc_range(right, left, left, right, 0, self.left_alg.dim)
         detail = None
-        for a in range(self.left_alg.dim):
-            for b in range(self.right_alg.dim):
-                for m in range(self.dim):
-                    mv = {m: one}
-                    av = self.left_alg.basis_elem(a)
-                    bv = self.right_alg.basis_elem(b)
-                    if act_right(act_left(av, mv), bv) != act_left(av, act_right(mv, bv)):
-                        detail = f"actions do not commute at ({a}, {m}, {b})"
-                        break
-                if detail:
-                    break
-            if detail:
-                break
+        if bad is not None:
+            a, m, b = bad
+            detail = f"actions do not commute at ({a}, {m}, {b})"
         rep.add("actions-commute", detail is None, detail)
         return rep
 
@@ -303,15 +280,9 @@ class TubeFamily:
         right = self.algebra(m)
         labels = self.basis(m, n)
         # left action: compose^{mnn}: Tube^{(n,n)} (x) Tube^{(m,n)} -> Tube^{(m,n)}
-        lcomp, _, _, _ = self.compose_map(m, n, n)
-        left_action = {}
-        for (hi, gi), (oi, s) in lcomp.items():
-            left_action.setdefault((hi, gi), []).append((oi, s))
+        left_action = _compose_terms(self.compose_map(m, n, n)[0])
         # right action: compose^{mmn}: Tube^{(m,n)} (x) Tube^{(m,m)} -> Tube^{(m,n)}
-        rcomp, _, _, _ = self.compose_map(m, m, n)
-        right_action = {}
-        for (hi, gi), (oi, s) in rcomp.items():
-            right_action.setdefault((hi, gi), []).append((oi, s))
+        right_action = _compose_terms(self.compose_map(m, m, n)[0])
         return Bimodule(left, right, labels, left_action, right_action,
                         name=f"Tube^({m},{n})[{self.C.name}]")
 
@@ -369,42 +340,27 @@ def build_tube_bimodule(C, m, n, dd=None):
     return TubeFamily(C, dd).bimodule(m, n)
 
 
+def _compose_terms(comp):
+    """A compose map (h, g) -> (out, scalar) as bilinear terms (h, g, out) -> scalar."""
+    return {(h, g, o): s for (h, g), (o, s) in comp.items()}
+
+
 def tube_generalized_associativity(C, instances=((1, 1, 1, 1),), dd=None):
     """compose^{mnl}(compose^{nkl} (x) id) = compose^{mkl}(id (x) compose^{mnk})."""
     fam = TubeFamily(C, dd)
     rep = Report(f"Tube compose tower[{C.name}]", "generalized-associativity")
     detail = None
     for (m, n, k, l) in instances:
-        c_nkl, b_kl, b_nk, b_nl = fam.compose_map(n, k, l)
-        c_mnl, _, b_mn, b_ml = fam.compose_map(m, n, l)
-        c_mnk, _, _, b_mk = fam.compose_map(m, n, k)
-        c_mkl, _, _, _ = fam.compose_map(m, k, l)
-        imk = {lab: i for i, lab in enumerate(b_mk)}
-        for (hi, h) in enumerate(b_kl):
-            for (gi, g) in enumerate(b_nk):
-                hg = c_nkl.get((hi, gi))
-                for (fi, f) in enumerate(b_mn):
-                    lhs = None
-                    if hg is not None:
-                        oi, s = hg
-                        res = c_mnl.get((oi, fi))
-                        if res is not None:
-                            lhs = (res[0], res[1] * s)
-                    gf = c_mnk.get((gi, fi))
-                    rhs = None
-                    if gf is not None:
-                        oi, s = gf
-                        res = c_mkl.get((hi, oi))
-                        if res is not None:
-                            rhs = (res[0], res[1] * s)
-                    if lhs != rhs:
-                        detail = f"tower associativity fails at {(m, n, k, l)}: {h}, {g}, {f}"
-                        break
-                if detail:
-                    break
-            if detail:
-                break
-        if detail:
+        c_nkl, b_kl, b_nk, _ = fam.compose_map(n, k, l)
+        c_mnl, _, b_mn, _ = fam.compose_map(m, n, l)
+        c_mnk = fam.compose_map(m, n, k)[0]
+        c_mkl = fam.compose_map(m, k, l)[0]
+        # (h.g).f = h.(g.f) for h, g, f in Tube^(k,l), Tube^(n,k), Tube^(m,n)
+        tables = [_bilinear_index(_compose_terms(c)) for c in (c_mnl, c_nkl, c_mkl, c_mnk)]
+        bad = _mixed_assoc_range(*tables, 0, len(b_kl))
+        if bad is not None:
+            hi, gi, fi = bad
+            detail = f"tower associativity fails at {(m, n, k, l)}: {b_kl[hi]}, {b_nk[gi]}, {b_mn[fi]}"
             break
     rep.add("compose-tower-associative", detail is None, detail)
     return rep
@@ -554,26 +510,15 @@ def chi_iso(C, A=None, dd=None):
     ok = sorted(images) == list(range(Tp2.dim)) and all(s for _, s in chi_map.values())
     rep.add("chi-bijective", ok, None if ok else "chi is not a bijection")
 
-    def push(vec):
-        out = {}
-        for i, c in vec.items():
-            j, s = chi_map[i]
-            _acc(out, j, c * s)
-        return out
-
-    ok = push(A.one()) == Tp2.one()
+    phi = {i: {j: s} for i, (j, s) in chi_map.items()}
+    ok = _push(phi, A.one()) == Tp2.one()
     rep.add("chi-unital", ok, None if ok else "chi(1) != 1")
 
+    bad = _hom_range(phi, A, Tp2, 0, A.dim)
     detail = None
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = push(A.mul(A.basis_elem(i), A.basis_elem(j)))
-            rhs = Tp2.mul(push(A.basis_elem(i)), push(A.basis_elem(j)))
-            if lhs != rhs:
-                detail = f"chi(uv) != chi(u)chi(v) at ({A.label_str(i)}, {A.label_str(j)})"
-                break
-        if detail:
-            break
+    if bad is not None:
+        i, j = bad
+        detail = f"chi(uv) != chi(u)chi(v) at ({A.label_str(i)}, {A.label_str(j)})"
     rep.add("chi-multiplicative", detail is None, detail)
     return chi_map, Tp2, rep
 
@@ -607,30 +552,15 @@ def tube_vs_tube_prime(C, t_coeffs, dd=None):
     phi = {}
     for i, (w, xv, yv) in enumerate(Tp.labels):
         s = t_coeffs[w] * _transport_scalar(wc, w, xv[0])
-        phi[i] = (T.label_index[(w, xv, yv)], s)
+        phi[i] = {T.label_index[(w, xv, yv)]: s}
 
-    def push(vec):
-        out = {}
-        for i, c in vec.items():
-            j, s = phi[i]
-            _acc(out, j, c * s)
-        return out
-
+    bad = _hom_range(phi, Tp, T, 0, Tp.dim)
     detail = None
-    for i in range(Tp.dim):
-        for j in range(Tp.dim):
-            lhs = push(Tp.mul(Tp.basis_elem(i), Tp.basis_elem(j)))
-            rhs = T.mul(push(Tp.basis_elem(i)), push(Tp.basis_elem(j)))
-            if lhs != rhs:
-                detail = (
-                    f"transported product mismatch at ({Tp.label_str(i)}, "
-                    f"{Tp.label_str(j)})"
-                )
-                break
-        if detail:
-            break
+    if bad is not None:
+        i, j = bad
+        detail = f"transported product mismatch at ({Tp.label_str(i)}, {Tp.label_str(j)})"
     rep.add("transported-multiplication-matches", detail is None, detail)
-    ok = push(Tp.one()) == T.one()
+    ok = _push(phi, Tp.one()) == T.one()
     rep.add("transported-unit-matches", ok)
     return rep
 

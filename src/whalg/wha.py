@@ -10,10 +10,22 @@ Structure constants live in sparse tensors; every law is checked on basis
 tuples (sufficient by multilinearity) by streaming sparse contractions that
 enumerate exactly the tuples on which either side can be nonzero, so the
 sweeps are equivalent to the dense loops while staying feasible at dim 1296.
+
+Two law kernels serve every caller of their law shape:
+
+- `_hom_range`, the homomorphism kernel: the least basis pair on which a
+  linear map given by its basis images fails to be an algebra
+  (anti-)homomorphism.  It runs the antipode's anti-homomorphism law, `chi`,
+  the Tube/Tube' transport and the Drinfeld double's sharp map.
+- `_mixed_assoc_range`, the mixed-associativity kernel: the least basis
+  triple on which f(g(x, y), z) != h(x, k(y, z)) for four sparse bilinear
+  tables indexed by `_bilinear_index`.  It runs mu-associativity, the tube
+  bimodule and compose-tower laws and the module action law.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import os
@@ -55,34 +67,26 @@ class PlainAlgebra:
             val = self._caches[key] = build()
         return val
 
+    @functools.cached_property
+    def mu_index(self):
+        """mu as a law-kernel table (see `_bilinear_index`)."""
+        return _bilinear_index(self.mu.data)
+
     @property
     def mu_pairs(self):
-        def build():
-            out = {}
-            for (i, j, k), c in self.mu.data.items():
-                out.setdefault((i, j), []).append((k, c))
-            return out
-        return self._cache("mu_pairs", build)
+        return self.mu_index[0]
 
     @property
     def right_companions(self):
-        def build():
-            out = {}
-            for (i, j) in self.mu_pairs:
-                out.setdefault(i, []).append(j)
-            for v in out.values():
-                v.sort()
-            return out
-        return self._cache("right_companions", build)
+        return self.mu_index[1]
 
     @property
     def mu_by_result(self):
-        def build():
-            out = {}
-            for (i, j, k), c in self.mu.data.items():
-                out.setdefault(k, []).append((i, j, c))
-            return out
-        return self._cache("mu_by_result", build)
+        return self.mu_index[2]
+
+    @functools.cached_property
+    def left_companions(self):
+        return _companions(self.mu_pairs, 1)
 
     # -- element arithmetic ---------------------------------------------------
 
@@ -100,16 +104,7 @@ class PlainAlgebra:
 
     def mul(self, u, v):
         """Product of sparse elements of A."""
-        mp = self.mu_pairs
-        out = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                terms = mp.get((i, j))
-                if terms:
-                    cij = ci * cj
-                    for k, c in terms:
-                        _acc(out, k, cij * c)
-        return out
+        return _product(self.mu_pairs, u, v)
 
     def mul_tensor(self, U, V):
         """Product of sparse elements of A^(x)k, keyed by k-tuples of indices.
@@ -275,12 +270,7 @@ class WeakHopfAlgebra(PlainAlgebra):
         return tot
 
     def apply_antipode(self, u):
-        cols = self.antipode_cols
-        out = {}
-        for i, ci in u.items():
-            for k, c in cols[i].items():
-                _acc(out, k, ci * c)
-        return out
+        return _push(self.antipode_cols, u)
 
     def eps_lr(self, u):
         """epsilon^lr(u) = eps(1_(1) u) 1_(2)."""
@@ -327,6 +317,58 @@ def _prune(d):
     return {k: v for k, v in d.items() if v}
 
 
+def _first_diff(lhs, rhs):
+    """Least key on which two unequal sparse dicts differ."""
+    return min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
+
+
+def _product(pairs, u, v):
+    """Sparse bilinear product of u and v through a pairs index."""
+    out = {}
+    for i, ci in u.items():
+        for j, cj in v.items():
+            terms = pairs.get((i, j))
+            if terms:
+                cij = ci * cj
+                for k, c in terms:
+                    _acc(out, k, cij * c)
+    return out
+
+
+def _push(phi, u):
+    """Image of a sparse vector under the linear map with basis images phi."""
+    out = {}
+    for i, ci in u.items():
+        for k, c in phi[i].items():
+            _acc(out, k, ci * c)
+    return out
+
+
+def _companions(pairs, leg):
+    """For each index on `leg` of the pairs, its sorted partners on the other leg."""
+    out = {}
+    for key in pairs:
+        out.setdefault(key[leg], []).append(key[1 - leg])
+    for v in out.values():
+        v.sort()
+    return out
+
+
+def _bilinear_index(terms):
+    """Law-kernel table of a sparse bilinear map X x Y -> W.
+
+    terms: {(x, y, w): coeff of e_w in b(e_x, e_y)}.  Returns the pairs index
+    (x, y) -> [(w, c)], the right companions x -> sorted [y], and the
+    by-result index w -> [(x, y, c)].
+    """
+    pairs = {}
+    by_result = {}
+    for (x, y, w), c in terms.items():
+        pairs.setdefault((x, y), []).append((w, c))
+        by_result.setdefault(w, []).append((x, y, c))
+    return pairs, _companions(pairs, 0), by_result
+
+
 class RMatrixCandidate:
     """Element of A (x) A presented sparsely, with optional weak inverse."""
 
@@ -353,41 +395,54 @@ def _unit_law(A):
     return None
 
 
-def _assoc_range(A, lo, hi):
-    """First associativity counterexample with left factor in [lo, hi)."""
-    mp = A.mu_pairs
-    rc = A.right_companions
-    byr = A.mu_by_result
+def _mixed_assoc_range(f, g, h, k, lo, hi):
+    """Least basis triple (x, y, z), x in [lo, hi), with f(g(x, y), z) != h(x, k(y, z)).
+
+    f, g, h, k are `_bilinear_index` tables.  For each x both sides are
+    expanded, keyed (y, z, w), over exactly the (y, z) on which they can be
+    nonzero: the left through g's companions of x and f's companions of each
+    product, the right through h's companions of x and k's by-result index.
+    """
+    f_pairs, f_comp, _ = f
+    g_pairs, g_comp, _ = g
+    h_pairs, h_comp, _ = h
+    k_byr = k[2]
     prodcache = {}
-    for i in range(lo, hi):
+    for x in range(lo, hi):
         lhs = {}
-        for j in rc.get(i, ()):
-            for k1, c1 in mp[(i, j)]:
-                for z in rc.get(k1, ()):
-                    for l, c2 in mp[(k1, z)]:
+        for y in g_comp.get(x, ()):
+            for p, c1 in g_pairs[(x, y)]:
+                for z in f_comp.get(p, ()):
+                    for w, c2 in f_pairs[(p, z)]:
                         key = (c1, c2)
                         c12 = prodcache.get(key)
                         if c12 is None:
                             c12 = prodcache[key] = c1 * c2
-                        _acc(lhs, (j, z, l), c12)
+                        _acc(lhs, (y, z, w), c12)
         rhs = {}
-        for k2 in rc.get(i, ()):
-            t_ik = mp[(i, k2)]
-            for j, z, c3 in byr.get(k2, ()):
-                for l, c2 in t_ik:
+        for q in h_comp.get(x, ()):
+            t_xq = h_pairs[(x, q)]
+            for y, z, c3 in k_byr.get(q, ()):
+                for w, c2 in t_xq:
                     key = (c3, c2)
                     c32 = prodcache.get(key)
                     if c32 is None:
                         c32 = prodcache[key] = c3 * c2
-                    _acc(rhs, (j, z, l), c32)
+                    _acc(rhs, (y, z, w), c32)
         if lhs != rhs:
-            bad = sorted(set(lhs) ^ set(rhs) | {k for k in lhs if k in rhs and lhs[k] != rhs[k]})
-            j, z, _l = bad[0][:3] if bad else (0, 0, 0)
-            return (
-                f"mu not associative at ({A.label_str(i)}, {A.label_str(j)}, "
-                f"{A.label_str(z)})"
-            )
+            y, z, _w = _first_diff(lhs, rhs)
+            return x, y, z
     return None
+
+
+def _assoc_range(A, lo, hi):
+    """First associativity counterexample with left factor in [lo, hi)."""
+    mu = A.mu_index
+    bad = _mixed_assoc_range(mu, mu, mu, mu, lo, hi)
+    if bad is None:
+        return None
+    i, j, z = bad
+    return f"mu not associative at ({A.label_str(i)}, {A.label_str(j)}, {A.label_str(z)})"
 
 
 def _axiom1_range(A, lo, hi):
@@ -415,8 +470,7 @@ def _axiom1_range(A, lo, hi):
                 for j, k, c5 in dt[k0]:
                     _acc(rhs, (y, j, k), c * c5)
         if lhs != rhs:
-            bad = sorted(set(lhs) ^ set(rhs) | {k for k in lhs if k in rhs and lhs[k] != rhs[k]})
-            y = bad[0][0] if bad else 0
+            y = _first_diff(lhs, rhs)[0]
             return (
                 f"Delta(x)Delta(y) != Delta(xy) at (x, y) = "
                 f"({A.label_str(x)}, {A.label_str(y)})"
@@ -451,15 +505,13 @@ def _counit_weak_mult_range(A, lo, hi):
                 for z, b in eRs.items():
                     _acc(lhs2, (x, z), a * c0 * b)
         if lhs1 != rhs:
-            bad = sorted(set(lhs1) ^ set(rhs) | {k for k in lhs1 if k in rhs and lhs1[k] != rhs[k]})
-            x, z = bad[0] if bad else (0, 0)
+            x, z = _first_diff(lhs1, rhs)
             return (
                 f"eps(x y_(1)) eps(y_(2) z) != eps(xyz) at "
                 f"({A.label_str(x)}, {A.label_str(y)}, {A.label_str(z)})"
             )
         if lhs2 != rhs:
-            bad = sorted(set(lhs2) ^ set(rhs) | {k for k in lhs2 if k in rhs and lhs2[k] != rhs[k]})
-            x, z = bad[0] if bad else (0, 0)
+            x, z = _first_diff(lhs2, rhs)
             return (
                 f"eps(x y_(2)) eps(y_(1) z) != eps(xyz) at "
                 f"({A.label_str(x)}, {A.label_str(y)}, {A.label_str(z)})"
@@ -711,30 +763,43 @@ def _axiom4_eq3_range(A, lo, hi):
     return None
 
 
-def _antihom_range(A, lo, hi):
-    """S(xy) = S(y)S(x) with x = e_i in [lo, hi), all y, zero pairs included."""
+def _hom_range(phi, A, B, lo, hi, anti=False):
+    """Least (i, j), i in [lo, hi), with phi(e_i e_j) != phi(e_i) phi(e_j).
+
+    phi[i] is the sparse image in B of A's basis element i, for every i.  With
+    `anti` the right side is phi(e_j) phi(e_i).  For each i only the j on which
+    a side can be nonzero are visited: A's right companions of i, and each j
+    whose image meets B's companions of supp phi(e_i), found through an
+    inverse index of phi's support.
+    """
     mp = A.mu_pairs
-    cols = A.antipode_cols
+    rc = A.right_companions
+    partners = B.left_companions if anti else B.right_companions
+    holders = {}
+    for j in range(A.dim):
+        for b in phi[j]:
+            holders.setdefault(b, []).append(j)
     for i in range(lo, hi):
-        si = cols[i]
-        for j in range(A.dim):
-            sj = cols[j]
-            hit = False
-            for a in sj:
-                for b in si:
-                    if (a, b) in mp:
-                        hit = True
-                        break
-                if hit:
-                    break
-            terms = mp.get((i, j))
-            if not hit and not terms:
-                continue
-            lhs = A.apply_antipode({k: c for k, c in terms}) if terms else {}
-            rhs = A.mul(dict(sj), dict(si))
+        pi = phi[i]
+        cand = set(rc.get(i, ()))
+        for b in pi:
+            for b2 in partners.get(b, ()):
+                cand.update(holders.get(b2, ()))
+        for j in sorted(cand):
+            lhs = _push(phi, dict(mp.get((i, j), ())))
+            rhs = B.mul(phi[j], pi) if anti else B.mul(pi, phi[j])
             if lhs != rhs:
-                return f"S(xy) != S(y)S(x) at ({A.label_str(i)}, {A.label_str(j)})"
+                return i, j
     return None
+
+
+def _antihom_range(A, lo, hi):
+    """First S(xy) != S(y)S(x) counterexample with x = e_i in [lo, hi)."""
+    bad = _hom_range(A.antipode_cols, A, A, lo, hi, anti=True)
+    if bad is None:
+        return None
+    i, j = bad
+    return f"S(xy) != S(y)S(x) at ({A.label_str(i)}, {A.label_str(j)})"
 
 
 def verify_antipode(A, threads=None):

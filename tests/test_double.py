@@ -1,10 +1,16 @@
+import random
+
 import pytest
 
+import whalg.double
+
 from whalg.builders import build_a_m_c, build_b_g_omega
-from whalg.double import build_drinfeld_double, build_pairing, copairing, sharp_iso
+from whalg.double import DoubleAlgebra, build_drinfeld_double, build_pairing, copairing, sharp_iso
+from whalg.exactmath import Cyclotomic, SparseTensor3
 from whalg.groups import cyclic_group, standard_cocycle, trivial_cocycle
 from whalg.skeleton import pointed_skeleton, right_regular_module
 from whalg.wha import (
+    WeakHopfAlgebra,
     compare_structure,
     verify_antipode,
     verify_quasitriangular,
@@ -107,3 +113,48 @@ def test_double_general_vs_closed_sides_agree():
     B_closed = build_b_g_omega(g, w)
     index_map = [B_closed.label_index[("f", a, y, x)] for (a, y, x) in A_gen.labels]
     assert compare_structure(A_gen, B_closed, index_map).ok
+
+
+def _sharp_mult_dense(images, D, Abox):
+    """Reference for "sharp-multiplicative": every basis pair (t1, t2)."""
+    for t1 in range(D.dim):
+        for t2 in range(D.dim):
+            lhs = {}
+            for k, c in D.mul(D.basis_elem(t1), D.basis_elem(t2)).items():
+                for b, s in images[k].items():
+                    lhs[b] = lhs[b] + c * s if b in lhs else c * s
+            lhs = {b: c for b, c in lhs.items() if c}
+            if lhs != Abox.mul(images[t1], images[t2]):
+                return f"sharp(uv) != sharp(u)sharp(v) at ({t1}, {t2})"
+    return None
+
+
+def test_sharp_matches_dense_reference_on_tampered_double_mu(monkeypatch):
+    C, g, w = pointed(2, 1)
+    P = build_pairing(C)
+    dbl = build_drinfeld_double(P)
+    D = dbl.algebra
+    # the basis images of sharp, as handed to the homomorphism kernel
+    seen = []
+    kernel = whalg.double._hom_range
+
+    def spy(phi, *args):
+        seen.append(phi)
+        return kernel(phi, *args)
+
+    monkeypatch.setattr(whalg.double, "_hom_range", spy)
+    two = Cyclotomic.rational(D.conductor, 2)
+    for key in random.Random(2).sample(sorted(D.mu.data), 3):
+        scaled = dict(D.mu.data)
+        scaled[key] = scaled[key] * two
+        dropped = dict(D.mu.data)
+        del dropped[key]
+        for mu in (scaled, dropped):
+            bad = WeakHopfAlgebra(D.labels, D.conductor, SparseTensor3(D.mu.dims, D.conductor, mu),
+                                  dict(D.unit), SparseTensor3(D.delta.dims, D.conductor, dict(D.delta.data)),
+                                  dict(D.counit), D.antipode.copy(), name="bad")
+            tampered = DoubleAlgebra(bad, dbl.r, dbl.projection, dbl.reps, P)
+            rep, _, Abox = sharp_iso(C, double=tampered, pairing=P)
+            check = next(c for c in rep.checks if c.name == "sharp-multiplicative")
+            assert not check.ok
+            assert check.detail == _sharp_mult_dense(seen[-1], bad, Abox)

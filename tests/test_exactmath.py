@@ -160,6 +160,30 @@ def test_rref():
     assert ech[pivots.index(1)] == {1: one}
 
 
+def test_column_after_writes_equals_full_scan():
+    n = 3
+    one = Cyclotomic.one(n)
+    z = root_of_unity(3)
+    m = SparseMatrix(3, 3, n, {(0, 1): one, (2, 1): z, (1, 0): z})
+
+    def scan(j):
+        return [(i, v) for (i, jj), v in m.data.items() if jj == j]
+
+    assert list(m.column(1).items()) == scan(1)
+    writes = [
+        lambda: m.set(1, 1, z),
+        lambda: m.add_to(0, 1, -one),
+        lambda: m.add_to(2, 2, one),
+        lambda: m.set(1, 0, Cyclotomic.zero(n)),
+    ]
+    for write in writes:
+        write()
+        for j in range(3):
+            assert list(m.column(j).items()) == scan(j)
+    assert m.column(1) == {2: z, 1: z}
+    assert m.column(0) == {}
+
+
 def test_solve_consistency_and_failure():
     n = 4
     one = Cyclotomic.one(n)

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from whalg.exactmath import Cyclotomic
 from whalg.builders import build_a_g_omega, build_b_g_omega
 from whalg.groups import cyclic_group, standard_cocycle, trivial_cocycle
 from whalg.repcat import (
+    WHAModule,
     braid_relation_check,
     braiding_check,
     braiding_naturality,
@@ -55,6 +58,37 @@ def test_k_module_tampered_fails():
     rep = validate_module(B, bad)
     assert not rep.ok
     assert rep.first_failure.detail
+
+
+def _action_mult_dense(A, V):
+    """Reference for "action-multiplicative": rho(e_i) rho(e_j) = rho(e_i e_j) on every pair."""
+    for i in range(A.dim):
+        for j in range(A.dim):
+            lhs = V.action_matrix(i).matmul(V.action_matrix(j))
+            if lhs != V.rho(A.mul(A.basis_elem(i), A.basis_elem(j))):
+                return f"(xy).v != x.(y.v) at ({A.label_str(i)}, {A.label_str(j)})"
+    return None
+
+
+@pytest.mark.parametrize("which", ["k-module", "regular"])
+def test_action_law_matches_dense_reference_on_tampered_action(which):
+    from whalg.exactmath import SparseTensor3
+
+    if which == "k-module":
+        g, w, A = setup_b(3, 1)
+        V = k_module(A, g, w, 1)
+    else:
+        _, _, A, _ = setup_a(2, 1)
+        V = regular_module(A)
+    assert _action_mult_dense(A, V) is None
+    two = Cyclotomic.rational(A.conductor, 2)
+    for key in random.Random(5).sample(sorted(V.action.data), 3):
+        data = dict(V.action.data)
+        data[key] = data[key] * two
+        bad = WHAModule(A, V.dim, SparseTensor3(V.action.dims, A.conductor, data), name="bad")
+        check = next(c for c in validate_module(A, bad).checks if c.name == "action-multiplicative")
+        assert not check.ok
+        assert check.detail == _action_mult_dense(A, bad)
 
 
 def test_regular_module_validates():

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from whalg.wha import (
     PlainAlgebra,
     RMatrixCandidate,
     WeakHopfAlgebra,
+    _antihom_range,
     base_algebras,
     center_dim,
     compare_structure,
@@ -223,6 +225,45 @@ def test_parallel_matches_serial():
     A, _ = build_a_g_omega(cyclic_group(3), standard_cocycle(3, 1))
     assert verify_weak_bialgebra(A, threads=2).ok
     assert verify_antipode(A, threads=2).ok
+
+
+def _antihom_dense(A):
+    """Reference for "antipode-algebra-antihom": S(xy) = S(y)S(x) on every basis pair."""
+    S = A.antipode
+    for i in range(A.dim):
+        for j in range(A.dim):
+            lhs = S.apply(A.mul(A.basis_elem(i), A.basis_elem(j)))
+            rhs = A.mul(S.apply(A.basis_elem(j)), S.apply(A.basis_elem(i)))
+            if lhs != rhs:
+                return f"S(xy) != S(y)S(x) at ({A.label_str(i)}, {A.label_str(j)})"
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_antihom_sweep_matches_dense_reference_on_tampered_antipodes(n):
+    A, _ = build_a_g_omega(cyclic_group(n), standard_cocycle(n, 1))
+    assert _antihom_range(A, 0, A.dim) is None
+    assert _antihom_dense(A) is None
+    two = Cyclotomic.rational(A.conductor, 2)
+    tampered = []
+    for (k, i) in random.Random(n).sample(sorted(A.antipode.data), 4):
+        scaled = A.antipode.copy()
+        scaled.set(k, i, scaled.get(k, i) * two)
+        # moving the entry to another row can make S(e_j) S(e_i) nonzero
+        # where e_i e_j = 0
+        moved = A.antipode.copy()
+        moved.set(k, i, Cyclotomic.zero(A.conductor))
+        moved.add_to((k + 1) % A.dim, i, A.antipode.get(k, i))
+        tampered += [scaled, moved]
+    for S in tampered:
+        bad = clone_with(A, antipode=S)
+        expected = _antihom_dense(bad)
+        assert expected is not None
+        for threads in (1, 2):
+            check = next(c for c in verify_antipode(bad, threads=threads).checks
+                         if c.name == "antipode-algebra-antihom")
+            assert not check.ok
+            assert check.detail == expected
 
 
 # ---------------------------------------------------------------------------

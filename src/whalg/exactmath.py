@@ -409,13 +409,14 @@ class SparseMatrix:
     def matmul(self, other):
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matmul")
-        out = SparseMatrix(self.rows, other.cols, self.n)
         rows_other = other.row_dicts()
+        acc = {}
         for (i, k), v in self.data.items():
             for j, w in rows_other[k].items():
-                out.add_to(i, j, v * w)
-        out._colidx = None
-        return out
+                p = v * w
+                s = acc.get((i, j))
+                acc[(i, j)] = p if s is None else s + p
+        return SparseMatrix(self.rows, other.cols, self.n, {ij: s for ij, s in acc.items() if s})
 
     def apply(self, vec):
         """Apply to a sparse vector {index: scalar}."""

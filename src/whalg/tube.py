@@ -186,8 +186,9 @@ class Bimodule:
 # ---------------------------------------------------------------------------
 
 
-class TubeFamily:
-    """Tube spaces C(x_1..x_n w, w y_1..y_m) with the composition maps."""
+class _TubeSpaces:
+    """The basis shared by the tube spaces of both families, and the unit of
+    their algebras."""
 
     def __init__(self, C, dd=None):
         self.wc = WordCalc(C, dd)
@@ -208,6 +209,17 @@ class TubeFamily:
                         ylast = C.fuse(self.wc.inv(C.fuse_all(yhead)), target)
                         out.append((w, xvec, yhead + (ylast,)))
         return out
+
+    def _algebra(self, labels, mu, name):
+        unit = {}
+        for i, (w, xvec, yvec) in enumerate(labels):
+            if w == self.unit and xvec == yvec:
+                unit[i] = self.wc.one
+        return PlainAlgebra(labels, self.C.conductor, mu, unit, name=name)
+
+
+class TubeFamily(_TubeSpaces):
+    """Tube spaces C(x_1..x_n w, w y_1..y_m) with the composition maps."""
 
     def compose_scalar(self, h, g):
         """Structure scalar of compose^{mnk}(h, g); None when the legs clash.
@@ -266,13 +278,7 @@ class TubeFamily:
         mu = SparseTensor3((d, d, d), self.C.conductor)
         for (hi, gi), (oi, s) in comp.items():
             mu.add_to(hi, gi, oi, s)
-        unit = {}
-        one = self.wc.one
-        for i, (w, xvec, yvec) in enumerate(bout):
-            if w == self.unit and xvec == yvec:
-                unit[i] = one
-        return PlainAlgebra(bout, self.C.conductor, mu, unit,
-                            name=f"Tube^({n_level})[{self.C.name}]")
+        return self._algebra(bout, mu, f"Tube^({n_level})[{self.C.name}]")
 
     def bimodule(self, m, n):
         """Tube^{(m,n)} as a Tube^{(n)}-Tube^{(m)}-bimodule."""
@@ -371,28 +377,8 @@ def tube_generalized_associativity(C, instances=((1, 1, 1, 1),), dd=None):
 # ---------------------------------------------------------------------------
 
 
-class TubePrimeFamily:
+class TubePrimeFamily(_TubeSpaces):
     """Tube' spaces C(x_1..x_n, w y_1..y_n w^R) with their multiplication."""
-
-    def __init__(self, C, dd=None):
-        self.wc = WordCalc(C, dd)
-        self.C = C
-        self.unit = C.unit
-
-    def basis(self, n):
-        C = self.C
-        wc = self.wc
-        out = []
-        for w in C.labels:
-            for xvec in itertools.product(C.labels, repeat=n):
-                target = C.fuse(C.fuse(wc.inv(w), C.fuse_all(xvec)), w)
-                if n == 1:
-                    out.append((w, xvec, (target,)))
-                else:
-                    for yhead in itertools.product(C.labels, repeat=n - 1):
-                        ylast = C.fuse(wc.inv(C.fuse_all(yhead)), target)
-                        out.append((w, xvec, yhead + (ylast,)))
-        return out
 
     def mult_scalar(self, h, g):
         """h = (w', x'vec, y'vec), g = (w, xvec, yvec); needs xvec == y'vec."""
@@ -423,7 +409,7 @@ class TubePrimeFamily:
         return (t, xph, yg), s
 
     def algebra(self, n_level):
-        b = self.basis(n_level)
+        b = self.basis(n_level, n_level)
         idx = {lab: i for i, lab in enumerate(b)}
         d = len(b)
         mu = SparseTensor3((d, d, d), self.C.conductor)
@@ -433,12 +419,7 @@ class TubePrimeFamily:
                 if lab is None:
                     continue
                 mu.add_to(hi, gi, idx[lab], s)
-        unit = {}
-        for i, (w, xvec, yvec) in enumerate(b):
-            if w == self.unit and xvec == yvec:
-                unit[i] = self.wc.one
-        return PlainAlgebra(b, self.C.conductor, mu, unit,
-                            name=f"Tube'^({n_level})[{self.C.name}]")
+        return self._algebra(b, mu, f"Tube'^({n_level})[{self.C.name}]")
 
 
 def build_tube_prime(C, n=1, dd=None):

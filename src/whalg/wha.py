@@ -57,15 +57,8 @@ class PlainAlgebra:
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self.label_index) != self.dim:
             raise ValueError("labels must be distinct")
-        self._caches = {}
 
     # -- derived sparse indexes (built once) ---------------------------------
-
-    def _cache(self, key, build):
-        val = self._caches.get(key)
-        if val is None:
-            val = self._caches[key] = build()
-        return val
 
     @functools.cached_property
     def mu_index(self):
@@ -205,41 +198,47 @@ class WeakHopfAlgebra(PlainAlgebra):
 
     # -- comultiplication and antipode indexes (built once) -----------------
 
-    @property
+    @functools.cached_property
     def delta_terms(self):
-        def build():
-            out = {i: [] for i in range(self.dim)}
-            for (i, j, k), c in self.delta.data.items():
-                out[i].append((j, k, c))
-            return out
-        return self._cache("delta_terms", build)
+        out = {i: [] for i in range(self.dim)}
+        for (i, j, k), c in self.delta.data.items():
+            out[i].append((j, k, c))
+        return out
 
-    @property
+    @functools.cached_property
     def delta_left_inv(self):
-        def build():
-            out = {}
-            for (i, j, k), c in self.delta.data.items():
-                out.setdefault(j, []).append((i, k, c))
-            return out
-        return self._cache("delta_left_inv", build)
+        out = {}
+        for (i, j, k), c in self.delta.data.items():
+            out.setdefault(j, []).append((i, k, c))
+        return out
 
-    @property
+    @functools.cached_property
     def antipode_cols(self):
-        def build():
-            out = {i: {} for i in range(self.dim)}
-            for (k, i), c in self.antipode.data.items():
-                out[i][k] = c
-            return out
-        return self._cache("antipode_cols", build)
+        out = {i: {} for i in range(self.dim)}
+        for (k, i), c in self.antipode.data.items():
+            out[i][k] = c
+        return out
+
+    @functools.cached_property
+    def _delta_unit(self):
+        out = {}
+        for i, ci in self.unit.items():
+            for j, k, c in self.delta_terms[i]:
+                _acc(out, (j, k), ci * c)
+        return out
 
     def delta_of_unit(self):
-        def build():
-            out = {}
-            for i, ci in self.unit.items():
-                for j, k, c in self.delta_terms[i]:
-                    _acc(out, (j, k), ci * c)
-            return out
-        return self._cache("delta_of_unit", build)
+        return self._delta_unit
+
+    @functools.cached_property
+    def eps_left(self):
+        """s -> {x: eps(x s)}."""
+        return _eps_contraction(self, left=True)
+
+    @functools.cached_property
+    def eps_right(self):
+        """t -> {z: eps(t z)}."""
+        return _eps_contraction(self, left=False)
 
     # -- coalgebra and antipode arithmetic ------------------------------------
 
@@ -483,8 +482,8 @@ def _counit_weak_mult_range(A, lo, hi):
     mp = A.mu_pairs
     rc = A.right_companions
     dt = A.delta_terms
-    epsL = A._cache("epsL", lambda: _eps_contraction(A, left=True))
-    epsR = A._cache("epsR", lambda: _eps_contraction(A, left=False))
+    epsL = A.eps_left
+    epsR = A.eps_right
     for y in range(lo, hi):
         rhs = {}
         for z in rc.get(y, ()):
@@ -963,8 +962,25 @@ def base_algebras(A):
     ok = projected == p
     rep.add("p-lands-in-Al-tensor-Al", ok, None if ok else "p has a leg outside A^l")
 
-    detail = None
-    for x in basis_l:
+    bad, unital, idempotent = _separability_laws(A, p, basis_l)
+    rep.add("p-balances-Al", bad is None,
+            None if bad is None else "x p(1) (x) p(2) != p(1) (x) p(2) x on A^l")
+    rep.add("p-contracts-to-unit", unital, None if unital else "p(1) p(2) != 1")
+    rep.add("p-idempotent-op", idempotent,
+            None if idempotent else "p not idempotent in A^l (x) (A^l)^op")
+
+    return BaseAlgebraReport(E_lr, E_rr, basis_l, basis_r, p, rep)
+
+
+def _separability_laws(A, p, elems):
+    """The separability laws of p = sum p(1) (x) p(2) in A (x) A.
+
+    Returns the index in `elems` of the first x with
+    x p(1) (x) p(2) != p(1) (x) p(2) x (None if there is none), whether
+    p(1) p(2) = 1, and whether p is idempotent in A (x) A^op.
+    """
+    bad = None
+    for t, x in enumerate(elems):
         lhs = {}
         rhs = {}
         for (i, j), c in p.items():
@@ -973,16 +989,13 @@ def base_algebras(A):
             for k, v in A.mul({j: c}, x).items():
                 _acc(rhs, (i, k), v)
         if lhs != rhs:
-            detail = "x p(1) (x) p(2) != p(1) (x) p(2) x on A^l"
+            bad = t
             break
-    rep.add("p-balances-Al", detail is None, detail)
 
     contracted = {}
     for (i, j), c in p.items():
         for k, v in A.mul({i: c}, A.basis_elem(j)).items():
             _acc(contracted, k, v)
-    rep.add("p-contracts-to-unit", contracted == A.one(),
-            None if contracted == A.one() else "p(1) p(2) != 1")
 
     sq = {}
     for (i, j), c in p.items():
@@ -995,9 +1008,7 @@ def base_algebras(A):
             for k1, a in t1:
                 for k2, b in t2:
                     _acc(sq, (k1, k2), cc * a * b)
-    rep.add("p-idempotent-op", sq == p, None if sq == p else "p not idempotent in A^l (x) (A^l)^op")
-
-    return BaseAlgebraReport(E_lr, E_rr, basis_l, basis_r, p, rep)
+    return bad, contracted == A.one(), sq == p
 
 
 def center_dim(A):

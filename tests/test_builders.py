@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from whalg.exactmath import Cyclotomic
+from whalg.exactmath import Cyclotomic, SparseTensor3
 from whalg.builders import (
+    SeparableFrobenius,
     build_a_g_omega,
     build_a_m_c,
     build_b_g_omega,
@@ -174,6 +175,51 @@ def test_standard_frobenius_diagonal():
 def test_standard_frobenius_matrix():
     B = standard_frobenius("matrix", 2)
     assert B.validate().ok
+
+
+def _s_bimodule_dense(B):
+    """Reference for "s-bimodule-map": s(xy) = s(x) y = x s(y) on every basis pair."""
+    one = Cyclotomic.one(B.conductor)
+    for x in range(B.dim):
+        for y in range(B.dim):
+            sxy = B.s_of(B.mul({x: one}, {y: one}))
+            lhs = {}
+            for (a, b), c in B.s_of({x: one}).items():
+                for k, v in B.mul({b: c}, {y: one}).items():
+                    lhs[(a, k)] = lhs[(a, k)] + v if (a, k) in lhs else v
+            rhs = {}
+            for (a, b), c in B.s_of({y: one}).items():
+                for k, v in B.mul({x: one}, {a: c}).items():
+                    rhs[(k, b)] = rhs[(k, b)] + v if (k, b) in rhs else v
+            prune = lambda t: {key: v for key, v in t.items() if v}
+            if prune(lhs) != sxy or prune(rhs) != sxy:
+                return f"s is not a bimodule map at ({x}, {y})"
+    return None
+
+
+def test_separable_frobenius_bimodule_law_matches_dense_reference_when_tampered():
+    B = standard_frobenius("matrix", 2)
+    two = Cyclotomic.rational(1, 2)
+    tampered = []
+    for i, terms in B.s_terms.items():
+        for t, (j, k, c) in enumerate(terms):
+            s_terms = {key: list(v) for key, v in B.s_terms.items()}
+            s_terms[i][t] = (j, k, c * two)
+            tampered.append(SeparableFrobenius(B.labels, 1, B.mu, B.unit, s_terms, B.delta))
+    for key in B.mu.data:
+        mu = dict(B.mu.data)
+        mu[key] = mu[key] * two
+        tampered.append(SeparableFrobenius(B.labels, 1, SparseTensor3(B.mu.dims, 1, mu), B.unit,
+                                           B.s_terms, B.delta))
+    for X in [B] + tampered:
+        check = next(c for c in X.validate().checks if c.name == "s-bimodule-map")
+        expected = _s_bimodule_dense(X)
+        assert (check.ok, check.detail) == (expected is None, expected)
+        assert check.ok == (X is B)
+    # a scaled term of s(E_00) changes p = s(1), which then fails all three
+    # separability laws as well
+    failed = {c.name for c in tampered[0].validate().checks if not c.ok}
+    assert {"p-balances", "p-contracts-to-unit", "p-idempotent-op"} <= failed
 
 
 def test_frobenius_double_diagonal():

@@ -8,7 +8,7 @@ from whalg.builders import build_a_m_c, build_b_g_omega
 from whalg.double import DoubleAlgebra, build_drinfeld_double, build_pairing, copairing, sharp_iso
 from whalg.exactmath import Cyclotomic, SparseTensor3
 from whalg.groups import cyclic_group, standard_cocycle, trivial_cocycle
-from whalg.skeleton import pointed_skeleton, right_regular_module
+from whalg.skeleton import pointed_skeleton, pointed_to_group_cocycle, regular_module, right_regular_module
 from whalg.wha import (
     WeakHopfAlgebra,
     compare_structure,
@@ -158,3 +158,185 @@ def test_sharp_matches_dense_reference_on_tampered_double_mu(monkeypatch):
             check = next(c for c in rep.checks if c.name == "sharp-multiplicative")
             assert not check.ok
             assert check.detail == _sharp_mult_dense(seen[-1], bad, Abox)
+
+
+# -- dense references for the four pairing laws, iterated in the order the
+# homomorphism kernel reports: the least (b, b') then a, the least (a', a) then b
+
+
+def _pairing_laws_dense(mat, B, A):
+    n = B.conductor
+    m = lambda i, j: mat.data.get((i, j), Cyclotomic.zero(n))
+
+    def pair(b_vec, a_vec):
+        tot = Cyclotomic.zero(n)
+        for i, ci in b_vec.items():
+            for j, cj in a_vec.items():
+                tot = tot + ci * cj * m(i, j)
+        return tot
+
+    out = {}
+    detail = None
+    for j in range(A.dim):
+        if pair(B.one(), A.basis_elem(j)) != A.apply_counit(A.basis_elem(j)):
+            detail = f"<1_B, a> != eps_A(a) at {A.label_str(j)}"
+            break
+    out["pairing-unit-counit-B"] = detail
+
+    detail = None
+    for i in range(B.dim):
+        if pair(B.basis_elem(i), A.one()) != B.apply_counit(B.basis_elem(i)):
+            detail = f"<b, 1_A> != eps_B(b) at {B.label_str(i)}"
+            break
+    out["pairing-unit-counit-A"] = detail
+
+    def multiplicative():
+        for i1 in range(B.dim):
+            for i2 in range(B.dim):
+                for j in range(A.dim):
+                    lhs = Cyclotomic.zero(n)
+                    for s, t, c in A.delta_terms[j]:
+                        lhs = lhs + m(i1, s) * c * m(i2, t)
+                    if lhs != pair(B.mul(B.basis_elem(i1), B.basis_elem(i2)), A.basis_elem(j)):
+                        return (f"<b,a_(1)><b',a_(2)> != <bb',a> at "
+                                f"({B.label_str(i1)}, {B.label_str(i2)}, {A.label_str(j)})")
+        return None
+
+    def comultiplicative():
+        for j2 in range(A.dim):
+            for j1 in range(A.dim):
+                for i in range(B.dim):
+                    lhs = Cyclotomic.zero(n)
+                    for s, t, c in B.delta_terms[i]:
+                        lhs = lhs + m(s, j1) * c * m(t, j2)
+                    if lhs != pair(B.basis_elem(i), A.mul(A.basis_elem(j2), A.basis_elem(j1))):
+                        return (f"<b_(1),a><b_(2),a'> != <b,a'a> at "
+                                f"({B.label_str(i)}, {A.label_str(j1)}, {A.label_str(j2)})")
+        return None
+
+    out["pairing-multiplicative-in-B"] = multiplicative()
+    out["pairing-comultiplicative-in-B"] = comultiplicative()
+    return out
+
+
+def _one_sided(n, p):
+    C, g, w = pointed(n, p)
+    G, omega = pointed_to_group_cocycle(C)
+    Crev, M = right_regular_module(G, omega)
+    return C, build_a_m_c(C, regular_module(C)), build_a_m_c(Crev, M)
+
+
+def _retensor(X, mu=None, delta=None):
+    n = X.conductor
+    return WeakHopfAlgebra(
+        X.labels, n,
+        SparseTensor3(X.mu.dims, n, dict(X.mu.data if mu is None else mu)), dict(X.unit),
+        SparseTensor3(X.delta.dims, n, dict(X.delta.data if delta is None else delta)),
+        dict(X.counit), X.antipode.copy(), name=X.name,
+    )
+
+
+def _tamperings(table, rnd, count):
+    """One scaled and one dropped copy of `table` per sampled key."""
+    two = Cyclotomic.rational(next(iter(table.values())).n, 2)
+    for key in rnd.sample(sorted(table), count):
+        scaled = dict(table)
+        scaled[key] = scaled[key] * two
+        dropped = dict(table)
+        del dropped[key]
+        yield scaled
+        yield dropped
+
+
+def _assert_pairing_matches_dense(P):
+    dense = _pairing_laws_dense(P.matrix, P.B, P.A)
+    got = {c.name: c for c in P.report.checks if c.name in dense}
+    assert set(got) == set(dense)
+    for name, detail in dense.items():
+        assert (got[name].ok, got[name].detail) == (detail is None, detail), name
+    return dense
+
+
+@pytest.mark.parametrize("n,p", [(2, 1), (3, 1)])
+def test_pairing_laws_match_dense_reference_on_tampered_structure(n, p):
+    C, B, A = _one_sided(n, p)
+    assert not any(_assert_pairing_matches_dense(build_pairing(C, B=B, A=A)).values())
+    rnd = random.Random(n)
+    cases = [(_retensor(B, mu=mu), A) for mu in _tamperings(B.mu.data, rnd, 2)]
+    cases += [(B, _retensor(A, delta=delta)) for delta in _tamperings(A.delta.data, rnd, 2)]
+    # the comultiplicative law reads B's delta and A's mu
+    cases += [(_retensor(B, delta=delta), A) for delta in _tamperings(B.delta.data, rnd, 1)]
+    cases += [(B, _retensor(A, mu=mu)) for mu in _tamperings(A.mu.data, rnd, 1)]
+    for Bt, At in cases:
+        dense = _assert_pairing_matches_dense(build_pairing(C, B=Bt, A=At))
+        assert any(dense.values())
+
+
+@pytest.mark.parametrize("n,p", [(2, 1), (3, 1)])
+def test_pairing_laws_match_dense_reference_on_tampered_matrix(n, p, monkeypatch):
+    # each pairing entry is omega(a1, y1, a2) for a distinct triple, so
+    # tampering omega at one triple tampers exactly one matrix entry
+    C, B, A = _one_sided(n, p)
+    G, omega = pointed_to_group_cocycle(C)
+    two = Cyclotomic.rational(C.conductor, 2)
+    zero = Cyclotomic.zero(C.conductor)
+    triples = random.Random(n).sample(sorted(omega.values), 2)
+    for triple in triples:
+        for factor in (two, zero):
+            def tampered(a, b, c, triple=triple, factor=factor):
+                v = omega(a, b, c)
+                return v * factor if (a, b, c) == triple else v
+
+            monkeypatch.setattr(whalg.double, "pointed_to_group_cocycle", lambda C: (G, tampered))
+            P = build_pairing(C, B=B, A=A)
+            dense = _assert_pairing_matches_dense(P)
+            assert any(dense.values())
+
+
+def _double_mu_reference(P, dbl):
+    """The double's product with the exchange recomputed for every pair of
+    representatives, as a reference for the grouped loop."""
+    B, A = P.B, P.A
+    n = B.conductor
+    dA = A.dim
+    flat = lambda i, j: i * dA + j
+    sinvA = A.antipode.inverse()
+    d = len(dbl.reps)
+    mu = SparseTensor3((d, d, d), n)
+    d2B = {x: B.coproduct2(B.basis_elem(x)) for x in range(B.dim)}
+    d2A = {x: A.coproduct2(A.basis_elem(x)) for x in range(dA)}
+    for t1, f1 in enumerate(dbl.reps):
+        bp, ap = f1 // dA, f1 % dA
+        for t2, f2 in enumerate(dbl.reps):
+            b, a = f2 // dA, f2 % dA
+            out = {}
+            for (b1, b2, b3), cb in d2B[b].items():
+                for (a1, a2, a3), ca in d2A[ap].items():
+                    v1 = P.matrix.data.get((b1, a1))
+                    if v1 is None:
+                        continue
+                    v3 = Cyclotomic.zero(n)
+                    for k, ck in sinvA.apply({a3: Cyclotomic.one(n)}).items():
+                        vv = P.matrix.data.get((b3, k))
+                        if vv is not None:
+                            v3 = v3 + ck * vv
+                    if not v3:
+                        continue
+                    coeff = cb * v1 * v3
+                    left = B.mul(B.basis_elem(bp), B.basis_elem(b2))
+                    right = A.mul({a2: ca}, A.basis_elem(a))
+                    for kb, ckb in left.items():
+                        for ka, cka in right.items():
+                            key = flat(kb, ka)
+                            out[key] = out[key] + coeff * ckb * cka if key in out else coeff * ckb * cka
+            for k, v in dbl.projection({f: c for f, c in out.items() if c}).items():
+                mu.add_to(t1, t2, k, v)
+    return mu.data
+
+
+@pytest.mark.parametrize("n,p", [(2, 0), (2, 1), (3, 1)])
+def test_double_product_matches_per_pair_reference(n, p):
+    C, g, w = pointed(n, p)
+    P = build_pairing(C)
+    dbl = build_drinfeld_double(P)
+    assert dbl.algebra.mu.data == _double_mu_reference(P, dbl)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -210,3 +211,37 @@ def test_inverse_matrix():
     sing = SparseMatrix(2, 2, n, {(0, 0): one, (1, 0): one})
     with pytest.raises(ValueError):
         sing.inverse()
+
+
+def _matmul_naive(a, b):
+    out = {}
+    for i in range(a.rows):
+        for j in range(b.cols):
+            s = Cyclotomic.zero(a.n)
+            for k in range(a.cols):
+                s = s + a.get(i, k) * b.get(k, j)
+            if s:
+                out[(i, j)] = s
+    return SparseMatrix(a.rows, b.cols, a.n, out)
+
+
+def test_matmul_against_naive_reference():
+    n = 3
+    one = Cyclotomic.one(n)
+    z = root_of_unity(3)
+    # (0, 0) and (1, 1) of the product cancel to zero; (0, 2) is 1 + z + z^2 = 0
+    a = SparseMatrix(2, 3, n, {(0, 0): one, (0, 1): one, (0, 2): one, (1, 0): one, (1, 1): -one})
+    b = SparseMatrix(3, 3, n, {(0, 0): one, (1, 0): -one, (0, 1): one, (1, 1): one, (2, 1): z,
+                               (0, 2): one, (1, 2): z, (2, 2): z * z})
+    prod = a.matmul(b)
+    assert prod == _matmul_naive(a, b)
+    assert prod.data == {(0, 1): one + one + z, (1, 0): one + one, (1, 2): one - z}
+    assert prod.column(0) == {1: one + one} and prod.column(2) == {1: one - z}
+    rnd = random.Random(5)
+    values = [Cyclotomic.zero(n), one, -one, z, -z, z * z]
+    for _ in range(20):
+        x = SparseMatrix(3, 4, n, {(i, j): v for i in range(3) for j in range(4)
+                                   if (v := rnd.choice(values))})
+        y = SparseMatrix(4, 2, n, {(i, j): v for i in range(4) for j in range(2)
+                                   if (v := rnd.choice(values))})
+        assert x.matmul(y) == _matmul_naive(x, y)

@@ -193,21 +193,25 @@ def build_drinfeld_double(P):
     for xsrc, side in ((baA.basis_l, "l"), (baA.basis_r, "r")):
         for x in xsrc:
             pair_row = _push(P.cols, x)  # b -> <b, x>
+            xa = [A.mul(x, A.basis_elem(a)) for a in range(dA)]
+            # the B leg, the same for every a: sum over Delta(1) of
+            # <1_(1), x> b 1_(2) (side l) or <1_(2), x> b 1_(1) (side r)
+            paired = []
+            for (p, q), c in d1B.items():
+                val, other = (pair_row.get(p), q) if side == "l" else (pair_row.get(q), p)
+                if val:
+                    paired.append((other, val * c))
             for b in range(dB):
+                eb = B.basis_elem(b)
+                by = {}
+                for other, vc in paired:
+                    for k, ck in B.mul(eb, B.basis_elem(other)).items():
+                        _acc(by, k, vc * ck)
                 for a in range(dA):
-                    for k, ck in A.mul(x, A.basis_elem(a)).items():
+                    for k, ck in xa[a].items():
                         _acc(gens, (ngens, flat(b, k)), ck)
-                    for (p, q), c in d1B.items():
-                        if side == "l":
-                            val = pair_row.get(p)
-                            other = q
-                        else:
-                            val = pair_row.get(q)
-                            other = p
-                        if not val:
-                            continue
-                        for k, ck in B.mul(B.basis_elem(b), B.basis_elem(other)).items():
-                            _acc(gens, (ngens, flat(k, a)), -(val * c * ck))
+                    for k, ck in by.items():
+                        _acc(gens, (ngens, flat(k, a)), -ck)
                     ngens += 1
 
     ech, pivots = SparseMatrix(ngens, dB * dA, n, gens).rref()

@@ -3,13 +3,21 @@
 Every coefficient in this package is a `Cyclotomic`: an element of Q(zeta_N)
 stored in a canonical reduced form, so equality of values is literal equality
 of representations.  No floats anywhere.
+
+A `Cyclotomic` at conductor N stores (n, v, d), the value
+sum_e v[e] zeta_N^e / d: `v` is a dense tuple of phi(N) ints, the
+coordinates in the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1), and `d` is
+one positive common denominator with gcd(d, *v) = 1 (FLINT's `fmpq_poly`
+form).  Zero is (0, ..., 0) over 1.  Phi_N is monic over Z, so reducing a
+product mod Phi_N keeps the coordinates integral, and the gcd is only taken
+when d != 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-Rational = Fraction  # gcd-reduced numerator / positive denominator invariants
+from math import gcd, lcm
+from operator import add, neg, sub
 
 
 class ConductorMismatch(ValueError):
@@ -47,52 +55,78 @@ def cyclotomic_polynomial(n):
 
 
 class _Field:
-    """Per-conductor reduction data, built once and cached."""
+    """Per-conductor reduction data and inverse memo, built on first use."""
 
     def __init__(self, n):
-        self.n = n
         phi = cyclotomic_polynomial(n)
-        self.poly = phi
-        self.degree = len(phi) - 1
-        # canonical form of zeta^k for k = 0 .. 2n-2, as (exponent, Fraction) pairs
+        deg = self.degree = len(phi) - 1
+        # zeta^k mod Phi_n for k = 0 .. n-1 as int vectors of length deg
         tab = []
-        for k in range(2 * n - 1):
-            e = k % n
-            vec = [Fraction(0)] * (n + 1)
-            vec[e] = Fraction(1)
-            for i in range(n, self.degree - 1, -1):
+        for k in range(n):
+            vec = [0] * n
+            vec[k] = 1
+            for i in range(n - 1, deg - 1, -1):
                 c = vec[i]
                 if c:
-                    vec[i] = Fraction(0)
-                    for j in range(self.degree):
-                        vec[j + i - self.degree] -= c * phi[j]
-            tab.append(tuple((i, v) for i, v in enumerate(vec[: self.degree]) if v))
+                    vec[i] = 0
+                    for j in range(deg):
+                        vec[j + i - deg] -= c * phi[j]
+            tab.append(tuple(vec[:deg]))
         self.powtab = tab
+        # the rows that reduce the exponents deg .. 2deg-2 of a product of
+        # two vectors, as sparse (index, coefficient) pairs
+        self.reduce = tuple(
+            (k, tuple((j, c) for j, c in enumerate(tab[k % n]) if c))
+            for k in range(deg, 2 * deg - 1)
+        )
+        self.zero = (0,) * deg
+        self.one = (1,) + self.zero[1:]
+        self.inverses = {}  # irrational value -> its inverse
 
 
-_FIELDS = {}
+class _Fields(dict):
+    def __missing__(self, n):
+        f = self[n] = _Field(n)
+        return f
 
 
-def _field(n):
-    f = _FIELDS.get(n)
-    if f is None:
-        f = _FIELDS[n] = _Field(n)
-    return f
+_FIELDS = _Fields()
+
+
+def _canonical(n, v, d):
+    """The value v / d (ints, d > 0) in canonical form."""
+    if d != 1:
+        g = gcd(d, *v)
+        if g != 1:
+            return Cyclotomic(n, tuple([x // g for x in v]), d // g)
+    return Cyclotomic(n, tuple(v), d)
+
+
+def _from_terms(n, terms, d):
+    """Canonical form of sum x zeta_n^e / d over int terms (e, x), d > 0."""
+    f = _FIELDS[n]
+    acc = [0] * f.degree
+    for e, x in terms:
+        if x:
+            for j, r in enumerate(f.powtab[e % n]):
+                if r:
+                    acc[j] += x * r
+    return _canonical(n, acc, d)
 
 
 class Cyclotomic:
-    """Element of Q(zeta_N), canonical-reduced mod Phi_N.
+    """Element sum_e v[e] zeta_n^e / d of Q(zeta_n), canonical-reduced mod Phi_n.
 
-    Stored as a sorted tuple of (exponent, Fraction) pairs with exponents
-    below deg Phi_N and no zero coefficients; two values are equal iff their
-    stored forms are identical.  Immutable and hashable.
+    `v` holds phi(n) ints and `d` > 0 with gcd(d, *v) = 1, so two values are
+    equal iff their stored forms are identical.  Immutable and hashable.
     """
 
-    __slots__ = ("n", "c", "_hash")
+    __slots__ = ("n", "v", "d", "_hash")
 
-    def __init__(self, n, c):
+    def __init__(self, n, v, d):
         self.n = n
-        self.c = c
+        self.v = v
+        self.d = d
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -100,104 +134,120 @@ class Cyclotomic:
     @staticmethod
     def from_pairs(n, pairs):
         """Canonical reduction of arbitrary (exponent, coefficient) pairs."""
-        f = _field(n)
-        acc = {}
-        for e, q in pairs:
-            q = Fraction(q)
-            if not q:
-                continue
-            for e2, c2 in f.powtab[e % n]:
-                acc[e2] = acc.get(e2, Fraction(0)) + q * c2
-        return Cyclotomic(n, tuple(sorted((e, q) for e, q in acc.items() if q)))
+        terms = [(e, Fraction(q)) for e, q in pairs]
+        d = lcm(*(q.denominator for _e, q in terms))
+        return _from_terms(n, [(e, q.numerator * (d // q.denominator)) for e, q in terms], d)
 
     @staticmethod
     def rational(n, q):
+        zero = _FIELDS[n].zero
+        if type(q) is int:
+            return Cyclotomic(n, (q,) + zero[1:], 1)
         q = Fraction(q)
-        if not q:
-            return Cyclotomic(n, ())
-        return Cyclotomic(n, ((0, q),))
+        return Cyclotomic(n, (q.numerator,) + zero[1:], q.denominator)
 
     @staticmethod
     def zero(n):
-        return Cyclotomic(n, ())
+        return Cyclotomic(n, _FIELDS[n].zero, 1)
 
     @staticmethod
     def one(n):
-        return Cyclotomic(n, ((0, Fraction(1)),))
+        return Cyclotomic(n, _FIELDS[n].one, 1)
 
     # -- basics ------------------------------------------------------------
 
     def is_zero(self):
-        return not self.c
+        return not any(self.v)
 
     def is_one(self):
-        return self.c == ((0, Fraction(1)),)
+        return self.d == 1 and self.v == _FIELDS[self.n].one
 
     def is_rational(self):
-        return not self.c or (len(self.c) == 1 and self.c[0][0] == 0)
+        return not any(self.v[1:])
 
     def __bool__(self):
-        return bool(self.c)
+        return any(self.v)
 
     def __eq__(self, other):
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self.n == other.n and self.c == other.c
+        return self.n == other.n and self.v == other.v and self.d == other.d
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.n, self.c))
+            h = self._hash = hash((self.n, self.v, self.d))
         return h
 
-    def _check(self, other):
-        if self.n != other.n:
-            raise ConductorMismatch(f"conductor {self.n} vs {other.n}")
-
     def __add__(self, other):
-        self._check(other)
-        acc = dict(self.c)
-        for e, q in other.c:
-            s = acc.get(e, Fraction(0)) + q
-            if s:
-                acc[e] = s
-            else:
-                acc.pop(e, None)
-        return Cyclotomic(self.n, tuple(sorted(acc.items())))
-
-    def __neg__(self):
-        return Cyclotomic(self.n, tuple((e, -q) for e, q in self.c))
+        n = self.n
+        if n != other.n:
+            raise ConductorMismatch(f"conductor {n} vs {other.n}")
+        d = self.d
+        e = other.d
+        if d == e:
+            v = tuple(map(add, self.v, other.v))
+            if d == 1:
+                return Cyclotomic(n, v, 1)
+        else:
+            v = [x * e + y * d for x, y in zip(self.v, other.v)]
+            d *= e
+        return _canonical(n, v, d)
 
     def __sub__(self, other):
-        return self + (-other)
+        n = self.n
+        if n != other.n:
+            raise ConductorMismatch(f"conductor {n} vs {other.n}")
+        d = self.d
+        e = other.d
+        if d == e:
+            v = tuple(map(sub, self.v, other.v))
+            if d == 1:
+                return Cyclotomic(n, v, 1)
+        else:
+            v = [x * e - y * d for x, y in zip(self.v, other.v)]
+            d *= e
+        return _canonical(n, v, d)
+
+    def __neg__(self):
+        return Cyclotomic(self.n, tuple(map(neg, self.v)), self.d)
 
     def __mul__(self, other):
-        self._check(other)
-        a, b = self.c, other.c
-        if not a or not b:
-            return Cyclotomic(self.n, ())
-        if len(a) == 1 and a[0][0] == 0:  # rational factor fast path
-            q = a[0][1]
-            if q == 1:
+        n = self.n
+        if n != other.n:
+            raise ConductorMismatch(f"conductor {n} vs {other.n}")
+        a = self.v
+        b = other.v
+        d = self.d * other.d
+        if not any(a[1:]):  # rational factor fast path
+            q = a[0]
+            if q == 1 and d == other.d:
                 return other
-            return Cyclotomic(self.n, tuple((e, q * c) for e, c in b))
-        if len(b) == 1 and b[0][0] == 0:
-            q = b[0][1]
-            if q == 1:
+            v = [q * y for y in b]
+        elif not any(b[1:]):
+            q = b[0]
+            if q == 1 and d == self.d:
                 return self
-            return Cyclotomic(self.n, tuple((e, q * c) for e, c in a))
-        tab = _field(self.n).powtab
-        acc = {}
-        for e1, c1 in a:
-            for e2, c2 in b:
-                q = c1 * c2
-                for e3, c3 in tab[e1 + e2]:
-                    s = acc.get(e3, Fraction(0)) + q * c3
-                    if s:
-                        acc[e3] = s
-                    else:
-                        del acc[e3]
-        return Cyclotomic(self.n, tuple(sorted(acc.items())))
+            v = [q * x for x in a]
+        else:
+            deg = len(a)
+            v = [0] * (2 * deg - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for k, y in enumerate(b, i):
+                        if y:
+                            v[k] += x * y
+            for k, row in _FIELDS[n].reduce:
+                c = v[k]
+                if c:
+                    for j, r in row:
+                        v[j] += c * r
+            del v[deg:]
+        if d != 1:
+            g = gcd(d, *v)
+            if g != 1:
+                return Cyclotomic(n, tuple([x // g for x in v]), d // g)
+        return Cyclotomic(n, tuple(v), d)
 
     def __pow__(self, k):
         if k < 0:
@@ -212,28 +262,37 @@ class Cyclotomic:
         return out
 
     def inverse(self):
-        """Multiplicative inverse; raises ZeroDivisionError on 0."""
-        if not self.c:
-            raise ZeroDivisionError("inverse of zero cyclotomic")
-        if len(self.c) == 1:
-            e, q = self.c[0]
-            if e == 0:
-                return Cyclotomic(self.n, ((0, 1 / q),))
-        d = _field(self.n).degree
-        cols = []
-        for j in range(d):
-            col = self * Cyclotomic(self.n, ((j, Fraction(1)),))
-            vec = [Fraction(0)] * d
-            for e, q in col.c:
-                vec[e] = q
-            cols.append(vec)
-        rows = [[cols[j][i] for j in range(d)] for i in range(d)]
-        rhs = [Fraction(0)] * d
+        """Multiplicative inverse; raises ZeroDivisionError on 0.
+
+        The inverse of an irrational value is solved for once and memoized
+        on its field.
+        """
+        v = self.v
+        q = v[0]
+        if not any(v[1:]):
+            if not q:
+                raise ZeroDivisionError("inverse of zero cyclotomic")
+            d = self.d
+            return Cyclotomic(self.n, (d if q > 0 else -d,) + v[1:], abs(q))
+        f = _FIELDS[self.n]
+        inv = f.inverses.get(self)
+        if inv is None:
+            inv = f.inverses[self] = self._solve_inverse(f)
+        return inv
+
+    def _solve_inverse(self, f):
+        # v * y = 1 for the coordinates y of 1/v, then 1/(v/d) = d * y
+        n, d = self.n, self.d
+        deg = f.degree
+        num = Cyclotomic(n, self.v, 1)
+        cols = [(num * Cyclotomic(n, f.powtab[j], 1)).v for j in range(deg)]
+        rows = [[Fraction(cols[j][i]) for j in range(deg)] for i in range(deg)]
+        rhs = [Fraction(0)] * deg
         rhs[0] = Fraction(1)
         sol = _dense_solve(rows, rhs)
         if sol is None:
             raise ZeroDivisionError("zero divisor (non-invertible cyclotomic)")
-        return Cyclotomic(self.n, tuple((j, q) for j, q in enumerate(sol) if q))
+        return Cyclotomic.from_pairs(n, ((j, q * d) for j, q in enumerate(sol)))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -243,32 +302,44 @@ class Cyclotomic:
         if m % self.n:
             raise ConductorMismatch(f"{self.n} does not divide {m}")
         k = m // self.n
-        return Cyclotomic.from_pairs(m, tuple((e * k, q) for e, q in self.c))
+        return _from_terms(m, ((e * k, x) for e, x in enumerate(self.v)), self.d)
 
     def is_root_of_unity(self):
-        if not self.c:
+        if not any(self.v):
             return False
         return (self ** self.n).is_one()
 
+    def _coeffs(self):
+        """Each coordinate as a gcd-reduced (numerator, denominator) pair."""
+        d = self.d
+        out = []
+        for x in self.v:
+            g = gcd(x, d)
+            out.append((x // g, d // g))
+        return out
+
     def __repr__(self):
-        if not self.c:
-            return "0"
         parts = []
-        for e, q in self.c:
+        for e, (num, den) in enumerate(self._coeffs()):
+            if not num:
+                continue
+            q = f"{num}/{den}" if den != 1 else str(num)
             if e == 0:
-                parts.append(str(q))
-            elif q == 1:
+                parts.append(q)
+            elif q == "1":
                 parts.append(f"z{self.n}^{e}" if e > 1 else f"z{self.n}")
             else:
                 parts.append(f"{q}*z{self.n}^{e}" if e > 1 else f"{q}*z{self.n}")
-        return " + ".join(parts)
+        return " + ".join(parts) if parts else "0"
 
     # -- JSON wire form: exactly N [num, den] pairs, canonical-reduced ------
 
     def to_json(self):
-        vec = [[0, 1] for _ in range(self.n)]
-        for e, q in self.c:
-            vec[e] = [q.numerator, q.denominator]
+        if self.d == 1:
+            vec = [[x, 1] for x in self.v]
+        else:
+            vec = [[num, den] for num, den in self._coeffs()]
+        vec += [[0, 1] for _ in range(self.n - len(vec))]
         return {"conductor": self.n, "coeffs": vec}
 
     @staticmethod
@@ -277,14 +348,33 @@ class Cyclotomic:
         coeffs = obj["coeffs"]
         if len(coeffs) != n:
             raise ValueError("scalar encoding must carry exactly N coefficient pairs")
-        return Cyclotomic.from_pairs(
-            n, ((e, Fraction(num, den)) for e, (num, den) in enumerate(coeffs))
-        )
+        d = 1
+        for num, den in coeffs:
+            if not (isinstance(num, int) and isinstance(den, int)):
+                raise TypeError("scalar coefficients must be integer [num, den] pairs")
+            if den != 1:
+                if not den:
+                    raise ZeroDivisionError("zero denominator in a scalar encoding")
+                d = lcm(d, den)
+        f = _FIELDS[n]
+        deg = f.degree
+        v = [0] * deg
+        rest = []
+        for e, (num, den) in enumerate(coeffs):
+            if num:
+                x = num if den == d else num * (d // den)
+                if e < deg:
+                    v[e] += x
+                else:
+                    rest.append((e, x))
+        if rest:
+            return _from_terms(n, [*enumerate(v), *rest], d)
+        return _canonical(n, v, d)
 
 
 def root_of_unity(n, k=1):
     """zeta_n^k at conductor n."""
-    return Cyclotomic.from_pairs(n, ((k % n, Fraction(1)),))
+    return Cyclotomic(n, _FIELDS[n].powtab[k % n], 1)
 
 
 def _dense_solve(rows, rhs):
@@ -323,7 +413,7 @@ def _dense_solve(rows, rhs):
 class SparseMatrix:
     """Sparse matrix over a fixed cyclotomic field; no stored zeros."""
 
-    __slots__ = ("rows", "cols", "n", "data", "_colidx")
+    __slots__ = ("rows", "cols", "n", "data", "_colidx", "_rowidx")
 
     def __init__(self, rows, cols, n, data=None):
         self.rows = rows
@@ -331,6 +421,7 @@ class SparseMatrix:
         self.n = n  # conductor
         self.data = {} if data is None else data
         self._colidx = None
+        self._rowidx = None
 
     def copy(self):
         return SparseMatrix(self.rows, self.cols, self.n, dict(self.data))
@@ -342,7 +433,7 @@ class SparseMatrix:
             self.data[(i, j)] = v
         else:
             self.data.pop((i, j), None)
-        self._colidx = None
+        self._colidx = self._rowidx = None
 
     def add_to(self, i, j, v):
         if not v:
@@ -353,7 +444,7 @@ class SparseMatrix:
             self.data[(i, j)] = s
         else:
             del self.data[(i, j)]
-        self._colidx = None
+        self._colidx = self._rowidx = None
 
     def get(self, i, j):
         return self.data.get((i, j), Cyclotomic.zero(self.n))
@@ -406,10 +497,15 @@ class SparseMatrix:
             self._colidx = idx
         return self._colidx
 
+    def _rows(self):
+        if self._rowidx is None:
+            self._rowidx = self.row_dicts()
+        return self._rowidx
+
     def matmul(self, other):
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matmul")
-        rows_other = other.row_dicts()
+        rows_other = other._rows()
         acc = {}
         for (i, k), v in self.data.items():
             for j, w in rows_other[k].items():
@@ -579,8 +675,8 @@ def _rref(rows, n, aug_col=None):
     result is a genuine RREF.  With `aug_col` set, a pivot landing on that
     column signals inconsistency and (None, None) is returned.
 
-    Exact field arithmetic throughout; Fraction keeps every coefficient
-    gcd-normalized, which bounds intermediate swell at desk scale.
+    Exact field arithmetic throughout; every coefficient is kept over its
+    least common denominator, which bounds intermediate swell at desk scale.
     """
     work = [r for r in rows if r]
     work.sort(key=len, reverse=True)

@@ -181,6 +181,21 @@ def _scalar_out(v):
     return v.to_json()
 
 
+def _scalars(entries, n, table):
+    """(indices, scalar) of each [*indices, encoding] entry of a table.
+
+    Every scalar must carry the file's conductor n; a mismatch raises
+    ValueError naming the table and the entry's indices.
+    """
+    for *idx, enc in entries:
+        if enc["conductor"] != n:
+            raise ValueError(
+                f"{table}[{', '.join(map(str, idx))}]: scalar conductor "
+                f"{enc['conductor']} differs from the file's conductor {n}"
+            )
+        yield idx, Cyclotomic.from_json(enc)
+
+
 def algebra_to_json(A):
     return {
         "name": A.name,
@@ -199,18 +214,17 @@ def algebra_to_json(A):
 def algebra_from_json(obj):
     d = obj["dim"]
     n = obj["conductor"]
-    sc = Cyclotomic.from_json
     mu = SparseTensor3((d, d, d), n)
-    for i, j, k, enc in obj["mu"]:
-        mu.set(i, j, k, sc(enc))
+    for (i, j, k), v in _scalars(obj["mu"], n, "mu"):
+        mu.set(i, j, k, v)
     delta = SparseTensor3((d, d, d), n)
-    for i, j, k, enc in obj["delta"]:
-        delta.set(i, j, k, sc(enc))
-    unit = {i: sc(enc) for i, enc in obj["unit"]}
-    counit = {i: sc(enc) for i, enc in obj["counit"]}
+    for (i, j, k), v in _scalars(obj["delta"], n, "delta"):
+        delta.set(i, j, k, v)
+    unit = {i: v for (i,), v in _scalars(obj["unit"], n, "unit")}
+    counit = {i: v for (i,), v in _scalars(obj["counit"], n, "counit")}
     antipode = SparseMatrix(d, d, n)
-    for k, i, enc in obj["antipode"]:
-        antipode.set(k, i, sc(enc))
+    for (k, i), v in _scalars(obj["antipode"], n, "antipode"):
+        antipode.set(k, i, v)
     labels = [decode_label(l) for l in obj["labels"]]
     return WeakHopfAlgebra(
         labels, n, mu, unit, delta, counit, antipode,
@@ -231,11 +245,11 @@ def rmatrix_to_json(A, cand):
 
 
 def rmatrix_from_json(obj):
-    sc = Cyclotomic.from_json
-    terms = {(i, j): sc(enc) for i, j, enc in obj["terms"]}
+    n = obj["conductor"]
+    terms = {(i, j): v for (i, j), v in _scalars(obj["terms"], n, "terms")}
     rbar = None
     if "rbar" in obj:
-        rbar = {(i, j): sc(enc) for i, j, enc in obj["rbar"]}
+        rbar = {(i, j): v for (i, j), v in _scalars(obj["rbar"], n, "rbar")}
     return RMatrixCandidate(terms, rbar)
 
 
@@ -256,6 +270,6 @@ def wha_module_from_json(obj, A):
     if n != A.conductor:
         raise ValueError("module and algebra conductors differ")
     act = SparseTensor3((A.dim, d, d), n)
-    for a, r, c, enc in obj["action"]:
-        act.set(a, r, c, Cyclotomic.from_json(enc))
+    for (a, r, c), v in _scalars(obj["action"], n, "action"):
+        act.set(a, r, c, v)
     return WHAModule(A, d, act)

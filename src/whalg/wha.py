@@ -273,20 +273,22 @@ class WeakHopfAlgebra(PlainAlgebra):
 
     def eps_lr(self, u):
         """epsilon^lr(u) = eps(1_(1) u) 1_(2)."""
+        eps_u = _push(self.eps_left, u)  # x -> eps(x u)
         out = {}
         for (p, q), c in self.delta_of_unit().items():
-            val = self.apply_counit(self.mul({p: c}, u))
+            val = eps_u.get(p)
             if val:
-                _acc(out, q, val)
+                _acc(out, q, c * val)
         return out
 
     def eps_rr(self, u):
         """epsilon^rr(u) = 1_(1) eps(1_(2) u)."""
+        eps_u = _push(self.eps_left, u)  # x -> eps(x u)
         out = {}
         for (p, q), c in self.delta_of_unit().items():
-            val = self.apply_counit(self.mul({q: c}, u))
+            val = eps_u.get(q)
             if val:
-                _acc(out, p, val)
+                _acc(out, p, c * val)
         return out
 
     def elem_str(self, u):
@@ -302,14 +304,16 @@ class WeakHopfAlgebra(PlainAlgebra):
 
 
 def _acc(d, k, v):
-    if not v:
-        return
     cur = d.get(k)
-    s = cur + v if cur is not None else v
-    if s:
-        d[k] = s
+    if cur is None:
+        if v:
+            d[k] = v
     else:
-        del d[k]
+        s = cur + v
+        if s:
+            d[k] = s
+        else:
+            del d[k]
 
 
 def _prune(d):
@@ -520,19 +524,17 @@ def _counit_weak_mult_range(A, lo, hi):
 
 def _eps_contraction(A, left):
     """left: s -> {x: eps(x s)}; right: t -> {z: eps(t z)}."""
-    out = {}
+    out = {i: {} for i in range(A.dim)}
     eps = A.counit
     for (i, j, k), c in A.mu.data.items():
         e = eps.get(k)
         if not e:
             continue
         if left:
-            out.setdefault(j, {})
             _acc(out[j], i, c * e)
         else:
-            out.setdefault(i, {})
             _acc(out[i], j, c * e)
-    return {k: _prune(v) for k, v in out.items()}
+    return out
 
 
 _PARALLEL = {}

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -216,3 +219,32 @@ def test_json_flag_byte_stable(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     json.loads(first.strip())  # machine-readable
+
+
+def test_wrong_conductor_scalar_rejected_at_load(tmp_path, capsys):
+    out = tmp_path / "b3.json"
+    assert run("build", "b-g-omega", "--group", "z3", "--cocycle", "p=1", "-o", str(out)) == 0
+    obj = jsonio.read_json(str(out))
+    i, j, k, _enc = obj["mu"][5]
+    obj["mu"][5] = [i, j, k, {"conductor": 1, "coeffs": [[1, 1]]}]
+    bad = tmp_path / "bad.json"
+    jsonio.write_json(str(bad), obj)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "whalg.cli", "verify", str(bad), "--suite", "wha"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert f"mu[{i}, {j}, {k}]" in proc.stderr and "conductor 1" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    # the R-matrix and module loaders check their scalars the same way
+    A, R = build_a_g_omega(cyclic_group(2), standard_cocycle(2, 1))
+    robj = jsonio.rmatrix_to_json(A, R)
+    robj["terms"][0][2] = {"conductor": 4, "coeffs": [[1, 1], [0, 1], [0, 1], [0, 1]]}
+    with pytest.raises(ValueError, match=r"terms\[%d, %d\]" % tuple(robj["terms"][0][:2])):
+        jsonio.rmatrix_from_json(robj)
+    mobj = {"algebra": "", "dim": 1, "conductor": 2,
+            "action": [[0, 0, 0, {"conductor": 1, "coeffs": [[1, 1]]}]]}
+    with pytest.raises(ValueError, match=r"action\[0, 0, 0\]"):
+        jsonio.wha_module_from_json(mobj, A)

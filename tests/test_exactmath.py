@@ -60,8 +60,10 @@ def test_conductor_mismatch():
 
 def test_canonical_reduction_idempotent():
     x = C(12, (7, Fraction(3, 2)), (11, -1), (4, 5))
-    again = Cyclotomic.from_pairs(12, x.c)
+    pairs = [(e, Fraction(num, den)) for e, (num, den) in enumerate(x.to_json()["coeffs"])]
+    again = Cyclotomic.from_pairs(12, pairs)
     assert x == again
+    assert again.to_json() == x.to_json()
     assert (x - x).is_zero()
 
 
@@ -245,3 +247,250 @@ def test_matmul_against_naive_reference():
         y = SparseMatrix(4, 2, n, {(i, j): v for i in range(4) for j in range(2)
                                    if (v := rnd.choice(values))})
         assert x.matmul(y) == _matmul_naive(x, y)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against a Fraction-pair reference
+# ---------------------------------------------------------------------------
+
+
+class _RefCyclotomic:
+    """Q(zeta_n) as a sorted tuple of (exponent, Fraction) pairs reduced mod
+    Phi_n: a straightforward reference for the integer kernel."""
+
+    _tables = {}
+
+    def __init__(self, n, c):
+        self.n = n
+        self.c = c
+
+    @classmethod
+    def _powtab(cls, n):
+        tab = cls._tables.get(n)
+        if tab is None:
+            phi = cyclotomic_polynomial(n)
+            deg = len(phi) - 1
+            tab = []
+            for k in range(2 * n - 1):
+                vec = [Fraction(0)] * (n + 1)
+                vec[k % n] = Fraction(1)
+                for i in range(n, deg - 1, -1):
+                    c = vec[i]
+                    if c:
+                        vec[i] = Fraction(0)
+                        for j in range(deg):
+                            vec[j + i - deg] -= c * phi[j]
+                tab.append(tuple((i, v) for i, v in enumerate(vec[:deg]) if v))
+            cls._tables[n] = tab
+        return tab
+
+    @classmethod
+    def from_pairs(cls, n, pairs):
+        tab = cls._powtab(n)
+        acc = {}
+        for e, q in pairs:
+            q = Fraction(q)
+            for e2, c2 in tab[e % n]:
+                acc[e2] = acc.get(e2, Fraction(0)) + q * c2
+        return cls(n, tuple(sorted((e, q) for e, q in acc.items() if q)))
+
+    @classmethod
+    def one(cls, n):
+        return cls(n, ((0, Fraction(1)),))
+
+    def is_one(self):
+        return self.c == ((0, Fraction(1)),)
+
+    def is_rational(self):
+        return not self.c or (len(self.c) == 1 and self.c[0][0] == 0)
+
+    def __add__(self, other):
+        return _RefCyclotomic.from_pairs(self.n, self.c + other.c)
+
+    def __neg__(self):
+        return _RefCyclotomic(self.n, tuple((e, -q) for e, q in self.c))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return _RefCyclotomic.from_pairs(
+            self.n, [(e1 + e2, q1 * q2) for e1, q1 in self.c for e2, q2 in other.c]
+        )
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = _RefCyclotomic.one(self.n)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def inverse(self):
+        if not self.c:
+            raise ZeroDivisionError
+        d = len(cyclotomic_polynomial(self.n)) - 1
+        cols = []
+        for j in range(d):
+            col = dict((self * _RefCyclotomic(self.n, ((j, Fraction(1)),))).c)
+            cols.append([col.get(i, Fraction(0)) for i in range(d)])
+        # Gauss-Jordan on [M | e_0], M[i][j] = cols[j][i]
+        m = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))] for i in range(d)]
+        for col in range(d):
+            r = next(i for i in range(col, d) if m[i][col])
+            m[col], m[r] = m[r], m[col]
+            m[col] = [x / m[col][col] for x in m[col]]
+            for i in range(d):
+                if i != col and m[i][col]:
+                    m[i] = [x - m[i][col] * y for x, y in zip(m[i], m[col])]
+        return _RefCyclotomic.from_pairs(self.n, [(j, m[j][d]) for j in range(d)])
+
+    def embed(self, m):
+        k = m // self.n
+        return _RefCyclotomic.from_pairs(m, [(e * k, q) for e, q in self.c])
+
+    def is_root_of_unity(self):
+        return bool(self.c) and (self ** self.n).is_one()
+
+    def to_json(self):
+        vec = [[0, 1] for _ in range(self.n)]
+        for e, q in self.c:
+            vec[e] = [q.numerator, q.denominator]
+        return {"conductor": self.n, "coeffs": vec}
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls.from_pairs(
+            obj["conductor"], [(e, Fraction(num, den)) for e, (num, den) in enumerate(obj["coeffs"])]
+        )
+
+
+KERNEL_CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15]
+_coeff = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 4, 6, 9]))
+
+
+@st.composite
+def _value_pairs(draw, n):
+    """(exponent, coefficient) pairs of a rational, monomial, root-of-unity or dense value."""
+    kind = draw(st.sampled_from(["rational", "monomial", "root", "dense"]))
+    if kind == "rational":
+        return [(0, draw(_coeff))]
+    if kind == "monomial":
+        return [(draw(st.integers(0, 2 * n)), draw(_coeff))]
+    if kind == "root":
+        return [(draw(st.integers(0, n - 1)), draw(st.sampled_from([1, -1])))]
+    return [(e, draw(_coeff)) for e in range(n)]
+
+
+@st.composite
+def _kernel_case(draw):
+    n = draw(st.sampled_from(KERNEL_CONDUCTORS))
+    return n, draw(_value_pairs(n)), draw(_value_pairs(n))
+
+
+def _both(n, pairs):
+    return Cyclotomic.from_pairs(n, pairs), _RefCyclotomic.from_pairs(n, pairs)
+
+
+def _same(x, ref):
+    """x has the reference's wire form and is stored canonically."""
+    enc = ref.to_json()
+    assert x.to_json() == enc
+    canonical = Cyclotomic.from_json(enc)
+    assert x == canonical and hash(x) == hash(canonical)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_case(), st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+def test_kernel_matches_fraction_reference(case, k, m):
+    n, px, py = case
+    x, rx = _both(n, px)
+    y, ry = _both(n, py)
+    _same(x, rx)
+    _same(y, ry)
+    for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
+        _same(op(x, y), op(rx, ry))
+    _same(-x, -rx)
+    assert x.is_rational() == rx.is_rational()
+    assert x.is_root_of_unity() == rx.is_root_of_unity()
+    _same(x.embed(m * n), rx.embed(m * n))
+    back = Cyclotomic.from_json(x.to_json())
+    assert back == x and back.to_json() == x.to_json()
+    if x:
+        _same(x.inverse(), rx.inverse())
+        _same(x ** k, rx ** k)
+    else:
+        _same(x ** abs(k), rx ** abs(k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(KERNEL_CONDUCTORS).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(-12, 12), st.sampled_from([1, 2, -3, 4, 6, -1])),
+            min_size=n, max_size=n,
+        ).map(lambda cs: (n, cs))
+    )
+)
+def test_from_json_reduces_any_encoding_like_the_reference(case):
+    # unreduced fractions, negative denominators and exponents >= phi(n)
+    n, coeffs = case
+    obj = {"conductor": n, "coeffs": [list(c) for c in coeffs]}
+    _same(Cyclotomic.from_json(obj), _RefCyclotomic.from_json(obj))
+
+
+def test_from_json_rejects_bad_coefficients():
+    with pytest.raises(ZeroDivisionError):
+        Cyclotomic.from_json({"conductor": 2, "coeffs": [[1, 0], [0, 1]]})
+    with pytest.raises(TypeError):
+        Cyclotomic.from_json({"conductor": 2, "coeffs": [[1.5, 1], [0, 1]]})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_case())
+def test_inverse_memo_hash_and_canonical_zero(case):
+    n, px, py = case
+    x = Cyclotomic.from_pairs(n, px)
+    y = Cyclotomic.from_pairs(n, px)  # equal value, separate object
+    assert x == y and hash(x) == hash(y)
+    assert Cyclotomic.from_json(x.to_json()) == x
+    assert hash(Cyclotomic.from_json(x.to_json())) == hash(x)
+    zero = x - x
+    assert zero == Cyclotomic.zero(n) and hash(zero) == hash(Cyclotomic.zero(n))
+    assert zero.to_json() == Cyclotomic.zero(n).to_json()
+    assert not zero and zero.is_zero()
+    with pytest.raises(ZeroDivisionError):
+        zero.inverse()
+    if x:
+        first = x.inverse()
+        assert x.inverse() == first and y.inverse() == first
+        assert (x * first).is_one()
+    other = 4 if n != 4 else 3
+    with pytest.raises(ConductorMismatch):
+        x * Cyclotomic.one(other)
+    with pytest.raises(ConductorMismatch):
+        x + Cyclotomic.one(other)
+    with pytest.raises(ConductorMismatch):
+        x - Cyclotomic.one(other)
+
+
+def test_matmul_after_writes_to_the_right_operand():
+    # the right operand's row index is rebuilt after set/add_to
+    n = 3
+    one = Cyclotomic.one(n)
+    z = root_of_unity(3)
+    a = SparseMatrix(2, 3, n, {(0, 0): one, (0, 2): z, (1, 1): one})
+    b = SparseMatrix(3, 2, n, {(0, 0): one, (2, 1): z})
+    assert a.matmul(b) == _matmul_naive(a, b)
+    writes = [
+        lambda: b.set(1, 0, z),
+        lambda: b.add_to(0, 0, -one),
+        lambda: b.add_to(2, 0, one),
+        lambda: b.set(2, 1, Cyclotomic.zero(n)),
+    ]
+    for write in writes:
+        write()
+        assert a.matmul(b) == _matmul_naive(a, b)
+    rows = b.row_dicts()
+    rows[1].clear()
+    assert a.matmul(b) == _matmul_naive(a, b) and b.row_dicts()[1]

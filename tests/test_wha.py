@@ -368,3 +368,48 @@ def test_mul_tensor_empty_and_singleton_operands(k):
         assert A.mul_tensor(U, V) == _naive_tensor_product(A, U, V)
     assert A.mul_tensor(single, live)
     assert A.mul_tensor(single, {(j,) * (k - 1) + (dead,): one}) == {}
+
+
+def _eps_lr_reference(A, u):
+    # epsilon^lr(u) = eps(1_(1) u) 1_(2), one product and counit per Delta(1) term
+    out = {}
+    for (p, q), c in A.delta_of_unit().items():
+        val = A.apply_counit(A.mul({p: c}, u))
+        if val:
+            out[q] = out[q] + val if q in out else val
+    return {k: v for k, v in out.items() if v}
+
+
+def _eps_rr_reference(A, u):
+    # epsilon^rr(u) = 1_(1) eps(1_(2) u)
+    out = {}
+    for (p, q), c in A.delta_of_unit().items():
+        val = A.apply_counit(A.mul({q: c}, u))
+        if val:
+            out[p] = out[p] + val if p in out else val
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eps_lr_rr_match_reference_on_tampered_algebras(n):
+    A, _R = build_a_g_omega(cyclic_group(n), standard_cocycle(n, 1))
+    two = Cyclotomic.rational(A.conductor, 2)
+    z = Cyclotomic.from_pairs(A.conductor, [(1, 1)])
+    variants = [A]
+    for key in sorted(A.mu.data)[:: max(1, len(A.mu.data) // 6)]:
+        mu = SparseTensor3(A.mu.dims, A.conductor, dict(A.mu.data))
+        mu.data[key] = mu.data[key] * two
+        variants.append(clone_with(A, mu=mu))
+    for key in sorted(A.counit):
+        counit = dict(A.counit)
+        counit[key] = counit[key] * z
+        variants.append(clone_with(A, counit=counit))
+    rnd = random.Random(n)
+    for B in variants:
+        elems = [B.basis_elem(x) for x in range(B.dim)]
+        elems += [{x: Cyclotomic.rational(B.conductor, rnd.randint(-2, 2)) * z
+                   for x in rnd.sample(range(B.dim), 4)} for _ in range(5)]
+        for u in elems:
+            u = {k: v for k, v in u.items() if v}
+            assert B.eps_lr(u) == _eps_lr_reference(B, u)
+            assert B.eps_rr(u) == _eps_rr_reference(B, u)

@@ -122,8 +122,24 @@ def cmd_build(args):
     return 0
 
 
+def _load_rmatrix(path, A):
+    obj = jsonio.read_json(path)
+    R = jsonio.rmatrix_from_json(obj)
+    if (obj["dim"], obj["conductor"]) != (A.dim, A.conductor):
+        raise UsageError(
+            f"R-matrix dim {obj['dim']}, conductor {obj['conductor']} differs from the "
+            f"algebra's dim {A.dim}, conductor {A.conductor}"
+        )
+    return R
+
+
 def cmd_verify(args):
     A = jsonio.algebra_from_json(jsonio.read_json(args.file))
+    if args.suite == "qt" and not args.rmatrix:
+        raise UsageError("suite qt needs --rmatrix FILE")
+    R = None
+    if args.suite in ("qt", "all") and args.rmatrix:
+        R = _load_rmatrix(args.rmatrix, A)
     threads = args.threads
     suites = []
     if args.suite in ("wha", "all"):
@@ -131,13 +147,7 @@ def cmd_verify(args):
         suites.append(verify_antipode(A, threads=threads))
     if args.suite in ("base", "all"):
         suites.append(base_algebras(A).report)
-    if args.suite in ("qt",):
-        if not args.rmatrix:
-            raise UsageError("suite qt needs --rmatrix FILE")
-        R = jsonio.rmatrix_from_json(jsonio.read_json(args.rmatrix))
-        suites.append(verify_quasitriangular(A, R))
-    elif args.suite == "all" and args.rmatrix:
-        R = jsonio.rmatrix_from_json(jsonio.read_json(args.rmatrix))
+    if R is not None:
         suites.append(verify_quasitriangular(A, R))
     ok = True
     for rep in suites:
@@ -232,7 +242,7 @@ def cmd_rep(args):
     if args.action == "braid":
         if not args.rmatrix:
             raise UsageError("rep braid needs --rmatrix FILE")
-        R = jsonio.rmatrix_from_json(jsonio.read_json(args.rmatrix))
+        R = _load_rmatrix(args.rmatrix, A)
         qt = verify_quasitriangular(A, R)
         rep, _c, _vw, _wv = braiding_check(A, R, V, W)
         U = _load_module(args.third, A) if args.third else W

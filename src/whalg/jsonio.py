@@ -181,19 +181,66 @@ def _scalar_out(v):
     return v.to_json()
 
 
-def _scalars(entries, n, table):
-    """(indices, scalar) of each [*indices, encoding] entry of a table.
+class InputError(ValueError):
+    """A file that does not hold what it claims to; the CLI exits 2 on it."""
 
-    Every scalar must carry the file's conductor n; a mismatch raises
-    ValueError naming the table and the entry's indices.
+
+def _header(obj, what):
+    """(dim, conductor) of an algebra, R-matrix or module object."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{what}: expected a JSON object")
+    d = obj.get("dim")
+    n = obj.get("conductor")
+    if type(d) is not int or d < 0:
+        raise InputError(f"{what}: dim must be a nonnegative integer, not {d!r}")
+    if type(n) is not int or n < 1:
+        raise InputError(f"{what}: conductor must be a positive integer, not {n!r}")
+    return d, n
+
+
+def _table(obj, table, n, bounds):
+    """{indices: scalar} of the [*indices, encoding] entries of obj[table].
+
+    Each entry carries one integer index per bound, inside it, and a scalar
+    of the file's conductor n with integer [num, den] coefficient pairs and
+    nonzero denominators; no indices repeat.  Anything else raises
+    InputError naming the table and the entry.  Zero scalars are dropped.
     """
-    for *idx, enc in entries:
-        if enc["conductor"] != n:
-            raise ValueError(
-                f"{table}[{', '.join(map(str, idx))}]: scalar conductor "
-                f"{enc['conductor']} differs from the file's conductor {n}"
+    entries = obj.get(table)
+    if not isinstance(entries, list):
+        raise InputError(f"{table}: expected a list of entries")
+    arity = len(bounds)
+    out = {}
+    zeros = set()
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != arity + 1:
+            raise InputError(f"{table}: entry {entry!r:.80} is not [{arity} indices, scalar]")
+        *idx, enc = entry
+        key = tuple(idx)
+        for i, bound in zip(key, bounds):
+            if type(i) is not int or not 0 <= i < bound:
+                raise InputError(f"{_where(table, key)}: index {i!r} is outside 0..{bound - 1}")
+        if key in out or key in zeros:
+            raise InputError(f"{_where(table, key)}: duplicate entry")
+        if not isinstance(enc, dict) or enc.get("conductor") != n:
+            cond = enc.get("conductor") if isinstance(enc, dict) else None
+            raise InputError(
+                f"{_where(table, key)}: scalar conductor {cond} differs from the "
+                f"file's conductor {n}"
             )
-        yield idx, Cyclotomic.from_json(enc)
+        try:
+            v = Cyclotomic.from_json(enc)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"{_where(table, key)}: bad scalar encoding: {exc}") from None
+        if v:
+            out[key] = v
+        else:
+            zeros.add(key)
+    return out
+
+
+def _where(table, key):
+    return f"{table}[{', '.join(map(str, key))}]"
 
 
 def algebra_to_json(A):
@@ -212,22 +259,27 @@ def algebra_to_json(A):
 
 
 def algebra_from_json(obj):
-    d = obj["dim"]
-    n = obj["conductor"]
-    mu = SparseTensor3((d, d, d), n)
-    for (i, j, k), v in _scalars(obj["mu"], n, "mu"):
-        mu.set(i, j, k, v)
-    delta = SparseTensor3((d, d, d), n)
-    for (i, j, k), v in _scalars(obj["delta"], n, "delta"):
-        delta.set(i, j, k, v)
-    unit = {i: v for (i,), v in _scalars(obj["unit"], n, "unit")}
-    counit = {i: v for (i,), v in _scalars(obj["counit"], n, "counit")}
-    antipode = SparseMatrix(d, d, n)
-    for (k, i), v in _scalars(obj["antipode"], n, "antipode"):
-        antipode.set(k, i, v)
-    labels = [decode_label(l) for l in obj["labels"]]
+    d, n = _header(obj, "algebra")
+    labels = obj.get("labels")
+    if not isinstance(labels, list) or len(labels) != d:
+        count = len(labels) if isinstance(labels, list) else "no"
+        raise InputError(f"labels: {count} entries for dim {d}")
+    decoded = []
+    for pos, enc in enumerate(labels):
+        try:
+            lab = decode_label(enc)
+            hash(lab)
+        except TypeError:
+            raise InputError(f"labels[{pos}]: {enc!r:.80} is not a valid label") from None
+        decoded.append(lab)
+    cube = (d, d, d)
     return WeakHopfAlgebra(
-        labels, n, mu, unit, delta, counit, antipode,
+        decoded, n,
+        mu=SparseTensor3(cube, n, _table(obj, "mu", n, cube)),
+        unit={i: v for (i,), v in _table(obj, "unit", n, (d,)).items()},
+        delta=SparseTensor3(cube, n, _table(obj, "delta", n, cube)),
+        counit={i: v for (i,), v in _table(obj, "counit", n, (d,)).items()},
+        antipode=SparseMatrix(d, d, n, _table(obj, "antipode", n, (d, d))),
         name=obj.get("name", "A"),
         meta=obj.get("meta", {}),
     )
@@ -245,11 +297,9 @@ def rmatrix_to_json(A, cand):
 
 
 def rmatrix_from_json(obj):
-    n = obj["conductor"]
-    terms = {(i, j): v for (i, j), v in _scalars(obj["terms"], n, "terms")}
-    rbar = None
-    if "rbar" in obj:
-        rbar = {(i, j): v for (i, j), v in _scalars(obj["rbar"], n, "rbar")}
+    d, n = _header(obj, "rmatrix")
+    terms = _table(obj, "terms", n, (d, d))
+    rbar = _table(obj, "rbar", n, (d, d)) if "rbar" in obj else None
     return RMatrixCandidate(terms, rbar)
 
 
@@ -265,11 +315,8 @@ def wha_module_to_json(V, algebra_ref=""):
 def wha_module_from_json(obj, A):
     from .repcat import WHAModule
 
-    d = obj["dim"]
-    n = obj["conductor"]
+    d, n = _header(obj, "module")
     if n != A.conductor:
-        raise ValueError("module and algebra conductors differ")
-    act = SparseTensor3((A.dim, d, d), n)
-    for (a, r, c), v in _scalars(obj["action"], n, "action"):
-        act.set(a, r, c, v)
+        raise InputError("module and algebra conductors differ")
+    act = SparseTensor3((A.dim, d, d), n, _table(obj, "action", n, (A.dim, d, d)))
     return WHAModule(A, d, act)

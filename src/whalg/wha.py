@@ -4,7 +4,10 @@
 algebras, separable Frobenius algebras and `WeakHopfAlgebra`): it owns the
 labeled basis, the sparse indexes of mu, the element product and the one
 product on tensor powers A^(x)k, and validates its unit and associativity
-laws with the same sweeps as the weak bialgebra suite.
+laws with the same sweeps as the weak bialgebra suite.  The tensor-power
+product (`mul_tensor`, behind `mul2`/`mul3`) joins its operands on their
+first two legs through per-algebra sets of right companions, so a term
+meets only the terms it multiplies to nonzero on both of those legs.
 
 Structure constants live in sparse tensors; every law is checked on basis
 tuples (sufficient by multilinearity) by streaming sparse contractions that
@@ -20,7 +23,9 @@ Two law kernels serve every caller of their law shape:
 - `_mixed_assoc_range`, the mixed-associativity kernel: the least basis
   triple on which f(g(x, y), z) != h(x, k(y, z)) for four sparse bilinear
   tables indexed by `_bilinear_index`.  It runs mu-associativity, the tube
-  bimodule and compose-tower laws and the module action law.
+  bimodule and compose-tower laws and the module action law.  Inside one
+  call every scalar is a small-int id (0 for zero) with memoized products
+  and sums, so the sweep hashes ints, not cyclotomic values.
 """
 
 from __future__ import annotations
@@ -42,6 +47,9 @@ def default_threads():
         except ValueError:
             pass
     return 1
+
+
+_NO_INDICES = frozenset()
 
 
 class PlainAlgebra:
@@ -81,6 +89,14 @@ class PlainAlgebra:
     def left_companions(self):
         return _companions(self.mu_pairs, 1)
 
+    @functools.cached_property
+    def right_companion_sets(self):
+        """i -> set of the j with e_i e_j != 0, shared and never mutated.
+
+        Plain sets, not frozensets: `dict_keys & set` walks the smaller side.
+        """
+        return {i: set(js) for i, js in self.right_companions.items()}
+
     # -- element arithmetic ---------------------------------------------------
 
     def zero_scalar(self):
@@ -100,43 +116,45 @@ class PlainAlgebra:
         return _product(self.mu_pairs, u, v)
 
     def mul_tensor(self, U, V):
-        """Product of sparse elements of A^(x)k, keyed by k-tuples of indices.
+        """Product of sparse elements of A^(x)k, k >= 2, keyed by k-tuples of indices.
 
-        V is indexed by its first leg; each term of U then meets only the V
-        terms whose first leg it multiplies to nonzero, walking whichever of
-        its right companions or V's first legs is the shorter list.
+        V is indexed by its first two legs (first -> second -> terms).  A term
+        of U meets, on each of those legs, only the V legs in the right
+        companion set of its own leg (a set intersection), so it reaches just
+        the V terms whose first two legs both multiply to nonzero.  Legs beyond
+        the second are probed term by term.
         """
         mp = self.mu_pairs
-        rc = self.right_companions
-        by_first = {}
+        rcs = self.right_companion_sets
+        by_two = {}
         for key, c in V.items():
-            by_first.setdefault(key[0], []).append((key, c))
+            by_two.setdefault(key[0], {}).setdefault(key[1], []).append((key[2:], c))
+        firsts_of = by_two.keys()
         out = {}
         for key1, c1 in U.items():
             i1 = key1[0]
-            companions = rc.get(i1, ())
-            if len(companions) < len(by_first):
-                groups = ((i2, by_first.get(i2)) for i2 in companions)
-            else:
-                groups = by_first.items()
-            for i2, group in groups:
-                first = mp.get((i1, i2)) if group else None
-                if not first:
-                    continue
-                for key2, c2 in group:
-                    legs = [first]
-                    for a, b in zip(key1[1:], key2[1:]):
-                        terms = mp.get((a, b))
-                        if not terms:
-                            break
-                        legs.append(terms)
-                    else:
-                        c12 = c1 * c2
-                        for combo in itertools.product(*legs):
-                            c = c12
-                            for _k, ck in combo:
-                                c = c * ck
-                            _acc(out, tuple(k for k, _ck in combo), c)
+            a1 = key1[1]
+            rest1 = key1[2:]
+            partners = rcs.get(a1, _NO_INDICES)
+            for i2 in firsts_of & rcs.get(i1, _NO_INDICES):
+                first = mp[(i1, i2)]
+                by_second = by_two[i2]
+                for a2 in by_second.keys() & partners:
+                    second = mp[(a1, a2)]
+                    for rest2, c2 in by_second[a2]:
+                        legs = [first, second]
+                        for a, b in zip(rest1, rest2):
+                            terms = mp.get((a, b))
+                            if not terms:
+                                break
+                            legs.append(terms)
+                        else:
+                            c12 = c1 * c2
+                            for combo in itertools.product(*legs):
+                                c = c12
+                                for _k, ck in combo:
+                                    c = c * ck
+                                _acc(out, tuple(k for k, _ck in combo), c)
         return out
 
     def mul2(self, U, V):
@@ -176,8 +194,9 @@ class WeakHopfAlgebra(PlainAlgebra):
         self._intern_coefficients()
 
     def _intern_coefficients(self):
-        # structure constants repeat a handful of values; sharing one object
-        # per value makes the verifier sweeps' scalar products cacheable
+        # structure constants repeat a handful of values; one shared object
+        # per value keeps large algebras small, and the law kernel's scalar
+        # ids then hash each value once
         pool = {}
 
         def intern(v):
@@ -403,35 +422,96 @@ def _mixed_assoc_range(f, g, h, k, lo, hi):
 
     f, g, h, k are `_bilinear_index` tables.  For each x both sides are
     expanded, keyed (y, z, w), over exactly the (y, z) on which they can be
-    nonzero: the left through g's companions of x and f's companions of each
-    product, the right through h's companions of x and k's by-result index.
+    nonzero: the left through g's entries of x and f's entries of each
+    product, the right through h's entries of x and k's by-result index.
+
+    Scalars enter the sweep as small-int ids, 0 for zero, that are given out
+    per call; products and sums are memoized on id pairs and both sides hold
+    ids, so equal sides are equal dicts of ints.  Each distinct table is
+    converted once, to rows x -> [(y, w, id)] (and k to its by-result
+    index), dropping stored zeros: a zero term changes no sum.  The product
+    of two nonzero ids is never zero; a sum that cancels is removed.
     """
-    f_pairs, f_comp, _ = f
-    g_pairs, g_comp, _ = g
-    h_pairs, h_comp, _ = h
-    k_byr = k[2]
-    prodcache = {}
+    ids = {}           # scalar -> id; the zero scalar, once seen, -> 0
+    vals = [None]
+    products = [None]  # products[a][b] = id of vals[a] * vals[b]
+    sums = [None]      # sums[a][b] = id of vals[a] + vals[b]
+    by_object = {}     # id() of a table scalar -> its scalar id
+
+    def scalar_id(c):
+        i = ids.get(c)
+        if i is None:
+            i = ids[c] = len(vals) if c else 0
+            if i:
+                vals.append(c)
+                products.append({})
+                sums.append({})
+        return i
+
+    def table_id(c):
+        # table scalars repeat as shared objects: key them on identity first
+        i = by_object.get(id(c))
+        if i is None:
+            i = by_object[id(c)] = scalar_id(c)
+        return i
+
+    def add_into(side, key, c):
+        cur = side[key]
+        s = sums[cur].get(c)
+        if s is None:
+            s = sums[cur][c] = scalar_id(vals[cur] + vals[c])
+        if s:
+            side[key] = s
+        else:
+            del side[key]
+
+    converted = {}
+
+    def rows(t):
+        out = converted.get(id(t))
+        if out is None:
+            out = converted[id(t)] = {}
+            for (x, y), terms in t[0].items():
+                for w, c in terms:
+                    i = table_id(c)
+                    if i:
+                        out.setdefault(x, []).append((y, w, i))
+        return out
+
+    f_rows = rows(f)
+    g_rows = rows(g)
+    h_rows = rows(h)
+    k_byr = {}
+    for w, terms in k[2].items():
+        for y, z, c in terms:
+            i = table_id(c)
+            if i:
+                k_byr.setdefault(w, []).append((y, z, i))
     for x in range(lo, hi):
         lhs = {}
-        for y in g_comp.get(x, ()):
-            for p, c1 in g_pairs[(x, y)]:
-                for z in f_comp.get(p, ()):
-                    for w, c2 in f_pairs[(p, z)]:
-                        key = (c1, c2)
-                        c12 = prodcache.get(key)
-                        if c12 is None:
-                            c12 = prodcache[key] = c1 * c2
-                        _acc(lhs, (y, z, w), c12)
+        for y, p, c1 in g_rows.get(x, ()):
+            prod = products[c1]
+            for z, w, c2 in f_rows.get(p, ()):
+                c = prod.get(c2)
+                if c is None:
+                    c = prod[c2] = scalar_id(vals[c1] * vals[c2])
+                key = (y, z, w)
+                if key in lhs:
+                    add_into(lhs, key, c)
+                else:
+                    lhs[key] = c
         rhs = {}
-        for q in h_comp.get(x, ()):
-            t_xq = h_pairs[(x, q)]
+        for q, w, c2 in h_rows.get(x, ()):
+            prod = products[c2]
             for y, z, c3 in k_byr.get(q, ()):
-                for w, c2 in t_xq:
-                    key = (c3, c2)
-                    c32 = prodcache.get(key)
-                    if c32 is None:
-                        c32 = prodcache[key] = c3 * c2
-                    _acc(rhs, (y, z, w), c32)
+                c = prod.get(c3)
+                if c is None:
+                    c = prod[c3] = scalar_id(vals[c2] * vals[c3])
+                key = (y, z, w)
+                if key in rhs:
+                    add_into(rhs, key, c)
+                else:
+                    rhs[key] = c
         if lhs != rhs:
             y, z, _w = _first_diff(lhs, rhs)
             return x, y, z
@@ -733,6 +813,7 @@ def _axiom4_eq1_range(A, lo, hi):
 
 
 def _axiom4_eq2_range(A, lo, hi):
+    eps_left = A.eps_left
     for x in range(lo, hi):
         lhs = {}
         for s, t, c in A.delta_terms[x]:
@@ -741,9 +822,9 @@ def _axiom4_eq2_range(A, lo, hi):
                 _acc(lhs, k, v)
         rhs = {}
         for (p, q), c in A.delta_of_unit().items():
-            val = A.apply_counit(A.mul(A.basis_elem(x), {q: c}))
+            val = eps_left[q].get(x)  # eps(x q)
             if val:
-                _acc(rhs, p, val)
+                _acc(rhs, p, c * val)
         if lhs != rhs:
             return f"S(x_(1)) x_(2) != 1_(1) eps(x 1_(2)) at {A.label_str(x)}"
     return None
@@ -1126,8 +1207,9 @@ def verify_quasitriangular(A, cand, threads=None):
     rep.add("weak-inverse-exists", rbar is not None, detail)
     cand.rbar = rbar
 
-    lhs = _mul3_chain(A, _lift(R, 0, 1, A), _lift(R, 0, 2, A), _lift(R, 1, 2, A))
-    rhs = _mul3_chain(A, _lift(R, 1, 2, A), _lift(R, 0, 2, A), _lift(R, 0, 1, A))
+    r12, r13, r23 = (_lift(R, a, b, A) for a, b in ((0, 1), (0, 2), (1, 2)))
+    lhs = A.mul3(A.mul3(r12, r13), r23)
+    rhs = A.mul3(A.mul3(r23, r13), r12)
     ok = lhs == rhs
     rep.add("yang-baxter", ok, None if ok else "R12 R13 R23 != R23 R13 R12")
     return rep
@@ -1144,13 +1226,6 @@ def _lift(R, leg1, leg2, A):
             key[[k for k in range(3) if key[k] is None][0]] = u
             _acc(out, tuple(key), c * cu)
     return out
-
-
-def _mul3_chain(A, *elems):
-    acc = elems[0]
-    for e in elems[1:]:
-        acc = A.mul3(acc, e)
-    return acc
 
 
 def _find_weak_inverse(A, cand):

@@ -248,3 +248,57 @@ def test_wrong_conductor_scalar_rejected_at_load(tmp_path, capsys):
             "action": [[0, 0, 0, {"conductor": 1, "coeffs": [[1, 1]]}]]}
     with pytest.raises(ValueError, match=r"action\[0, 0, 0\]"):
         jsonio.wha_module_from_json(mobj, A)
+
+
+def _tamper_mu_index(obj):
+    obj["mu"][0][0] = 99
+    return "mu[99, "
+
+
+def _tamper_labels(obj):
+    obj["labels"] = obj["labels"][:3]
+    return "labels: 3 entries for dim 8"
+
+
+def _tamper_float_coefficient(obj):
+    i, j, k, enc = obj["mu"][0]
+    enc["coeffs"][0] = [1.5, 1]
+    return f"mu[{i}, {j}, {k}]"
+
+
+def _tamper_zero_denominator(obj):
+    i, j, k, enc = obj["mu"][0]
+    enc["coeffs"][0] = [1, 0]
+    return f"mu[{i}, {j}, {k}]"
+
+
+@pytest.mark.parametrize("tamper", [_tamper_mu_index, _tamper_labels,
+                                    _tamper_float_coefficient, _tamper_zero_denominator])
+def test_malformed_algebra_file_exits_2_naming_the_entry(tmp_path, tamper):
+    out = tmp_path / "b2.json"
+    assert run("build", "b-g-omega", "--group", "z2", "--cocycle", "p=1", "-o", str(out)) == 0
+    obj = jsonio.read_json(str(out))
+    where = tamper(obj)
+    bad = tmp_path / "bad.json"
+    jsonio.write_json(str(bad), obj)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "whalg.cli", "verify", str(bad), "--suite", "wha"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1 and where in proc.stderr
+
+
+def test_rmatrix_of_another_dim_exits_2(tmp_path, capsys):
+    a2, r2 = tmp_path / "a2.json", tmp_path / "r2.json"
+    assert run("build", "a-g-omega", "--group", "z2", "--cocycle", "p=1",
+               "-o", str(a2), "--rmatrix-out", str(r2)) == 0
+    b2 = tmp_path / "b2.json"
+    assert run("build", "b-g-omega", "--group", "z2", "--cocycle", "p=1", "-o", str(b2)) == 0
+    capsys.readouterr()
+    assert run("verify", str(b2), "--suite", "all", "--rmatrix", str(r2)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "R-matrix dim 16, conductor 2 differs" in captured.err

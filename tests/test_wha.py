@@ -18,6 +18,9 @@ from whalg.wha import (
     RMatrixCandidate,
     WeakHopfAlgebra,
     _antihom_range,
+    _assoc_dense,
+    _assoc_range,
+    _solve_weak_inverse,
     base_algebras,
     center_dim,
     compare_structure,
@@ -272,9 +275,12 @@ def test_antihom_sweep_matches_dense_reference_on_tampered_antipodes(n):
 
 
 @functools.lru_cache(maxsize=None)
+def _a_z3_with_r():
+    return build_a_g_omega(cyclic_group(3), standard_cocycle(3, 1))
+
+
 def _a_z3():
-    A, _ = build_a_g_omega(cyclic_group(3), standard_cocycle(3, 1))
-    return A
+    return _a_z3_with_r()[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -298,10 +304,17 @@ _TENSOR_ALGEBRAS = [_a_z3, _a_z2_shifted]
 
 def _naive_tensor_product(A, U, V):
     """Reference: every one of the |U|.|V| term pairs, legwise element products."""
+    basis_products = {}
+
+    def leg(a, b):
+        if (a, b) not in basis_products:
+            basis_products[(a, b)] = list(A.mul(A.basis_elem(a), A.basis_elem(b)).items())
+        return basis_products[(a, b)]
+
     out = {}
     for key1, c1 in U.items():
         for key2, c2 in V.items():
-            legs = [A.mul(A.basis_elem(a), A.basis_elem(b)).items() for a, b in zip(key1, key2)]
+            legs = [leg(a, b) for a, b in zip(key1, key2)]
             for combo in itertools.product(*legs):
                 c = c1 * c2
                 for _k, ck in combo:
@@ -368,6 +381,254 @@ def test_mul_tensor_empty_and_singleton_operands(k):
         assert A.mul_tensor(U, V) == _naive_tensor_product(A, U, V)
     assert A.mul_tensor(single, live)
     assert A.mul_tensor(single, {(j,) * (k - 1) + (dead,): one}) == {}
+
+
+def _collect(terms):
+    """Sparse dict of the summed (key, scalar) pairs, zeros dropped."""
+    out = {}
+    for key, c in terms:
+        out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
+
+
+def _lift_dense(A, R, legs):
+    """R on `legs` of A^(x)3 with the whole unit on the third leg."""
+    out = {}
+    for (i, j), c in R.items():
+        for u, cu in A.unit.items():
+            key = [u, u, u]
+            key[legs[0]], key[legs[1]] = i, j
+            out[tuple(key)] = c * cu
+    return out
+
+
+def _r_shaped(A, count, seed):
+    """`count` random terms of A (x) A, several sharing each first leg."""
+    rnd = random.Random(seed)
+    firsts = rnd.sample(range(A.dim), max(1, count // 3))
+    coeffs = _scalars(A.conductor)
+    return {(rnd.choice(firsts), rnd.randrange(A.dim)): rnd.choice(coeffs) for _ in range(count)}
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_mul_tensor_matches_naive_reference_on_unit_lifted_operands(which):
+    # the Yang-Baxter shape: R12 R13 R23 and R23 R13 R12 with the unit lifted
+    # into the free leg, so many right terms share their first two legs
+    A = _TENSOR_ALGEBRAS[which]()
+    R = _a_z3_with_r()[1].terms if which == 0 else _r_shaped(A, 5, 3)
+    r12, r13, r23 = (_lift_dense(A, R, legs) for legs in ((0, 1), (0, 2), (1, 2)))
+    for U, V, W in ((r12, r13, r23), (r23, r13, r12)):
+        UV = A.mul_tensor(U, V)
+        assert UV == _naive_tensor_product(A, U, V)
+        UVW = A.mul_tensor(UV, W)
+        assert UVW == _naive_tensor_product(A, UV, W)
+        assert UV and UVW
+
+
+def _coproduct_dense(A, x):
+    return {(j, k): c for (i, j, k), c in A.delta.data.items() if i == x}
+
+
+def _quasitriangular_dense(A, R):
+    """Reference for `verify_quasitriangular`: [(name, ok, detail)] in its order.
+
+    Every product is `_naive_tensor_product`, every leg placement carries the
+    whole unit, and Delta is read from the structure tensor.  The weak
+    inverse candidates are those of the suite, from the same exact solver,
+    with their laws checked by naive products.
+    """
+    naive = functools.partial(_naive_tensor_product, A)
+
+    def cop(U):
+        return {(j, i): c for (i, j), c in U.items()}
+
+    def delta_on(leg):
+        return _collect(
+            ((a, b, j) if leg == 0 else (i, a, b), c * c2)
+            for (i, j), c in R.items()
+            for (a, b), c2 in _coproduct_dense(A, (i, j)[leg]).items()
+        )
+
+    checks = []
+    d1 = _collect((key, cu * c) for u, cu in A.unit.items()
+                  for key, c in _coproduct_dense(A, u).items())
+    ok = naive(R, d1) == R
+    checks.append(("r-lives-in-right-ideal", ok, None if ok else "R Delta(1) != R"))
+    detail = None
+    for x in range(A.dim):
+        dx = _coproduct_dense(A, x)
+        if naive(R, dx) != naive(cop(dx), R):
+            detail = f"R Delta(x) != Delta^cop(x) R at x = {A.label_str(x)}"
+            break
+    checks.append(("r-intertwines-coproducts", detail is None, detail))
+    r12, r13, r23 = (_lift_dense(A, R, legs) for legs in ((0, 1), (0, 2), (1, 2)))
+    ok = delta_on(0) == naive(r13, r23)
+    checks.append(("delta-leg-one", ok, None if ok else "(Delta (x) id)(R) != R13 R23"))
+    ok = delta_on(1) == naive(r13, r12)
+    checks.append(("delta-leg-two", ok, None if ok else "(id (x) Delta)(R) != R13 R12"))
+    d1cop = cop(d1)
+    S = A.antipode
+    candidates = [
+        _collect(((k, j), v) for (i, j), c in R.items() for k, v in S.apply({i: c}).items()),
+        _collect(((i, k), v) for (i, j), c in R.items()
+                 for k, v in S.inverse().apply({j: c}).items()),
+        _solve_weak_inverse(A, R, d1, d1cop),
+    ]
+    ok = any(
+        rb is not None and naive(R, rb) == d1cop and naive(rb, R) == d1 and naive(rb, d1cop) == rb
+        for rb in candidates
+    )
+    detail = "no weak inverse: the three defining linear equations are unsolvable"
+    checks.append(("weak-inverse-exists", ok, None if ok else detail))
+    ok = naive(naive(r12, r13), r23) == naive(naive(r23, r13), r12)
+    checks.append(("yang-baxter", ok, None if ok else "R12 R13 R23 != R23 R13 R12"))
+    return checks
+
+
+def test_quasitriangular_suite_matches_dense_reference_on_single_entry_mutants():
+    A, R = _a_z3_with_r()
+    R = R.terms
+    two = Cyclotomic.rational(A.conductor, 2)
+    variants = [R]
+    for key in random.Random(3).sample(sorted(R), 2):
+        scaled = dict(R)
+        scaled[key] = R[key] * two
+        dropped = dict(R)
+        del dropped[key]
+        moved = dict(dropped)
+        moved[(key[0], (key[1] + 1) % A.dim)] = R[key]
+        variants += [scaled, dropped, moved]
+    verdicts = []
+    for terms in variants:
+        expected = _quasitriangular_dense(A, terms)
+        got = verify_quasitriangular(A, RMatrixCandidate(terms)).checks
+        assert [(c.name, c.ok, c.detail) for c in got] == expected
+        verdicts.append(all(ok for _name, ok, _detail in expected))
+    assert verdicts == [True] + [False] * (len(variants) - 1)
+
+
+def _first_failure_by_ranges(A, step):
+    """`_assoc_range` over consecutive ranges, as the forked sweep splits it."""
+    for lo in range(0, A.dim, step):
+        detail = _assoc_range(A, lo, min(A.dim, lo + step))
+        if detail is not None:
+            return detail
+    return None
+
+
+def _cancelling_pair(A):
+    """mu with two new entries whose product cancels a term of (e_0 e_y) e_z.
+
+    With e_0 e_y = c0 e_p0 and e_p0 e_z = a e_w, the entries e_0 e_y -> p2
+    (coefficient -c0 a) and e_p2 e_z -> w (coefficient 1) add -c0 a at the
+    left side's key (y, z, w) for x = 0, the first x swept: the sum there is 0.
+    """
+    mp = A.mu_pairs
+    y = A.right_companions[0][0]
+    (p0, c0), = mp[(0, y)]
+    z = A.right_companions[p0][0]
+    (w, a), = mp[(p0, z)]
+    p2 = next(p for p in range(A.dim) if p != p0 and (0, y, p) not in A.mu.data
+              and (p, z, w) not in A.mu.data)
+    mu = SparseTensor3(A.mu.dims, A.conductor, dict(A.mu.data))
+    mu.data[(p2, z, w)] = A.one_scalar()
+    mu.data[(0, y, p2)] = -(c0 * a)
+    return mu
+
+
+@pytest.mark.parametrize("make", ["b_z3", "a_z2"])
+def test_assoc_kernel_matches_dense_on_stored_zeros_and_cancelling_sums(make):
+    if make == "b_z3":
+        A = build_b_g_omega(cyclic_group(3), standard_cocycle(3, 1))
+    else:
+        A = a_z2(p=1)[0]
+    zero = Cyclotomic.zero(A.conductor)
+    stored_zero = []
+    for key in sorted(A.mu.data)[:: max(1, len(A.mu.data) // 3)]:
+        mu = SparseTensor3(A.mu.dims, A.conductor, dict(A.mu.data))
+        mu.data[key] = zero  # the entry's product is gone: a real tamper
+        stored_zero.append(mu)
+    mu = SparseTensor3(A.mu.dims, A.conductor, dict(A.mu.data))
+    i, j = next((i, j) for i in range(A.dim) for j in range(A.dim) if (i, j) not in A.mu_pairs)
+    mu.data[(i, j, 0)] = zero  # a stored zero where the product is zero: no tamper
+    harmless = clone_with(A, mu=mu)
+    assert _assoc_range(harmless, 0, A.dim) is None and _assoc_dense(harmless) is None
+    for mu in stored_zero + [_cancelling_pair(A)]:
+        bad = clone_with(A, mu=mu)
+        expected = _assoc_dense(bad)
+        assert expected is not None
+        assert _assoc_range(bad, 0, bad.dim) == expected
+        assert _first_failure_by_ranges(bad, 5) == expected
+        for threads in (1, 2):
+            check = verify_weak_bialgebra(bad, threads=threads).checks[1]
+            assert check.name == "mu-associativity"
+            assert check.detail == expected
+
+
+def test_assoc_kernel_matches_dense_where_long_products_cancel():
+    # in the shifted basis products have many terms and sums cancel often
+    A = _a_z2_shifted()
+    assert _assoc_range(A, 0, A.dim) is None and _assoc_dense(A) is None
+    two = Cyclotomic.rational(A.conductor, 2)
+    for key in random.Random(2).sample(sorted(A.mu.data), 4):
+        mu = SparseTensor3(A.mu.dims, A.conductor, dict(A.mu.data))
+        mu.data[key] = mu.data[key] * two
+        bad = PlainAlgebra(A.labels, A.conductor, mu, A.unit)
+        expected = _assoc_dense(bad)
+        assert expected is not None
+        assert _assoc_range(bad, 0, bad.dim) == expected
+        assert _first_failure_by_ranges(bad, 5) == expected
+
+
+def _axiom4_eq2_dense(A):
+    """Reference for "axiom4-eq2": S(x_(1)) x_(2) = 1_(1) eps(x 1_(2)) on every basis x."""
+    one = A.one_scalar()
+    for x in range(A.dim):
+        lhs = _collect(
+            (k, v)
+            for (j, k0), c in _coproduct_dense(A, x).items()
+            for k, v in A.mul(A.apply_antipode({j: c}), {k0: one}).items()
+        )
+        rhs = _collect(
+            (p, A.apply_counit(A.mul(A.basis_elem(x), {q: c})))
+            for (p, q), c in A.delta_of_unit().items()
+        )
+        if lhs != rhs:
+            return f"S(x_(1)) x_(2) != 1_(1) eps(x 1_(2)) at {A.label_str(x)}"
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_axiom4_eq2_matches_dense_reference_on_tampered_entries(n):
+    A, _ = build_a_g_omega(cyclic_group(n), standard_cocycle(n, 1))
+    assert _axiom4_eq2_dense(A) is None
+    z = Cyclotomic.from_pairs(A.conductor, [(1, 1)])
+    rnd = random.Random(n)
+    variants = []
+    for key in rnd.sample(sorted(A.counit), 2):
+        counit = dict(A.counit)
+        counit[key] = counit[key] * z
+        variants.append(clone_with(A, counit=counit))
+    for key in rnd.sample(sorted(A.mu.data), 3):
+        mu = SparseTensor3(A.mu.dims, A.conductor, dict(A.mu.data))
+        mu.data[key] = mu.data[key] * z
+        variants.append(clone_with(A, mu=mu))
+    for key in rnd.sample(sorted(A.antipode.data), 3):
+        S = A.antipode.copy()
+        S.set(*key, S.get(*key) * z)
+        variants.append(clone_with(A, antipode=S))
+    # a scaled term of Delta(1): the right side's 1_(1) (x) 1_(2) coefficients
+    for key in rnd.sample(sorted(k for k in A.delta.data if k[0] in A.unit), 2):
+        delta = SparseTensor3(A.delta.dims, A.conductor, dict(A.delta.data))
+        delta.data[key] = delta.data[key] * z
+        variants.append(clone_with(A, delta=delta))
+    failures = 0
+    for B in variants:
+        expected = _axiom4_eq2_dense(B)
+        failures += expected is not None
+        check = next(c for c in verify_antipode(B).checks if c.name == "axiom4-eq2")
+        assert check.detail == expected
+    assert failures >= len(variants) // 2
 
 
 def _eps_lr_reference(A, u):

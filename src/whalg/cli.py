@@ -188,7 +188,7 @@ def cmd_report(args):
     return 0
 
 
-def _load_module(spec, A, seed=0):
+def _load_module(spec, A):
     from .repcat import k_module, regular_module, tensor_unit
 
     if spec == "regular":
@@ -268,7 +268,6 @@ def cmd_tube(args):
         solve_pivotal,
         tube_vs_tube_prime,
         verify_morita_section,
-        weak_bialgebra_obstruction,
     )
 
     if args.action == "build":
@@ -301,8 +300,6 @@ def cmd_tube(args):
         rep = verify_morita_section(C, args.m, args.n)
         _print_report(rep, args.json)
         return 0 if rep.ok else 1
-    if args.action == "obstruction":
-        return _run_obstruction(args)
     if args.action == "pivotal":
         C = _pointed_from_args(args)
         t = solve_pivotal(C)
@@ -420,7 +417,7 @@ def make_parser():
     rep.set_defaults(fn=cmd_rep)
 
     t = sub.add_parser("tube", help="tube algebras and the Morita tower")
-    t.add_argument("action", choices=["build", "chi", "morita", "obstruction", "pivotal"])
+    t.add_argument("action", choices=["build", "chi", "morita", "pivotal"])
     t.add_argument("--skeleton")
     t.add_argument("--group")
     t.add_argument("--cocycle")
@@ -428,8 +425,6 @@ def make_parser():
     t.add_argument("--primed", action="store_true")
     t.add_argument("--m", type=int, default=1)
     t.add_argument("--n", type=int, default=2)
-    t.add_argument("--ring")
-    t.add_argument("--candidates")
     t.set_defaults(fn=cmd_tube)
 
     o = sub.add_parser("obstruction", help="fusion-ring obstruction detector")

@@ -7,7 +7,7 @@ form, the double is an exact quotient with antipode solved from the axioms,
 and the identification map carries its R-matrix to the closed-form one.
 
 The pairing laws are algebra-map laws checked by the homomorphism kernel:
-the rows of the pairing matrix map B into the dual algebra A* (Delta_A
+the rows of the pairing matrix map B into the dual A* (`wha.dual`: Delta_A
 transposed, unit eps_A) and its columns anti-map A into B*.  The double's
 product on representatives is
 
@@ -28,7 +28,6 @@ from .skeleton import (
     right_regular_module,
 )
 from .wha import (
-    PlainAlgebra,
     RMatrixCandidate,
     WeakHopfAlgebra,
     _acc,
@@ -37,6 +36,7 @@ from .wha import (
     _hom_range,
     _prune,
     _push,
+    dual,
 )
 
 
@@ -64,13 +64,6 @@ class PairingForm:
             if v is not None:
                 tot = tot + cj * v
         return tot
-
-
-def _dual_algebra(X):
-    """X*: the functionals on X's basis, multiplied by Delta_X transposed, unit eps_X."""
-    d = X.dim
-    mu = SparseTensor3((d, d, d), X.conductor, {(s, t, i): c for (i, s, t), c in X.delta.data.items()})
-    return PlainAlgebra(X.labels, X.conductor, mu, dict(X.counit), name=f"{X.name}*")
 
 
 def build_pairing(C, B=None, A=None):
@@ -108,7 +101,7 @@ def build_pairing(C, B=None, A=None):
 
     P = PairingForm(B, A, mat, rep)
     rows, cols = P.rows, P.cols
-    dualA, dualB = _dual_algebra(A), _dual_algebra(B)
+    dualA, dualB = dual(A), dual(B)
 
     # <1_B, a> = eps_A(a)
     lhs, rhs = _push(rows, B.one()), _prune(A.counit)
@@ -285,8 +278,8 @@ def build_drinfeld_double(P):
     for t, f in enumerate(reps):
         b, a = f // dA, f % dA
         out = {}
-        for (b1, b2), cb in _delta_pairs(B, b).items():
-            for (a1, a2), ca in _delta_pairs(A, a).items():
+        for (b1, b2), cb in B.coproduct(B.basis_elem(b)).items():
+            for (a1, a2), ca in A.coproduct(A.basis_elem(a)).items():
                 left = project({flat(b1, a1): cb * ca})
                 right = project({flat(b2, a2): Cyclotomic.one(n)})
                 for k1, v1 in left.items():
@@ -323,13 +316,6 @@ def build_drinfeld_double(P):
             for k2, v2 in right.items():
                 _acc(r_terms, (k1, k2), c * v1 * v2)
     return DoubleAlgebra(D, RMatrixCandidate(r_terms), project, reps, P)
-
-
-def _delta_pairs(X, i):
-    out = {}
-    for j, k, c in X.delta_terms[i]:
-        _acc(out, (j, k), c)
-    return out
 
 
 def solve_antipode(D):

@@ -527,29 +527,6 @@ class SparseMatrix:
                 out[i] = s + p if s is not None else p
         return {i: v for i, v in out.items() if v}
 
-    def add(self, other):
-        out = self.copy()
-        for (i, j), v in other.data.items():
-            out.add_to(i, j, v)
-        return out
-
-    def sub(self, other):
-        out = self.copy()
-        for (i, j), v in other.data.items():
-            out.add_to(i, j, -v)
-        return out
-
-    def scale(self, c):
-        out = SparseMatrix(self.rows, self.cols, self.n)
-        for k, v in self.data.items():
-            w = v * c
-            if w:
-                out.data[k] = w
-        return out
-
-    def is_zero(self):
-        return not self.data
-
     # -- elimination-backed queries ------------------------------------------
 
     def rref(self):

@@ -448,18 +448,10 @@ def braiding_check(A, R, V, W):
     return rep, c, vw, wv
 
 
-def _delta2_unit(A):
-    out = {}
-    for (j, k), c in A.delta_of_unit().items():
-        for a, b, c2 in A.delta_terms[j]:
-            _acc(out, (a, b, k), c * c2)
-    return out
-
-
 def braid_relation_check(A, R, V, W, U):
     """sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2 on triple retracts."""
     n = A.conductor
-    d2u = _delta2_unit(A)
+    d2u = A.coproduct2(A.one())
 
     retracts = {}
 

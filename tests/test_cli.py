@@ -202,6 +202,16 @@ def test_obstruction_cli(tmp_path, capsys):
     assert run("obstruction", "--ring", str(ring), "--candidates", str(cands)) == 0
 
 
+def test_tube_obstruction_is_a_usage_error(capsys):
+    # the detector is `whalg obstruction`; the tube family has no such action
+    # and no --ring/--candidates flags
+    for argv in (("tube", "obstruction", "--ring", "fib"),
+                 ("tube", "build", "--group", "z2", "--cocycle", "trivial", "--ring", "fib")):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+
+
 def test_double_cli(tmp_path):
     assert run("double", "sharp", "--group", "z2", "--cocycle", "p=1") == 0
     out = tmp_path / "d.json"

@@ -18,18 +18,30 @@ from whalg.wha import (
     RMatrixCandidate,
     WeakHopfAlgebra,
     _antihom_range,
-    _assoc_dense,
     _assoc_range,
+    _axiom1_range,
     _solve_weak_inverse,
     base_algebras,
     center_dim,
     compare_structure,
     coopposite,
+    dual,
     is_cocommutative,
     opposite,
     verify_antipode,
     verify_quasitriangular,
     verify_weak_bialgebra,
+)
+
+from references import (
+    assoc_dense,
+    axiom1_dense,
+    axiom2_dense,
+    axiom3_loop,
+    coalgebra_antihom_loop,
+    coassociativity_loop,
+    counit_law_loop,
+    delta_s_fails,
 )
 
 
@@ -83,9 +95,15 @@ def test_tampered_mu_caught_with_counterexample():
     assert rep.first_failure.detail  # concrete counterexample carried
 
 
+def _on_dual(detail):
+    return None if detail is None else f"in A*: {detail}"
+
+
 def test_meta_sparse_equals_dense_sweeps():
-    # the streamed sparse sweeps and the literal dense loops must agree,
-    # on good algebras and on tampered ones (dims <= 81)
+    # the streamed sparse sweeps and the dense references must agree on the
+    # verdict and the first counterexample, on good algebras and on tampered
+    # ones (dims <= 81); the coalgebra laws are swept on the dual A*, so
+    # coassociativity and Axiom 3 are checked against the references on A*
     g2, g3 = cyclic_group(2), cyclic_group(3)
     algebras = [
         build_b_g_omega(g2, trivial_cocycle(g2)),
@@ -104,12 +122,128 @@ def test_meta_sparse_equals_dense_sweeps():
         del delta.data[key]
         tampered.append(clone_with(A, delta=delta))
     for A in algebras + tampered:
-        fast = verify_weak_bialgebra(A)
-        slow = verify_weak_bialgebra(A, dense=True)
-        assert fast.ok == slow.ok
-        for cf, cs in zip(fast.checks, slow.checks):
-            assert cf.name == cs.name
-            assert cf.ok == cs.ok
+        D = dual(A)
+        expected = {
+            "mu-associativity": assoc_dense(A),
+            "delta-coassociativity": _on_dual(assoc_dense(D)),
+            "axiom1-delta-multiplicative": axiom1_dense(A),
+            "axiom2-counit-weak-multiplicative": axiom2_dense(A),
+            "axiom3-unit-weak-comultiplicative": _on_dual(axiom2_dense(D)),
+        }
+        checks = {c.name: c for c in verify_weak_bialgebra(A).checks}
+        for name, detail in expected.items():
+            assert checks[name].ok == (detail is None), (A.name, name)
+            assert checks[name].detail == detail, (A.name, name)
+        # Axiom 1 is self-dual: A* satisfies it exactly when A does
+        assert _axiom1_range(D, 0, D.dim) == axiom1_dense(D)
+        assert (axiom1_dense(D) is None) == (expected["axiom1-delta-multiplicative"] is None)
+    assert any(d is not None for A in tampered for d in (coassociativity_loop(A), axiom3_loop(A)))
+
+
+@pytest.mark.parametrize("make", ["b_z3", "a_z3"])
+def test_dual_is_a_weak_hopf_algebra_and_its_dual_is_the_algebra(make):
+    g = cyclic_group(3)
+    if make == "b_z3":
+        A = build_b_g_omega(g, standard_cocycle(3, 1))
+    else:
+        A = build_a_g_omega(g, standard_cocycle(3, 1))[0]
+    D = dual(A)
+    assert verify_weak_bialgebra(D).ok and verify_antipode(D).ok
+    assert compare_structure(dual(D), A, list(range(A.dim))).ok
+    # <f g, x> = <f (x) g, Delta(x)> and <S*(f), x> = <f, S(x)> on the dual basis
+    assert all(D.mu.data[(j, k, i)] == c for (i, j, k), c in A.delta.data.items())
+    assert D.apply_antipode(D.basis_elem(0)) == {i: c for (k, i), c in A.antipode.data.items() if k == 0}
+
+
+# -- the coalgebra checks, swept on A*, against the direct loops they replaced
+
+COALGEBRA_REFERENCES = {
+    "counit-law": counit_law_loop,
+    "delta-coassociativity": coassociativity_loop,
+    "axiom3-unit-weak-comultiplicative": axiom3_loop,
+    "antipode-coalgebra-antihom": coalgebra_antihom_loop,
+}
+
+
+def _tamper(entries, kind, key, d):
+    """Copy of a sparse table with one entry doubled, dropped or moved (last index + 1 mod d)."""
+    out = dict(entries)
+    v = out.pop(key)
+    if kind == "scale":
+        out[key] = v + v
+    elif kind == "move":
+        moved = key[:-1] + ((key[-1] + 1) % d,) if isinstance(key, tuple) else (key + 1) % d
+        s = out[moved] + v if moved in out else v
+        if s:
+            out[moved] = s
+        else:
+            del out[moved]
+    return out
+
+
+def _coalgebra_mutants(A, per_table, kinds=("scale", "drop", "move")):
+    """Single-entry mutants of Delta, eps and S at `per_table` spread positions each."""
+    n = A.conductor
+    wrap = {
+        "delta": lambda data: SparseTensor3(A.delta.dims, n, data),
+        "counit": lambda data: data,
+        "antipode": lambda data: SparseMatrix(A.dim, A.dim, n, data),
+    }
+    for table, entries in (("delta", A.delta.data), ("counit", A.counit), ("antipode", A.antipode.data)):
+        for key in sorted(entries)[:: max(1, len(entries) // per_table)]:
+            for kind in kinds:
+                data = _tamper(entries, kind, key, A.dim)
+                yield f"{table} {kind} {key}", clone_with(A, **{table: wrap[table](data)})
+
+
+def _coalgebra_checks(A, threads):
+    checks = verify_weak_bialgebra(A, threads=threads).checks + verify_antipode(A, threads=threads).checks
+    return {c.name: c for c in checks if c.name in COALGEBRA_REFERENCES}
+
+
+@pytest.mark.parametrize("make", ["b_z3", "a_z2"])
+def test_coalgebra_checks_match_loop_references_on_single_entry_mutants(make):
+    if make == "b_z3":
+        A = build_b_g_omega(cyclic_group(3), standard_cocycle(3, 1))
+    else:
+        A = a_z2(p=1)[0]
+    assert all(ref(A) is None for ref in COALGEBRA_REFERENCES.values())
+    rejected = dict.fromkeys(COALGEBRA_REFERENCES, 0)
+    for what, bad in _coalgebra_mutants(A, 4):
+        serial = _coalgebra_checks(bad, 1)
+        for name, ref in COALGEBRA_REFERENCES.items():
+            assert serial[name].ok == (ref(bad) is None), (what, name)
+            rejected[name] += not serial[name].ok
+        forked = _coalgebra_checks(bad, 2)
+        assert {k: c.detail for k, c in forked.items()} == {k: c.detail for k, c in serial.items()}
+    assert all(rejected.values()), rejected
+
+
+def test_coalgebra_checks_agree_when_forked():
+    # at dim 64 threads=2 forks every sweep, the ones on A* included
+    A = build_b_g_omega(cyclic_group(4), standard_cocycle(4, 1))
+    for what, bad in _coalgebra_mutants(A, 1, kinds=("scale",)):
+        serial = _coalgebra_checks(bad, 1)
+        forked = _coalgebra_checks(bad, 2)
+        assert any(not c.ok for c in serial.values()), what
+        for name, ref in COALGEBRA_REFERENCES.items():
+            assert serial[name].ok == (ref(bad) is None), (what, name)
+            assert forked[name].detail == serial[name].detail, (what, name)
+
+
+def test_s_of_one_is_reported_before_a_later_coalgebra_failure():
+    B = build_b_g_omega(cyclic_group(3), standard_cocycle(3, 1))
+    u = min(B.unit)
+    S = B.antipode.copy()
+    for (k, i), v in B.antipode.data.items():
+        if i == u:
+            S.set(k, i, v + v)
+    bad = clone_with(B, antipode=S)
+    assert bad.apply_antipode(bad.one()) != bad.one()
+    assert any(delta_s_fails(bad, x) for x in range(bad.dim))
+    check = _coalgebra_checks(bad, 1)["antipode-coalgebra-antihom"]
+    assert not check.ok
+    assert check.detail == "S(1) != 1" == coalgebra_antihom_loop(bad)
 
 
 def test_base_algebras_b_z2():
@@ -552,10 +686,10 @@ def test_assoc_kernel_matches_dense_on_stored_zeros_and_cancelling_sums(make):
     i, j = next((i, j) for i in range(A.dim) for j in range(A.dim) if (i, j) not in A.mu_pairs)
     mu.data[(i, j, 0)] = zero  # a stored zero where the product is zero: no tamper
     harmless = clone_with(A, mu=mu)
-    assert _assoc_range(harmless, 0, A.dim) is None and _assoc_dense(harmless) is None
+    assert _assoc_range(harmless, 0, A.dim) is None and assoc_dense(harmless) is None
     for mu in stored_zero + [_cancelling_pair(A)]:
         bad = clone_with(A, mu=mu)
-        expected = _assoc_dense(bad)
+        expected = assoc_dense(bad)
         assert expected is not None
         assert _assoc_range(bad, 0, bad.dim) == expected
         assert _first_failure_by_ranges(bad, 5) == expected
@@ -568,13 +702,13 @@ def test_assoc_kernel_matches_dense_on_stored_zeros_and_cancelling_sums(make):
 def test_assoc_kernel_matches_dense_where_long_products_cancel():
     # in the shifted basis products have many terms and sums cancel often
     A = _a_z2_shifted()
-    assert _assoc_range(A, 0, A.dim) is None and _assoc_dense(A) is None
+    assert _assoc_range(A, 0, A.dim) is None and assoc_dense(A) is None
     two = Cyclotomic.rational(A.conductor, 2)
     for key in random.Random(2).sample(sorted(A.mu.data), 4):
         mu = SparseTensor3(A.mu.dims, A.conductor, dict(A.mu.data))
         mu.data[key] = mu.data[key] * two
         bad = PlainAlgebra(A.labels, A.conductor, mu, A.unit)
-        expected = _assoc_dense(bad)
+        expected = assoc_dense(bad)
         assert expected is not None
         assert _assoc_range(bad, 0, bad.dim) == expected
         assert _first_failure_by_ranges(bad, 5) == expected

@@ -79,13 +79,13 @@ def cocycle_from_json(obj, G):
     cond = obj["conductor"]
     vals = {}
     flat = obj["values"]
-    if len(flat) != n ** 3:
-        raise ValueError("cocycle table must carry |G|^3 scalar encodings")
+    if not isinstance(flat, list) or len(flat) != n ** 3:
+        raise InputError("cocycle table must carry |G|^3 scalar encodings")
     idx = 0
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                vals[(a, b, c)] = Cyclotomic.from_json(flat[idx])
+                vals[(a, b, c)] = _scalar(flat[idx], cond, f"values[{idx}]")
                 idx += 1
     return ThreeCocycle(G, vals, cond)
 
@@ -121,9 +121,9 @@ def skeleton_from_json(obj):
     ring = FusionRing(labels, unit, mult)
     cond = obj["conductor"]
     F = {}
-    for a, b, c, d, enc in obj["F"]:
+    for pos, (a, b, c, d, enc) in enumerate(obj["F"]):
         F[(decode_label(a), decode_label(b), decode_label(c), decode_label(d))] = (
-            Cyclotomic.from_json(enc)
+            _scalar(enc, cond, f"F[{pos}]")
         )
     return SkeletalCategory(ring, F, cond)
 
@@ -149,8 +149,10 @@ def module_from_json(obj, C):
     for a, x, y in obj["action"]:
         action[(decode_label(a), decode_label(x))] = decode_label(y)
     L = {}
-    for a, b, x, enc in obj["L"]:
-        L[(decode_label(a), decode_label(b), decode_label(x))] = Cyclotomic.from_json(enc)
+    for pos, (a, b, x, enc) in enumerate(obj["L"]):
+        L[(decode_label(a), decode_label(b), decode_label(x))] = (
+            _scalar(enc, C.conductor, f"L[{pos}]")
+        )
     return SkeletalModule(C, objects, action, L)
 
 
@@ -185,6 +187,22 @@ class InputError(ValueError):
     """A file that does not hold what it claims to; the CLI exits 2 on it."""
 
 
+def _scalar(enc, n, where):
+    """The scalar of conductor n that the encoding `enc` holds.
+
+    Its coefficients must be integer [num, den] pairs with nonzero
+    denominators.  Anything else raises InputError naming `where`, the entry
+    the encoding came from.
+    """
+    if not isinstance(enc, dict) or enc.get("conductor") != n:
+        cond = enc.get("conductor") if isinstance(enc, dict) else None
+        raise InputError(f"{where}: scalar conductor {cond} differs from the file's conductor {n}")
+    try:
+        return Cyclotomic.from_json(enc)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{where}: bad scalar encoding: {exc}") from None
+
+
 def _header(obj, what):
     """(dim, conductor) of an algebra, R-matrix or module object."""
     if not isinstance(obj, dict):
@@ -202,9 +220,9 @@ def _table(obj, table, n, bounds):
     """{indices: scalar} of the [*indices, encoding] entries of obj[table].
 
     Each entry carries one integer index per bound, inside it, and a scalar
-    of the file's conductor n with integer [num, den] coefficient pairs and
-    nonzero denominators; no indices repeat.  Anything else raises
-    InputError naming the table and the entry.  Zero scalars are dropped.
+    of the file's conductor n (see `_scalar`); no indices repeat.  Anything
+    else raises InputError naming the table and the entry.  Zero scalars are
+    dropped.
     """
     entries = obj.get(table)
     if not isinstance(entries, list):
@@ -222,16 +240,7 @@ def _table(obj, table, n, bounds):
                 raise InputError(f"{_where(table, key)}: index {i!r} is outside 0..{bound - 1}")
         if key in out or key in zeros:
             raise InputError(f"{_where(table, key)}: duplicate entry")
-        if not isinstance(enc, dict) or enc.get("conductor") != n:
-            cond = enc.get("conductor") if isinstance(enc, dict) else None
-            raise InputError(
-                f"{_where(table, key)}: scalar conductor {cond} differs from the "
-                f"file's conductor {n}"
-            )
-        try:
-            v = Cyclotomic.from_json(enc)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{_where(table, key)}: bad scalar encoding: {exc}") from None
+        v = _scalar(enc, n, _where(table, key))
         if v:
             out[key] = v
         else:

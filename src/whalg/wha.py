@@ -23,9 +23,13 @@ Two law kernels serve every caller of their law shape:
 - `_mixed_assoc_range`, the mixed-associativity kernel: the least basis
   triple on which f(g(x, y), z) != h(x, k(y, z)) for four sparse bilinear
   tables indexed by `_bilinear_index`.  It runs mu-associativity, the tube
-  bimodule and compose-tower laws and the module action law.  Inside one
-  call every scalar is a small-int id (0 for zero) with memoized products
-  and sums, so the sweep hashes ints, not cyclotomic values.
+  bimodule and compose-tower laws and the module action law.
+
+The weak-bialgebra law kernels, `_mixed_assoc_range`, `_axiom1_range` and
+`_counit_weak_mult_range`, sweep on scalar ids (`_ScalarIds`): inside one
+call every scalar is a small-int id, 0 for zero, with memoized products and
+sums, so the sweeps hash ints, not cyclotomic values.  The id tables are
+locals of the call, so a forked sweep gives each worker one range.
 
 The weak Hopf axioms are self-dual, so the coalgebra laws are not swept
 separately: the suites run the algebra sweeps above on the dual A* (`dual`).
@@ -433,6 +437,98 @@ def _unit_law(A):
     return None
 
 
+class _ScalarIds:
+    """Small-int ids for the scalars of one law-kernel call.
+
+    Ids are given out per call, 0 for zero, so inside one call two ids are
+    equal exactly when their scalars are: sides built of ids compare, and
+    `_first_diff` picks its key, as the cyclotomic sides would.  The kernels
+    read the memoized products and sums inline (`products[a].get(b)`) and
+    call `mul` or `add_into` only on a miss or a repeated key.  The product
+    of two nonzero ids is never zero; a sum that cancels is removed.  The
+    `*rows` converters turn a law table into rows of ids and drop its stored
+    zeros: a zero term changes no sum.  The ids live as long as the call;
+    nothing is cached on an algebra.
+    """
+
+    def __init__(self):
+        self.ids = {}          # scalar -> id; the zero scalar, once seen, -> 0
+        self.vals = [None]
+        self.products = [None]  # products[a][b] = id of vals[a] * vals[b]
+        self.sums = [None]      # sums[a][b] = id of vals[a] + vals[b]
+        self.by_object = {}     # id() of a table scalar -> its scalar id
+
+    def scalar_id(self, c):
+        i = self.ids.get(c)
+        if i is None:
+            i = self.ids[c] = len(self.vals) if c else 0
+            if i:
+                self.vals.append(c)
+                self.products.append({})
+                self.sums.append({})
+        return i
+
+    def table_id(self, c):
+        # table scalars repeat as shared objects: key them on identity first;
+        # only for scalars held by a table that outlives the call
+        i = self.by_object.get(id(c))
+        if i is None:
+            i = self.by_object[id(c)] = self.scalar_id(c)
+        return i
+
+    def mul(self, a, b):
+        """Id of vals[a] * vals[b], memoized."""
+        i = self.products[a][b] = self.scalar_id(self.vals[a] * self.vals[b])
+        return i
+
+    def add_into(self, side, key, c):
+        """side[key] += c on a present key, removing it when the sum cancels."""
+        cur = side[key]
+        s = self.sums[cur].get(c)
+        if s is None:
+            s = self.sums[cur][c] = self.scalar_id(self.vals[cur] + self.vals[c])
+        if s:
+            side[key] = s
+        else:
+            del side[key]
+
+    def rows(self, pairs):
+        """A pairs index (x, y) -> [(w, c)] as rows x -> [(y, w, id)]."""
+        table_id = self.table_id
+        out = {}
+        for (x, y), terms in pairs.items():
+            row = out.get(x)
+            if row is None:
+                row = out[x] = []
+            for w, c in terms:
+                i = table_id(c)
+                if i:
+                    row.append((y, w, i))
+        return out
+
+    def nested_rows(self, pairs):
+        """A pairs index (x, y) -> [(w, c)] as x -> {y: [(w, id)]}, zero pairs left out."""
+        table_id = self.table_id
+        out = {}
+        for (x, y), terms in pairs.items():
+            row = [(w, i) for w, c in terms if (i := table_id(c))]
+            if row:
+                out.setdefault(x, {})[y] = row
+        return out
+
+    def vector_rows(self, index):
+        """An index s -> {x: c} as s -> [(x, id)]."""
+        table_id = self.table_id
+        return {s: [(x, i) for x, c in vec.items() if (i := table_id(c))]
+                for s, vec in index.items()}
+
+    def triple_rows(self, index):
+        """An index s -> [(a, b, c)] as s -> [(a, b, id)]."""
+        table_id = self.table_id
+        return {s: [(a, b, i) for a, b, c in terms if (i := table_id(c))]
+                for s, terms in index.items()}
+
+
 def _mixed_assoc_range(f, g, h, k, lo, hi):
     """Least basis triple (x, y, z), x in [lo, hi), with f(g(x, y), z) != h(x, k(y, z)).
 
@@ -440,69 +536,25 @@ def _mixed_assoc_range(f, g, h, k, lo, hi):
     expanded, keyed (y, z, w), over exactly the (y, z) on which they can be
     nonzero: the left through g's entries of x and f's entries of each
     product, the right through h's entries of x and k's by-result index.
-
-    Scalars enter the sweep as small-int ids, 0 for zero, that are given out
-    per call; products and sums are memoized on id pairs and both sides hold
-    ids, so equal sides are equal dicts of ints.  Each distinct table is
-    converted once, to rows x -> [(y, w, id)] (and k to its by-result
-    index), dropping stored zeros: a zero term changes no sum.  The product
-    of two nonzero ids is never zero; a sum that cancels is removed.
+    Both sides hold scalar ids (`_ScalarIds`); each distinct table is
+    converted once, to rows x -> [(y, w, id)] (and k to its by-result index).
     """
-    ids = {}           # scalar -> id; the zero scalar, once seen, -> 0
-    vals = [None]
-    products = [None]  # products[a][b] = id of vals[a] * vals[b]
-    sums = [None]      # sums[a][b] = id of vals[a] + vals[b]
-    by_object = {}     # id() of a table scalar -> its scalar id
-
-    def scalar_id(c):
-        i = ids.get(c)
-        if i is None:
-            i = ids[c] = len(vals) if c else 0
-            if i:
-                vals.append(c)
-                products.append({})
-                sums.append({})
-        return i
-
-    def table_id(c):
-        # table scalars repeat as shared objects: key them on identity first
-        i = by_object.get(id(c))
-        if i is None:
-            i = by_object[id(c)] = scalar_id(c)
-        return i
-
-    def add_into(side, key, c):
-        cur = side[key]
-        s = sums[cur].get(c)
-        if s is None:
-            s = sums[cur][c] = scalar_id(vals[cur] + vals[c])
-        if s:
-            side[key] = s
-        else:
-            del side[key]
-
+    ids = _ScalarIds()
+    products = ids.products
+    mul = ids.mul
+    add_into = ids.add_into
     converted = {}
 
     def rows(t):
         out = converted.get(id(t))
         if out is None:
-            out = converted[id(t)] = {}
-            for (x, y), terms in t[0].items():
-                for w, c in terms:
-                    i = table_id(c)
-                    if i:
-                        out.setdefault(x, []).append((y, w, i))
+            out = converted[id(t)] = ids.rows(t[0])
         return out
 
     f_rows = rows(f)
     g_rows = rows(g)
     h_rows = rows(h)
-    k_byr = {}
-    for w, terms in k[2].items():
-        for y, z, c in terms:
-            i = table_id(c)
-            if i:
-                k_byr.setdefault(w, []).append((y, z, i))
+    k_byr = ids.triple_rows(k[2])
     for x in range(lo, hi):
         lhs = {}
         for y, p, c1 in g_rows.get(x, ()):
@@ -510,7 +562,7 @@ def _mixed_assoc_range(f, g, h, k, lo, hi):
             for z, w, c2 in f_rows.get(p, ()):
                 c = prod.get(c2)
                 if c is None:
-                    c = prod[c2] = scalar_id(vals[c1] * vals[c2])
+                    c = mul(c1, c2)
                 key = (y, z, w)
                 if key in lhs:
                     add_into(lhs, key, c)
@@ -522,7 +574,7 @@ def _mixed_assoc_range(f, g, h, k, lo, hi):
             for y, z, c3 in k_byr.get(q, ()):
                 c = prod.get(c3)
                 if c is None:
-                    c = prod[c3] = scalar_id(vals[c2] * vals[c3])
+                    c = mul(c2, c3)
                 key = (y, z, w)
                 if key in rhs:
                     add_into(rhs, key, c)
@@ -545,29 +597,63 @@ def _assoc_range(A, lo, hi):
 
 
 def _axiom1_range(A, lo, hi):
-    """First Delta(x)Delta(y) != Delta(xy) counterexample with x in [lo, hi)."""
-    mp = A.mu_pairs
-    rc = A.right_companions
-    dt = A.delta_terms
-    dinv = A.delta_left_inv
+    """First Delta(x)Delta(y) != Delta(xy) counterexample with x in [lo, hi).
+
+    Both sides are keyed (y, j, k) and hold scalar ids (`_ScalarIds`).  The
+    left meets each term s (x) s2 of Delta(x) with the Delta(y) terms
+    t (x) t2, found through Delta's left-leg index, on which s t and s2 t2
+    are both nonzero.
+    """
+    ids = _ScalarIds()
+    products = ids.products
+    mul = ids.mul
+    add_into = ids.add_into
+    mp = ids.nested_rows(A.mu_pairs)
+    dt = ids.triple_rows(A.delta_terms)
+    dinv = ids.triple_rows(A.delta_left_inv)
     for x in range(lo, hi):
         lhs = {}
-        for s, s2, c0 in dt[x]:
-            for t in rc.get(s, ()):
-                pairs_st = mp[(s, t)]
+        for s, s2, c0 in dt.get(x, ()):
+            row2 = mp.get(s2)
+            if row2 is None:
+                continue
+            p0 = products[c0]
+            for t, pairs_st in mp.get(s, {}).items():
                 for y, t2, c2 in dinv.get(t, ()):
-                    second = mp.get((s2, t2))
-                    if not second:
+                    second = row2.get(t2)
+                    if second is None:
                         continue
-                    c02 = c0 * c2
+                    c02 = p0.get(c2)
+                    if c02 is None:
+                        c02 = mul(c0, c2)
+                    p02 = products[c02]
                     for k, c1 in pairs_st:
+                        c021 = p02.get(c1)
+                        if c021 is None:
+                            c021 = mul(c02, c1)
+                        p021 = products[c021]
                         for k2, c4 in second:
-                            _acc(lhs, (y, k, k2), c02 * c1 * c4)
+                            c = p021.get(c4)
+                            if c is None:
+                                c = mul(c021, c4)
+                            key = (y, k, k2)
+                            if key in lhs:
+                                add_into(lhs, key, c)
+                            else:
+                                lhs[key] = c
         rhs = {}
-        for y in rc.get(x, ()):
-            for k0, c in mp[(x, y)]:
-                for j, k, c5 in dt[k0]:
-                    _acc(rhs, (y, j, k), c * c5)
+        for y, terms in mp.get(x, {}).items():
+            for k0, c in terms:
+                prod = products[c]
+                for j, k, c5 in dt.get(k0, ()):
+                    v = prod.get(c5)
+                    if v is None:
+                        v = mul(c, c5)
+                    key = (y, j, k)
+                    if key in rhs:
+                        add_into(rhs, key, v)
+                    else:
+                        rhs[key] = v
         if lhs != rhs:
             y = _first_diff(lhs, rhs)[0]
             return (
@@ -578,37 +664,66 @@ def _axiom1_range(A, lo, hi):
 
 
 def _counit_weak_mult_range(A, lo, hi):
-    """Axiom 2 (both equalities), swept per middle element y in [lo, hi)."""
-    mp = A.mu_pairs
-    rc = A.right_companions
-    dt = A.delta_terms
-    epsL = A.eps_left
-    epsR = A.eps_right
+    """Axiom 2 (both equalities), swept per middle element y in [lo, hi).
+
+    For each y the sides are keyed (x, z) and hold scalar ids (`_ScalarIds`):
+    eps(x (yz)) through the products y z and eps_left, and each left side
+    through the terms of Delta(y), eps_left and eps_right.
+    """
+    ids = _ScalarIds()
+    products = ids.products
+    mul = ids.mul
+    add_into = ids.add_into
+    mp = ids.rows(A.mu_pairs)
+    dt = ids.triple_rows(A.delta_terms)
+    epsL = ids.vector_rows(A.eps_left)
+    epsR = ids.vector_rows(A.eps_right)
+
+    def left_side(y, swap):
+        lhs = {}
+        for s, t, c0 in dt.get(y, ()):
+            if swap:
+                s, t = t, s
+            eRt = epsR.get(t)
+            if eRt is None:
+                continue
+            for x, a in epsL.get(s, ()):
+                ac0 = products[a].get(c0)
+                if ac0 is None:
+                    ac0 = mul(a, c0)
+                prod = products[ac0]
+                for z, b in eRt:
+                    c = prod.get(b)
+                    if c is None:
+                        c = mul(ac0, b)
+                    key = (x, z)
+                    if key in lhs:
+                        add_into(lhs, key, c)
+                    else:
+                        lhs[key] = c
+        return lhs
+
     for y in range(lo, hi):
         rhs = {}
-        for z in rc.get(y, ()):
-            for k, c1 in mp[(y, z)]:
-                for x, c2 in epsL.get(k, {}).items():
-                    _acc(rhs, (x, z), c2 * c1)
-        lhs1 = {}
-        lhs2 = {}
-        for s, t, c0 in dt[y]:
-            eLs = epsL.get(s, {})
-            eRt = epsR.get(t, {})
-            for x, a in eLs.items():
-                for z, b in eRt.items():
-                    _acc(lhs1, (x, z), a * c0 * b)
-            eLt = epsL.get(t, {})
-            eRs = epsR.get(s, {})
-            for x, a in eLt.items():
-                for z, b in eRs.items():
-                    _acc(lhs2, (x, z), a * c0 * b)
+        for z, k, c1 in mp.get(y, ()):
+            prod = products[c1]
+            for x, c2 in epsL.get(k, ()):
+                c = prod.get(c2)
+                if c is None:
+                    c = mul(c1, c2)
+                key = (x, z)
+                if key in rhs:
+                    add_into(rhs, key, c)
+                else:
+                    rhs[key] = c
+        lhs1 = left_side(y, False)
         if lhs1 != rhs:
             x, z = _first_diff(lhs1, rhs)
             return (
                 f"eps(x y_(1)) eps(y_(2) z) != eps(xyz) at "
                 f"({A.label_str(x)}, {A.label_str(y)}, {A.label_str(z)})"
             )
+        lhs2 = left_side(y, True)
         if lhs2 != rhs:
             x, z = _first_diff(lhs2, rhs)
             return (
@@ -645,8 +760,9 @@ def _worker(args):
 def _sweep(A, fn, threads):
     """Run a per-basis-range sweep, optionally forked across processes.
 
-    Returns the failure detail from the lowest range, or None; deterministic
-    regardless of worker count.
+    Each worker sweeps one contiguous range, so it converts the law tables
+    to scalar ids once.  Returns the failure detail from the lowest range, or
+    None; deterministic regardless of worker count.
     """
     d = A.dim
     if threads <= 1 or d < 64 or multiprocessing.get_start_method(allow_none=False) != "fork":
@@ -654,8 +770,7 @@ def _sweep(A, fn, threads):
     key = id(A)
     _PARALLEL[key] = A
     try:
-        nchunks = threads * 4
-        step = max(1, (d + nchunks - 1) // nchunks)
+        step = max(1, (d + threads - 1) // threads)
         ranges = [(fn.__name__, key, lo, min(d, lo + step)) for lo in range(0, d, step)]
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=threads) as pool:

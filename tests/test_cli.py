@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -312,3 +313,63 @@ def test_rmatrix_of_another_dim_exits_2(tmp_path, capsys):
     assert run("verify", str(b2), "--suite", "all", "--rmatrix", str(r2)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "R-matrix dim 16, conductor 2 differs" in captured.err
+
+
+def _write_pointed_inputs(tmp_path, table, coeff):
+    """Group, cocycle, skeleton and module files, with one coefficient of the first
+    entry of `table` replaced by `coeff`.
+
+    Returns the build argv that loads the table, the entry's name and the path
+    of the file that holds it.
+    """
+    g = cyclic_group(2)
+    w = standard_cocycle(2, 1)
+    C, M = boxtimes_rev_skeleton(g, w)
+    objs = {"cocycle": jsonio.cocycle_to_json(w), "skeleton": jsonio.skeleton_to_json(C),
+            "module": jsonio.module_to_json(M)}
+    owner, enc, where = {"values": ("cocycle", objs["cocycle"]["values"][0], "values[0]"),
+                         "F": ("skeleton", objs["skeleton"]["F"][0][-1], "F[0]"),
+                         "L": ("module", objs["module"]["L"][0][-1], "L[0]")}[table]
+    enc["coeffs"][0] = coeff
+    paths = {name: tmp_path / f"{name}.json" for name in ("group", *objs)}
+    jsonio.write_json(str(paths["group"]), jsonio.group_to_json(g))
+    for name, obj in objs.items():
+        jsonio.write_json(str(paths[name]), obj)
+    if table == "values":
+        argv = ["b-g-omega", "--group", str(paths["group"]), "--cocycle", str(paths["cocycle"])]
+    else:
+        argv = ["a-m-c", "--skeleton", str(paths["skeleton"]), "--module", str(paths["module"])]
+    return argv, where, str(paths[owner])
+
+
+@pytest.mark.parametrize("coeff", [[1.5, 1], [1, 0]])
+@pytest.mark.parametrize("table", ["values", "F", "L"])
+def test_bad_scalar_in_category_data_exits_2_naming_the_entry(tmp_path, table, coeff):
+    argv, where, _path = _write_pointed_inputs(tmp_path, table, coeff)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "whalg.cli", "build", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and f"{where}: bad scalar encoding" in lines[0]
+
+
+@pytest.mark.parametrize("table", ["values", "F", "L"])
+def test_category_data_of_another_conductor_is_rejected(tmp_path, table):
+    _argv, where, path = _write_pointed_inputs(tmp_path, table, [1, 1])
+    obj = jsonio.read_json(path)
+    enc = obj["values"][0] if table == "values" else obj[table][0][-1]
+    enc["conductor"], enc["coeffs"] = 1, [[1, 1]]
+    jsonio.write_json(path, obj)
+    with pytest.raises(jsonio.InputError, match=rf"{re.escape(where)}: scalar conductor 1 differs"):
+        if table == "values":
+            jsonio.cocycle_from_json(obj, cyclic_group(2))
+        elif table == "F":
+            jsonio.skeleton_from_json(obj)
+        else:
+            C, _M = boxtimes_rev_skeleton(cyclic_group(2), standard_cocycle(2, 1))
+            jsonio.module_from_json(obj, C)

@@ -484,9 +484,12 @@ class SparseMatrix:
         )
 
     def row_dicts(self):
+        """One {col: value} per row; stored zeros are left out, so that
+        elimination never takes one as a pivot."""
         rows = [dict() for _ in range(self.rows)]
         for (i, j), v in self.data.items():
-            rows[i][j] = v
+            if v:
+                rows[i][j] = v
         return rows
 
     def _cols(self):

@@ -58,8 +58,9 @@ def group_to_json(G):
 
 
 def group_from_json(obj):
-    G = FiniteGroup(obj["table"])
-    if G.identity != obj["identity"]:
+    table, identity = _fields(obj, "group", "table", "identity")
+    G = FiniteGroup(table)
+    if G.identity != identity:
         raise ValueError("declared identity disagrees with the table")
     return G
 
@@ -76,9 +77,8 @@ def cocycle_to_json(omega):
 
 def cocycle_from_json(obj, G):
     n = G.order
-    cond = obj["conductor"]
+    cond, flat = _fields(obj, "cocycle", "conductor", "values")
     vals = {}
-    flat = obj["values"]
     if not isinstance(flat, list) or len(flat) != n ** 3:
         raise InputError("cocycle table must carry |G|^3 scalar encodings")
     idx = 0
@@ -113,15 +113,15 @@ def skeleton_to_json(C):
 
 
 def skeleton_from_json(obj):
-    labels = [decode_label(l) for l in obj["labels"]]
-    unit = decode_label(obj["unit"])
+    labels, unit, mult_entries, cond, f_entries = _fields(
+        obj, "skeleton", "labels", "unit", "mult", "conductor", "F")
+    labels = [decode_label(l) for l in labels]
     mult = {}
-    for a, b, c in obj["mult"]:
+    for a, b, c in mult_entries:
         mult[(decode_label(a), decode_label(b), decode_label(c))] = 1
-    ring = FusionRing(labels, unit, mult)
-    cond = obj["conductor"]
+    ring = FusionRing(labels, decode_label(unit), mult)
     F = {}
-    for pos, (a, b, c, d, enc) in enumerate(obj["F"]):
+    for pos, (a, b, c, d, enc) in enumerate(f_entries):
         F[(decode_label(a), decode_label(b), decode_label(c), decode_label(d))] = (
             _scalar(enc, cond, f"F[{pos}]")
         )
@@ -144,12 +144,13 @@ def module_to_json(M):
 
 
 def module_from_json(obj, C):
-    objects = [decode_label(x) for x in obj["objects"]]
+    objects, action_entries, l_entries = _fields(obj, "skeletal module", "objects", "action", "L")
+    objects = [decode_label(x) for x in objects]
     action = {}
-    for a, x, y in obj["action"]:
+    for a, x, y in action_entries:
         action[(decode_label(a), decode_label(x))] = decode_label(y)
     L = {}
-    for pos, (a, b, x, enc) in enumerate(obj["L"]):
+    for pos, (a, b, x, enc) in enumerate(l_entries):
         L[(decode_label(a), decode_label(b), decode_label(x))] = (
             _scalar(enc, C.conductor, f"L[{pos}]")
         )
@@ -169,11 +170,11 @@ def fusion_ring_to_json(ring):
 
 
 def fusion_ring_from_json(obj):
-    labels = [decode_label(l) for l in obj["labels"]]
+    labels, unit, mult_entries = _fields(obj, "fusion ring", "labels", "unit", "mult")
     mult = {}
-    for a, b, c in obj["mult"]:
+    for a, b, c in mult_entries:
         mult[(decode_label(a), decode_label(b), decode_label(c))] = 1
-    return FusionRing(labels, decode_label(obj["unit"]), mult)
+    return FusionRing([decode_label(l) for l in labels], decode_label(unit), mult)
 
 
 # -- algebras ------------------------------------------------------------------
@@ -185,6 +186,20 @@ def _scalar_out(v):
 
 class InputError(ValueError):
     """A file that does not hold what it claims to; the CLI exits 2 on it."""
+
+
+def _fields(obj, what, *keys):
+    """The values of `keys` in the top-level object of a `what` file.
+
+    Raises InputError naming the file kind when obj is not a JSON object or
+    a key is missing.
+    """
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} file: expected a JSON object, not a {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise InputError(f"{what} file: missing key {key!r}")
+    return [obj[key] for key in keys]
 
 
 def _scalar(enc, n, where):
@@ -205,14 +220,11 @@ def _scalar(enc, n, where):
 
 def _header(obj, what):
     """(dim, conductor) of an algebra, R-matrix or module object."""
-    if not isinstance(obj, dict):
-        raise InputError(f"{what}: expected a JSON object")
-    d = obj.get("dim")
-    n = obj.get("conductor")
+    d, n = _fields(obj, what, "dim", "conductor")
     if type(d) is not int or d < 0:
-        raise InputError(f"{what}: dim must be a nonnegative integer, not {d!r}")
+        raise InputError(f"{what} file: dim must be a nonnegative integer, not {d!r}")
     if type(n) is not int or n < 1:
-        raise InputError(f"{what}: conductor must be a positive integer, not {n!r}")
+        raise InputError(f"{what} file: conductor must be a positive integer, not {n!r}")
     return d, n
 
 
@@ -327,5 +339,6 @@ def wha_module_from_json(obj, A):
     d, n = _header(obj, "module")
     if n != A.conductor:
         raise InputError("module and algebra conductors differ")
+    _fields(obj, "module", "action")
     act = SparseTensor3((A.dim, d, d), n, _table(obj, "action", n, (A.dim, d, d)))
     return WHAModule(A, d, act)

@@ -25,11 +25,16 @@ Two law kernels serve every caller of their law shape:
   tables indexed by `_bilinear_index`.  It runs mu-associativity, the tube
   bimodule and compose-tower laws and the module action law.
 
-The weak-bialgebra law kernels, `_mixed_assoc_range`, `_axiom1_range` and
-`_counit_weak_mult_range`, sweep on scalar ids (`_ScalarIds`): inside one
-call every scalar is a small-int id, 0 for zero, with memoized products and
-sums, so the sweeps hash ints, not cyclotomic values.  The id tables are
-locals of the call, so a forked sweep gives each worker one range.
+Every law sweep runs on scalar ids (`_ScalarIds`): inside one call every
+scalar is a small-int id, 0 for zero, with memoized products and sums, so
+the sweeps hash ints, not cyclotomic values.  These are the two kernels
+above, Axioms 1 and 2 (`_axiom1_range`, `_counit_weak_mult_range`), the
+three Axiom 4 identities and the intertwining law R Delta(x) = Delta^cop(x) R
+(`_intertwining_failure`).  The id tables are locals of the call, so a
+forked sweep gives each worker one range.  The Yang-Baxter identity and the
+weak-inverse laws stay on `mul_tensor`: each is a few products of whole
+tensors rather than a sweep over the basis, and Yang-Baxter measured no
+faster on ids.
 
 The weak Hopf axioms are self-dual, so the coalgebra laws are not swept
 separately: the suites run the algebra sweeps above on the dual A* (`dual`).
@@ -492,11 +497,16 @@ class _ScalarIds:
         else:
             del side[key]
 
-    def rows(self, pairs):
-        """A pairs index (x, y) -> [(w, c)] as rows x -> [(y, w, id)]."""
+    def rows(self, pairs, leg=0):
+        """A pairs index (x, y) -> [(w, c)] as rows x -> [(y, w, id)].
+
+        With leg=1 the rows are keyed by the right factor: y -> [(x, w, id)].
+        """
         table_id = self.table_id
         out = {}
         for (x, y), terms in pairs.items():
+            if leg:
+                x, y = y, x
             row = out.get(x)
             if row is None:
                 row = out[x] = []
@@ -750,6 +760,20 @@ def _eps_contraction(A, left):
 
 _PARALLEL = {}
 
+# The cached indexes of A that each range kernel reads.  A forked `_sweep`
+# builds them before it forks: built inside the workers, they would be lost
+# with them and built again by every later forked sweep.
+_AXIOM4_INDEXES = ("mu_index", "delta_terms", "antipode_cols", "eps_left", "_delta_unit")
+_KERNEL_INDEXES = {
+    "_assoc_range": ("mu_index",),
+    "_axiom1_range": ("mu_index", "delta_terms", "delta_left_inv"),
+    "_counit_weak_mult_range": ("mu_index", "delta_terms", "eps_left", "eps_right"),
+    "_axiom4_eq1_range": _AXIOM4_INDEXES,
+    "_axiom4_eq2_range": _AXIOM4_INDEXES,
+    "_axiom4_eq3_range": ("mu_index", "delta_terms", "antipode_cols"),
+    "_antihom_range": ("mu_index", "antipode_cols"),
+}
+
 
 def _worker(args):
     fn_name, key, lo, hi = args
@@ -761,12 +785,16 @@ def _sweep(A, fn, threads):
     """Run a per-basis-range sweep, optionally forked across processes.
 
     Each worker sweeps one contiguous range, so it converts the law tables
-    to scalar ids once.  Returns the failure detail from the lowest range, or
-    None; deterministic regardless of worker count.
+    to scalar ids once; the cached indexes the kernel reads
+    (`_KERNEL_INDEXES`) are built in this process first.  Returns the
+    failure detail from the lowest range, or None; deterministic regardless
+    of worker count.
     """
     d = A.dim
     if threads <= 1 or d < 64 or multiprocessing.get_start_method(allow_none=False) != "fork":
         return fn(A, 0, d)
+    for name in _KERNEL_INDEXES[fn.__name__]:
+        getattr(A, name)
     key = id(A)
     _PARALLEL[key] = A
     try:
@@ -827,47 +855,174 @@ def _in_dual(detail):
 # ---------------------------------------------------------------------------
 
 
+def _antipode_products(ids, A, dt, s_cols, s_first):
+    """x -> S(x_(1)) x_(2) (s_first) or x_(1) S(x_(2)), as {k: id}, memoized.
+
+    dt and s_cols are Delta's terms and S's columns in the ids of `ids`.
+    The mu entries met are read straight from mu's pairs index and take
+    their ids as they come (a stored zero gets id 0 and is skipped), so mu
+    is never converted as a whole.
+    """
+    products = ids.products
+    mul = ids.mul
+    add_into = ids.add_into
+    table_id = ids.table_id
+    mp = A.mu_pairs
+    memo = {}
+
+    def value(x):
+        out = memo.get(x)
+        if out is not None:
+            return out
+        out = memo[x] = {}
+        for s, t, c0 in dt.get(x, ()):
+            p0 = products[c0]
+            for l, c1 in s_cols.get(s if s_first else t, ()):
+                terms = mp.get((l, t) if s_first else (s, l))
+                if terms is None:
+                    continue
+                c01 = p0.get(c1)
+                if c01 is None:
+                    c01 = mul(c0, c1)
+                prod = products[c01]
+                for k, cm in terms:
+                    c2 = table_id(cm)
+                    if not c2:
+                        continue
+                    c = prod.get(c2)
+                    if c is None:
+                        c = mul(c01, c2)
+                    if k in out:
+                        add_into(out, k, c)
+                    else:
+                        out[k] = c
+        return out
+
+    return value
+
+
 def _axiom4_eq1_range(A, lo, hi):
+    """First x in [lo, hi) with x_(1) S(x_(2)) != eps^lr(x), on scalar ids.
+
+    The right side is the sum of eps(p x) q over the terms p (x) q of
+    Delta(1).
+    """
+    ids = _ScalarIds()
+    products = ids.products
+    mul = ids.mul
+    add_into = ids.add_into
+    lhs_of = _antipode_products(ids, A, ids.triple_rows(A.delta_terms),
+                                ids.vector_rows(A.antipode_cols), False)
+    eps_l = ids.vector_rows(A.eps_left)  # x -> [(p, eps(p x))]
+    d1 = {}  # p -> [(q, id)] over the terms p (x) q of Delta(1)
+    for (p, q), c in A.delta_of_unit().items():
+        if (i := ids.table_id(c)):
+            d1.setdefault(p, []).append((q, i))
     for x in range(lo, hi):
-        lhs = {}
-        for s, t, c in A.delta_terms[x]:
-            st = A.mul({s: c}, A.apply_antipode({t: A.one_scalar()}))
-            for k, v in st.items():
-                _acc(lhs, k, v)
-        if lhs != A.eps_lr(A.basis_elem(x)):
+        rhs = {}
+        for p, e in eps_l.get(x, ()):
+            prod = products[e]
+            for q, c1 in d1.get(p, ()):
+                c = prod.get(c1)
+                if c is None:
+                    c = mul(e, c1)
+                if q in rhs:
+                    add_into(rhs, q, c)
+                else:
+                    rhs[q] = c
+        if lhs_of(x) != rhs:
             return f"x_(1) S(x_(2)) != eps^lr(x) at {A.label_str(x)}"
     return None
 
 
 def _axiom4_eq2_range(A, lo, hi):
-    eps_left = A.eps_left
+    """First x in [lo, hi) with S(x_(1)) x_(2) != 1_(1) eps(x 1_(2)), on scalar ids.
+
+    The right side reads eps(x q) from eps_left for each term p (x) q of
+    Delta(1).
+    """
+    ids = _ScalarIds()
+    products = ids.products
+    mul = ids.mul
+    add_into = ids.add_into
+    table_id = ids.table_id
+    lhs_of = _antipode_products(ids, A, ids.triple_rows(A.delta_terms),
+                                ids.vector_rows(A.antipode_cols), True)
+    d1 = [(p, q, i) for (p, q), c in A.delta_of_unit().items() if (i := table_id(c))]
+    eps_at = {q: {x: i for x, c in A.eps_left[q].items() if (i := table_id(c))}
+              for _p, q, _c in d1}  # q -> {x: eps(x q)}
     for x in range(lo, hi):
-        lhs = {}
-        for s, t, c in A.delta_terms[x]:
-            st = A.mul(A.apply_antipode({s: c}), {t: A.one_scalar()})
-            for k, v in st.items():
-                _acc(lhs, k, v)
         rhs = {}
-        for (p, q), c in A.delta_of_unit().items():
-            val = eps_left[q].get(x)  # eps(x q)
-            if val:
-                _acc(rhs, p, c * val)
-        if lhs != rhs:
+        for p, q, c1 in d1:
+            e = eps_at[q].get(x)
+            if e is None:
+                continue
+            c = products[c1].get(e)
+            if c is None:
+                c = mul(c1, e)
+            if p in rhs:
+                add_into(rhs, p, c)
+            else:
+                rhs[p] = c
+        if lhs_of(x) != rhs:
             return f"S(x_(1)) x_(2) != 1_(1) eps(x 1_(2)) at {A.label_str(x)}"
     return None
 
 
 def _axiom4_eq3_range(A, lo, hi):
+    """First x in [lo, hi) with S(x_(1)) x_(2) S(x_(3)) != S(x), on scalar ids.
+
+    With x_(1) (x) x_(2) (x) x_(3) = (Delta (x) id) Delta(x), as in
+    `coproduct2`, the left side sums S(j_(1)) j_(2) S(e_u) over the terms
+    j (x) u of Delta(x): each S(j_(1)) j_(2) is computed once per call, its
+    terms e_m are gathered keyed (m, u), and each gathered e_m then meets
+    the column S(e_u).
+    """
+    ids = _ScalarIds()
+    products = ids.products
+    mul = ids.mul
+    add_into = ids.add_into
+    table_id = ids.table_id
+    mp = A.mu_pairs
+    dt = ids.triple_rows(A.delta_terms)
+    s_cols = ids.vector_rows(A.antipode_cols)
+    left_of = _antipode_products(ids, A, dt, s_cols, True)
     for x in range(lo, hi):
+        mid = {}
+        for j, u, c0 in dt.get(x, ()):
+            prod = products[c0]
+            for m, c1 in left_of(j).items():
+                c = prod.get(c1)
+                if c is None:
+                    c = mul(c0, c1)
+                key = (m, u)
+                if key in mid:
+                    add_into(mid, key, c)
+                else:
+                    mid[key] = c
         lhs = {}
-        for (s, t, u), c in A.coproduct2(A.basis_elem(x)).items():
-            term = A.mul(
-                A.mul(A.apply_antipode({s: c}), {t: A.one_scalar()}),
-                A.apply_antipode({u: A.one_scalar()}),
-            )
-            for k, v in term.items():
-                _acc(lhs, k, v)
-        if lhs != A.apply_antipode(A.basis_elem(x)):
+        for (m, u), c0 in mid.items():
+            p0 = products[c0]
+            for v, c1 in s_cols.get(u, ()):
+                terms = mp.get((m, v))
+                if terms is None:
+                    continue
+                c01 = p0.get(c1)
+                if c01 is None:
+                    c01 = mul(c0, c1)
+                prod = products[c01]
+                for k, cm in terms:
+                    c2 = table_id(cm)
+                    if not c2:
+                        continue
+                    c = prod.get(c2)
+                    if c is None:
+                        c = mul(c01, c2)
+                    if k in lhs:
+                        add_into(lhs, k, c)
+                    else:
+                        lhs[k] = c
+        if lhs != dict(s_cols.get(x, ())):
             return f"S(x_(1)) x_(2) S(x_(3)) != S(x) at {A.label_str(x)}"
     return None
 
@@ -875,30 +1030,61 @@ def _axiom4_eq3_range(A, lo, hi):
 def _hom_range(phi, A, B, lo, hi, anti=False):
     """Least (i, j), i in [lo, hi), with phi(e_i e_j) != phi(e_i) phi(e_j).
 
-    phi[i] is the sparse image in B of A's basis element i, for every i.  With
-    `anti` the right side is phi(e_j) phi(e_i).  For each i only the j on which
-    a side can be nonzero are visited: A's right companions of i, and each j
-    whose image meets B's companions of supp phi(e_i), found through an
-    inverse index of phi's support.
+    phi[i] is the sparse image in B of A's basis element i, for every i (a
+    list or a dict).  With `anti` the right side is phi(e_j) phi(e_i).  For
+    each i both sides are built once over scalar ids (`_ScalarIds`), keyed
+    (j, k) for the coefficient of e_k: the left through A's products e_i e_j
+    and phi's images, the right through B's products of each b in
+    supp phi(e_i) with its partners b2, met with the j whose image holds b2.
+    Keys order by j first, so the least differing key names the least j.
     """
-    mp = A.mu_pairs
-    rc = A.right_companions
-    partners = B.left_companions if anti else B.right_companions
+    ids = _ScalarIds()
+    products = ids.products
+    mul = ids.mul
+    add_into = ids.add_into
+    a_rows = ids.rows(A.mu_pairs)
+    # b -> [(b2, k, id)] for the product e_b e_b2, or e_b2 e_b with `anti`
+    b_rows = ids.rows(B.mu_pairs, leg=1 if anti else 0)
+    images = ids.vector_rows({j: phi[j] for j in range(A.dim)})
     holders = {}
-    for j in range(A.dim):
-        for b in phi[j]:
-            holders.setdefault(b, []).append(j)
+    for j, image in images.items():
+        for b, c in image:
+            holders.setdefault(b, []).append((j, c))
     for i in range(lo, hi):
-        pi = phi[i]
-        cand = set(rc.get(i, ()))
-        for b in pi:
-            for b2 in partners.get(b, ()):
-                cand.update(holders.get(b2, ()))
-        for j in sorted(cand):
-            lhs = _push(phi, dict(mp.get((i, j), ())))
-            rhs = B.mul(phi[j], pi) if anti else B.mul(pi, phi[j])
-            if lhs != rhs:
-                return i, j
+        lhs = {}
+        for j, w, c0 in a_rows.get(i, ()):
+            prod = products[c0]
+            for k, c1 in images[w]:
+                c = prod.get(c1)
+                if c is None:
+                    c = mul(c0, c1)
+                key = (j, k)
+                if key in lhs:
+                    add_into(lhs, key, c)
+                else:
+                    lhs[key] = c
+        rhs = {}
+        for b, c0 in images[i]:
+            p0 = products[c0]
+            for b2, k, c1 in b_rows.get(b, ()):
+                held = holders.get(b2)
+                if held is None:
+                    continue
+                c01 = p0.get(c1)
+                if c01 is None:
+                    c01 = mul(c0, c1)
+                prod = products[c01]
+                for j, c2 in held:
+                    c = prod.get(c2)
+                    if c is None:
+                        c = mul(c01, c2)
+                    key = (j, k)
+                    if key in rhs:
+                        add_into(rhs, key, c)
+                    else:
+                        rhs[key] = c
+        if lhs != rhs:
+            return i, _first_diff(lhs, rhs)[0]
     return None
 
 
@@ -1216,12 +1402,8 @@ def verify_quasitriangular(A, cand, threads=None):
     ok = A.mul2(R, d1) == R
     rep.add("r-lives-in-right-ideal", ok, None if ok else "R Delta(1) != R")
 
-    detail = None
-    for x in range(A.dim):
-        dx = A.coproduct(A.basis_elem(x))
-        if A.mul2(R, dx) != A.mul2(_cop(dx), R):
-            detail = f"R Delta(x) != Delta^cop(x) R at x = {A.label_str(x)}"
-            break
+    x = _intertwining_failure(A, R)
+    detail = None if x is None else f"R Delta(x) != Delta^cop(x) R at x = {A.label_str(x)}"
     rep.add("r-intertwines-coproducts", detail is None, detail)
 
     lhs = {}
@@ -1258,6 +1440,80 @@ def verify_quasitriangular(A, cand, threads=None):
     ok = lhs == rhs
     rep.add("yang-baxter", ok, None if ok else "R12 R13 R23 != R23 R13 R12")
     return rep
+
+
+def _intertwining_failure(A, R):
+    """First basis x with R Delta(x) != Delta^cop(x) R, or None; on scalar ids.
+
+    R is indexed by its first leg, and mu's id rows are kept for the pairs
+    with one factor among R's first legs a: a u for the left side
+    R (u (x) v), u a for the right side (u (x) v) R.  Each term of Delta(x)
+    meets only the R terms whose first legs multiply with its own to
+    nonzero; both sides are keyed (k1, k2).
+    """
+    ids = _ScalarIds()
+    products = ids.products
+    mul = ids.mul
+    add_into = ids.add_into
+    table_id = ids.table_id
+    mp = A.mu_pairs
+    r_rows = {}  # a -> [(b, id)] over the terms a (x) b of R
+    for (a, b), c in R.items():
+        if (i := table_id(c)):
+            r_rows.setdefault(a, []).append((b, i))
+    r_left = {}  # u -> {a: [(k, id)]} for e_a e_u
+    r_right = {}  # u -> {a: [(k, id)]} for e_u e_a
+    for (x, y), terms in mp.items():
+        if x in r_rows or y in r_rows:
+            row = [(k, i) for k, c in terms if (i := table_id(c))]
+            if row and x in r_rows:
+                r_left.setdefault(y, {})[x] = row
+            if row and y in r_rows:
+                r_right.setdefault(x, {})[y] = row
+    dt = ids.triple_rows(A.delta_terms)
+
+    def side(firsts_of, u, v, c0, out, r_first):
+        # out += c0 (a (x) b)(u (x) v) over R's terms a (x) b when r_first,
+        # else c0 (u (x) v)(a (x) b); firsts_of[a] holds a u, or u a
+        if firsts_of is None:
+            return
+        p0 = products[c0]
+        for a, firsts in firsts_of.items():
+            for b, c1 in r_rows[a]:
+                seconds = mp.get((b, v) if r_first else (v, b))
+                if seconds is None:
+                    continue
+                c01 = p0.get(c1)
+                if c01 is None:
+                    c01 = mul(c0, c1)
+                p01 = products[c01]
+                for k1, c2 in firsts:
+                    c012 = p01.get(c2)
+                    if c012 is None:
+                        c012 = mul(c01, c2)
+                    prod = products[c012]
+                    for k2, cm in seconds:
+                        c3 = table_id(cm)
+                        if not c3:
+                            continue
+                        c = prod.get(c3)
+                        if c is None:
+                            c = mul(c012, c3)
+                        key = (k1, k2)
+                        if key in out:
+                            add_into(out, key, c)
+                        else:
+                            out[key] = c
+
+    for x in range(A.dim):
+        lhs = {}
+        rhs = {}
+        for s, t, c0 in dt.get(x, ()):
+            side(r_left.get(s), s, t, c0, lhs, True)
+            side(r_right.get(t), t, s, c0, rhs, False)
+        if lhs != rhs:
+            return x
+    return None
 
 
 def _lift(R, leg1, leg2, A):

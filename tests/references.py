@@ -1,13 +1,18 @@
-"""Dense references for the weak bialgebra and antipode suites.
+"""Dense and loop references for the weak bialgebra, antipode and
+quasi-triangular suites.
 
 The `*_dense` loops visit every basis tuple through the element product
 alone, in the order the sparse kernels sweep, so they must return the same
-first-counterexample detail.  The `*_loop` functions are the direct coalgebra
-loops the suites ran before the coalgebra laws moved onto the dual A*: they
-keep their own detail strings, so only their verdicts are compared.
+first-counterexample detail.  The coalgebra loops (`counit_law_loop`,
+`coassociativity_loop`, `axiom3_loop`, `coalgebra_antihom_loop`) are the
+direct loops the suites ran before the coalgebra laws moved onto the dual
+A*: they keep their own detail strings, so only their verdicts are compared.
+`hom_range_loop`, the `axiom4_eq*_loop`s and `intertwining_loop` are the
+kernels that multiplied cyclotomic values term by term before the sweeps
+moved onto scalar ids; their verdicts and details are compared.
 """
 
-from whalg.wha import _acc
+from whalg.wha import _acc, _push
 
 
 def _basis_products(A):
@@ -30,12 +35,33 @@ def assoc_dense(A):
 
 
 def axiom1_dense(A):
-    """Reference for Axiom 1: Delta(x) Delta(y) = Delta(xy) on every basis pair."""
+    """Reference for Axiom 1: Delta(x) Delta(y) = Delta(xy) on every basis pair.
+
+    Each coproduct is grouped by its first leg, Delta(x) = sum_s e_s (x) X_s,
+    so Delta(x) Delta(y) = sum_(s, t) e_s e_t (x) X_s Y_t takes one element
+    product X_s Y_t per pair of first legs; the coproducts and the basis
+    products are computed once per sweep.
+    """
+    e, prod = _basis_products(A)
+    legs = []
+    for y in range(A.dim):
+        by_first = {}
+        for (s, s2), c in A.coproduct(e[y]).items():
+            by_first.setdefault(s, {})[s2] = c
+        legs.append(by_first)
     for x in range(A.dim):
-        dx = A.coproduct(A.basis_elem(x))
         for y in range(A.dim):
-            dy = A.coproduct(A.basis_elem(y))
-            if A.mul2(dx, dy) != A.coproduct(A.mul(A.basis_elem(x), A.basis_elem(y))):
+            lhs = {}
+            for s, xs in legs[x].items():
+                for t, yt in legs[y].items():
+                    st = prod[s][t]
+                    if not st:
+                        continue
+                    second = A.mul(xs, yt)
+                    for k, a in st.items():
+                        for k2, b in second.items():
+                            _acc(lhs, (k, k2), a * b)
+            if lhs != A.coproduct(prod[x][y]):
                 return (
                     f"Delta(x)Delta(y) != Delta(xy) at (x, y) = "
                     f"({A.label_str(x)}, {A.label_str(y)})"
@@ -160,4 +186,90 @@ def coalgebra_antihom_loop(A):
             return f"Delta(S(x)) != (S (x) S)(Delta^cop(x)) at {A.label_str(x)}"
         if A.apply_counit(A.apply_antipode(A.basis_elem(x))) != A.apply_counit(A.basis_elem(x)):
             return f"eps(S(x)) != eps(x) at {A.label_str(x)}"
+    return None
+
+
+def hom_range_loop(phi, A, B, lo, hi, anti=False):
+    """Least (i, j), i in [lo, hi), with phi(e_i e_j) != phi(e_i) phi(e_j).
+
+    With `anti` the right side is phi(e_j) phi(e_i).  For each i the
+    candidate j (A's right companions of i, and each j whose image meets B's
+    companions of supp phi(e_i)) are tried in order, one element product per
+    pair.
+    """
+    mp = A.mu_pairs
+    rc = A.right_companions
+    partners = B.left_companions if anti else B.right_companions
+    holders = {}
+    for j in range(A.dim):
+        for b in phi[j]:
+            holders.setdefault(b, []).append(j)
+    for i in range(lo, hi):
+        pi = phi[i]
+        cand = set(rc.get(i, ()))
+        for b in pi:
+            for b2 in partners.get(b, ()):
+                cand.update(holders.get(b2, ()))
+        for j in sorted(cand):
+            lhs = _push(phi, dict(mp.get((i, j), ())))
+            rhs = B.mul(phi[j], pi) if anti else B.mul(pi, phi[j])
+            if lhs != rhs:
+                return i, j
+    return None
+
+
+def axiom4_eq1_loop(A):
+    """x_(1) S(x_(2)) = eps^lr(x) on every basis x."""
+    for x in range(A.dim):
+        lhs = {}
+        for s, t, c in A.delta_terms[x]:
+            st = A.mul({s: c}, A.apply_antipode({t: A.one_scalar()}))
+            for k, v in st.items():
+                _acc(lhs, k, v)
+        if lhs != A.eps_lr(A.basis_elem(x)):
+            return f"x_(1) S(x_(2)) != eps^lr(x) at {A.label_str(x)}"
+    return None
+
+
+def axiom4_eq2_loop(A):
+    """S(x_(1)) x_(2) = 1_(1) eps(x 1_(2)) on every basis x."""
+    eps_left = A.eps_left
+    for x in range(A.dim):
+        lhs = {}
+        for s, t, c in A.delta_terms[x]:
+            st = A.mul(A.apply_antipode({s: c}), {t: A.one_scalar()})
+            for k, v in st.items():
+                _acc(lhs, k, v)
+        rhs = {}
+        for (p, q), c in A.delta_of_unit().items():
+            val = eps_left[q].get(x)  # eps(x q)
+            if val:
+                _acc(rhs, p, c * val)
+        if lhs != rhs:
+            return f"S(x_(1)) x_(2) != 1_(1) eps(x 1_(2)) at {A.label_str(x)}"
+    return None
+
+
+def axiom4_eq3_loop(A):
+    """S(x_(1)) x_(2) S(x_(3)) = S(x) on every basis x."""
+    for x in range(A.dim):
+        lhs = {}
+        for (s, t, u), c in A.coproduct2(A.basis_elem(x)).items():
+            term = A.mul(
+                A.mul(A.apply_antipode({s: c}), {t: A.one_scalar()}),
+                A.apply_antipode({u: A.one_scalar()}),
+            )
+            for k, v in term.items():
+                _acc(lhs, k, v)
+        if lhs != A.apply_antipode(A.basis_elem(x)):
+            return f"S(x_(1)) x_(2) S(x_(3)) != S(x) at {A.label_str(x)}"
+    return None
+
+
+def intertwining_loop(A, R):
+    """R Delta(x) = Delta^cop(x) R on every basis x, two products in A (x) A each."""
+    for x in range(A.dim):
+        dx = A.coproduct(A.basis_elem(x))
+        if A.mul2(R, dx) != A.mul2({(j, i): c for (i, j), c in dx.items()}, R):
+            return f"R Delta(x) != Delta^cop(x) R at x = {A.label_str(x)}"
     return None

@@ -10,12 +10,22 @@ from whalg import jsonio
 from whalg.builders import build_a_g_omega, build_a_m_c, build_b_g_omega
 from whalg.cli import main
 from whalg.groups import cyclic_group, standard_cocycle, symmetric_group_3, trivial_cocycle
+from whalg.repcat import k_module
 from whalg.skeleton import boxtimes_rev_skeleton, pointed_skeleton, right_regular_module
 from whalg.wha import compare_structure
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_process(*argv):
+    """`whalg argv` in a fresh interpreter, with its exit code and output captured."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "whalg.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 def test_build_and_verify_roundtrip(tmp_path, capsys):
@@ -240,11 +250,7 @@ def test_wrong_conductor_scalar_rejected_at_load(tmp_path, capsys):
     obj["mu"][5] = [i, j, k, {"conductor": 1, "coeffs": [[1, 1]]}]
     bad = tmp_path / "bad.json"
     jsonio.write_json(str(bad), obj)
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-m", "whalg.cli", "verify", str(bad), "--suite", "wha"],
-                          capture_output=True, text=True, env=env)
+    proc = run_process("verify", str(bad), "--suite", "wha")
     assert proc.returncode == 2
     assert f"mu[{i}, {j}, {k}]" in proc.stderr and "conductor 1" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
@@ -292,11 +298,7 @@ def test_malformed_algebra_file_exits_2_naming_the_entry(tmp_path, tamper):
     where = tamper(obj)
     bad = tmp_path / "bad.json"
     jsonio.write_json(str(bad), obj)
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-m", "whalg.cli", "verify", str(bad), "--suite", "wha"],
-                          capture_output=True, text=True, env=env)
+    proc = run_process("verify", str(bad), "--suite", "wha")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -346,11 +348,7 @@ def _write_pointed_inputs(tmp_path, table, coeff):
 @pytest.mark.parametrize("table", ["values", "F", "L"])
 def test_bad_scalar_in_category_data_exits_2_naming_the_entry(tmp_path, table, coeff):
     argv, where, _path = _write_pointed_inputs(tmp_path, table, coeff)
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-m", "whalg.cli", "build", *argv],
-                          capture_output=True, text=True, env=env)
+    proc = run_process("build", *argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -373,3 +371,50 @@ def test_category_data_of_another_conductor_is_rejected(tmp_path, table):
         else:
             C, _M = boxtimes_rev_skeleton(cyclic_group(2), standard_cocycle(2, 1))
             jsonio.module_from_json(obj, C)
+
+
+# kind of input file -> (a key its loader reads, the file's object, the whalg
+# argv that loads it, with FILE in its place)
+def _input_files(tmp_path):
+    g = cyclic_group(2)
+    w = standard_cocycle(2, 1)
+    C, M = boxtimes_rev_skeleton(g, w)
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("skeleton", "module", "cands", "b2")}
+    jsonio.write_json(paths["skeleton"], jsonio.skeleton_to_json(C))
+    jsonio.write_json(paths["module"], jsonio.module_to_json(M))
+    jsonio.write_json(paths["cands"], [{"name": "1", "object": [1], "jdim": 1}])
+    B = build_b_g_omega(g, w)
+    jsonio.write_json(paths["b2"], jsonio.algebra_to_json(B))
+    return {
+        "group": ("table", jsonio.group_to_json(g),
+                  ["build", "b-g-omega", "--group", "FILE", "--cocycle", "trivial"]),
+        "cocycle": ("conductor", jsonio.cocycle_to_json(w),
+                    ["build", "b-g-omega", "--group", "z2", "--cocycle", "FILE"]),
+        "skeleton": ("F", jsonio.skeleton_to_json(C),
+                     ["build", "a-m-c", "--skeleton", "FILE", "--module", paths["module"]]),
+        "skeletal module": ("L", jsonio.module_to_json(M),
+                            ["build", "a-m-c", "--skeleton", paths["skeleton"], "--module", "FILE"]),
+        "fusion ring": ("mult", jsonio.fusion_ring_to_json(C.ring),
+                        ["obstruction", "--ring", "FILE", "--candidates", paths["cands"]]),
+        "module": ("action", jsonio.wha_module_to_json(k_module(B, g, w, 1)),
+                   ["rep", "tensor", "--algebra", paths["b2"], "--left", "FILE", "--right", "regular"]),
+    }
+
+
+@pytest.mark.parametrize("shape", ["list", "missing key"])
+@pytest.mark.parametrize("kind", ["group", "cocycle", "skeleton", "skeletal module", "fusion ring",
+                                  "module"])
+def test_input_file_that_is_no_object_or_lacks_a_key_exits_2_naming_it(tmp_path, kind, shape):
+    key, obj, argv = _input_files(tmp_path)[kind]
+    path = str(tmp_path / "input.json")
+    if shape == "list":
+        jsonio.write_json(path, [obj])
+        message = f"{kind} file: expected a JSON object, not a list"
+    else:
+        del obj[key]
+        jsonio.write_json(path, obj)
+        message = f"{kind} file: missing key {key!r}"
+    proc = run_process(*[path if a == "FILE" else a for a in argv])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [f"error: {message}"]

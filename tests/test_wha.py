@@ -12,7 +12,10 @@ from whalg.builders import (
     build_frobenius_double,
     standard_frobenius,
 )
+from whalg.double import build_pairing
 from whalg.groups import cyclic_group, standard_cocycle, trivial_cocycle
+from whalg.skeleton import pointed_skeleton
+from whalg.tube import TubeFamily, WordCalc, _transport_scalar, build_tube_prime, chi_iso
 from whalg.wha import (
     PlainAlgebra,
     RMatrixCandidate,
@@ -20,7 +23,11 @@ from whalg.wha import (
     _antihom_range,
     _assoc_range,
     _axiom1_range,
+    _axiom4_eq3_range,
     _counit_weak_mult_range,
+    _hom_range,
+    _intertwining_failure,
+    _push,
     _solve_weak_inverse,
     base_algebras,
     center_dim,
@@ -39,10 +46,15 @@ from references import (
     axiom1_dense,
     axiom2_dense,
     axiom3_loop,
+    axiom4_eq1_loop,
+    axiom4_eq2_loop,
+    axiom4_eq3_loop,
     coalgebra_antihom_loop,
     coassociativity_loop,
     counit_law_loop,
     delta_s_fails,
+    hom_range_loop,
+    intertwining_loop,
 )
 
 
@@ -803,7 +815,7 @@ def _axiom2_failing_pairs(A, y, swap):
 @pytest.mark.parametrize("make", ["b_z3", "a_z2", "b_z2_shifted"])
 def test_axiom_kernels_match_dense_on_stored_zeros_and_single_entry_mutants(make):
     # the shifted basis is B(Z2, p=1)'s: on A(Z2, p=1)'s one passing dense
-    # Axiom 1 sweep alone takes about 15 s
+    # Axiom 1 sweep alone takes about 3 s, too long to repeat for every mutant
     if make == "b_z3":
         A, per_table = build_b_g_omega(cyclic_group(3), standard_cocycle(3, 1)), 4
     elif make == "a_z2":
@@ -850,9 +862,9 @@ def test_axiom_kernels_match_dense_on_stored_zeros_and_single_entry_mutants(make
 
 
 def test_axiom_kernels_match_dense_where_long_coproducts_cancel():
-    # A(Z2, p=1) in the shifted basis; its passing dense Axiom 1 sweep is too
-    # slow for the suite, so Axiom 1 is compared on mutants that fail
+    # A(Z2, p=1) in the shifted basis: the passing control, then mutants
     A = _a_z2_shifted()
+    assert _axiom1_range(A, 0, A.dim) is None and axiom1_dense(A) is None
     for X in (A, dual(A)):
         assert _counit_weak_mult_range(X, 0, X.dim) is None and axiom2_dense(X) is None
     two = Cyclotomic.rational(A.conductor, 2)
@@ -898,14 +910,16 @@ def test_axiom_checks_match_dense_when_forked():
 def test_suites_leave_only_the_shared_indexes_on_the_algebra():
     # scalar-id tables and the dual A* are locals of one sweep or suite: the
     # algebra keeps its structure tensors and the indexes that every later
-    # suite reuses, nothing per call
-    A = a_z2(p=1)[0]
-    assert verify_weak_bialgebra(A, threads=1).ok and verify_antipode(A, threads=1).ok
+    # suite reuses, nothing per call; a forked sweep builds them before it
+    # forks (B(Z4, p=1) has dim 64, so threads=2 forks every sweep)
     structure = {"labels", "dim", "conductor", "mu", "unit", "name", "label_index",
                  "delta", "counit", "antipode", "meta"}
-    indexes = {"mu_index", "left_companions", "delta_terms", "delta_left_inv",
-               "antipode_cols", "_delta_unit", "eps_left", "eps_right"}
-    assert set(A.__dict__) == structure | indexes
+    indexes = {"mu_index", "delta_terms", "delta_left_inv", "antipode_cols", "_delta_unit",
+               "eps_left", "eps_right"}
+    for A, threads in ((a_z2(p=1)[0], 1), (build_b_g_omega(cyclic_group(4), standard_cocycle(4, 1)), 2)):
+        assert verify_weak_bialgebra(A, threads=threads).ok
+        assert verify_antipode(A, threads=threads).ok
+        assert set(A.__dict__) == structure | indexes, threads
 
 
 def _axiom4_eq2_dense(A):
@@ -1002,3 +1016,206 @@ def test_eps_lr_rr_match_reference_on_tampered_algebras(n):
             u = {k: v for k, v in u.items() if v}
             assert B.eps_lr(u) == _eps_lr_reference(B, u)
             assert B.eps_rr(u) == _eps_rr_reference(B, u)
+
+
+# -- Axiom 4, the homomorphism kernel and the intertwining law on scalar ids,
+# against the loops they replaced
+
+_ANTIPODE_SWEPT = ("axiom4-eq1", "axiom4-eq2", "axiom4-eq3", "antipode-algebra-antihom")
+
+
+def _antipode_loops(A):
+    """The details of the `_ANTIPODE_SWEPT` checks of A, from the loop references."""
+    bad = hom_range_loop(A.antipode_cols, A, A, 0, A.dim, anti=True)
+    antihom = bad and f"S(xy) != S(y)S(x) at ({A.label_str(bad[0])}, {A.label_str(bad[1])})"
+    return [axiom4_eq1_loop(A), axiom4_eq2_loop(A), axiom4_eq3_loop(A), antihom]
+
+
+def _antipode_details(A, threads):
+    checks = {c.name: c.detail for c in verify_antipode(A, threads=threads).checks}
+    return [checks[name] for name in _ANTIPODE_SWEPT]
+
+
+def _antipode_mutants(A, per_table):
+    """Stored zeros in mu and S, then single-entry mutants of S, Delta and mu.
+
+    A stored zero over an entry removes it; one at an absent key changes
+    nothing.  The S, Delta and mu entries are scaled, dropped or moved at
+    `per_table` spread positions each.
+    """
+    n = A.conductor
+    zero = Cyclotomic.zero(n)
+    tables = {"antipode": A.antipode.data, "delta": A.delta.data, "mu": A.mu.data}
+    wrap = {"antipode": lambda data: SparseMatrix(A.dim, A.dim, n, data),
+            "delta": lambda data: SparseTensor3(A.delta.dims, n, data),
+            "mu": lambda data: SparseTensor3(A.mu.dims, n, data)}
+
+    def mutant(table, data):
+        return clone_with(A, **{table: wrap[table](data)})
+
+    for table in ("mu", "antipode"):
+        entries = tables[table]
+        arity = len(next(iter(entries)))
+        absent = next(k for k in itertools.product(range(A.dim), repeat=arity) if k not in entries)
+        yield f"harmless {table} zero", mutant(table, _with_stored_zero(entries, absent, zero))
+        for key in sorted(entries)[:: max(1, len(entries) // 2)]:
+            yield f"{table} zero {key}", mutant(table, _with_stored_zero(entries, key, zero))
+    for table, entries in tables.items():
+        for key in sorted(entries)[:: max(1, len(entries) // per_table)]:
+            for kind in ("scale", "drop", "move"):
+                yield f"{table} {kind} {key}", mutant(table, _tamper(entries, kind, key, A.dim))
+
+
+def _hom_failing_js(phi, A, B, i, anti):
+    """Every j with phi(e_i e_j) != phi(e_i) phi(e_j) (phi(e_j) phi(e_i) with `anti`)."""
+    out = []
+    for j in range(A.dim):
+        lhs = _push(phi, A.mul(A.basis_elem(i), A.basis_elem(j)))
+        if lhs != (B.mul(phi[j], phi[i]) if anti else B.mul(phi[i], phi[j])):
+            out.append(j)
+    return out
+
+
+@pytest.mark.parametrize("make", ["b_z3", "a_z2"])
+def test_antipode_sweeps_match_loops_on_stored_zeros_and_single_entry_mutants(make):
+    # on A and on A*, whose anti-homomorphism check is A's coalgebra one
+    if make == "b_z3":
+        A = build_b_g_omega(cyclic_group(3), standard_cocycle(3, 1))
+    else:
+        A = a_z2(p=1)[0]
+    rejected = dict.fromkeys(_ANTIPODE_SWEPT, 0)
+    several_js = 0
+    for what, bad in _antipode_mutants(A, 4):
+        for X in (bad, dual(bad)):
+            expected = _antipode_loops(X)
+            assert _antipode_details(X, 1) == expected, (what, X.name)
+            for name, detail in zip(_ANTIPODE_SWEPT, expected):
+                rejected[name] += detail is not None
+            if what.startswith("harmless"):
+                assert expected == [None] * 4, what
+            # where the first failing x has several failing y, the least is named
+            bad_pair = _hom_range(X.antipode_cols, X, X, 0, X.dim, anti=True)
+            if bad_pair is not None:
+                i, j = bad_pair
+                js = _hom_failing_js(X.antipode_cols, X, X, i, True)
+                assert js[0] == j, (what, X.name)
+                several_js += len(js) > 1
+    assert all(rejected.values()), rejected
+    assert several_js
+
+
+def test_antipode_sweeps_match_loops_when_forked():
+    # at dim 64 threads=2 forks: one range per worker, merged lowest first
+    A = build_b_g_omega(cyclic_group(4), standard_cocycle(4, 1))
+    n = A.conductor
+    mutants = []
+    for key in sorted(A.antipode.data)[:: len(A.antipode.data) // 4]:
+        data = _tamper(A.antipode.data, "scale", key, A.dim)
+        mutants.append(clone_with(A, antipode=SparseMatrix(A.dim, A.dim, n, data)))
+    for key in sorted(A.delta.data)[:: len(A.delta.data) // 2]:
+        data = _tamper(A.delta.data, "scale", key, A.dim)
+        mutants.append(clone_with(A, delta=SparseTensor3(A.delta.dims, n, data)))
+    in_first_range = set()
+    for bad in mutants:
+        expected = _antipode_loops(bad)
+        assert any(expected)
+        assert _antipode_details(bad, 2) == expected
+        if expected[2] is not None:
+            in_first_range.add(_axiom4_eq3_range(bad, 0, 32) is not None)
+    assert in_first_range == {True, False}  # eq3 fails first in each worker's range
+
+
+def _phi_mutants(phi, d, n):
+    """phi (d images in a space of dim n), then copies of it with one image
+    entry scaled, dropped, moved to the next index or stored as zero, at
+    spread positions; the copies for every other position are lists."""
+    entries = sorted((i, k) for i in range(d) for k in phi[i])
+    yield phi
+    for pos, (i, k) in enumerate(entries[:: max(1, len(entries) // 4)]):
+        c = phi[i][k]
+        for kind in ("scale", "drop", "move", "zero"):
+            out = {x: dict(phi[x]) for x in range(d)}
+            image = out[i]
+            del image[k]
+            if kind == "scale":
+                image[k] = c + c
+            elif kind == "move":
+                k2 = (k + 1) % n
+                image[k2] = image[k2] + c if k2 in image else c
+            elif kind == "zero":
+                image[k] = c - c
+            yield [out[x] for x in range(d)] if pos % 2 else out
+
+
+def _hom_kernel_cases(source):
+    """(phi, A, B, anti) as the caller named by `source` hands them to `_hom_range`."""
+    g = cyclic_group(3)
+    if source in ("pairing-rows", "pairing-cols"):
+        P = build_pairing(pointed_skeleton(g, standard_cocycle(3, 1)))
+        if source == "pairing-rows":
+            return P.rows, P.B, dual(P.A), False
+        return P.cols, P.A, dual(P.B), True
+    if source == "chi":
+        g = cyclic_group(2)
+        w = standard_cocycle(2, 1)
+        A = build_a_g_omega(g, w)[0]
+        chi_map, Tp2, _rep = chi_iso(pointed_skeleton(g, w), A)
+        return {i: {j: s} for i, (j, s) in chi_map.items()}, A, Tp2, False
+    C = pointed_skeleton(g, trivial_cocycle(g, conductor=3))
+    wc = WordCalc(C)
+    T = TubeFamily(C, wc.dd).algebra(1)
+    Tp = build_tube_prime(C, 1, wc.dd)
+    phi = {i: {T.label_index[lab]: _transport_scalar(wc, lab[0], lab[1][0])}
+           for i, lab in enumerate(Tp.labels)}
+    return phi, Tp, T, False
+
+
+@pytest.mark.parametrize("source", ["pairing-rows", "pairing-cols", "chi", "transport"])
+def test_hom_kernel_matches_loop_on_the_callers_maps(source):
+    # the pairing's rows and columns, chi and the Tube transport, each passing
+    # and with one image entry tampered; phi may be a dict or a list
+    phi0, A, B, anti = _hom_kernel_cases(source)
+    failures = 0
+    for phi in _phi_mutants(phi0, A.dim, B.dim):
+        expected = hom_range_loop(phi, A, B, 0, A.dim, anti)
+        assert _hom_range(phi, A, B, 0, A.dim, anti) == expected
+        split = next((bad for lo in range(0, A.dim, 5)
+                      if (bad := _hom_range(phi, A, B, lo, min(A.dim, lo + 5), anti))), None)
+        assert split == expected
+        if expected is not None:
+            i, j = expected
+            assert _hom_failing_js(phi, A, B, i, anti)[0] == j
+        failures += expected is not None
+    assert hom_range_loop(phi0, A, B, 0, A.dim, anti) is None
+    assert failures
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_intertwining_sweep_matches_loop_on_single_entry_mutants(n):
+    A, R = build_a_g_omega(cyclic_group(n), standard_cocycle(n, 1))
+    R = R.terms
+    zero = Cyclotomic.zero(A.conductor)
+    absent = next(k for k in itertools.product(range(A.dim), repeat=2) if k not in R)
+    cases = [("R", A, R), ("R zero", A, _with_stored_zero(R, absent, zero)),
+             ("R zero over an entry", A, _with_stored_zero(R, min(R), zero))]
+    for key in sorted(R)[:: len(R) // 3]:
+        cases += [(f"R {kind} {key}", A, _tamper(R, kind, key, A.dim))
+                  for kind in ("scale", "drop", "move")]
+    for what, bad in _antipode_mutants(A, 2):
+        if not what.startswith("antipode"):
+            cases.append((what, bad, R))
+    rejected = 0
+    for what, X, terms in cases:
+        expected = intertwining_loop(X, terms)
+        x = _intertwining_failure(X, terms)
+        detail = None if x is None else f"R Delta(x) != Delta^cop(x) R at x = {X.label_str(x)}"
+        assert detail == expected, what
+        rejected += expected is not None
+        if what in ("R", "R zero") or what.startswith("harmless"):
+            assert expected is None, what
+    assert rejected
+    # the suite reports the sweep's x in the loop's words
+    what, X, terms = next(c for c in cases if intertwining_loop(c[1], c[2]) is not None)
+    check = next(c for c in verify_quasitriangular(X, RMatrixCandidate(terms)).checks
+                 if c.name == "r-intertwines-coproducts")
+    assert check.detail == intertwining_loop(X, terms)

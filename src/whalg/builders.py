@@ -1,10 +1,13 @@
 """Concrete weak Hopf algebra constructors.
 
-Two families come with closed-form structure constants (the |G|^3 algebra of
-a group with 3-cocycle, and its |G|^4 quasi-triangular double-sided variant);
-the general builder assembles the same data from skeletal module input and is
-pinned against the closed forms entrywise in the tests.  Groupoid algebras
-and the double of a separable Frobenius algebra round out the catalog.
+One builder writes the structure constants of the weak Hopf algebra A(C, M)
+of a grouplike skeletal category C and a C-module M.  The pointed family runs
+it on skeletal data: B(G, omega), the |G|^3 algebra of a group with
+3-cocycle, on the right-regular module, and A(G, omega), its |G|^4
+quasi-triangular two-sided variant, on G as a C (x) C^rev-module.  The
+paper's closed formulas for both live on only as test references, which the
+builders must match entrywise.  Groupoid algebras and the double of a
+separable Frobenius algebra round out the catalog.
 """
 
 from __future__ import annotations
@@ -14,7 +17,12 @@ from fractions import Fraction
 
 from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3
 from .groups import GroupReport, validate_cocycle
-from .skeleton import SkeletonError, dual_data_pointed
+from .skeleton import (
+    SkeletonError,
+    boxtimes_rev_skeleton,
+    dual_data_pointed,
+    right_regular_module,
+)
 from .wha import (
     PlainAlgebra,
     RMatrixCandidate,
@@ -29,122 +37,48 @@ def _new_tensors(d, n):
     return SparseTensor3((d, d, d), n), SparseTensor3((d, d, d), n)
 
 
-def build_b_g_omega(G, omega, check=True):
+def _check_cocycle(G, omega):
+    rep = validate_cocycle(G, omega)
+    if not rep.ok:
+        raise ValueError(f"invalid cocycle: {rep.first_failure}")
+
+
+def build_b_g_omega(G, omega):
     """The |G|^3-dimensional weak Hopf algebra of (G, omega).
 
-    Basis f_{a|y|x}; right-regular conventions: the product of f_{a'|y'|x'}
-    with f_{a|y|x} requires y' = ya, x' = xa and lands on f_{aa'|y|x} with
+    A(C, M) for the right-regular module of `right_regular_module`, on the
+    basis f_{a|y|x} = ("f", a, y, x): the product of f_{a'|y'|x'} with
+    f_{a|y|x} requires y' = ya, x' = xa and lands on f_{aa'|y|x} with
     coefficient omega(y,a,a')/omega(x,a,a').
     """
-    if check:
-        rep = validate_cocycle(G, omega)
-        if not rep.ok:
-            raise ValueError(f"invalid cocycle: {rep.first_failure}")
-    n = omega.conductor
-    els = list(G.elements())
-    labels = [("f", a, y, x) for a, y, x in itertools.product(els, repeat=3)]
-    index = {lab: i for i, lab in enumerate(labels)}
-    d = len(labels)
-    mu, delta = _new_tensors(d, n)
-    mul = G.mul
-
-    for a, y, x in itertools.product(els, repeat=3):
-        right = index[("f", a, y, x)]
-        ya, xa = mul(y, a), mul(x, a)
-        for ap in els:
-            left = index[("f", ap, ya, xa)]
-            out = index[("f", mul(a, ap), y, x)]
-            coeff = omega(y, a, ap) / omega(x, a, ap)
-            mu.add_to(left, right, out, coeff)
-
-    one = Cyclotomic.one(n)
-    unit = {index[("f", G.identity, y, x)]: one for y in els for x in els}
-
-    for a, y, x in itertools.product(els, repeat=3):
-        i = index[("f", a, y, x)]
-        for z in els:
-            delta.add_to(i, index[("f", a, y, z)], index[("f", a, z, x)], one)
-
-    counit = {index[("f", a, y, y)]: one for a in els for y in els}
-
-    antipode = SparseMatrix(d, d, n)
-    for a, y, x in itertools.product(els, repeat=3):
-        i = index[("f", a, y, x)]
-        ai = G.inv(a)
-        coeff = omega(y, a, ai) / omega(x, a, ai)
-        antipode.add_to(index[("f", ai, mul(x, a), mul(y, a))], i, coeff)
-
-    return WeakHopfAlgebra(
-        labels, n, mu, unit, delta, counit, antipode,
+    _check_cocycle(G, omega)
+    C, M = right_regular_module(G, omega)
+    return _build_a_m_c(
+        C, M, None, lambda a, y, x: ("f", a, y, x),
         name=f"B({G.name},{omega.name})",
         meta={"builder": "b-g-omega", "group": G.name, "cocycle": omega.name},
     )
 
 
-def build_a_g_omega(G, omega, check=True):
+def build_a_g_omega(G, omega):
     """The |G|^4-dimensional algebra of (G, omega) plus its R-matrix.
 
-    Basis e_{a|b|y|x}; structure constants are the closed three-ratio forms,
-    and R = sum_{a,b,z} omega(a,z,b)^-1 e_{1|b|az|z} (x) e_{a|1|z|zb}.
+    A(C, M) for the two-sided module of `boxtimes_rev_skeleton`, on the basis
+    e_{a|b|y|x} = ("e", a, b, y, x), and
+    R = sum_{a,b,z} omega(a,z,b)^-1 e_{1|b|az|z} (x) e_{a|1|z|zb}.
     """
-    if check:
-        rep = validate_cocycle(G, omega)
-        if not rep.ok:
-            raise ValueError(f"invalid cocycle: {rep.first_failure}")
-    n = omega.conductor
-    els = list(G.elements())
-    labels = [("e", a, b, y, x) for a, b, y, x in itertools.product(els, repeat=4)]
-    index = {lab: i for i, lab in enumerate(labels)}
-    d = len(labels)
-    mu, delta = _new_tensors(d, n)
-    mul = G.mul
-    e_id = G.identity
-
-    for a, b, y, x in itertools.product(els, repeat=4):
-        right = index[("e", a, b, y, x)]
-        ay, ax = mul(a, y), mul(a, x)
-        ayb, axb = mul(ay, b), mul(ax, b)
-        for ap, bp in itertools.product(els, repeat=2):
-            left = index[("e", ap, bp, ayb, axb)]
-            out = index[("e", mul(ap, a), mul(b, bp), y, x)]
-            coeff = (
-                (omega(ap, a, x) / omega(ap, a, y))
-                * (omega(ap, ax, b) / omega(ap, ay, b))
-                * (omega(mul(ap, ay), b, bp) / omega(mul(ap, ax), b, bp))
-            )
-            mu.add_to(left, right, out, coeff)
-
-    one = Cyclotomic.one(n)
-    unit = {index[("e", e_id, e_id, y, x)]: one for y in els for x in els}
-
-    for a, b, y, x in itertools.product(els, repeat=4):
-        i = index[("e", a, b, y, x)]
-        for z in els:
-            delta.add_to(i, index[("e", a, b, y, z)], index[("e", a, b, z, x)], one)
-
-    counit = {index[("e", a, b, y, y)]: one for a, b, y in itertools.product(els, repeat=3)}
-
-    antipode = SparseMatrix(d, d, n)
-    for a, b, y, x in itertools.product(els, repeat=4):
-        i = index[("e", a, b, y, x)]
-        ai, bi = G.inv(a), G.inv(b)
-        ayb = G.prod((a, y, b))
-        axb = G.prod((a, x, b))
-        coeff = (
-            (omega(y, b, bi) / omega(x, b, bi))
-            * (omega(a, y, b) / omega(a, x, b))
-            * (omega(a, ai, axb) / omega(a, ai, ayb))
-        )
-        antipode.add_to(index[("e", ai, bi, axb, ayb)], i, coeff)
-
-    A = WeakHopfAlgebra(
-        labels, n, mu, unit, delta, counit, antipode,
+    _check_cocycle(G, omega)
+    C, M = boxtimes_rev_skeleton(G, omega)
+    A = _build_a_m_c(
+        C, M, None, lambda ab, y, x: ("e", *ab, y, x),
         name=f"A({G.name},{omega.name})",
         meta={"builder": "a-g-omega", "group": G.name, "cocycle": omega.name},
     )
-
+    index = A.label_index
+    mul = G.mul
+    e_id = G.identity
     terms = {}
-    for a, b, z in itertools.product(els, repeat=3):
+    for a, b, z in itertools.product(G.elements(), repeat=3):
         i = index[("e", e_id, b, mul(a, z), z)]
         j = index[("e", a, e_id, z, mul(z, b))]
         terms[(i, j)] = omega(a, z, b).inverse()
@@ -157,54 +91,67 @@ def build_a_m_c(C, M, dual=None):
     Requires grouplike skeletal data (one-dimensional composite hom spaces);
     the antipode needs dual data, computed from C when not supplied.
     """
+    return _build_a_m_c(
+        C, M, dual, lambda a, y, x: (a, y, x),
+        name=f"A[{M.name} over {C.name}]",
+        meta={"builder": "a-m-c", "category": C.name, "module": M.name},
+    )
+
+
+def _build_a_m_c(C, M, dual, label, name, meta):
+    """A(C, M) on the basis label(a, y, x), a in C and y, x in M, in that order.
+
+    The only place the structure constants of A(C, M) are written:
+        f_{b|ay|ax} f_{a|y|x} = L(b,a,x)/L(b,a,y) f_{ba|y|x},
+        Delta(f_{a|y|x}) = sum_z f_{a|y|z} (x) f_{a|z|x},  eps(f_{a|y|x}) = delta_{y,x},
+        S(f_{a|y|x}) = coev(a') L(a',a,x) L(a,a',ay)^-1 ev(a') f_{a'|ax|ay},
+    where a' is the right dual of a and L the module associator of M.
+    """
     if not C.ring.is_grouplike():
         raise SkeletonError("builder requires grouplike (multiplicity-free, "
                             "one-path) fusion data")
     if dual is None:
         dual = dual_data_pointed(C)
     n = C.conductor
-    labels = [(a, y, x) for a in C.labels for y in M.objects for x in M.objects]
-    index = {lab: i for i, lab in enumerate(labels)}
-    d = len(labels)
+    labels, objects = C.labels, M.objects
+    triples = list(itertools.product(labels, objects, objects))
+    index = {t: i for i, t in enumerate(triples)}
+    d = len(triples)
     mu, delta = _new_tensors(d, n)
     act = M.act
+    massoc = M.massoc
+    fuse = {(b, a): C.fuse(b, a) for b in labels for a in labels}
+    # each L(b,a,y) is the denominator of |M| coefficients, one per x
+    den = {(b, a, y): massoc(b, a, y).inverse() for b in labels for a in labels for y in objects}
 
-    for a, y, x in itertools.product(C.labels, M.objects, M.objects):
+    for a, y, x in triples:
         right = index[(a, y, x)]
         ay, ax = act(a, y), act(a, x)
-        for b in C.labels:
-            left = index[(b, ay, ax)]
-            out = index[(C.fuse(b, a), y, x)]
-            coeff = M.massoc(b, a, x) / M.massoc(b, a, y)
-            mu.add_to(left, right, out, coeff)
+        for b in labels:
+            coeff = massoc(b, a, x) * den[b, a, y]
+            mu.add_to(index[(b, ay, ax)], right, index[(fuse[b, a], y, x)], coeff)
 
     one = Cyclotomic.one(n)
-    unit = {index[(C.unit, y, x)]: one for y in M.objects for x in M.objects}
+    unit = {index[(C.unit, y, x)]: one for y in objects for x in objects}
 
-    for a, y, x in itertools.product(C.labels, M.objects, M.objects):
+    for a, y, x in triples:
         i = index[(a, y, x)]
-        for z in M.objects:
+        for z in objects:
             delta.add_to(i, index[(a, y, z)], index[(a, z, x)], one)
 
-    counit = {index[(a, y, y)]: one for a in C.labels for y in M.objects}
+    counit = {index[(a, y, y)]: one for a in labels for y in objects}
 
     antipode = SparseMatrix(d, d, n)
-    for a, y, x in itertools.product(C.labels, M.objects, M.objects):
+    for a, y, x in triples:
         i = index[(a, y, x)]
         ar = dual.right_dual(a)
         ay, ax = act(a, y), act(a, x)
-        coeff = (
-            dual.coev[ar]
-            * M.massoc(ar, a, x)
-            * M.massoc(a, ar, ay).inverse()
-            * dual.ev[ar]
-        )
+        coeff = dual.coev[ar] * massoc(ar, a, x) * den[a, ar, ay] * dual.ev[ar]
         antipode.add_to(index[(ar, ax, ay)], i, coeff)
 
     return WeakHopfAlgebra(
-        labels, n, mu, unit, delta, counit, antipode,
-        name=f"A[{M.name} over {C.name}]",
-        meta={"builder": "a-m-c", "category": C.name, "module": M.name},
+        [label(*t) for t in triples], n, mu, unit, delta, counit, antipode,
+        name=name, meta=meta,
     )
 
 

@@ -59,9 +59,12 @@ def group_to_json(G):
 
 def group_from_json(obj):
     table, identity = _fields(obj, "group", "table", "identity")
+    for pos, row in enumerate(_entries(table, "group", "table")):
+        if not isinstance(row, list) or not all(type(v) is int for v in row):
+            raise InputError(f"group file: table[{pos}] is not a list of integers: {row!r:.80}")
     G = FiniteGroup(table)
     if G.identity != identity:
-        raise ValueError("declared identity disagrees with the table")
+        raise InputError("group file: declared identity disagrees with the table")
     return G
 
 
@@ -80,12 +83,12 @@ def cocycle_from_json(obj, G):
     cond, flat = _fields(obj, "cocycle", "conductor", "values")
     vals = {}
     if not isinstance(flat, list) or len(flat) != n ** 3:
-        raise InputError("cocycle table must carry |G|^3 scalar encodings")
+        raise InputError("cocycle file: values must carry |G|^3 scalar encodings")
     idx = 0
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                vals[(a, b, c)] = _scalar(flat[idx], cond, f"values[{idx}]")
+                vals[(a, b, c)] = _invertible(flat[idx], cond, f"values[{idx}]")
                 idx += 1
     return ThreeCocycle(G, vals, cond)
 
@@ -113,18 +116,12 @@ def skeleton_to_json(C):
 
 
 def skeleton_from_json(obj):
-    labels, unit, mult_entries, cond, f_entries = _fields(
-        obj, "skeleton", "labels", "unit", "mult", "conductor", "F")
-    labels = [decode_label(l) for l in labels]
-    mult = {}
-    for a, b, c in mult_entries:
-        mult[(decode_label(a), decode_label(b), decode_label(c))] = 1
-    ring = FusionRing(labels, decode_label(unit), mult)
+    ring = _ring_from_json(obj, "skeleton")
+    cond, f_entries = _fields(obj, "skeleton", "conductor", "F")
+    _conductor(cond, "skeleton")
     F = {}
-    for pos, (a, b, c, d, enc) in enumerate(f_entries):
-        F[(decode_label(a), decode_label(b), decode_label(c), decode_label(d))] = (
-            _scalar(enc, cond, f"F[{pos}]")
-        )
+    for pos, (*key, enc) in enumerate(_entries(f_entries, "skeleton", "F", 5)):
+        F[_labels(key, "skeleton", f"F[{pos}]")] = _invertible(enc, cond, f"F[{pos}]")
     return SkeletalCategory(ring, F, cond)
 
 
@@ -144,16 +141,16 @@ def module_to_json(M):
 
 
 def module_from_json(obj, C):
-    objects, action_entries, l_entries = _fields(obj, "skeletal module", "objects", "action", "L")
-    objects = [decode_label(x) for x in objects]
+    what = "skeletal module"
+    objects, action_entries, l_entries = _fields(obj, what, "objects", "action", "L")
+    objects = _labels(_entries(objects, what, "objects"), what, "objects")
     action = {}
-    for a, x, y in action_entries:
-        action[(decode_label(a), decode_label(x))] = decode_label(y)
+    for pos, entry in enumerate(_entries(action_entries, what, "action", 3)):
+        a, x, y = _labels(entry, what, f"action[{pos}]")
+        action[(a, x)] = y
     L = {}
-    for pos, (a, b, x, enc) in enumerate(l_entries):
-        L[(decode_label(a), decode_label(b), decode_label(x))] = (
-            _scalar(enc, C.conductor, f"L[{pos}]")
-        )
+    for pos, (*key, enc) in enumerate(_entries(l_entries, what, "L", 4)):
+        L[_labels(key, what, f"L[{pos}]")] = _invertible(enc, C.conductor, f"L[{pos}]")
     return SkeletalModule(C, objects, action, L)
 
 
@@ -170,11 +167,18 @@ def fusion_ring_to_json(ring):
 
 
 def fusion_ring_from_json(obj):
-    labels, unit, mult_entries = _fields(obj, "fusion ring", "labels", "unit", "mult")
+    return _ring_from_json(obj, "fusion ring")
+
+
+def _ring_from_json(obj, what):
+    """The fusion ring of the labels, unit and mult of a `what` file."""
+    labels, unit, mult_entries = _fields(obj, what, "labels", "unit", "mult")
+    labels = _labels(_entries(labels, what, "labels"), what, "labels")
+    unit = _label(unit, what, "unit")
     mult = {}
-    for a, b, c in mult_entries:
-        mult[(decode_label(a), decode_label(b), decode_label(c))] = 1
-    return FusionRing([decode_label(l) for l in labels], decode_label(unit), mult)
+    for pos, entry in enumerate(_entries(mult_entries, what, "mult", 3)):
+        mult[_labels(entry, what, f"mult[{pos}]")] = 1
+    return FusionRing(labels, unit, mult)
 
 
 # -- algebras ------------------------------------------------------------------
@@ -202,6 +206,41 @@ def _fields(obj, what, *keys):
     return [obj[key] for key in keys]
 
 
+def _entries(value, what, key, arity=None):
+    """The list under `key` of a `what` file; with `arity`, each of its
+    entries must be a list of that many items.  Raises InputError naming the
+    file kind and the entry otherwise."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} file: {key} must be a list, not {type(value).__name__}")
+    if arity is not None:
+        for pos, entry in enumerate(value):
+            if not isinstance(entry, list) or len(entry) != arity:
+                raise InputError(f"{what} file: {key}[{pos}] is not a list of {arity} items: "
+                                 f"{entry!r:.80}")
+    return value
+
+
+def _label(enc, what, where):
+    """The label the encoding `enc` holds; it must be hashable, else
+    InputError names the file kind and `where`, the entry it came from."""
+    try:
+        lab = decode_label(enc)
+        hash(lab)
+    except TypeError:
+        raise InputError(f"{what} file: {where}: {enc!r:.80} is not a valid label") from None
+    return lab
+
+
+def _labels(encs, what, where):
+    """The tuple of labels of the list `encs`, found under `where`."""
+    return tuple(_label(enc, what, f"{where}[{pos}]") for pos, enc in enumerate(encs))
+
+
+def _conductor(n, what):
+    if type(n) is not int or n < 1:
+        raise InputError(f"{what} file: conductor must be a positive integer, not {n!r}")
+
+
 def _scalar(enc, n, where):
     """The scalar of conductor n that the encoding `enc` holds.
 
@@ -218,13 +257,21 @@ def _scalar(enc, n, where):
         raise InputError(f"{where}: bad scalar encoding: {exc}") from None
 
 
+def _invertible(enc, n, where):
+    """A nonzero scalar (see `_scalar`): cocycle and associator values scale
+    isomorphisms, so zero raises InputError naming `where`."""
+    v = _scalar(enc, n, where)
+    if not v:
+        raise InputError(f"{where}: zero scalar; associator values must be invertible")
+    return v
+
+
 def _header(obj, what):
     """(dim, conductor) of an algebra, R-matrix or module object."""
     d, n = _fields(obj, what, "dim", "conductor")
     if type(d) is not int or d < 0:
         raise InputError(f"{what} file: dim must be a nonnegative integer, not {d!r}")
-    if type(n) is not int or n < 1:
-        raise InputError(f"{what} file: conductor must be a positive integer, not {n!r}")
+    _conductor(n, what)
     return d, n
 
 
@@ -285,17 +332,9 @@ def algebra_from_json(obj):
     if not isinstance(labels, list) or len(labels) != d:
         count = len(labels) if isinstance(labels, list) else "no"
         raise InputError(f"labels: {count} entries for dim {d}")
-    decoded = []
-    for pos, enc in enumerate(labels):
-        try:
-            lab = decode_label(enc)
-            hash(lab)
-        except TypeError:
-            raise InputError(f"labels[{pos}]: {enc!r:.80} is not a valid label") from None
-        decoded.append(lab)
     cube = (d, d, d)
     return WeakHopfAlgebra(
-        decoded, n,
+        _labels(labels, "algebra", "labels"), n,
         mu=SparseTensor3(cube, n, _table(obj, "mu", n, cube)),
         unit={i: v for (i,), v in _table(obj, "unit", n, (d,)).items()},
         delta=SparseTensor3(cube, n, _table(obj, "delta", n, cube)),

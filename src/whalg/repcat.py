@@ -36,15 +36,6 @@ class WHAModule:
             self._mats = mats
         return self._mats[i]
 
-    def act_elem(self, x, vec):
-        """Apply a sparse algebra element x to a sparse vector."""
-        out = {}
-        for i, ci in x.items():
-            img = self.action_matrix(i).apply(vec)
-            for k, v in img.items():
-                _acc(out, k, ci * v)
-        return out
-
     def rho(self, x):
         """Matrix of a sparse algebra element."""
         m = SparseMatrix(self.dim, self.dim, self.algebra.conductor)

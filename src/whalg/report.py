@@ -35,11 +35,6 @@ class Report:
         self.wall_time = time.monotonic() - self._t0
         return ok
 
-    def extend(self, other):
-        for c in other.checks:
-            self.checks.append(c)
-        self.wall_time = time.monotonic() - self._t0
-
     @property
     def ok(self):
         return all(c.ok for c in self.checks)

@@ -137,9 +137,6 @@ class SkeletalCategory:
             raise SkeletonError(f"missing F entry at ({a},{b},{c};{d})")
         return v
 
-    def inverse_label(self, a):
-        return self.ring.dual[a]
-
 
 class SkeletalModule:
     """Module data over a SkeletalCategory with scalar module associator.
@@ -260,19 +257,30 @@ def reversed_skeleton(C):
 
 
 def product_skeleton(C1, C2):
-    """Deligne-style product of two grouplike skeleta: labels are pairs."""
+    """Deligne-style product of two grouplike skeleta: labels are pairs.
+
+    Each component fuses in its own factor, and F of a triple of pairs is the
+    product of the factors' F entries at the two component triples.
+    """
+    if C1.conductor != C2.conductor:
+        raise SkeletonError("factor conductors must match (embed first)")
     labels = [(a, b) for a in C1.labels for b in C2.labels]
     mult = {}
     for (a1, b1), (a2, b2) in itertools.product(labels, repeat=2):
         mult[((a1, b1), (a2, b2), (C1.fuse(a1, a2), C2.fuse(b1, b2)))] = 1
     ring = FusionRing(labels, (C1.unit, C2.unit), mult)
-    if C1.conductor != C2.conductor:
-        raise SkeletonError("factor conductors must match (embed first)")
     F = {}
-    for A, B, Cc in itertools.product(labels, repeat=3):
-        d = ring.products(ring.products(A, B)[0], Cc)[0]
-        F[(A, B, Cc, d)] = C1.assoc(A[0], B[0], Cc[0]) * C2.assoc(A[1], B[1], Cc[1])
+    entries2 = _assoc_entries(C2)
+    for (a1, b1, c1, d1), f1 in _assoc_entries(C1):
+        for (a2, b2, c2, d2), f2 in entries2:
+            F[((a1, a2), (b1, b2), (c1, c2), (d1, d2))] = f1 * f2
     return SkeletalCategory(ring, F, C1.conductor, name=f"{C1.name}x{C2.name}")
+
+
+def _assoc_entries(C):
+    """((a, b, c, (ab)c), F(a,b,c)) for every label triple of a grouplike C."""
+    return [((a, b, c, C.fuse(C.fuse(a, b), c)), C.assoc(a, b, c))
+            for a, b, c in itertools.product(C.labels, repeat=3)]
 
 
 def regular_module(C):
@@ -292,6 +300,7 @@ def right_regular_module(G, omega):
 
     The category is the tensor-reverse of the pointed skeleton of (G, omega)
     and acts on G by a . x = xa; the module associator is omega(x,a,b)^-1.
+    `build_b_g_omega` builds A(C, M) on this pair.
     """
     C = reversed_skeleton(pointed_skeleton(G, omega))
     labels = list(G.elements())
@@ -308,8 +317,8 @@ def boxtimes_rev_skeleton(G, omega):
     The category is pointed(G,omega) x pointed(G,omega)^rev.  The module
     associator is the three-factor scalar
         L((a',b'),(a,b),x) = omega(a',a,x) * omega(a',ax,b) / omega(a'ax,b,b'),
-    the unique choice (in this gauge) making the general builder reproduce
-    the closed-form |G|^4 algebra entrywise.
+    the unique choice (in this gauge) making A(C, M) the paper's closed-form
+    |G|^4 algebra entrywise.  `build_a_g_omega` builds A(C, M) on this pair.
     """
     C0 = pointed_skeleton(G, omega)
     C = product_skeleton(C0, reversed_skeleton(C0))

@@ -93,10 +93,6 @@ class PlainAlgebra:
     def right_companions(self):
         return self.mu_index[1]
 
-    @property
-    def mu_by_result(self):
-        return self.mu_index[2]
-
     @functools.cached_property
     def left_companions(self):
         return _companions(self.mu_pairs, 1)
@@ -321,14 +317,6 @@ class WeakHopfAlgebra(PlainAlgebra):
             if val:
                 _acc(out, p, c * val)
         return out
-
-    def elem_str(self, u):
-        if not u:
-            return "0"
-        parts = []
-        for i in sorted(u):
-            parts.append(f"({u[i]!r})*{self.label_str(i)}")
-        return " + ".join(parts)
 
     def __repr__(self):
         return f"WeakHopfAlgebra({self.name}, dim={self.dim}, conductor={self.conductor})"
@@ -1573,6 +1561,30 @@ def _find_weak_inverse(A, cand):
     return None, "no weak inverse: the three defining linear equations are unsolvable"
 
 
+def _unknown_products(A, known, unknowns, idx, known_left):
+    """The products of `known` in A (x) A with each unknown pair (i, j), as
+    linear forms: {(k1, k2): {idx[(i, j)]: coeff}}.
+
+    `known` multiplies from the left when known_left, else from the right.
+    """
+    mp = A.mu_pairs
+    if known_left:
+        terms = ((ab, c, u) for ab, c in known.items() for u in unknowns)
+    else:
+        terms = ((ab, c, u) for u in unknowns for ab, c in known.items())
+    eq = {}
+    for (a, b), c, (i, j) in terms:
+        t1 = mp.get((a, i) if known_left else (i, a))
+        t2 = mp.get((b, j) if known_left else (j, b))
+        if not t1 or not t2:
+            continue
+        col = idx[(i, j)]
+        for k1, x1 in t1:
+            for k2, x2 in t2:
+                _acc(eq.setdefault((k1, k2), {}), col, c * x1 * x2)
+    return eq
+
+
 def _solve_weak_inverse(A, R, d1, d1cop):
     """Exact linear solve for Rbar; used when no closed-form candidate works."""
     d = A.dim
@@ -1588,54 +1600,18 @@ def _solve_weak_inverse(A, R, d1, d1cop):
     for u in unknowns:
         idx[u] = len(idx)
     rows = []
-
-    # R Rbar = Delta^cop(1)
-    eq = {}
-    for (a, b), c in R.items():
-        for (i, j) in unknowns:
-            t1 = A.mu_pairs.get((a, i))
-            t2 = A.mu_pairs.get((b, j))
-            if not t1 or not t2:
-                continue
-            for k1, x1 in t1:
-                for k2, x2 in t2:
-                    eq.setdefault((k1, k2), {})
-                    _acc(eq[(k1, k2)], idx[(i, j)], c * x1 * x2)
-    outputs = set(eq) | set(d1cop)
-    for out in outputs:
-        row = eq.get(out, {})
-        rows.append((row, d1cop.get(out, A.zero_scalar())))
-    # Rbar R = Delta(1)
-    eq = {}
-    for (i, j) in unknowns:
-        for (a, b), c in R.items():
-            t1 = A.mu_pairs.get((i, a))
-            t2 = A.mu_pairs.get((j, b))
-            if not t1 or not t2:
-                continue
-            for k1, x1 in t1:
-                for k2, x2 in t2:
-                    eq.setdefault((k1, k2), {})
-                    _acc(eq[(k1, k2)], idx[(i, j)], c * x1 * x2)
-    outputs = set(eq) | set(d1)
-    for out in outputs:
-        rows.append((eq.get(out, {}), d1.get(out, A.zero_scalar())))
+    zero = A.zero_scalar()
+    # R Rbar = Delta^cop(1), then Rbar R = Delta(1)
+    for known_left, rhs in ((True, d1cop), (False, d1)):
+        eq = _unknown_products(A, R, unknowns, idx, known_left)
+        for out in set(eq) | set(rhs):
+            rows.append((eq.get(out, {}), rhs.get(out, zero)))
     # Rbar Delta^cop(1) = Rbar
-    eq = {}
-    for (i, j) in unknowns:
-        for (a, b), c in d1cop.items():
-            t1 = A.mu_pairs.get((i, a))
-            t2 = A.mu_pairs.get((j, b))
-            if not t1 or not t2:
-                continue
-            for k1, x1 in t1:
-                for k2, x2 in t2:
-                    eq.setdefault((k1, k2), {})
-                    _acc(eq[(k1, k2)], idx[(i, j)], c * x1 * x2)
+    eq = _unknown_products(A, d1cop, unknowns, idx, False)
     for (i, j), col in idx.items():
         row = dict(eq.get((i, j), {}))
         _acc(row, col, -A.one_scalar())
-        rows.append((row, A.zero_scalar()))
+        rows.append((row, zero))
 
     m = SparseMatrix(len(rows), len(idx), A.conductor)
     b = {}

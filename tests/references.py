@@ -10,9 +10,17 @@ A*: they keep their own detail strings, so only their verdicts are compared.
 `hom_range_loop`, the `axiom4_eq*_loop`s and `intertwining_loop` are the
 kernels that multiplied cyclotomic values term by term before the sweeps
 moved onto scalar ids; their verdicts and details are compared.
+
+`b_g_omega_closed` and `a_g_omega_closed` write the structure constants of
+B(G, omega) and A(G, omega) straight from the paper's closed formulas; the
+builders, which run the general A(C, M) construction, must match them
+entrywise.
 """
 
-from whalg.wha import _acc, _push
+import itertools
+
+from whalg.exactmath import Cyclotomic, SparseMatrix, SparseTensor3
+from whalg.wha import RMatrixCandidate, WeakHopfAlgebra, _acc, _push
 
 
 def _basis_products(A):
@@ -273,3 +281,106 @@ def intertwining_loop(A, R):
         if A.mul2(R, dx) != A.mul2({(j, i): c for (i, j), c in dx.items()}, R):
             return f"R Delta(x) != Delta^cop(x) R at x = {A.label_str(x)}"
     return None
+
+
+def b_g_omega_closed(G, omega):
+    """B(G, omega) from its closed form, on the basis ("f", a, y, x).
+
+    The product of f_{a'|y'|x'} with f_{a|y|x} requires y' = ya, x' = xa and
+    lands on f_{aa'|y|x} with coefficient omega(y,a,a')/omega(x,a,a').
+    """
+    n = omega.conductor
+    els = list(G.elements())
+    labels = [("f", a, y, x) for a, y, x in itertools.product(els, repeat=3)]
+    index = {lab: i for i, lab in enumerate(labels)}
+    d = len(labels)
+    mu, delta = SparseTensor3((d, d, d), n), SparseTensor3((d, d, d), n)
+    mul = G.mul
+
+    for a, y, x in itertools.product(els, repeat=3):
+        right = index[("f", a, y, x)]
+        ya, xa = mul(y, a), mul(x, a)
+        for ap in els:
+            left = index[("f", ap, ya, xa)]
+            out = index[("f", mul(a, ap), y, x)]
+            mu.add_to(left, right, out, omega(y, a, ap) / omega(x, a, ap))
+
+    one = Cyclotomic.one(n)
+    unit = {index[("f", G.identity, y, x)]: one for y in els for x in els}
+
+    for a, y, x in itertools.product(els, repeat=3):
+        i = index[("f", a, y, x)]
+        for z in els:
+            delta.add_to(i, index[("f", a, y, z)], index[("f", a, z, x)], one)
+
+    counit = {index[("f", a, y, y)]: one for a in els for y in els}
+
+    antipode = SparseMatrix(d, d, n)
+    for a, y, x in itertools.product(els, repeat=3):
+        ai = G.inv(a)
+        coeff = omega(y, a, ai) / omega(x, a, ai)
+        antipode.add_to(index[("f", ai, mul(x, a), mul(y, a))], index[("f", a, y, x)], coeff)
+
+    return WeakHopfAlgebra(labels, n, mu, unit, delta, counit, antipode,
+                           name=f"B({G.name},{omega.name}) closed form")
+
+
+def a_g_omega_closed(G, omega):
+    """A(G, omega) and its R-matrix from the closed three-ratio forms.
+
+    Basis ("e", a, b, y, x); R = sum_{a,b,z} omega(a,z,b)^-1
+    e_{1|b|az|z} (x) e_{a|1|z|zb}.
+    """
+    n = omega.conductor
+    els = list(G.elements())
+    labels = [("e", a, b, y, x) for a, b, y, x in itertools.product(els, repeat=4)]
+    index = {lab: i for i, lab in enumerate(labels)}
+    d = len(labels)
+    mu, delta = SparseTensor3((d, d, d), n), SparseTensor3((d, d, d), n)
+    mul = G.mul
+    e_id = G.identity
+
+    for a, b, y, x in itertools.product(els, repeat=4):
+        right = index[("e", a, b, y, x)]
+        ay, ax = mul(a, y), mul(a, x)
+        ayb, axb = mul(ay, b), mul(ax, b)
+        for ap, bp in itertools.product(els, repeat=2):
+            left = index[("e", ap, bp, ayb, axb)]
+            out = index[("e", mul(ap, a), mul(b, bp), y, x)]
+            coeff = (
+                (omega(ap, a, x) / omega(ap, a, y))
+                * (omega(ap, ax, b) / omega(ap, ay, b))
+                * (omega(mul(ap, ay), b, bp) / omega(mul(ap, ax), b, bp))
+            )
+            mu.add_to(left, right, out, coeff)
+
+    one = Cyclotomic.one(n)
+    unit = {index[("e", e_id, e_id, y, x)]: one for y in els for x in els}
+
+    for a, b, y, x in itertools.product(els, repeat=4):
+        i = index[("e", a, b, y, x)]
+        for z in els:
+            delta.add_to(i, index[("e", a, b, y, z)], index[("e", a, b, z, x)], one)
+
+    counit = {index[("e", a, b, y, y)]: one for a, b, y in itertools.product(els, repeat=3)}
+
+    antipode = SparseMatrix(d, d, n)
+    for a, b, y, x in itertools.product(els, repeat=4):
+        ai, bi = G.inv(a), G.inv(b)
+        ayb = G.prod((a, y, b))
+        axb = G.prod((a, x, b))
+        coeff = (
+            (omega(y, b, bi) / omega(x, b, bi))
+            * (omega(a, y, b) / omega(a, x, b))
+            * (omega(a, ai, axb) / omega(a, ai, ayb))
+        )
+        antipode.add_to(index[("e", ai, bi, axb, ayb)], index[("e", a, b, y, x)], coeff)
+
+    A = WeakHopfAlgebra(labels, n, mu, unit, delta, counit, antipode,
+                        name=f"A({G.name},{omega.name}) closed form")
+    terms = {}
+    for a, b, z in itertools.product(els, repeat=3):
+        i = index[("e", e_id, b, mul(a, z), z)]
+        j = index[("e", a, e_id, z, mul(z, b))]
+        terms[(i, j)] = omega(a, z, b).inverse()
+    return A, RMatrixCandidate(terms)

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from whalg.exactmath import Cyclotomic
-from whalg.builders import build_a_g_omega, build_a_m_c, build_b_g_omega
+from whalg.builders import build_a_g_omega, build_b_g_omega
 from whalg.groups import (
     catalog_group,
     standard_cocycle,
@@ -30,11 +30,9 @@ from whalg.repcat import (
     validate_module,
 )
 from whalg.skeleton import (
-    boxtimes_rev_skeleton,
     fib_fusion_ring,
     pointed_skeleton,
     regular_module,
-    right_regular_module,
     validate_module_pentagon,
     validate_pentagon,
 )
@@ -54,6 +52,8 @@ from whalg.wha import (
     verify_quasitriangular,
     verify_weak_bialgebra,
 )
+
+from references import a_g_omega_closed, b_g_omega_closed
 
 THREADS = min(2, multiprocessing.cpu_count())
 
@@ -129,15 +129,13 @@ def test_criterion_3_closed_form_reproduction():
                 trivial_cocycle(G, conductor=n) if p == 0 else standard_cocycle(n, p)
             )
             B = build_b_g_omega(G, omega)
-            C, M = right_regular_module(G, omega)
-            gen = build_a_m_c(C, M)
-            amap = [B.label_index[("f", a, y, x)] for (a, y, x) in gen.labels]
-            ok = ok and compare_structure(gen, B, amap).ok
-            A, _ = build_a_g_omega(G, omega)
-            Cb, Mb = boxtimes_rev_skeleton(G, omega)
-            genb = build_a_m_c(Cb, Mb)
-            bmap = [A.label_index[("e", ab[0], ab[1], y, x)] for (ab, y, x) in genb.labels]
-            ok = ok and compare_structure(genb, A, bmap).ok
+            B_ref = b_g_omega_closed(G, omega)
+            ok = ok and B.labels == B_ref.labels
+            ok = ok and compare_structure(B, B_ref, list(range(B.dim))).ok
+            A, R = build_a_g_omega(G, omega)
+            A_ref, R_ref = a_g_omega_closed(G, omega)
+            ok = ok and A.labels == A_ref.labels and R.terms == R_ref.terms
+            ok = ok and compare_structure(A, A_ref, list(range(A.dim))).ok
     _line(3, ok)
 
 

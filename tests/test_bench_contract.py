@@ -1,0 +1,38 @@
+"""The benchmark's tracer still finds every function it wraps.
+
+`perfbench/tracer.py` names the whalg functions whose spans and counters feed
+the benchmark's per-layer metrics.  A function it cannot find at install time
+is listed in `Tracer.missing`, and its metric drops out of every traced run's
+result, so renaming or deleting a wrapped function breaks the benchmark's
+result line without failing any other test.
+"""
+
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import tracer  # noqa: E402
+
+from whalg import builders, groups, wha  # noqa: E402
+
+
+def test_tracer_metrics_are_the_declared_per_layer_metrics():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        declared = [m["name"] for m in json.load(fh)["per_layer"]]
+    assert sorted(tracer.LAYER_METRICS) == sorted(declared)
+
+
+def test_tracer_finds_every_wrapped_function_and_times_the_sweeps(tmp_path):
+    w = groups.standard_cocycle(2, 1)
+    with tracer.Tracer(str(tmp_path)) as tr:
+        assert tr.missing == []
+        B = builders.build_b_g_omega(w.group, w)
+        assert wha.verify_weak_bialgebra(B).ok
+    names = {span[0] for span in tr.spans}
+    assert {"builders.build_s", "wha.weak_bialgebra_s", "wha.verify_serial_s"} <= names
+    # the tracer's exit put every original back
+    assert not hasattr(wha.verify_weak_bialgebra, "__wrapped__")
+    assert not hasattr(builders.build_b_g_omega, "__wrapped__")

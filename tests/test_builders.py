@@ -15,7 +15,7 @@ from whalg.builders import (
     standard_frobenius,
 )
 from whalg.groups import cyclic_group, standard_cocycle, trivial_cocycle
-from whalg.skeleton import boxtimes_rev_skeleton, right_regular_module
+from whalg.skeleton import right_regular_module
 from whalg.wha import (
     center_dim,
     compare_structure,
@@ -23,6 +23,8 @@ from whalg.wha import (
     verify_antipode,
     verify_weak_bialgebra,
 )
+
+from references import a_g_omega_closed, b_g_omega_closed
 
 
 def omega_for(n, p):
@@ -86,28 +88,21 @@ def test_delta_and_unit_term_counts():
 def test_general_builder_matches_b_closed_form(n, p):
     g, w = omega_for(n, p)
     B = build_b_g_omega(g, w)
-    C, M = right_regular_module(g, w)
-    gen = build_a_m_c(C, M)
-    index_map = [
-        B.label_index[("f", a, y, x)]
-        for (a, y, x) in gen.labels
-    ]
-    rep = compare_structure(gen, B, index_map)
+    ref = b_g_omega_closed(g, w)
+    assert B.labels == ref.labels
+    rep = compare_structure(B, ref, list(range(B.dim)))
     assert rep.ok, rep.render()
 
 
 @pytest.mark.parametrize("n,p", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (4, 1)])
 def test_general_builder_matches_a_closed_form(n, p):
     g, w = omega_for(n, p)
-    A, _ = build_a_g_omega(g, w)
-    C, M = boxtimes_rev_skeleton(g, w)
-    gen = build_a_m_c(C, M)
-    index_map = [
-        A.label_index[("e", ab[0], ab[1], y, x)]
-        for (ab, y, x) in gen.labels
-    ]
-    rep = compare_structure(gen, A, index_map)
+    A, R = build_a_g_omega(g, w)
+    ref, ref_R = a_g_omega_closed(g, w)
+    assert A.labels == ref.labels
+    rep = compare_structure(A, ref, list(range(A.dim)))
     assert rep.ok, rep.render()
+    assert R.terms == ref_R.terms
 
 
 def test_general_builder_dim_count():

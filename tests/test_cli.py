@@ -418,3 +418,56 @@ def test_input_file_that_is_no_object_or_lacks_a_key_exits_2_naming_it(tmp_path,
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.strip().splitlines() == [f"error: {message}"]
+
+
+def _zero_scalar(enc):
+    enc["coeffs"] = [[0, 1]] * len(enc["coeffs"])
+
+
+# (kind of input file, a change to its object, the start of the error line)
+BAD_VALUES = [
+    pytest.param("group", lambda o: o.update(table=5), "group file: table must be a list, not int",
+                 id="group-table"),
+    pytest.param("group", lambda o: o["table"].__setitem__(1, 5),
+                 "group file: table[1] is not a list of integers", id="group-row"),
+    pytest.param("cocycle", lambda o: _zero_scalar(o["values"][0]),
+                 "values[0]: zero scalar", id="cocycle-zero"),
+    pytest.param("skeleton", lambda o: o.update(labels=7),
+                 "skeleton file: labels must be a list, not int", id="skeleton-labels"),
+    pytest.param("skeleton", lambda o: o["labels"].__setitem__(0, [1, 2]),
+                 "skeleton file: labels[0]: [1, 2] is not a valid label", id="skeleton-label"),
+    pytest.param("skeleton", lambda o: o["mult"].__setitem__(0, o["mult"][0][:2]),
+                 "skeleton file: mult[0] is not a list of 3 items", id="skeleton-mult"),
+    pytest.param("skeleton", lambda o: o["F"].__setitem__(0, "x"),
+                 "skeleton file: F[0] is not a list of 5 items", id="skeleton-F"),
+    pytest.param("skeleton", lambda o: _zero_scalar(o["F"][0][-1]), "F[0]: zero scalar",
+                 id="skeleton-zero"),
+    pytest.param("skeleton", lambda o: o.update(conductor="2"),
+                 "skeleton file: conductor must be a positive integer, not '2'",
+                 id="skeleton-conductor"),
+    pytest.param("fusion ring", lambda o: o.update(mult={}),
+                 "fusion ring file: mult must be a list, not dict", id="ring-mult"),
+    pytest.param("fusion ring", lambda o: o.update(unit=[0]),
+                 "fusion ring file: unit: [0] is not a valid label", id="ring-unit"),
+    pytest.param("skeletal module", lambda o: o.update(objects=7),
+                 "skeletal module file: objects must be a list, not int", id="module-objects"),
+    pytest.param("skeletal module", lambda o: o["action"].__setitem__(0, o["action"][0][:2]),
+                 "skeletal module file: action[0] is not a list of 3 items", id="module-action"),
+    pytest.param("skeletal module", lambda o: o["L"].__setitem__(0, o["L"][0][1:]),
+                 "skeletal module file: L[0] is not a list of 4 items", id="module-L"),
+    pytest.param("skeletal module", lambda o: _zero_scalar(o["L"][0][-1]), "L[0]: zero scalar",
+                 id="module-zero"),
+]
+
+
+@pytest.mark.parametrize("kind,change,message", BAD_VALUES)
+def test_input_file_with_a_bad_value_exits_2_naming_the_entry(tmp_path, kind, change, message):
+    _key, obj, argv = _input_files(tmp_path)[kind]
+    change(obj)
+    path = str(tmp_path / "input.json")
+    jsonio.write_json(path, obj)
+    proc = run_process(*[path if a == "FILE" else a for a in argv])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), proc.stderr

@@ -4,7 +4,7 @@ import pytest
 
 import whalg.double
 
-from whalg.builders import build_a_m_c, build_b_g_omega
+from whalg.builders import build_a_m_c
 from whalg.double import DoubleAlgebra, build_drinfeld_double, build_pairing, copairing, sharp_iso
 from whalg.exactmath import Cyclotomic, SparseTensor3
 from whalg.groups import cyclic_group, standard_cocycle, trivial_cocycle
@@ -16,6 +16,8 @@ from whalg.wha import (
     verify_quasitriangular,
     verify_weak_bialgebra,
 )
+
+from references import b_g_omega_closed
 
 
 def pointed(n, p):
@@ -47,7 +49,7 @@ def test_pairing_laws_up_to_order_4():
 def test_pairing_against_closed_form_b():
     # the right-regular side can equally be the closed-form algebra
     C, g, w = pointed(2, 1)
-    B_closed = build_b_g_omega(g, w)
+    B_closed = b_g_omega_closed(g, w)
     P = build_pairing(C, A=B_closed)
     assert P.report.ok
 
@@ -110,7 +112,7 @@ def test_double_general_vs_closed_sides_agree():
     C, g, w = pointed(2, 1)
     Crev, M = right_regular_module(g, w)
     A_gen = build_a_m_c(Crev, M)
-    B_closed = build_b_g_omega(g, w)
+    B_closed = b_g_omega_closed(g, w)
     index_map = [B_closed.label_index[("f", a, y, x)] for (a, y, x) in A_gen.labels]
     assert compare_structure(A_gen, B_closed, index_map).ok
 

@@ -20,15 +20,18 @@ from whalg.wha import (
     PlainAlgebra,
     RMatrixCandidate,
     WeakHopfAlgebra,
+    _acc,
     _antihom_range,
     _assoc_range,
     _axiom1_range,
     _axiom4_eq3_range,
+    _cop,
     _counit_weak_mult_range,
     _hom_range,
     _intertwining_failure,
     _push,
     _solve_weak_inverse,
+    _unknown_products,
     base_algebras,
     center_dim,
     compare_structure,
@@ -362,13 +365,41 @@ def test_weak_inverse_solver_fallback():
     # drop the closed-form candidates by handing the solver a fresh algebra
     # whose antipode is withheld from the candidate search
     A, R = a_z2(p=1)
-    from whalg.wha import _solve_weak_inverse, _cop
-
     d1 = A.delta_of_unit()
     rb = _solve_weak_inverse(A, R.terms, d1, _cop(d1))
     assert rb is not None
     assert A.mul2(R.terms, rb) == _cop(d1)
     assert A.mul2(rb, R.terms) == d1
+
+
+def test_weak_inverse_systems_on_a_z3():
+    # the linear forms the solver's three systems are built from, evaluated at
+    # the weak inverse (S (x) id)(R) of A(Z3, p=1), give its three products
+    w = standard_cocycle(3, 1)
+    A, R = build_a_g_omega(w.group, w)
+    d1 = A.delta_of_unit()
+    d1cop = _cop(d1)
+    rbar = {}
+    for (i, j), c in R.terms.items():
+        for k, v in A.apply_antipode({i: c}).items():
+            _acc(rbar, (k, j), v)
+    assert A.mul2(R.terms, rbar) == d1cop
+    assert A.mul2(rbar, R.terms) == d1
+    assert A.mul2(rbar, d1cop) == rbar
+    unknowns = sorted(rbar)
+    idx = {u: col for col, u in enumerate(unknowns)}
+    for known, known_left in ((R.terms, True), (R.terms, False), (d1cop, False)):
+        value = {}
+        for out, row in _unknown_products(A, known, unknowns, idx, known_left).items():
+            for col, c in row.items():
+                _acc(value, out, c * rbar[unknowns[col]])
+        assert value == (A.mul2(known, rbar) if known_left else A.mul2(rbar, known))
+    # at dim 81 the solver restricts its unknowns to the support of R, Delta(1)
+    # and Delta^cop(1), which misses part of this weak inverse: it may find
+    # none, but what it returns must satisfy all three laws
+    rb = _solve_weak_inverse(A, R.terms, d1, d1cop)
+    assert rb is None or (A.mul2(R.terms, rb) == d1cop and A.mul2(rb, R.terms) == d1
+                          and A.mul2(rb, d1cop) == rb)
 
 
 def test_parallel_matches_serial():

@@ -11,6 +11,10 @@ A*: they keep their own detail strings, so only their verdicts are compared.
 kernels that multiplied cyclotomic values term by term before the sweeps
 moved onto scalar ids; their verdicts and details are compared.
 
+`double_antipode_solved` and `weak_inverse_solved` are the exact linear
+solves that the closed forms replaced: the Drinfeld double's antipode from
+Axiom 4, and a weak inverse of R over all d^2 unknowns.
+
 `b_g_omega_closed` and `a_g_omega_closed` write the structure constants of
 B(G, omega) and A(G, omega) straight from the paper's closed formulas; the
 builders, which run the general A(C, M) construction, must match them
@@ -281,6 +285,110 @@ def intertwining_loop(A, R):
         if A.mul2(R, dx) != A.mul2({(j, i): c for (i, j), c in dx.items()}, R):
             return f"R Delta(x) != Delta^cop(x) R at x = {A.label_str(x)}"
     return None
+
+
+def double_antipode_solved(D):
+    """The antipode of D solved from Axiom 4 as an exact linear system, or None.
+
+    The unknowns are the d^2 entries S[k, q] (the coefficient of e_k in
+    S(e_q)); the rows are the first two identities, and the solution must
+    pass the third.  D's own antipode is not read.
+    """
+    n = D.conductor
+    d = D.dim
+    unknown = lambda k, q: k * d + q
+    rows = {}
+    rhs = {}
+
+    def add(key, col, coeff):
+        row = rows.setdefault(key, {})
+        _acc(row, col, coeff)
+
+    # eq1: sum_{(s,t)} mu(s, S(t)) = eps^lr(x)
+    for x in range(d):
+        target = D.eps_lr(D.basis_elem(x))
+        for s, t, c in D.delta_terms[x]:
+            for l in D.right_companions.get(s, ()):
+                for k, cm in D.mu_pairs[(s, l)]:
+                    add(("1", x, k), unknown(l, t), c * cm)
+        for k, v in target.items():
+            rhs[("1", x, k)] = v
+            rows.setdefault(("1", x, k), {})
+    # eq2: sum_{(s,t)} mu(S(s), t) = 1_(1) eps(x 1_(2))
+    for x in range(d):
+        target = {}
+        for (p, q), c in D.delta_of_unit().items():
+            val = D.apply_counit(D.mul(D.basis_elem(x), {q: c}))
+            if val:
+                _acc(target, p, val)
+        for s, t, c in D.delta_terms[x]:
+            for l in D.left_companions.get(t, ()):
+                for k, cm in D.mu_pairs[(l, t)]:
+                    add(("2", x, k), unknown(l, s), c * cm)
+        for k, v in target.items():
+            rhs[("2", x, k)] = v
+            rows.setdefault(("2", x, k), {})
+
+    keys = sorted(rows)
+    mat = SparseMatrix(len(keys), d * d, n)
+    bvec = {}
+    for rnum, key in enumerate(keys):
+        for col, c in rows[key].items():
+            mat.add_to(rnum, col, c)
+        v = rhs.get(key)
+        if v:
+            bvec[rnum] = v
+    sol = mat.solve(bvec)
+    if sol is None:
+        return None
+    smat = SparseMatrix(d, d, n)
+    for col, c in sol.items():
+        k, q = divmod(col, d)
+        smat.set(k, q, c)
+    candidate = WeakHopfAlgebra(D.labels, n, D.mu, D.unit, D.delta, D.counit, smat,
+                                name=D.name, meta=D.meta)
+    return None if axiom4_eq3_loop(candidate) is not None else smat
+
+
+def weak_inverse_solved(A, R):
+    """One Rbar with R Rbar = Delta^cop(1), Rbar R = Delta(1) and
+    Rbar Delta^cop(1) = Rbar, solved exactly over all d^2 unknowns, or None.
+
+    Every product (a (x) b)(e_i (x) e_j) is read from the basis products.
+    """
+    d, n = A.dim, A.conductor
+    d1 = A.delta_of_unit()
+    d1cop = {(j, i): c for (i, j), c in d1.items()}
+    e = [A.basis_elem(i) for i in range(d)]
+    prod = [[A.mul(e[i], e[j]) for j in range(d)] for i in range(d)]
+    unknowns = [(i, j) for i in range(d) for j in range(d)]
+    rows = {}  # (law, k1, k2) -> {unknown: coeff}
+
+    def times(known, law, known_left):
+        for col, (i, j) in enumerate(unknowns):
+            for (a, b), c in known.items():
+                p1, p2 = (prod[a][i], prod[b][j]) if known_left else (prod[i][a], prod[j][b])
+                for k1, x1 in p1.items():
+                    for k2, x2 in p2.items():
+                        _acc(rows.setdefault((law, k1, k2), {}), col, c * x1 * x2)
+
+    times(R, 0, True)
+    times(R, 1, False)
+    times(d1cop, 2, False)
+    for col, (i, j) in enumerate(unknowns):
+        _acc(rows.setdefault((2, i, j), {}), col, -A.one_scalar())
+    rhs = {(0, *k): v for k, v in d1cop.items()}
+    rhs.update({(1, *k): v for k, v in d1.items()})
+    keys = sorted(set(rows) | set(rhs))
+    mat = SparseMatrix(len(keys), len(unknowns), n)
+    bvec = {}
+    for rnum, key in enumerate(keys):
+        for col, c in rows.get(key, {}).items():
+            mat.add_to(rnum, col, c)
+        if key in rhs:
+            bvec[rnum] = rhs[key]
+    sol = mat.solve(bvec)
+    return None if sol is None else {unknowns[col]: c for col, c in sol.items() if c}
 
 
 def b_g_omega_closed(G, omega):

@@ -16,7 +16,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import tracer  # noqa: E402
 
-from whalg import builders, groups, wha  # noqa: E402
+from whalg import builders, double, groups, skeleton, wha  # noqa: E402
 
 
 def test_tracer_metrics_are_the_declared_per_layer_metrics():
@@ -36,3 +36,14 @@ def test_tracer_finds_every_wrapped_function_and_times_the_sweeps(tmp_path):
     # the tracer's exit put every original back
     assert not hasattr(wha.verify_weak_bialgebra, "__wrapped__")
     assert not hasattr(builders.build_b_g_omega, "__wrapped__")
+
+
+def test_tracer_times_the_double_and_its_antipode(tmp_path):
+    w = groups.standard_cocycle(2, 1)
+    with tracer.Tracer(str(tmp_path)) as tr:
+        assert tr.missing == []
+        P = double.build_pairing(skeleton.pointed_skeleton(w.group, w))
+        assert double.build_drinfeld_double(P).algebra.dim == 16
+    names = {span[0] for span in tr.spans}
+    assert {"double.build_s", "double.solve_antipode_s"} <= names
+    assert not hasattr(double.solve_antipode, "__wrapped__")

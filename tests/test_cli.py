@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -19,13 +20,13 @@ def run(*argv):
     return main(list(argv))
 
 
-def run_process(*argv):
+def run_process(*argv, cwd=None):
     """`whalg argv` in a fresh interpreter, with its exit code and output captured."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, "-m", "whalg.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, cwd=cwd)
 
 
 def test_build_and_verify_roundtrip(tmp_path, capsys):
@@ -228,6 +229,21 @@ def test_double_cli(tmp_path):
     out = tmp_path / "d.json"
     assert run("double", "build", "--group", "z2", "--cocycle", "p=0", "-o", str(out)) == 0
     assert run("verify", str(out), "--suite", "wha") == 0
+
+
+def test_double_build_artifacts_are_pinned(tmp_path):
+    # no perfbench digest covers the double: pin its algebra, its R-matrix
+    # with the weak inverse, and the --json reports byte for byte
+    proc = run_process("--json", "double", "build", "--group", "z2", "--cocycle", "p=1",
+                       "-o", "d.json", "--rmatrix-out", "r.json", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    sha = lambda data: hashlib.sha256(data).hexdigest()
+    assert sha((tmp_path / "d.json").read_bytes()) == \
+        "b70c8073c6d119d26c905dc47b26210927c8875a93ea49a565483773d976f373"
+    assert sha((tmp_path / "r.json").read_bytes()) == \
+        "d403f6932a1a891bfea125cdf051ddd352565402b33fc072c5fcc0cd1b57e883"
+    assert sha(proc.stdout.encode()) == \
+        "c6fd9298d9559eebc237fecb60e6724c243448c7e28695790bcecab2812d5d2f"
 
 
 def test_json_flag_byte_stable(tmp_path, capsys):

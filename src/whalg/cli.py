@@ -21,7 +21,7 @@ from .builders import (
     standard_frobenius,
 )
 from .groups import catalog_group, standard_cocycle, trivial_cocycle, validate_cocycle
-from .skeleton import fib_fusion_ring, pointed_skeleton
+from .skeleton import fib_fusion_ring, pointed_skeleton, validate_module_pentagon, validate_pentagon
 from .wha import (
     base_algebras,
     center_dim,
@@ -70,6 +70,18 @@ def _load_cocycle(spec, G):
     raise UsageError(f"bad cocycle spec {spec!r} (use p=<int>, trivial, or a file)")
 
 
+def _coherent(rep, what):
+    """Raise InputError naming a `what` file whose coherence check failed."""
+    if not rep.ok:
+        raise jsonio.InputError(f"{what} file: {rep.first_failure}")
+
+
+def _load_skeleton(path):
+    C = jsonio.skeleton_from_json(jsonio.read_json(path))
+    _coherent(validate_pentagon(C), "skeleton")
+    return C
+
+
 def _print_report(rep, as_json):
     if as_json:
         sys.stdout.write(jsonio.dumps(rep.to_json()))
@@ -90,8 +102,9 @@ def cmd_build(args):
     elif kind == "a-m-c":
         if not args.skeleton or not args.module:
             raise UsageError("a-m-c needs --skeleton and --module files")
-        C = jsonio.skeleton_from_json(jsonio.read_json(args.skeleton))
+        C = _load_skeleton(args.skeleton)
         M = jsonio.module_from_json(jsonio.read_json(args.module), C)
+        _coherent(validate_module_pentagon(M), "skeletal module")
         A = build_a_m_c(C, M)
         R = None
     elif kind == "groupoid":
@@ -231,7 +244,7 @@ def cmd_rep(args):
         _print_report(rep, args.json)
         return 0 if rep.ok else 1
     if args.action == "iso":
-        ok = modules_isomorphic(V, W, seed=args.seed)
+        ok = modules_isomorphic(V, W)
         print("isomorphic" if ok else "not-isomorphic")
         return 0 if ok else 1
     if args.action == "coherence":
@@ -274,7 +287,7 @@ def cmd_tube(args):
         from .tube import TubeFamily
 
         if args.skeleton:
-            C = jsonio.skeleton_from_json(jsonio.read_json(args.skeleton))
+            C = _load_skeleton(args.skeleton)
         else:
             C = _pointed_from_args(args)
         level = args.level
@@ -370,7 +383,6 @@ def make_parser():
         prog="whalg",
         description="exact constructors and verifiers for weak Hopf algebras",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.add_argument(
         "--threads", type=int, default=None,
         help="worker cap for verifier sweeps (default: WHALG_THREADS or 1)",

@@ -81,6 +81,7 @@ class _Field:
         )
         self.zero = (0,) * deg
         self.one = (1,) + self.zero[1:]
+        self.galois = [k for k in range(2, n) if gcd(k, n) == 1]  # sigma_k, k != 1
         self.inverses = {}  # irrational value -> its inverse
 
 
@@ -264,8 +265,11 @@ class Cyclotomic:
     def inverse(self):
         """Multiplicative inverse; raises ZeroDivisionError on 0.
 
-        The inverse of an irrational value is solved for once and memoized
-        on its field.
+        An irrational value v / d (v integral) has the inverse d P / N(v),
+        where P is the product of the Galois conjugates sigma_k(v),
+        zeta -> zeta^k for the k coprime to the conductor other than 1, and
+        N(v) = v P is the norm, a rational integer.  It is memoized on its
+        field.
         """
         v = self.v
         q = v[0]
@@ -277,22 +281,14 @@ class Cyclotomic:
         f = _FIELDS[self.n]
         inv = f.inverses.get(self)
         if inv is None:
-            inv = f.inverses[self] = self._solve_inverse(f)
+            n = self.n
+            num = Cyclotomic(n, v, 1)
+            conj = Cyclotomic.one(n)
+            for k in f.galois:
+                conj = conj * _from_terms(n, ((e * k, x) for e, x in enumerate(v)), 1)
+            norm = (num * conj).v[0]
+            inv = f.inverses[self] = conj * Cyclotomic.rational(n, Fraction(self.d, norm))
         return inv
-
-    def _solve_inverse(self, f):
-        # v * y = 1 for the coordinates y of 1/v, then 1/(v/d) = d * y
-        n, d = self.n, self.d
-        deg = f.degree
-        num = Cyclotomic(n, self.v, 1)
-        cols = [(num * Cyclotomic(n, f.powtab[j], 1)).v for j in range(deg)]
-        rows = [[Fraction(cols[j][i]) for j in range(deg)] for i in range(deg)]
-        rhs = [Fraction(0)] * deg
-        rhs[0] = Fraction(1)
-        sol = _dense_solve(rows, rhs)
-        if sol is None:
-            raise ZeroDivisionError("zero divisor (non-invertible cyclotomic)")
-        return Cyclotomic.from_pairs(n, ((j, q * d) for j, q in enumerate(sol)))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -375,34 +371,6 @@ class Cyclotomic:
 def root_of_unity(n, k=1):
     """zeta_n^k at conductor n."""
     return Cyclotomic(n, _FIELDS[n].powtab[k % n], 1)
-
-
-def _dense_solve(rows, rhs):
-    # small dense rational solver (cyclotomic inversion only)
-    n = len(rows)
-    m = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    piv = 0
-    pivots = []
-    for col in range(n):
-        r = next((i for i in range(piv, n) if m[i][col]), None)
-        if r is None:
-            continue
-        m[piv], m[r] = m[r], m[piv]
-        inv = 1 / m[piv][col]
-        m[piv] = [x * inv for x in m[piv]]
-        for i in range(n):
-            if i != piv and m[i][col]:
-                c = m[i][col]
-                m[i] = [x - c * y for x, y in zip(m[i], m[piv])]
-        pivots.append(col)
-        piv += 1
-    for i in range(piv, n):
-        if m[i][n]:
-            return None
-    sol = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        sol[col] = m[i][n]
-    return sol
 
 
 # ---------------------------------------------------------------------------

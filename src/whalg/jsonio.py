@@ -88,7 +88,7 @@ def cocycle_from_json(obj, G):
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                vals[(a, b, c)] = _invertible(flat[idx], cond, f"values[{idx}]")
+                vals[(a, b, c)] = _invertible(flat[idx], cond, lambda: f"values[{idx}]")
                 idx += 1
     return ThreeCocycle(G, vals, cond)
 
@@ -121,7 +121,7 @@ def skeleton_from_json(obj):
     _conductor(cond, "skeleton")
     F = {}
     for pos, (*key, enc) in enumerate(_entries(f_entries, "skeleton", "F", 5)):
-        F[_labels(key, "skeleton", f"F[{pos}]")] = _invertible(enc, cond, f"F[{pos}]")
+        F[_labels(key, "skeleton", f"F[{pos}]")] = _invertible(enc, cond, lambda: f"F[{pos}]")
     return SkeletalCategory(ring, F, cond)
 
 
@@ -150,7 +150,7 @@ def module_from_json(obj, C):
         action[(a, x)] = y
     L = {}
     for pos, (*key, enc) in enumerate(_entries(l_entries, what, "L", 4)):
-        L[_labels(key, what, f"L[{pos}]")] = _invertible(enc, C.conductor, f"L[{pos}]")
+        L[_labels(key, what, f"L[{pos}]")] = _invertible(enc, C.conductor, lambda: f"L[{pos}]")
     return SkeletalModule(C, objects, action, L)
 
 
@@ -182,10 +182,6 @@ def _ring_from_json(obj, what):
 
 
 # -- algebras ------------------------------------------------------------------
-
-
-def _scalar_out(v):
-    return v.to_json()
 
 
 class InputError(ValueError):
@@ -245,24 +241,24 @@ def _scalar(enc, n, where):
     """The scalar of conductor n that the encoding `enc` holds.
 
     Its coefficients must be integer [num, den] pairs with nonzero
-    denominators.  Anything else raises InputError naming `where`, the entry
-    the encoding came from.
+    denominators.  Anything else raises InputError naming `where()`, the
+    entry the encoding came from; `where` is called only then.
     """
     if not isinstance(enc, dict) or enc.get("conductor") != n:
         cond = enc.get("conductor") if isinstance(enc, dict) else None
-        raise InputError(f"{where}: scalar conductor {cond} differs from the file's conductor {n}")
+        raise InputError(f"{where()}: scalar conductor {cond} differs from the file's conductor {n}")
     try:
         return Cyclotomic.from_json(enc)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{where}: bad scalar encoding: {exc}") from None
+        raise InputError(f"{where()}: bad scalar encoding: {exc}") from None
 
 
 def _invertible(enc, n, where):
     """A nonzero scalar (see `_scalar`): cocycle and associator values scale
-    isomorphisms, so zero raises InputError naming `where`."""
+    isomorphisms, so zero raises InputError naming `where()`."""
     v = _scalar(enc, n, where)
     if not v:
-        raise InputError(f"{where}: zero scalar; associator values must be invertible")
+        raise InputError(f"{where()}: zero scalar; associator values must be invertible")
     return v
 
 
@@ -299,7 +295,7 @@ def _table(obj, table, n, bounds):
                 raise InputError(f"{_where(table, key)}: index {i!r} is outside 0..{bound - 1}")
         if key in out or key in zeros:
             raise InputError(f"{_where(table, key)}: duplicate entry")
-        v = _scalar(enc, n, _where(table, key))
+        v = _scalar(enc, n, lambda: _where(table, key))
         if v:
             out[key] = v
         else:
@@ -317,11 +313,11 @@ def algebra_to_json(A):
         "dim": A.dim,
         "conductor": A.conductor,
         "labels": [encode_label(l) for l in A.labels],
-        "mu": sorted([i, j, k, _scalar_out(v)] for (i, j, k), v in A.mu.data.items()),
-        "unit": sorted([i, _scalar_out(v)] for i, v in A.unit.items()),
-        "delta": sorted([i, j, k, _scalar_out(v)] for (i, j, k), v in A.delta.data.items()),
-        "counit": sorted([i, _scalar_out(v)] for i, v in A.counit.items()),
-        "antipode": sorted([k, i, _scalar_out(v)] for (k, i), v in A.antipode.data.items()),
+        "mu": sorted([i, j, k, v.to_json()] for (i, j, k), v in A.mu.data.items()),
+        "unit": sorted([i, v.to_json()] for i, v in A.unit.items()),
+        "delta": sorted([i, j, k, v.to_json()] for (i, j, k), v in A.delta.data.items()),
+        "counit": sorted([i, v.to_json()] for i, v in A.counit.items()),
+        "antipode": sorted([k, i, v.to_json()] for (k, i), v in A.antipode.data.items()),
         "meta": A.meta,
     }
 
@@ -349,10 +345,10 @@ def rmatrix_to_json(A, cand):
     out = {
         "dim": A.dim,
         "conductor": A.conductor,
-        "terms": sorted([i, j, _scalar_out(v)] for (i, j), v in cand.terms.items()),
+        "terms": sorted([i, j, v.to_json()] for (i, j), v in cand.terms.items()),
     }
     if cand.rbar is not None:
-        out["rbar"] = sorted([i, j, _scalar_out(v)] for (i, j), v in cand.rbar.items())
+        out["rbar"] = sorted([i, j, v.to_json()] for (i, j), v in cand.rbar.items())
     return out
 
 
@@ -368,7 +364,7 @@ def wha_module_to_json(V, algebra_ref=""):
         "algebra": algebra_ref,
         "dim": V.dim,
         "conductor": V.algebra.conductor,
-        "action": sorted([a, r, c, _scalar_out(v)] for (a, r, c), v in V.action.data.items()),
+        "action": sorted([a, r, c, v.to_json()] for (a, r, c), v in V.action.data.items()),
     }
 
 

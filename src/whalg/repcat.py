@@ -218,11 +218,15 @@ def intertwiner_space(V, W):
     return len(basis), basis
 
 
-def modules_isomorphic(V, W, seed=0):
+_ISO_SEED = 0
+
+
+def modules_isomorphic(V, W):
     """Decide V = W by hunting for an invertible intertwiner.
 
-    Seeded random exact combinations, then a deterministic exhaustive
-    fallback for small intertwiner spaces; sound at desk scale.
+    Random exact combinations from the fixed seed `_ISO_SEED`, then a
+    deterministic exhaustive fallback for small intertwiner spaces; sound at
+    desk scale.
     """
     if V.dim != W.dim:
         return False
@@ -233,7 +237,7 @@ def modules_isomorphic(V, W, seed=0):
         if T.rank() == V.dim:
             return True
     n = V.algebra.conductor
-    rng = random.Random(seed)
+    rng = random.Random(_ISO_SEED)
     for _ in range(24):
         T = SparseMatrix(W.dim, V.dim, n)
         for B in basis:
@@ -301,11 +305,6 @@ class TripleProducts:
         self.a = _assoc_matrix(V, self.P_vw, self.P_wu, self.P_vw_u, self.P_v_wu)
 
 
-def associator(V, W, U):
-    t = TripleProducts(V, W, U)
-    return t.a, t
-
-
 def _left_unitor_on(W, prod, unit_mod):
     A = W.algebra
     ev = SparseMatrix(W.dim, unit_mod.dim * W.dim, A.conductor)
@@ -336,18 +335,18 @@ def right_unitor(V, unit_mod):
     return _right_unitor_on(V, prod, unit_mod), prod
 
 
-def pentagon_check(V, W, U, X, P_vw=None, P_wu=None, P_ux=None):
-    """Pentagon for (V, W, U, X) with every endpoint built exactly once."""
-    A = V.algebra
-    n = A.conductor
+def pentagon_check(t_vwu, X):
+    """Pentagon for (V, W, U, X) with every endpoint built exactly once.
+
+    t_vwu is the `TripleProducts` of (V, W, U); its products are reused.
+    """
+    V, W, U = t_vwu.V, t_vwu.W, t_vwu.U
+    n = V.algebra.conductor
     idm = lambda M: SparseMatrix.identity(M.dim, n)
 
-    P_vw = P_vw or tensor_product(V, W)
-    P_wu = P_wu or tensor_product(W, U)
-    P_ux = P_ux or tensor_product(U, X)
-    VW, WU, UX = P_vw.module, P_wu.module, P_ux.module
-
-    t_vwu = TripleProducts(V, W, U, P_vw, P_wu)
+    P_vw, P_wu = t_vwu.P_vw, t_vwu.P_wu
+    P_ux = tensor_product(U, X)
+    VW, UX = P_vw.module, P_ux.module
     t_wux = TripleProducts(W, U, X, P_wu, P_ux)
 
     P_vwu_x = tensor_product(t_vwu.P_vw_u.module, X)   # ((VW)U)X  [start]
@@ -372,36 +371,36 @@ def pentagon_check(V, W, U, X, P_vw=None, P_wu=None, P_ux=None):
 
 
 def coherence_check(V, W, U, unit_mod=None):
-    """Associator/unitor well-formedness, triangle, pentagon with the unit."""
+    """Associator/unitor well-formedness, triangle, pentagon with the unit.
+
+    Each tensor product is built once and handed on to the triangle and
+    the pentagon.
+    """
     A = V.algebra
     rep = Report(f"({V.name}, {W.name}, {U.name})", "coherence")
     unit_mod = unit_mod if unit_mod is not None else tensor_unit(A)
 
-    a, t = associator(V, W, U)
+    t = TripleProducts(V, W, U)
+    a = t.a
     ok = a.rank() == t.P_vw_u.module.dim == t.P_v_wu.module.dim
     rep.add("associator-invertible", ok, None if ok else "associator not full rank")
     rep.add("associator-module-map", is_module_map(a, t.P_vw_u.module, t.P_v_wu.module))
 
-    l_mat, l_prod = left_unitor(W, unit_mod)
-    ok = l_mat.rank() == W.dim and is_module_map(l_mat, l_prod.module, W)
+    l_w, P_1w = left_unitor(W, unit_mod)
+    ok = l_w.rank() == W.dim and is_module_map(l_w, P_1w.module, W)
     rep.add("left-unitor-iso-module-map", ok)
-    r_mat, r_prod = right_unitor(V, unit_mod)
-    ok = r_mat.rank() == V.dim and is_module_map(r_mat, r_prod.module, V)
+    r_v, P_v1 = right_unitor(V, unit_mod)
+    ok = r_v.rank() == V.dim and is_module_map(r_v, P_v1.module, V)
     rep.add("right-unitor-iso-module-map", ok)
 
     # triangle: (id_V . l_W) a_{V,1,W} = r_V . id_W as maps (V.1).W -> V.W
-    P_v1 = tensor_product(V, unit_mod)
-    P_1w = tensor_product(unit_mod, W)
     t1 = TripleProducts(V, unit_mod, W, P_v1, P_1w)
-    P_vw = tensor_product(V, W)
-    l_w = _left_unitor_on(W, P_1w, unit_mod)
-    r_v = _right_unitor_on(V, P_v1, unit_mod)
-    lhs = tensor_morphism(t1.P_v_wu, P_vw, SparseMatrix.identity(V.dim, A.conductor), l_w).matmul(t1.a)
-    rhs = tensor_morphism(t1.P_vw_u, P_vw, r_v, SparseMatrix.identity(W.dim, A.conductor))
+    lhs = tensor_morphism(t1.P_v_wu, t.P_vw, SparseMatrix.identity(V.dim, A.conductor), l_w).matmul(t1.a)
+    rhs = tensor_morphism(t1.P_vw_u, t.P_vw, r_v, SparseMatrix.identity(W.dim, A.conductor))
     ok = lhs == rhs
     rep.add("triangle", ok, None if ok else "triangle identity fails")
 
-    ok, detail = pentagon_check(V, W, U, unit_mod)
+    ok, detail = pentagon_check(t, unit_mod)
     rep.add("pentagon-with-unit", ok, detail)
     return rep
 

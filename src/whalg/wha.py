@@ -14,7 +14,7 @@ tuples (sufficient by multilinearity) by streaming sparse contractions that
 enumerate exactly the tuples on which either side can be nonzero, so the
 sweeps are equivalent to the dense loops while staying feasible at dim 1296.
 
-Two law kernels serve every caller of their law shape:
+Three law kernels serve every caller of their law shape:
 
 - `_hom_range`, the homomorphism kernel: the least basis pair on which a
   linear map given by its basis images fails to be an algebra
@@ -24,12 +24,20 @@ Two law kernels serve every caller of their law shape:
   triple on which f(g(x, y), z) != h(x, k(y, z)) for four sparse bilinear
   tables indexed by `_bilinear_index`.  It runs mu-associativity, the tube
   bimodule and compose-tower laws and the module action law.
+- `_convolution`, the convolution kernel: x -> f(x_(1)) g(x_(2)) for two
+  linear maps f, g of A, each given by its columns or the identity.  Axiom 4
+  is three convolution identities (Boehm-Nill-Szlachanyi 1999):
+  id * S = eps_t, S * id = eps_s and (S * id) * S = S.
+
+The counital maps eps_t, eps_s and eps'_s are cached on the algebra by
+columns, each built in one pass over Delta(1); `eps_lr`, `eps_rr` and
+`base_algebras` read them.
 
 Every law sweep runs on scalar ids (`_ScalarIds`): inside one call every
 scalar is a small-int id, 0 for zero, with memoized products and sums, so
-the sweeps hash ints, not cyclotomic values.  These are the two kernels
-above, Axioms 1 and 2 (`_axiom1_range`, `_counit_weak_mult_range`), the
-three Axiom 4 identities and the intertwining law R Delta(x) = Delta^cop(x) R
+the sweeps hash ints, not cyclotomic values.  These are the three kernels
+above, Axioms 1 and 2 (`_axiom1_range`, `_counit_weak_mult_range`) and
+the intertwining law R Delta(x) = Delta^cop(x) R
 (`_intertwining_failure`).  The id tables are locals of the call, so a
 forked sweep gives each worker one range.  The Yang-Baxter identity and the
 weak-inverse laws stay on `mul_tensor`: each is a few products of whole
@@ -267,6 +275,23 @@ class WeakHopfAlgebra(PlainAlgebra):
         """t -> {z: eps(t z)}."""
         return _eps_contraction(self, left=False)
 
+    # -- the counital maps, by columns x -> {k: coeff} (built once) ----------
+
+    @functools.cached_property
+    def eps_t(self):
+        """x -> eps_t(x) = eps(1_(1) x) 1_(2)."""
+        return _counital_map(self, self.eps_right, self.delta_of_unit())
+
+    @functools.cached_property
+    def eps_s(self):
+        """x -> eps_s(x) = 1_(1) eps(x 1_(2))."""
+        return _counital_map(self, self.eps_left, _cop(self.delta_of_unit()))
+
+    @functools.cached_property
+    def eps_s_prime(self):
+        """x -> eps'_s(x) = 1_(1) eps(1_(2) x)."""
+        return _counital_map(self, self.eps_right, _cop(self.delta_of_unit()))
+
     # -- coalgebra and antipode arithmetic ------------------------------------
 
     def coproduct(self, u):
@@ -299,24 +324,12 @@ class WeakHopfAlgebra(PlainAlgebra):
         return _push(self.antipode_cols, u)
 
     def eps_lr(self, u):
-        """epsilon^lr(u) = eps(1_(1) u) 1_(2)."""
-        eps_u = _push(self.eps_left, u)  # x -> eps(x u)
-        out = {}
-        for (p, q), c in self.delta_of_unit().items():
-            val = eps_u.get(p)
-            if val:
-                _acc(out, q, c * val)
-        return out
+        """epsilon^lr(u) = eps(1_(1) u) 1_(2), the image of u under eps_t."""
+        return _push(self.eps_t, u)
 
     def eps_rr(self, u):
-        """epsilon^rr(u) = 1_(1) eps(1_(2) u)."""
-        eps_u = _push(self.eps_left, u)  # x -> eps(x u)
-        out = {}
-        for (p, q), c in self.delta_of_unit().items():
-            val = eps_u.get(q)
-            if val:
-                _acc(out, p, c * val)
-        return out
+        """epsilon^rr(u) = 1_(1) eps(1_(2) u), the image of u under eps'_s."""
+        return _push(self.eps_s_prime, u)
 
     def __repr__(self):
         return f"WeakHopfAlgebra({self.name}, dim={self.dim}, conductor={self.conductor})"
@@ -439,8 +452,8 @@ class _ScalarIds:
     read the memoized products and sums inline (`products[a].get(b)`) and
     call `mul` or `add_into` only on a miss or a repeated key.  The product
     of two nonzero ids is never zero; a sum that cancels is removed.  The
-    `*rows` converters turn a law table into rows of ids and drop its stored
-    zeros: a zero term changes no sum.  The ids live as long as the call;
+    `*rows` and `columns` converters turn a law table into rows of ids and
+    drop its stored zeros: a zero term changes no sum.  The ids live as long as the call;
     nothing is cached on an algebra.
     """
 
@@ -518,6 +531,12 @@ class _ScalarIds:
         """An index s -> {x: c} as s -> [(x, id)]."""
         table_id = self.table_id
         return {s: [(x, i) for x, c in vec.items() if (i := table_id(c))]
+                for s, vec in index.items()}
+
+    def columns(self, index):
+        """An index s -> {x: c} as s -> {x: id}."""
+        table_id = self.table_id
+        return {s: {x: i for x, c in vec.items() if (i := table_id(c))}
                 for s, vec in index.items()}
 
     def triple_rows(self, index):
@@ -746,18 +765,30 @@ def _eps_contraction(A, left):
     return out
 
 
+def _counital_map(A, eps_table, d1):
+    """x -> sum of c eps_table[a][x] b over the terms c a (x) b of d1, by columns.
+
+    eps_table is `eps_left` or `eps_right` and d1 is Delta(1) or its flip,
+    so one pass over d1 builds a whole counital map.
+    """
+    out = {x: {} for x in range(A.dim)}
+    for (a, b), c in d1.items():
+        for x, e in eps_table[a].items():
+            _acc(out[x], b, c * e)
+    return out
+
+
 _PARALLEL = {}
 
 # The cached indexes of A that each range kernel reads.  A forked `_sweep`
 # builds them before it forks: built inside the workers, they would be lost
 # with them and built again by every later forked sweep.
-_AXIOM4_INDEXES = ("mu_index", "delta_terms", "antipode_cols", "eps_left", "_delta_unit")
 _KERNEL_INDEXES = {
     "_assoc_range": ("mu_index",),
     "_axiom1_range": ("mu_index", "delta_terms", "delta_left_inv"),
     "_counit_weak_mult_range": ("mu_index", "delta_terms", "eps_left", "eps_right"),
-    "_axiom4_eq1_range": _AXIOM4_INDEXES,
-    "_axiom4_eq2_range": _AXIOM4_INDEXES,
+    "_axiom4_eq1_range": ("mu_index", "delta_terms", "antipode_cols", "eps_t"),
+    "_axiom4_eq2_range": ("mu_index", "delta_terms", "antipode_cols", "eps_s"),
     "_axiom4_eq3_range": ("mu_index", "delta_terms", "antipode_cols"),
     "_antihom_range": ("mu_index", "antipode_cols"),
 }
@@ -843,19 +874,25 @@ def _in_dual(detail):
 # ---------------------------------------------------------------------------
 
 
-def _antipode_products(ids, A, dt, s_cols, s_first):
-    """x -> S(x_(1)) x_(2) (s_first) or x_(1) S(x_(2)), as {k: id}, memoized.
+def _convolution(ids, A, dt, left, right):
+    """The convolution x -> left(x_(1)) right(x_(2)) of two linear maps of A.
 
-    dt and s_cols are Delta's terms and S's columns in the ids of `ids`.
-    The mu entries met are read straight from mu's pairs index and take
-    their ids as they come (a stored zero gets id 0 and is skipped), so mu
-    is never converted as a whole.
+    Returns a memoized function x -> {k: id} in the scalar ids of `ids`.  dt
+    is Delta's terms in those ids; `left` and `right` each give a map's image
+    of e_x as {k: id}, or are None for the identity.  The mu entries met are
+    read straight from mu's pairs index and take their ids as they come (a
+    stored zero gets id 0 and is skipped), so mu is never converted as a
+    whole.
     """
     products = ids.products
     mul = ids.mul
     add_into = ids.add_into
     table_id = ids.table_id
     mp = A.mu_pairs
+    one = ids.scalar_id(A.one_scalar())
+    identity = lambda x: {x: one}
+    left = left or identity
+    right = right or identity
     memo = {}
 
     def value(x):
@@ -865,154 +902,72 @@ def _antipode_products(ids, A, dt, s_cols, s_first):
         out = memo[x] = {}
         for s, t, c0 in dt.get(x, ()):
             p0 = products[c0]
-            for l, c1 in s_cols.get(s if s_first else t, ()):
-                terms = mp.get((l, t) if s_first else (s, l))
-                if terms is None:
-                    continue
+            rights = right(t).items()
+            for l, c1 in left(s).items():
                 c01 = p0.get(c1)
                 if c01 is None:
                     c01 = mul(c0, c1)
-                prod = products[c01]
-                for k, cm in terms:
-                    c2 = table_id(cm)
-                    if not c2:
+                p01 = products[c01]
+                for r, c2 in rights:
+                    terms = mp.get((l, r))
+                    if terms is None:
                         continue
-                    c = prod.get(c2)
-                    if c is None:
-                        c = mul(c01, c2)
-                    if k in out:
-                        add_into(out, k, c)
-                    else:
-                        out[k] = c
+                    c012 = p01.get(c2)
+                    if c012 is None:
+                        c012 = mul(c01, c2)
+                    prod = products[c012]
+                    for k, cm in terms:
+                        c3 = table_id(cm)
+                        if not c3:
+                            continue
+                        c = prod.get(c3)
+                        if c is None:
+                            c = mul(c012, c3)
+                        if k in out:
+                            add_into(out, k, c)
+                        else:
+                            out[k] = c
         return out
 
     return value
 
 
-def _axiom4_eq1_range(A, lo, hi):
-    """First x in [lo, hi) with x_(1) S(x_(2)) != eps^lr(x), on scalar ids.
-
-    The right side is the sum of eps(p x) q over the terms p (x) q of
-    Delta(1).
-    """
+def _axiom4_tables(A):
+    """A fresh `_ScalarIds` with Delta's terms and S's columns in its ids."""
     ids = _ScalarIds()
-    products = ids.products
-    mul = ids.mul
-    add_into = ids.add_into
-    lhs_of = _antipode_products(ids, A, ids.triple_rows(A.delta_terms),
-                                ids.vector_rows(A.antipode_cols), False)
-    eps_l = ids.vector_rows(A.eps_left)  # x -> [(p, eps(p x))]
-    d1 = {}  # p -> [(q, id)] over the terms p (x) q of Delta(1)
-    for (p, q), c in A.delta_of_unit().items():
-        if (i := ids.table_id(c)):
-            d1.setdefault(p, []).append((q, i))
-    for x in range(lo, hi):
-        rhs = {}
-        for p, e in eps_l.get(x, ()):
-            prod = products[e]
-            for q, c1 in d1.get(p, ()):
-                c = prod.get(c1)
-                if c is None:
-                    c = mul(e, c1)
-                if q in rhs:
-                    add_into(rhs, q, c)
-                else:
-                    rhs[q] = c
-        if lhs_of(x) != rhs:
-            return f"x_(1) S(x_(2)) != eps^lr(x) at {A.label_str(x)}"
-    return None
+    return ids, ids.triple_rows(A.delta_terms), ids.columns(A.antipode_cols)
+
+
+def _first_unequal(lhs_of, rhs, lo, hi):
+    """Least x in [lo, hi) with lhs_of(x) != rhs[x], or None."""
+    return next((x for x in range(lo, hi) if lhs_of(x) != rhs[x]), None)
+
+
+def _axiom4_eq1_range(A, lo, hi):
+    """First x in [lo, hi) with x_(1) S(x_(2)) != eps_t(x): id * S against eps_t."""
+    ids, dt, S = _axiom4_tables(A)
+    x = _first_unequal(_convolution(ids, A, dt, None, S.__getitem__), ids.columns(A.eps_t), lo, hi)
+    return None if x is None else f"x_(1) S(x_(2)) != eps^lr(x) at {A.label_str(x)}"
 
 
 def _axiom4_eq2_range(A, lo, hi):
-    """First x in [lo, hi) with S(x_(1)) x_(2) != 1_(1) eps(x 1_(2)), on scalar ids.
-
-    The right side reads eps(x q) from eps_left for each term p (x) q of
-    Delta(1).
-    """
-    ids = _ScalarIds()
-    products = ids.products
-    mul = ids.mul
-    add_into = ids.add_into
-    table_id = ids.table_id
-    lhs_of = _antipode_products(ids, A, ids.triple_rows(A.delta_terms),
-                                ids.vector_rows(A.antipode_cols), True)
-    d1 = [(p, q, i) for (p, q), c in A.delta_of_unit().items() if (i := table_id(c))]
-    eps_at = {q: {x: i for x, c in A.eps_left[q].items() if (i := table_id(c))}
-              for _p, q, _c in d1}  # q -> {x: eps(x q)}
-    for x in range(lo, hi):
-        rhs = {}
-        for p, q, c1 in d1:
-            e = eps_at[q].get(x)
-            if e is None:
-                continue
-            c = products[c1].get(e)
-            if c is None:
-                c = mul(c1, e)
-            if p in rhs:
-                add_into(rhs, p, c)
-            else:
-                rhs[p] = c
-        if lhs_of(x) != rhs:
-            return f"S(x_(1)) x_(2) != 1_(1) eps(x 1_(2)) at {A.label_str(x)}"
-    return None
+    """First x in [lo, hi) with S(x_(1)) x_(2) != eps_s(x): S * id against eps_s."""
+    ids, dt, S = _axiom4_tables(A)
+    x = _first_unequal(_convolution(ids, A, dt, S.__getitem__, None), ids.columns(A.eps_s), lo, hi)
+    return None if x is None else f"S(x_(1)) x_(2) != 1_(1) eps(x 1_(2)) at {A.label_str(x)}"
 
 
 def _axiom4_eq3_range(A, lo, hi):
-    """First x in [lo, hi) with S(x_(1)) x_(2) S(x_(3)) != S(x), on scalar ids.
+    """First x in [lo, hi) with S(x_(1)) x_(2) S(x_(3)) != S(x): (S * id) * S against S.
 
     With x_(1) (x) x_(2) (x) x_(3) = (Delta (x) id) Delta(x), as in
-    `coproduct2`, the left side sums S(j_(1)) j_(2) S(e_u) over the terms
-    j (x) u of Delta(x): each S(j_(1)) j_(2) is computed once per call, its
-    terms e_m are gathered keyed (m, u), and each gathered e_m then meets
-    the column S(e_u).
+    `coproduct2`, the left side is the convolution of S * id, each value
+    computed once per call, with S.
     """
-    ids = _ScalarIds()
-    products = ids.products
-    mul = ids.mul
-    add_into = ids.add_into
-    table_id = ids.table_id
-    mp = A.mu_pairs
-    dt = ids.triple_rows(A.delta_terms)
-    s_cols = ids.vector_rows(A.antipode_cols)
-    left_of = _antipode_products(ids, A, dt, s_cols, True)
-    for x in range(lo, hi):
-        mid = {}
-        for j, u, c0 in dt.get(x, ()):
-            prod = products[c0]
-            for m, c1 in left_of(j).items():
-                c = prod.get(c1)
-                if c is None:
-                    c = mul(c0, c1)
-                key = (m, u)
-                if key in mid:
-                    add_into(mid, key, c)
-                else:
-                    mid[key] = c
-        lhs = {}
-        for (m, u), c0 in mid.items():
-            p0 = products[c0]
-            for v, c1 in s_cols.get(u, ()):
-                terms = mp.get((m, v))
-                if terms is None:
-                    continue
-                c01 = p0.get(c1)
-                if c01 is None:
-                    c01 = mul(c0, c1)
-                prod = products[c01]
-                for k, cm in terms:
-                    c2 = table_id(cm)
-                    if not c2:
-                        continue
-                    c = prod.get(c2)
-                    if c is None:
-                        c = mul(c01, c2)
-                    if k in lhs:
-                        add_into(lhs, k, c)
-                    else:
-                        lhs[k] = c
-        if lhs != dict(s_cols.get(x, ())):
-            return f"S(x_(1)) x_(2) S(x_(3)) != S(x) at {A.label_str(x)}"
-    return None
+    ids, dt, S = _axiom4_tables(A)
+    s_id = _convolution(ids, A, dt, S.__getitem__, None)
+    x = _first_unequal(_convolution(ids, A, dt, s_id, S.__getitem__), S, lo, hi)
+    return None if x is None else f"S(x_(1)) x_(2) S(x_(3)) != S(x) at {A.label_str(x)}"
 
 
 def _hom_range(phi, A, B, lo, hi, anti=False):
@@ -1148,20 +1103,16 @@ class BaseAlgebraReport:
         return len(self.basis_r)
 
 
-def _projection_matrix(A, which):
-    m = SparseMatrix(A.dim, A.dim, A.conductor)
-    for x in range(A.dim):
-        img = A.eps_lr(A.basis_elem(x)) if which == "lr" else A.eps_rr(A.basis_elem(x))
-        for i, v in img.items():
-            m.add_to(i, x, v)
-    return m
+def _projection_matrix(A, cols):
+    data = {(i, x): v for x, col in cols.items() for i, v in col.items()}
+    return SparseMatrix(A.dim, A.dim, A.conductor, data)
 
 
 def base_algebras(A):
     """Base counital subalgebras, their interplay, and the idempotent p."""
     rep = Report(A.name, "base-algebras")
-    E_lr = _projection_matrix(A, "lr")
-    E_rr = _projection_matrix(A, "rr")
+    E_lr = _projection_matrix(A, A.eps_t)
+    E_rr = _projection_matrix(A, A.eps_s_prime)
 
     rep.add("eps-lr-idempotent", E_lr.matmul(E_lr) == E_lr)
     rep.add("eps-rr-idempotent", E_rr.matmul(E_rr) == E_rr)

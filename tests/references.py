@@ -14,6 +14,13 @@ moved onto scalar ids; their verdicts and details are compared.
 `double_antipode_solved` and `weak_inverse_solved` are the exact linear
 solves that the closed forms replaced: the Drinfeld double's antipode from
 Axiom 4, and a weak inverse of R over all d^2 unknowns.
+`cyclotomic_inverse_solved` is the dense rational solve that the product of
+Galois conjugates replaced in `Cyclotomic.inverse`.
+
+`eps_t_per_element`, `eps_s_per_element` and `eps_s_prime_per_element`
+evaluate the counital maps on one element at a time, one pass over Delta(1)
+each, as the algebra's methods did before the maps were built once by
+columns.
 
 `b_g_omega_closed` and `a_g_omega_closed` write the structure constants of
 B(G, omega) and A(G, omega) straight from the paper's closed formulas; the
@@ -22,8 +29,9 @@ entrywise.
 """
 
 import itertools
+from fractions import Fraction
 
-from whalg.exactmath import Cyclotomic, SparseMatrix, SparseTensor3
+from whalg.exactmath import _FIELDS, Cyclotomic, SparseMatrix, SparseTensor3
 from whalg.wha import RMatrixCandidate, WeakHopfAlgebra, _acc, _push
 
 
@@ -238,7 +246,7 @@ def axiom4_eq1_loop(A):
             st = A.mul({s: c}, A.apply_antipode({t: A.one_scalar()}))
             for k, v in st.items():
                 _acc(lhs, k, v)
-        if lhs != A.eps_lr(A.basis_elem(x)):
+        if lhs != eps_t_per_element(A, A.basis_elem(x)):
             return f"x_(1) S(x_(2)) != eps^lr(x) at {A.label_str(x)}"
     return None
 
@@ -306,7 +314,7 @@ def double_antipode_solved(D):
 
     # eq1: sum_{(s,t)} mu(s, S(t)) = eps^lr(x)
     for x in range(d):
-        target = D.eps_lr(D.basis_elem(x))
+        target = eps_t_per_element(D, D.basis_elem(x))
         for s, t, c in D.delta_terms[x]:
             for l in D.right_companions.get(s, ()):
                 for k, cm in D.mu_pairs[(s, l)]:
@@ -492,3 +500,57 @@ def a_g_omega_closed(G, omega):
         j = index[("e", a, e_id, z, mul(z, b))]
         terms[(i, j)] = omega(a, z, b).inverse()
     return A, RMatrixCandidate(terms)
+
+
+def cyclotomic_inverse_solved(x):
+    """1/x for an irrational x, from the dense rational system x y = 1 in the
+    power-basis coordinates y of 1/x, by Gauss-Jordan elimination."""
+    n = x.n
+    f = _FIELDS[n]
+    deg = f.degree
+    num = Cyclotomic(n, x.v, 1)
+    cols = [(num * Cyclotomic(n, f.powtab[j], 1)).v for j in range(deg)]
+    m = [[Fraction(cols[j][i]) for j in range(deg)] + [Fraction(int(i == 0))] for i in range(deg)]
+    for col in range(deg):
+        r = next(i for i in range(col, deg) if m[i][col])
+        m[col], m[r] = m[r], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for i in range(deg):
+            c = m[i][col]
+            if i != col and c:
+                m[i] = [a - c * b for a, b in zip(m[i], m[col])]
+    # 1/(num/d) = d y
+    return Cyclotomic.from_pairs(n, ((j, m[j][deg] * x.d) for j in range(deg)))
+
+
+def eps_t_per_element(A, u):
+    """eps_t(u) = eps(1_(1) u) 1_(2)."""
+    eps_u = _push(A.eps_left, u)  # x -> eps(x u)
+    out = {}
+    for (p, q), c in A.delta_of_unit().items():
+        val = eps_u.get(p)
+        if val:
+            _acc(out, q, c * val)
+    return out
+
+
+def eps_s_per_element(A, u):
+    """eps_s(u) = 1_(1) eps(u 1_(2))."""
+    out = {}
+    for (p, q), c in A.delta_of_unit().items():
+        val = sum((cu * e for x, cu in u.items() if (e := A.eps_left[q].get(x))),
+                  A.zero_scalar())  # eps(u q)
+        if val:
+            _acc(out, p, c * val)
+    return out
+
+
+def eps_s_prime_per_element(A, u):
+    """eps'_s(u) = 1_(1) eps(1_(2) u)."""
+    eps_u = _push(A.eps_left, u)  # x -> eps(x u)
+    out = {}
+    for (p, q), c in A.delta_of_unit().items():
+        val = eps_u.get(q)
+        if val:
+            _acc(out, p, c * val)
+    return out

@@ -9,10 +9,10 @@ import pytest
 
 from whalg import jsonio
 from whalg.builders import build_a_g_omega, build_a_m_c, build_b_g_omega
-from whalg.cli import main
+from whalg.cli import main, make_parser
 from whalg.groups import cyclic_group, standard_cocycle, symmetric_group_3, trivial_cocycle
 from whalg.repcat import k_module
-from whalg.skeleton import boxtimes_rev_skeleton, pointed_skeleton, right_regular_module
+from whalg.skeleton import boxtimes_rev_skeleton, pointed_skeleton, regular_module, right_regular_module
 from whalg.wha import compare_structure
 
 
@@ -199,6 +199,54 @@ def test_build_a_m_c_from_files(tmp_path, capsys):
     assert run("build", "a-m-c", "--skeleton", str(sk), "--module", str(mod), "-o", str(out)) == 0
     assert "dim 16" in capsys.readouterr().out
     assert run("verify", str(out), "--suite", "all") == 0
+
+
+def _vec_z3_files(tmp_path, negate):
+    """Skeleton and regular-module files of Vec_Z3 (cocycle p=1), with the
+    F(1,1,1) entry (negate="F") or the L(0,0,0) entry (negate="L") negated."""
+    w = standard_cocycle(3, 1)
+    C = pointed_skeleton(w.group, w)
+    M = regular_module(C)
+    if negate == "F":
+        C.F[(1, 1, 1, 0)] = -C.F[(1, 1, 1, 0)]
+    elif negate == "L":
+        M.L[(0, 0, 0)] = -M.L[(0, 0, 0)]
+    sk, mod = str(tmp_path / "s.json"), str(tmp_path / "m.json")
+    jsonio.write_json(sk, jsonio.skeleton_to_json(C))
+    jsonio.write_json(mod, jsonio.module_to_json(M))
+    return sk, mod
+
+
+@pytest.mark.parametrize("negate,message", [
+    (None, None),
+    ("F", "skeleton file: pentagon fails at (1,1,1,2)"),
+    ("L", "skeletal module file: module pentagon fails at (0,0,1;2)"),
+], ids=["coherent", "F-negated", "L-negated"])
+def test_incoherent_category_files_exit_2_naming_the_instance(tmp_path, negate, message):
+    # the pentagon of the skeleton, and the module pentagon, are checked when
+    # the files are loaded, before anything is built from them
+    sk, mod = _vec_z3_files(tmp_path, negate)
+    builds = [("build", "a-m-c", "--skeleton", sk, "--module", mod)]
+    if negate != "L":
+        builds.append(("tube", "build", "--skeleton", sk))
+    for argv in builds:
+        proc = run_process(*argv)
+        if message is None:
+            assert proc.returncode == 0, proc.stderr
+            continue
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr.strip().splitlines() == [f"error: {message}"]
+
+
+def test_seed_is_not_an_option(capsys):
+    # the isomorphism search always runs from the same fixed seed
+    argv = ["rep", "iso", "--algebra", "a.json", "--left", "regular", "--right", "regular"]
+    assert make_parser().parse_args(argv).action == "iso"
+    with pytest.raises(SystemExit) as exc:
+        run("--seed", "1", *argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: whalg")
 
 
 def test_obstruction_cli(tmp_path, capsys):

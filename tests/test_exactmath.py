@@ -12,6 +12,8 @@ from whalg.exactmath import (
     root_of_unity,
 )
 
+from references import cyclotomic_inverse_solved
+
 
 def C(n, *pairs):
     return Cyclotomic.from_pairs(n, pairs)
@@ -40,6 +42,23 @@ def test_vanishing_root_of_unity_sum():
     s = C(5, (0, 1), (1, 1), (2, 1), (3, 1), (4, 1))
     assert (s * root_of_unity(5)).is_zero()
     assert s.is_zero()  # 1 + z + z^2 + z^3 + z^4 = Phi_5(z) = 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 20, 24])
+def test_inverse_matches_the_dense_linear_solve(n):
+    # the product of the Galois conjugates over the norm is the inverse that
+    # the power-basis linear system x y = 1 determines
+    rnd = random.Random(n)
+    checked = 0
+    while checked < 30:
+        terms = [(rnd.randrange(n), Fraction(rnd.randint(-5, 5), rnd.choice([1, 2, 3, 7])))
+                 for _ in range(rnd.randint(1, 5))]
+        x = Cyclotomic.from_pairs(n, terms)
+        if x.is_rational():
+            continue
+        inv = cyclotomic_inverse_solved(x)
+        assert x.inverse() == inv and (x * inv).is_one()
+        checked += 1
 
 
 def test_inverse_examples():

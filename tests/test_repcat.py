@@ -161,6 +161,27 @@ def test_coherence_k_modules():
     assert rep.ok, rep.render()
 
 
+def test_coherence_check_builds_each_tensor_product_once(monkeypatch):
+    # on three distinct K-modules and the unit 1, the associator, unitors,
+    # triangle and pentagon need 16 distinct products; each is built once
+    import whalg.repcat as repcat
+
+    g, w, B = setup_b(3, 1)
+    V, W, U = (k_module(B, g, w, x) for x in range(3))
+    unit = tensor_unit(B)
+    built = []
+
+    def counted(X, Y):
+        prod = tensor_product(X, Y)
+        built.append(prod.module.name)
+        return prod
+
+    monkeypatch.setattr(repcat, "tensor_product", counted)
+    rep = coherence_check(V, W, U, unit)
+    assert rep.ok, rep.render()
+    assert len(built) == 16 and len(set(built)) == 16, sorted(built)
+
+
 def test_coherence_regular_a():
     _, _, A, _ = setup_a(2)
     V = regular_module(A)

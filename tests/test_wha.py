@@ -10,9 +10,11 @@ from whalg.builders import (
     build_a_g_omega,
     build_b_g_omega,
     build_frobenius_double,
+    build_groupoid_algebra,
+    indiscrete_groupoid,
     standard_frobenius,
 )
-from whalg.double import build_pairing
+from whalg.double import build_drinfeld_double, build_pairing
 from whalg.groups import cyclic_group, standard_cocycle, trivial_cocycle
 from whalg.skeleton import pointed_skeleton
 from whalg.tube import TubeFamily, WordCalc, _transport_scalar, build_tube_prime, chi_iso
@@ -52,6 +54,9 @@ from references import (
     coassociativity_loop,
     counit_law_loop,
     delta_s_fails,
+    eps_s_per_element,
+    eps_s_prime_per_element,
+    eps_t_per_element,
     hom_range_loop,
     intertwining_loop,
     weak_inverse_solved,
@@ -291,6 +296,30 @@ def test_base_algebras_matrix_double_eps_lr():
             for m in range(2):
                 expected[A.label_index[("t", k, idx(m, m))]] = c
         assert img == {k: v for k, v in expected.items() if v}
+
+
+def _counital_map_cases():
+    w = standard_cocycle(2, 1)
+    yield a_z2(p=1)[0]
+    yield build_b_g_omega(cyclic_group(3), standard_cocycle(3, 1))
+    yield build_drinfeld_double(build_pairing(pointed_skeleton(w.group, w))).algebra
+    yield build_groupoid_algebra(indiscrete_groupoid(2))
+    yield build_frobenius_double(standard_frobenius("matrix", 2))
+
+
+def test_counital_maps_match_per_element_formulas():
+    # eps_t, eps_s and eps'_s are built once by columns from Delta(1); each
+    # column must equal the map evaluated on that basis element alone
+    for A in _counital_map_cases():
+        nonzero = 0
+        for x in range(A.dim):
+            ex = A.basis_elem(x)
+            assert A.eps_t[x] == eps_t_per_element(A, ex), (A.name, x)
+            assert A.eps_s[x] == eps_s_per_element(A, ex), (A.name, x)
+            assert A.eps_s_prime[x] == eps_s_prime_per_element(A, ex), (A.name, x)
+            nonzero += bool(A.eps_t[x]) and bool(A.eps_s[x]) and bool(A.eps_s_prime[x])
+        assert nonzero, A.name
+        assert set(A.eps_t) == set(A.eps_s) == set(A.eps_s_prime) == set(range(A.dim))
 
 
 def test_center_dims():
@@ -922,7 +951,7 @@ def test_suites_leave_only_the_shared_indexes_on_the_algebra():
     structure = {"labels", "dim", "conductor", "mu", "unit", "name", "label_index",
                  "delta", "counit", "antipode", "meta"}
     indexes = {"mu_index", "delta_terms", "delta_left_inv", "antipode_cols", "_delta_unit",
-               "eps_left", "eps_right"}
+               "eps_left", "eps_right", "eps_t", "eps_s"}
     for A, threads in ((a_z2(p=1)[0], 1), (build_b_g_omega(cyclic_group(4), standard_cocycle(4, 1)), 2)):
         assert verify_weak_bialgebra(A, threads=threads).ok
         assert verify_antipode(A, threads=threads).ok

@@ -117,7 +117,7 @@ def build_pairing(C, B=None, A=None):
 
     # <b, a_(1)> <b', a_(2)> = <b b', a>: the rows multiply
     detail = None
-    bad = _hom_range(rows, B, dualA, 0, B.dim)
+    bad = _hom_range(rows, B, dualA, range(B.dim))
     if bad is not None:
         i1, i2 = bad
         j = _first_diff(_push(rows, B.mul(B.basis_elem(i1), B.basis_elem(i2))),
@@ -130,7 +130,7 @@ def build_pairing(C, B=None, A=None):
 
     # <b_(1), a> <b_(2), a'> = <b, a' a>: the columns anti-multiply
     detail = None
-    bad = _hom_range(cols, A, dualB, 0, A.dim, anti=True)
+    bad = _hom_range(cols, A, dualB, range(A.dim), anti=True)
     if bad is not None:
         j2, j1 = bad  # (a', a)
         i = _first_diff(_push(cols, A.mul(A.basis_elem(j2), A.basis_elem(j1))),
@@ -416,7 +416,7 @@ def sharp_iso(C, double=None, pairing=None):
     ok = push_quot(D.one()) == Abox.one()
     rep.add("sharp-unital", ok, None if ok else "sharp(1) != unit")
 
-    bad = _hom_range(images, D, Abox, 0, D.dim)
+    bad = _hom_range(images, D, Abox, range(D.dim))
     detail = None if bad is None else f"sharp(uv) != sharp(u)sharp(v) at ({bad[0]}, {bad[1]})"
     rep.add("sharp-multiplicative", detail is None, detail)
 

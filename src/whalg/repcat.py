@@ -56,7 +56,7 @@ def validate_module(A, V):
     rep.add("unit-acts-as-identity", ok, None if ok else "eta(1) does not act as id")
 
     act = _bilinear_index({(a, c, r): v for (a, r, c), v in V.action.data.items()})
-    bad = _mixed_assoc_range(act, A.mu_index, act, act, 0, A.dim)
+    bad = _mixed_assoc_range(act, A.mu_index, act, act, range(A.dim))
     detail = None
     if bad is not None:
         i, j, _v = bad

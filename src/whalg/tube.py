@@ -172,7 +172,7 @@ class Bimodule:
         rep.add("unit-laws", detail is None, detail)
 
         # (a m) b = a (m b), least (a, m, b) first
-        bad = _mixed_assoc_range(right, left, left, right, 0, self.left_alg.dim)
+        bad = _mixed_assoc_range(right, left, left, right, range(self.left_alg.dim))
         detail = None
         if bad is not None:
             a, m, b = bad
@@ -363,7 +363,7 @@ def tube_generalized_associativity(C, instances=((1, 1, 1, 1),), dd=None):
         c_mkl = fam.compose_map(m, k, l)[0]
         # (h.g).f = h.(g.f) for h, g, f in Tube^(k,l), Tube^(n,k), Tube^(m,n)
         tables = [_bilinear_index(_compose_terms(c)) for c in (c_mnl, c_nkl, c_mkl, c_mnk)]
-        bad = _mixed_assoc_range(*tables, 0, len(b_kl))
+        bad = _mixed_assoc_range(*tables, range(len(b_kl)))
         if bad is not None:
             hi, gi, fi = bad
             detail = f"tower associativity fails at {(m, n, k, l)}: {b_kl[hi]}, {b_nk[gi]}, {b_mn[fi]}"
@@ -495,7 +495,7 @@ def chi_iso(C, A=None, dd=None):
     ok = _push(phi, A.one()) == Tp2.one()
     rep.add("chi-unital", ok, None if ok else "chi(1) != 1")
 
-    bad = _hom_range(phi, A, Tp2, 0, A.dim)
+    bad = _hom_range(phi, A, Tp2, range(A.dim))
     detail = None
     if bad is not None:
         i, j = bad
@@ -535,7 +535,7 @@ def tube_vs_tube_prime(C, t_coeffs, dd=None):
         s = t_coeffs[w] * _transport_scalar(wc, w, xv[0])
         phi[i] = {T.label_index[(w, xv, yv)]: s}
 
-    bad = _hom_range(phi, Tp, T, 0, Tp.dim)
+    bad = _hom_range(phi, Tp, T, range(Tp.dim))
     detail = None
     if bad is not None:
         i, j = bad

@@ -3,13 +3,18 @@ quasi-triangular suites.
 
 The `*_dense` loops visit every basis tuple through the element product
 alone, in the order the sparse kernels sweep, so they must return the same
-first-counterexample detail.  The coalgebra loops (`counit_law_loop`,
+first-counterexample detail; `unit_law_loop` is the unit law as two
+element products per basis element.  The coalgebra loops (`counit_law_loop`,
 `coassociativity_loop`, `axiom3_loop`, `coalgebra_antihom_loop`) are the
 direct loops the suites ran before the coalgebra laws moved onto the dual
 A*: they keep their own detail strings, so only their verdicts are compared.
 `hom_range_loop`, the `axiom4_eq*_loop`s and `intertwining_loop` are the
 kernels that multiplied cyclotomic values term by term before the sweeps
 moved onto scalar ids; their verdicts and details are compared.
+
+`generated_indices` closes a set of basis indices under the products with
+one nonzero term, pass by pass: the reference for the generator certificate
+`PlainAlgebra.mu_generators`.
 
 `double_antipode_solved` and `weak_inverse_solved` are the exact linear
 solves that the closed forms replaced: the Drinfeld double's antipode from
@@ -52,6 +57,35 @@ def assoc_dense(A):
                         f"{A.label_str(z)})"
                     )
     return None
+
+
+def unit_law_loop(A):
+    """1 e_x = e_x = e_x 1 on every basis x, two element products each."""
+    one = A.one()
+    for x in range(A.dim):
+        ex = A.basis_elem(x)
+        if A.mul(one, ex) != ex or A.mul(ex, one) != ex:
+            return f"unit law fails at {A.label_str(x)}"
+    return None
+
+
+def generated_indices(A, gens):
+    """The basis indices that products reach from gens, by passes to a fixpoint.
+
+    Each pass tries every pair of reached indices; a product e_i e_j with
+    exactly one nonzero term c e_k reaches e_k = c^-1 e_i e_j.
+    """
+    singles = []
+    for (i, j), terms in A.mu_pairs.items():
+        nonzero = [k for k, c in terms if c]
+        if len(nonzero) == 1:
+            singles.append((i, j, nonzero[0]))
+    reached = set(gens)
+    size = None
+    while size != len(reached):
+        size = len(reached)
+        reached.update([k for i, j, k in singles if i in reached and j in reached])
+    return reached
 
 
 def axiom1_dense(A):

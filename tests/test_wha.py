@@ -29,6 +29,7 @@ from whalg.wha import (
     _counit_weak_mult_range,
     _hom_range,
     _intertwining_failure,
+    _mixed_assoc_range,
     _push,
     base_algebras,
     center_dim,
@@ -57,8 +58,10 @@ from references import (
     eps_s_per_element,
     eps_s_prime_per_element,
     eps_t_per_element,
+    generated_indices,
     hom_range_loop,
     intertwining_loop,
+    unit_law_loop,
     weak_inverse_solved,
 )
 
@@ -153,7 +156,7 @@ def test_meta_sparse_equals_dense_sweeps():
             assert checks[name].ok == (detail is None), (A.name, name)
             assert checks[name].detail == detail, (A.name, name)
         # Axiom 1 is self-dual: A* satisfies it exactly when A does
-        assert _axiom1_range(D, 0, D.dim) == axiom1_dense(D)
+        assert _axiom1_range(D, range(D.dim)) == axiom1_dense(D)
         assert (axiom1_dense(D) is None) == (expected["axiom1-delta-multiplicative"] is None)
     assert any(d is not None for A in tampered for d in (coassociativity_loop(A), axiom3_loop(A)))
 
@@ -436,7 +439,7 @@ def _antihom_dense(A):
 @pytest.mark.parametrize("n", [2, 3])
 def test_antihom_sweep_matches_dense_reference_on_tampered_antipodes(n):
     A, _ = build_a_g_omega(cyclic_group(n), standard_cocycle(n, 1))
-    assert _antihom_range(A, 0, A.dim) is None
+    assert _antihom_range(A, range(A.dim)) is None
     assert _antihom_dense(A) is None
     two = Cyclotomic.rational(A.conductor, 2)
     tampered = []
@@ -707,7 +710,7 @@ def test_quasitriangular_suite_matches_dense_reference_on_single_entry_mutants()
 def _first_failure_by_ranges(A, step, kernel=_assoc_range):
     """A range kernel over consecutive ranges, as the forked sweep splits it."""
     for lo in range(0, A.dim, step):
-        detail = kernel(A, lo, min(A.dim, lo + step))
+        detail = kernel(A, range(lo, min(A.dim, lo + step)))
         if detail is not None:
             return detail
     return None
@@ -749,12 +752,12 @@ def test_assoc_kernel_matches_dense_on_stored_zeros_and_cancelling_sums(make):
     i, j = next((i, j) for i in range(A.dim) for j in range(A.dim) if (i, j) not in A.mu_pairs)
     mu.data[(i, j, 0)] = zero  # a stored zero where the product is zero: no tamper
     harmless = clone_with(A, mu=mu)
-    assert _assoc_range(harmless, 0, A.dim) is None and assoc_dense(harmless) is None
+    assert _assoc_range(harmless, range(A.dim)) is None and assoc_dense(harmless) is None
     for mu in stored_zero + [_cancelling_pair(A)]:
         bad = clone_with(A, mu=mu)
         expected = assoc_dense(bad)
         assert expected is not None
-        assert _assoc_range(bad, 0, bad.dim) == expected
+        assert _assoc_range(bad, range(bad.dim)) == expected
         assert _first_failure_by_ranges(bad, 5) == expected
         for threads in (1, 2):
             check = verify_weak_bialgebra(bad, threads=threads).checks[1]
@@ -765,7 +768,7 @@ def test_assoc_kernel_matches_dense_on_stored_zeros_and_cancelling_sums(make):
 def test_assoc_kernel_matches_dense_where_long_products_cancel():
     # in the shifted basis products have many terms and sums cancel often
     A = _a_z2_shifted()
-    assert _assoc_range(A, 0, A.dim) is None and assoc_dense(A) is None
+    assert _assoc_range(A, range(A.dim)) is None and assoc_dense(A) is None
     two = Cyclotomic.rational(A.conductor, 2)
     for key in random.Random(2).sample(sorted(A.mu.data), 4):
         mu = SparseTensor3(A.mu.dims, A.conductor, dict(A.mu.data))
@@ -773,8 +776,122 @@ def test_assoc_kernel_matches_dense_where_long_products_cancel():
         bad = PlainAlgebra(A.labels, A.conductor, mu, A.unit)
         expected = assoc_dense(bad)
         assert expected is not None
-        assert _assoc_range(bad, 0, bad.dim) == expected
+        assert _assoc_range(bad, range(bad.dim)) == expected
         assert _first_failure_by_ranges(bad, 5) == expected
+
+
+# -- mu-associativity and Axiom 1 on the generators of A
+
+def _mu_mutants(A, per_kind, rebuild=None):
+    """Single-entry mu mutants at spread positions, then ones that move S.
+
+    The last ones are the first drop and the first move, in key order, of an
+    entry the generator closure used: their `mu_generators` differ from A's.
+    `rebuild` makes the mutant from its mu (default: `clone_with`).
+    """
+    rebuild = rebuild or (lambda mu: clone_with(A, mu=mu))
+
+    def mutant(kind, key):
+        return rebuild(SparseTensor3(A.mu.dims, A.conductor, _tamper(A.mu.data, kind, key, A.dim)))
+
+    for key in sorted(A.mu.data)[:: max(1, len(A.mu.data) // per_kind)]:
+        for kind in ("scale", "drop", "move"):
+            yield f"mu {kind} {key}", mutant(kind, key)
+    moved = 0
+    for kind in ("drop", "move"):
+        bad = next((bad for key in sorted(A.mu.data)
+                    if (bad := mutant(kind, key)).mu_generators != A.mu_generators), None)
+        if bad is not None:
+            moved += 1
+            yield f"mu {kind}, S moved", bad
+    assert moved
+
+
+@pytest.mark.parametrize("make", ["b_z3", "a_z2"])
+def test_generated_sweeps_match_dense_on_single_entry_mu_mutants(make):
+    # the least counterexample is a generator: the first that fails
+    if make == "b_z3":
+        A = build_b_g_omega(cyclic_group(3), standard_cocycle(3, 1))
+    else:
+        A = a_z2(p=1)[0]
+    assert len(A.mu_generators) < A.dim
+    for what, bad in _mu_mutants(A, 4):
+        expected = [assoc_dense(bad), axiom1_dense(bad)]
+        assert expected[0] is not None, what
+        for threads in (1, 2):
+            checks = {c.name: c for c in verify_weak_bialgebra(bad, threads=threads).checks}
+            got = [checks["mu-associativity"].detail, checks["axiom1-delta-multiplicative"].detail]
+            assert got == expected, (what, threads)
+        mu = bad.mu_index
+        least = _mixed_assoc_range(mu, mu, mu, mu, range(bad.dim))[0]
+        assert least in bad.mu_generators, what
+        assert _mixed_assoc_range(mu, mu, mu, mu, bad.mu_generators)[0] == least, what
+
+
+@pytest.mark.parametrize("make", ["b_z2", "a_z2"])
+def test_unit_mutants_fail_the_unit_law_and_keep_associativity(make):
+    # the generator closure does not read the unit
+    A = b_z2(p=1) if make == "b_z2" else a_z2(p=1)[0]
+    control = {c.name: c for c in verify_weak_bialgebra(A).checks}
+    assert control["unit-law"].ok and control["mu-associativity"].ok
+    assert unit_law_loop(A) is None
+    for key in sorted(A.unit):
+        for kind in ("scale", "drop", "move"):
+            bad = clone_with(A, unit=_tamper(A.unit, kind, key, A.dim))
+            expected = unit_law_loop(bad)
+            assert expected is not None, (kind, key)
+            for threads in (1, 2):
+                rep = verify_weak_bialgebra(bad, threads=threads)
+                checks = {c.name: c for c in rep.checks}
+                assert not rep.ok
+                assert checks["unit-law"].detail == expected, (kind, key, threads)
+                assert checks["mu-associativity"].ok, (kind, key, threads)
+            assert bad.mu_generators == A.mu_generators
+
+
+def test_generators_reach_every_basis_index_off_the_pointed_family():
+    # a tube level, a Drinfeld double, and the shifted bases, whose products
+    # have many terms: S is sorted and its closure is the whole basis
+    g = cyclic_group(3)
+    C = pointed_skeleton(g, standard_cocycle(3, 1))
+    cases = [TubeFamily(C, WordCalc(C).dd).algebra(2),
+             build_drinfeld_double(build_pairing(C)).algebra,
+             _shifted_basis(b_z2(p=1)), _a_z2_shifted()]
+    sizes = []
+    for A in cases:
+        for X in (A, dual(A)) if isinstance(A, WeakHopfAlgebra) else (A,):
+            gens = X.mu_generators
+            assert gens == sorted(set(gens)), X.name
+            assert generated_indices(X, gens) == set(range(X.dim)), X.name
+            sizes.append(len(gens) < X.dim)
+    assert any(sizes) and not all(sizes)  # both the generated and the full sweep run
+
+
+def test_generated_sweeps_keep_the_verdicts_where_products_have_many_terms():
+    # A(Z2, p=1) in the shifted basis: S is a proper subset, yet most
+    # products are sums; a tube level is a PlainAlgebra whose `validate`
+    # sweeps on generators too
+    A = _a_z2_shifted()
+    assert len(A.mu_generators) < A.dim
+    assert any(len(terms) > 1 for terms in A.mu_pairs.values())
+    assert verify_weak_bialgebra(A).ok
+    two = Cyclotomic.rational(A.conductor, 2)
+    for key in random.Random(5).sample(sorted(A.mu.data), 3):
+        mu = SparseTensor3(A.mu.dims, A.conductor, dict(A.mu.data))
+        mu.data[key] = mu.data[key] * two
+        bad = clone_with(A, mu=mu)
+        expected = assoc_dense(bad)
+        check = verify_weak_bialgebra(bad).checks[1]
+        assert check.name == "mu-associativity"
+        assert expected is not None and check.detail == expected
+    C = pointed_skeleton(cyclic_group(3), standard_cocycle(3, 1))
+    T = TubeFamily(C, WordCalc(C).dd).algebra(1)
+    assert len(T.mu_generators) < T.dim and T.validate().ok
+    rebuild = lambda mu: PlainAlgebra(T.labels, T.conductor, mu, T.unit)
+    for what, bad in _mu_mutants(T, 3, rebuild=rebuild):
+        check = bad.validate().checks[1]
+        assert check.name == "associativity"
+        assert check.detail == assoc_dense(bad), what
 
 
 # -- Axioms 1-3 on scalar ids against the dense references
@@ -867,7 +984,7 @@ def test_axiom_kernels_match_dense_on_stored_zeros_and_single_entry_mutants(make
             for kernel, dense in ((_axiom1_range, axiom1_dense),
                                   (_counit_weak_mult_range, axiom2_dense)):
                 refs[X.name, dense] = ref = dense(X)
-                assert kernel(X, 0, X.dim) == ref, (what, X.name, kernel.__name__)
+                assert kernel(X, range(X.dim)) == ref, (what, X.name, kernel.__name__)
                 assert _first_failure_by_ranges(X, 5, kernel) == ref, (what, X.name)
         expected = [refs[bad.name, axiom1_dense], refs[bad.name, axiom2_dense],
                     _on_dual(refs[D.name, axiom2_dense])]
@@ -900,9 +1017,9 @@ def test_axiom_kernels_match_dense_on_stored_zeros_and_single_entry_mutants(make
 def test_axiom_kernels_match_dense_where_long_coproducts_cancel():
     # A(Z2, p=1) in the shifted basis: the passing control, then mutants
     A = _a_z2_shifted()
-    assert _axiom1_range(A, 0, A.dim) is None and axiom1_dense(A) is None
+    assert _axiom1_range(A, range(A.dim)) is None and axiom1_dense(A) is None
     for X in (A, dual(A)):
-        assert _counit_weak_mult_range(X, 0, X.dim) is None and axiom2_dense(X) is None
+        assert _counit_weak_mult_range(X, range(X.dim)) is None and axiom2_dense(X) is None
     two = Cyclotomic.rational(A.conductor, 2)
     details = []
     for key in random.Random(3).sample(sorted(A.delta.data), 4):
@@ -912,10 +1029,10 @@ def test_axiom_kernels_match_dense_where_long_coproducts_cancel():
         for X in (bad, dual(bad)):
             expected = axiom1_dense(X)
             assert expected is not None
-            assert _axiom1_range(X, 0, X.dim) == expected
+            assert _axiom1_range(X, range(X.dim)) == expected
             assert _first_failure_by_ranges(X, 5, _axiom1_range) == expected
             expected = axiom2_dense(X)
-            assert _counit_weak_mult_range(X, 0, X.dim) == expected
+            assert _counit_weak_mult_range(X, range(X.dim)) == expected
             assert _first_failure_by_ranges(X, 5, _counit_weak_mult_range) == expected
             details.append(expected)
     assert any(details)
@@ -938,7 +1055,7 @@ def test_axiom_checks_match_dense_when_forked():
         checks = {c.name: c for c in verify_weak_bialgebra(bad, threads=2).checks}
         assert [checks[name].detail for name in _AXIOM_CHECKS] == expected
         if expected[1] is not None:
-            y = next(y for y in range(bad.dim) if _counit_weak_mult_range(bad, y, y + 1))
+            y = next(y for y in range(bad.dim) if _counit_weak_mult_range(bad, [y]))
             in_first_range.add(y < 32)
     assert in_first_range == {True, False}  # Axiom 2 fails in each worker's range
 
@@ -950,8 +1067,8 @@ def test_suites_leave_only_the_shared_indexes_on_the_algebra():
     # forks (B(Z4, p=1) has dim 64, so threads=2 forks every sweep)
     structure = {"labels", "dim", "conductor", "mu", "unit", "name", "label_index",
                  "delta", "counit", "antipode", "meta"}
-    indexes = {"mu_index", "delta_terms", "delta_left_inv", "antipode_cols", "_delta_unit",
-               "eps_left", "eps_right", "eps_t", "eps_s"}
+    indexes = {"mu_index", "mu_generators", "delta_terms", "delta_left_inv", "antipode_cols",
+               "_delta_unit", "eps_left", "eps_right", "eps_t", "eps_s"}
     for A, threads in ((a_z2(p=1)[0], 1), (build_b_g_omega(cyclic_group(4), standard_cocycle(4, 1)), 2)):
         assert verify_weak_bialgebra(A, threads=threads).ok
         assert verify_antipode(A, threads=threads).ok
@@ -1130,7 +1247,7 @@ def test_antipode_sweeps_match_loops_on_stored_zeros_and_single_entry_mutants(ma
             if what.startswith("harmless"):
                 assert expected == [None] * 4, what
             # where the first failing x has several failing y, the least is named
-            bad_pair = _hom_range(X.antipode_cols, X, X, 0, X.dim, anti=True)
+            bad_pair = _hom_range(X.antipode_cols, X, X, range(X.dim), anti=True)
             if bad_pair is not None:
                 i, j = bad_pair
                 js = _hom_failing_js(X.antipode_cols, X, X, i, True)
@@ -1157,7 +1274,7 @@ def test_antipode_sweeps_match_loops_when_forked():
         assert any(expected)
         assert _antipode_details(bad, 2) == expected
         if expected[2] is not None:
-            in_first_range.add(_axiom4_eq3_range(bad, 0, 32) is not None)
+            in_first_range.add(_axiom4_eq3_range(bad, range(32)) is not None)
     assert in_first_range == {True, False}  # eq3 fails first in each worker's range
 
 
@@ -1214,9 +1331,9 @@ def test_hom_kernel_matches_loop_on_the_callers_maps(source):
     failures = 0
     for phi in _phi_mutants(phi0, A.dim, B.dim):
         expected = hom_range_loop(phi, A, B, 0, A.dim, anti)
-        assert _hom_range(phi, A, B, 0, A.dim, anti) == expected
+        assert _hom_range(phi, A, B, range(A.dim), anti) == expected
         split = next((bad for lo in range(0, A.dim, 5)
-                      if (bad := _hom_range(phi, A, B, lo, min(A.dim, lo + 5), anti))), None)
+                      if (bad := _hom_range(phi, A, B, range(lo, min(A.dim, lo + 5)), anti))), None)
         assert split == expected
         if expected is not None:
             i, j = expected

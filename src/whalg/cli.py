@@ -1,12 +1,15 @@
 """Command-line front end: build, verify, compare, report, plus the rep,
 tube, and double subfamilies.  Exit codes: 0 pass, 1 verified failure,
-2 usage or input error.
+2 usage or input error; any other error propagates with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import itertools
 import os
+import re
 import sys
 
 from . import jsonio
@@ -63,11 +66,18 @@ def _load_cocycle(spec, G):
             p = int(spec[2:])
         except ValueError:
             raise UsageError(f"bad cocycle spec {spec!r}")
-        w = standard_cocycle(G.order, p)
-        if w.group.table != G.table:
-            raise UsageError("standard cocycles are defined on cyclic groups only")
-        return w
+        return _standard_cocycle(G, p)
     raise UsageError(f"bad cocycle spec {spec!r} (use p=<int>, trivial, or a file)")
+
+
+def _standard_cocycle(G, p):
+    """omega_p on G; UsageError unless G is cyclic and 0 <= p < |G|."""
+    if not 0 <= p < G.order:
+        raise UsageError(f"standard cocycle p={p}: need 0 <= p < {G.order}")
+    w = standard_cocycle(G.order, p)
+    if w.group.table != G.table:
+        raise UsageError("standard cocycles are defined on cyclic groups only")
+    return w
 
 
 def _coherent(rep, what):
@@ -80,6 +90,12 @@ def _load_skeleton(path):
     C = jsonio.skeleton_from_json(jsonio.read_json(path))
     _coherent(validate_pentagon(C), "skeleton")
     return C
+
+
+def _positive(n, flag):
+    if n < 1:
+        raise UsageError(f"{flag} must be >= 1")
+    return n
 
 
 def _print_report(rep, as_json):
@@ -109,7 +125,7 @@ def cmd_build(args):
         R = None
     elif kind == "groupoid":
         if args.indiscrete is not None:
-            gpd = indiscrete_groupoid(args.indiscrete)
+            gpd = indiscrete_groupoid(_positive(args.indiscrete, "--indiscrete"))
         elif args.group is not None:
             gpd = group_as_groupoid(_load_group(args.group))
         else:
@@ -118,9 +134,9 @@ def cmd_build(args):
         R = None
     elif kind == "frobenius-double":
         if args.diagonal is not None:
-            B = standard_frobenius("diagonal", args.diagonal)
+            B = standard_frobenius("diagonal", _positive(args.diagonal, "--diagonal"))
         elif args.matrix is not None:
-            B = standard_frobenius("matrix", args.matrix)
+            B = standard_frobenius("matrix", _positive(args.matrix, "--matrix"))
         else:
             raise UsageError("frobenius-double needs --diagonal N or --matrix N")
         A = build_frobenius_double(B)
@@ -175,9 +191,9 @@ def cmd_compare(args):
     if A.dim != B.dim:
         raise UsageError(f"dimension mismatch: {A.dim} vs {B.dim}")
     if args.map:
-        raw = jsonio.read_json(args.map)
-        index_map = list(raw) if isinstance(raw, list) else None
-        if index_map is None or sorted(index_map) != list(range(A.dim)):
+        index_map = jsonio.read_json(args.map)
+        if not (isinstance(index_map, list) and all(type(i) is int for i in index_map)
+                and sorted(index_map) == list(range(A.dim))):
             raise UsageError("--map must be a bijective index list")
     else:
         try:
@@ -201,6 +217,32 @@ def cmd_report(args):
     return 0
 
 
+def _meta_group_cocycle(A):
+    """The catalog group and the trivial or standard cocycle that the meta
+    of a b-g-omega algebra names; the algebra's labels must be those of the
+    build of that group."""
+    meta = A.meta if isinstance(A.meta, dict) else {}
+    if meta.get("builder") != "b-g-omega":
+        raise UsageError("k:<g> modules exist for b-g-omega algebras only")
+    group, name = meta.get("group"), str(meta.get("cocycle", "trivial"))
+    try:
+        G = catalog_group(str(group))
+    except KeyError:
+        raise jsonio.InputError(f"algebra file: meta group {group!r} is not a catalog group")
+    standard = re.fullmatch(r"standard\(p=(\d+)\)", name)
+    if name == "trivial":
+        omega = trivial_cocycle(G)
+    elif standard:
+        omega = _standard_cocycle(G, int(standard.group(1)))
+    else:
+        raise jsonio.InputError(f"algebra file: meta cocycle {name!r} is neither 'trivial' nor "
+                                f"a standard cocycle of {G.name}")
+    if any(("f", a, y, x) not in A.label_index
+           for a, y, x in itertools.product(range(G.order), repeat=3)):
+        raise jsonio.InputError(f"algebra file: labels are not those of B({G.name}, omega)")
+    return G, omega
+
+
 def _load_module(spec, A):
     from .repcat import k_module, regular_module, tensor_unit
 
@@ -209,16 +251,14 @@ def _load_module(spec, A):
     if spec == "unit":
         return tensor_unit(A)
     if spec.startswith("k:"):
-        meta = A.meta
-        if meta.get("builder") != "b-g-omega":
-            raise UsageError("k:<g> modules exist for b-g-omega algebras only")
-        G = catalog_group(meta["group"])
-        name = meta.get("cocycle", "trivial")
-        if name.startswith("standard(p="):
-            omega = standard_cocycle(G.order, int(name[len("standard(p="):-1]))
-        else:
-            omega = trivial_cocycle(G)
-        return k_module(A, G, omega, int(spec[2:]))
+        try:
+            g = int(spec[2:])
+        except ValueError:
+            raise UsageError(f"bad module spec {spec!r}: k:<g> needs an integer g")
+        G, omega = _meta_group_cocycle(A)
+        if not 0 <= g < G.order:
+            raise UsageError(f"bad module spec {spec!r}: need 0 <= g < {G.order}")
+        return k_module(A, G, omega, g)
     if os.path.exists(spec):
         return jsonio.wha_module_from_json(jsonio.read_json(spec), A)
     raise UsageError(f"bad module spec {spec!r} (regular, unit, k:<g>, or a file)")
@@ -290,9 +330,7 @@ def cmd_tube(args):
             C = _load_skeleton(args.skeleton)
         else:
             C = _pointed_from_args(args)
-        level = args.level
-        if level < 1:
-            raise UsageError("--level must be >= 1")
+        level = _positive(args.level, "--level")
         if args.primed:
             T = build_tube_prime(C, level)
         elif level == 1:
@@ -310,7 +348,7 @@ def cmd_tube(args):
         return 0 if rep.ok else 1
     if args.action == "morita":
         C = _pointed_from_args(args)
-        rep = verify_morita_section(C, args.m, args.n)
+        rep = verify_morita_section(C, _positive(args.m, "--m"), _positive(args.n, "--n"))
         _print_report(rep, args.json)
         return 0 if rep.ok else 1
     if args.action == "pivotal":
@@ -337,7 +375,7 @@ def _run_obstruction(args):
     else:
         raise UsageError("obstruction needs --ring (fib or a file)")
     if args.candidates and os.path.exists(args.candidates):
-        cands = jsonio.read_json(args.candidates)
+        cands = jsonio.candidates_from_json(jsonio.read_json(args.candidates))
     elif args.ring == "fib" and not args.candidates:
         cands = [{"name": "z", "object": ["nu"], "jdim": 1}]
     else:
@@ -456,21 +494,33 @@ def make_parser():
 
 
 def main(argv=None):
+    """Run one whalg command; returns its exit code.
+
+    0 means every check passed and 1 that a verified law failed.  2 means a
+    usage or input error (`UsageError`, `jsonio.InputError`, a missing
+    file), reported as one `error:` line on stderr.  Any other exception is
+    an internal error and propagates with its traceback.
+
+    The command runs with Python's cyclic garbage collector off, and the
+    collector's prior state is restored on return.  whalg's structures hold
+    no reference cycles (`tests/test_wha.py` pins this), so every collection
+    would scan the hundreds of thousands of small containers of a large
+    algebra and free nothing.
+    """
     parser = make_parser()
     args = parser.parse_args(argv)
     if args.threads is None:
         args.threads = default_threads()
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, jsonio.InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

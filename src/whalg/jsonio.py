@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 
 from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3
-from .groups import FiniteGroup, ThreeCocycle
-from .skeleton import FusionRing, SkeletalCategory, SkeletalModule
+from .groups import FiniteGroup, ThreeCocycle, ValidationError
+from .skeleton import FusionRing, SkeletalCategory, SkeletalModule, SkeletonError
 from .wha import RMatrixCandidate, WeakHopfAlgebra
 
 
@@ -31,8 +31,13 @@ def write_json(path, obj):
 
 
 def read_json(path):
+    """The JSON value in the file at `path`; InputError names the path when
+    the file is not UTF-8 JSON."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
+            raise InputError(f"{path}: not a JSON file: {exc}") from None
 
 
 # -- labels -----------------------------------------------------------------
@@ -62,7 +67,10 @@ def group_from_json(obj):
     for pos, row in enumerate(_entries(table, "group", "table")):
         if not isinstance(row, list) or not all(type(v) is int for v in row):
             raise InputError(f"group file: table[{pos}] is not a list of integers: {row!r:.80}")
-    G = FiniteGroup(table)
+    try:
+        G = FiniteGroup(table)
+    except ValidationError as exc:
+        raise InputError(f"group file: table is not a group: {exc}") from None
     if G.identity != identity:
         raise InputError("group file: declared identity disagrees with the table")
     return G
@@ -174,11 +182,37 @@ def _ring_from_json(obj, what):
     """The fusion ring of the labels, unit and mult of a `what` file."""
     labels, unit, mult_entries = _fields(obj, what, "labels", "unit", "mult")
     labels = _labels(_entries(labels, what, "labels"), what, "labels")
-    unit = _label(unit, what, "unit")
+    unit = _known(_label(unit, what, "unit"), labels, what, "unit")
     mult = {}
     for pos, entry in enumerate(_entries(mult_entries, what, "mult", 3)):
-        mult[_labels(entry, what, f"mult[{pos}]")] = 1
-    return FusionRing(labels, unit, mult)
+        where = f"mult[{pos}]"
+        mult[tuple(_known(lab, labels, what, where) for lab in _labels(entry, what, where))] = 1
+    try:
+        return FusionRing(labels, unit, mult)
+    except SkeletonError as exc:
+        raise InputError(f"{what} file: {exc}") from None
+
+
+def _known(lab, labels, what, where):
+    """`lab`, which must be one of `labels`; InputError names `where` otherwise."""
+    if lab not in labels:
+        raise InputError(f"{what} file: {where}: {lab!r} is not one of the labels")
+    return lab
+
+
+def candidates_from_json(obj):
+    """The candidates of an obstruction candidates file: a list of objects,
+    each with a list of labels under "object" and an integer "jdim"."""
+    if not isinstance(obj, list):
+        raise InputError(f"candidates file: expected a JSON list, not a {type(obj).__name__}")
+    out = []
+    for pos, z in enumerate(obj):
+        if not (isinstance(z, dict) and isinstance(z.get("object"), list)
+                and type(z.get("jdim")) is int):
+            raise InputError(f"candidates file: [{pos}] is not an object with an \"object\" list "
+                             f"and an integer \"jdim\": {z!r:.80}")
+        out.append(dict(z, object=list(_labels(z["object"], "candidates", f"[{pos}].object"))))
+    return out
 
 
 # -- algebras ------------------------------------------------------------------
@@ -328,9 +362,14 @@ def algebra_from_json(obj):
     if not isinstance(labels, list) or len(labels) != d:
         count = len(labels) if isinstance(labels, list) else "no"
         raise InputError(f"labels: {count} entries for dim {d}")
+    labels = _labels(labels, "algebra", "labels")
+    first = {}
+    for pos, lab in enumerate(labels):
+        if first.setdefault(lab, pos) != pos:
+            raise InputError(f"labels[{pos}]: {lab!r:.80} repeats labels[{first[lab]}]")
     cube = (d, d, d)
     return WeakHopfAlgebra(
-        _labels(labels, "algebra", "labels"), n,
+        labels, n,
         mu=SparseTensor3(cube, n, _table(obj, "mu", n, cube)),
         unit={i: v for (i,), v in _table(obj, "unit", n, (d,)).items()},
         delta=SparseTensor3(cube, n, _table(obj, "delta", n, cube)),

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from whalg import jsonio
+from whalg import cli, jsonio
 from whalg.builders import build_a_g_omega, build_a_m_c, build_b_g_omega
 from whalg.cli import main, make_parser
 from whalg.groups import cyclic_group, standard_cocycle, symmetric_group_3, trivial_cocycle
@@ -535,3 +536,137 @@ def test_input_file_with_a_bad_value_exits_2_naming_the_entry(tmp_path, kind, ch
     assert proc.stdout == ""
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), proc.stderr
+
+
+def _internal_error(*args, **kwargs):
+    raise ValueError("singular matrix")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_runs_the_command_with_the_collector_off_and_restores_its_state(
+        tmp_path, monkeypatch, capsys, enabled):
+    b2 = tmp_path / "b2.json"
+    assert run("build", "b-g-omega", "--group", "z2", "--cocycle", "p=0", "-o", str(b2)) == 0
+    during = []
+    verify = cli.verify_weak_bialgebra
+    monkeypatch.setattr(cli, "verify_weak_bialgebra",
+                        lambda *a, **k: during.append(gc.isenabled()) or verify(*a, **k))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in ((["verify", str(b2), "--suite", "wha"], 0),
+                           (["obstruction", "--ring", "fib"], 1),
+                           (["verify", str(tmp_path / "missing.json")], 2)):
+            assert run(*argv) == code
+            assert gc.isenabled() == enabled
+        monkeypatch.setattr(cli, "verify_antipode", _internal_error)
+        with pytest.raises(ValueError):
+            run("verify", str(b2), "--suite", "wha")
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert during == [False, False]
+
+
+def _malformed_json(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dim": 8,')
+    return ["verify", str(path)], f"error: {path}: not a JSON file: "
+
+
+def _cocycle_out_of_range(tmp_path):
+    return (["build", "b-g-omega", "--group", "z2", "--cocycle", "p=2"],
+            "error: standard cocycle p=2: need 0 <= p < 2")
+
+
+def _duplicate_labels(tmp_path):
+    obj = jsonio.algebra_to_json(build_b_g_omega(cyclic_group(2), standard_cocycle(2, 1)))
+    obj["labels"][1] = obj["labels"][0]
+    path = tmp_path / "dup.json"
+    jsonio.write_json(str(path), obj)
+    return ["verify", str(path)], "error: labels[1]: ('f', 0, 0, 0) repeats labels[0]"
+
+
+def _group_that_is_no_group(tmp_path):
+    path = tmp_path / "g.json"
+    jsonio.write_json(str(path), {"order": 2, "table": [[0, 1], [1, 1]], "identity": 0})
+    return (["build", "b-g-omega", "--group", str(path), "--cocycle", "trivial"],
+            "error: group file: table is not a group: ")
+
+
+def _ring_with_an_unknown_label(tmp_path):
+    ring = jsonio.fusion_ring_to_json(pointed_skeleton(cyclic_group(2), standard_cocycle(2, 0)).ring)
+    ring["mult"][0][2] = 9
+    path, cands = tmp_path / "ring.json", tmp_path / "c.json"
+    jsonio.write_json(str(path), ring)
+    jsonio.write_json(str(cands), [{"name": "1", "object": [1], "jdim": 1}])
+    return (["obstruction", "--ring", str(path), "--candidates", str(cands)],
+            "error: fusion ring file: mult[0]: 9 is not one of the labels")
+
+
+def _candidate_without_jdim(tmp_path):
+    path = tmp_path / "c.json"
+    jsonio.write_json(str(path), [{"name": "z", "object": ["nu"]}])
+    return (["obstruction", "--ring", "fib", "--candidates", str(path)],
+            "error: candidates file: [0] is not an object")
+
+
+def _k_module_out_of_range(tmp_path):
+    path = tmp_path / "b2.json"
+    jsonio.write_json(str(path), jsonio.algebra_to_json(build_b_g_omega(cyclic_group(2),
+                                                                        standard_cocycle(2, 1))))
+    return (["rep", "tensor", "--algebra", str(path), "--left", "k:2", "--right", "regular"],
+            "error: bad module spec 'k:2': need 0 <= g < 2")
+
+
+def _k_module_of_a_cocycle_file(tmp_path):
+    # the meta names the cocycle "omega": no catalog cocycle to rebuild K(g) from
+    coc, path = tmp_path / "w.json", tmp_path / "b2.json"
+    jsonio.write_json(str(coc), jsonio.cocycle_to_json(standard_cocycle(2, 1)))
+    assert main(["build", "b-g-omega", "--group", "z2", "--cocycle", str(coc), "-o", str(path)]) == 0
+    return (["rep", "tensor", "--algebra", str(path), "--left", "k:1", "--right", "regular"],
+            "error: algebra file: meta cocycle 'omega' is neither 'trivial' nor")
+
+
+def _nonpositive_level(tmp_path):
+    return (["tube", "morita", "--group", "z2", "--cocycle", "p=1", "--m", "0"],
+            "error: --m must be >= 1")
+
+
+@pytest.mark.parametrize("bad_input", [
+    _malformed_json, _cocycle_out_of_range, _duplicate_labels, _group_that_is_no_group,
+    _ring_with_an_unknown_label, _candidate_without_jdim, _k_module_out_of_range,
+    _k_module_of_a_cocycle_file, _nonpositive_level])
+def test_bad_input_exits_2_with_one_line(tmp_path, bad_input):
+    argv, message = bad_input(tmp_path)
+    proc = run_process(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), proc.stderr
+
+
+def test_internal_error_propagates_instead_of_exiting_2(tmp_path, monkeypatch, capsys):
+    # exit 2 means bad input; a failure inside whalg is not reported as one
+    b2 = tmp_path / "b2.json"
+    assert run("build", "b-g-omega", "--group", "z2", "--cocycle", "p=0", "-o", str(b2)) == 0
+    monkeypatch.setattr(cli, "verify_antipode", _internal_error)
+    with pytest.raises(ValueError, match="singular matrix"):
+        run("verify", str(b2), "--suite", "wha")
+    assert "error:" not in capsys.readouterr().err
+
+
+def test_qt_heavy_commands_reproduce_the_benchmark_digests(tmp_path, monkeypatch, capsys):
+    # the benchmark's qt-heavy build and --json verify commands, on A(Z2, p=1):
+    # the algebra, R-matrix and report bytes are those perfbench/digests.json pins
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "digests.json")) as fh:
+        expected = json.load(fh)["z2 p=1"]
+    monkeypatch.setenv("WHALG_THREADS", "1")
+    alg, rmat = tmp_path / "algebra.json", tmp_path / "rmatrix.json"
+    assert run("build", "a-g-omega", "--group", "z2", "--cocycle", "p=1",
+               "-o", str(alg), "--rmatrix-out", str(rmat)) == 0
+    capsys.readouterr()
+    assert run("--json", "verify", str(alg), "--suite", "all", "--rmatrix", str(rmat)) == 0
+    sha = lambda data: hashlib.sha256(data).hexdigest()
+    assert {"algebra": sha(alg.read_bytes()), "rmatrix": sha(rmat.read_bytes()),
+            "report": sha(capsys.readouterr().out.encode())} == expected

@@ -1,10 +1,13 @@
 import functools
+import gc
+import json
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from whalg import jsonio
 from whalg.exactmath import Cyclotomic, SparseMatrix, SparseTensor3
 from whalg.builders import (
     build_a_g_omega,
@@ -1372,3 +1375,30 @@ def test_intertwining_sweep_matches_loop_on_single_entry_mutants(n):
     check = next(c for c in verify_quasitriangular(X, RMatrixCandidate(terms)).checks
                  if c.name == "r-intertwines-coproducts")
     assert check.detail == intertwining_loop(X, terms)
+
+
+def test_suites_builds_and_json_round_trips_leave_no_reference_cycles():
+    """The CLI runs each command with the cyclic garbage collector off (see
+    `whalg.cli.main`), so a reference cycle added to whalg's structures would
+    never be freed before the process exits.  Builds, every suite, the centre
+    and JSON round trips must leave nothing for the collector to find."""
+    gc.collect()
+    gc.disable()
+    try:
+        A, R = build_a_g_omega(cyclic_group(2), standard_cocycle(2, 1))
+        B = build_b_g_omega(cyclic_group(3), standard_cocycle(3, 1))
+        for X in (A, B):
+            assert verify_weak_bialgebra(X, threads=1).ok
+            assert verify_antipode(X, threads=1).ok
+            assert base_algebras(X).report.ok
+            assert center_dim(X) > 0
+            back = jsonio.algebra_from_json(json.loads(jsonio.dumps(jsonio.algebra_to_json(X))))
+            assert compare_structure(back, X, list(range(X.dim))).ok
+        assert verify_quasitriangular(A, R, threads=1).ok
+        R2 = jsonio.rmatrix_from_json(json.loads(jsonio.dumps(jsonio.rmatrix_to_json(A, R))))
+        assert R2.terms == R.terms
+        # a cycle among live objects is reachable: drop them all first
+        del A, B, R, X, back, R2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

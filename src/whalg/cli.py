@@ -88,6 +88,7 @@ def _coherent(rep, what):
 
 def _load_skeleton(path):
     C = jsonio.skeleton_from_json(jsonio.read_json(path))
+    _coherent(C.ring.validate(), "skeleton")
     _coherent(validate_pentagon(C), "skeleton")
     return C
 

@@ -32,9 +32,9 @@ from .wha import (
     RMatrixCandidate,
     WeakHopfAlgebra,
     _acc,
-    _bilinear_index,
     _first_diff,
     _hom_range,
+    _pairs_index,
     _product,
     _prune,
     _push,
@@ -324,7 +324,7 @@ def solve_antipode(P, project, reps, mu):
     """
     B, A = P.B, P.A
     dA = A.dim
-    pairs = _bilinear_index(mu.data)[0]
+    pairs = _pairs_index(mu.data)
     left, right = {}, {}  # a -> [1 (x) S_A a], b -> [S_B b (x) 1]
     for f in reps:
         b, a = divmod(f, dA)

@@ -32,8 +32,13 @@ def write_json(path, obj):
 
 def read_json(path):
     """The JSON value in the file at `path`; InputError names the path when
-    the file is not UTF-8 JSON."""
-    with open(path) as fh:
+    the file cannot be opened (missing, a directory, no read permission) or
+    is not UTF-8 JSON."""
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror}") from None
+    with fh:
         try:
             return json.load(fh)
         except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
@@ -342,16 +347,17 @@ def _where(table, key):
 
 
 def algebra_to_json(A):
+    enc = {c: c.to_json() for c in A.scalar_ids}  # one shared encoding per scalar
     return {
         "name": A.name,
         "dim": A.dim,
         "conductor": A.conductor,
         "labels": [encode_label(l) for l in A.labels],
-        "mu": sorted([i, j, k, v.to_json()] for (i, j, k), v in A.mu.data.items()),
-        "unit": sorted([i, v.to_json()] for i, v in A.unit.items()),
-        "delta": sorted([i, j, k, v.to_json()] for (i, j, k), v in A.delta.data.items()),
-        "counit": sorted([i, v.to_json()] for i, v in A.counit.items()),
-        "antipode": sorted([k, i, v.to_json()] for (k, i), v in A.antipode.data.items()),
+        "mu": sorted([i, j, k, enc[v]] for (i, j, k), v in A.mu.data.items()),
+        "unit": sorted([i, enc[v]] for i, v in A.unit.items()),
+        "delta": sorted([i, j, k, enc[v]] for (i, j, k), v in A.delta.data.items()),
+        "counit": sorted([i, enc[v]] for i, v in A.counit.items()),
+        "antipode": sorted([k, i, enc[v]] for (k, i), v in A.antipode.data.items()),
         "meta": A.meta,
     }
 

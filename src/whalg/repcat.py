@@ -14,7 +14,7 @@ import random
 
 from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3
 from .report import Report
-from .wha import _acc, _bilinear_index, _mixed_assoc_range, base_algebras
+from .wha import _acc, _by_leg, _coded, _mixed_assoc_range, _nested, _ScalarIds, base_algebras
 
 
 class WHAModule:
@@ -55,8 +55,10 @@ def validate_module(A, V):
     ok = V.rho(A.one()) == idm
     rep.add("unit-acts-as-identity", ok, None if ok else "eta(1) does not act as id")
 
-    act = _bilinear_index({(a, c, r): v for (a, r, c), v in V.action.data.items()})
-    bad = _mixed_assoc_range(act, A.mu_index, act, act, range(A.dim))
+    mu, ids = A.mu_ids, _ScalarIds(A.scalar_ids)
+    act = list(_coded({(a, c, r): v for (a, r, c), v in V.action.data.items()}, ids.scalar_id))
+    rows = _nested(act)
+    bad = _mixed_assoc_range(ids, rows, mu, rows, _by_leg(act, 2), range(A.dim))
     detail = None
     if bad is not None:
         i, j, _v = bad

@@ -14,7 +14,7 @@ import itertools
 from .exactmath import Cyclotomic, SparseTensor3
 from .report import Report
 from .skeleton import SkeletonError, dual_data_pointed
-from .wha import PlainAlgebra, _bilinear_index, _hom_range, _mixed_assoc_range, _product, _push
+from .wha import PlainAlgebra, _hom_range, _mixed_assoc_by_value, _pairs_index, _product, _push
 
 
 # ---------------------------------------------------------------------------
@@ -156,23 +156,24 @@ class Bimodule:
 
     def validate(self):
         rep = Report(self.name, "bimodule")
-        left = _bilinear_index(self.left_action)
-        right = _bilinear_index(self.right_action)
+        left = _pairs_index(self.left_action)
+        right = _pairs_index(self.right_action)
 
         one = Cyclotomic.one(self.left_alg.conductor)
         detail = None
         for m in range(self.dim):
             mv = {m: one}
-            if _product(left[0], self.left_alg.one(), mv) != mv:
+            if _product(left, self.left_alg.one(), mv) != mv:
                 detail = f"left unit law fails at {m}"
                 break
-            if _product(right[0], mv, self.right_alg.one()) != mv:
+            if _product(right, mv, self.right_alg.one()) != mv:
                 detail = f"right unit law fails at {m}"
                 break
         rep.add("unit-laws", detail is None, detail)
 
         # (a m) b = a (m b), least (a, m, b) first
-        bad = _mixed_assoc_range(right, left, left, right, range(self.left_alg.dim))
+        l_act, r_act = self.left_action, self.right_action
+        bad = _mixed_assoc_by_value(r_act, l_act, l_act, r_act, range(self.left_alg.dim))
         detail = None
         if bad is not None:
             a, m, b = bad
@@ -362,8 +363,8 @@ def tube_generalized_associativity(C, instances=((1, 1, 1, 1),), dd=None):
         c_mnk = fam.compose_map(m, n, k)[0]
         c_mkl = fam.compose_map(m, k, l)[0]
         # (h.g).f = h.(g.f) for h, g, f in Tube^(k,l), Tube^(n,k), Tube^(m,n)
-        tables = [_bilinear_index(_compose_terms(c)) for c in (c_mnl, c_nkl, c_mkl, c_mnk)]
-        bad = _mixed_assoc_range(*tables, range(len(b_kl)))
+        tables = [_compose_terms(c) for c in (c_mnl, c_nkl, c_mkl, c_mnk)]
+        bad = _mixed_assoc_by_value(*tables, range(len(b_kl)))
         if bad is not None:
             hi, gi, fi = bad
             detail = f"tower associativity fails at {(m, n, k, l)}: {b_kl[hi]}, {b_nk[gi]}, {b_mn[fi]}"

@@ -21,8 +21,8 @@ Three law kernels serve every caller of their law shape:
   (anti-)homomorphism.  It runs the antipode's anti-homomorphism law, `chi`,
   the Tube/Tube' transport and the Drinfeld double's sharp map.
 - `_mixed_assoc_range`, the mixed-associativity kernel: the least basis
-  triple on which f(g(x, y), z) != h(x, k(y, z)) for four sparse bilinear
-  tables indexed by `_bilinear_index`.  It runs mu-associativity, the tube
+  triple on which f(g(x, y), z) != h(x, k(y, z)) for four id-coded
+  bilinear tables (`_nested`, `_by_leg`).  It runs mu-associativity, the tube
   bimodule and compose-tower laws and the module action law.
 - `_convolution`, the convolution kernel: x -> f(x_(1)) g(x_(2)) for two
   linear maps f, g of A, each given by its columns or the identity.  Axiom 4
@@ -33,16 +33,19 @@ The counital maps eps_t, eps_s and eps'_s are cached on the algebra by
 columns, each built in one pass over Delta(1); `eps_lr`, `eps_rr` and
 `base_algebras` read them.
 
-Every law sweep runs on scalar ids (`_ScalarIds`): inside one call every
-scalar is a small-int id, 0 for zero, with memoized products and sums, so
-the sweeps hash ints, not cyclotomic values.  These are the three kernels
-above, Axioms 1 and 2 (`_axiom1_range`, `_counit_weak_mult_range`) and
-the intertwining law R Delta(x) = Delta^cop(x) R
-(`_intertwining_failure`).  The id tables are locals of the call, so a
-forked sweep gives each worker one range.  The Yang-Baxter identity and the
-weak-inverse laws stay on `mul_tensor`: each is a few products of whole
-tensors rather than a sweep over the basis, and Yang-Baxter measured no
-faster on ids.
+An algebra's tensors are not edited after it is built (a mutant is a fresh
+algebra: `clone_with` in the tests, `assemble` in the benchmark), so every
+index is built once and cached on it.  Every law sweep runs on scalar ids:
+each algebra numbers its scalars when it is built (`_scalar_table`, id 0
+for zero), the kernels read id-coded indexes cached next to the
+scalar-valued ones (`mu_ids`, `delta_ids`, ...), and each call starts its
+`_ScalarIds` from that table with its own memo of products and sums, so the
+sweeps hash ints, not cyclotomic values.  A table that belongs to no algebra
+is coded per call (`_coded`).  The sweeps on ids are the three kernels
+above, Axioms 1 and 2 and the intertwining law (`_intertwining_failure`).
+The Yang-Baxter identity and the weak-inverse laws stay on `mul_tensor`:
+each is a few products of whole tensors rather than a sweep over the basis,
+and Yang-Baxter measured no faster on ids.
 
 The weak Hopf axioms are self-dual, so the coalgebra laws are not swept
 separately: the suites run the algebra sweeps above on the dual A* (`dual`).
@@ -89,10 +92,24 @@ def default_threads():
 
 
 _NO_INDICES = frozenset()
+_NO_ROW = {}  # the row of an index absent from a nested id table; never written
+
+
+def _id_rows(tensor, leg):
+    """A cached property: the sparse tensor `tensor` in scalar ids, by one leg (`_by_leg`)."""
+    return functools.cached_property(
+        lambda A: _by_leg(_coded(getattr(A, tensor).data, A._scalar_id), leg))
+
+
+def _id_columns(name):
+    """A cached property: the index `name`, x -> {k: scalar}, as x -> {k: id};
+    a value new to the scalar table (a counital map's) joins it."""
+    return functools.cached_property(
+        lambda A: {x: dict(_coded(col, A._scalar_id)) for x, col in getattr(A, name).items()})
 
 
 class PlainAlgebra:
-    """Associative unital algebra by sparse structure constants."""
+    """Associative unital algebra by sparse structure constants, not edited once built."""
 
     def __init__(self, labels, conductor, mu, unit, name="T"):
         self.labels = list(labels)
@@ -104,21 +121,30 @@ class PlainAlgebra:
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self.label_index) != self.dim:
             raise ValueError("labels must be distinct")
+        self.scalar_ids = _scalar_table(conductor, self._scalar_tables())
+
+    def _scalar_tables(self):
+        """The sparse {key: scalar} tables that `scalar_ids` numbers."""
+        return (self.mu.data, self.unit)
+
+    def _scalar_id(self, c):
+        """Id of c in `scalar_ids`; a value new to the table gets the next id."""
+        table = self.scalar_ids
+        i = table.get(c)
+        if i is None:
+            i = table[c] = len(table)
+        return i
 
     # -- derived sparse indexes (built once) ---------------------------------
 
     @functools.cached_property
-    def mu_index(self):
-        """mu as a law-kernel table (see `_bilinear_index`)."""
-        return _bilinear_index(self.mu.data)
-
-    @property
     def mu_pairs(self):
-        return self.mu_index[0]
+        """mu as (i, j) -> [(k, coeff)] (see `_pairs_index`)."""
+        return _pairs_index(self.mu.data)
 
-    @property
+    @functools.cached_property
     def right_companions(self):
-        return self.mu_index[1]
+        return _companions(self.mu_pairs, 0)
 
     @functools.cached_property
     def left_companions(self):
@@ -136,6 +162,20 @@ class PlainAlgebra:
     def mu_generators(self):
         """Sorted basis indices that generate A under products (`_generators`)."""
         return _generators(self)
+
+    # -- id-coded indexes of the law kernels (built once) --------------------
+
+    @functools.cached_property
+    def mu_ids(self):
+        """mu in scalar ids: i -> {j: [(k, id)]}, zero terms left out."""
+        return _nested(_coded(self.mu.data, self._scalar_id))
+
+    @functools.cached_property
+    def mu_ids_by_right(self):
+        """`mu_ids` keyed by the right factor, j -> {i: [(k, id)]}; shares its term lists."""
+        return _flipped(self.mu_ids)
+
+    mu_ids_by_result = _id_rows("mu", 2)  # k -> [(i, j, id)]
 
     # -- element arithmetic ---------------------------------------------------
 
@@ -226,34 +266,14 @@ class WeakHopfAlgebra(PlainAlgebra):
     """
 
     def __init__(self, labels, conductor, mu, unit, delta, counit, antipode, name="A", meta=None):
-        super().__init__(labels, conductor, mu, unit, name)
         self.delta = delta      # SparseTensor3: (i, j, k) -> coeff of e_j (x) e_k in Delta(e_i)
         self.counit = counit    # sparse covector {i: coeff}
         self.antipode = antipode  # SparseMatrix: (k, i) -> coeff of e_k in S(e_i)
         self.meta = meta or {}
-        self._intern_coefficients()
+        super().__init__(labels, conductor, mu, unit, name)
 
-    def _intern_coefficients(self):
-        # structure constants repeat a handful of values; one shared object
-        # per value keeps large algebras small, and the law kernel's scalar
-        # ids then hash each value once
-        pool = {}
-
-        def intern(v):
-            w = pool.get(v)
-            if w is None:
-                pool[v] = v
-                return v
-            return w
-
-        for tensor in (self.mu, self.delta):
-            for k in tensor.data:
-                tensor.data[k] = intern(tensor.data[k])
-        for vec in (self.unit, self.counit):
-            for k in vec:
-                vec[k] = intern(vec[k])
-        for k in self.antipode.data:
-            self.antipode.data[k] = intern(self.antipode.data[k])
+    def _scalar_tables(self):
+        return (self.mu.data, self.unit, self.delta.data, self.counit, self.antipode.data)
 
     # -- comultiplication and antipode indexes (built once) -----------------
 
@@ -262,13 +282,6 @@ class WeakHopfAlgebra(PlainAlgebra):
         out = {i: [] for i in range(self.dim)}
         for (i, j, k), c in self.delta.data.items():
             out[i].append((j, k, c))
-        return out
-
-    @functools.cached_property
-    def delta_left_inv(self):
-        out = {}
-        for (i, j, k), c in self.delta.data.items():
-            out.setdefault(j, []).append((i, k, c))
         return out
 
     @functools.cached_property
@@ -315,6 +328,17 @@ class WeakHopfAlgebra(PlainAlgebra):
     def eps_s_prime(self):
         """x -> eps'_s(x) = 1_(1) eps(1_(2) x)."""
         return _counital_map(self, self.eps_right, _cop(self.delta_of_unit()))
+
+    # -- id-coded indexes of the law kernels (built once) --------------------
+
+    delta_ids = _id_rows("delta", 0)  # i -> [(j, k, id)]
+    delta_left_ids = _id_rows("delta", 1)  # j -> [(i, k, id)]
+    # S's columns and the counital maps, x -> {k: id}
+    antipode_ids = _id_columns("antipode_cols")
+    eps_left_ids = _id_columns("eps_left")
+    eps_right_ids = _id_columns("eps_right")
+    eps_t_ids = _id_columns("eps_t")
+    eps_s_ids = _id_columns("eps_s")
 
     # -- coalgebra and antipode arithmetic ------------------------------------
 
@@ -413,19 +437,61 @@ def _companions(pairs, leg):
     return out
 
 
-def _bilinear_index(terms):
-    """Law-kernel table of a sparse bilinear map X x Y -> W.
-
-    terms: {(x, y, w): coeff of e_w in b(e_x, e_y)}.  Returns the pairs index
-    (x, y) -> [(w, c)], the right companions x -> sorted [y], and the
-    by-result index w -> [(x, y, c)].
-    """
+def _pairs_index(terms):
+    """A sparse bilinear map {(x, y, w): coeff of e_w in b(e_x, e_y)} as (x, y) -> [(w, coeff)]."""
     pairs = {}
-    by_result = {}
     for (x, y, w), c in terms.items():
         pairs.setdefault((x, y), []).append((w, c))
-        by_result.setdefault(w, []).append((x, y, c))
-    return pairs, _companions(pairs, 0), by_result
+    return pairs
+
+
+def _scalar_table(conductor, tables):
+    """Intern the scalars of the sparse tables in place, and number them:
+    {value: id} in id order, zero 0, then the distinct nonzero values sorted
+    by their canonical form, whatever the order of the entries."""
+    shared = {}
+    for table in tables:
+        for key, c in table.items():
+            s = shared.setdefault(c, c)
+            if s is not c:
+                table[key] = s
+    nonzero = sorted((c for c in shared if c), key=lambda c: (c.v, c.d))
+    ids = {Cyclotomic.zero(conductor): 0}
+    for c in nonzero:
+        ids[c] = len(ids)
+    return ids
+
+
+def _coded(table, scalar_id):
+    """The entries of a sparse table {key: scalar} as (key, id) pairs, zeros
+    left out; scalar_id is an algebra's `_scalar_id`, or a call's
+    `_ScalarIds.scalar_id` for a table that belongs to no algebra."""
+    return ((key, i) for key, c in table.items() if (i := scalar_id(c)))
+
+
+def _nested(terms):
+    """Id-coded bilinear terms ((x, y, w), id) as x -> {y: [(w, id)]}."""
+    out = {}
+    for (x, y, w), i in terms:
+        out.setdefault(x, {}).setdefault(y, []).append((w, i))
+    return out
+
+
+def _flipped(rows):
+    """Nested rows x -> {y: terms} as y -> {x: terms}, sharing the term lists."""
+    out = {}
+    for x, row in rows.items():
+        for y, terms in row.items():
+            out.setdefault(y, {})[x] = terms
+    return out
+
+
+def _by_leg(terms, leg):
+    """Id-coded terms ((a, b, c), id) by one leg: key[leg] -> [(other two legs, id)]."""
+    out = {}
+    for key, i in terms:
+        out.setdefault(key[leg], []).append((*key[:leg], *key[leg + 1:], i))
+    return out
 
 
 def _generators(A):
@@ -438,9 +504,7 @@ def _generators(A):
     the certificate holds for any mu; a mu with few single-term products
     only gives a larger S.
     """
-    pairs = A.mu_pairs
-    rights = A.right_companions
-    lefts = _companions(pairs, 1)
+    by_left, by_right = A.mu_ids, A.mu_ids_by_right  # zero terms left out
     reached = [False] * A.dim
     popped = [False] * A.dim
     gens = []
@@ -454,13 +518,12 @@ def _generators(A):
             n = todo.pop()
             popped[n] = True
             # each pair of reached indices is met once, when its later one is popped
-            met = itertools.chain((pairs[n, m] for m in rights.get(n, ()) if popped[m]),
-                                  (pairs[m, n] for m in lefts.get(n, ()) if popped[m] and m != n))
+            met = itertools.chain((t for m, t in by_left.get(n, _NO_ROW).items() if popped[m]),
+                                  (t for m, t in by_right.get(n, _NO_ROW).items() if popped[m] and m != n))
             for terms in met:
-                nonzero = [k for k, c in terms if c]
-                if len(nonzero) == 1 and not reached[nonzero[0]]:
-                    reached[nonzero[0]] = True
-                    todo.append(nonzero[0])
+                if len(terms) == 1 and not reached[k := terms[0][0]]:
+                    reached[k] = True
+                    todo.append(k)
     return gens
 
 
@@ -483,19 +546,21 @@ class RMatrixCandidate:
 def _unit_law(A):
     """First basis element on which 1 fails to act as a two-sided unit.
 
-    1 e_x and e_x 1 are gathered for every x in one pass over mu's pairs.
+    1 e_x and e_x 1 are gathered for every x from the rows of mu, by left
+    and by right factor, of the unit's basis elements.
     """
     one = A.one()
+    vals = list(A.scalar_ids)  # id -> scalar
     left, right = {}, {}
-    for (i, j), terms in A.mu_pairs.items():
-        if i in one:
+    for u, cu in one.items():
+        for j, terms in A.mu_ids.get(u, _NO_ROW).items():
             out = left.setdefault(j, {})
             for k, c in terms:
-                _acc(out, k, one[i] * c)
-        if j in one:
+                _acc(out, k, cu * vals[c])
+        for i, terms in A.mu_ids_by_right.get(u, _NO_ROW).items():
             out = right.setdefault(i, {})
             for k, c in terms:
-                _acc(out, k, c * one[j])
+                _acc(out, k, vals[c] * cu)
     for x in range(A.dim):
         ex = A.basis_elem(x)
         if left.get(x, {}) != ex or right.get(x, {}) != ex:
@@ -506,23 +571,20 @@ def _unit_law(A):
 class _ScalarIds:
     """Small-int ids for the scalars of one law-kernel call.
 
-    Ids are given out per call, 0 for zero, so inside one call two ids are
-    equal exactly when their scalars are: sides built of ids compare, and
-    `_first_diff` picks its key, as the cyclotomic sides would.  The kernels
-    read the memoized products and sums inline (`products[a].get(b)`) and
-    call `mul` or `add_into` only on a miss or a repeated key.  The product
-    of two nonzero ids is never zero; a sum that cancels is removed.  The
-    `*rows` and `columns` converters turn a law table into rows of ids and
-    drop its stored zeros: a zero term changes no sum.  The ids live as long as the call;
-    nothing is cached on an algebra.
+    A call starts from an algebra's `scalar_ids`, read after the indexes it
+    sweeps (building a counital map's adds to the table), or empty.  Each
+    new value it meets takes the next id, 0 for zero, so two ids are equal
+    exactly when their scalars are and `_first_diff` picks the key the values
+    would.  Kernels read the memoized products and sums inline
+    (`products[a].get(b)`) and call `mul` or `add_into` on a miss or a
+    repeated key.  A nonzero product is never zero; a cancelling sum is removed.
     """
 
-    def __init__(self):
-        self.ids = {}          # scalar -> id; the zero scalar, once seen, -> 0
-        self.vals = [None]
-        self.products = [None]  # products[a][b] = id of vals[a] * vals[b]
-        self.sums = [None]      # sums[a][b] = id of vals[a] + vals[b]
-        self.by_object = {}     # id() of a table scalar -> its scalar id
+    def __init__(self, table=None):
+        self.ids = dict(table) if table else {}  # scalar -> id; zero -> 0
+        self.vals = list(self.ids) or [None]     # vals[id] = scalar, in id order
+        self.products = [{} for _ in self.vals]  # products[a][b] = id of vals[a] * vals[b]
+        self.sums = [{} for _ in self.vals]      # sums[a][b] = id of vals[a] + vals[b]
 
     def scalar_id(self, c):
         i = self.ids.get(c)
@@ -532,14 +594,6 @@ class _ScalarIds:
                 self.vals.append(c)
                 self.products.append({})
                 self.sums.append({})
-        return i
-
-    def table_id(self, c):
-        # table scalars repeat as shared objects: key them on identity first;
-        # only for scalars held by a table that outlives the call
-        i = self.by_object.get(id(c))
-        if i is None:
-            i = self.by_object[id(c)] = self.scalar_id(c)
         return i
 
     def mul(self, a, b):
@@ -558,115 +612,66 @@ class _ScalarIds:
         else:
             del side[key]
 
-    def rows(self, pairs, leg=0):
-        """A pairs index (x, y) -> [(w, c)] as rows x -> [(y, w, id)].
 
-        With leg=1 the rows are keyed by the right factor: y -> [(x, w, id)].
-        """
-        table_id = self.table_id
-        out = {}
-        for (x, y), terms in pairs.items():
-            if leg:
-                x, y = y, x
-            row = out.get(x)
-            if row is None:
-                row = out[x] = []
-            for w, c in terms:
-                i = table_id(c)
-                if i:
-                    row.append((y, w, i))
-        return out
-
-    def nested_rows(self, pairs):
-        """A pairs index (x, y) -> [(w, c)] as x -> {y: [(w, id)]}, zero pairs left out."""
-        table_id = self.table_id
-        out = {}
-        for (x, y), terms in pairs.items():
-            row = [(w, i) for w, c in terms if (i := table_id(c))]
-            if row:
-                out.setdefault(x, {})[y] = row
-        return out
-
-    def vector_rows(self, index):
-        """An index s -> {x: c} as s -> [(x, id)]."""
-        table_id = self.table_id
-        return {s: [(x, i) for x, c in vec.items() if (i := table_id(c))]
-                for s, vec in index.items()}
-
-    def columns(self, index):
-        """An index s -> {x: c} as s -> {x: id}."""
-        table_id = self.table_id
-        return {s: {x: i for x, c in vec.items() if (i := table_id(c))}
-                for s, vec in index.items()}
-
-    def triple_rows(self, index):
-        """An index s -> [(a, b, c)] as s -> [(a, b, id)]."""
-        table_id = self.table_id
-        return {s: [(a, b, i) for a, b, c in terms if (i := table_id(c))]
-                for s, terms in index.items()}
-
-
-def _mixed_assoc_range(f, g, h, k, xs):
+def _mixed_assoc_range(ids, f, g, h, k, xs):
     """Least basis triple (x, y, z), x in the increasing xs, with f(g(x, y), z) != h(x, k(y, z)).
 
-    f, g, h, k are `_bilinear_index` tables.  For each x both sides are
+    f, g and h are `_nested` id-coded bilinear tables and k one by result,
+    w -> [(x, y, id)] (`_by_leg`), in the ids of `ids`.  For each x both sides are
     expanded, keyed (y, z, w), over exactly the (y, z) on which they can be
     nonzero: the left through g's entries of x and f's entries of each
     product, the right through h's entries of x and k's by-result index.
-    Both sides hold scalar ids (`_ScalarIds`); each distinct table is
-    converted once, to rows x -> [(y, w, id)] (and k to its by-result index).
     """
-    ids = _ScalarIds()
     products = ids.products
     mul = ids.mul
     add_into = ids.add_into
-    converted = {}
-
-    def rows(t):
-        out = converted.get(id(t))
-        if out is None:
-            out = converted[id(t)] = ids.rows(t[0])
-        return out
-
-    f_rows = rows(f)
-    g_rows = rows(g)
-    h_rows = rows(h)
-    k_byr = ids.triple_rows(k[2])
     for x in xs:
         lhs = {}
-        for y, p, c1 in g_rows.get(x, ()):
-            prod = products[c1]
-            for z, w, c2 in f_rows.get(p, ()):
-                c = prod.get(c2)
-                if c is None:
-                    c = mul(c1, c2)
-                key = (y, z, w)
-                if key in lhs:
-                    add_into(lhs, key, c)
-                else:
-                    lhs[key] = c
+        for y, g_terms in g.get(x, _NO_ROW).items():
+            for p, c1 in g_terms:
+                prod = products[c1]
+                for z, f_terms in f.get(p, _NO_ROW).items():
+                    for w, c2 in f_terms:
+                        c = prod.get(c2)
+                        if c is None:
+                            c = mul(c1, c2)
+                        key = (y, z, w)
+                        if key in lhs:
+                            add_into(lhs, key, c)
+                        else:
+                            lhs[key] = c
         rhs = {}
-        for q, w, c2 in h_rows.get(x, ()):
-            prod = products[c2]
-            for y, z, c3 in k_byr.get(q, ()):
-                c = prod.get(c3)
-                if c is None:
-                    c = mul(c2, c3)
-                key = (y, z, w)
-                if key in rhs:
-                    add_into(rhs, key, c)
-                else:
-                    rhs[key] = c
+        for q, h_terms in h.get(x, _NO_ROW).items():
+            for w, c2 in h_terms:
+                prod = products[c2]
+                for y, z, c3 in k.get(q, ()):
+                    c = prod.get(c3)
+                    if c is None:
+                        c = mul(c2, c3)
+                    key = (y, z, w)
+                    if key in rhs:
+                        add_into(rhs, key, c)
+                    else:
+                        rhs[key] = c
         if lhs != rhs:
             y, z, _w = _first_diff(lhs, rhs)
             return x, y, z
     return None
 
 
+def _mixed_assoc_by_value(f, g, h, k, xs):
+    """`_mixed_assoc_range` on sparse bilinear tables {(x, y, w): scalar} that
+    belong to no algebra, each distinct table coded once in one fresh `_ScalarIds`."""
+    ids = _ScalarIds()
+    coded = {i: list(_coded(t, ids.scalar_id)) for i, t in {id(t): t for t in (f, g, h, k)}.items()}
+    rows = {i: _nested(coded[i]) for i in {id(f), id(g), id(h)}}
+    return _mixed_assoc_range(ids, rows[id(f)], rows[id(g)], rows[id(h)], _by_leg(coded[id(k)], 2), xs)
+
+
 def _assoc_range(A, xs):
     """First associativity counterexample with left factor in the increasing xs."""
-    mu = A.mu_index
-    bad = _mixed_assoc_range(mu, mu, mu, mu, xs)
+    mu, by_result = A.mu_ids, A.mu_ids_by_result
+    bad = _mixed_assoc_range(_ScalarIds(A.scalar_ids), mu, mu, mu, by_result, xs)
     if bad is None:
         return None
     i, j, z = bad
@@ -681,13 +686,11 @@ def _axiom1_range(A, xs):
     t (x) t2, found through Delta's left-leg index, on which s t and s2 t2
     are both nonzero.
     """
-    ids = _ScalarIds()
+    mp, dt, dinv = A.mu_ids, A.delta_ids, A.delta_left_ids
+    ids = _ScalarIds(A.scalar_ids)
     products = ids.products
     mul = ids.mul
     add_into = ids.add_into
-    mp = ids.nested_rows(A.mu_pairs)
-    dt = ids.triple_rows(A.delta_terms)
-    dinv = ids.triple_rows(A.delta_left_inv)
     for x in xs:
         lhs = {}
         for s, s2, c0 in dt.get(x, ()):
@@ -695,7 +698,7 @@ def _axiom1_range(A, xs):
             if row2 is None:
                 continue
             p0 = products[c0]
-            for t, pairs_st in mp.get(s, {}).items():
+            for t, pairs_st in mp.get(s, _NO_ROW).items():
                 for y, t2, c2 in dinv.get(t, ()):
                     second = row2.get(t2)
                     if second is None:
@@ -719,7 +722,7 @@ def _axiom1_range(A, xs):
                             else:
                                 lhs[key] = c
         rhs = {}
-        for y, terms in mp.get(x, {}).items():
+        for y, terms in mp.get(x, _NO_ROW).items():
             for k0, c in terms:
                 prod = products[c]
                 for j, k, c5 in dt.get(k0, ()):
@@ -747,29 +750,26 @@ def _counit_weak_mult_range(A, ys):
     eps(x (yz)) through the products y z and eps_left, and each left side
     through the terms of Delta(y), eps_left and eps_right.
     """
-    ids = _ScalarIds()
+    mp, dt, epsL, epsR = A.mu_ids, A.delta_ids, A.eps_left_ids, A.eps_right_ids
+    ids = _ScalarIds(A.scalar_ids)
     products = ids.products
     mul = ids.mul
     add_into = ids.add_into
-    mp = ids.rows(A.mu_pairs)
-    dt = ids.triple_rows(A.delta_terms)
-    epsL = ids.vector_rows(A.eps_left)
-    epsR = ids.vector_rows(A.eps_right)
 
     def left_side(y, swap):
         lhs = {}
         for s, t, c0 in dt.get(y, ()):
             if swap:
                 s, t = t, s
-            eRt = epsR.get(t)
-            if eRt is None:
+            eRt = epsR[t]
+            if not eRt:
                 continue
-            for x, a in epsL.get(s, ()):
+            for x, a in epsL[s].items():
                 ac0 = products[a].get(c0)
                 if ac0 is None:
                     ac0 = mul(a, c0)
                 prod = products[ac0]
-                for z, b in eRt:
+                for z, b in eRt.items():
                     c = prod.get(b)
                     if c is None:
                         c = mul(ac0, b)
@@ -782,17 +782,18 @@ def _counit_weak_mult_range(A, ys):
 
     for y in ys:
         rhs = {}
-        for z, k, c1 in mp.get(y, ()):
-            prod = products[c1]
-            for x, c2 in epsL.get(k, ()):
-                c = prod.get(c2)
-                if c is None:
-                    c = mul(c1, c2)
-                key = (x, z)
-                if key in rhs:
-                    add_into(rhs, key, c)
-                else:
-                    rhs[key] = c
+        for z, terms in mp.get(y, _NO_ROW).items():
+            for k, c1 in terms:
+                prod = products[c1]
+                for x, c2 in epsL[k].items():
+                    c = prod.get(c2)
+                    if c is None:
+                        c = mul(c1, c2)
+                    key = (x, z)
+                    if key in rhs:
+                        add_into(rhs, key, c)
+                    else:
+                        rhs[key] = c
         lhs1 = left_side(y, False)
         if lhs1 != rhs:
             x, z = _first_diff(lhs1, rhs)
@@ -840,17 +841,17 @@ def _counital_map(A, eps_table, d1):
 
 _PARALLEL = {}
 
-# The cached indexes of A that each range kernel reads.  A forked `_sweep`
+# The id-coded indexes of A that each range kernel reads.  A forked `_sweep`
 # builds them before it forks: built inside the workers, they would be lost
 # with them and built again by every later forked sweep.
 _KERNEL_INDEXES = {
-    "_assoc_range": ("mu_index",),
-    "_axiom1_range": ("mu_index", "delta_terms", "delta_left_inv"),
-    "_counit_weak_mult_range": ("mu_index", "delta_terms", "eps_left", "eps_right"),
-    "_axiom4_eq1_range": ("mu_index", "delta_terms", "antipode_cols", "eps_t"),
-    "_axiom4_eq2_range": ("mu_index", "delta_terms", "antipode_cols", "eps_s"),
-    "_axiom4_eq3_range": ("mu_index", "delta_terms", "antipode_cols"),
-    "_antihom_range": ("mu_index", "antipode_cols"),
+    "_assoc_range": ("mu_ids", "mu_ids_by_result"),
+    "_axiom1_range": ("mu_ids", "delta_ids", "delta_left_ids"),
+    "_counit_weak_mult_range": ("mu_ids", "delta_ids", "eps_left_ids", "eps_right_ids"),
+    "_axiom4_eq1_range": ("mu_ids", "delta_ids", "antipode_ids", "eps_t_ids"),
+    "_axiom4_eq2_range": ("mu_ids", "delta_ids", "antipode_ids", "eps_s_ids"),
+    "_axiom4_eq3_range": ("mu_ids", "delta_ids", "antipode_ids"),
+    "_antihom_range": ("mu_ids", "mu_ids_by_right", "antipode_ids"),
 }
 
 
@@ -863,9 +864,8 @@ def _worker(args):
 def _sweep(A, fn, threads):
     """Run a per-basis-range sweep, optionally forked across processes.
 
-    Each worker sweeps one contiguous range, so it converts the law tables
-    to scalar ids once; the cached indexes the kernel reads
-    (`_KERNEL_INDEXES`) are built in this process first.  Returns the
+    Each worker sweeps one contiguous range; the cached indexes the kernel
+    reads (`_KERNEL_INDEXES`) are built in this process first.  Returns the
     failure detail from the lowest range, or None; deterministic regardless
     of worker count.
     """
@@ -952,21 +952,18 @@ def _in_dual(detail):
 # ---------------------------------------------------------------------------
 
 
-def _convolution(ids, A, dt, left, right):
+def _convolution(ids, A, left, right):
     """The convolution x -> left(x_(1)) right(x_(2)) of two linear maps of A.
 
-    Returns a memoized function x -> {k: id} in the scalar ids of `ids`.  dt
-    is Delta's terms in those ids; `left` and `right` each give a map's image
-    of e_x as {k: id}, or are None for the identity.  The mu entries met are
-    read straight from mu's pairs index and take their ids as they come (a
-    stored zero gets id 0 and is skipped), so mu is never converted as a
-    whole.
+    Returns a memoized function x -> {k: id} in the ids of `ids`, started
+    from A's table.  `left` and `right` each give a map's image of e_x as
+    {k: id}, or are None for the identity.
     """
     products = ids.products
     mul = ids.mul
     add_into = ids.add_into
-    table_id = ids.table_id
-    mp = A.mu_pairs
+    mp = A.mu_ids
+    dt = A.delta_ids
     one = ids.scalar_id(A.one_scalar())
     identity = lambda x: {x: one}
     left = left or identity
@@ -982,22 +979,22 @@ def _convolution(ids, A, dt, left, right):
             p0 = products[c0]
             rights = right(t).items()
             for l, c1 in left(s).items():
+                row = mp.get(l)
+                if row is None:
+                    continue
                 c01 = p0.get(c1)
                 if c01 is None:
                     c01 = mul(c0, c1)
                 p01 = products[c01]
                 for r, c2 in rights:
-                    terms = mp.get((l, r))
+                    terms = row.get(r)
                     if terms is None:
                         continue
                     c012 = p01.get(c2)
                     if c012 is None:
                         c012 = mul(c01, c2)
                     prod = products[c012]
-                    for k, cm in terms:
-                        c3 = table_id(cm)
-                        if not c3:
-                            continue
+                    for k, c3 in terms:
                         c = prod.get(c3)
                         if c is None:
                             c = mul(c012, c3)
@@ -1010,12 +1007,6 @@ def _convolution(ids, A, dt, left, right):
     return value
 
 
-def _axiom4_tables(A):
-    """A fresh `_ScalarIds` with Delta's terms and S's columns in its ids."""
-    ids = _ScalarIds()
-    return ids, ids.triple_rows(A.delta_terms), ids.columns(A.antipode_cols)
-
-
 def _first_unequal(lhs_of, rhs, xs):
     """First x of the increasing xs with lhs_of(x) != rhs[x], or None."""
     return next((x for x in xs if lhs_of(x) != rhs[x]), None)
@@ -1023,15 +1014,17 @@ def _first_unequal(lhs_of, rhs, xs):
 
 def _axiom4_eq1_range(A, xs):
     """First x in xs with x_(1) S(x_(2)) != eps_t(x): id * S against eps_t."""
-    ids, dt, S = _axiom4_tables(A)
-    x = _first_unequal(_convolution(ids, A, dt, None, S.__getitem__), ids.columns(A.eps_t), xs)
+    S, eps_t = A.antipode_ids, A.eps_t_ids
+    ids = _ScalarIds(A.scalar_ids)
+    x = _first_unequal(_convolution(ids, A, None, S.__getitem__), eps_t, xs)
     return None if x is None else f"x_(1) S(x_(2)) != eps^lr(x) at {A.label_str(x)}"
 
 
 def _axiom4_eq2_range(A, xs):
     """First x in xs with S(x_(1)) x_(2) != eps_s(x): S * id against eps_s."""
-    ids, dt, S = _axiom4_tables(A)
-    x = _first_unequal(_convolution(ids, A, dt, S.__getitem__, None), ids.columns(A.eps_s), xs)
+    S, eps_s = A.antipode_ids, A.eps_s_ids
+    ids = _ScalarIds(A.scalar_ids)
+    x = _first_unequal(_convolution(ids, A, S.__getitem__, None), eps_s, xs)
     return None if x is None else f"S(x_(1)) x_(2) != 1_(1) eps(x 1_(2)) at {A.label_str(x)}"
 
 
@@ -1042,9 +1035,10 @@ def _axiom4_eq3_range(A, xs):
     `coproduct2`, the left side is the convolution of S * id, each value
     computed once per call, with S.
     """
-    ids, dt, S = _axiom4_tables(A)
-    s_id = _convolution(ids, A, dt, S.__getitem__, None)
-    x = _first_unequal(_convolution(ids, A, dt, s_id, S.__getitem__), S, xs)
+    S = A.antipode_ids
+    ids = _ScalarIds(A.scalar_ids)
+    s_id = _convolution(ids, A, S.__getitem__, None)
+    x = _first_unequal(_convolution(ids, A, s_id, S.__getitem__), S, xs)
     return None if x is None else f"S(x_(1)) x_(2) S(x_(3)) != S(x) at {A.label_str(x)}"
 
 
@@ -1053,57 +1047,64 @@ def _hom_range(phi, A, B, xs, anti=False):
 
     phi[i] is the sparse image in B of A's basis element i, for every i (a
     list or a dict).  With `anti` the right side is phi(e_j) phi(e_i).  For
-    each i both sides are built once over scalar ids (`_ScalarIds`), keyed
-    (j, k) for the coefficient of e_k: the left through A's products e_i e_j
-    and phi's images, the right through B's products of each b in
-    supp phi(e_i) with its partners b2, met with the j whose image holds b2.
-    Keys order by j first, so the least differing key names the least j.
+    each i both sides are built once, keyed (j, k) for the coefficient of
+    e_k: the left through A's products e_i e_j and phi's images, the right
+    through B's products of each b in supp phi(e_i) with its partners b2,
+    met with the j whose image holds b2.  Keys order by j first, so the
+    least differing key names the least j.  phi's images and B's mu are coded
+    per call.
     """
-    ids = _ScalarIds()
+    ids = _ScalarIds(A.scalar_ids)
+    images = [dict(_coded(phi[j], ids.scalar_id)) for j in range(A.dim)]
+    b_rows = _nested(_coded(B.mu.data, ids.scalar_id))
+    return _hom_ids(ids, A.mu_ids, images, _flipped(b_rows) if anti else b_rows, xs)
+
+
+def _hom_ids(ids, a_rows, images, b_rows, xs):
+    """`_hom_range` on the `_nested` mu of A and of B (keyed by the right
+    factor for `anti`) and images[j] = phi(e_j) as {k: id}."""
     products = ids.products
     mul = ids.mul
     add_into = ids.add_into
-    a_rows = ids.rows(A.mu_pairs)
-    # b -> [(b2, k, id)] for the product e_b e_b2, or e_b2 e_b with `anti`
-    b_rows = ids.rows(B.mu_pairs, leg=1 if anti else 0)
-    images = ids.vector_rows({j: phi[j] for j in range(A.dim)})
     holders = {}
-    for j, image in images.items():
-        for b, c in image:
+    for j in range(len(images)):
+        for b, c in images[j].items():
             holders.setdefault(b, []).append((j, c))
     for i in xs:
         lhs = {}
-        for j, w, c0 in a_rows.get(i, ()):
-            prod = products[c0]
-            for k, c1 in images[w]:
-                c = prod.get(c1)
-                if c is None:
-                    c = mul(c0, c1)
-                key = (j, k)
-                if key in lhs:
-                    add_into(lhs, key, c)
-                else:
-                    lhs[key] = c
+        for j, terms in a_rows.get(i, _NO_ROW).items():
+            for w, c0 in terms:
+                prod = products[c0]
+                for k, c1 in images[w].items():
+                    c = prod.get(c1)
+                    if c is None:
+                        c = mul(c0, c1)
+                    key = (j, k)
+                    if key in lhs:
+                        add_into(lhs, key, c)
+                    else:
+                        lhs[key] = c
         rhs = {}
-        for b, c0 in images[i]:
+        for b, c0 in images[i].items():
             p0 = products[c0]
-            for b2, k, c1 in b_rows.get(b, ()):
+            for b2, terms in b_rows.get(b, _NO_ROW).items():
                 held = holders.get(b2)
                 if held is None:
                     continue
-                c01 = p0.get(c1)
-                if c01 is None:
-                    c01 = mul(c0, c1)
-                prod = products[c01]
-                for j, c2 in held:
-                    c = prod.get(c2)
-                    if c is None:
-                        c = mul(c01, c2)
-                    key = (j, k)
-                    if key in rhs:
-                        add_into(rhs, key, c)
-                    else:
-                        rhs[key] = c
+                for k, c1 in terms:
+                    c01 = p0.get(c1)
+                    if c01 is None:
+                        c01 = mul(c0, c1)
+                    prod = products[c01]
+                    for j, c2 in held:
+                        c = prod.get(c2)
+                        if c is None:
+                            c = mul(c01, c2)
+                        key = (j, k)
+                        if key in rhs:
+                            add_into(rhs, key, c)
+                        else:
+                            rhs[key] = c
         if lhs != rhs:
             return i, _first_diff(lhs, rhs)[0]
     return None
@@ -1111,7 +1112,8 @@ def _hom_range(phi, A, B, xs, anti=False):
 
 def _antihom_range(A, xs):
     """First S(xy) != S(y)S(x) counterexample with x = e_i in the increasing xs."""
-    bad = _hom_range(A.antipode_cols, A, A, xs, anti=True)
+    a_rows, by_right, S = A.mu_ids, A.mu_ids_by_right, A.antipode_ids
+    bad = _hom_ids(_ScalarIds(A.scalar_ids), a_rows, S, by_right, xs)
     if bad is None:
         return None
     i, j = bad
@@ -1462,32 +1464,27 @@ def verify_quasitriangular(A, cand, threads=None):
 def _intertwining_failure(A, R):
     """First basis x with R Delta(x) != Delta^cop(x) R, or None; on scalar ids.
 
-    R is indexed by its first leg, and mu's id rows are kept for the pairs
-    with one factor among R's first legs a: a u for the left side
+    R is indexed by its first leg, and mu's id rows are gathered for the
+    pairs with one factor among R's first legs a: a u for the left side
     R (u (x) v), u a for the right side (u (x) v) R.  Each term of Delta(x)
     meets only the R terms whose first legs multiply with its own to
     nonzero; both sides are keyed (k1, k2).
     """
-    ids = _ScalarIds()
+    mp, by_right, dt = A.mu_ids, A.mu_ids_by_right, A.delta_ids
+    ids = _ScalarIds(A.scalar_ids)
     products = ids.products
     mul = ids.mul
     add_into = ids.add_into
-    table_id = ids.table_id
-    mp = A.mu_pairs
     r_rows = {}  # a -> [(b, id)] over the terms a (x) b of R
-    for (a, b), c in R.items():
-        if (i := table_id(c)):
-            r_rows.setdefault(a, []).append((b, i))
+    for (a, b), i in _coded(R, ids.scalar_id):
+        r_rows.setdefault(a, []).append((b, i))
     r_left = {}  # u -> {a: [(k, id)]} for e_a e_u
     r_right = {}  # u -> {a: [(k, id)]} for e_u e_a
-    for (x, y), terms in mp.items():
-        if x in r_rows or y in r_rows:
-            row = [(k, i) for k, c in terms if (i := table_id(c))]
-            if row and x in r_rows:
-                r_left.setdefault(y, {})[x] = row
-            if row and y in r_rows:
-                r_right.setdefault(x, {})[y] = row
-    dt = ids.triple_rows(A.delta_terms)
+    for a in r_rows:
+        for u, terms in mp.get(a, _NO_ROW).items():
+            r_left.setdefault(u, {})[a] = terms
+        for u, terms in by_right.get(a, _NO_ROW).items():
+            r_right.setdefault(u, {})[a] = terms
 
     def side(firsts_of, u, v, c0, out, r_first):
         # out += c0 (a (x) b)(u (x) v) over R's terms a (x) b when r_first,
@@ -1497,7 +1494,7 @@ def _intertwining_failure(A, R):
         p0 = products[c0]
         for a, firsts in firsts_of.items():
             for b, c1 in r_rows[a]:
-                seconds = mp.get((b, v) if r_first else (v, b))
+                seconds = mp.get(b, _NO_ROW).get(v) if r_first else mp.get(v, _NO_ROW).get(b)
                 if seconds is None:
                     continue
                 c01 = p0.get(c1)
@@ -1509,10 +1506,7 @@ def _intertwining_failure(A, R):
                     if c012 is None:
                         c012 = mul(c01, c2)
                     prod = products[c012]
-                    for k2, cm in seconds:
-                        c3 = table_id(cm)
-                        if not c3:
-                            continue
+                    for k2, c3 in seconds:
                         c = prod.get(c3)
                         if c is None:
                             c = mul(c012, c3)

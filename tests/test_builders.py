@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from whalg.exactmath import Cyclotomic, SparseTensor3
+from whalg.exactmath import Cyclotomic, SparseTensor3, root_of_unity
 from whalg.builders import (
     SeparableFrobenius,
     build_a_g_omega,
@@ -14,13 +15,14 @@ from whalg.builders import (
     indiscrete_groupoid,
     standard_frobenius,
 )
-from whalg.groups import cyclic_group, standard_cocycle, trivial_cocycle
+from whalg.groups import ThreeCocycle, cyclic_group, standard_cocycle, trivial_cocycle, validate_cocycle
 from whalg.skeleton import right_regular_module
 from whalg.wha import (
     center_dim,
     compare_structure,
     is_cocommutative,
     verify_antipode,
+    verify_quasitriangular,
     verify_weak_bialgebra,
 )
 
@@ -121,6 +123,48 @@ def test_builders_pass_axioms(n, p):
     A, _ = build_a_g_omega(g, w)
     assert verify_weak_bialgebra(A).ok
     assert verify_antipode(A).ok
+
+
+def _twisted_z3_cocycle(seed):
+    """standard_cocycle(3, 1) times the coboundary d beta of a seeded 2-cochain.
+
+    beta(a, b) = zeta_3^k with k drawn per pair of non-identity elements, and
+    1 when either is the identity; d beta(a, b, c) =
+    beta(b, c) beta(a, bc) / (beta(ab, c) beta(a, b)).
+    """
+    w = standard_cocycle(3, 1)
+    G = w.group
+    rnd = random.Random(seed)
+    one = Cyclotomic.one(3)
+    beta = {(a, b): one if G.identity in (a, b) else root_of_unity(3, rnd.randrange(3))
+            for a in G.elements() for b in G.elements()}
+    mul = G.mul
+    d_beta = {(a, b, c): beta[(b, c)] * beta[(a, mul(b, c))] / (beta[(mul(a, b), c)] * beta[(a, b)])
+              for (a, b, c) in w.values}
+    vals = {t: w(*t) * d_beta[t] for t in w.values}
+    return G, ThreeCocycle(G, vals, 3, name=f"p=1 twisted {seed}")
+
+
+def test_builders_on_a_cocycle_that_is_not_symmetric_in_its_last_two_arguments():
+    # every catalog cocycle has omega(a, b, c) = omega(a, c, b), so a builder
+    # that swaps those two arguments passes on all of them; this cohomologous
+    # twist is not symmetric, and must still give the closed forms and pass
+    G, w = _twisted_z3_cocycle(2)
+    assert any(w(a, b, c) != w(a, c, b) for (a, b, c) in w.values)
+    assert validate_cocycle(G, w).ok
+    A, R = build_a_g_omega(G, w)
+    assert verify_weak_bialgebra(A).ok
+    assert verify_antipode(A).ok
+    assert verify_quasitriangular(A, R).ok
+    assert center_dim(A) == 9
+    ref, ref_R = a_g_omega_closed(G, w)
+    assert A.labels == ref.labels
+    assert compare_structure(A, ref, list(range(A.dim))).ok
+    assert R.terms == ref_R.terms
+    B = build_b_g_omega(G, w)
+    ref = b_g_omega_closed(G, w)
+    assert B.labels == ref.labels
+    assert compare_structure(B, ref, list(range(B.dim))).ok
 
 
 def test_b_not_cocommutative_but_groupoids_are():

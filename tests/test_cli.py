@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -11,9 +12,11 @@ import pytest
 from whalg import cli, jsonio
 from whalg.builders import build_a_g_omega, build_a_m_c, build_b_g_omega
 from whalg.cli import main, make_parser
+from whalg.exactmath import Cyclotomic
 from whalg.groups import cyclic_group, standard_cocycle, symmetric_group_3, trivial_cocycle
 from whalg.repcat import k_module
-from whalg.skeleton import boxtimes_rev_skeleton, pointed_skeleton, regular_module, right_regular_module
+from whalg.skeleton import (FusionRing, SkeletalCategory, SkeletalModule, boxtimes_rev_skeleton, pointed_skeleton,
+                            regular_module, right_regular_module)
 from whalg.wha import compare_structure
 
 
@@ -238,6 +241,34 @@ def test_incoherent_category_files_exit_2_naming_the_instance(tmp_path, negate, 
         assert proc.returncode == 2, (argv, proc.stderr)
         assert proc.stdout == ""
         assert proc.stderr.strip().splitlines() == [f"error: {message}"]
+
+
+def test_a_non_associative_fusion_rule_exits_2_at_load(tmp_path):
+    # the loop of order 5 (rows 01234/10342/24013/32401/43120) with every F = 1,
+    # and its regular module with every L = 1, pass both pentagons; the
+    # fusion rule is checked for associativity when the skeleton is loaded
+    rows = ("01234", "10342", "24013", "32401", "43120")
+    labels = range(5)
+    ring = FusionRing(labels, 0, {(a, b, int(rows[a][b])): 1 for a in labels for b in labels})
+    one = Cyclotomic.one(1)
+    C = SkeletalCategory(ring, {key: one for key in itertools.product(labels, repeat=4)}, 1)
+    M = SkeletalModule(C, labels, {(a, x): C.fuse(a, x) for a in labels for x in labels},
+                       {key: one for key in itertools.product(labels, repeat=3)})
+    sk, mod = str(tmp_path / "s.json"), str(tmp_path / "m.json")
+    jsonio.write_json(sk, jsonio.skeleton_to_json(C))
+    jsonio.write_json(mod, jsonio.module_to_json(M))
+    for argv in (("build", "a-m-c", "--skeleton", sk, "--module", mod), ("tube", "build", "--skeleton", sk)):
+        proc = run_process(*argv)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr.strip().splitlines() == ["error: skeleton file: associativity fails at (1,1,2;2)"]
+
+
+def test_a_directory_as_input_exits_2_naming_it(tmp_path):
+    proc = run_process("verify", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [f"error: {tmp_path}: cannot read: Is a directory"]
 
 
 def test_seed_is_not_an_option(capsys):

@@ -178,15 +178,31 @@ def test_sharp_matches_dense_reference_on_tampered_double_mu(monkeypatch):
 
 
 def _pairing_laws_dense(mat, B, A):
+    """Reference for the pairing laws: every (i1, i2, j) and (j2, j1, i) in
+    turn, each side summed in full.  The matrix is read by sparse rows and
+    columns, so only its nonzero entries enter a sum."""
     n = B.conductor
     zero = Cyclotomic.zero(n)
-    m = lambda i, j: mat.data.get((i, j), zero)
+    rows, cols = {}, {}
+    for (i, j), v in mat.data.items():
+        rows.setdefault(i, {})[j] = v
+        cols.setdefault(j, {})[i] = v
 
     def pair(b_vec, a_vec):
         tot = zero
         for i, ci in b_vec.items():
+            row = rows.get(i, {})
             for j, cj in a_vec.items():
-                tot = tot + ci * cj * m(i, j)
+                if j in row:
+                    tot = tot + ci * cj * row[j]
+        return tot
+
+    def leg_sum(terms, first, second):
+        # sum of first[s] c second[t] over the terms (s, t, c)
+        tot = zero
+        for s, t, c in terms:
+            if s in first and t in second:
+                tot = tot + first[s] * c * second[t]
         return tot
 
     out = {}
@@ -207,13 +223,14 @@ def _pairing_laws_dense(mat, B, A):
     def multiplicative():
         for i1 in range(B.dim):
             for i2 in range(B.dim):
-                prod = B.mul(B.basis_elem(i1), B.basis_elem(i2))
-                rhs = [pair(prod, A.basis_elem(j)) for j in range(A.dim)]
+                # <e_i1 e_i2, a_j> for every j, through the rows of the product's support
+                rhs = {}
+                for i, c in B.mul(B.basis_elem(i1), B.basis_elem(i2)).items():
+                    for j, v in rows.get(i, {}).items():
+                        rhs[j] = rhs.get(j, zero) + c * v
+                r1, r2 = rows.get(i1, {}), rows.get(i2, {})
                 for j in range(A.dim):
-                    lhs = zero
-                    for s, t, c in A.delta_terms[j]:
-                        lhs = lhs + m(i1, s) * c * m(i2, t)
-                    if lhs != rhs[j]:
+                    if leg_sum(A.delta_terms[j], r1, r2) != rhs.get(j, zero):
                         return (f"<b,a_(1)><b',a_(2)> != <bb',a> at "
                                 f"({B.label_str(i1)}, {B.label_str(i2)}, {A.label_str(j)})")
         return None
@@ -221,13 +238,14 @@ def _pairing_laws_dense(mat, B, A):
     def comultiplicative():
         for j2 in range(A.dim):
             for j1 in range(A.dim):
-                prod = A.mul(A.basis_elem(j2), A.basis_elem(j1))
-                rhs = [pair(B.basis_elem(i), prod) for i in range(B.dim)]
+                # <b_i, a_j2 a_j1> for every i, through the columns of the product's support
+                rhs = {}
+                for j, c in A.mul(A.basis_elem(j2), A.basis_elem(j1)).items():
+                    for i, v in cols.get(j, {}).items():
+                        rhs[i] = rhs.get(i, zero) + v * c
+                c1, c2 = cols.get(j1, {}), cols.get(j2, {})
                 for i in range(B.dim):
-                    lhs = zero
-                    for s, t, c in B.delta_terms[i]:
-                        lhs = lhs + m(s, j1) * c * m(t, j2)
-                    if lhs != rhs[i]:
+                    if leg_sum(B.delta_terms[i], c1, c2) != rhs.get(i, zero):
                         return (f"<b_(1),a><b_(2),a'> != <b,a'a> at "
                                 f"({B.label_str(i)}, {A.label_str(j1)}, {A.label_str(j2)})")
         return None

@@ -1,8 +1,12 @@
+import itertools
+import random
+
 import pytest
 
 from whalg.exactmath import Cyclotomic, root_of_unity
 from whalg.groups import catalog_group, cyclic_group, standard_cocycle, trivial_cocycle, validate_cocycle
 from whalg.skeleton import (
+    FusionRing,
     SkeletonError,
     boxtimes_rev_skeleton,
     dual_data_pointed,
@@ -16,6 +20,40 @@ from whalg.skeleton import (
     validate_pentagon,
     verify_zigzags,
 )
+
+
+def _associativity_loop(ring):
+    """Reference: the first (a, b, c, d) with sum_e N(ab;e) N(ec;d) != sum_f N(bc;f) N(af;d)."""
+    L = ring.labels
+    for a, b, c, d in itertools.product(L, repeat=4):
+        lhs = sum(ring.N(a, b, e) * ring.N(e, c, d) for e in L)
+        rhs = sum(ring.N(b, c, f) * ring.N(a, f, d) for f in L)
+        if lhs != rhs:
+            return f"associativity fails at ({a},{b},{c};{d})"
+    return None
+
+
+def test_fusion_ring_associativity_names_the_dense_loops_first_failure():
+    # the non-associative loop of order 5: a Latin square with unit 0 in which
+    # every label is its own dual, so only associativity can fail
+    rows = ("01234", "10342", "24013", "32401", "43120")
+    loop = FusionRing(range(5), 0, {(a, b, int(rows[a][b])): 1 for a in range(5) for b in range(5)})
+    assert _associativity_loop(loop) == "associativity fails at (1,1,2;2)"
+    assert loop.validate().first_failure == _associativity_loop(loop)
+    # random self-dual rings on 4 labels, with fusion products of several
+    # terms: each fails associativity, first at the loop's (a, b, c; d)
+    rnd = random.Random(4)
+    for _ in range(40):
+        mult = {(0, a, a): 1 for a in range(4)} | {(a, 0, a): 1 for a in range(4)}
+        mult |= {(a, a, 0): 1 for a in range(1, 4)}
+        mult |= {(a, b, c): 1 for a, b, c in itertools.product(range(1, 4), repeat=3) if rnd.random() < 0.4}
+        ring = FusionRing(range(4), 0, mult)
+        assert _associativity_loop(ring) is not None
+        assert ring.validate().first_failure == _associativity_loop(ring)
+    w = standard_cocycle(4, 1)
+    for ring in (fib_fusion_ring(), pointed_skeleton(w.group, w).ring):
+        assert _associativity_loop(ring) is None
+        assert ring.validate().ok
 
 
 def test_fib_ring():

@@ -30,10 +30,12 @@ from whalg.wha import (
     _axiom1_range,
     _axiom4_eq3_range,
     _counit_weak_mult_range,
+    _hom_ids,
     _hom_range,
     _intertwining_failure,
     _mixed_assoc_range,
     _push,
+    _ScalarIds,
     base_algebras,
     center_dim,
     compare_structure,
@@ -810,6 +812,12 @@ def _mu_mutants(A, per_kind, rebuild=None):
     assert moved
 
 
+def _assoc_triple(A, xs):
+    """The least (x, y, z), x in xs, with (x y) z != x (y z), as the kernel finds it."""
+    mu = A.mu_ids
+    return _mixed_assoc_range(_ScalarIds(A.scalar_ids), mu, mu, mu, A.mu_ids_by_result, xs)
+
+
 @pytest.mark.parametrize("make", ["b_z3", "a_z2"])
 def test_generated_sweeps_match_dense_on_single_entry_mu_mutants(make):
     # the least counterexample is a generator: the first that fails
@@ -825,10 +833,9 @@ def test_generated_sweeps_match_dense_on_single_entry_mu_mutants(make):
             checks = {c.name: c for c in verify_weak_bialgebra(bad, threads=threads).checks}
             got = [checks["mu-associativity"].detail, checks["axiom1-delta-multiplicative"].detail]
             assert got == expected, (what, threads)
-        mu = bad.mu_index
-        least = _mixed_assoc_range(mu, mu, mu, mu, range(bad.dim))[0]
+        least = _assoc_triple(bad, range(bad.dim))[0]
         assert least in bad.mu_generators, what
-        assert _mixed_assoc_range(mu, mu, mu, mu, bad.mu_generators)[0] == least, what
+        assert _assoc_triple(bad, bad.mu_generators)[0] == least, what
 
 
 @pytest.mark.parametrize("make", ["b_z2", "a_z2"])
@@ -1064,18 +1071,44 @@ def test_axiom_checks_match_dense_when_forked():
 
 
 def test_suites_leave_only_the_shared_indexes_on_the_algebra():
-    # scalar-id tables and the dual A* are locals of one sweep or suite: the
-    # algebra keeps its structure tensors and the indexes that every later
-    # suite reuses, nothing per call; a forked sweep builds them before it
-    # forks (B(Z4, p=1) has dim 64, so threads=2 forks every sweep)
+    # the dual A* and each call's product and sum memo are locals of one
+    # sweep or suite: the algebra keeps its structure tensors, its scalar
+    # table and the indexes that every later suite reuses, scalar-valued and
+    # id-coded, nothing per call; a forked sweep builds them before it forks
+    # (B(Z4, p=1) has dim 64, so threads=2 forks every sweep)
     structure = {"labels", "dim", "conductor", "mu", "unit", "name", "label_index",
-                 "delta", "counit", "antipode", "meta"}
-    indexes = {"mu_index", "mu_generators", "delta_terms", "delta_left_inv", "antipode_cols",
+                 "delta", "counit", "antipode", "meta", "scalar_ids"}
+    indexes = {"mu_generators", "delta_terms", "antipode_cols",
                "_delta_unit", "eps_left", "eps_right", "eps_t", "eps_s"}
+    id_indexes = {"mu_ids", "mu_ids_by_result", "mu_ids_by_right", "delta_ids", "delta_left_ids",
+                  "antipode_ids", "eps_left_ids", "eps_right_ids", "eps_t_ids", "eps_s_ids"}
     for A, threads in ((a_z2(p=1)[0], 1), (build_b_g_omega(cyclic_group(4), standard_cocycle(4, 1)), 2)):
         assert verify_weak_bialgebra(A, threads=threads).ok
         assert verify_antipode(A, threads=threads).ok
-        assert set(A.__dict__) == structure | indexes, threads
+        assert set(A.__dict__) == structure | indexes | id_indexes, threads
+
+
+def test_an_algebra_loaded_from_json_numbers_its_scalars_as_the_built_one():
+    # the loader makes one scalar object per entry; the build interns them and
+    # numbers the distinct values in a canonical order, so the loaded algebra
+    # gets the built one's table whatever the order of its entries, and its
+    # file, each table scalar encoded once, is the same bytes
+    A, _ = build_a_g_omega(cyclic_group(3), standard_cocycle(3, 1))
+    text = jsonio.dumps(jsonio.algebra_to_json(A))
+    obj = json.loads(text)
+    d, n = A.dim, A.conductor
+    loaded_mu = jsonio._table(obj, "mu", n, (d, d, d))
+    assert len({id(c) for c in loaded_mu.values()}) == len(loaded_mu) > len(set(loaded_mu.values()))
+    B = jsonio.algebra_from_json(obj)
+    assert list(B.scalar_ids.items()) == list(A.scalar_ids.items())
+    assert list(B.mu.data) != list(A.mu.data)  # the file lists the entries sorted
+    for X in (A, B):
+        held = [*X.mu.data.values(), *X.delta.data.values(), *X.unit.values(),
+                *X.counit.values(), *X.antipode.data.values()]
+        assert len({id(c) for c in held}) == len(X.scalar_ids) - 1  # one object per nonzero value
+    assert jsonio.dumps(jsonio.algebra_to_json(B)) == text
+    assert verify_weak_bialgebra(B).to_json() == verify_weak_bialgebra(A).to_json()
+    assert verify_antipode(B).to_json() == verify_antipode(A).to_json()
 
 
 def _axiom4_eq2_dense(A):
@@ -1250,7 +1283,8 @@ def test_antipode_sweeps_match_loops_on_stored_zeros_and_single_entry_mutants(ma
             if what.startswith("harmless"):
                 assert expected == [None] * 4, what
             # where the first failing x has several failing y, the least is named
-            bad_pair = _hom_range(X.antipode_cols, X, X, range(X.dim), anti=True)
+            bad_pair = _hom_ids(_ScalarIds(X.scalar_ids), X.mu_ids, X.antipode_ids, X.mu_ids_by_right,
+                                range(X.dim))
             if bad_pair is not None:
                 i, j = bad_pair
                 js = _hom_failing_js(X.antipode_cols, X, X, i, True)

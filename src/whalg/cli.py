@@ -29,7 +29,6 @@ from .wha import (
     base_algebras,
     center_dim,
     compare_structure,
-    default_threads,
     is_cocommutative,
     verify_antipode,
     verify_quasitriangular,
@@ -170,11 +169,10 @@ def cmd_verify(args):
     R = None
     if args.suite in ("qt", "all") and args.rmatrix:
         R = _load_rmatrix(args.rmatrix, A)
-    threads = args.threads
     suites = []
     if args.suite in ("wha", "all"):
-        suites.append(verify_weak_bialgebra(A, threads=threads))
-        suites.append(verify_antipode(A, threads=threads))
+        suites.append(verify_weak_bialgebra(A))
+        suites.append(verify_antipode(A))
     if args.suite in ("base", "all"):
         suites.append(base_algebras(A).report)
     if R is not None:
@@ -399,8 +397,8 @@ def cmd_double(args):
             return 1
         dbl = build_drinfeld_double(P)
         D = dbl.algebra
-        rep = verify_weak_bialgebra(D, threads=args.threads)
-        rep2 = verify_antipode(D, threads=args.threads)
+        rep = verify_weak_bialgebra(D)
+        rep2 = verify_antipode(D)
         rep3 = verify_quasitriangular(D, dbl.r)
         if args.out:
             jsonio.write_json(args.out, jsonio.algebra_to_json(D))
@@ -421,10 +419,6 @@ def make_parser():
     p = argparse.ArgumentParser(
         prog="whalg",
         description="exact constructors and verifiers for weak Hopf algebras",
-    )
-    p.add_argument(
-        "--threads", type=int, default=None,
-        help="worker cap for verifier sweeps (default: WHALG_THREADS or 1)",
     )
     p.add_argument("--json", action="store_true", help="machine-readable reports")
     sub = p.add_subparsers(dest="command", required=True)
@@ -510,8 +504,6 @@ def main(argv=None):
     """
     parser = make_parser()
     args = parser.parse_args(argv)
-    if args.threads is None:
-        args.threads = default_threads()
     collecting = gc.isenabled()
     gc.disable()
     try:

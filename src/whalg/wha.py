@@ -50,11 +50,12 @@ and Yang-Baxter measured no faster on ids.
 The weak Hopf axioms are self-dual, so the coalgebra laws are not swept
 separately: the suites run the algebra sweeps above on the dual A* (`dual`).
 
-mu-associativity and Axiom 1 are swept on a generating set S of A
-(`_generated_sweep`), which is exact (Light's associativity test).  For any
-algebra, associative or not, the left nucleus
-N = {a : (a y) z = a (y z) for all y, z} is a subspace closed under
-products: ((ab)y)z = (a(by))z = a((by)z) = a(b(yz)) = (ab)(yz).  So if the
+Every law sweep runs in this process through `_sweep`: over the whole
+basis or, for mu-associativity and Axiom 1, over a generating set S of A,
+which is exact (Light's associativity test).  For any algebra, associative
+or not, the left nucleus N = {a : (a y) z = a (y z) for all y, z} is a
+subspace closed under products:
+((ab)y)z = (a(by))z = a((by)z) = a(b(yz)) = (ab)(yz).  So if the
 associativity sweep passes on x in S, N = A.  Likewise, once mu is
 associative, {x : Delta(xy) = Delta(x) Delta(y) for all y} is closed under
 products, so Axiom 1 needs only x in S.  S is `mu_generators`, computed
@@ -65,30 +66,17 @@ is sound for any mu.  On the grouplike data of the paper mu is monomial and
 S is small (78 of 1296 indices for A(Z6, p=1)).  Because S is taken by
 least index, every x outside S lies in the subalgebra generated by the
 generators below x, so the least counterexample is always a generator:
-the first one that fails, and every detail is the full sweep's.  The full
-sweep runs when S is the whole basis and, for Axiom 1, when associativity
-failed.
+the first one that fails, and every detail is the full sweep's.  Axiom 1
+is swept on the whole basis when associativity failed.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import multiprocessing
-import os
 
 from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3
 from .report import Report
-
-
-def default_threads():
-    env = os.environ.get("WHALG_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 _NO_INDICES = frozenset()
@@ -253,7 +241,7 @@ class PlainAlgebra:
         rep = Report(self.name, "plain-algebra")
         detail = _unit_law(self)
         rep.add("unit-law", detail is None, detail)
-        detail = _generated_sweep(self, _assoc_range, default_threads())
+        detail = _sweep(self, _assoc_range, True)
         rep.add("associativity", detail is None, detail)
         return rep
 
@@ -839,70 +827,21 @@ def _counital_map(A, eps_table, d1):
     return out
 
 
-_PARALLEL = {}
+def _sweep(A, fn, generated):
+    """The failure detail of the range kernel `fn` on A, or None.
 
-# The id-coded indexes of A that each range kernel reads.  A forked `_sweep`
-# builds them before it forks: built inside the workers, they would be lost
-# with them and built again by every later forked sweep.
-_KERNEL_INDEXES = {
-    "_assoc_range": ("mu_ids", "mu_ids_by_result"),
-    "_axiom1_range": ("mu_ids", "delta_ids", "delta_left_ids"),
-    "_counit_weak_mult_range": ("mu_ids", "delta_ids", "eps_left_ids", "eps_right_ids"),
-    "_axiom4_eq1_range": ("mu_ids", "delta_ids", "antipode_ids", "eps_t_ids"),
-    "_axiom4_eq2_range": ("mu_ids", "delta_ids", "antipode_ids", "eps_s_ids"),
-    "_axiom4_eq3_range": ("mu_ids", "delta_ids", "antipode_ids"),
-    "_antihom_range": ("mu_ids", "mu_ids_by_right", "antipode_ids"),
-}
+    `fn` is swept over every basis index x, or with `generated` over the
+    generators `A.mu_generators` only.  That is exact for a law whose
+    passing x are closed under products (see the module docstring): passing
+    on the generators means passing on all of A, and the first failing
+    generator is the least counterexample, so the detail is the full
+    sweep's.  A non-generator x was reached from generators below x: if
+    they all pass, so does x.
 
-
-def _worker(args):
-    fn_name, key, lo, hi = args
-    A = _PARALLEL[key]
-    return globals()[fn_name](A, range(lo, hi))
-
-
-def _sweep(A, fn, threads):
-    """Run a per-basis-range sweep, optionally forked across processes.
-
-    Each worker sweeps one contiguous range; the cached indexes the kernel
-    reads (`_KERNEL_INDEXES`) are built in this process first.  Returns the
-    failure detail from the lowest range, or None; deterministic regardless
-    of worker count.
+    Callers pass `generated` by position: the benchmark's tracer wraps
+    `_sweep` by name and reads its third positional argument.
     """
-    d = A.dim
-    if threads <= 1 or d < 64 or multiprocessing.get_start_method(allow_none=False) != "fork":
-        return fn(A, range(d))
-    for name in _KERNEL_INDEXES[fn.__name__]:
-        getattr(A, name)
-    key = id(A)
-    _PARALLEL[key] = A
-    try:
-        step = max(1, (d + threads - 1) // threads)
-        ranges = [(fn.__name__, key, lo, min(d, lo + step)) for lo in range(0, d, step)]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=threads) as pool:
-            results = pool.map(_worker, ranges)
-        for res in results:
-            if res is not None:
-                return res
-    finally:
-        _PARALLEL.pop(key, None)
-    return None
-
-
-def _generated_sweep(A, fn, threads):
-    """`_sweep` of a law whose passing x are closed under products, on generators only.
-
-    For such a law, passing on the generators `A.mu_generators` means
-    passing on all of A, and the first failing generator is the least
-    counterexample, so the detail is `_sweep`'s.  A non-generator x was
-    reached from generators below x: if they all pass, so does x.  When
-    the generators are the whole basis this is `_sweep`.
-    """
-    gens = A.mu_generators
-    if len(gens) == A.dim:
-        return _sweep(A, fn, threads)
-    return fn(A, gens)
+    return fn(A, A.mu_generators if generated else range(A.dim))
 
 
 def verify_weak_bialgebra(A, threads=None):
@@ -912,32 +851,34 @@ def verify_weak_bialgebra(A, threads=None):
     (see `dual`): the counit law is the unit law of A*, coassociativity is
     its associativity and Axiom 3 is its Axiom 2.  mu-associativity (on A
     and on A*) and, once it holds, Axiom 1 are swept on generators of A
-    (`_generated_sweep`; see the module docstring).
+    (`_sweep`; see the module docstring).
+
+    `threads` is accepted and ignored: every sweep runs in this process,
+    and the benchmark's workloads still pass it.
     """
-    threads = default_threads() if threads is None else threads
     rep = Report(A.name, "weak-bialgebra")
 
     detail = _unit_law(A)
     rep.add("unit-law", detail is None, detail)
 
-    detail = _generated_sweep(A, _assoc_range, threads)
+    detail = _sweep(A, _assoc_range, True)
     rep.add("mu-associativity", detail is None, detail)
-    axiom1_sweep = _sweep if detail else _generated_sweep
+    associative = detail is None
 
     D = dual(A)
     detail = _in_dual(_unit_law(D))
     rep.add("counit-law", detail is None, detail)
 
-    detail = _in_dual(_generated_sweep(D, _assoc_range, threads))
+    detail = _in_dual(_sweep(D, _assoc_range, True))
     rep.add("delta-coassociativity", detail is None, detail)
 
-    detail = axiom1_sweep(A, _axiom1_range, threads)
+    detail = _sweep(A, _axiom1_range, associative)
     rep.add("axiom1-delta-multiplicative", detail is None, detail)
 
-    detail = _sweep(A, _counit_weak_mult_range, threads)
+    detail = _sweep(A, _counit_weak_mult_range, False)
     rep.add("axiom2-counit-weak-multiplicative", detail is None, detail)
 
-    detail = _in_dual(_sweep(D, _counit_weak_mult_range, threads))
+    detail = _in_dual(_sweep(D, _counit_weak_mult_range, False))
     rep.add("axiom3-unit-weak-comultiplicative", detail is None, detail)
     return rep
 
@@ -1126,23 +1067,24 @@ def verify_antipode(A, threads=None):
     The coalgebra anti-homomorphism law runs on the dual A* (see `dual`):
     after S(1) = 1, S*(1*) = 1* says eps S = eps, and S* must be an algebra
     anti-homomorphism of A*.
+
+    `threads` is accepted and ignored, as in `verify_weak_bialgebra`.
     """
-    threads = default_threads() if threads is None else threads
     rep = Report(A.name, "antipode")
 
-    detail = _sweep(A, _axiom4_eq1_range, threads)
+    detail = _sweep(A, _axiom4_eq1_range, False)
     rep.add("axiom4-eq1", detail is None, detail)
 
-    detail = _sweep(A, _axiom4_eq2_range, threads)
+    detail = _sweep(A, _axiom4_eq2_range, False)
     rep.add("axiom4-eq2", detail is None, detail)
 
-    detail = _sweep(A, _axiom4_eq3_range, threads)
+    detail = _sweep(A, _axiom4_eq3_range, False)
     rep.add("axiom4-eq3", detail is None, detail)
 
     invertible = A.antipode.rank() == A.dim
     rep.add("antipode-invertible", invertible, None if invertible else "S has nontrivial kernel")
 
-    detail = _sweep(A, _antihom_range, threads)
+    detail = _sweep(A, _antihom_range, False)
     rep.add("antipode-algebra-antihom", detail is None, detail)
 
     detail = None
@@ -1155,7 +1097,7 @@ def verify_antipode(A, threads=None):
         if eps_s != eps:
             detail = f"eps(S(x)) != eps(x) at {A.label_str(_first_diff(eps_s, eps))}"
         else:
-            detail = _in_dual(_sweep(D, _antihom_range, threads))
+            detail = _in_dual(_sweep(D, _antihom_range, False))
     rep.add("antipode-coalgebra-antihom", detail is None, detail)
     return rep
 
@@ -1411,8 +1353,7 @@ def _cop(U):
 def verify_quasitriangular(A, cand, threads=None):
     """The five quasi-triangular laws plus the Yang-Baxter identity.
 
-    `threads` is accepted for call compatibility with the other suites and
-    ignored: these laws are checked serially.
+    `threads` is accepted and ignored, as in `verify_weak_bialgebra`.
     """
     rep = Report(A.name, "quasi-triangular")
     R = cand.terms

@@ -47,3 +47,16 @@ def test_tracer_times_the_double_and_its_antipode(tmp_path):
     names = {span[0] for span in tr.spans}
     assert {"double.build_s", "double.solve_antipode_s"} <= names
     assert not hasattr(double.solve_antipode, "__wrapped__")
+
+
+def test_tracer_times_every_law_sweep_of_the_weak_bialgebra_suite(tmp_path):
+    # 18 of the 27 indices of B(Z3, p=1) generate it: the generator sweeps
+    # (associativity on A and on A*, Axiom 1) go through `wha._sweep` too,
+    # next to Axioms 2 and 3
+    w = groups.standard_cocycle(3, 1)
+    B = builders.build_b_g_omega(w.group, w)
+    assert (len(B.mu_generators), B.dim) == (18, 27)
+    with tracer.Tracer(str(tmp_path)) as tr:
+        assert tr.missing == []
+        assert wha.verify_weak_bialgebra(B).ok
+    assert [span[0] for span in tr.spans].count("wha.verify_serial_s") == 5

@@ -24,13 +24,18 @@ def run(*argv):
     return main(list(argv))
 
 
-def run_process(*argv, cwd=None):
-    """`whalg argv` in a fresh interpreter, with its exit code and output captured."""
+def run_python(*argv, cwd=None):
+    """`python argv` in a fresh interpreter that imports whalg from this
+    checkout, with its exit code and output captured."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-m", "whalg.cli", *argv],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd)
+
+
+def run_process(*argv, cwd=None):
+    """`whalg argv` in a fresh interpreter, with its exit code and output captured."""
+    return run_python("-m", "whalg.cli", *argv, cwd=cwd)
 
 
 def test_build_and_verify_roundtrip(tmp_path, capsys):
@@ -279,6 +284,24 @@ def test_seed_is_not_an_option(capsys):
         run("--seed", "1", *argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("usage: whalg")
+
+
+def test_threads_is_not_an_option(tmp_path):
+    # every verifier sweep runs in-process, so there is no worker count to set
+    b2 = tmp_path / "b2.json"
+    assert run("build", "b-g-omega", "--group", "z2", "--cocycle", "p=0", "-o", str(b2)) == 0
+    proc = run_process("--threads", "2", "verify", str(b2))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: whalg")
+    assert proc.stderr.splitlines()[-1].startswith("whalg: error: ")
+
+
+def test_the_cli_does_not_import_multiprocessing():
+    # nothing forks, so no CLI process pays for the import at start-up
+    proc = run_python("-c", "import sys, whalg.cli; print('multiprocessing' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_obstruction_cli(tmp_path, capsys):
@@ -686,13 +709,12 @@ def test_internal_error_propagates_instead_of_exiting_2(tmp_path, monkeypatch, c
     assert "error:" not in capsys.readouterr().err
 
 
-def test_qt_heavy_commands_reproduce_the_benchmark_digests(tmp_path, monkeypatch, capsys):
+def test_qt_heavy_commands_reproduce_the_benchmark_digests(tmp_path, capsys):
     # the benchmark's qt-heavy build and --json verify commands, on A(Z2, p=1):
     # the algebra, R-matrix and report bytes are those perfbench/digests.json pins
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "perfbench", "digests.json")) as fh:
         expected = json.load(fh)["z2 p=1"]
-    monkeypatch.setenv("WHALG_THREADS", "1")
     alg, rmat = tmp_path / "algebra.json", tmp_path / "rmatrix.json"
     assert run("build", "a-g-omega", "--group", "z2", "--cocycle", "p=1",
                "-o", str(alg), "--rmatrix-out", str(rmat)) == 0

@@ -270,16 +270,6 @@ def test_validate_agrees_with_dense_reference(name):
     assert assoc.detail == assoc_dense(bad)
 
 
-def test_validate_forked_matches_serial(monkeypatch):
-    C, _, _ = pointed(3, 1)
-    bad = _tampered(build_tube_prime(C, 2))
-    monkeypatch.setenv("WHALG_THREADS", "1")
-    serial = bad.validate().to_json()
-    monkeypatch.setenv("WHALG_THREADS", "2")
-    assert bad.validate().to_json() == serial
-    assert not serial["ok"]
-
-
 def test_plain_algebra_rejects_duplicate_labels():
     mu = SparseTensor3((2, 2, 2), 1)
     with pytest.raises(ValueError, match="distinct"):

@@ -28,7 +28,6 @@ from whalg.wha import (
     _antihom_range,
     _assoc_range,
     _axiom1_range,
-    _axiom4_eq3_range,
     _counit_weak_mult_range,
     _hom_ids,
     _hom_range,
@@ -222,8 +221,8 @@ def _coalgebra_mutants(A, per_table, kinds=("scale", "drop", "move")):
                 yield f"{table} {kind} {key}", clone_with(A, **{table: wrap[table](data)})
 
 
-def _coalgebra_checks(A, threads):
-    checks = verify_weak_bialgebra(A, threads=threads).checks + verify_antipode(A, threads=threads).checks
+def _coalgebra_checks(A):
+    checks = verify_weak_bialgebra(A).checks + verify_antipode(A).checks
     return {c.name: c for c in checks if c.name in COALGEBRA_REFERENCES}
 
 
@@ -236,25 +235,21 @@ def test_coalgebra_checks_match_loop_references_on_single_entry_mutants(make):
     assert all(ref(A) is None for ref in COALGEBRA_REFERENCES.values())
     rejected = dict.fromkeys(COALGEBRA_REFERENCES, 0)
     for what, bad in _coalgebra_mutants(A, 4):
-        serial = _coalgebra_checks(bad, 1)
+        checks = _coalgebra_checks(bad)
         for name, ref in COALGEBRA_REFERENCES.items():
-            assert serial[name].ok == (ref(bad) is None), (what, name)
-            rejected[name] += not serial[name].ok
-        forked = _coalgebra_checks(bad, 2)
-        assert {k: c.detail for k, c in forked.items()} == {k: c.detail for k, c in serial.items()}
+            assert checks[name].ok == (ref(bad) is None), (what, name)
+            rejected[name] += not checks[name].ok
     assert all(rejected.values()), rejected
 
 
-def test_coalgebra_checks_agree_when_forked():
-    # at dim 64 threads=2 forks every sweep, the ones on A* included
+def test_coalgebra_checks_match_loop_references_on_b_z4():
+    # dim 64, the sweeps on A* included
     A = build_b_g_omega(cyclic_group(4), standard_cocycle(4, 1))
     for what, bad in _coalgebra_mutants(A, 1, kinds=("scale",)):
-        serial = _coalgebra_checks(bad, 1)
-        forked = _coalgebra_checks(bad, 2)
-        assert any(not c.ok for c in serial.values()), what
+        checks = _coalgebra_checks(bad)
+        assert any(not c.ok for c in checks.values()), what
         for name, ref in COALGEBRA_REFERENCES.items():
-            assert serial[name].ok == (ref(bad) is None), (what, name)
-            assert forked[name].detail == serial[name].detail, (what, name)
+            assert checks[name].ok == (ref(bad) is None), (what, name)
 
 
 def test_s_of_one_is_reported_before_a_later_coalgebra_failure():
@@ -267,7 +262,7 @@ def test_s_of_one_is_reported_before_a_later_coalgebra_failure():
     bad = clone_with(B, antipode=S)
     assert bad.apply_antipode(bad.one()) != bad.one()
     assert any(delta_s_fails(bad, x) for x in range(bad.dim))
-    check = _coalgebra_checks(bad, 1)["antipode-coalgebra-antihom"]
+    check = _coalgebra_checks(bad)["antipode-coalgebra-antihom"]
     assert not check.ok
     assert check.detail == "S(1) != 1" == coalgebra_antihom_loop(bad)
 
@@ -423,12 +418,6 @@ def test_weak_inverse_check_against_full_solve_on_every_single_entry_mutant(p):
     assert missed > 0
 
 
-def test_parallel_matches_serial():
-    A, _ = build_a_g_omega(cyclic_group(3), standard_cocycle(3, 1))
-    assert verify_weak_bialgebra(A, threads=2).ok
-    assert verify_antipode(A, threads=2).ok
-
-
 def _antihom_dense(A):
     """Reference for "antipode-algebra-antihom": S(xy) = S(y)S(x) on every basis pair."""
     S = A.antipode
@@ -461,11 +450,9 @@ def test_antihom_sweep_matches_dense_reference_on_tampered_antipodes(n):
         bad = clone_with(A, antipode=S)
         expected = _antihom_dense(bad)
         assert expected is not None
-        for threads in (1, 2):
-            check = next(c for c in verify_antipode(bad, threads=threads).checks
-                         if c.name == "antipode-algebra-antihom")
-            assert not check.ok
-            assert check.detail == expected
+        check = next(c for c in verify_antipode(bad).checks if c.name == "antipode-algebra-antihom")
+        assert not check.ok
+        assert check.detail == expected
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +700,7 @@ def test_quasitriangular_suite_matches_dense_reference_on_single_entry_mutants()
 
 
 def _first_failure_by_ranges(A, step, kernel=_assoc_range):
-    """A range kernel over consecutive ranges, as the forked sweep splits it."""
+    """A range kernel over consecutive ranges of the basis, lowest first."""
     for lo in range(0, A.dim, step):
         detail = kernel(A, range(lo, min(A.dim, lo + step)))
         if detail is not None:
@@ -764,10 +751,9 @@ def test_assoc_kernel_matches_dense_on_stored_zeros_and_cancelling_sums(make):
         assert expected is not None
         assert _assoc_range(bad, range(bad.dim)) == expected
         assert _first_failure_by_ranges(bad, 5) == expected
-        for threads in (1, 2):
-            check = verify_weak_bialgebra(bad, threads=threads).checks[1]
-            assert check.name == "mu-associativity"
-            assert check.detail == expected
+        check = verify_weak_bialgebra(bad).checks[1]
+        assert check.name == "mu-associativity"
+        assert check.detail == expected
 
 
 def test_assoc_kernel_matches_dense_where_long_products_cancel():
@@ -829,10 +815,9 @@ def test_generated_sweeps_match_dense_on_single_entry_mu_mutants(make):
     for what, bad in _mu_mutants(A, 4):
         expected = [assoc_dense(bad), axiom1_dense(bad)]
         assert expected[0] is not None, what
-        for threads in (1, 2):
-            checks = {c.name: c for c in verify_weak_bialgebra(bad, threads=threads).checks}
-            got = [checks["mu-associativity"].detail, checks["axiom1-delta-multiplicative"].detail]
-            assert got == expected, (what, threads)
+        checks = {c.name: c for c in verify_weak_bialgebra(bad).checks}
+        got = [checks["mu-associativity"].detail, checks["axiom1-delta-multiplicative"].detail]
+        assert got == expected, what
         least = _assoc_triple(bad, range(bad.dim))[0]
         assert least in bad.mu_generators, what
         assert _assoc_triple(bad, bad.mu_generators)[0] == least, what
@@ -850,12 +835,11 @@ def test_unit_mutants_fail_the_unit_law_and_keep_associativity(make):
             bad = clone_with(A, unit=_tamper(A.unit, kind, key, A.dim))
             expected = unit_law_loop(bad)
             assert expected is not None, (kind, key)
-            for threads in (1, 2):
-                rep = verify_weak_bialgebra(bad, threads=threads)
-                checks = {c.name: c for c in rep.checks}
-                assert not rep.ok
-                assert checks["unit-law"].detail == expected, (kind, key, threads)
-                assert checks["mu-associativity"].ok, (kind, key, threads)
+            rep = verify_weak_bialgebra(bad)
+            checks = {c.name: c for c in rep.checks}
+            assert not rep.ok
+            assert checks["unit-law"].detail == expected, (kind, key)
+            assert checks["mu-associativity"].ok, (kind, key)
             assert bad.mu_generators == A.mu_generators
 
 
@@ -998,9 +982,8 @@ def test_axiom_kernels_match_dense_on_stored_zeros_and_single_entry_mutants(make
                 assert _first_failure_by_ranges(X, 5, kernel) == ref, (what, X.name)
         expected = [refs[bad.name, axiom1_dense], refs[bad.name, axiom2_dense],
                     _on_dual(refs[D.name, axiom2_dense])]
-        for threads in (1, 2):
-            checks = {c.name: c for c in verify_weak_bialgebra(bad, threads=threads).checks}
-            assert [checks[name].detail for name in _AXIOM_CHECKS] == expected, (what, threads)
+        checks = {c.name: c for c in verify_weak_bialgebra(bad).checks}
+        assert [checks[name].detail for name in _AXIOM_CHECKS] == expected, what
         for name, detail in zip(_AXIOM_CHECKS, expected):
             rejected[name] += detail is not None
         if what.startswith("harmless"):
@@ -1048,8 +1031,8 @@ def test_axiom_kernels_match_dense_where_long_coproducts_cancel():
     assert any(details)
 
 
-def test_axiom_checks_match_dense_when_forked():
-    # at dim 64 threads=2 forks: one range per worker, merged lowest first
+def test_axiom_checks_match_dense_on_b_z4():
+    # dim 64: Delta and counit mutants
     A = build_b_g_omega(cyclic_group(4), standard_cocycle(4, 1))
     n = A.conductor
     mutants = []
@@ -1058,34 +1041,28 @@ def test_axiom_checks_match_dense_when_forked():
         mutants.append(clone_with(A, delta=SparseTensor3(A.delta.dims, n, data)))
     for key in sorted(A.counit)[:: len(A.counit) // 2]:
         mutants.append(clone_with(A, counit=_tamper(A.counit, "scale", key, A.dim)))
-    in_first_range = set()
     for bad in mutants:
         expected = [axiom1_dense(bad), axiom2_dense(bad), _on_dual(axiom2_dense(dual(bad)))]
         assert any(expected)
-        checks = {c.name: c for c in verify_weak_bialgebra(bad, threads=2).checks}
+        checks = {c.name: c for c in verify_weak_bialgebra(bad).checks}
         assert [checks[name].detail for name in _AXIOM_CHECKS] == expected
-        if expected[1] is not None:
-            y = next(y for y in range(bad.dim) if _counit_weak_mult_range(bad, [y]))
-            in_first_range.add(y < 32)
-    assert in_first_range == {True, False}  # Axiom 2 fails in each worker's range
 
 
 def test_suites_leave_only_the_shared_indexes_on_the_algebra():
     # the dual A* and each call's product and sum memo are locals of one
     # sweep or suite: the algebra keeps its structure tensors, its scalar
     # table and the indexes that every later suite reuses, scalar-valued and
-    # id-coded, nothing per call; a forked sweep builds them before it forks
-    # (B(Z4, p=1) has dim 64, so threads=2 forks every sweep)
+    # id-coded, nothing per call
     structure = {"labels", "dim", "conductor", "mu", "unit", "name", "label_index",
                  "delta", "counit", "antipode", "meta", "scalar_ids"}
     indexes = {"mu_generators", "delta_terms", "antipode_cols",
                "_delta_unit", "eps_left", "eps_right", "eps_t", "eps_s"}
     id_indexes = {"mu_ids", "mu_ids_by_result", "mu_ids_by_right", "delta_ids", "delta_left_ids",
                   "antipode_ids", "eps_left_ids", "eps_right_ids", "eps_t_ids", "eps_s_ids"}
-    for A, threads in ((a_z2(p=1)[0], 1), (build_b_g_omega(cyclic_group(4), standard_cocycle(4, 1)), 2)):
-        assert verify_weak_bialgebra(A, threads=threads).ok
-        assert verify_antipode(A, threads=threads).ok
-        assert set(A.__dict__) == structure | indexes | id_indexes, threads
+    for A in (a_z2(p=1)[0], build_b_g_omega(cyclic_group(4), standard_cocycle(4, 1))):
+        assert verify_weak_bialgebra(A).ok
+        assert verify_antipode(A).ok
+        assert set(A.__dict__) == structure | indexes | id_indexes, A.name
 
 
 def test_an_algebra_loaded_from_json_numbers_its_scalars_as_the_built_one():
@@ -1220,8 +1197,8 @@ def _antipode_loops(A):
     return [axiom4_eq1_loop(A), axiom4_eq2_loop(A), axiom4_eq3_loop(A), antihom]
 
 
-def _antipode_details(A, threads):
-    checks = {c.name: c.detail for c in verify_antipode(A, threads=threads).checks}
+def _antipode_details(A):
+    checks = {c.name: c.detail for c in verify_antipode(A).checks}
     return [checks[name] for name in _ANTIPODE_SWEPT]
 
 
@@ -1277,7 +1254,7 @@ def test_antipode_sweeps_match_loops_on_stored_zeros_and_single_entry_mutants(ma
     for what, bad in _antipode_mutants(A, 4):
         for X in (bad, dual(bad)):
             expected = _antipode_loops(X)
-            assert _antipode_details(X, 1) == expected, (what, X.name)
+            assert _antipode_details(X) == expected, (what, X.name)
             for name, detail in zip(_ANTIPODE_SWEPT, expected):
                 rejected[name] += detail is not None
             if what.startswith("harmless"):
@@ -1294,8 +1271,8 @@ def test_antipode_sweeps_match_loops_on_stored_zeros_and_single_entry_mutants(ma
     assert several_js
 
 
-def test_antipode_sweeps_match_loops_when_forked():
-    # at dim 64 threads=2 forks: one range per worker, merged lowest first
+def test_antipode_sweeps_match_loops_on_b_z4():
+    # dim 64: antipode and Delta mutants
     A = build_b_g_omega(cyclic_group(4), standard_cocycle(4, 1))
     n = A.conductor
     mutants = []
@@ -1305,14 +1282,10 @@ def test_antipode_sweeps_match_loops_when_forked():
     for key in sorted(A.delta.data)[:: len(A.delta.data) // 2]:
         data = _tamper(A.delta.data, "scale", key, A.dim)
         mutants.append(clone_with(A, delta=SparseTensor3(A.delta.dims, n, data)))
-    in_first_range = set()
     for bad in mutants:
         expected = _antipode_loops(bad)
         assert any(expected)
-        assert _antipode_details(bad, 2) == expected
-        if expected[2] is not None:
-            in_first_range.add(_axiom4_eq3_range(bad, range(32)) is not None)
-    assert in_first_range == {True, False}  # eq3 fails first in each worker's range
+        assert _antipode_details(bad) == expected
 
 
 def _phi_mutants(phi, d, n):
@@ -1422,13 +1395,13 @@ def test_suites_builds_and_json_round_trips_leave_no_reference_cycles():
         A, R = build_a_g_omega(cyclic_group(2), standard_cocycle(2, 1))
         B = build_b_g_omega(cyclic_group(3), standard_cocycle(3, 1))
         for X in (A, B):
-            assert verify_weak_bialgebra(X, threads=1).ok
-            assert verify_antipode(X, threads=1).ok
+            assert verify_weak_bialgebra(X).ok
+            assert verify_antipode(X).ok
             assert base_algebras(X).report.ok
             assert center_dim(X) > 0
             back = jsonio.algebra_from_json(json.loads(jsonio.dumps(jsonio.algebra_to_json(X))))
             assert compare_structure(back, X, list(range(X.dim))).ok
-        assert verify_quasitriangular(A, R, threads=1).ok
+        assert verify_quasitriangular(A, R).ok
         R2 = jsonio.rmatrix_from_json(json.loads(jsonio.dumps(jsonio.rmatrix_to_json(A, R))))
         assert R2.terms == R.terms
         # a cycle among live objects is reachable: drop them all first

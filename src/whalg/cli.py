@@ -26,6 +26,7 @@ from .builders import (
 from .groups import catalog_group, standard_cocycle, trivial_cocycle, validate_cocycle
 from .skeleton import fib_fusion_ring, pointed_skeleton, validate_module_pentagon, validate_pentagon
 from .wha import (
+    RMatrixCandidate,
     base_algebras,
     center_dim,
     compare_structure,
@@ -33,6 +34,7 @@ from .wha import (
     verify_antipode,
     verify_quasitriangular,
     verify_weak_bialgebra,
+    weak_inverse,
 )
 
 
@@ -403,7 +405,9 @@ def cmd_double(args):
         if args.out:
             jsonio.write_json(args.out, jsonio.algebra_to_json(D))
         if args.rmatrix_out:
-            jsonio.write_json(args.rmatrix_out, jsonio.rmatrix_to_json(D, dbl.r))
+            # the file carries R's checked weak inverse when it has one
+            R = RMatrixCandidate(dbl.r.terms, weak_inverse(D, dbl.r))
+            jsonio.write_json(args.rmatrix_out, jsonio.rmatrix_to_json(D, R))
         print(f"dim {D.dim} conductor {D.conductor}")
         for rep_i in (rep, rep2, rep3):
             _print_report(rep_i, args.json)

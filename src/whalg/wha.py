@@ -43,9 +43,13 @@ scalar-valued ones (`mu_ids`, `delta_ids`, ...), and each call starts its
 sweeps hash ints, not cyclotomic values.  A table that belongs to no algebra
 is coded per call (`_coded`).  The sweeps on ids are the three kernels
 above, Axioms 1 and 2 and the intertwining law (`_intertwining_failure`).
-The Yang-Baxter identity and the weak-inverse laws stay on `mul_tensor`:
-each is a few products of whole tensors rather than a sweep over the basis,
-and Yang-Baxter measured no faster on ids.
+The rest of the quasi-triangular suite is a few products of whole tensors
+rather than a sweep over the basis, on scalar values.  R's two-leg products
+R12 R13, R23 R13, R13 R23 and R13 R12 are contracted from R's terms
+(`_r_products`), with the unit read through mu as e_b 1 and 1 e_b, so no
+unit-lifted tensor is built for them; the coproduct-leg laws compare
+against them, and Yang-Baxter multiplies them on `mul3` by the lifted R23
+and R12 only.  The weak-inverse laws are products in A (x) A on `mul2`.
 
 The weak Hopf axioms are self-dual, so the coalgebra laws are not swept
 separately: the suites run the algebra sweeps above on the dual A* (`dual`).
@@ -1366,15 +1370,11 @@ def verify_quasitriangular(A, cand, threads=None):
     detail = None if x is None else f"R Delta(x) != Delta^cop(x) R at x = {A.label_str(x)}"
     rep.add("r-intertwines-coproducts", detail is None, detail)
 
+    r12r13, r23r13, r13r23, r13r12 = _r_products(A, R)
     lhs = {}
     for (i, j), c in R.items():
         for a, b, c2 in A.delta_terms[i]:
             _acc(lhs, (a, b, j), c * c2)
-    r13r23 = {}
-    for (i1, j1), c1 in R.items():
-        for (i2, j2), c2 in R.items():
-            for k, cm in A.mu_pairs.get((j1, j2), ()):
-                _acc(r13r23, (i1, i2, k), c1 * c2 * cm)
     ok = lhs == r13r23
     rep.add("delta-leg-one", ok, None if ok else "(Delta (x) id)(R) != R13 R23")
 
@@ -1382,21 +1382,18 @@ def verify_quasitriangular(A, cand, threads=None):
     for (i, j), c in R.items():
         for a, b, c2 in A.delta_terms[j]:
             _acc(lhs, (i, a, b), c * c2)
-    r13r12 = {}
-    for (i1, j1), c1 in R.items():
-        for (i2, j2), c2 in R.items():
-            for k, cm in A.mu_pairs.get((i1, i2), ()):
-                _acc(r13r12, (k, j2, j1), c1 * c2 * cm)
     ok = lhs == r13r12
     rep.add("delta-leg-two", ok, None if ok else "(id (x) Delta)(R) != R13 R12")
 
-    rbar, detail = _find_weak_inverse(A, cand)
+    rbar = weak_inverse(A, cand)
+    detail = None
+    if rbar is None:
+        detail = ("supplied weak inverse fails its defining laws" if cand.rbar is not None
+                  else "(S (x) id)(R) is not a weak inverse of R")
     rep.add("weak-inverse-exists", rbar is not None, detail)
-    cand.rbar = rbar
 
-    r12, r13, r23 = (_lift(R, a, b, A) for a, b in ((0, 1), (0, 2), (1, 2)))
-    lhs = A.mul3(A.mul3(r12, r13), r23)
-    rhs = A.mul3(A.mul3(r23, r13), r12)
+    lhs = A.mul3(r12r13, _lift(R, A, 0))
+    rhs = A.mul3(r23r13, _lift(R, A, 2))
     ok = lhs == rhs
     rep.add("yang-baxter", ok, None if ok else "R12 R13 R23 != R23 R13 R12")
     return rep
@@ -1468,40 +1465,96 @@ def _intertwining_failure(A, R):
     return None
 
 
-def _lift(R, leg1, leg2, A):
-    """Place a two-leg tensor into legs (leg1, leg2) of A^(x)3, unit elsewhere."""
-    out = {}
-    for (i, j), c in R.items():
-        for u, cu in A.unit.items():
-            key = [None, None, None]
-            key[leg1] = i
-            key[leg2] = j
-            key[[k for k in range(3) if key[k] is None][0]] = u
-            _acc(out, tuple(key), c * cu)
-    return out
+def _r_products(A, R):
+    """R12 R13, R23 R13, R13 R23 and R13 R12 in A^(x)3, contracted from R's terms.
+
+    With rho(b) = e_b 1 and lambda(b) = 1 e_b, and primes on the second
+    factor's term a' (x) b':
+
+        R12 R13 = sum a a' (x) rho(b) (x) lambda(b')
+        R13 R12 = sum a a' (x) lambda(b') (x) rho(b)
+        R23 R13 = sum lambda(a') (x) rho(a) (x) b b'
+        R13 R23 = sum rho(a) (x) lambda(a') (x) b b'
+
+    so each pair of products is one contraction joined on a leg of R,
+    with its legs placed two ways.  The contraction indexes R by the joined
+    leg x, sums c rho(y) and c lambda(y) over its terms x (x) y (or y (x) x)
+    first, and meets a joined index only the joined indices in its right
+    companion set.  rho and lambda are read through mu and the unit, so each
+    result equals the product of the unit-lifted tensors by bilinearity, for
+    any mu and unit, with no lifted operand built.
+    """
+    mp = A.mu_pairs
+    rcs = A.right_companion_sets
+    unit = A.unit
+    rho = {}
+    lam = {}
+    out = []
+    for leg in (0, 1):
+        rho_of = {}  # x -> sum of c rho(y) over R's terms with x on `leg`, y on the other
+        lam_of = {}
+        for key, c in R.items():
+            x, y = key[leg], key[1 - leg]
+            if y not in rho:
+                e_y = A.basis_elem(y)
+                rho[y] = _product(mp, e_y, unit)
+                lam[y] = _product(mp, unit, e_y)
+            for target, image in ((rho_of, rho[y]), (lam_of, lam[y])):
+                row = target.setdefault(x, {})
+                for k, ck in image.items():
+                    _acc(row, k, c * ck)
+        joined = {}  # (x x', rho, lambda) -> coeff
+        for x1, row1 in rho_of.items():
+            for x2 in lam_of.keys() & rcs.get(x1, _NO_INDICES):
+                row2 = lam_of[x2]
+                for k, cm in mp[(x1, x2)]:
+                    for r, cr in row1.items():
+                        cmr = cm * cr
+                        for l, cl in row2.items():
+                            _acc(joined, (k, r, l), cmr * cl)
+        out.append(joined)
+    on_first, on_second = out
+    return (
+        on_first,
+        {(l, r, k): c for (k, r, l), c in on_second.items()},
+        {(r, l, k): c for (k, r, l), c in on_second.items()},
+        {(k, l, r): c for (k, r, l), c in on_first.items()},
+    )
 
 
-def _find_weak_inverse(A, cand):
-    """The weak inverse of R, checked by its three defining laws.
+def _lift(R, A, unit_leg):
+    """R in A^(x)3 with the unit on leg `unit_leg`: R23 for 0, R12 for 2.
 
-    Checks the supplied Rbar if there is one, else (S (x) id)(R): in a
-    quasi-triangular weak Hopf algebra the weak inverse is unique and equals
-    (S (x) id)(R) (Nikshych-Turaev-Vainerman 2003), so when that fails R is
-    not quasi-triangular.
+    Yang-Baxter's last factors R12 and R23 are the only lifted tensors.  R's
+    terms and the unit's are nonzero, so every product is.
+    """
+    unit = [(u, cu) for u, cu in A.unit.items() if cu]
+    if unit_leg == 0:
+        return {(u, i, j): c * cu for u, cu in unit for (i, j), c in R.items()}
+    return {(i, j, u): c * cu for (i, j), c in R.items() for u, cu in unit}
+
+
+def weak_inverse(A, cand):
+    """The weak inverse of R, checked by its three defining laws, or None.
+
+    Checks the candidate's supplied Rbar if there is one, else (S (x) id)(R):
+    in a quasi-triangular weak Hopf algebra the weak inverse is unique and
+    equals (S (x) id)(R) (Nikshych-Turaev-Vainerman 2003), so when that
+    fails R is not quasi-triangular.  The candidate is not changed.
     """
     R = cand.terms
     d1 = A.delta_of_unit()
     d1cop = _cop(d1)
     if cand.rbar is not None:
-        rb, detail = cand.rbar, "supplied weak inverse fails its defining laws"
+        rb = cand.rbar
     else:
-        rb, detail = {}, "(S (x) id)(R) is not a weak inverse of R"
+        rb = {}
         for (i, j), c in R.items():
             for k, v in A.apply_antipode({i: c}).items():
                 _acc(rb, (k, j), v)
     if A.mul2(R, rb) == d1cop and A.mul2(rb, R) == d1 and A.mul2(rb, d1cop) == rb:
-        return rb, None
-    return None, detail
+        return rb
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -60,3 +60,14 @@ def test_tracer_times_every_law_sweep_of_the_weak_bialgebra_suite(tmp_path):
         assert tr.missing == []
         assert wha.verify_weak_bialgebra(B).ok
     assert [span[0] for span in tr.spans].count("wha.verify_serial_s") == 5
+
+
+def test_tracer_counts_the_two_yang_baxter_products(tmp_path):
+    # R's two-leg products are contracted from its terms, so one qt suite
+    # calls mul3 only for Yang-Baxter's last products, with R23 and R12
+    w = groups.standard_cocycle(2, 1)
+    A, R = builders.build_a_g_omega(w.group, w)
+    with tracer.Tracer(str(tmp_path)) as tr:
+        assert tr.missing == []
+        assert wha.verify_quasitriangular(A, R).ok
+    assert tr.counts["wha.mul3.calls"] == 2

@@ -45,6 +45,7 @@ from whalg.wha import (
     verify_antipode,
     verify_quasitriangular,
     verify_weak_bialgebra,
+    weak_inverse,
 )
 
 from references import (
@@ -469,13 +470,23 @@ def _a_z3():
     return _a_z3_with_r()[0]
 
 
-def _shifted_basis(A):
-    """A in the basis f_i = e_i + e_(i+1): products and coproducts have many
-    terms, and sums of them cancel often."""
+def _shifted_coordinates(A, shifted=None):
+    """The basis f_i = e_i + e_(i+1) for i in `shifted` (default: every
+    i < dim - 1), f_i = e_i otherwise, and the matrix taking e-coordinates
+    to f-coordinates."""
+    d, n = A.dim, A.conductor
+    shifted = range(d - 1) if shifted is None else shifted
+    one = A.one_scalar()
+    f = [{i: one, i + 1: one} if i in shifted else {i: one} for i in range(d)]
+    return f, SparseMatrix.from_columns(d, f, n).inverse()
+
+
+def _shifted_basis(A, shifted=None):
+    """A in the basis f_i = e_i + e_(i+1) (`_shifted_coordinates`): products
+    and coproducts have many terms, and sums of them cancel often."""
     d, n = A.dim, A.conductor
     one = A.one_scalar()
-    f = [{i: one, i + 1: one} if i + 1 < d else {i: one} for i in range(d)]
-    to_f = SparseMatrix.from_columns(d, f, n).inverse()
+    f, to_f = _shifted_coordinates(A, shifted)
     mu = SparseTensor3((d, d, d), n)
     delta = SparseTensor3((d, d, d), n)
     antipode = SparseMatrix(d, d, n)
@@ -497,6 +508,20 @@ def _shifted_basis(A):
 @functools.lru_cache(maxsize=None)
 def _a_z2_shifted():
     return _shifted_basis(a_z2(p=1)[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _a_z2_half_shifted_with_r():
+    """A(Z2, p=1) with its even indices shifted, and its R carried into that
+    basis (fully shifted, R has 187 terms and Yang-Baxter takes minutes)."""
+    A, R = a_z2(p=1)
+    even = range(0, A.dim, 2)
+    _f, to_f = _shifted_coordinates(A, even)
+    one = A.one_scalar()
+    terms = _collect(((a, b), ca * cb) for (i, j), c in R.terms.items()
+                     for a, ca in to_f.apply({i: c}).items()
+                     for b, cb in to_f.apply({j: one}).items())
+    return _shifted_basis(A, even), terms
 
 
 _TENSOR_ALGEBRAS = [_a_z3, _a_z2_shifted]
@@ -677,6 +702,22 @@ def _quasitriangular_dense(A, R):
     return checks
 
 
+def _qt_checks(A, terms):
+    """`verify_quasitriangular` on a fresh candidate, as [(name, ok, detail)]."""
+    return [(c.name, c.ok, c.detail) for c in verify_quasitriangular(A, RMatrixCandidate(terms)).checks]
+
+
+def _qt_verdicts_match_dense(variants):
+    """Assert the suite matches `_quasitriangular_dense` check by check on
+    each (A, R) variant; return {check name: verdict} of each."""
+    verdicts = []
+    for A, terms in variants:
+        expected = _quasitriangular_dense(A, terms)
+        assert _qt_checks(A, terms) == expected, A.name
+        verdicts.append({name: ok for name, ok, _detail in expected})
+    return verdicts
+
+
 def test_quasitriangular_suite_matches_dense_reference_on_single_entry_mutants():
     A, R = _a_z3_with_r()
     R = R.terms
@@ -690,13 +731,71 @@ def test_quasitriangular_suite_matches_dense_reference_on_single_entry_mutants()
         moved = dict(dropped)
         moved[(key[0], (key[1] + 1) % A.dim)] = R[key]
         variants += [scaled, dropped, moved]
-    verdicts = []
-    for terms in variants:
-        expected = _quasitriangular_dense(A, terms)
-        got = verify_quasitriangular(A, RMatrixCandidate(terms)).checks
-        assert [(c.name, c.ok, c.detail) for c in got] == expected
-        verdicts.append(all(ok for _name, ok, _detail in expected))
-    assert verdicts == [True] + [False] * (len(variants) - 1)
+    verdicts = _qt_verdicts_match_dense([(A, terms) for terms in variants])
+    assert [all(v.values()) for v in verdicts] == [True] + [False] * (len(variants) - 1)
+
+
+def test_quasitriangular_suite_matches_dense_reference_on_unit_mutants():
+    # R's two-leg products read the unit through mu, e_b 1 and 1 e_b, so a
+    # wrong unit shows in the coproduct-leg laws as it does in the reference's
+    # unit-lifted products
+    A, R = _a_z3_with_r()
+    mutants = [clone_with(A, unit=_tamper(A.unit, kind, key, A.dim))
+               for key in sorted(A.unit)[:4] for kind in ("scale", "drop")]
+    verdicts = _qt_verdicts_match_dense([(bad, R.terms) for bad in mutants])
+    assert [(v["delta-leg-one"], v["delta-leg-two"]) for v in verdicts] == [(False, False)] * 8
+
+
+def test_quasitriangular_suite_matches_dense_reference_in_a_shifted_basis():
+    # in the shifted basis the unit, R and the products of R's legs have
+    # several terms; each mu mutant changes e_b 1 (or 1 e_b) for a leg b of
+    # R, so there rho(b) = e_b 1 (or lambda(b) = 1 e_b) is no longer e_b
+    A, R = _a_z2_half_shifted_with_r()
+    legs = {x for key in R for x in key}
+    assert len(A.unit) > 1 and len(R) > len(a_z2(p=1)[1])
+    assert max(len(A.mul(A.basis_elem(a), A.basis_elem(b))) for a in legs for b in legs) > 1
+    one = A.one()
+    right = [key for key in sorted(A.mu.data) if key[0] in legs and key[1] in A.unit]
+    left = [key for key in sorted(A.mu.data) if key[1] in legs and key[0] in A.unit]
+    mutants = []
+    for leg, keys in ((0, right), (1, left)):
+        for key in keys[:: max(1, len(keys) // 3)][:3]:
+            for kind in ("scale", "drop"):
+                mu = SparseTensor3(A.mu.dims, A.conductor, _tamper(A.mu.data, kind, key, A.dim))
+                bad = clone_with(A, mu=mu)
+                b = bad.basis_elem(key[leg])
+                assert (bad.mul(b, one) if leg == 0 else bad.mul(one, b)) != b, (kind, key)
+                mutants.append(bad)
+    assert len(mutants) == 12
+    verdicts = _qt_verdicts_match_dense([(A, R)] + [(bad, R) for bad in mutants])
+    assert all(verdicts[0].values())
+    assert not any(all(v.values()) for v in verdicts[1:])
+
+
+def test_quasitriangular_suite_leaves_the_candidate_unchanged():
+    # a candidate verified once must not carry its weak inverse to the next
+    # algebra: there it would be checked as supplied
+    A, R = a_z2(p=1)
+    cand = RMatrixCandidate(R.terms)
+    assert verify_quasitriangular(A, cand).ok
+    assert cand.rbar is None
+    failed = 0
+    for (k, i) in sorted(A.antipode.data):
+        S = A.antipode.copy()
+        S.set(k, i, S.get(k, i) * Cyclotomic.rational(A.conductor, 2))
+        bad = clone_with(A, antipode=S)
+        got = [(c.name, c.ok, c.detail) for c in verify_quasitriangular(bad, cand).checks]
+        assert got == _qt_checks(bad, R.terms), (k, i)
+        failed += not {name: ok for name, ok, _detail in got}["weak-inverse-exists"]
+    assert failed == 8
+    # a supplied weak inverse is checked as supplied
+    rbar = weak_inverse(A, cand)
+    assert rbar is not None and cand.rbar is None
+    assert verify_quasitriangular(A, RMatrixCandidate(R.terms, rbar)).ok
+    two = Cyclotomic.rational(A.conductor, 2)
+    wrong = RMatrixCandidate(R.terms, {key: c * two for key, c in rbar.items()})
+    check = next(c for c in verify_quasitriangular(A, wrong).checks if c.name == "weak-inverse-exists")
+    assert (check.ok, check.detail) == (False, "supplied weak inverse fails its defining laws")
 
 
 def _first_failure_by_ranges(A, step, kernel=_assoc_range):

@@ -27,6 +27,7 @@ from .wha import (
     PlainAlgebra,
     RMatrixCandidate,
     WeakHopfAlgebra,
+    _NO_ROW,
     _acc,
     _first_diff,
     _separability_laws,
@@ -310,19 +311,21 @@ class SeparableFrobenius(PlainAlgebra):
         d = self.dim
 
         # s(xy), s(x) y and x s(y) as tables (x, y, a, b) -> coeff of e_a (x) e_b
+        mp, by_right, vals = self.mu_ids, self.mu_ids_by_right, self.scalar_values
         s_xy, s_x_y, x_s_y = {}, {}, {}
-        for (x, y), terms in self.mu_pairs.items():
-            for k, c in terms:
-                for a, b, cs in self.s_terms.get(k, ()):
-                    _acc(s_xy, (x, y, a, b), c * cs)
+        for x, row in mp.items():
+            for y, terms in row.items():
+                for k, c in terms:
+                    for a, b, cs in self.s_terms.get(k, ()):
+                        _acc(s_xy, (x, y, a, b), vals[c] * cs)
         for z, terms in self.s_terms.items():
             for a, b, c in terms:
-                for y in self.right_companions.get(b, ()):
-                    for k, cm in self.mu_pairs[(b, y)]:
-                        _acc(s_x_y, (z, y, a, k), c * cm)
-                for x in self.left_companions.get(a, ()):
-                    for k, cm in self.mu_pairs[(x, a)]:
-                        _acc(x_s_y, (x, z, k, b), c * cm)
+                for y, products in mp.get(b, _NO_ROW).items():
+                    for k, cm in products:
+                        _acc(s_x_y, (z, y, a, k), c * vals[cm])
+                for x, products in by_right.get(a, _NO_ROW).items():
+                    for k, cm in products:
+                        _acc(x_s_y, (x, z, k, b), c * vals[cm])
         bad = [_first_diff(s_xy, t) for t in (s_x_y, x_s_y) if t != s_xy]
         detail = None
         if bad:
@@ -396,13 +399,14 @@ def build_frobenius_double(B):
     one = Cyclotomic.one(n)
     mu, delta = _new_tensors(d, n)
 
+    mp, vals = B.mu_ids, B.scalar_values
     for (i1, j1) in itertools.product(range(db), repeat=2):
         for (i2, j2) in itertools.product(range(db), repeat=2):
             left = index[("t", i1, j1)]
             right = index[("t", i2, j2)]
-            for k1, c1 in B.mu_pairs.get((i1, i2), ()):
-                for k2, c2 in B.mu_pairs.get((j2, j1), ()):
-                    mu.add_to(left, right, index[("t", k1, k2)], c1 * c2)
+            for k1, c1 in mp.get(i1, _NO_ROW).get(i2, ()):
+                for k2, c2 in mp.get(j2, _NO_ROW).get(j1, ()):
+                    mu.add_to(left, right, index[("t", k1, k2)], vals[c1] * vals[c2])
 
     unit = {}
     for i, ci in B.unit.items():

@@ -50,7 +50,7 @@ def _load_group(spec):
     try:
         return catalog_group(spec)
     except KeyError as exc:
-        raise UsageError(str(exc))
+        raise UsageError(exc.args[0])
 
 
 def _load_cocycle(spec, G):

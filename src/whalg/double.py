@@ -31,10 +31,13 @@ from .skeleton import (
 from .wha import (
     RMatrixCandidate,
     WeakHopfAlgebra,
+    _NO_ROW,
+    _ScalarIds,
     _acc,
+    _coded,
     _first_diff,
     _hom_range,
-    _pairs_index,
+    _nested,
     _product,
     _prune,
     _push,
@@ -245,6 +248,8 @@ def build_drinfeld_double(P):
         by_a.setdefault(a, []).append((t, b))
         by_b.setdefault(b, []).append((t, a))
     d2B = {b: B.coproduct2(B.basis_elem(b)) for b in by_b}
+    a_rows, a_vals = A.mu_ids, A.scalar_values
+    b_rows, b_vals = B.mu_ids, B.scalar_values
     for ap, lefts in by_a.items():
         d2ap = A.coproduct2(A.basis_elem(ap))
         for b, rights in by_b.items():
@@ -259,15 +264,16 @@ def build_drinfeld_double(P):
             if not exchange:
                 continue
             for t1, bp in lefts:
+                left_row = b_rows.get(bp, _NO_ROW)
                 for t2, a in rights:
                     out = {}
                     for (b2, a2), x in exchange.items():
-                        right = A.mu_pairs.get((a2, a))
-                        if not right:
+                        right = a_rows.get(a2, _NO_ROW).get(a)
+                        if right is None:
                             continue
-                        for kb, ckb in B.mu_pairs.get((bp, b2), ()):
+                        for kb, ckb in left_row.get(b2, ()):
                             for ka, cka in right:
-                                _acc(out, flat(kb, ka), x * ckb * cka)
+                                _acc(out, flat(kb, ka), x * b_vals[ckb] * a_vals[cka])
                     for k, v in project(out).items():
                         mu.add_to(t1, t2, k, v)
 
@@ -324,7 +330,8 @@ def solve_antipode(P, project, reps, mu):
     """
     B, A = P.B, P.A
     dA = A.dim
-    pairs = _pairs_index(mu.data)
+    ids = _ScalarIds()  # the double's mu belongs to no algebra yet: coded once here
+    rows = _nested(_coded(mu.data, ids.scalar_id))
     left, right = {}, {}  # a -> [1 (x) S_A a], b -> [S_B b (x) 1]
     for f in reps:
         b, a = divmod(f, dA)
@@ -337,7 +344,7 @@ def solve_antipode(P, project, reps, mu):
     smat = SparseMatrix(len(reps), len(reps), B.conductor)
     for t, f in enumerate(reps):
         b, a = divmod(f, dA)
-        for k, c in _product(pairs, left[a], right[b]).items():
+        for k, c in _product(rows, ids.vals, left[a], right[b]).items():
             smat.set(k, t, c)
     return smat
 

@@ -14,7 +14,8 @@ import itertools
 from .exactmath import Cyclotomic, SparseTensor3
 from .report import Report
 from .skeleton import SkeletonError, dual_data_pointed
-from .wha import PlainAlgebra, _hom_range, _mixed_assoc_by_value, _pairs_index, _product, _push
+from .wha import (PlainAlgebra, _by_leg, _coded, _hom_range, _mixed_assoc_by_value,
+                  _mixed_assoc_range, _nested, _product, _push, _ScalarIds)
 
 
 # ---------------------------------------------------------------------------
@@ -156,24 +157,26 @@ class Bimodule:
 
     def validate(self):
         rep = Report(self.name, "bimodule")
-        left = _pairs_index(self.left_action)
-        right = _pairs_index(self.right_action)
+        # both actions coded once, in one table, for the unit laws and (a m) b = a (m b)
+        ids = _ScalarIds()
+        l_act = list(_coded(self.left_action, ids.scalar_id))
+        r_act = list(_coded(self.right_action, ids.scalar_id))
+        left, right = _nested(l_act), _nested(r_act)
 
         one = Cyclotomic.one(self.left_alg.conductor)
         detail = None
         for m in range(self.dim):
             mv = {m: one}
-            if _product(left, self.left_alg.one(), mv) != mv:
+            if _product(left, ids.vals, self.left_alg.one(), mv) != mv:
                 detail = f"left unit law fails at {m}"
                 break
-            if _product(right, mv, self.right_alg.one()) != mv:
+            if _product(right, ids.vals, mv, self.right_alg.one()) != mv:
                 detail = f"right unit law fails at {m}"
                 break
         rep.add("unit-laws", detail is None, detail)
 
         # (a m) b = a (m b), least (a, m, b) first
-        l_act, r_act = self.left_action, self.right_action
-        bad = _mixed_assoc_by_value(r_act, l_act, l_act, r_act, range(self.left_alg.dim))
+        bad = _mixed_assoc_range(ids, right, left, left, _by_leg(r_act, 2), range(self.left_alg.dim))
         detail = None
         if bad is not None:
             a, m, b = bad
@@ -571,16 +574,16 @@ def solve_pivotal(C, dd=None):
     rho = {}
     for hi, h in enumerate(Tp.labels):
         for gi, g in enumerate(Tp.labels):
-            pl = Tp.mu_pairs.get((hi, gi))
-            if not pl:
+            pl = Tp.mu_ids.get(hi, {}).get(gi)
+            if pl is None:
                 continue
-            (oi, sp) = pl[0]
+            oi, sp = pl[0]
             wp, xvp, _ = h
             w, xv, _ = g
-            ti, st = T.mu_pairs[(T.label_index[h], T.label_index[g])][0]
+            st = T.mu_ids[T.label_index[h]][T.label_index[g]][0][1]
             t_lab = Tp.labels[oi]
-            ratio = (sp * kappa[(t_lab[0], t_lab[1][0])]) / (
-                st * kappa[(wp, xvp[0])] * kappa[(w, xv[0])]
+            ratio = (Tp.scalar_values[sp] * kappa[(t_lab[0], t_lab[1][0])]) / (
+                T.scalar_values[st] * kappa[(wp, xvp[0])] * kappa[(w, xv[0])]
             )
             key = (wp, w)
             if key in rho:

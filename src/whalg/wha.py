@@ -2,12 +2,15 @@
 
 `PlainAlgebra` is the shared base of every algebra in the package (tube
 algebras, separable Frobenius algebras and `WeakHopfAlgebra`): it owns the
-labeled basis, the sparse indexes of mu, the element product and the one
+labeled basis, the sparse index of mu, the element product and the one
 product on tensor powers A^(x)k, and validates its unit and associativity
-laws with the same sweeps as the weak bialgebra suite.  The tensor-power
-product (`mul_tensor`, behind `mul2`/`mul3`) joins its operands on their
-first two legs through per-algebra sets of right companions, so a term
-meets only the terms it multiplies to nonzero on both of those legs.
+laws with the same sweeps as the weak bialgebra suite.  mu is indexed
+once, in scalar ids (`mu_ids`, i -> {j: [(k, id)]}), and every product of
+elements reads those rows through the algebra's id -> scalar list
+(`_product`).  The tensor-power product (`mul_tensor`, behind
+`mul2`/`mul3`) joins its operands on their first two legs through the
+rows' keys, the right companions of each index, so a term meets only the
+terms it multiplies to nonzero on both of those legs.
 
 Structure constants live in sparse tensors; every law is checked on basis
 tuples (sufficient by multilinearity) by streaming sparse contractions that
@@ -37,8 +40,8 @@ An algebra's tensors are not edited after it is built (a mutant is a fresh
 algebra: `clone_with` in the tests, `assemble` in the benchmark), so every
 index is built once and cached on it.  Every law sweep runs on scalar ids:
 each algebra numbers its scalars when it is built (`_scalar_table`, id 0
-for zero), the kernels read id-coded indexes cached next to the
-scalar-valued ones (`mu_ids`, `delta_ids`, ...), and each call starts its
+for zero; `scalar_values` lists them by id), the kernels read the id-coded
+indexes cached on it (`mu_ids`, `delta_ids`, ...), and each call starts its
 `_ScalarIds` from that table with its own memo of products and sums, so the
 sweeps hash ints, not cyclotomic values.  A table that belongs to no algebra
 is coded per call (`_coded`).  The sweeps on ids are the three kernels
@@ -83,7 +86,6 @@ from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3
 from .report import Report
 
 
-_NO_INDICES = frozenset()
 _NO_ROW = {}  # the row of an index absent from a nested id table; never written
 
 
@@ -114,52 +116,36 @@ class PlainAlgebra:
         if len(self.label_index) != self.dim:
             raise ValueError("labels must be distinct")
         self.scalar_ids = _scalar_table(conductor, self._scalar_tables())
+        self.scalar_values = list(self.scalar_ids)  # id -> scalar
 
     def _scalar_tables(self):
         """The sparse {key: scalar} tables that `scalar_ids` numbers."""
         return (self.mu.data, self.unit)
 
     def _scalar_id(self, c):
-        """Id of c in `scalar_ids`; a value new to the table gets the next id."""
+        """Id of c in `scalar_ids`; a value new to the table gets the next id,
+        and joins `scalar_values`."""
         table = self.scalar_ids
         i = table.get(c)
         if i is None:
             i = table[c] = len(table)
+            self.scalar_values.append(c)
         return i
-
-    # -- derived sparse indexes (built once) ---------------------------------
-
-    @functools.cached_property
-    def mu_pairs(self):
-        """mu as (i, j) -> [(k, coeff)] (see `_pairs_index`)."""
-        return _pairs_index(self.mu.data)
-
-    @functools.cached_property
-    def right_companions(self):
-        return _companions(self.mu_pairs, 0)
-
-    @functools.cached_property
-    def left_companions(self):
-        return _companions(self.mu_pairs, 1)
-
-    @functools.cached_property
-    def right_companion_sets(self):
-        """i -> set of the j with e_i e_j != 0, shared and never mutated.
-
-        Plain sets, not frozensets: `dict_keys & set` walks the smaller side.
-        """
-        return {i: set(js) for i, js in self.right_companions.items()}
 
     @functools.cached_property
     def mu_generators(self):
         """Sorted basis indices that generate A under products (`_generators`)."""
         return _generators(self)
 
-    # -- id-coded indexes of the law kernels (built once) --------------------
+    # -- id-coded indexes (built once) ---------------------------------------
 
     @functools.cached_property
     def mu_ids(self):
-        """mu in scalar ids: i -> {j: [(k, id)]}, zero terms left out."""
+        """mu in scalar ids: i -> {j: [(k, id)]}, zero terms left out.
+
+        The one index of mu: the keys of row i are the right companions of
+        i, the j with e_i e_j != 0, and `mu_ids_by_right` gives the left ones.
+        """
         return _nested(_coded(self.mu.data, self._scalar_id))
 
     @functools.cached_property
@@ -185,39 +171,38 @@ class PlainAlgebra:
 
     def mul(self, u, v):
         """Product of sparse elements of A."""
-        return _product(self.mu_pairs, u, v)
+        return _product(self.mu_ids, self.scalar_values, u, v)
 
     def mul_tensor(self, U, V):
         """Product of sparse elements of A^(x)k, k >= 2, keyed by k-tuples of indices.
 
         V is indexed by its first two legs (first -> second -> terms).  A term
-        of U meets, on each of those legs, only the V legs in the right
-        companion set of its own leg (a set intersection), so it reaches just
-        the V terms whose first two legs both multiply to nonzero.  Legs beyond
-        the second are probed term by term.
+        of U meets, on each of those legs, only the V legs among the right
+        companions of its own leg (the keys of its `mu_ids` row), so it
+        reaches just the V terms whose first two legs both multiply to
+        nonzero.  Legs beyond the second are probed term by term.
         """
-        mp = self.mu_pairs
-        rcs = self.right_companion_sets
+        mp = self.mu_ids
+        vals = self.scalar_values
         by_two = {}
         for key, c in V.items():
             by_two.setdefault(key[0], {}).setdefault(key[1], []).append((key[2:], c))
         firsts_of = by_two.keys()
         out = {}
         for key1, c1 in U.items():
-            i1 = key1[0]
-            a1 = key1[1]
+            row1 = mp.get(key1[0], _NO_ROW)
+            row2 = mp.get(key1[1], _NO_ROW)
             rest1 = key1[2:]
-            partners = rcs.get(a1, _NO_INDICES)
-            for i2 in firsts_of & rcs.get(i1, _NO_INDICES):
-                first = mp[(i1, i2)]
+            for i2 in firsts_of & row1.keys():
+                first = row1[i2]
                 by_second = by_two[i2]
-                for a2 in by_second.keys() & partners:
-                    second = mp[(a1, a2)]
+                for a2 in by_second.keys() & row2.keys():
+                    second = row2[a2]
                     for rest2, c2 in by_second[a2]:
                         legs = [first, second]
                         for a, b in zip(rest1, rest2):
-                            terms = mp.get((a, b))
-                            if not terms:
+                            terms = mp.get(a, _NO_ROW).get(b)
+                            if terms is None:
                                 break
                             legs.append(terms)
                         else:
@@ -225,16 +210,20 @@ class PlainAlgebra:
                             for combo in itertools.product(*legs):
                                 c = c12
                                 for _k, ck in combo:
-                                    c = c * ck
+                                    c = c * vals[ck]
                                 _acc(out, tuple(k for k, _ck in combo), c)
         return out
 
     def mul2(self, U, V):
-        """Product of sparse elements of A (x) A."""
+        """Product of sparse elements of A (x) A.
+
+        Kept apart from `mul3` under its own name: the benchmark's tracer
+        wraps `mul2` and `mul3` by name to count and time their calls.
+        """
         return self.mul_tensor(U, V)
 
     def mul3(self, U, V):
-        """Product of sparse elements of A (x) A (x) A."""
+        """Product of sparse elements of A (x) A (x) A (see `mul2`)."""
         return self.mul_tensor(U, V)
 
     def label_str(self, i):
@@ -397,16 +386,20 @@ def _first_diff(lhs, rhs):
     return min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
 
 
-def _product(pairs, u, v):
-    """Sparse bilinear product of u and v through a pairs index."""
+def _product(rows, vals, u, v):
+    """Sparse bilinear product of u and v through `_nested` id rows
+    x -> {y: [(w, id)]} whose ids index the scalar list vals."""
     out = {}
     for i, ci in u.items():
+        row = rows.get(i)
+        if row is None:
+            continue
         for j, cj in v.items():
-            terms = pairs.get((i, j))
+            terms = row.get(j)
             if terms:
                 cij = ci * cj
                 for k, c in terms:
-                    _acc(out, k, cij * c)
+                    _acc(out, k, cij * vals[c])
     return out
 
 
@@ -417,24 +410,6 @@ def _push(phi, u):
         for k, c in phi[i].items():
             _acc(out, k, ci * c)
     return out
-
-
-def _companions(pairs, leg):
-    """For each index on `leg` of the pairs, its sorted partners on the other leg."""
-    out = {}
-    for key in pairs:
-        out.setdefault(key[leg], []).append(key[1 - leg])
-    for v in out.values():
-        v.sort()
-    return out
-
-
-def _pairs_index(terms):
-    """A sparse bilinear map {(x, y, w): coeff of e_w in b(e_x, e_y)} as (x, y) -> [(w, coeff)]."""
-    pairs = {}
-    for (x, y, w), c in terms.items():
-        pairs.setdefault((x, y), []).append((w, c))
-    return pairs
 
 
 def _scalar_table(conductor, tables):
@@ -542,7 +517,7 @@ def _unit_law(A):
     and by right factor, of the unit's basis elements.
     """
     one = A.one()
-    vals = list(A.scalar_ids)  # id -> scalar
+    vals = A.scalar_values
     left, right = {}, {}
     for u, cu in one.items():
         for j, terms in A.mu_ids.get(u, _NO_ROW).items():
@@ -1256,17 +1231,19 @@ def _separability_laws(A, p, elems):
         for k, v in A.mul({i: c}, A.basis_elem(j)).items():
             _acc(contracted, k, v)
 
+    mp, vals = A.mu_ids, A.scalar_values
     sq = {}
     for (i, j), c in p.items():
+        row = mp.get(i, _NO_ROW)
         for (i2, j2), c2 in p.items():
-            t1 = A.mu_pairs.get((i, i2))
-            t2 = A.mu_pairs.get((j2, j))
-            if not t1 or not t2:
+            t1 = row.get(i2)
+            t2 = mp.get(j2, _NO_ROW).get(j)
+            if t1 is None or t2 is None:
                 continue
             cc = c * c2
             for k1, a in t1:
                 for k2, b in t2:
-                    _acc(sq, (k1, k2), cc * a * b)
+                    _acc(sq, (k1, k2), cc * vals[a] * vals[b])
     return bad, contracted == A.one(), sq == p
 
 
@@ -1479,13 +1456,13 @@ def _r_products(A, R):
     so each pair of products is one contraction joined on a leg of R,
     with its legs placed two ways.  The contraction indexes R by the joined
     leg x, sums c rho(y) and c lambda(y) over its terms x (x) y (or y (x) x)
-    first, and meets a joined index only the joined indices in its right
-    companion set.  rho and lambda are read through mu and the unit, so each
-    result equals the product of the unit-lifted tensors by bilinearity, for
-    any mu and unit, with no lifted operand built.
+    first, and meets a joined index only the joined indices among its right
+    companions (the keys of its `mu_ids` row).  rho and lambda are read
+    through mu and the unit, so each result equals the product of the
+    unit-lifted tensors by bilinearity, for any mu and unit, with no lifted
+    operand built.
     """
-    mp = A.mu_pairs
-    rcs = A.right_companion_sets
+    mp, vals = A.mu_ids, A.scalar_values
     unit = A.unit
     rho = {}
     lam = {}
@@ -1497,19 +1474,20 @@ def _r_products(A, R):
             x, y = key[leg], key[1 - leg]
             if y not in rho:
                 e_y = A.basis_elem(y)
-                rho[y] = _product(mp, e_y, unit)
-                lam[y] = _product(mp, unit, e_y)
+                rho[y] = _product(mp, vals, e_y, unit)
+                lam[y] = _product(mp, vals, unit, e_y)
             for target, image in ((rho_of, rho[y]), (lam_of, lam[y])):
                 row = target.setdefault(x, {})
                 for k, ck in image.items():
                     _acc(row, k, c * ck)
         joined = {}  # (x x', rho, lambda) -> coeff
         for x1, row1 in rho_of.items():
-            for x2 in lam_of.keys() & rcs.get(x1, _NO_INDICES):
+            mu_row = mp.get(x1, _NO_ROW)
+            for x2 in lam_of.keys() & mu_row.keys():
                 row2 = lam_of[x2]
-                for k, cm in mp[(x1, x2)]:
+                for k, cm in mu_row[x2]:
                     for r, cr in row1.items():
-                        cmr = cm * cr
+                        cmr = vals[cm] * cr
                         for l, cl in row2.items():
                             _acc(joined, (k, r, l), cmr * cl)
         out.append(joined)

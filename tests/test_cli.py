@@ -57,6 +57,8 @@ def test_build_a_g_omega_dim(tmp_path, capsys):
 
 def test_unknown_group_exits_2(capsys):
     assert run("build", "b-g-omega", "--group", "z5", "--cocycle", "p=0") == 2
+    assert capsys.readouterr().err == (
+        "error: unknown group 'z5'; catalog: ['s3', 'z2', 'z2xz2', 'z3', 'z4', 'z6']\n")
 
 
 def test_verify_missing_rmatrix_exits_2(tmp_path):

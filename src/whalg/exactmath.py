@@ -346,7 +346,7 @@ class Cyclotomic:
             raise ValueError("scalar encoding must carry exactly N coefficient pairs")
         d = 1
         for num, den in coeffs:
-            if not (isinstance(num, int) and isinstance(den, int)):
+            if type(num) is not int or type(den) is not int:  # bool is an int subclass
                 raise TypeError("scalar coefficients must be integer [num, den] pairs")
             if den != 1:
                 if not den:

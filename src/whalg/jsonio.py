@@ -8,6 +8,7 @@ identical files.
 from __future__ import annotations
 
 import json
+import marshal
 
 from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3
 from .groups import FiniteGroup, ThreeCocycle, ValidationError
@@ -33,16 +34,56 @@ def write_json(path, obj):
 def read_json(path):
     """The JSON value in the file at `path`; InputError names the path when
     the file cannot be opened (missing, a directory, no read permission) or
-    is not UTF-8 JSON."""
+    is not UTF-8 JSON.
+
+    Every {"conductor", "coeffs"} object that is spelt alike in the file is
+    one shared `_Encoding`, so the loaders decode each distinct scalar once
+    (see `_scalar`).  Callers must not mutate the value.
+    """
     try:
         fh = open(path)
     except OSError as exc:
         raise InputError(f"{path}: cannot read: {exc.strerror}") from None
     with fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_hook=_sharing_hook())
         except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
             raise InputError(f"{path}: not a JSON file: {exc}") from None
+
+
+class _Encoding(dict):
+    """A scalar encoding shared by every entry of a file that spells it
+    alike; `value` caches its scalar once `_scalar` has decoded it."""
+
+    value = None
+
+
+def _sharing_hook():
+    """A `json.load` object_hook that returns one `_Encoding` per distinct
+    spelling of an object whose keys are exactly "conductor" and "coeffs",
+    and every other object as it is.
+
+    The spelling is the object's marshal serialization, which tells 1 from
+    1.0 and true although they compare and hash alike, so an invalid
+    encoding never shares the object of a valid one; it is several times
+    cheaper than the repr.  An object marshal cannot serialize (a nested
+    `_Encoding`) is left unshared, for `_scalar` to reject.
+    """
+    shared = {}
+
+    def hook(obj):
+        if len(obj) != 2 or "coeffs" not in obj or "conductor" not in obj:
+            return obj
+        try:
+            key = marshal.dumps(obj, 2)
+        except ValueError:
+            return obj
+        enc = shared.get(key)
+        if enc is None:
+            enc = shared[key] = _Encoding(obj)
+        return enc
+
+    return hook
 
 
 # -- labels -----------------------------------------------------------------
@@ -94,6 +135,7 @@ def cocycle_to_json(omega):
 def cocycle_from_json(obj, G):
     n = G.order
     cond, flat = _fields(obj, "cocycle", "conductor", "values")
+    _conductor(cond, "cocycle")
     vals = {}
     if not isinstance(flat, list) or len(flat) != n ** 3:
         raise InputError("cocycle file: values must carry |G|^3 scalar encodings")
@@ -279,17 +321,24 @@ def _conductor(n, what):
 def _scalar(enc, n, where):
     """The scalar of conductor n that the encoding `enc` holds.
 
-    Its coefficients must be integer [num, den] pairs with nonzero
-    denominators.  Anything else raises InputError naming `where()`, the
-    entry the encoding came from; `where` is called only then.
+    Its conductor must be the integer n and its coefficients integer
+    [num, den] pairs with nonzero denominators.  Anything else raises
+    InputError naming `where()`, the entry the encoding came from; `where`
+    is called only then.  A shared `_Encoding` is decoded once: its scalar
+    is cached when the decode succeeds, so a bad one fails at each entry.
     """
-    if not isinstance(enc, dict) or enc.get("conductor") != n:
-        cond = enc.get("conductor") if isinstance(enc, dict) else None
+    cond = enc.get("conductor") if isinstance(enc, dict) else None
+    if type(cond) is not int or cond != n:
         raise InputError(f"{where()}: scalar conductor {cond} differs from the file's conductor {n}")
-    try:
-        return Cyclotomic.from_json(enc)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{where()}: bad scalar encoding: {exc}") from None
+    v = getattr(enc, "value", None)
+    if v is None:
+        try:
+            v = Cyclotomic.from_json(enc)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"{where()}: bad scalar encoding: {exc}") from None
+        if type(enc) is _Encoding:
+            enc.value = v
+    return v
 
 
 def _invertible(enc, n, where):

@@ -398,16 +398,22 @@ def _tamper_labels(obj):
     return "labels: 3 entries for dim 8"
 
 
+def _respell(obj, table, pos, **changes):
+    """Give entry `pos` of obj[table] a fresh copy of its scalar encoding with
+    `changes`; `read_json` shares one encoding among the entries that spell
+    it alike, so a tamper replaces it rather than mutating it.  Returns the
+    entry's name."""
+    *idx, enc = obj[table][pos]
+    obj[table][pos] = [*idx, dict(enc, **changes)]
+    return f"{table}[{', '.join(map(str, idx))}]"
+
+
 def _tamper_float_coefficient(obj):
-    i, j, k, enc = obj["mu"][0]
-    enc["coeffs"][0] = [1.5, 1]
-    return f"mu[{i}, {j}, {k}]"
+    return _respell(obj, "mu", 0, coeffs=[[1.5, 1], *obj["mu"][0][-1]["coeffs"][1:]])
 
 
 def _tamper_zero_denominator(obj):
-    i, j, k, enc = obj["mu"][0]
-    enc["coeffs"][0] = [1, 0]
-    return f"mu[{i}, {j}, {k}]"
+    return _respell(obj, "mu", 0, coeffs=[[1, 0], *obj["mu"][0][-1]["coeffs"][1:]])
 
 
 @pytest.mark.parametrize("tamper", [_tamper_mu_index, _tamper_labels,
@@ -424,6 +430,56 @@ def test_malformed_algebra_file_exits_2_naming_the_entry(tmp_path, tamper):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1 and where in proc.stderr
+
+
+def test_read_json_shares_one_encoding_per_spelling_and_decodes_each_once(tmp_path, monkeypatch):
+    A, _R = build_a_g_omega(cyclic_group(3), standard_cocycle(3, 1))
+    path = tmp_path / "a3.json"
+    jsonio.write_json(str(path), jsonio.algebra_to_json(A))
+    obj = jsonio.read_json(str(path))
+    assert obj == json.loads(path.read_text())
+    # labels and meta are parsed as they are
+    assert type(obj["meta"]) is dict and {type(lab) for lab in obj["labels"]} == {dict}
+    encs = [entry[-1] for table in ("mu", "unit", "delta", "counit", "antipode")
+            for entry in obj[table]]
+    shared = {id(enc) for enc in encs}
+    assert len(shared) == len({json.dumps(enc) for enc in encs}) < len(encs)
+    decoded = []
+    from_json = Cyclotomic.from_json
+    monkeypatch.setattr(Cyclotomic, "from_json",
+                        staticmethod(lambda enc: decoded.append(id(enc)) or from_json(enc)))
+    B = jsonio.algebra_from_json(obj)
+    assert sorted(decoded) == sorted(shared)
+    assert jsonio.dumps(jsonio.algebra_to_json(B)) == path.read_text()
+
+
+@pytest.mark.parametrize("group,respellings,message", [
+    # spellings of 1 that Python finds equal to the valid [1, 1] of mu[0]
+    ("z2", {3: {"coeffs": [[1.0, 1], [0, 1]]}},
+     "bad scalar encoding: scalar coefficients must be integer [num, den] pairs"),
+    ("z2", {3: {"coeffs": [[True, 1], [0, 1]]}},
+     "bad scalar encoding: scalar coefficients must be integer [num, den] pairs"),
+    ("z2", {3: {"conductor": 2.0}}, "scalar conductor 2.0 differs from the file's conductor 2"),
+    ("z6", {3: {"conductor": 6.0}}, "scalar conductor 6.0 differs from the file's conductor 6"),
+    # one bad spelling in two entries is reported at the first
+    ("z2", {3: {"coeffs": [[1, 0], [0, 1]]}, 5: {"coeffs": [[1, 0], [0, 1]]}},
+     "bad scalar encoding: zero denominator in a scalar encoding"),
+], ids=["float-coefficient", "bool-coefficient", "float-conductor-2", "float-conductor-6",
+        "repeated"])
+def test_a_bad_spelling_of_a_shared_scalar_exits_2_naming_its_first_entry(
+        tmp_path, capsys, group, respellings, message):
+    out = tmp_path / "b.json"
+    assert run("build", "b-g-omega", "--group", group, "--cocycle", "p=1", "-o", str(out)) == 0
+    obj = jsonio.read_json(str(out))
+    one = obj["mu"][0][-1]
+    assert Cyclotomic.from_json(one) == Cyclotomic.one(obj["conductor"])
+    assert all(obj["mu"][pos][-1] is one for pos in respellings)
+    where = [_respell(obj, "mu", pos, **change) for pos, change in respellings.items()][0]
+    bad = tmp_path / "bad.json"
+    jsonio.write_json(str(bad), obj)
+    capsys.readouterr()
+    assert run("verify", str(bad), "--suite", "wha") == 2
+    assert capsys.readouterr() == ("", f"error: {where}: {message}\n")
 
 
 def test_rmatrix_of_another_dim_exits_2(tmp_path, capsys):
@@ -481,8 +537,11 @@ def test_bad_scalar_in_category_data_exits_2_naming_the_entry(tmp_path, table, c
 def test_category_data_of_another_conductor_is_rejected(tmp_path, table):
     _argv, where, path = _write_pointed_inputs(tmp_path, table, [1, 1])
     obj = jsonio.read_json(path)
-    enc = obj["values"][0] if table == "values" else obj[table][0][-1]
-    enc["conductor"], enc["coeffs"] = 1, [[1, 1]]
+    one = {"conductor": 1, "coeffs": [[1, 1]]}
+    if table == "values":
+        obj["values"][0] = one
+    else:
+        _respell(obj, table, 0, **one)
     jsonio.write_json(path, obj)
     with pytest.raises(jsonio.InputError, match=rf"{re.escape(where)}: scalar conductor 1 differs"):
         if table == "values":

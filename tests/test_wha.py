@@ -1216,17 +1216,20 @@ def test_suites_leave_only_the_shared_indexes_on_the_algebra():
         assert A.scalar_values == list(A.scalar_ids), A.name
 
 
-def test_an_algebra_loaded_from_json_numbers_its_scalars_as_the_built_one():
-    # the loader makes one scalar object per entry; the build interns them and
-    # numbers the distinct values in a canonical order, so the loaded algebra
-    # gets the built one's table whatever the order of its entries, and its
-    # file, each table scalar encoded once, is the same bytes
+def test_an_algebra_loaded_from_json_numbers_its_scalars_as_the_built_one(tmp_path):
+    # the loader decodes each distinct encoding of its file once, so it hands
+    # out one scalar object per distinct value; the build numbers the distinct
+    # values in a canonical order, so the loaded algebra gets the built one's
+    # table whatever the order of its entries, and its file, each table scalar
+    # encoded once, is the same bytes
     A, _ = build_a_g_omega(cyclic_group(3), standard_cocycle(3, 1))
     text = jsonio.dumps(jsonio.algebra_to_json(A))
-    obj = json.loads(text)
+    path = tmp_path / "a3.json"
+    path.write_text(text)
+    obj = jsonio.read_json(str(path))
     d, n = A.dim, A.conductor
     loaded_mu = jsonio._table(obj, "mu", n, (d, d, d))
-    assert len({id(c) for c in loaded_mu.values()}) == len(loaded_mu) > len(set(loaded_mu.values()))
+    assert len({id(c) for c in loaded_mu.values()}) == len(set(loaded_mu.values())) < len(loaded_mu)
     B = jsonio.algebra_from_json(obj)
     assert list(B.scalar_ids.items()) == list(A.scalar_ids.items())
     assert list(B.mu.data) != list(A.mu.data)  # the file lists the entries sorted
@@ -1539,11 +1542,18 @@ def test_intertwining_sweep_matches_loop_on_single_entry_mutants(n):
     assert check.detail == intertwining_loop(X, terms)
 
 
-def test_suites_builds_and_json_round_trips_leave_no_reference_cycles():
+def test_suites_builds_and_json_round_trips_leave_no_reference_cycles(tmp_path):
     """The CLI runs each command with the cyclic garbage collector off (see
     `whalg.cli.main`), so a reference cycle added to whalg's structures would
     never be freed before the process exits.  Builds, every suite, the centre
-    and JSON round trips must leave nothing for the collector to find."""
+    and JSON round trips through files (`read_json` shares scalar encodings
+    through a per-call hook) must leave nothing for the collector to find."""
+    path = str(tmp_path / "x.json")
+
+    def round_trip(obj):
+        jsonio.write_json(path, obj)
+        return jsonio.read_json(path)
+
     gc.collect()
     gc.disable()
     try:
@@ -1554,10 +1564,10 @@ def test_suites_builds_and_json_round_trips_leave_no_reference_cycles():
             assert verify_antipode(X).ok
             assert base_algebras(X).report.ok
             assert center_dim(X) > 0
-            back = jsonio.algebra_from_json(json.loads(jsonio.dumps(jsonio.algebra_to_json(X))))
+            back = jsonio.algebra_from_json(round_trip(jsonio.algebra_to_json(X)))
             assert compare_structure(back, X, list(range(X.dim))).ok
         assert verify_quasitriangular(A, R).ok
-        R2 = jsonio.rmatrix_from_json(json.loads(jsonio.dumps(jsonio.rmatrix_to_json(A, R))))
+        R2 = jsonio.rmatrix_from_json(round_trip(jsonio.rmatrix_to_json(A, R)))
         assert R2.terms == R.terms
         # a cycle among live objects is reachable: drop them all first
         del A, B, R, X, back, R2

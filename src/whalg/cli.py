@@ -168,6 +168,8 @@ def cmd_verify(args):
     A = jsonio.algebra_from_json(jsonio.read_json(args.file))
     if args.suite == "qt" and not args.rmatrix:
         raise UsageError("suite qt needs --rmatrix FILE")
+    if args.suite in ("wha", "base") and args.rmatrix:
+        raise UsageError(f"--rmatrix is read only by --suite qt and all, not by --suite {args.suite}")
     R = None
     if args.suite in ("qt", "all") and args.rmatrix:
         R = _load_rmatrix(args.rmatrix, A)
@@ -443,7 +445,7 @@ def make_parser():
     v = sub.add_parser("verify", help="run a verifier suite on an algebra file")
     v.add_argument("file")
     v.add_argument("--suite", choices=["wha", "qt", "base", "all"], default="all")
-    v.add_argument("--rmatrix")
+    v.add_argument("--rmatrix", help="R-matrix file, read by --suite qt and all")
     v.set_defaults(fn=cmd_verify)
 
     c = sub.add_parser("compare", help="entrywise structure comparison")

@@ -58,10 +58,11 @@ The weak Hopf axioms are self-dual, so the coalgebra laws are not swept
 separately: the suites run the algebra sweeps above on the dual A* (`dual`).
 
 Every law sweep runs in this process through `_sweep`: over the whole
-basis or, for mu-associativity and Axiom 1, over a generating set S of A,
-which is exact (Light's associativity test).  For any algebra, associative
-or not, the left nucleus N = {a : (a y) z = a (y z) for all y, z} is a
-subspace closed under products:
+basis or, for mu-associativity, Axiom 1 and the two laws below, over a
+generating set S of A, which is exact (Light's associativity test).  For
+any algebra, associative or not, the left nucleus
+N = {a : (a y) z = a (y z) for all y, z} is a subspace closed under
+products:
 ((ab)y)z = (a(by))z = a((by)z) = a(b(yz)) = (ab)(yz).  So if the
 associativity sweep passes on x in S, N = A.  Likewise, once mu is
 associative, {x : Delta(xy) = Delta(x) Delta(y) for all y} is closed under
@@ -75,6 +76,39 @@ least index, every x outside S lies in the subalgebra generated by the
 generators below x, so the least counterexample is always a generator:
 the first one that fails, and every detail is the full sweep's.  Axiom 1
 is swept on the whole basis when associativity failed.
+
+Two more laws are swept on the generators, each given a precondition:
+
+- S(xy) = S(y)S(x) on A, once mu is associative.  If a and b pass, then
+  S((ab)y) = S(a(by)) = S(by)S(a) = S(y)S(b)S(a) = S(y)S(ab), so the
+  passing x are a subspace closed under products.  The law on A* is swept
+  on the whole basis: A* is rebuilt by each suite, and its associativity
+  would cost as much as the generator sweep saves.
+- R Delta(x) = Delta^cop(x) R, once mu is associative and Axiom 1 holds.
+  For any R, if x and x' pass, then R Delta(xx') = R Delta(x) Delta(x') =
+  Delta^cop(x) R Delta(x') = Delta^cop(x) Delta^cop(x') R = Delta^cop(xx') R.
+
+The preconditions are swept once per algebra and cached on it
+(`associativity_detail`, `axiom1_detail`): the weak bialgebra suite reports
+them, and the antipode and quasi-triangular suites read them, sweeping them
+first when run alone.
+
+Axiom 2 is swept over every middle element y, but with x reduced to a
+basis of the row space of E(x, w) = eps(x w).  Fix y.
+Each side is a bilinear form in (x, z) of the shape sum_w E(x, w) V(w, z):
+eps(x y_(1)) eps(y_(2) z) has V(w, z) = the sum of c eps(t z) over the
+terms c s (x) t of Delta(y) with s = w (the other equality swaps the legs),
+and eps(x y z) has V(w, z) = the coefficient of e_w in y z.  If the rows of
+a matrix Q span E's row space, then E d = 0 exactly when Q d = 0, since
+each row of either is a combination of the rows of the other.  So the two
+sides agree for all (x, z) exactly when Q V agrees, keyed (i, z) for the
+rows i of Q.  Q is the reduced echelon form of E (`SparseMatrix.rref`).
+Once the law holds at y = 1, eps(x w) = eps(x eps_t(w)), so E factors
+through eps_t and rank E is at most dim A^l: |G| for the paper's
+algebras, 6 rows instead of 1296 x for A(Z6, p=1).  Each y's reduced test is equivalent to its full one, so the
+first failing y, and which equality fails there, are the full sweep's; for
+that one y the full forms, keyed (x, z), name the least (x, z).  Axiom 3 is
+the same kernel on A*.
 """
 
 from __future__ import annotations
@@ -136,6 +170,11 @@ class PlainAlgebra:
     def mu_generators(self):
         """Sorted basis indices that generate A under products (`_generators`)."""
         return _generators(self)
+
+    @functools.cached_property
+    def associativity_detail(self):
+        """The first associativity counterexample, or None; swept once, on `mu_generators`."""
+        return _sweep(self, _assoc_range, True)
 
     # -- id-coded indexes (built once) ---------------------------------------
 
@@ -234,7 +273,7 @@ class PlainAlgebra:
         rep = Report(self.name, "plain-algebra")
         detail = _unit_law(self)
         rep.add("unit-law", detail is None, detail)
-        detail = _sweep(self, _assoc_range, True)
+        detail = self.associativity_detail
         rep.add("associativity", detail is None, detail)
         return rep
 
@@ -284,6 +323,12 @@ class WeakHopfAlgebra(PlainAlgebra):
         return self._delta_unit
 
     @functools.cached_property
+    def axiom1_detail(self):
+        """The first Delta(xy) != Delta(x)Delta(y) counterexample, or None; swept
+        once, on `mu_generators` if mu is associative."""
+        return _sweep(self, _axiom1_range, self.associativity_detail is None)
+
+    @functools.cached_property
     def eps_left(self):
         """s -> {x: eps(x s)}."""
         return _eps_contraction(self, left=True)
@@ -316,7 +361,6 @@ class WeakHopfAlgebra(PlainAlgebra):
     delta_left_ids = _id_rows("delta", 1)  # j -> [(i, k, id)]
     # S's columns and the counital maps, x -> {k: id}
     antipode_ids = _id_columns("antipode_cols")
-    eps_left_ids = _id_columns("eps_left")
     eps_right_ids = _id_columns("eps_right")
     eps_t_ids = _id_columns("eps_t")
     eps_s_ids = _id_columns("eps_s")
@@ -713,68 +757,94 @@ def _axiom1_range(A, xs):
 def _counit_weak_mult_range(A, ys):
     """Axiom 2 (both equalities), swept per middle element y in the increasing ys.
 
-    For each y the sides are keyed (x, z) and hold scalar ids (`_ScalarIds`):
-    eps(x (yz)) through the products y z and eps_left, and each left side
-    through the terms of Delta(y), eps_left and eps_right.
+    Each side is sum_w E(x, w) V(w, z) with E(x, w) = eps(x w), and holds
+    scalar ids (`_ScalarIds`).  Given the columns of a matrix, w -> {i: id},
+    each side is that matrix times V, keyed (i, z): each left side through
+    the terms c s (x) t of Delta(y) and eps_right, eps(x (yz)) through the
+    terms c e_k of the products y z.  Only the terms that meet a nonzero
+    column, at s (at t for the second equality) or at k, are kept, gathered
+    by y once per call.  The sweep takes a basis of E's row space
+    (see the module docstring); for the first y and equality that fail,
+    E's own columns give the full sides, keyed (x, z), which name the least
+    (x, z).
     """
-    mp, dt, epsL, epsR = A.mu_ids, A.delta_ids, A.eps_left_ids, A.eps_right_ids
+    by_result, dt, epsR = A.mu_ids_by_result, A.delta_ids, A.eps_right_ids
     ids = _ScalarIds(A.scalar_ids)
     products = ids.products
     mul = ids.mul
     add_into = ids.add_into
 
-    def left_side(y, swap):
+    def columns(rows):
+        cols = {}
+        for i, row in enumerate(rows):
+            for w, c in row.items():
+                cols.setdefault(w, {})[i] = c
+        return cols
+
+    def terms_by_y(cols):
+        # per equality, y -> [(cols[s], eps_right[t], c)] over the terms
+        # c s (x) t of Delta(y), the legs swapped for the second; and
+        # y -> [(z, cols[k], c)] over the terms c e_k of y z
+        first, second = {}, {}
+        for y, terms in dt.items():
+            for s, t, c in terms:
+                col = cols.get(s)
+                if col is not None and epsR[t]:
+                    first.setdefault(y, []).append((col, epsR[t], c))
+                col = cols.get(t)
+                if col is not None and epsR[s]:
+                    second.setdefault(y, []).append((col, epsR[s], c))
+        right = {}
+        for k, col in cols.items():
+            for y, z, c in by_result.get(k, ()):
+                right.setdefault(y, []).append((z, col, c))
+        return (first, second), right
+
+    def left_side(terms):
         lhs = {}
-        for s, t, c0 in dt.get(y, ()):
-            if swap:
-                s, t = t, s
-            eRt = epsR[t]
-            if not eRt:
-                continue
-            for x, a in epsL[s].items():
+        for col, row, c0 in terms:
+            for i, a in col.items():
                 ac0 = products[a].get(c0)
                 if ac0 is None:
                     ac0 = mul(a, c0)
                 prod = products[ac0]
-                for z, b in eRt.items():
+                for z, b in row.items():
                     c = prod.get(b)
                     if c is None:
                         c = mul(ac0, b)
-                    key = (x, z)
+                    key = (i, z)
                     if key in lhs:
                         add_into(lhs, key, c)
                     else:
                         lhs[key] = c
         return lhs
 
-    for y in ys:
+    def right_side(terms):
         rhs = {}
-        for z, terms in mp.get(y, _NO_ROW).items():
-            for k, c1 in terms:
-                prod = products[c1]
-                for x, c2 in epsL[k].items():
-                    c = prod.get(c2)
-                    if c is None:
-                        c = mul(c1, c2)
-                    key = (x, z)
-                    if key in rhs:
-                        add_into(rhs, key, c)
-                    else:
-                        rhs[key] = c
-        lhs1 = left_side(y, False)
-        if lhs1 != rhs:
-            x, z = _first_diff(lhs1, rhs)
-            return (
-                f"eps(x y_(1)) eps(y_(2) z) != eps(xyz) at "
-                f"({A.label_str(x)}, {A.label_str(y)}, {A.label_str(z)})"
-            )
-        lhs2 = left_side(y, True)
-        if lhs2 != rhs:
-            x, z = _first_diff(lhs2, rhs)
-            return (
-                f"eps(x y_(2)) eps(y_(1) z) != eps(xyz) at "
-                f"({A.label_str(x)}, {A.label_str(y)}, {A.label_str(z)})"
-            )
+        for z, col, c1 in terms:
+            prod = products[c1]
+            for i, c2 in col.items():
+                c = prod.get(c2)
+                if c is None:
+                    c = mul(c1, c2)
+                key = (i, z)
+                if key in rhs:
+                    add_into(rhs, key, c)
+                else:
+                    rhs[key] = c
+        return rhs
+
+    # E's row x is eps_right[x], w -> eps(x w)
+    E = SparseMatrix(A.dim, A.dim, A.conductor,
+                     {(x, w): c for x, row in A.eps_right.items() for w, c in row.items()})
+    lefts, right = terms_by_y(columns([dict(_coded(row, ids.scalar_id)) for row in E.rref()[0]]))
+    for y in ys:
+        rhs = right_side(right.get(y, ()))
+        for eq, text in enumerate(("eps(x y_(1)) eps(y_(2) z)", "eps(x y_(2)) eps(y_(1) z)")):
+            if left_side(lefts[eq].get(y, ())) != rhs:
+                lefts, right = terms_by_y(columns(epsR[x] for x in range(A.dim)))  # E's own columns
+                x, z = _first_diff(left_side(lefts[eq].get(y, ())), right_side(right.get(y, ())))
+                return f"{text} != eps(xyz) at ({A.label_str(x)}, {A.label_str(y)}, {A.label_str(z)})"
     return None
 
 
@@ -806,21 +876,21 @@ def _counital_map(A, eps_table, d1):
     return out
 
 
-def _sweep(A, fn, generated):
+def _sweep(A, fn, generated, *args):
     """The failure detail of the range kernel `fn` on A, or None.
 
-    `fn` is swept over every basis index x, or with `generated` over the
-    generators `A.mu_generators` only.  That is exact for a law whose
-    passing x are closed under products (see the module docstring): passing
-    on the generators means passing on all of A, and the first failing
-    generator is the least counterexample, so the detail is the full
-    sweep's.  A non-generator x was reached from generators below x: if
-    they all pass, so does x.
+    `fn(A, xs, *args)` is swept over every basis index x, or with
+    `generated` over the generators `A.mu_generators` only.  That is exact
+    for a law whose passing x are closed under products (see the module
+    docstring): passing on the generators means passing on all of A, and
+    the first failing generator is the least counterexample, so the detail
+    is the full sweep's.  A non-generator x was reached from generators
+    below x: if they all pass, so does x.
 
     Callers pass `generated` by position: the benchmark's tracer wraps
     `_sweep` by name and reads its third positional argument.
     """
-    return fn(A, A.mu_generators if generated else range(A.dim))
+    return fn(A, A.mu_generators if generated else range(A.dim), *args)
 
 
 def verify_weak_bialgebra(A, threads=None):
@@ -830,7 +900,8 @@ def verify_weak_bialgebra(A, threads=None):
     (see `dual`): the counit law is the unit law of A*, coassociativity is
     its associativity and Axiom 3 is its Axiom 2.  mu-associativity (on A
     and on A*) and, once it holds, Axiom 1 are swept on generators of A
-    (`_sweep`; see the module docstring).
+    (`_sweep`; see the module docstring), and A keeps their results
+    (`associativity_detail`, `axiom1_detail`) for the other suites.
 
     `threads` is accepted and ignored: every sweep runs in this process,
     and the benchmark's workloads still pass it.
@@ -840,18 +911,17 @@ def verify_weak_bialgebra(A, threads=None):
     detail = _unit_law(A)
     rep.add("unit-law", detail is None, detail)
 
-    detail = _sweep(A, _assoc_range, True)
+    detail = A.associativity_detail
     rep.add("mu-associativity", detail is None, detail)
-    associative = detail is None
 
     D = dual(A)
     detail = _in_dual(_unit_law(D))
     rep.add("counit-law", detail is None, detail)
 
-    detail = _in_dual(_sweep(D, _assoc_range, True))
+    detail = _in_dual(D.associativity_detail)
     rep.add("delta-coassociativity", detail is None, detail)
 
-    detail = _sweep(A, _axiom1_range, associative)
+    detail = A.axiom1_detail
     rep.add("axiom1-delta-multiplicative", detail is None, detail)
 
     detail = _sweep(A, _counit_weak_mult_range, False)
@@ -1045,7 +1115,8 @@ def verify_antipode(A, threads=None):
 
     The coalgebra anti-homomorphism law runs on the dual A* (see `dual`):
     after S(1) = 1, S*(1*) = 1* says eps S = eps, and S* must be an algebra
-    anti-homomorphism of A*.
+    anti-homomorphism of A*.  The law on A is swept on generators once mu
+    is associative (see the module docstring).
 
     `threads` is accepted and ignored, as in `verify_weak_bialgebra`.
     """
@@ -1063,7 +1134,7 @@ def verify_antipode(A, threads=None):
     invertible = A.antipode.rank() == A.dim
     rep.add("antipode-invertible", invertible, None if invertible else "S has nontrivial kernel")
 
-    detail = _sweep(A, _antihom_range, False)
+    detail = _sweep(A, _antihom_range, A.associativity_detail is None)
     rep.add("antipode-algebra-antihom", detail is None, detail)
 
     detail = None
@@ -1334,6 +1405,9 @@ def _cop(U):
 def verify_quasitriangular(A, cand, threads=None):
     """The five quasi-triangular laws plus the Yang-Baxter identity.
 
+    The intertwining law is swept on generators once mu is associative and
+    Axiom 1 holds (see the module docstring).
+
     `threads` is accepted and ignored, as in `verify_weak_bialgebra`.
     """
     rep = Report(A.name, "quasi-triangular")
@@ -1343,8 +1417,8 @@ def verify_quasitriangular(A, cand, threads=None):
     ok = A.mul2(R, d1) == R
     rep.add("r-lives-in-right-ideal", ok, None if ok else "R Delta(1) != R")
 
-    x = _intertwining_failure(A, R)
-    detail = None if x is None else f"R Delta(x) != Delta^cop(x) R at x = {A.label_str(x)}"
+    generated = A.associativity_detail is None and A.axiom1_detail is None
+    detail = _sweep(A, _intertwining_failure, generated, R)
     rep.add("r-intertwines-coproducts", detail is None, detail)
 
     r12r13, r23r13, r13r23, r13r12 = _r_products(A, R)
@@ -1376,8 +1450,8 @@ def verify_quasitriangular(A, cand, threads=None):
     return rep
 
 
-def _intertwining_failure(A, R):
-    """First basis x with R Delta(x) != Delta^cop(x) R, or None; on scalar ids.
+def _intertwining_failure(A, xs, R):
+    """First R Delta(x) != Delta^cop(x) R counterexample with x in the increasing xs.
 
     R is indexed by its first leg, and mu's id rows are gathered for the
     pairs with one factor among R's first legs a: a u for the left side
@@ -1431,14 +1505,14 @@ def _intertwining_failure(A, R):
                         else:
                             out[key] = c
 
-    for x in range(A.dim):
+    for x in xs:
         lhs = {}
         rhs = {}
         for s, t, c0 in dt.get(x, ()):
             side(r_left.get(s), s, t, c0, lhs, True)
             side(r_right.get(t), t, s, c0, rhs, False)
         if lhs != rhs:
-            return x
+            return f"R Delta(x) != Delta^cop(x) R at x = {A.label_str(x)}"
     return None
 
 

@@ -67,6 +67,17 @@ def test_verify_missing_rmatrix_exits_2(tmp_path):
     assert run("verify", str(out), "--suite", "qt") == 2
 
 
+@pytest.mark.parametrize("suite", ["wha", "base"])
+def test_verify_rmatrix_with_a_suite_that_does_not_read_it_exits_2(tmp_path, capsys, suite):
+    # the R-matrix file is never opened, so it is refused rather than ignored
+    out = tmp_path / "b2.json"
+    assert run("build", "b-g-omega", "--group", "z2", "--cocycle", "p=0", "-o", str(out)) == 0
+    capsys.readouterr()
+    assert run("verify", str(out), "--suite", suite, "--rmatrix", str(tmp_path / "absent.json")) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --rmatrix is read only by --suite qt and all, not by --suite {suite}\n")
+
+
 def test_verify_tampered_exits_1(tmp_path, capsys):
     out = tmp_path / "b2.json"
     run("build", "b-g-omega", "--group", "z2", "--cocycle", "p=1", "-o", str(out))

@@ -457,6 +457,18 @@ def test_antihom_sweep_matches_dense_reference_on_tampered_antipodes(n):
         check = next(c for c in verify_antipode(bad).checks if c.name == "antipode-algebra-antihom")
         assert not check.ok
         assert check.detail == expected
+        assert bad.associativity_detail is None  # swept on the generators
+    # mu mutants: where mu is not associative the law is swept on the whole
+    # basis; on A(Z3) a sweep of the generators alone would name another pair
+    full = misnamed = 0
+    for what, bad in itertools.islice(_mu_mutants(A, 2), 6):
+        expected = _antihom_dense(bad)
+        check = next(c for c in verify_antipode(bad).checks if c.name == "antipode-algebra-antihom")
+        assert check.detail == expected, what
+        full += bad.associativity_detail is not None and expected is not None
+        misnamed += _antihom_range(bad, bad.mu_generators) != expected
+    assert full
+    assert misnamed or n == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1195,24 +1207,135 @@ def test_axiom_checks_match_dense_on_b_z4():
         assert [checks[name].detail for name in _AXIOM_CHECKS] == expected
 
 
+# -- Axiom 2 (and Axiom 3 on A*) through a basis of the row space of eps(x w)
+
+def _eps_rank(X):
+    """The rank of E(x, w) = eps(x w), whose row space Axiom 2's sweep reduces x to."""
+    return SparseMatrix(X.dim, X.dim, X.conductor,
+                        {(x, w): c for x, row in X.eps_right.items() for w, c in row.items()}).rank()
+
+
+def _axiom2_details(bad):
+    """Axioms 2 and 3 of an algebra as its suite reports them and as the dense references give them."""
+    checks = {c.name: c.detail for c in verify_weak_bialgebra(bad).checks}
+    return ([checks["axiom2-counit-weak-multiplicative"], checks["axiom3-unit-weak-comultiplicative"]],
+            [axiom2_dense(bad), _on_dual(axiom2_dense(dual(bad)))])
+
+
+def test_eps_rank_is_the_dimension_of_the_base_algebra_on_passing_algebras():
+    # so the reduced Axiom 2 sweep compares |G| rows per y, not dim A
+    for A in (build_b_g_omega(cyclic_group(3), standard_cocycle(3, 1)), a_z2(p=1)[0], _a_z3()):
+        for X in (A, dual(A)):
+            base = base_algebras(X)
+            assert base.report.ok
+            assert _eps_rank(X) == base.dim_l, X.name
+
+
+def test_axiom2_sweep_matches_dense_where_the_eps_rank_exceeds_the_base_algebra():
+    # mu and counit mutants change E itself; on A* they are Delta and unit
+    # mutants of A, which fail Axiom 3
+    A = build_b_g_omega(cyclic_group(3), standard_cocycle(3, 1))
+    dim_l = base_algebras(A).dim_l
+    higher = {0: 0, 1: 0}  # failures where rank E > dim A^l, by side
+    for side, X in enumerate((A, dual(A))):
+        for table in ("mu", "counit"):
+            entries = X.mu.data if table == "mu" else X.counit
+            for key in sorted(entries)[:: max(1, len(entries) // 3)]:
+                for kind in ("scale", "drop", "move"):
+                    data = _tamper(entries, kind, key, X.dim)
+                    if table == "mu":
+                        data = SparseTensor3(X.mu.dims, X.conductor, data)
+                    bad_X = clone_with(X, **{table: data})
+                    got, expected = _axiom2_details(bad_X if X is A else dual(bad_X))
+                    assert got == expected, (side, table, kind, key)
+                    higher[side] += expected[side] is not None and _eps_rank(bad_X) > dim_l
+    assert all(higher.values()), higher
+
+
+def _second_equality_mutant(X, y):
+    """X with Delta(y) + u (x) v - u (x) v', where rows v and v' of E are
+    equal and their columns are not: eps(x u) eps(v z) - eps(x u) eps(v' z)
+    is 0, so the first equality of Axiom 2 is unchanged, while
+    eps(x v) eps(u z) - eps(x v') eps(u z) is not."""
+    v, v2 = next((v, v2) for v in range(X.dim) for v2 in range(v + 1, X.dim)
+                 if X.eps_right[v] == X.eps_right[v2] and X.eps_left[v] != X.eps_left[v2])
+    u = next(u for u in range(X.dim) if X.eps_right[u])
+    one = X.one_scalar()
+    data = dict(X.delta.data)
+    for key, c in (((y, u, v), one), ((y, u, v2), -one)):
+        s = data[key] + c if key in data else c
+        if s:
+            data[key] = s
+        else:
+            del data[key]
+    return clone_with(X, delta=SparseTensor3(X.delta.dims, X.conductor, data))
+
+
+@pytest.mark.parametrize("make", ["b_z3", "a_z2"])
+def test_axiom2_sweep_names_the_least_pair_where_only_the_second_equality_fails(make):
+    # the reduced sweep finds the failing y and equality; the full forms for
+    # that y name the least (x, z), not the reduced forms' least key (i, z)
+    A = build_b_g_omega(cyclic_group(3), standard_cocycle(3, 1)) if make == "b_z3" else a_z2(p=1)[0]
+    for side, X in enumerate((A, dual(A))):
+        y = X.dim // 2
+        bad_X = _second_equality_mutant(X, y)
+        assert _eps_rank(bad_X) == base_algebras(X).dim_l
+        got, expected = _axiom2_details(bad_X if X is A else dual(bad_X))
+        assert got == expected, side
+        detail = expected[side]
+        assert "eps(x y_(2)) eps(y_(1) z) != eps(xyz)" in detail
+        label = bad_X.label_str
+        x, y2, z = next(t for t in itertools.product(range(X.dim), repeat=3)
+                        if detail.endswith(f"at ({', '.join(map(label, t))})"))
+        assert y2 == y
+        assert _axiom2_failing_pairs(bad_X, y, False) == []
+        pairs = _axiom2_failing_pairs(bad_X, y, True)
+        assert pairs[0] == (x, z) and len(pairs) > 1
+
+
+def test_antipode_and_qt_suites_report_the_same_alone_or_after_the_weak_bialgebra_suite():
+    # run alone, they sweep the associativity and Axiom 1 results they read
+    A, R = a_z2(p=1)
+    cases = [("A", A)] + [c for c in _antipode_mutants(A, 2) if not c[0].startswith("harmless")][::3]
+    broken = {"associativity": 0, "axiom1": 0}
+    for what, X in cases:
+        alone, after = clone_with(X), clone_with(X)
+        weak = verify_weak_bialgebra(after)
+        reports = [[verify_antipode(Y).to_json(), verify_quasitriangular(Y, R).to_json()]
+                   for Y in (alone, after)]
+        assert reports[0] == reports[1], what
+        assert (alone.associativity_detail, alone.axiom1_detail) == (after.associativity_detail,
+                                                                     after.axiom1_detail), what
+        checks = {c.name: c.detail for c in weak.checks}
+        assert after.associativity_detail == checks["mu-associativity"], what
+        assert after.axiom1_detail == checks["axiom1-delta-multiplicative"], what
+        broken["associativity"] += after.associativity_detail is not None
+        broken["axiom1"] += after.associativity_detail is None and after.axiom1_detail is not None
+    assert all(broken.values()), broken
+
+
 def test_suites_leave_only_the_shared_indexes_on_the_algebra():
-    # the dual A* and each call's product and sum memo are locals of one
-    # sweep or suite: the algebra keeps its structure tensors, its scalar
-    # table (both ways) and the indexes that every later suite reuses, mu's
-    # in ids only, nothing per call
+    # the dual A*, each call's product and sum memo and Axiom 2's row-space
+    # basis are locals of one sweep or suite: the algebra keeps its structure
+    # tensors, its scalar table (both ways), the indexes that every later
+    # suite reuses, mu's in ids only, and the results of the two laws that
+    # the later suites take as preconditions, nothing per call.  Axiom 2
+    # reads eps(x w) by rows only, so no id-coded eps_left is built
     structure = {"labels", "dim", "conductor", "mu", "unit", "name", "label_index",
                  "delta", "counit", "antipode", "meta", "scalar_ids", "scalar_values"}
     indexes = {"mu_generators", "delta_terms", "antipode_cols",
                "_delta_unit", "eps_left", "eps_right", "eps_t", "eps_s", "eps_s_prime"}
     id_indexes = {"mu_ids", "mu_ids_by_result", "mu_ids_by_right", "delta_ids", "delta_left_ids",
-                  "antipode_ids", "eps_left_ids", "eps_right_ids", "eps_t_ids", "eps_s_ids"}
+                  "antipode_ids", "eps_right_ids", "eps_t_ids", "eps_s_ids"}
+    law_results = {"associativity_detail", "axiom1_detail"}
     for A, R in (a_z2(p=1), (build_b_g_omega(cyclic_group(4), standard_cocycle(4, 1)), None)):
         assert verify_weak_bialgebra(A).ok
         assert verify_antipode(A).ok
         assert base_algebras(A).report.ok
         if R is not None:
             assert verify_quasitriangular(A, R).ok
-        assert set(A.__dict__) == structure | indexes | id_indexes, A.name
+        assert set(A.__dict__) == structure | indexes | id_indexes | law_results, A.name
+        assert (A.associativity_detail, A.axiom1_detail) == (None, None), A.name
         assert A.scalar_values == list(A.scalar_ids), A.name
 
 
@@ -1526,20 +1649,27 @@ def test_intertwining_sweep_matches_loop_on_single_entry_mutants(n):
         if not what.startswith("antipode"):
             cases.append((what, bad, R))
     rejected = 0
+    swept = {True: 0, False: 0}  # failures found on the generators, on the whole basis
     for what, X, terms in cases:
         expected = intertwining_loop(X, terms)
-        x = _intertwining_failure(X, terms)
-        detail = None if x is None else f"R Delta(x) != Delta^cop(x) R at x = {X.label_str(x)}"
-        assert detail == expected, what
+        assert _intertwining_failure(X, range(X.dim), terms) == expected, what
+        # the suite sweeps the generators only where mu is associative and
+        # Axiom 1 holds, and reports the sweep's x in the loop's words
+        check = next(c for c in verify_quasitriangular(X, RMatrixCandidate(terms)).checks
+                     if c.name == "r-intertwines-coproducts")
+        assert check.detail == expected, what
         rejected += expected is not None
+        if expected is not None:
+            swept[X.associativity_detail is None and X.axiom1_detail is None] += 1
         if what in ("R", "R zero") or what.startswith("harmless"):
             assert expected is None, what
     assert rejected
-    # the suite reports the sweep's x in the loop's words
-    what, X, terms = next(c for c in cases if intertwining_loop(c[1], c[2]) is not None)
-    check = next(c for c in verify_quasitriangular(X, RMatrixCandidate(terms)).checks
-                 if c.name == "r-intertwines-coproducts")
-    assert check.detail == intertwining_loop(X, terms)
+    assert all(swept.values()), swept
+    # a Delta mutant that breaks Axiom 1 and not associativity: the full sweep
+    full = [what for what, X, terms in cases if what.startswith("delta")
+            and X.associativity_detail is None and X.axiom1_detail is not None
+            and intertwining_loop(X, terms) is not None]
+    assert full
 
 
 def test_suites_builds_and_json_round_trips_leave_no_reference_cycles(tmp_path):

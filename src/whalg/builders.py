@@ -311,7 +311,7 @@ class SeparableFrobenius(PlainAlgebra):
         d = self.dim
 
         # s(xy), s(x) y and x s(y) as tables (x, y, a, b) -> coeff of e_a (x) e_b
-        mp, by_right, vals = self.mu_ids, self.mu_ids_by_right, self.scalar_values
+        mp, by_right, vals = self.mu_ids, self.mu_ids_by_right, self.ids.vals
         s_xy, s_x_y, x_s_y = {}, {}, {}
         for x, row in mp.items():
             for y, terms in row.items():
@@ -399,7 +399,7 @@ def build_frobenius_double(B):
     one = Cyclotomic.one(n)
     mu, delta = _new_tensors(d, n)
 
-    mp, vals = B.mu_ids, B.scalar_values
+    mp, vals = B.mu_ids, B.ids.vals
     for (i1, j1) in itertools.product(range(db), repeat=2):
         for (i2, j2) in itertools.product(range(db), repeat=2):
             left = index[("t", i1, j1)]

@@ -184,7 +184,7 @@ def build_drinfeld_double(P):
     from .wha import base_algebras
 
     baA = base_algebras(A)
-    d1B = B.delta_of_unit()
+    d1B = B.delta_of_unit
 
     gens = {}  # (generator, flat index) -> coefficient, one row per generator
     ngens = 0
@@ -248,8 +248,8 @@ def build_drinfeld_double(P):
         by_a.setdefault(a, []).append((t, b))
         by_b.setdefault(b, []).append((t, a))
     d2B = {b: B.coproduct2(B.basis_elem(b)) for b in by_b}
-    a_rows, a_vals = A.mu_ids, A.scalar_values
-    b_rows, b_vals = B.mu_ids, B.scalar_values
+    a_rows, a_vals = A.mu_ids, A.ids.vals
+    b_rows, b_vals = B.mu_ids, B.ids.vals
     for ap, lefts in by_a.items():
         d2ap = A.coproduct2(A.basis_elem(ap))
         for b, rights in by_b.items():

@@ -301,9 +301,11 @@ class Cyclotomic:
         return _from_terms(m, ((e * k, x) for e, x in enumerate(self.v)), self.d)
 
     def is_root_of_unity(self):
+        """Whether self^m = 1 for m = lcm(2, n): the roots of unity of Q(zeta_n)
+        are the +-zeta_n^k, so -1 counts at an odd conductor too."""
         if not any(self.v):
             return False
-        return (self ** self.n).is_one()
+        return (self ** lcm(2, self.n)).is_one()
 
     def _coeffs(self):
         """Each coordinate as a gcd-reduced (numerator, denominator) pair."""

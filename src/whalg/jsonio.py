@@ -396,7 +396,7 @@ def _where(table, key):
 
 
 def algebra_to_json(A):
-    enc = {c: c.to_json() for c in A.scalar_ids}  # one shared encoding per scalar
+    enc = {c: c.to_json() for c in A.ids.vals}  # one shared encoding per scalar
     return {
         "name": A.name,
         "dim": A.dim,

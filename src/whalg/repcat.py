@@ -14,7 +14,7 @@ import random
 
 from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3
 from .report import Report
-from .wha import _acc, _by_leg, _coded, _mixed_assoc_range, _nested, _ScalarIds, base_algebras
+from .wha import _acc, _by_leg, _coded, _mixed_assoc_range, _nested, base_algebras
 
 
 class WHAModule:
@@ -55,7 +55,7 @@ def validate_module(A, V):
     ok = V.rho(A.one()) == idm
     rep.add("unit-acts-as-identity", ok, None if ok else "eta(1) does not act as id")
 
-    mu, ids = A.mu_ids, _ScalarIds(A.scalar_ids)
+    mu, ids = A.mu_ids, A.ids
     act = list(_coded({(a, c, r): v for (a, r, c), v in V.action.data.items()}, ids.scalar_id))
     rows = _nested(act)
     bad = _mixed_assoc_range(ids, rows, mu, rows, _by_leg(act, 2), range(A.dim))
@@ -132,19 +132,20 @@ def tensor_product(V, W):
     A = V.algebra
     n = A.conductor
     e = SparseMatrix(V.dim * W.dim, V.dim * W.dim, n)
-    for (p, q), c in A.delta_of_unit().items():
+    for (p, q), c in A.delta_of_unit.items():
         for (r1, c1), v1 in V.action_matrix(p).data.items():
             for (r2, c2), v2 in W.action_matrix(q).data.items():
                 e.add_to(r1 * W.dim + r2, c1 * W.dim + c2, c * v1 * v2)
     i_mat, r_mat = retract_of_idempotent(e)
     d = i_mat.cols
     act = SparseTensor3((A.dim, d, d), n)
+    dt, vals = A.delta_ids, A.ids.vals
     for x in range(A.dim):
         big = SparseMatrix(V.dim * W.dim, V.dim * W.dim, n)
-        for j, k, c in A.delta_terms[x]:
+        for j, k, c in dt.get(x, ()):
             for (r1, c1), v1 in V.action_matrix(j).data.items():
                 for (r2, c2), v2 in W.action_matrix(k).data.items():
-                    big.add_to(r1 * W.dim + r2, c1 * W.dim + c2, c * v1 * v2)
+                    big.add_to(r1 * W.dim + r2, c1 * W.dim + c2, vals[c] * v1 * v2)
         small = r_mat.matmul(big).matmul(i_mat)
         for (r, c), v in small.data.items():
             act.add_to(x, r, c, v)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .exactmath import Cyclotomic, SparseTensor3
+from .exactmath import Cyclotomic, SparseTensor3, root_of_unity
 from .report import Report
 from .skeleton import SkeletonError, dual_data_pointed
 from .wha import (PlainAlgebra, _by_leg, _coded, _hom_range, _mixed_assoc_by_value,
@@ -582,8 +582,8 @@ def solve_pivotal(C, dd=None):
             w, xv, _ = g
             st = T.mu_ids[T.label_index[h]][T.label_index[g]][0][1]
             t_lab = Tp.labels[oi]
-            ratio = (Tp.scalar_values[sp] * kappa[(t_lab[0], t_lab[1][0])]) / (
-                T.scalar_values[st] * kappa[(wp, xvp[0])] * kappa[(w, xv[0])]
+            ratio = (Tp.ids.vals[sp] * kappa[(t_lab[0], t_lab[1][0])]) / (
+                T.ids.vals[st] * kappa[(wp, xvp[0])] * kappa[(w, xv[0])]
             )
             key = (wp, w)
             if key in rho:
@@ -592,19 +592,10 @@ def solve_pivotal(C, dd=None):
             else:
                 rho[key] = ratio
 
-    # discrete logs
-    def dlog(val):
-        acc = Cyclotomic.one(n)
-        z = Cyclotomic.from_pairs(n, ((1 % n, 1),)) if n > 1 else Cyclotomic.one(n)
-        for k in range(n):
-            if acc == val:
-                return k
-            acc = acc * z
-        return None
-
+    dlog = {root_of_unity(n, k): k for k in range(n)}  # zeta_n^k -> k
     eqs = []
     for (wp, w), val in rho.items():
-        k = dlog(val)
+        k = dlog.get(val)
         if k is None:
             return None
         row = {lab_idx[wp]: 1}

@@ -32,20 +32,24 @@ Three law kernels serve every caller of their law shape:
   is three convolution identities (Boehm-Nill-Szlachanyi 1999):
   id * S = eps_t, S * id = eps_s and (S * id) * S = S.
 
-The counital maps eps_t, eps_s and eps'_s are cached on the algebra by
-columns, each built in one pass over Delta(1); `eps_lr`, `eps_rr` and
-`base_algebras` read them.
-
 An algebra's tensors are not edited after it is built (a mutant is a fresh
 algebra: `clone_with` in the tests, `assemble` in the benchmark), so every
-index is built once and cached on it.  Every law sweep runs on scalar ids:
-each algebra numbers its scalars when it is built (`_scalar_table`, id 0
-for zero; `scalar_values` lists them by id), the kernels read the id-coded
-indexes cached on it (`mu_ids`, `delta_ids`, ...), and each call starts its
-`_ScalarIds` from that table with its own memo of products and sums, so the
-sweeps hash ints, not cyclotomic values.  A table that belongs to no algebra
-is coded per call (`_coded`).  The sweeps on ids are the three kernels
-above, Axioms 1 and 2 and the intertwining law (`_intertwining_failure`).
+index is built once and cached on it, one per structure map and in scalar
+ids only.  Each algebra holds one scalar table, `ids` (a `_ScalarIds`): it
+numbers the structure tensors' scalars when the algebra is built
+(`_scalar_table`, id 0 for zero), and its id -> scalar list `ids.vals`
+decodes an index wherever values are needed (`mul`, `coproduct`,
+`apply_antipode`, `eps_lr`, ...).  The indexes are mu's (`mu_ids` and its
+companions), Delta's (`delta_ids`, `delta_left_ids`), S's columns
+(`antipode_ids`), the rows of eps(x w) (`eps_right_ids`) and the counital
+maps eps_t, eps_s and eps'_s by columns, each built in one pass over
+Delta(1) (`eps_t_ids`, `eps_s_ids`, `eps_s_prime_ids`).  Every kernel call
+on the algebra reads them and shares the table's memo of products and sums,
+so the sweeps hash ints, not cyclotomic values, and a product met by one
+call is not recomputed by the next.  A table that belongs to no algebra is
+coded in a fresh `_ScalarIds` (`_coded`).  The sweeps on ids are the three
+kernels above, Axioms 1 and 2 and the intertwining law
+(`_intertwining_failure`).
 The rest of the quasi-triangular suite is a few products of whole tensors
 rather than a sweep over the basis, on scalar values.  R's two-leg products
 R12 R13, R23 R13, R13 R23 and R13 R12 are contracted from R's terms
@@ -126,14 +130,7 @@ _NO_ROW = {}  # the row of an index absent from a nested id table; never written
 def _id_rows(tensor, leg):
     """A cached property: the sparse tensor `tensor` in scalar ids, by one leg (`_by_leg`)."""
     return functools.cached_property(
-        lambda A: _by_leg(_coded(getattr(A, tensor).data, A._scalar_id), leg))
-
-
-def _id_columns(name):
-    """A cached property: the index `name`, x -> {k: scalar}, as x -> {k: id};
-    a value new to the scalar table (a counital map's) joins it."""
-    return functools.cached_property(
-        lambda A: {x: dict(_coded(col, A._scalar_id)) for x, col in getattr(A, name).items()})
+        lambda A: _by_leg(_coded(getattr(A, tensor).data, A.ids.scalar_id), leg))
 
 
 class PlainAlgebra:
@@ -149,22 +146,11 @@ class PlainAlgebra:
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self.label_index) != self.dim:
             raise ValueError("labels must be distinct")
-        self.scalar_ids = _scalar_table(conductor, self._scalar_tables())
-        self.scalar_values = list(self.scalar_ids)  # id -> scalar
+        self.ids = _ScalarIds(_scalar_table(conductor, self._scalar_tables()))
 
     def _scalar_tables(self):
-        """The sparse {key: scalar} tables that `scalar_ids` numbers."""
+        """The sparse {key: scalar} tables that `ids` numbers when the algebra is built."""
         return (self.mu.data, self.unit)
-
-    def _scalar_id(self, c):
-        """Id of c in `scalar_ids`; a value new to the table gets the next id,
-        and joins `scalar_values`."""
-        table = self.scalar_ids
-        i = table.get(c)
-        if i is None:
-            i = table[c] = len(table)
-            self.scalar_values.append(c)
-        return i
 
     @functools.cached_property
     def mu_generators(self):
@@ -185,7 +171,7 @@ class PlainAlgebra:
         The one index of mu: the keys of row i are the right companions of
         i, the j with e_i e_j != 0, and `mu_ids_by_right` gives the left ones.
         """
-        return _nested(_coded(self.mu.data, self._scalar_id))
+        return _nested(_coded(self.mu.data, self.ids.scalar_id))
 
     @functools.cached_property
     def mu_ids_by_right(self):
@@ -210,7 +196,7 @@ class PlainAlgebra:
 
     def mul(self, u, v):
         """Product of sparse elements of A."""
-        return _product(self.mu_ids, self.scalar_values, u, v)
+        return _product(self.mu_ids, self.ids.vals, u, v)
 
     def mul_tensor(self, U, V):
         """Product of sparse elements of A^(x)k, k >= 2, keyed by k-tuples of indices.
@@ -222,7 +208,7 @@ class PlainAlgebra:
         nonzero.  Legs beyond the second are probed term by term.
         """
         mp = self.mu_ids
-        vals = self.scalar_values
+        vals = self.ids.vals
         by_two = {}
         for key, c in V.items():
             by_two.setdefault(key[0], {}).setdefault(key[1], []).append((key[2:], c))
@@ -295,32 +281,10 @@ class WeakHopfAlgebra(PlainAlgebra):
     def _scalar_tables(self):
         return (self.mu.data, self.unit, self.delta.data, self.counit, self.antipode.data)
 
-    # -- comultiplication and antipode indexes (built once) -----------------
-
     @functools.cached_property
-    def delta_terms(self):
-        out = {i: [] for i in range(self.dim)}
-        for (i, j, k), c in self.delta.data.items():
-            out[i].append((j, k, c))
-        return out
-
-    @functools.cached_property
-    def antipode_cols(self):
-        out = {i: {} for i in range(self.dim)}
-        for (k, i), c in self.antipode.data.items():
-            out[i][k] = c
-        return out
-
-    @functools.cached_property
-    def _delta_unit(self):
-        out = {}
-        for i, ci in self.unit.items():
-            for j, k, c in self.delta_terms[i]:
-                _acc(out, (j, k), ci * c)
-        return out
-
     def delta_of_unit(self):
-        return self._delta_unit
+        """Delta(1), sparse over (j, k)."""
+        return self.coproduct(self.unit)
 
     @functools.cached_property
     def axiom1_detail(self):
@@ -328,60 +292,58 @@ class WeakHopfAlgebra(PlainAlgebra):
         once, on `mu_generators` if mu is associative."""
         return _sweep(self, _axiom1_range, self.associativity_detail is None)
 
-    @functools.cached_property
-    def eps_left(self):
-        """s -> {x: eps(x s)}."""
-        return _eps_contraction(self, left=True)
-
-    @functools.cached_property
-    def eps_right(self):
-        """t -> {z: eps(t z)}."""
-        return _eps_contraction(self, left=False)
-
-    # -- the counital maps, by columns x -> {k: coeff} (built once) ----------
-
-    @functools.cached_property
-    def eps_t(self):
-        """x -> eps_t(x) = eps(1_(1) x) 1_(2)."""
-        return _counital_map(self, self.eps_right, self.delta_of_unit())
-
-    @functools.cached_property
-    def eps_s(self):
-        """x -> eps_s(x) = 1_(1) eps(x 1_(2))."""
-        return _counital_map(self, self.eps_left, _cop(self.delta_of_unit()))
-
-    @functools.cached_property
-    def eps_s_prime(self):
-        """x -> eps'_s(x) = 1_(1) eps(1_(2) x)."""
-        return _counital_map(self, self.eps_right, _cop(self.delta_of_unit()))
-
     # -- id-coded indexes of the law kernels (built once) --------------------
 
     delta_ids = _id_rows("delta", 0)  # i -> [(j, k, id)]
     delta_left_ids = _id_rows("delta", 1)  # j -> [(i, k, id)]
-    # S's columns and the counital maps, x -> {k: id}
-    antipode_ids = _id_columns("antipode_cols")
-    eps_right_ids = _id_columns("eps_right")
-    eps_t_ids = _id_columns("eps_t")
-    eps_s_ids = _id_columns("eps_s")
 
-    # -- coalgebra and antipode arithmetic ------------------------------------
+    @functools.cached_property
+    def antipode_ids(self):
+        """S by columns, i -> {k: id} over the terms c e_k of S(e_i)."""
+        cols = {i: {} for i in range(self.dim)}
+        for (k, i), c in _coded(self.antipode.data, self.ids.scalar_id):
+            cols[i][k] = c
+        return cols
+
+    @functools.cached_property
+    def eps_right_ids(self):
+        """t -> {z: id of eps(t z)}, the rows of E(x, w) = eps(x w)."""
+        return _eps_rows(self, 0)
+
+    # the counital maps by columns, x -> {k: id}, each one pass over Delta(1)
+
+    @functools.cached_property
+    def eps_t_ids(self):
+        """x -> eps_t(x) = eps(1_(1) x) 1_(2)."""
+        return _counital_map(self, self.eps_right_ids, self.delta_of_unit)
+
+    @functools.cached_property
+    def eps_s_ids(self):
+        """x -> eps_s(x) = 1_(1) eps(x 1_(2)), through eps(x s) by s, kept for this map only."""
+        return _counital_map(self, _eps_rows(self, 1), _cop(self.delta_of_unit))
+
+    @functools.cached_property
+    def eps_s_prime_ids(self):
+        """x -> eps'_s(x) = 1_(1) eps(1_(2) x)."""
+        return _counital_map(self, self.eps_right_ids, _cop(self.delta_of_unit))
+
+    # -- coalgebra and antipode arithmetic, decoded through `ids` ------------
 
     def coproduct(self, u):
         out = {}
-        dt = self.delta_terms
+        dt, vals = self.delta_ids, self.ids.vals
         for i, ci in u.items():
-            for j, k, c in dt[i]:
-                _acc(out, (j, k), ci * c)
+            for j, k, c in dt.get(i, ()):
+                _acc(out, (j, k), ci * vals[c])
         return out
 
     def coproduct2(self, u):
         """(Delta (x) id) Delta(u); coassociativity makes the order moot."""
         out = {}
-        dt = self.delta_terms
+        dt, vals = self.delta_ids, self.ids.vals
         for (j, k), c in self.coproduct(u).items():
-            for a, b, c2 in dt[j]:
-                _acc(out, (a, b, k), c * c2)
+            for a, b, c2 in dt.get(j, ()):
+                _acc(out, (a, b, k), c * vals[c2])
         return out
 
     def apply_counit(self, u):
@@ -394,15 +356,15 @@ class WeakHopfAlgebra(PlainAlgebra):
         return tot
 
     def apply_antipode(self, u):
-        return _push(self.antipode_cols, u)
+        return _image(self.antipode_ids, self.ids.vals, u)
 
     def eps_lr(self, u):
         """epsilon^lr(u) = eps(1_(1) u) 1_(2), the image of u under eps_t."""
-        return _push(self.eps_t, u)
+        return _image(self.eps_t_ids, self.ids.vals, u)
 
     def eps_rr(self, u):
         """epsilon^rr(u) = 1_(1) eps(1_(2) u), the image of u under eps'_s."""
-        return _push(self.eps_s_prime, u)
+        return _image(self.eps_s_prime_ids, self.ids.vals, u)
 
     def __repr__(self):
         return f"WeakHopfAlgebra({self.name}, dim={self.dim}, conductor={self.conductor})"
@@ -456,6 +418,15 @@ def _push(phi, u):
     return out
 
 
+def _image(cols, vals, u):
+    """`_push` through id-coded columns x -> {k: id} whose ids index the scalar list vals."""
+    out = {}
+    for i, ci in u.items():
+        for k, c in cols[i].items():
+            _acc(out, k, ci * vals[c])
+    return out
+
+
 def _scalar_table(conductor, tables):
     """Intern the scalars of the sparse tables in place, and number them:
     {value: id} in id order, zero 0, then the distinct nonzero values sorted
@@ -475,8 +446,8 @@ def _scalar_table(conductor, tables):
 
 def _coded(table, scalar_id):
     """The entries of a sparse table {key: scalar} as (key, id) pairs, zeros
-    left out; scalar_id is an algebra's `_scalar_id`, or a call's
-    `_ScalarIds.scalar_id` for a table that belongs to no algebra."""
+    left out; scalar_id is a `_ScalarIds.scalar_id`, an algebra's `ids` or
+    a fresh table for a table that belongs to no algebra."""
     return ((key, i) for key, c in table.items() if (i := scalar_id(c)))
 
 
@@ -561,7 +532,7 @@ def _unit_law(A):
     and by right factor, of the unit's basis elements.
     """
     one = A.one()
-    vals = A.scalar_values
+    vals = A.ids.vals
     left, right = {}, {}
     for u, cu in one.items():
         for j, terms in A.mu_ids.get(u, _NO_ROW).items():
@@ -580,19 +551,21 @@ def _unit_law(A):
 
 
 class _ScalarIds:
-    """Small-int ids for the scalars of one law-kernel call.
+    """Small-int ids for scalars, with a memo of their products and sums.
 
-    A call starts from an algebra's `scalar_ids`, read after the indexes it
-    sweeps (building a counital map's adds to the table), or empty.  Each
-    new value it meets takes the next id, 0 for zero, so two ids are equal
-    exactly when their scalars are and `_first_diff` picks the key the values
-    would.  Kernels read the memoized products and sums inline
-    (`products[a].get(b)`) and call `mul` or `add_into` on a miss or a
-    repeated key.  A nonzero product is never zero; a cancelling sum is removed.
+    Each algebra holds one, `ids`, started from the numbering of its
+    structure tensors (`_scalar_table`): its id-coded indexes and every
+    kernel call on it share that table and memo.  A table that belongs to
+    no algebra starts empty.  Each new value takes the next id, 0 for zero,
+    so two ids are equal exactly when their scalars are and `_first_diff`
+    picks the key the values would.  Kernels read the memoized products and
+    sums inline (`products[a].get(b)`) and call `mul` or `add_into` on a
+    miss or a repeated key.  A nonzero product is never zero; a cancelling
+    sum is removed.
     """
 
     def __init__(self, table=None):
-        self.ids = dict(table) if table else {}  # scalar -> id; zero -> 0
+        self.ids = table or {}                   # scalar -> id; zero -> 0
         self.vals = list(self.ids) or [None]     # vals[id] = scalar, in id order
         self.products = [{} for _ in self.vals]  # products[a][b] = id of vals[a] * vals[b]
         self.sums = [{} for _ in self.vals]      # sums[a][b] = id of vals[a] + vals[b]
@@ -682,7 +655,7 @@ def _mixed_assoc_by_value(f, g, h, k, xs):
 def _assoc_range(A, xs):
     """First associativity counterexample with left factor in the increasing xs."""
     mu, by_result = A.mu_ids, A.mu_ids_by_result
-    bad = _mixed_assoc_range(_ScalarIds(A.scalar_ids), mu, mu, mu, by_result, xs)
+    bad = _mixed_assoc_range(A.ids, mu, mu, mu, by_result, xs)
     if bad is None:
         return None
     i, j, z = bad
@@ -692,13 +665,13 @@ def _assoc_range(A, xs):
 def _axiom1_range(A, xs):
     """First Delta(x)Delta(y) != Delta(xy) counterexample with x in the increasing xs.
 
-    Both sides are keyed (y, j, k) and hold scalar ids (`_ScalarIds`).  The
+    Both sides are keyed (y, j, k) and hold scalar ids (`A.ids`).  The
     left meets each term s (x) s2 of Delta(x) with the Delta(y) terms
     t (x) t2, found through Delta's left-leg index, on which s t and s2 t2
     are both nonzero.
     """
     mp, dt, dinv = A.mu_ids, A.delta_ids, A.delta_left_ids
-    ids = _ScalarIds(A.scalar_ids)
+    ids = A.ids
     products = ids.products
     mul = ids.mul
     add_into = ids.add_into
@@ -758,9 +731,9 @@ def _counit_weak_mult_range(A, ys):
     """Axiom 2 (both equalities), swept per middle element y in the increasing ys.
 
     Each side is sum_w E(x, w) V(w, z) with E(x, w) = eps(x w), and holds
-    scalar ids (`_ScalarIds`).  Given the columns of a matrix, w -> {i: id},
+    scalar ids (`A.ids`).  Given the columns of a matrix, w -> {i: id},
     each side is that matrix times V, keyed (i, z): each left side through
-    the terms c s (x) t of Delta(y) and eps_right, eps(x (yz)) through the
+    the terms c s (x) t of Delta(y) and E's rows, eps(x (yz)) through the
     terms c e_k of the products y z.  Only the terms that meet a nonzero
     column, at s (at t for the second equality) or at k, are kept, gathered
     by y once per call.  The sweep takes a basis of E's row space
@@ -769,7 +742,7 @@ def _counit_weak_mult_range(A, ys):
     (x, z).
     """
     by_result, dt, epsR = A.mu_ids_by_result, A.delta_ids, A.eps_right_ids
-    ids = _ScalarIds(A.scalar_ids)
+    ids = A.ids
     products = ids.products
     mul = ids.mul
     add_into = ids.add_into
@@ -782,7 +755,7 @@ def _counit_weak_mult_range(A, ys):
         return cols
 
     def terms_by_y(cols):
-        # per equality, y -> [(cols[s], eps_right[t], c)] over the terms
+        # per equality, y -> [(cols[s], epsR[t], c)] over the terms
         # c s (x) t of Delta(y), the legs swapped for the second; and
         # y -> [(z, cols[k], c)] over the terms c e_k of y z
         first, second = {}, {}
@@ -834,9 +807,10 @@ def _counit_weak_mult_range(A, ys):
                     rhs[key] = c
         return rhs
 
-    # E's row x is eps_right[x], w -> eps(x w)
+    # E's row x is epsR[x], w -> eps(x w)
+    vals = ids.vals
     E = SparseMatrix(A.dim, A.dim, A.conductor,
-                     {(x, w): c for x, row in A.eps_right.items() for w, c in row.items()})
+                     {(x, w): vals[c] for x, row in epsR.items() for w, c in row.items()})
     lefts, right = terms_by_y(columns([dict(_coded(row, ids.scalar_id)) for row in E.rref()[0]]))
     for y in ys:
         rhs = right_side(right.get(y, ()))
@@ -848,32 +822,30 @@ def _counit_weak_mult_range(A, ys):
     return None
 
 
-def _eps_contraction(A, left):
-    """left: s -> {x: eps(x s)}; right: t -> {z: eps(t z)}."""
+def _eps_rows(A, leg):
+    """eps(e_i e_j) in A's ids by one factor: i -> {j: id} for leg 0, j -> {i: id} for leg 1."""
     out = {i: {} for i in range(A.dim)}
     eps = A.counit
     for (i, j, k), c in A.mu.data.items():
         e = eps.get(k)
-        if not e:
-            continue
-        if left:
-            _acc(out[j], i, c * e)
-        else:
-            _acc(out[i], j, c * e)
-    return out
+        if e:
+            x, w = (j, i) if leg else (i, j)
+            _acc(out[x], w, c * e)
+    return {i: dict(_coded(row, A.ids.scalar_id)) for i, row in out.items()}
 
 
-def _counital_map(A, eps_table, d1):
-    """x -> sum of c eps_table[a][x] b over the terms c a (x) b of d1, by columns.
+def _counital_map(A, eps_rows, d1):
+    """x -> sum of c eps_rows[a][x] b over the terms c a (x) b of d1, by columns in A's ids.
 
-    eps_table is `eps_left` or `eps_right` and d1 is Delta(1) or its flip,
+    eps_rows is `_eps_rows` of either leg and d1 is Delta(1) or its flip,
     so one pass over d1 builds a whole counital map.
     """
+    vals = A.ids.vals
     out = {x: {} for x in range(A.dim)}
     for (a, b), c in d1.items():
-        for x, e in eps_table[a].items():
-            _acc(out[x], b, c * e)
-    return out
+        for x, e in eps_rows[a].items():
+            _acc(out[x], b, c * vals[e])
+    return {x: dict(_coded(col, A.ids.scalar_id)) for x, col in out.items()}
 
 
 def _sweep(A, fn, generated, *args):
@@ -1005,7 +977,7 @@ def _first_unequal(lhs_of, rhs, xs):
 def _axiom4_eq1_range(A, xs):
     """First x in xs with x_(1) S(x_(2)) != eps_t(x): id * S against eps_t."""
     S, eps_t = A.antipode_ids, A.eps_t_ids
-    ids = _ScalarIds(A.scalar_ids)
+    ids = A.ids
     x = _first_unequal(_convolution(ids, A, None, S.__getitem__), eps_t, xs)
     return None if x is None else f"x_(1) S(x_(2)) != eps^lr(x) at {A.label_str(x)}"
 
@@ -1013,7 +985,7 @@ def _axiom4_eq1_range(A, xs):
 def _axiom4_eq2_range(A, xs):
     """First x in xs with S(x_(1)) x_(2) != eps_s(x): S * id against eps_s."""
     S, eps_s = A.antipode_ids, A.eps_s_ids
-    ids = _ScalarIds(A.scalar_ids)
+    ids = A.ids
     x = _first_unequal(_convolution(ids, A, S.__getitem__, None), eps_s, xs)
     return None if x is None else f"S(x_(1)) x_(2) != 1_(1) eps(x 1_(2)) at {A.label_str(x)}"
 
@@ -1026,7 +998,7 @@ def _axiom4_eq3_range(A, xs):
     computed once per call, with S.
     """
     S = A.antipode_ids
-    ids = _ScalarIds(A.scalar_ids)
+    ids = A.ids
     s_id = _convolution(ids, A, S.__getitem__, None)
     x = _first_unequal(_convolution(ids, A, s_id, S.__getitem__), S, xs)
     return None if x is None else f"S(x_(1)) x_(2) S(x_(3)) != S(x) at {A.label_str(x)}"
@@ -1044,7 +1016,7 @@ def _hom_range(phi, A, B, xs, anti=False):
     least differing key names the least j.  phi's images and B's mu are coded
     per call.
     """
-    ids = _ScalarIds(A.scalar_ids)
+    ids = A.ids
     images = [dict(_coded(phi[j], ids.scalar_id)) for j in range(A.dim)]
     b_rows = _nested(_coded(B.mu.data, ids.scalar_id))
     return _hom_ids(ids, A.mu_ids, images, _flipped(b_rows) if anti else b_rows, xs)
@@ -1103,7 +1075,7 @@ def _hom_ids(ids, a_rows, images, b_rows, xs):
 def _antihom_range(A, xs):
     """First S(xy) != S(y)S(x) counterexample with x = e_i in the increasing xs."""
     a_rows, by_right, S = A.mu_ids, A.mu_ids_by_right, A.antipode_ids
-    bad = _hom_ids(_ScalarIds(A.scalar_ids), a_rows, S, by_right, xs)
+    bad = _hom_ids(A.ids, a_rows, S, by_right, xs)
     if bad is None:
         return None
     i, j = bad
@@ -1176,15 +1148,16 @@ class BaseAlgebraReport:
 
 
 def _projection_matrix(A, cols):
-    data = {(i, x): v for x, col in cols.items() for i, v in col.items()}
+    vals = A.ids.vals
+    data = {(i, x): vals[v] for x, col in cols.items() for i, v in col.items()}
     return SparseMatrix(A.dim, A.dim, A.conductor, data)
 
 
 def base_algebras(A):
     """Base counital subalgebras, their interplay, and the idempotent p."""
     rep = Report(A.name, "base-algebras")
-    E_lr = _projection_matrix(A, A.eps_t)
-    E_rr = _projection_matrix(A, A.eps_s_prime)
+    E_lr = _projection_matrix(A, A.eps_t_ids)
+    E_rr = _projection_matrix(A, A.eps_s_prime_ids)
 
     rep.add("eps-lr-idempotent", E_lr.matmul(E_lr) == E_lr)
     rep.add("eps-rr-idempotent", E_rr.matmul(E_rr) == E_rr)
@@ -1254,7 +1227,7 @@ def base_algebras(A):
 
     # separability idempotent p = (eps^lr (x) id) Delta(1)
     p = {}
-    for (i, j), c in A.delta_of_unit().items():
+    for (i, j), c in A.delta_of_unit.items():
         for k, v in A.eps_lr({i: c}).items():
             _acc(p, (k, j), v)
 
@@ -1302,7 +1275,7 @@ def _separability_laws(A, p, elems):
         for k, v in A.mul({i: c}, A.basis_elem(j)).items():
             _acc(contracted, k, v)
 
-    mp, vals = A.mu_ids, A.scalar_values
+    mp, vals = A.mu_ids, A.ids.vals
     sq = {}
     for (i, j), c in p.items():
         row = mp.get(i, _NO_ROW)
@@ -1329,12 +1302,9 @@ def center_dim(A):
 
 
 def is_cocommutative(A):
-    for i in range(A.dim):
-        terms = {(j, k): c for j, k, c in A.delta_terms[i]}
-        flipped = {(k, j): c for j, k, c in A.delta_terms[i]}
-        if terms != flipped:
-            return False
-    return True
+    """Whether Delta = Delta^cop, compared on ids, which are equal exactly when their scalars are."""
+    return all({(j, k): c for j, k, c in terms} == {(k, j): c for j, k, c in terms}
+               for terms in A.delta_ids.values())
 
 
 def dual(A):
@@ -1412,7 +1382,7 @@ def verify_quasitriangular(A, cand, threads=None):
     """
     rep = Report(A.name, "quasi-triangular")
     R = cand.terms
-    d1 = A.delta_of_unit()
+    d1 = A.delta_of_unit
 
     ok = A.mul2(R, d1) == R
     rep.add("r-lives-in-right-ideal", ok, None if ok else "R Delta(1) != R")
@@ -1422,17 +1392,18 @@ def verify_quasitriangular(A, cand, threads=None):
     rep.add("r-intertwines-coproducts", detail is None, detail)
 
     r12r13, r23r13, r13r23, r13r12 = _r_products(A, R)
+    dt, vals = A.delta_ids, A.ids.vals
     lhs = {}
     for (i, j), c in R.items():
-        for a, b, c2 in A.delta_terms[i]:
-            _acc(lhs, (a, b, j), c * c2)
+        for a, b, c2 in dt.get(i, ()):
+            _acc(lhs, (a, b, j), c * vals[c2])
     ok = lhs == r13r23
     rep.add("delta-leg-one", ok, None if ok else "(Delta (x) id)(R) != R13 R23")
 
     lhs = {}
     for (i, j), c in R.items():
-        for a, b, c2 in A.delta_terms[j]:
-            _acc(lhs, (i, a, b), c * c2)
+        for a, b, c2 in dt.get(j, ()):
+            _acc(lhs, (i, a, b), c * vals[c2])
     ok = lhs == r13r12
     rep.add("delta-leg-two", ok, None if ok else "(id (x) Delta)(R) != R13 R12")
 
@@ -1460,7 +1431,7 @@ def _intertwining_failure(A, xs, R):
     nonzero; both sides are keyed (k1, k2).
     """
     mp, by_right, dt = A.mu_ids, A.mu_ids_by_right, A.delta_ids
-    ids = _ScalarIds(A.scalar_ids)
+    ids = A.ids
     products = ids.products
     mul = ids.mul
     add_into = ids.add_into
@@ -1536,7 +1507,7 @@ def _r_products(A, R):
     unit-lifted tensors by bilinearity, for any mu and unit, with no lifted
     operand built.
     """
-    mp, vals = A.mu_ids, A.scalar_values
+    mp, vals = A.mu_ids, A.ids.vals
     unit = A.unit
     rho = {}
     lam = {}
@@ -1595,7 +1566,7 @@ def weak_inverse(A, cand):
     fails R is not quasi-triangular.  The candidate is not changed.
     """
     R = cand.terms
-    d1 = A.delta_of_unit()
+    d1 = A.delta_of_unit
     d1cop = _cop(d1)
     if cand.rbar is not None:
         rb = cand.rbar

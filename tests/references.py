@@ -17,7 +17,10 @@ one nonzero term, pass by pass: the reference for the generator certificate
 `PlainAlgebra.mu_generators`.
 
 Every product here goes through `pairs_index`, mu as (i, j) -> [(k, c)]
-built by the reference itself from `A.mu.data`, stored zeros kept, so no
+built by the reference itself from `A.mu.data`, stored zeros kept, and
+every coproduct term, value of eps(x s) and column of S likewise through
+`delta_index`, `eps_by_right_factor` and `antipode_columns`, built from
+`A.delta.data`, `A.mu.data` with `A.counit`, and `A.antipode.data`.  So no
 reference reads an index of the code it checks.
 
 `double_antipode_solved` and `weak_inverse_solved` are the exact linear
@@ -51,6 +54,32 @@ def pairs_index(A):
     for (i, j, k), c in A.mu.data.items():
         pairs.setdefault((i, j), []).append((k, c))
     return pairs
+
+
+def delta_index(A):
+    """Delta as i -> [(j, k, c)] for every basis i, read from `A.delta.data` with its stored zeros."""
+    terms = {i: [] for i in range(A.dim)}
+    for (i, j, k), c in A.delta.data.items():
+        terms[i].append((j, k, c))
+    return terms
+
+
+def eps_by_right_factor(A):
+    """s -> {x: eps(x s)} for every basis s, read from `A.mu.data` and `A.counit`."""
+    out = {s: {} for s in range(A.dim)}
+    for (x, s, k), c in A.mu.data.items():
+        e = A.counit.get(k)
+        if e:
+            _acc(out[s], x, c * e)
+    return out
+
+
+def antipode_columns(A):
+    """S as i -> {k: c} for every basis i, read from `A.antipode.data` with its stored zeros."""
+    cols = {i: {} for i in range(A.dim)}
+    for (k, i), c in A.antipode.data.items():
+        cols[i][k] = c
+    return cols
 
 
 def _product(pairs, u, v):
@@ -196,10 +225,11 @@ def axiom2_dense(A):
 
 def counit_law_loop(A):
     """(eps (x) id) Delta(x) = x = (id (x) eps) Delta(x) on every basis x."""
+    dt = delta_index(A)
     for x in range(A.dim):
         lhs = {}
         rhs = {}
-        for j, k, c in A.delta_terms[x]:
+        for j, k, c in dt[x]:
             e = A.counit.get(j)
             if e:
                 _acc(lhs, k, e * c)
@@ -213,13 +243,14 @@ def counit_law_loop(A):
 
 def coassociativity_loop(A):
     """(Delta (x) id) Delta(x) = (id (x) Delta) Delta(x) on every basis x."""
+    dt = delta_index(A)
     for x in range(A.dim):
         lhs = {}
         rhs = {}
-        for j, k, c in A.delta_terms[x]:
-            for a, b, c2 in A.delta_terms[j]:
+        for j, k, c in dt[x]:
+            for a, b, c2 in dt[j]:
                 _acc(lhs, (a, b, k), c * c2)
-            for a, b, c2 in A.delta_terms[k]:
+            for a, b, c2 in dt[k]:
                 _acc(rhs, (j, a, b), c * c2)
         if lhs != rhs:
             return f"coassociativity fails at {A.label_str(x)}"
@@ -228,10 +259,11 @@ def coassociativity_loop(A):
 
 def axiom3_loop(A):
     """Delta^2(1) against both products of Delta(1) (x) 1 and 1 (x) Delta(1)."""
-    d1 = A.delta_of_unit()
+    d1 = A.delta_of_unit
+    dt = delta_index(A)
     d2 = {}
     for (j, k), c in d1.items():
-        for a, b, c2 in A.delta_terms[j]:
+        for a, b, c2 in dt[j]:
             _acc(d2, (a, b, k), c * c2)
     mp = pairs_index(A)
     lhs1 = {}
@@ -253,7 +285,7 @@ def delta_s_fails(A, x):
     """Whether Delta(S(x)) != (S (x) S)(Delta^cop(x)) at the basis element x."""
     lhs = A.coproduct(A.apply_antipode(A.basis_elem(x)))
     rhs = {}
-    for j, k, c in A.delta_terms[x]:
+    for j, k, c in delta_index(A)[x]:
         sk = A.apply_antipode({k: c})
         sj = A.apply_antipode(A.basis_elem(j))
         for a, va in sk.items():
@@ -312,9 +344,10 @@ def hom_range_loop(phi, A, B, lo, hi, anti=False):
 def axiom4_eq1_loop(A):
     """x_(1) S(x_(2)) = eps^lr(x) on every basis x."""
     mul = element_product(A)
+    dt = delta_index(A)
     for x in range(A.dim):
         lhs = {}
-        for s, t, c in A.delta_terms[x]:
+        for s, t, c in dt[x]:
             st = mul({s: c}, A.apply_antipode({t: A.one_scalar()}))
             for k, v in st.items():
                 _acc(lhs, k, v)
@@ -325,16 +358,16 @@ def axiom4_eq1_loop(A):
 
 def axiom4_eq2_loop(A):
     """S(x_(1)) x_(2) = 1_(1) eps(x 1_(2)) on every basis x."""
-    eps_left = A.eps_left
+    dt, eps_left = delta_index(A), eps_by_right_factor(A)
     mul = element_product(A)
     for x in range(A.dim):
         lhs = {}
-        for s, t, c in A.delta_terms[x]:
+        for s, t, c in dt[x]:
             st = mul(A.apply_antipode({s: c}), {t: A.one_scalar()})
             for k, v in st.items():
                 _acc(lhs, k, v)
         rhs = {}
-        for (p, q), c in A.delta_of_unit().items():
+        for (p, q), c in A.delta_of_unit.items():
             val = eps_left[q].get(x)  # eps(x q)
             if val:
                 _acc(rhs, p, c * val)
@@ -402,10 +435,11 @@ def double_antipode_solved(D):
     for s, t in sorted(mp):
         right_of.setdefault(s, []).append(t)
         left_of.setdefault(t, []).append(s)
+    dt = delta_index(D)
     # eq1: sum_{(s,t)} mu(s, S(t)) = eps^lr(x)
     for x in range(d):
         target = eps_t_per_element(D, D.basis_elem(x))
-        for s, t, c in D.delta_terms[x]:
+        for s, t, c in dt[x]:
             for l in right_of.get(s, ()):
                 for k, cm in mp[(s, l)]:
                     add(("1", x, k), unknown(l, t), c * cm)
@@ -415,11 +449,11 @@ def double_antipode_solved(D):
     # eq2: sum_{(s,t)} mu(S(s), t) = 1_(1) eps(x 1_(2))
     for x in range(d):
         target = {}
-        for (p, q), c in D.delta_of_unit().items():
+        for (p, q), c in D.delta_of_unit.items():
             val = D.apply_counit(_product(mp, D.basis_elem(x), {q: c}))
             if val:
                 _acc(target, p, val)
-        for s, t, c in D.delta_terms[x]:
+        for s, t, c in dt[x]:
             for l in left_of.get(t, ()):
                 for k, cm in mp[(l, t)]:
                     add(("2", x, k), unknown(l, s), c * cm)
@@ -455,7 +489,7 @@ def weak_inverse_solved(A, R):
     Every product (a (x) b)(e_i (x) e_j) is read from the basis products.
     """
     d, n = A.dim, A.conductor
-    d1 = A.delta_of_unit()
+    d1 = A.delta_of_unit
     d1cop = {(j, i): c for (i, j), c in d1.items()}
     _mul, _e, prod = _basis_products(A)
     unknowns = [(i, j) for i in range(d) for j in range(d)]
@@ -614,9 +648,9 @@ def cyclotomic_inverse_solved(x):
 
 def eps_t_per_element(A, u):
     """eps_t(u) = eps(1_(1) u) 1_(2)."""
-    eps_u = _push(A.eps_left, u)  # x -> eps(x u)
+    eps_u = _push(eps_by_right_factor(A), u)  # x -> eps(x u)
     out = {}
-    for (p, q), c in A.delta_of_unit().items():
+    for (p, q), c in A.delta_of_unit.items():
         val = eps_u.get(p)
         if val:
             _acc(out, q, c * val)
@@ -625,9 +659,10 @@ def eps_t_per_element(A, u):
 
 def eps_s_per_element(A, u):
     """eps_s(u) = 1_(1) eps(u 1_(2))."""
+    eps_left = eps_by_right_factor(A)
     out = {}
-    for (p, q), c in A.delta_of_unit().items():
-        val = sum((cu * e for x, cu in u.items() if (e := A.eps_left[q].get(x))),
+    for (p, q), c in A.delta_of_unit.items():
+        val = sum((cu * e for x, cu in u.items() if (e := eps_left[q].get(x))),
                   A.zero_scalar())  # eps(u q)
         if val:
             _acc(out, p, c * val)
@@ -636,9 +671,9 @@ def eps_s_per_element(A, u):
 
 def eps_s_prime_per_element(A, u):
     """eps'_s(u) = 1_(1) eps(1_(2) u)."""
-    eps_u = _push(A.eps_left, u)  # x -> eps(x u)
+    eps_u = _push(eps_by_right_factor(A), u)  # x -> eps(x u)
     out = {}
-    for (p, q), c in A.delta_of_unit().items():
+    for (p, q), c in A.delta_of_unit.items():
         val = eps_u.get(q)
         if val:
             _acc(out, p, c * val)

@@ -353,7 +353,7 @@ def test_criterion_10_negative_controls():
 
     # R-matrix candidates: Delta(1) and the leg swap
     A, R = build_a_g_omega(g2, trivial_cocycle(g2))
-    rep = verify_quasitriangular(A, RMatrixCandidate(A.delta_of_unit()))
+    rep = verify_quasitriangular(A, RMatrixCandidate(A.delta_of_unit))
     ok = ok and not rep.ok
     swapped = RMatrixCandidate({(j, i): c for (i, j), c in R.terms.items()})
     rep = verify_quasitriangular(A, swapped)

@@ -26,7 +26,7 @@ from whalg.wha import (
     verify_weak_bialgebra,
 )
 
-from references import a_g_omega_closed, b_g_omega_closed
+from references import a_g_omega_closed, b_g_omega_closed, delta_index
 
 
 def omega_for(n, p):
@@ -81,8 +81,8 @@ def test_delta_and_unit_term_counts():
     g = cyclic_group(3)
     w = standard_cocycle(3, 1)
     A, _ = build_a_g_omega(g, w)
-    for i in range(A.dim):
-        assert len(A.delta_terms[i]) == 3
+    for terms in delta_index(A).values():
+        assert len(terms) == 3
     assert len(A.unit) == 9
 
 

@@ -61,6 +61,24 @@ def test_unknown_group_exits_2(capsys):
         "error: unknown group 'z5'; catalog: ['s3', 'z2', 'z2xz2', 'z3', 'z4', 'z6']\n")
 
 
+def test_a_sign_cocycle_written_at_conductor_1_builds(tmp_path, capsys):
+    # -1 is a root of unity at every conductor, odd ones included
+    sign = {"conductor": 1, "coeffs": [[-1, 1]]}
+    one = {"conductor": 1, "coeffs": [[1, 1]]}
+    values = [sign if t == (1, 1, 1) else one for t in itertools.product(range(2), repeat=3)]
+    cocycle = tmp_path / "sign.json"
+    cocycle.write_text(json.dumps({"conductor": 1, "order": 2, "values": values}))
+    for kind, dim, center in (("b-g-omega", 8, 2), ("a-g-omega", 16, 4)):
+        out = tmp_path / f"{kind}.json"
+        r = tmp_path / f"{kind}-r.json"
+        extra = ["--rmatrix-out", str(r)] if kind == "a-g-omega" else []
+        assert run("build", kind, "--group", "z2", "--cocycle", str(cocycle), "-o", str(out), *extra) == 0
+        assert f"dim {dim}" in capsys.readouterr().out
+        assert run("verify", str(out), "--suite", "all", *(["--rmatrix", str(r)] if extra else [])) == 0
+        assert run("report", str(out)) == 0
+        assert f"center_dim {center}" in capsys.readouterr().out
+
+
 def test_verify_missing_rmatrix_exits_2(tmp_path):
     out = tmp_path / "b2.json"
     run("build", "b-g-omega", "--group", "z2", "--cocycle", "p=0", "-o", str(out))

@@ -17,7 +17,7 @@ from whalg.wha import (
     verify_weak_bialgebra,
 )
 
-from references import b_g_omega_closed, double_antipode_solved
+from references import b_g_omega_closed, delta_index, double_antipode_solved
 
 
 def pointed(n, p):
@@ -187,6 +187,7 @@ def _pairing_laws_dense(mat, B, A):
     for (i, j), v in mat.data.items():
         rows.setdefault(i, {})[j] = v
         cols.setdefault(j, {})[i] = v
+    a_delta, b_delta = delta_index(A), delta_index(B)
 
     def pair(b_vec, a_vec):
         tot = zero
@@ -230,7 +231,7 @@ def _pairing_laws_dense(mat, B, A):
                         rhs[j] = rhs.get(j, zero) + c * v
                 r1, r2 = rows.get(i1, {}), rows.get(i2, {})
                 for j in range(A.dim):
-                    if leg_sum(A.delta_terms[j], r1, r2) != rhs.get(j, zero):
+                    if leg_sum(a_delta[j], r1, r2) != rhs.get(j, zero):
                         return (f"<b,a_(1)><b',a_(2)> != <bb',a> at "
                                 f"({B.label_str(i1)}, {B.label_str(i2)}, {A.label_str(j)})")
         return None
@@ -245,7 +246,7 @@ def _pairing_laws_dense(mat, B, A):
                         rhs[i] = rhs.get(i, zero) + v * c
                 c1, c2 = cols.get(j1, {}), cols.get(j2, {})
                 for i in range(B.dim):
-                    if leg_sum(B.delta_terms[i], c1, c2) != rhs.get(i, zero):
+                    if leg_sum(b_delta[i], c1, c2) != rhs.get(i, zero):
                         return (f"<b_(1),a><b_(2),a'> != <b,a'a> at "
                                 f"({B.label_str(i)}, {A.label_str(j1)}, {A.label_str(j2)})")
         return None

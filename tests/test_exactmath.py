@@ -100,6 +100,18 @@ def test_root_of_unity_predicate():
     assert not Cyclotomic.zero(8).is_root_of_unity()
 
 
+@pytest.mark.parametrize("n", [1, 3, 5, 15])
+def test_root_of_unity_predicate_at_odd_conductors(n):
+    # -zeta_n^k has order 2n / gcd(k, n) or twice it, not a divisor of n
+    for k in range(n):
+        z = root_of_unity(n, k)
+        assert z.is_root_of_unity() and (-z).is_root_of_unity(), k
+    assert Cyclotomic.rational(n, -1).is_root_of_unity()
+    assert not Cyclotomic.rational(n, 2).is_root_of_unity()
+    # 1 + zeta_3 = -zeta_3^2; otherwise |1 + zeta_n| = 2 cos(pi / n) != 1
+    assert (Cyclotomic.one(n) + root_of_unity(n)).is_root_of_unity() == (n == 3)
+
+
 def test_json_roundtrip():
     x = C(6, (1, Fraction(-2, 3)), (0, 7))
     obj = x.to_json()
@@ -369,7 +381,8 @@ class _RefCyclotomic:
         return _RefCyclotomic.from_pairs(m, [(e * k, q) for e, q in self.c])
 
     def is_root_of_unity(self):
-        return bool(self.c) and (self ** self.n).is_one()
+        # the roots of unity of Q(zeta_n) are the +-zeta_n^k, all of order dividing 2n
+        return bool(self.c) and (self ** (2 * self.n)).is_one()
 
     def to_json(self):
         vec = [[0, 1] for _ in range(self.n)]

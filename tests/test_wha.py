@@ -49,6 +49,7 @@ from whalg.wha import (
 )
 
 from references import (
+    antipode_columns,
     assoc_dense,
     axiom1_dense,
     axiom2_dense,
@@ -61,6 +62,7 @@ from references import (
     counit_law_loop,
     delta_s_fails,
     element_product,
+    eps_by_right_factor,
     eps_s_per_element,
     eps_s_prime_per_element,
     eps_t_per_element,
@@ -314,18 +316,23 @@ def _counital_map_cases():
 
 
 def test_counital_maps_match_per_element_formulas():
-    # eps_t, eps_s and eps'_s are built once by columns from Delta(1); each
-    # column must equal the map evaluated on that basis element alone
+    # eps_t, eps_s and eps'_s are built once by columns from Delta(1), in the
+    # algebra's scalar ids; each column, decoded, must equal the map
+    # evaluated on that basis element alone
     for A in _counital_map_cases():
+        vals = A.ids.vals
+        maps = {name: {x: {k: vals[c] for k, c in col.items()} for x, col in getattr(A, name).items()}
+                for name in ("eps_t_ids", "eps_s_ids", "eps_s_prime_ids")}
+        eps_t, eps_s, eps_s_prime = maps.values()
         nonzero = 0
         for x in range(A.dim):
             ex = A.basis_elem(x)
-            assert A.eps_t[x] == eps_t_per_element(A, ex), (A.name, x)
-            assert A.eps_s[x] == eps_s_per_element(A, ex), (A.name, x)
-            assert A.eps_s_prime[x] == eps_s_prime_per_element(A, ex), (A.name, x)
-            nonzero += bool(A.eps_t[x]) and bool(A.eps_s[x]) and bool(A.eps_s_prime[x])
+            assert eps_t[x] == eps_t_per_element(A, ex), (A.name, x)
+            assert eps_s[x] == eps_s_per_element(A, ex), (A.name, x)
+            assert eps_s_prime[x] == eps_s_prime_per_element(A, ex), (A.name, x)
+            nonzero += bool(eps_t[x]) and bool(eps_s[x]) and bool(eps_s_prime[x])
         assert nonzero, A.name
-        assert set(A.eps_t) == set(A.eps_s) == set(A.eps_s_prime) == set(range(A.dim))
+        assert set(eps_t) == set(eps_s) == set(eps_s_prime) == set(range(A.dim))
 
 
 def test_center_dims():
@@ -373,7 +380,7 @@ def test_quasitriangular_passes(p):
 
 def test_quasitriangular_delta_one_fails():
     A, _ = a_z2()
-    cand = RMatrixCandidate(A.delta_of_unit())
+    cand = RMatrixCandidate(A.delta_of_unit)
     rep = verify_quasitriangular(A, cand)
     assert not rep.ok
 
@@ -957,7 +964,7 @@ def _mu_mutants(A, per_kind, rebuild=None):
 def _assoc_triple(A, xs):
     """The least (x, y, z), x in xs, with (x y) z != x (y z), as the kernel finds it."""
     mu = A.mu_ids
-    return _mixed_assoc_range(_ScalarIds(A.scalar_ids), mu, mu, mu, A.mu_ids_by_result, xs)
+    return _mixed_assoc_range(A.ids, mu, mu, mu, A.mu_ids_by_result, xs)
 
 
 @pytest.mark.parametrize("make", ["b_z3", "a_z2"])
@@ -1212,7 +1219,7 @@ def test_axiom_checks_match_dense_on_b_z4():
 def _eps_rank(X):
     """The rank of E(x, w) = eps(x w), whose row space Axiom 2's sweep reduces x to."""
     return SparseMatrix(X.dim, X.dim, X.conductor,
-                        {(x, w): c for x, row in X.eps_right.items() for w, c in row.items()}).rank()
+                        {(x, w): c for w, col in eps_by_right_factor(X).items() for x, c in col.items()}).rank()
 
 
 def _axiom2_details(bad):
@@ -1257,9 +1264,10 @@ def _second_equality_mutant(X, y):
     equal and their columns are not: eps(x u) eps(v z) - eps(x u) eps(v' z)
     is 0, so the first equality of Axiom 2 is unchanged, while
     eps(x v) eps(u z) - eps(x v') eps(u z) is not."""
+    rows, cols = X.eps_right_ids, eps_by_right_factor(X)  # rows in ids, equal when their values are
     v, v2 = next((v, v2) for v in range(X.dim) for v2 in range(v + 1, X.dim)
-                 if X.eps_right[v] == X.eps_right[v2] and X.eps_left[v] != X.eps_left[v2])
-    u = next(u for u in range(X.dim) if X.eps_right[u])
+                 if rows[v] == rows[v2] and cols[v] != cols[v2])
+    u = next(u for u in range(X.dim) if rows[u])
     one = X.one_scalar()
     data = dict(X.delta.data)
     for key, c in (((y, u, v), one), ((y, u, v2), -one)):
@@ -1315,18 +1323,17 @@ def test_antipode_and_qt_suites_report_the_same_alone_or_after_the_weak_bialgebr
 
 
 def test_suites_leave_only_the_shared_indexes_on_the_algebra():
-    # the dual A*, each call's product and sum memo and Axiom 2's row-space
-    # basis are locals of one sweep or suite: the algebra keeps its structure
-    # tensors, its scalar table (both ways), the indexes that every later
-    # suite reuses, mu's in ids only, and the results of the two laws that
-    # the later suites take as preconditions, nothing per call.  Axiom 2
-    # reads eps(x w) by rows only, so no id-coded eps_left is built
+    # the dual A* and Axiom 2's row-space basis are locals of one sweep or
+    # suite: the algebra keeps its structure tensors, its one scalar table
+    # with the memo every kernel call shares, one index per structure map,
+    # in ids only, Delta(1), the generators of mu and the results of the two
+    # laws that the later suites take as preconditions, nothing per call.
+    # eps(x s) by s is read only while eps_s is built, so it is not kept
     structure = {"labels", "dim", "conductor", "mu", "unit", "name", "label_index",
-                 "delta", "counit", "antipode", "meta", "scalar_ids", "scalar_values"}
-    indexes = {"mu_generators", "delta_terms", "antipode_cols",
-               "_delta_unit", "eps_left", "eps_right", "eps_t", "eps_s", "eps_s_prime"}
-    id_indexes = {"mu_ids", "mu_ids_by_result", "mu_ids_by_right", "delta_ids", "delta_left_ids",
-                  "antipode_ids", "eps_right_ids", "eps_t_ids", "eps_s_ids"}
+                 "delta", "counit", "antipode", "meta", "ids"}
+    indexes = {"mu_ids", "mu_ids_by_result", "mu_ids_by_right", "delta_ids", "delta_left_ids",
+               "antipode_ids", "eps_right_ids", "eps_t_ids", "eps_s_ids", "eps_s_prime_ids",
+               "delta_of_unit", "mu_generators"}
     law_results = {"associativity_detail", "axiom1_detail"}
     for A, R in (a_z2(p=1), (build_b_g_omega(cyclic_group(4), standard_cocycle(4, 1)), None)):
         assert verify_weak_bialgebra(A).ok
@@ -1334,9 +1341,42 @@ def test_suites_leave_only_the_shared_indexes_on_the_algebra():
         assert base_algebras(A).report.ok
         if R is not None:
             assert verify_quasitriangular(A, R).ok
-        assert set(A.__dict__) == structure | indexes | id_indexes | law_results, A.name
+        assert set(A.__dict__) == structure | indexes | law_results, A.name
         assert (A.associativity_detail, A.axiom1_detail) == (None, None), A.name
-        assert A.scalar_values == list(A.scalar_ids), A.name
+        assert A.ids.vals == list(A.ids.ids), A.name
+
+
+def test_kernel_calls_on_an_algebra_share_its_scalar_table(monkeypatch):
+    # a second antipode suite meets only ids and products the first one
+    # memoized on the algebra's table, and starts no table but A*'s
+    A = build_b_g_omega(cyclic_group(3), standard_cocycle(3, 1))
+    misses, tables = [], []
+    mul = A.ids.mul
+    A.ids.mul = lambda a, b: misses.append((a, b)) or mul(a, b)
+    assert verify_antipode(A).ok
+    assert misses
+    size = len(A.ids.vals)
+    misses.clear()
+    init = _ScalarIds.__init__
+    monkeypatch.setattr(_ScalarIds, "__init__", lambda ids, *args: tables.append(ids) or init(ids, *args))
+    assert verify_antipode(A).ok
+    assert (len(A.ids.vals), len(A.ids.ids), misses, len(tables)) == (size, size, [], 1)
+
+
+def test_an_algebra_file_is_the_same_bytes_after_the_suites_grow_its_table():
+    # the table gains the sums and products the kernels meet (in a shifted
+    # basis, where products have several terms); the file encodes only the
+    # structure tensors' entries
+    A = _shifted_basis(a_z2(p=1)[0], range(0, 16, 2))
+    R = RMatrixCandidate(_a_z2_half_shifted_with_r()[1])
+    text = jsonio.dumps(jsonio.algebra_to_json(A))
+    size = len(A.ids.vals)
+    assert verify_weak_bialgebra(A).ok
+    assert verify_antipode(A).ok
+    assert base_algebras(A).report.ok
+    assert verify_quasitriangular(A, R).ok
+    assert len(A.ids.vals) > size
+    assert jsonio.dumps(jsonio.algebra_to_json(A)) == text
 
 
 def test_an_algebra_loaded_from_json_numbers_its_scalars_as_the_built_one(tmp_path):
@@ -1354,12 +1394,12 @@ def test_an_algebra_loaded_from_json_numbers_its_scalars_as_the_built_one(tmp_pa
     loaded_mu = jsonio._table(obj, "mu", n, (d, d, d))
     assert len({id(c) for c in loaded_mu.values()}) == len(set(loaded_mu.values())) < len(loaded_mu)
     B = jsonio.algebra_from_json(obj)
-    assert list(B.scalar_ids.items()) == list(A.scalar_ids.items())
+    assert list(B.ids.ids.items()) == list(A.ids.ids.items())
     assert list(B.mu.data) != list(A.mu.data)  # the file lists the entries sorted
     for X in (A, B):
         held = [*X.mu.data.values(), *X.delta.data.values(), *X.unit.values(),
                 *X.counit.values(), *X.antipode.data.values()]
-        assert len({id(c) for c in held}) == len(X.scalar_ids) - 1  # one object per nonzero value
+        assert len({id(c) for c in held}) == len(X.ids.vals) - 1  # one object per nonzero value
     assert jsonio.dumps(jsonio.algebra_to_json(B)) == text
     assert verify_weak_bialgebra(B).to_json() == verify_weak_bialgebra(A).to_json()
     assert verify_antipode(B).to_json() == verify_antipode(A).to_json()
@@ -1377,7 +1417,7 @@ def _axiom4_eq2_dense(A):
         )
         rhs = _collect(
             (p, A.apply_counit(mul(A.basis_elem(x), {q: c})))
-            for (p, q), c in A.delta_of_unit().items()
+            for (p, q), c in A.delta_of_unit.items()
         )
         if lhs != rhs:
             return f"S(x_(1)) x_(2) != 1_(1) eps(x 1_(2)) at {A.label_str(x)}"
@@ -1421,7 +1461,7 @@ def _eps_lr_reference(A, u):
     # epsilon^lr(u) = eps(1_(1) u) 1_(2), one product and counit per Delta(1) term
     mul = element_product(A)
     out = {}
-    for (p, q), c in A.delta_of_unit().items():
+    for (p, q), c in A.delta_of_unit.items():
         val = A.apply_counit(mul({p: c}, u))
         if val:
             out[q] = out[q] + val if q in out else val
@@ -1432,7 +1472,7 @@ def _eps_rr_reference(A, u):
     # epsilon^rr(u) = 1_(1) eps(1_(2) u)
     mul = element_product(A)
     out = {}
-    for (p, q), c in A.delta_of_unit().items():
+    for (p, q), c in A.delta_of_unit.items():
         val = A.apply_counit(mul({q: c}, u))
         if val:
             out[p] = out[p] + val if p in out else val
@@ -1472,7 +1512,7 @@ _ANTIPODE_SWEPT = ("axiom4-eq1", "axiom4-eq2", "axiom4-eq3", "antipode-algebra-a
 
 def _antipode_loops(A):
     """The details of the `_ANTIPODE_SWEPT` checks of A, from the loop references."""
-    bad = hom_range_loop(A.antipode_cols, A, A, 0, A.dim, anti=True)
+    bad = hom_range_loop(antipode_columns(A), A, A, 0, A.dim, anti=True)
     antihom = bad and f"S(xy) != S(y)S(x) at ({A.label_str(bad[0])}, {A.label_str(bad[1])})"
     return [axiom4_eq1_loop(A), axiom4_eq2_loop(A), axiom4_eq3_loop(A), antihom]
 
@@ -1541,11 +1581,10 @@ def test_antipode_sweeps_match_loops_on_stored_zeros_and_single_entry_mutants(ma
             if what.startswith("harmless"):
                 assert expected == [None] * 4, what
             # where the first failing x has several failing y, the least is named
-            bad_pair = _hom_ids(_ScalarIds(X.scalar_ids), X.mu_ids, X.antipode_ids, X.mu_ids_by_right,
-                                range(X.dim))
+            bad_pair = _hom_ids(X.ids, X.mu_ids, X.antipode_ids, X.mu_ids_by_right, range(X.dim))
             if bad_pair is not None:
                 i, j = bad_pair
-                js = _hom_failing_js(X.antipode_cols, X, X, i, True)
+                js = _hom_failing_js(antipode_columns(X), X, X, i, True)
                 assert js[0] == j, (what, X.name)
                 several_js += len(js) > 1
     assert all(rejected.values()), rejected

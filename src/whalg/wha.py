@@ -113,6 +113,18 @@ algebras, 6 rows instead of 1296 x for A(Z6, p=1).  Each y's reduced test is equ
 first failing y, and which equality fails there, are the full sweep's; for
 that one y the full forms, keyed (x, z), name the least (x, z).  Axiom 3 is
 the same kernel on A*.
+
+The derived structure is computed on generators and spans as well.  Once
+mu is associative, the centre Z(A) is the centraliser of the generators:
+if z commutes with a and b, then z(ab) = (za)b = (az)b = a(zb) = a(bz) =
+(ab)z, so the x that commute with z form a subalgebra, and it holds every
+basis element once it holds the generators.  `center_dim` takes the
+commutator rows of the generators alone, and of every basis element when
+associativity failed.  `base_algebras` tests membership in A^l and A^r
+against one elimination of each basis (`_span_test`): in the reduced
+echelon form R of the basis vectors as rows, each pivot column is nonzero
+in its own pivot row only, so v - sum_p v[p] R_p vanishes in every pivot
+column, and it is zero exactly when v is in the span.
 """
 
 from __future__ import annotations
@@ -1153,8 +1165,32 @@ def _projection_matrix(A, cols):
     return SparseMatrix(A.dim, A.dim, A.conductor, data)
 
 
+def _span_test(A, basis):
+    """A membership test for the span of the sparse vectors `basis`, after one
+    elimination: v is in the span exactly when reducing it against the pivot
+    rows of the vectors' reduced echelon form leaves zero (see the module
+    docstring)."""
+    data = {(r, i): c for r, vec in enumerate(basis) for i, c in vec.items()}
+    ech, pivots = SparseMatrix(len(basis), A.dim, A.conductor, data).rref()
+
+    def in_span(vec):
+        rest = _prune(vec)
+        for p, row in zip(pivots, ech):
+            c = vec.get(p)
+            if c:
+                for i, v in row.items():
+                    _acc(rest, i, -(c * v))
+        return not rest
+
+    return in_span
+
+
 def base_algebras(A):
-    """Base counital subalgebras, their interplay, and the idempotent p."""
+    """Base counital subalgebras, their interplay, and the idempotent p.
+
+    Membership in A^l and A^r is tested against one elimination of each
+    basis (`_span_test`), not one solve per vector.
+    """
     rep = Report(A.name, "base-algebras")
     E_lr = _projection_matrix(A, A.eps_t_ids)
     E_rr = _projection_matrix(A, A.eps_s_prime_ids)
@@ -1165,29 +1201,17 @@ def base_algebras(A):
     basis_l = [E_lr.column(j) for j in E_lr.pivot_columns()]
     basis_r = [E_rr.column(j) for j in E_rr.pivot_columns()]
 
-    span_l = SparseMatrix.from_columns(A.dim, basis_l, A.conductor)
-    span_r = SparseMatrix.from_columns(A.dim, basis_r, A.conductor)
+    in_l = _span_test(A, basis_l)
+    in_r = _span_test(A, basis_r)
 
-    def in_span(span, vec):
-        return span.solve(vec) is not None
-
-    ok = in_span(span_l, A.one()) and in_span(span_r, A.one())
+    ok = in_l(A.one()) and in_r(A.one())
     rep.add("bases-contain-unit", ok)
 
     detail = None
-    for u in basis_l:
-        for v in basis_l:
-            if not in_span(span_l, A.mul(u, v)):
-                detail = "A^l not closed under mu"
-                break
-        if detail:
-            break
-    for u in basis_r:
-        for v in basis_r:
-            if not in_span(span_r, A.mul(u, v)):
-                detail = "A^r not closed under mu"
-                break
-        if detail:
+    for basis, in_span, text in ((basis_l, in_l, "A^l not closed under mu"),
+                                 (basis_r, in_r, "A^r not closed under mu")):
+        if any(not in_span(A.mul(u, v)) for u in basis for v in basis):
+            detail = text
             break
     rep.add("bases-closed-under-mu", detail is None, detail)
 
@@ -1255,49 +1279,81 @@ def _separability_laws(A, p, elems):
 
     Returns the index in `elems` of the first x with
     x p(1) (x) p(2) != p(1) (x) p(2) x (None if there is none), whether
-    p(1) p(2) = 1, and whether p is idempotent in A (x) A^op.
+    p(1) p(2) = 1, and whether p is idempotent in A (x) A^op.  Every product
+    is read from the rows of mu, with p's terms indexed by their first and
+    by their second leg and joined through the rows' keys, as in
+    `mul_tensor`: x p(1) through the row of mu of each term of x, p(2) x
+    through its row by right factor, and p p through the row of each p(1).
     """
+    mp, by_right, vals = A.mu_ids, A.mu_ids_by_right, A.ids.vals
+    by_first, by_second = {}, {}
+    for (i, j), c in p.items():
+        by_first.setdefault(i, []).append((j, c))
+        by_second.setdefault(j, []).append((i, c))
     bad = None
     for t, x in enumerate(elems):
         lhs = {}
         rhs = {}
-        for (i, j), c in p.items():
-            for k, v in A.mul(x, {i: c}).items():
-                _acc(lhs, (k, j), v)
-            for k, v in A.mul({j: c}, x).items():
-                _acc(rhs, (i, k), v)
+        for a, ca in x.items():
+            row = mp.get(a, _NO_ROW)  # e_a e_i
+            for i in by_first.keys() & row.keys():
+                for j, c in by_first[i]:
+                    cc = ca * c
+                    for k, v in row[i]:
+                        _acc(lhs, (k, j), cc * vals[v])
+            col = by_right.get(a, _NO_ROW)  # e_j e_a
+            for j in by_second.keys() & col.keys():
+                for i, c in by_second[j]:
+                    cc = c * ca
+                    for k, v in col[j]:
+                        _acc(rhs, (i, k), cc * vals[v])
         if lhs != rhs:
             bad = t
             break
 
     contracted = {}
     for (i, j), c in p.items():
-        for k, v in A.mul({i: c}, A.basis_elem(j)).items():
-            _acc(contracted, k, v)
+        for k, v in mp.get(i, _NO_ROW).get(j, ()):
+            _acc(contracted, k, c * vals[v])
 
-    mp, vals = A.mu_ids, A.ids.vals
     sq = {}
     for (i, j), c in p.items():
         row = mp.get(i, _NO_ROW)
-        for (i2, j2), c2 in p.items():
-            t1 = row.get(i2)
-            t2 = mp.get(j2, _NO_ROW).get(j)
-            if t1 is None or t2 is None:
-                continue
-            cc = c * c2
-            for k1, a in t1:
-                for k2, b in t2:
-                    _acc(sq, (k1, k2), cc * vals[a] * vals[b])
+        for i2 in by_first.keys() & row.keys():
+            t1 = row[i2]
+            for j2, c2 in by_first[i2]:
+                t2 = mp.get(j2, _NO_ROW).get(j)
+                if t2 is None:
+                    continue
+                cc = c * c2
+                for k1, a in t1:
+                    for k2, b in t2:
+                        _acc(sq, (k1, k2), cc * vals[a] * vals[b])
     return bad, contracted == A.one(), sq == p
 
 
 def center_dim(A):
-    """dim of {z : zx = xz for all x}, via the commutator nullspace."""
-    row_of = {}  # (j, k) or (i, k) -> row index, in order of first use
+    """dim Z(A) = dim {z : zx = xz for all x}, via the commutator nullspace.
+
+    Once mu is associative, Z(A) is the centraliser of the generators
+    `mu_generators`: if z commutes with a and b, then
+    z(ab) = (za)b = (az)b = a(zb) = a(bz) = (ab)z, and every basis element
+    is reached from the generators by products.  So the commutator rows,
+    keyed (x, k) for the coefficient of e_k in z e_x - e_x z, are built for
+    the generators x only, read from the rows of mu by each factor.  When
+    associativity failed they are built for every basis element.
+    """
+    xs = A.mu_generators if A.associativity_detail is None else range(A.dim)
+    vals = A.ids.vals
+    row_of = {}  # (x, k) -> row index, in order of first use
     data = {}
-    for (i, j, k), c in A.mu.data.items():
-        _acc(data, (row_of.setdefault((j, k), len(row_of)), i), c)
-        _acc(data, (row_of.setdefault((i, k), len(row_of)), j), -c)
+    for x in xs:
+        for z, terms in A.mu_ids_by_right.get(x, _NO_ROW).items():  # z e_x
+            for k, c in terms:
+                _acc(data, (row_of.setdefault((x, k), len(row_of)), z), vals[c])
+        for z, terms in A.mu_ids.get(x, _NO_ROW).items():  # e_x z
+            for k, c in terms:
+                _acc(data, (row_of.setdefault((x, k), len(row_of)), z), -vals[c])
     return SparseMatrix(len(row_of), A.dim, A.conductor, data).nullspace_dim()
 
 

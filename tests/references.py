@@ -34,6 +34,15 @@ evaluate the counital maps on one element at a time, one pass over Delta(1)
 each, as the algebra's methods did before the maps were built once by
 columns.
 
+`center_dim_dense` is the centre's dimension from the commutator rows of
+every basis element, read from `A.mu.data`, as `center_dim` computed it
+before it took the rows of the generators alone.  `base_algebras_solved` is
+the base algebra suite as it ran before membership in A^l and A^r was
+tested against one elimination of each basis: one `SparseMatrix.solve` per
+vector, and the separability laws through one product per term of p and
+every pair of p's terms.  It reports which base algebra fails closure first,
+A^l before A^r.
+
 `b_g_omega_closed` and `a_g_omega_closed` write the structure constants of
 B(G, omega) and A(G, omega) straight from the paper's closed formulas; the
 builders, which run the general A(C, M) construction, must match them
@@ -678,3 +687,126 @@ def eps_s_prime_per_element(A, u):
         if val:
             _acc(out, p, c * val)
     return out
+
+
+def center_dim_dense(A, xs=None):
+    """dim of {z : z e_x = e_x z for every x in xs (default: every basis
+    element)}, the nullspace of the commutator rows (x, k) read from `A.mu.data`."""
+    xs = set(range(A.dim) if xs is None else xs)
+    row_of = {}
+    data = {}
+    for (i, j, k), c in A.mu.data.items():
+        if j in xs:  # z = e_i, e_x = e_j: z e_x
+            _acc(data, (row_of.setdefault((j, k), len(row_of)), i), c)
+        if i in xs:  # e_x = e_i, z = e_j: e_x z
+            _acc(data, (row_of.setdefault((i, k), len(row_of)), j), -c)
+    return SparseMatrix(len(row_of), A.dim, A.conductor, data).nullspace_dim()
+
+
+def _counital_columns(A):
+    """eps_t and eps'_s by columns, x -> {k: c}, from `eps_by_right_factor`
+    and Delta(1) summed from `delta_index` over the unit's terms."""
+    d1 = {}
+    dt = delta_index(A)
+    for u, cu in A.unit.items():
+        for j, k, c in dt[u]:
+            _acc(d1, (j, k), cu * c)
+    eps_t = {x: {} for x in range(A.dim)}
+    eps_s_prime = {x: {} for x in range(A.dim)}
+    for x, col in eps_by_right_factor(A).items():  # col: p -> eps(p x)
+        for (p, q), c in d1.items():
+            e = col.get(p)
+            if e:
+                _acc(eps_t[x], q, c * e)  # eps(1_(1) x) 1_(2)
+            e = col.get(q)
+            if e:
+                _acc(eps_s_prime[x], p, c * e)  # 1_(1) eps(1_(2) x)
+    return eps_t, eps_s_prime, d1
+
+
+def base_algebras_solved(A):
+    """The checks of `base_algebras` as (name, ok, detail) triples, then dim A^l and dim A^r."""
+    mul = element_product(A)
+    n, d = A.conductor, A.dim
+    eps_t, eps_s_prime, d1 = _counital_columns(A)
+    eps_lr = functools.partial(_push, eps_t)
+    eps_rr = functools.partial(_push, eps_s_prime)
+    E_lr, E_rr = (SparseMatrix(d, d, n, {(i, x): c for x, col in cols.items() for i, c in col.items()})
+                  for cols in (eps_t, eps_s_prime))
+    checks = [("eps-lr-idempotent", E_lr.matmul(E_lr) == E_lr, None),
+              ("eps-rr-idempotent", E_rr.matmul(E_rr) == E_rr, None)]
+    basis_l = [E_lr.column(j) for j in E_lr.pivot_columns()]
+    basis_r = [E_rr.column(j) for j in E_rr.pivot_columns()]
+    span_l = SparseMatrix.from_columns(d, basis_l, n)
+    span_r = SparseMatrix.from_columns(d, basis_r, n)
+
+    def in_span(span, vec):
+        return span.solve(vec) is not None
+
+    one = A.one()
+    checks.append(("bases-contain-unit", in_span(span_l, one) and in_span(span_r, one), None))
+
+    detail = None
+    for basis, span, side in ((basis_l, span_l, "A^l"), (basis_r, span_r, "A^r")):
+        if any(not in_span(span, mul(u, v)) for u in basis for v in basis):
+            detail = f"{side} not closed under mu"
+            break
+    checks.append(("bases-closed-under-mu", detail is None, detail))
+
+    detail = None
+    if any(mul(u, v) != mul(v, u) for u in basis_l for v in basis_r):
+        detail = "A^l and A^r do not commute"
+    checks.append(("bases-mutually-commute", detail is None, detail))
+
+    detail = None
+    if any(eps_rr(eps_lr(u)) != u for u in basis_r):
+        detail = "eps^rr . eps^lr != id on A^r"
+    elif any(eps_lr(eps_rr(u)) != u for u in basis_l):
+        detail = "eps^lr . eps^rr != id on A^l"
+    elif any(eps_lr(mul(u, v)) != mul(eps_lr(v), eps_lr(u)) for u in basis_r for v in basis_r):
+        detail = "eps^lr not an anti-homomorphism on A^r"
+    checks.append(("counital-maps-anti-isomorphisms", detail is None, detail))
+
+    p = {}
+    for (i, j), c in d1.items():
+        for k, v in eps_lr({i: c}).items():
+            _acc(p, (k, j), v)
+    projected = {}
+    for (i, j), c in p.items():
+        for i2, v in eps_lr({i: c}).items():
+            for j2, w in eps_lr({j: v}).items():
+                _acc(projected, (i2, j2), w)
+    ok = projected == p
+    checks.append(("p-lands-in-Al-tensor-Al", ok, None if ok else "p has a leg outside A^l"))
+
+    balanced = True
+    for x in basis_l:
+        lhs, rhs = {}, {}
+        for (i, j), c in p.items():
+            for k, v in mul(x, {i: c}).items():
+                _acc(lhs, (k, j), v)
+            for k, v in mul({j: c}, x).items():
+                _acc(rhs, (i, k), v)
+        if lhs != rhs:
+            balanced = False
+            break
+    checks.append(("p-balances-Al", balanced,
+                   None if balanced else "x p(1) (x) p(2) != p(1) (x) p(2) x on A^l"))
+
+    contracted = {}
+    for (i, j), c in p.items():
+        for k, v in mul({i: c}, A.basis_elem(j)).items():
+            _acc(contracted, k, v)
+    unital = contracted == one
+    checks.append(("p-contracts-to-unit", unital, None if unital else "p(1) p(2) != 1"))
+
+    sq = {}  # p p in A (x) A^op, over every pair of p's terms
+    for (i, j), c in p.items():
+        for (i2, j2), c2 in p.items():
+            for k1, a in mul({i: c}, {i2: c2}).items():
+                for k2, b in mul(A.basis_elem(j2), A.basis_elem(j)).items():
+                    _acc(sq, (k1, k2), a * b)
+    idempotent = sq == p
+    checks.append(("p-idempotent-op", idempotent,
+                   None if idempotent else "p not idempotent in A^l (x) (A^l)^op"))
+    return checks, len(basis_l), len(basis_r)

@@ -57,6 +57,8 @@ from references import (
     axiom4_eq1_loop,
     axiom4_eq2_loop,
     axiom4_eq3_loop,
+    base_algebras_solved,
+    center_dim_dense,
     coalgebra_antihom_loop,
     coassociativity_loop,
     counit_law_loop,
@@ -340,6 +342,74 @@ def test_center_dims():
     assert center_dim(B) == 2
     A, _ = a_z2()
     assert center_dim(A) == 4
+
+
+def _single_entry_mutants(A, tables):
+    """Every single-entry mutant of the named tables of A: each entry scaled by 2, dropped or moved."""
+    n = A.conductor
+    for table in tables:
+        entries = {"mu": A.mu.data, "delta": A.delta.data, "counit": A.counit}[table]
+        for key in sorted(entries):
+            for kind in ("scale", "drop", "move"):
+                data = _tamper(entries, kind, key, A.dim)
+                if table != "counit":
+                    data = SparseTensor3(A.mu.dims, n, data)
+                yield f"{table} {kind} {key}", clone_with(A, **{table: data})
+
+
+def test_center_dim_matches_the_dense_commutator_nullspace_on_single_entry_mu_mutants():
+    # every mutant fails associativity; on some of them the centraliser of
+    # their generators is larger than the centre, so center_dim must take
+    # every basis element once associativity fails
+    total = larger = 0
+    for A in (b_z2(0), b_z2(1), a_z2(0)[0], a_z2(1)[0]):
+        assert center_dim(A) == center_dim_dense(A) == center_dim_dense(A, A.mu_generators)
+        for what, bad in _single_entry_mutants(A, ["mu"]):
+            full = center_dim_dense(bad)
+            assert center_dim(bad) == full, (A.name, what)
+            total += 1
+            larger += center_dim_dense(bad, bad.mu_generators) != full
+    assert (total, larger) == (480, 96)
+
+
+def _base_checks(X):
+    ba = base_algebras(X)
+    return [(c.name, c.ok, c.detail) for c in ba.report.checks], ba.dim_l, ba.dim_r
+
+
+def test_closure_failure_names_the_first_base_algebra_that_fails():
+    # doubling Delta(e_0)'s e_0 (x) e_0 term leaves neither A^l nor A^r
+    # closed under mu; the detail names A^l, the one checked first
+    for A in (b_z2(0), b_z2(1), a_z2(0)[0], a_z2(1)[0],
+              build_b_g_omega(cyclic_group(3), standard_cocycle(3, 1))):
+        delta = dict(A.delta.data)
+        delta[(0, 0, 0)] = delta[(0, 0, 0)] * Cyclotomic.rational(A.conductor, 2)
+        bad = clone_with(A, delta=SparseTensor3(A.delta.dims, A.conductor, delta))
+        ba = base_algebras(bad)
+        for basis in (ba.basis_l, ba.basis_r):
+            span = SparseMatrix.from_columns(bad.dim, basis, bad.conductor)
+            assert any(span.solve(bad.mul(u, v)) is None for u in basis for v in basis), A.name
+        check = next(c for c in ba.report.checks if c.name == "bases-closed-under-mu")
+        assert (check.ok, check.detail) == (False, "A^l not closed under mu"), A.name
+
+
+@pytest.mark.parametrize("make", ["b_z2", "a_z2", "b_z3"])
+def test_base_algebras_match_the_solved_reference_on_single_entry_mutants(make):
+    # membership against one elimination of each basis, and p's laws through
+    # the rows of mu, report what one solve per vector and every pair of
+    # p's terms report, on Delta, counit and mu mutants
+    A = {"b_z2": lambda: b_z2(p=1), "a_z2": lambda: a_z2(p=1)[0],
+         "b_z3": lambda: build_b_g_omega(cyclic_group(3), standard_cocycle(3, 1))}[make]()
+    assert _base_checks(A) == base_algebras_solved(A)
+    assert base_algebras(A).report.ok
+    open_closure = {"delta": 0, "counit": 0, "mu": 0}
+    for what, bad in _single_entry_mutants(A, ("delta", "counit", "mu")):
+        got = _base_checks(bad)
+        assert got == base_algebras_solved(bad), what
+        open_closure[what.split()[0]] += ("bases-closed-under-mu", True, None) not in got[0]
+    assert open_closure == {"b_z2": {"delta": 10, "counit": 0, "mu": 12},
+                            "a_z2": {"delta": 10, "counit": 0, "mu": 12},
+                            "b_z3": {"delta": 28, "counit": 0, "mu": 27}}[make]
 
 
 def test_cocommutativity():
@@ -1328,7 +1398,9 @@ def test_suites_leave_only_the_shared_indexes_on_the_algebra():
     # with the memo every kernel call shares, one index per structure map,
     # in ids only, Delta(1), the generators of mu and the results of the two
     # laws that the later suites take as preconditions, nothing per call.
-    # eps(x s) by s is read only while eps_s is built, so it is not kept
+    # eps(x s) by s is read only while eps_s is built, so it is not kept, and
+    # the base algebras' echelon bases, p's leg indexes and the centre's
+    # commutator rows are locals of one call
     structure = {"labels", "dim", "conductor", "mu", "unit", "name", "label_index",
                  "delta", "counit", "antipode", "meta", "ids"}
     indexes = {"mu_ids", "mu_ids_by_result", "mu_ids_by_right", "delta_ids", "delta_left_ids",
@@ -1339,6 +1411,7 @@ def test_suites_leave_only_the_shared_indexes_on_the_algebra():
         assert verify_weak_bialgebra(A).ok
         assert verify_antipode(A).ok
         assert base_algebras(A).report.ok
+        assert center_dim(A) > 0
         if R is not None:
             assert verify_quasitriangular(A, R).ok
         assert set(A.__dict__) == structure | indexes | law_results, A.name

@@ -55,7 +55,7 @@ def build_b_g_omega(G, omega):
     _check_cocycle(G, omega)
     C, M = right_regular_module(G, omega)
     return _build_a_m_c(
-        C, M, None, lambda a, y, x: ("f", a, y, x),
+        C, M, lambda a, y, x: ("f", a, y, x),
         name=f"B({G.name},{omega.name})",
         meta={"builder": "b-g-omega", "group": G.name, "cocycle": omega.name},
     )
@@ -71,7 +71,7 @@ def build_a_g_omega(G, omega):
     _check_cocycle(G, omega)
     C, M = boxtimes_rev_skeleton(G, omega)
     A = _build_a_m_c(
-        C, M, None, lambda ab, y, x: ("e", *ab, y, x),
+        C, M, lambda ab, y, x: ("e", *ab, y, x),
         name=f"A({G.name},{omega.name})",
         meta={"builder": "a-g-omega", "group": G.name, "cocycle": omega.name},
     )
@@ -86,20 +86,20 @@ def build_a_g_omega(G, omega):
     return A, RMatrixCandidate(terms)
 
 
-def build_a_m_c(C, M, dual=None):
+def build_a_m_c(C, M):
     """General multiplicity-free builder from skeletal module data.
 
     Requires grouplike skeletal data (one-dimensional composite hom spaces);
-    the antipode needs dual data, computed from C when not supplied.
+    the antipode reads the dual data of C (`dual_data_pointed`).
     """
     return _build_a_m_c(
-        C, M, dual, lambda a, y, x: (a, y, x),
+        C, M, lambda a, y, x: (a, y, x),
         name=f"A[{M.name} over {C.name}]",
         meta={"builder": "a-m-c", "category": C.name, "module": M.name},
     )
 
 
-def _build_a_m_c(C, M, dual, label, name, meta):
+def _build_a_m_c(C, M, label, name, meta):
     """A(C, M) on the basis label(a, y, x), a in C and y, x in M, in that order.
 
     The only place the structure constants of A(C, M) are written:
@@ -111,8 +111,7 @@ def _build_a_m_c(C, M, dual, label, name, meta):
     if not C.ring.is_grouplike():
         raise SkeletonError("builder requires grouplike (multiplicity-free, "
                             "one-path) fusion data")
-    if dual is None:
-        dual = dual_data_pointed(C)
+    dual = dual_data_pointed(C)
     n = C.conductor
     labels, objects = C.labels, M.objects
     triples = list(itertools.product(labels, objects, objects))

@@ -153,9 +153,9 @@ def tensor_product(V, W):
     return TensorProductResult(mod, r_mat, i_mat, e)
 
 
-def tensor_unit(A, base=None):
+def tensor_unit(A):
     """A^l with the x (x) y -> eps^lr(xy) action."""
-    ba = base if base is not None else base_algebras(A)
+    ba = base_algebras(A)
     basis = ba.basis_l
     d = len(basis)
     span = SparseMatrix.from_columns(A.dim, basis, A.conductor)
@@ -176,19 +176,18 @@ def tensor_unit(A, base=None):
     return mod
 
 
-def dual_module(V, side="left"):
-    """Dual space with the antipode-transpose action."""
+def dual_module(V):
+    """Left dual space, with the antipode-transpose action."""
     A = V.algebra
-    smat = A.antipode if side == "left" else A.antipode.inverse()
     cols = {}
-    for (k, i), c in smat.data.items():
+    for (k, i), c in A.antipode.data.items():
         cols.setdefault(i, {})[k] = c
     act = SparseTensor3((A.dim, V.dim, V.dim), A.conductor)
     for i in range(A.dim):
         for k, c in cols.get(i, {}).items():
             for (r, cc), v in V.action_matrix(k).data.items():
                 act.add_to(i, cc, r, c * v)  # transpose
-    return WHAModule(A, V.dim, act, name=f"{V.name}^{'L' if side == 'left' else 'R'}")
+    return WHAModule(A, V.dim, act, name=f"{V.name}^L")
 
 
 # ---------------------------------------------------------------------------

@@ -207,8 +207,14 @@ def validate_pentagon(C):
 
 
 def validate_module_pentagon(M):
-    """Mixed coherence of the module associator against the category's F."""
+    """Mixed coherence of the module associator against the category's F,
+    once the action is a grouplike action of C on distinct objects."""
     C = M.over
+    if not C.ring.is_grouplike():
+        return GroupReport(False, "module validator needs grouplike fusion")
+    detail = _action_detail(M)
+    if detail is not None:
+        return GroupReport(False, detail)
     for a, b, c in itertools.product(C.labels, repeat=3):
         for x in M.objects:
             try:
@@ -224,6 +230,37 @@ def validate_module_pentagon(M):
             if not (M.massoc(u, a, x).is_one() and M.massoc(a, u, x).is_one()):
                 return GroupReport(False, f"module unit law fails at ({a};{x})")
     return GroupReport(True)
+
+
+def _action_detail(M):
+    """The first way M's action fails to be an action of C on M.objects, or None.
+
+    The objects must be distinct, a . x must be defined on every label a and
+    object x and nowhere else and land in the objects, and 1 . x = x and
+    a . (b . x) = (ab) . x must hold.
+    """
+    C = M.over
+    objects = set()
+    for x in M.objects:
+        if x in objects:
+            return f"object {x!r} is listed twice"
+        objects.add(x)
+    for a, x in itertools.product(C.labels, M.objects):
+        y = M.action.get((a, x))
+        if y is None:
+            return f"action undefined at ({a},{x})"
+        if y not in objects:
+            return f"action at ({a},{x}) lands on {y!r}, not an object"
+    if len(M.action) != len(C.labels) * len(objects):
+        a, x = next(key for key in M.action if key[0] not in C.labels or key[1] not in objects)
+        return f"action given at ({a},{x}), off the labels and objects"
+    for x in M.objects:
+        if M.action[C.unit, x] != x:
+            return f"action unit law 1.x = x fails at {x}"
+    for a, b, x in itertools.product(C.labels, C.labels, M.objects):
+        if M.action[a, M.action[b, x]] != M.action[C.fuse(a, b), x]:
+            return f"action law a.(b.x) = (ab).x fails at ({a},{b};{x})"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -51,11 +51,11 @@ def lc(word):
 class WordCalc:
     """Scalar evaluation helpers for one grouplike category with duals."""
 
-    def __init__(self, C, dd=None):
+    def __init__(self, C):
         if not C.ring.is_grouplike():
             raise SkeletonError("tube construction needs pointed (grouplike) input")
         self.C = C
-        self.dd = dd if dd is not None else dual_data_pointed(C)
+        self.dd = dual_data_pointed(C)
         self.one = Cyclotomic.one(C.conductor)
 
     def prod(self, t):
@@ -194,8 +194,8 @@ class _TubeSpaces:
     """The basis shared by the tube spaces of both families, and the unit of
     their algebras."""
 
-    def __init__(self, C, dd=None):
-        self.wc = WordCalc(C, dd)
+    def __init__(self, C):
+        self.wc = WordCalc(C)
         self.C = C
         self.unit = C.unit
 
@@ -335,19 +335,19 @@ class TubeFamily(_TubeSpaces):
         return rep
 
 
-def build_tube(C, dd=None):
+def build_tube(C):
     """Level-1 tube algebra of a pointed skeletal category."""
-    alg = TubeFamily(C, dd).algebra(1)
+    alg = TubeFamily(C).algebra(1)
     alg.name = f"Tube[{C.name}]"
     return alg
 
 
-def verify_morita_section(C, m, n, dd=None):
-    return TubeFamily(C, dd).verify_section(m, n)
+def verify_morita_section(C, m, n):
+    return TubeFamily(C).verify_section(m, n)
 
 
-def build_tube_bimodule(C, m, n, dd=None):
-    return TubeFamily(C, dd).bimodule(m, n)
+def build_tube_bimodule(C, m, n):
+    return TubeFamily(C).bimodule(m, n)
 
 
 def _compose_terms(comp):
@@ -355,9 +355,9 @@ def _compose_terms(comp):
     return {(h, g, o): s for (h, g), (o, s) in comp.items()}
 
 
-def tube_generalized_associativity(C, instances=((1, 1, 1, 1),), dd=None):
+def tube_generalized_associativity(C, instances=((1, 1, 1, 1),)):
     """compose^{mnl}(compose^{nkl} (x) id) = compose^{mkl}(id (x) compose^{mnk})."""
-    fam = TubeFamily(C, dd)
+    fam = TubeFamily(C)
     rep = Report(f"Tube compose tower[{C.name}]", "generalized-associativity")
     detail = None
     for (m, n, k, l) in instances:
@@ -426,10 +426,10 @@ class TubePrimeFamily(_TubeSpaces):
         return self._algebra(b, mu, f"Tube'^({n_level})[{self.C.name}]")
 
 
-def build_tube_prime(C, n=1, dd=None):
+def build_tube_prime(C, n=1):
     if n < 1:
         raise ValueError("level must be >= 1")
-    return TubePrimeFamily(C, dd).algebra(n)
+    return TubePrimeFamily(C).algebra(n)
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +437,14 @@ def build_tube_prime(C, n=1, dd=None):
 # ---------------------------------------------------------------------------
 
 
-def chi_iso(C, A=None, dd=None):
+def chi_iso(C, A=None):
     """chi: A -> Tube'^(2); verifies it is a unital algebra isomorphism.
 
     A defaults to the general builder applied to the two-sided module data
     recovered from C; a closed-form |G|^4 algebra may be passed instead.
     """
-    wc = WordCalc(C, dd)
+    fam = TubePrimeFamily(C)
+    wc = fam.wc
     if A is None:
         from .builders import build_a_m_c
         from .skeleton import boxtimes_rev_skeleton, pointed_to_group_cocycle
@@ -451,7 +452,6 @@ def chi_iso(C, A=None, dd=None):
         G, omega = pointed_to_group_cocycle(C)
         Cb, Mb = boxtimes_rev_skeleton(G, omega)
         A = build_a_m_c(Cb, Mb)
-    fam = TubePrimeFamily(C, dd)
     Tp2 = fam.algebra(2)
     rep = Report(f"chi[{C.name}]", "tube-bridge")
 
@@ -524,11 +524,11 @@ def _transport_scalar(wc, w, x):
     return s * wc.dd.ev[w]
 
 
-def tube_vs_tube_prime(C, t_coeffs, dd=None):
+def tube_vs_tube_prime(C, t_coeffs):
     """Compare Tube' transported through the t-rescaled identification."""
-    wc = WordCalc(C, dd)
-    fam = TubeFamily(C, wc.dd)
-    pfam = TubePrimeFamily(C, wc.dd)
+    fam = TubeFamily(C)
+    pfam = TubePrimeFamily(C)
+    wc = fam.wc
     T = fam.algebra(1)
     Tp = pfam.algebra(1)
     rep = Report(f"Tube vs Tube'[{C.name}]", "pivotal-transport")
@@ -550,15 +550,15 @@ def tube_vs_tube_prime(C, t_coeffs, dd=None):
     return rep
 
 
-def solve_pivotal(C, dd=None):
+def solve_pivotal(C):
     """Solve for label scalars t making Tube' match Tube, or None.
 
     Works in exponent space modulo the conductor: every constraint ratio is
     a root of unity by construction.
     """
-    wc = WordCalc(C, dd)
-    fam = TubeFamily(C, wc.dd)
-    pfam = TubePrimeFamily(C, wc.dd)
+    fam = TubeFamily(C)
+    pfam = TubePrimeFamily(C)
+    wc = fam.wc
     T = fam.algebra(1)
     Tp = pfam.algebra(1)
     n = C.conductor

@@ -48,13 +48,13 @@ on the algebra reads them and shares the table's memo of products and sums,
 so the sweeps hash ints, not cyclotomic values, and a product met by one
 call is not recomputed by the next.  A table that belongs to no algebra is
 coded in a fresh `_ScalarIds` (`_coded`).  The sweeps on ids are the three
-kernels above, Axioms 1 and 2 and the intertwining law
-(`_intertwining_failure`).
-The rest of the quasi-triangular suite is a few products of whole tensors
-rather than a sweep over the basis, on scalar values.  R's two-leg products
-R12 R13, R23 R13, R13 R23 and R13 R12 are contracted from R's terms
-(`_r_products`), with the unit read through mu as e_b 1 and 1 e_b, so no
-unit-lifted tensor is built for them; the coproduct-leg laws compare
+kernels above and Axioms 1 and 2.
+The quasi-triangular suite runs on scalar values: its intertwining law is
+two `mul2` products for each x it sweeps (see below), and the rest is a few
+products of whole tensors rather than a sweep over the basis.  R's two-leg
+products R12 R13, R23 R13, R13 R23 and R13 R12 are contracted from R's
+terms (`_r_products`), with the unit read through mu as e_b 1 and 1 e_b,
+so no unit-lifted tensor is built for them; the coproduct-leg laws compare
 against them, and Yang-Baxter multiplies them on `mul3` by the lifted R23
 and R12 only.  The weak-inverse laws are products in A (x) A on `mul2`.
 
@@ -91,6 +91,7 @@ Two more laws are swept on the generators, each given a precondition:
 - R Delta(x) = Delta^cop(x) R, once mu is associative and Axiom 1 holds.
   For any R, if x and x' pass, then R Delta(xx') = R Delta(x) Delta(x') =
   Delta^cop(x) R Delta(x') = Delta^cop(x) Delta^cop(x') R = Delta^cop(xx') R.
+  Each x takes two products in A (x) A on `mul2` (`_intertwining_failure`).
 
 The preconditions are swept once per algebra and cached on it
 (`associativity_detail`, `axiom1_detail`): the weak bialgebra suite reports
@@ -248,7 +249,9 @@ class PlainAlgebra:
                                 c = c12
                                 for _k, ck in combo:
                                     c = c * vals[ck]
-                                _acc(out, tuple(k for k, _ck in combo), c)
+                                # the key from a list, not a generator: a generator
+                                # object per term fragments the small-object heap
+                                _acc(out, tuple([k for k, _ck in combo]), c)
         return out
 
     def mul2(self, U, V):
@@ -1431,8 +1434,9 @@ def _cop(U):
 def verify_quasitriangular(A, cand, threads=None):
     """The five quasi-triangular laws plus the Yang-Baxter identity.
 
-    The intertwining law is swept on generators once mu is associative and
-    Axiom 1 holds (see the module docstring).
+    The intertwining law compares R Delta(x) with Delta^cop(x) R on `mul2`
+    for each x, swept on generators once mu is associative and Axiom 1 holds
+    (see the module docstring).
 
     `threads` is accepted and ignored, as in `verify_weak_bialgebra`.
     """
@@ -1478,67 +1482,11 @@ def verify_quasitriangular(A, cand, threads=None):
 
 
 def _intertwining_failure(A, xs, R):
-    """First R Delta(x) != Delta^cop(x) R counterexample with x in the increasing xs.
-
-    R is indexed by its first leg, and mu's id rows are gathered for the
-    pairs with one factor among R's first legs a: a u for the left side
-    R (u (x) v), u a for the right side (u (x) v) R.  Each term of Delta(x)
-    meets only the R terms whose first legs multiply with its own to
-    nonzero; both sides are keyed (k1, k2).
-    """
-    mp, by_right, dt = A.mu_ids, A.mu_ids_by_right, A.delta_ids
-    ids = A.ids
-    products = ids.products
-    mul = ids.mul
-    add_into = ids.add_into
-    r_rows = {}  # a -> [(b, id)] over the terms a (x) b of R
-    for (a, b), i in _coded(R, ids.scalar_id):
-        r_rows.setdefault(a, []).append((b, i))
-    r_left = {}  # u -> {a: [(k, id)]} for e_a e_u
-    r_right = {}  # u -> {a: [(k, id)]} for e_u e_a
-    for a in r_rows:
-        for u, terms in mp.get(a, _NO_ROW).items():
-            r_left.setdefault(u, {})[a] = terms
-        for u, terms in by_right.get(a, _NO_ROW).items():
-            r_right.setdefault(u, {})[a] = terms
-
-    def side(firsts_of, u, v, c0, out, r_first):
-        # out += c0 (a (x) b)(u (x) v) over R's terms a (x) b when r_first,
-        # else c0 (u (x) v)(a (x) b); firsts_of[a] holds a u, or u a
-        if firsts_of is None:
-            return
-        p0 = products[c0]
-        for a, firsts in firsts_of.items():
-            for b, c1 in r_rows[a]:
-                seconds = mp.get(b, _NO_ROW).get(v) if r_first else mp.get(v, _NO_ROW).get(b)
-                if seconds is None:
-                    continue
-                c01 = p0.get(c1)
-                if c01 is None:
-                    c01 = mul(c0, c1)
-                p01 = products[c01]
-                for k1, c2 in firsts:
-                    c012 = p01.get(c2)
-                    if c012 is None:
-                        c012 = mul(c01, c2)
-                    prod = products[c012]
-                    for k2, c3 in seconds:
-                        c = prod.get(c3)
-                        if c is None:
-                            c = mul(c012, c3)
-                        key = (k1, k2)
-                        if key in out:
-                            add_into(out, key, c)
-                        else:
-                            out[key] = c
-
+    """First R Delta(x) != Delta^cop(x) R counterexample with x in the increasing xs."""
+    one = A.one_scalar()
     for x in xs:
-        lhs = {}
-        rhs = {}
-        for s, t, c0 in dt.get(x, ()):
-            side(r_left.get(s), s, t, c0, lhs, True)
-            side(r_right.get(t), t, s, c0, rhs, False)
-        if lhs != rhs:
+        dx = A.coproduct({x: one})
+        if A.mul2(R, dx) != A.mul2(_cop(dx), R):
             return f"R Delta(x) != Delta^cop(x) R at x = {A.label_str(x)}"
     return None
 

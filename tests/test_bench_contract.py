@@ -64,10 +64,13 @@ def test_tracer_times_every_law_sweep_of_the_weak_bialgebra_suite(tmp_path):
 
 def test_tracer_counts_the_two_yang_baxter_products(tmp_path):
     # R's two-leg products are contracted from its terms, so one qt suite
-    # calls mul3 only for Yang-Baxter's last products, with R23 and R12
+    # calls mul3 only for Yang-Baxter's last products, with R23 and R12; the
+    # intertwining law takes two mul2 products per generator, next to the
+    # four of R Delta(1) and the weak-inverse laws
     w = groups.standard_cocycle(2, 1)
     A, R = builders.build_a_g_omega(w.group, w)
     with tracer.Tracer(str(tmp_path)) as tr:
         assert tr.missing == []
         assert wha.verify_quasitriangular(A, R).ok
     assert tr.counts["wha.mul3.calls"] == 2
+    assert tr.counts["wha.mul2.calls"] == 4 + 2 * len(A.mu_generators) == 24

@@ -279,6 +279,39 @@ def test_incoherent_category_files_exit_2_naming_the_instance(tmp_path, negate, 
         assert proc.stderr.strip().splitlines() == [f"error: {message}"]
 
 
+def _bad_vec_z2_module(M, bad):
+    """Tamper with the regular module M of Vec(Z2), trivial cocycle and every
+    L = 1, so that its action is not one, in the way `bad` names."""
+    if bad == "lands-outside":
+        M.action[(1, 1)] = 5
+        M.L.update({(a, b, 5): M.L[(a, b, 0)] for a in (0, 1) for b in (0, 1)})
+    elif bad == "repeated-object":
+        M.objects.append(1)
+    elif bad == "not-an-action":
+        M.action.update({(1, x): 0 for x in (0, 1)})
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("lands-outside", "action at (1,1) lands on 5, not an object"),
+    ("repeated-object", "object 1 is listed twice"),
+    ("not-an-action", "action law a.(b.x) = (ab).x fails at (1,1;1)"),
+])
+def test_a_module_file_that_is_no_action_exits_2_naming_the_entry(tmp_path, bad, message):
+    # the objects must be distinct, the action total on labels x objects and
+    # landing in the objects, with 1.x = x and a.(b.x) = (ab).x; each file
+    # passes the module pentagon
+    C = pointed_skeleton(cyclic_group(2), trivial_cocycle(cyclic_group(2)))
+    M = regular_module(C)
+    _bad_vec_z2_module(M, bad)
+    sk, mod = str(tmp_path / "s.json"), str(tmp_path / "m.json")
+    jsonio.write_json(sk, jsonio.skeleton_to_json(C))
+    jsonio.write_json(mod, jsonio.module_to_json(M))
+    proc = run_process("build", "a-m-c", "--skeleton", sk, "--module", mod, "-o", str(tmp_path / "a.json"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [f"error: skeletal module file: {message}"]
+
+
 def test_a_non_associative_fusion_rule_exits_2_at_load(tmp_path):
     # the loop of order 5 (rows 01234/10342/24013/32401/43120) with every F = 1,
     # and its regular module with every L = 1, pass both pentagons; the

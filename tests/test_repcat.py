@@ -146,9 +146,9 @@ def test_intertwiner_space_dims():
 def test_dual_modules():
     g, w, B = setup_b(2)
     U = tensor_unit(B)
-    assert modules_isomorphic(dual_module(U, "left"), U)
+    assert modules_isomorphic(dual_module(U), U)
     V = k_module(B, g, w, 1)
-    Vd = dual_module(V, "left")
+    Vd = dual_module(V)
     assert validate_module(B, Vd).ok
     assert modules_isomorphic(Vd, k_module(B, g, w, g.inv(1)))
     assert Vd.dim == V.dim

@@ -11,7 +11,6 @@ from whalg.tube import (
     Bimodule,
     PlainAlgebra,
     TubeFamily,
-    WordCalc,
     _transport_scalar,
     build_tube,
     build_tube_bimodule,
@@ -157,9 +156,10 @@ def test_tube_vs_tube_prime_trivial_omega(n):
 
 def _transport_dense(C, t):
     """Reference for "transported-multiplication-matches": every basis pair."""
-    wc = WordCalc(C)
-    T = TubeFamily(C, wc.dd).algebra(1)
-    Tp = build_tube_prime(C, 1, wc.dd)
+    fam = TubeFamily(C)
+    wc = fam.wc
+    T = fam.algebra(1)
+    Tp = build_tube_prime(C, 1)
     phi = {i: {T.label_index[lab]: t[lab[0]] * _transport_scalar(wc, lab[0], lab[1][0])}
            for i, lab in enumerate(Tp.labels)}
     bad = _hom_dense(phi, Tp, T)

@@ -20,7 +20,7 @@ from whalg.builders import (
 from whalg.double import build_drinfeld_double, build_pairing
 from whalg.groups import cyclic_group, standard_cocycle, trivial_cocycle
 from whalg.skeleton import pointed_skeleton
-from whalg.tube import TubeFamily, WordCalc, _transport_scalar, build_tube_prime, chi_iso
+from whalg.tube import TubeFamily, _transport_scalar, build_tube_prime, chi_iso
 from whalg.wha import (
     PlainAlgebra,
     RMatrixCandidate,
@@ -1081,7 +1081,7 @@ def test_generators_reach_every_basis_index_off_the_pointed_family():
     # have many terms: S is sorted and its closure is the whole basis
     g = cyclic_group(3)
     C = pointed_skeleton(g, standard_cocycle(3, 1))
-    cases = [TubeFamily(C, WordCalc(C).dd).algebra(2),
+    cases = [TubeFamily(C).algebra(2),
              build_drinfeld_double(build_pairing(C)).algebra,
              _shifted_basis(b_z2(p=1)), _a_z2_shifted()]
     sizes = []
@@ -1112,7 +1112,7 @@ def test_generated_sweeps_keep_the_verdicts_where_products_have_many_terms():
         assert check.name == "mu-associativity"
         assert expected is not None and check.detail == expected
     C = pointed_skeleton(cyclic_group(3), standard_cocycle(3, 1))
-    T = TubeFamily(C, WordCalc(C).dd).algebra(1)
+    T = TubeFamily(C).algebra(1)
     assert len(T.mu_generators) < T.dim and T.validate().ok
     rebuild = lambda mu: PlainAlgebra(T.labels, T.conductor, mu, T.unit)
     for what, bad in _mu_mutants(T, 3, rebuild=rebuild):
@@ -1718,9 +1718,10 @@ def _hom_kernel_cases(source):
         chi_map, Tp2, _rep = chi_iso(pointed_skeleton(g, w), A)
         return {i: {j: s} for i, (j, s) in chi_map.items()}, A, Tp2, False
     C = pointed_skeleton(g, trivial_cocycle(g, conductor=3))
-    wc = WordCalc(C)
-    T = TubeFamily(C, wc.dd).algebra(1)
-    Tp = build_tube_prime(C, 1, wc.dd)
+    fam = TubeFamily(C)
+    wc = fam.wc
+    T = fam.algebra(1)
+    Tp = build_tube_prime(C, 1)
     phi = {i: {T.label_index[lab]: _transport_scalar(wc, lab[0], lab[1][0])}
            for i, lab in enumerate(Tp.labels)}
     return phi, Tp, T, False
@@ -1746,10 +1747,15 @@ def test_hom_kernel_matches_loop_on_the_callers_maps(source):
     assert failures
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, "2-half-shifted"])
 def test_intertwining_sweep_matches_loop_on_single_entry_mutants(n):
-    A, R = build_a_g_omega(cyclic_group(n), standard_cocycle(n, 1))
-    R = R.terms
+    # the half-shifted A(Z2, p=1) carries its R into a basis where the legs'
+    # products have several terms each
+    if n == "2-half-shifted":
+        A, R = _a_z2_half_shifted_with_r()
+    else:
+        A, R = build_a_g_omega(cyclic_group(n), standard_cocycle(n, 1))
+        R = R.terms
     zero = Cyclotomic.zero(A.conductor)
     absent = next(k for k in itertools.product(range(A.dim), repeat=2) if k not in R)
     cases = [("R", A, R), ("R zero", A, _with_stored_zero(R, absent, zero)),

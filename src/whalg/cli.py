@@ -247,7 +247,7 @@ def _meta_group_cocycle(A):
 
 
 def _load_module(spec, A):
-    from .repcat import k_module, regular_module, tensor_unit
+    from .repcat import k_module, regular_module, tensor_unit, validate_module
 
     if spec == "regular":
         return regular_module(A)
@@ -263,7 +263,11 @@ def _load_module(spec, A):
             raise UsageError(f"bad module spec {spec!r}: need 0 <= g < {G.order}")
         return k_module(A, G, omega, g)
     if os.path.exists(spec):
-        return jsonio.wha_module_from_json(jsonio.read_json(spec), A)
+        V = jsonio.wha_module_from_json(jsonio.read_json(spec), A)
+        rep = validate_module(A, V)
+        if not rep.ok:
+            raise jsonio.InputError(f"module file: {rep.first_failure.detail}")
+        return V
     raise UsageError(f"bad module spec {spec!r} (regular, unit, k:<g>, or a file)")
 
 

@@ -5,6 +5,13 @@ Tensor products are realized concretely: the product of two modules is the
 image of the idempotent built from the coproduct of 1, presented by an exact
 column-space basis with its retraction/section pair, so every canonical map
 (associator, unitor, braiding) is an explicit sparse matrix.
+
+Every retract comes from one elimination: if R is the reduced echelon form
+of a matrix E, rows ordered by pivot, and P its pivot columns, then
+E = E[:, P] . R, and R . E[:, P] = id when E is idempotent
+(`retract_of_idempotent`).  The tensor unit A^l is read off the same
+factorization of the matrix of eps^lr.  The actions of Delta(1), Delta(x)
+and R on V (x) W all come from one builder, `_pair_action`.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import random
 
 from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3
 from .report import Report
-from .wha import _acc, _by_leg, _coded, _mixed_assoc_range, _nested, base_algebras
+from .wha import _acc, _by_leg, _coded, _mixed_assoc_range, _nested, _projection_matrix
 
 
 class WHAModule:
@@ -86,36 +93,31 @@ def k_module(A, G, omega, g):
 
 
 class TensorProductResult:
-    def __init__(self, module, r, i, idempotent):
+    def __init__(self, module, r, i, idempotent, left, right):
         self.module = module
         self.r = r  # retraction: ambient coords -> retract coords
         self.i = i  # section: retract coords -> ambient coords
         self.idempotent = idempotent
+        self.left, self.right = left, right  # the factors V, W of V (x) W
 
 
 def retract_of_idempotent(e):
-    """(section, retraction) for an exact idempotent matrix.
+    """(section i, retraction r) with i . r = e, from one elimination of e.
 
-    The section is the pivot-column basis of im(e); the retraction is the
-    unique solution of i . r = e, which then satisfies r . i = id.
+    Let R be the reduced echelon form of e, rows ordered by pivot, and P its
+    pivot columns.  Column j of e is sum_k R[k, j] e[:, P_k], so i = e[:, P]
+    and r = R give e = i . r for any e.  When e is idempotent, i (r i) =
+    e i = i, and i has full column rank, so r . i = id.
     """
-    pivots = e.pivot_columns()
-    n = e.n
-    i_mat = SparseMatrix(e.rows, len(pivots), n)
-    for col_out, p in enumerate(pivots):
-        for row, v in e.column(p).items():
-            i_mat.data[(row, col_out)] = v
-    aug = SparseMatrix(e.rows, len(pivots) + e.cols, n, dict(i_mat.data))
-    for (r0, c0), v in e.data.items():
-        aug.data[(r0, len(pivots) + c0)] = v
-    ech, pivcols = aug.rref()
-    r_mat = SparseMatrix(len(pivots), e.cols, n)
-    for rr, p in enumerate(pivcols):
-        if p >= len(pivots):
-            raise ValueError("section has deficient column rank")
+    ech, pivots = e.rref()
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    i_mat = SparseMatrix(e.rows, len(pivots), e.n)
+    r_mat = SparseMatrix(len(pivots), e.cols, e.n)
+    for k, rr in enumerate(order):
+        for row, v in e.column(pivots[rr]).items():
+            i_mat.data[(row, k)] = v
         for j, v in ech[rr].items():
-            if j >= len(pivots):
-                r_mat.data[(p, j - len(pivots))] = v
+            r_mat.data[(k, j)] = v
     return i_mat, r_mat
 
 
@@ -127,66 +129,63 @@ def _kron(a, b):
     return out
 
 
+def _pair_action(terms, V, W, swap=False):
+    """Matrix of sum c rho_V(p) (x) rho_W(q) over terms {(p, q): c} of A (x) A,
+    on V (x) W; with `swap`, its rows are placed in W (x) V."""
+    out = SparseMatrix(V.dim * W.dim, V.dim * W.dim, V.algebra.conductor)
+    for (p, q), c in terms.items():
+        for (r1, c1), v1 in V.action_matrix(p).data.items():
+            for (r2, c2), v2 in W.action_matrix(q).data.items():
+                row = r2 * V.dim + r1 if swap else r1 * W.dim + r2
+                out.add_to(row, c1 * W.dim + c2, c * v1 * v2)
+    return out
+
+
 def tensor_product(V, W):
     """V . W: the retract of the coproduct-of-1 idempotent, with action."""
     A = V.algebra
-    n = A.conductor
-    e = SparseMatrix(V.dim * W.dim, V.dim * W.dim, n)
-    for (p, q), c in A.delta_of_unit.items():
-        for (r1, c1), v1 in V.action_matrix(p).data.items():
-            for (r2, c2), v2 in W.action_matrix(q).data.items():
-                e.add_to(r1 * W.dim + r2, c1 * W.dim + c2, c * v1 * v2)
+    e = _pair_action(A.delta_of_unit, V, W)
     i_mat, r_mat = retract_of_idempotent(e)
     d = i_mat.cols
-    act = SparseTensor3((A.dim, d, d), n)
+    act = SparseTensor3((A.dim, d, d), A.conductor)
     dt, vals = A.delta_ids, A.ids.vals
     for x in range(A.dim):
-        big = SparseMatrix(V.dim * W.dim, V.dim * W.dim, n)
-        for j, k, c in dt.get(x, ()):
-            for (r1, c1), v1 in V.action_matrix(j).data.items():
-                for (r2, c2), v2 in W.action_matrix(k).data.items():
-                    big.add_to(r1 * W.dim + r2, c1 * W.dim + c2, vals[c] * v1 * v2)
-        small = r_mat.matmul(big).matmul(i_mat)
-        for (r, c), v in small.data.items():
+        big = _pair_action({(j, k): vals[c] for j, k, c in dt.get(x, ())}, V, W)
+        for (r, c), v in r_mat.matmul(big).matmul(i_mat).data.items():
             act.add_to(x, r, c, v)
     mod = WHAModule(A, d, act, name=f"({V.name}.{W.name})")
-    return TensorProductResult(mod, r_mat, i_mat, e)
+    return TensorProductResult(mod, r_mat, i_mat, e, V, W)
 
 
 def tensor_unit(A):
-    """A^l with the x (x) y -> eps^lr(xy) action."""
-    ba = base_algebras(A)
-    basis = ba.basis_l
-    d = len(basis)
-    span = SparseMatrix.from_columns(A.dim, basis, A.conductor)
+    """A^l with the x (x) u -> eps^lr(xu) action.
+
+    E, the matrix of eps^lr, factors as E = i . r (`retract_of_idempotent`);
+    A^l = im E has i's columns as basis, and eps^lr(w) = i (r w), so the
+    coordinates of eps^lr(x u) in that basis are r (x u).
+    """
+    i_mat, r_mat = retract_of_idempotent(_projection_matrix(A, A.eps_t_ids))
+    d = i_mat.cols
+    basis = [i_mat.column(b) for b in range(d)]
     act = SparseTensor3((A.dim, d, d), A.conductor)
     for x in range(A.dim):
         for b, u in enumerate(basis):
-            img = A.eps_lr(A.mul(A.basis_elem(x), u))
-            if not img:
-                continue
-            coords = span.solve(img)
-            if coords is None:
-                raise ValueError("eps^lr image left the base algebra span")
-            for r, v in coords.items():
+            for r, v in r_mat.apply(A.mul(A.basis_elem(x), u)).items():
                 act.add_to(x, r, b, v)
     mod = WHAModule(A, d, act, name="1")
     mod._ba_basis = basis
-    mod._ba = ba
     return mod
 
 
 def dual_module(V):
     """Left dual space, with the antipode-transpose action."""
     A = V.algebra
-    cols = {}
-    for (k, i), c in A.antipode.data.items():
-        cols.setdefault(i, {})[k] = c
+    vals = A.ids.vals
     act = SparseTensor3((A.dim, V.dim, V.dim), A.conductor)
-    for i in range(A.dim):
-        for k, c in cols.get(i, {}).items():
+    for i, col in A.antipode_ids.items():
+        for k, c in col.items():
             for (r, cc), v in V.action_matrix(k).data.items():
-                act.add_to(i, cc, r, c * v)  # transpose
+                act.add_to(i, cc, r, vals[c] * v)  # transpose
     return WHAModule(A, V.dim, act, name=f"{V.name}^L")
 
 
@@ -281,17 +280,15 @@ def tensor_morphism(src, dst, f, g):
     return dst.r.matmul(_kron(f, g)).matmul(src.i)
 
 
-def _assoc_matrix(V, P_vw, P_wu, P_src, P_tgt):
+def _assoc_matrix(P_vw, P_wu, P_src, P_tgt):
     """(V.W).U -> V.(W.U) through the shared ambient V (x) W (x) U.
 
     P_src is the product of (V.W) with U, so its ambient factors as the
     (V.W)-retract tensor U; symmetrically for P_tgt.
     """
-    n = V.algebra.conductor
-    u_dim = P_src.idempotent.rows // P_vw.module.dim
-    left_i = _kron(P_vw.i, SparseMatrix.identity(u_dim, n)).matmul(P_src.i)
-    v_dim = P_tgt.idempotent.rows // P_wu.module.dim
-    right_r = P_tgt.r.matmul(_kron(SparseMatrix.identity(v_dim, n), P_wu.r))
+    n = P_src.i.n
+    left_i = _kron(P_vw.i, SparseMatrix.identity(P_src.right.dim, n)).matmul(P_src.i)
+    right_r = P_tgt.r.matmul(_kron(SparseMatrix.identity(P_tgt.left.dim, n), P_wu.r))
     return right_r.matmul(left_i)
 
 
@@ -304,37 +301,28 @@ class TripleProducts:
         self.P_wu = P_wu or tensor_product(W, U)
         self.P_vw_u = tensor_product(self.P_vw.module, U)
         self.P_v_wu = tensor_product(V, self.P_wu.module)
-        self.a = _assoc_matrix(V, self.P_vw, self.P_wu, self.P_vw_u, self.P_v_wu)
-
-
-def _left_unitor_on(W, prod, unit_mod):
-    A = W.algebra
-    ev = SparseMatrix(W.dim, unit_mod.dim * W.dim, A.conductor)
-    for b, u in enumerate(unit_mod._ba_basis):
-        m = W.rho(u)
-        for (r, c), v in m.data.items():
-            ev.add_to(r, b * W.dim + c, v)
-    return ev.matmul(prod.i)
-
-
-def _right_unitor_on(V, prod, unit_mod):
-    A = V.algebra
-    ev = SparseMatrix(V.dim, V.dim * unit_mod.dim, A.conductor)
-    for b, u in enumerate(unit_mod._ba_basis):
-        m = V.rho(A.eps_rr(u))
-        for (r, c), v in m.data.items():
-            ev.add_to(r, c * unit_mod.dim + b, v)
-    return ev.matmul(prod.i)
+        self.a = _assoc_matrix(self.P_vw, self.P_wu, self.P_vw_u, self.P_v_wu)
 
 
 def left_unitor(V, unit_mod):
+    """l_V: 1.V -> V, u (x) v -> u.v on the retract, with the product 1.V."""
     prod = tensor_product(unit_mod, V)
-    return _left_unitor_on(V, prod, unit_mod), prod
+    ev = SparseMatrix(V.dim, unit_mod.dim * V.dim, V.algebra.conductor)
+    for b, u in enumerate(unit_mod._ba_basis):
+        for (r, c), v in V.rho(u).data.items():
+            ev.add_to(r, b * V.dim + c, v)
+    return ev.matmul(prod.i), prod
 
 
 def right_unitor(V, unit_mod):
+    """r_V: V.1 -> V, v (x) u -> eps^rr(u).v on the retract, with the product V.1."""
+    A = V.algebra
     prod = tensor_product(V, unit_mod)
-    return _right_unitor_on(V, prod, unit_mod), prod
+    ev = SparseMatrix(V.dim, V.dim * unit_mod.dim, A.conductor)
+    for b, u in enumerate(unit_mod._ba_basis):
+        for (r, c), v in V.rho(A.eps_rr(u)).data.items():
+            ev.add_to(r, c * unit_mod.dim + b, v)
+    return ev.matmul(prod.i), prod
 
 
 def pentagon_check(t_vwu, X):
@@ -358,13 +346,13 @@ def pentagon_check(t_vwu, X):
     P_v_w_ux = tensor_product(V, t_wux.P_v_wu.module)  # V(W(UX))  [end]
 
     # route 1: a_{VW,U,X} then a_{V,W,UX}
-    a1 = _assoc_matrix(VW, t_vwu.P_vw_u, P_ux, P_vwu_x, P_vw_ux)
-    a2 = _assoc_matrix(V, P_vw, t_wux.P_v_wu, P_vw_ux, P_v_w_ux)
+    a1 = _assoc_matrix(t_vwu.P_vw_u, P_ux, P_vwu_x, P_vw_ux)
+    a2 = _assoc_matrix(P_vw, t_wux.P_v_wu, P_vw_ux, P_v_w_ux)
     route1 = a2.matmul(a1)
 
     # route 2: (a_{V,W,U} . id_X), a_{V,WU,X}, (id_V . a_{W,U,X})
     s1 = tensor_morphism(P_vwu_x, P_v_wu_x, t_vwu.a, idm(X))
-    a3 = _assoc_matrix(V, t_vwu.P_v_wu, t_wux.P_vw_u, P_v_wu_x, P_v_wux)
+    a3 = _assoc_matrix(t_vwu.P_v_wu, t_wux.P_vw_u, P_v_wu_x, P_v_wux)
     s3 = tensor_morphism(P_v_wux, P_v_w_ux, idm(V), t_wux.a)
     route2 = s3.matmul(a3).matmul(s1)
 
@@ -412,22 +400,11 @@ def coherence_check(V, W, U, unit_mod=None):
 # ---------------------------------------------------------------------------
 
 
-def _r_action_swapped(A, R, V, W):
-    """(v, w) -> (R2.w, R1.v) as a V (x) W -> W (x) V matrix."""
-    n = A.conductor
-    out = SparseMatrix(W.dim * V.dim, V.dim * W.dim, n)
-    for (i, j), c in R.terms.items():
-        for (r1, c1), v1 in V.action_matrix(i).data.items():
-            for (r2, c2), v2 in W.action_matrix(j).data.items():
-                out.add_to(r2 * V.dim + r1, c1 * W.dim + c2, c * v1 * v2)
-    return out
-
-
 def braiding_from_R(A, R, V, W, vw=None, wv=None):
     """c_{V,W}: V.W -> W.V from a verified quasi-triangular structure."""
     vw = vw or tensor_product(V, W)
     wv = wv or tensor_product(W, V)
-    c = wv.r.matmul(_r_action_swapped(A, R, V, W)).matmul(vw.i)
+    c = wv.r.matmul(_pair_action(R.terms, V, W, swap=True)).matmul(vw.i)
     return c, vw, wv
 
 
@@ -467,13 +444,13 @@ def braid_relation_check(A, R, V, W, U):
     def sigma1(X, Y, Z):
         i_mat, _ = get(X, Y, Z)
         _, r_mat = get(Y, X, Z)
-        big = _kron(_r_action_swapped(A, R, X, Y), SparseMatrix.identity(Z.dim, n))
+        big = _kron(_pair_action(R.terms, X, Y, swap=True), SparseMatrix.identity(Z.dim, n))
         return r_mat.matmul(big).matmul(i_mat)
 
     def sigma2(X, Y, Z):
         i_mat, _ = get(X, Y, Z)
         _, r_mat = get(X, Z, Y)
-        big = _kron(SparseMatrix.identity(X.dim, n), _r_action_swapped(A, R, Y, Z))
+        big = _kron(SparseMatrix.identity(X.dim, n), _pair_action(R.terms, Y, Z, swap=True))
         return r_mat.matmul(big).matmul(i_mat)
 
     lhs = sigma1(W, U, V).matmul(sigma2(W, V, U)).matmul(sigma1(V, W, U))

@@ -553,8 +553,9 @@ def tube_vs_tube_prime(C, t_coeffs):
 def solve_pivotal(C):
     """Solve for label scalars t making Tube' match Tube, or None.
 
-    Works in exponent space modulo the conductor: every constraint ratio is
-    a root of unity by construction.
+    Works in exponent space modulo M = lcm(2, n), n the conductor: every
+    constraint ratio is a root of unity of Q(zeta_n) by construction, so a
+    power of that group's generator (zeta_n at even n, -zeta_n at odd n).
     """
     fam = TubeFamily(C)
     pfam = TubePrimeFamily(C)
@@ -592,7 +593,9 @@ def solve_pivotal(C):
             else:
                 rho[key] = ratio
 
-    dlog = {root_of_unity(n, k): k for k in range(n)}  # zeta_n^k -> k
+    M = n if n % 2 == 0 else 2 * n
+    gen = root_of_unity(n, 1) if n % 2 == 0 else -root_of_unity(n, 1)  # -1 at n = 1
+    dlog = {gen ** k: k for k in range(M)}
     eqs = []
     for (wp, w), val in rho.items():
         k = dlog.get(val)
@@ -602,14 +605,12 @@ def solve_pivotal(C):
         row[lab_idx[w]] = row.get(lab_idx[w], 0) + 1
         ww = C.fuse(wp, w)
         row[lab_idx[ww]] = row.get(lab_idx[ww], 0) - 1
-        eqs.append(({c: v % n for c, v in row.items() if v % n}, k % n))
+        eqs.append(({c: v % M for c, v in row.items() if v % M}, k))
 
-    sol = _solve_mod(eqs, len(labels), max(n, 1))
+    sol = _solve_mod(eqs, len(labels), M)
     if sol is None:
         return None
-    t = {w: Cyclotomic.from_pairs(n, ((sol[lab_idx[w]] % n if n > 1 else 0, 1),))
-         for w in labels}
-    return t
+    return {w: gen ** sol[lab_idx[w]] for w in labels}
 
 
 def _solve_mod(eqs, nunk, N):

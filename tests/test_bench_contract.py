@@ -16,7 +16,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import tracer  # noqa: E402
 
-from whalg import builders, double, groups, skeleton, wha  # noqa: E402
+from whalg import builders, double, groups, repcat, skeleton, wha  # noqa: E402
 
 
 def test_tracer_metrics_are_the_declared_per_layer_metrics():
@@ -74,3 +74,19 @@ def test_tracer_counts_the_two_yang_baxter_products(tmp_path):
         assert wha.verify_quasitriangular(A, R).ok
     assert tr.counts["wha.mul3.calls"] == 2
     assert tr.counts["wha.mul2.calls"] == 4 + 2 * len(A.mu_generators) == 24
+
+
+def test_tracer_counts_one_elimination_per_retract_and_per_tensor_unit(tmp_path):
+    # a retract and its section come from one reduced echelon form, and the
+    # tensor unit from one of the matrix of eps^lr, without the base-algebra suite
+    w = groups.standard_cocycle(2, 1)
+    B = builders.build_b_g_omega(w.group, w)
+    K0, K1 = (repcat.k_module(B, w.group, w, g) for g in (0, 1))
+    with tracer.Tracer(str(tmp_path)) as tr:
+        assert tr.missing == []
+        assert repcat.tensor_product(K0, K1).module.dim == 2
+    assert tr.counts["exactmath.elim.calls"] == 1
+    with tracer.Tracer(str(tmp_path)) as tr:
+        assert repcat.tensor_unit(B).dim == 2
+    assert tr.counts["exactmath.elim.calls"] == 1
+    assert "wha.base_algebras_s" not in {span[0] for span in tr.spans}

@@ -207,6 +207,50 @@ def test_rep_braid_cli(tmp_path):
                "--right", "regular", "--rmatrix", str(r)) == 0
 
 
+ZERO_MODULE = {"algebra": "", "dim": 0, "conductor": 2, "action": []}
+
+
+@pytest.mark.parametrize("position", ["--left", "--right", "--third"])
+def test_rep_coherence_and_braid_take_the_zero_module(tmp_path, capsys, position):
+    # the zero module is the zero object of Rep A: coherence and the braid
+    # relation hold with it as any factor
+    alg, r, zero = (str(tmp_path / f) for f in ("a2.json", "r2.json", "zero.json"))
+    run("build", "a-g-omega", "--group", "z2", "--cocycle", "p=1", "-o", alg, "--rmatrix-out", r)
+    jsonio.write_json(zero, ZERO_MODULE)
+    capsys.readouterr()
+    spec = {"--left": "regular", "--right": "regular", "--third": "regular", position: zero}
+    argv = ["--algebra", alg] + [a for k, v in spec.items() for a in (k, v)]
+    assert run("rep", "coherence", *argv) == 0
+    assert run("rep", "braid", *argv, "--rmatrix", r) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("=> PASS") == 2
+
+
+def _no_module(bad):
+    """A module file over B(Z2, p=1) that is no module, in the way `bad` names."""
+    if bad == "unit-acts-as-zero":
+        return dict(ZERO_MODULE, dim=2)
+    w = standard_cocycle(2, 1)
+    obj = jsonio.wha_module_to_json(k_module(build_b_g_omega(w.group, w), w.group, w, 1))
+    for entry in obj["action"]:  # drop the cocycle from the action
+        entry[3] = {"conductor": 2, "coeffs": [[1, 1], [0, 1]]}
+    return obj
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("unit-acts-as-zero", "eta(1) does not act as id"),
+    ("not-multiplicative", "(xy).v != x.(y.v) at (('f', 1, 0, 1), ('f', 1, 1, 0))"),
+])
+def test_rep_module_file_that_is_no_module_exits_2_naming_the_law(tmp_path, capsys, bad, message):
+    alg, mod = str(tmp_path / "b2.json"), str(tmp_path / "mod.json")
+    run("build", "b-g-omega", "--group", "z2", "--cocycle", "p=1", "-o", alg)
+    jsonio.write_json(mod, _no_module(bad))
+    capsys.readouterr()
+    for action, right in (("tensor", "regular"), ("iso", mod), ("coherence", "regular")):
+        assert run("rep", action, "--algebra", alg, "--left", mod, "--right", right) == 2
+        assert capsys.readouterr() == ("", f"error: module file: {message}\n")
+
+
 def test_tube_cli(tmp_path, capsys):
     assert run("tube", "build", "--group", "z2", "--cocycle", "trivial") == 0
     assert "dim 4 center_dim 4" in capsys.readouterr().out

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from whalg.exactmath import Cyclotomic
+from whalg.exactmath import Cyclotomic, SparseMatrix, SparseTensor3
 from whalg.builders import build_a_g_omega, build_b_g_omega
 from whalg.groups import cyclic_group, standard_cocycle, trivial_cocycle
 from whalg.repcat import (
@@ -17,11 +17,12 @@ from whalg.repcat import (
     modules_isomorphic,
     reduced_R_roundtrip,
     regular_module,
+    retract_of_idempotent,
     tensor_product,
     tensor_unit,
     validate_module,
 )
-from whalg.wha import RMatrixCandidate, verify_quasitriangular
+from whalg.wha import RMatrixCandidate, base_algebras, verify_quasitriangular
 
 
 def setup_b(n=2, p=0):
@@ -49,8 +50,6 @@ def test_k_module_tampered_fails():
     g, w, B = setup_b(2, 1)
     V = k_module(B, g, w, 1)
     # drop the omega factor: rebuild action with omega = 1 everywhere
-    from whalg.exactmath import SparseTensor3
-
     act = SparseTensor3(V.action.dims, B.conductor)
     for (i, r, c), v in V.action.data.items():
         act.add_to(i, r, c, Cyclotomic.one(B.conductor))
@@ -72,8 +71,6 @@ def _action_mult_dense(A, V):
 
 @pytest.mark.parametrize("which", ["k-module", "regular"])
 def test_action_law_matches_dense_reference_on_tampered_action(which):
-    from whalg.exactmath import SparseTensor3
-
     if which == "k-module":
         g, w, A = setup_b(3, 1)
         V = k_module(A, g, w, 1)
@@ -120,6 +117,53 @@ def test_tensor_product_of_k_modules():
     assert ee == prod.idempotent
 
 
+def _product_idempotents():
+    g, w, B = setup_b(3, 1)
+    mods = [k_module(B, g, w, x) for x in range(3)] + [tensor_unit(B), regular_module(B)]
+    for V in mods:
+        for W in mods:
+            yield tensor_product(V, W).idempotent
+    _, _, A, _ = setup_a(2, 1)
+    yield tensor_product(regular_module(A), regular_module(A)).idempotent
+
+
+def test_retract_of_idempotent_is_a_section_retraction_pair():
+    # i . r = e and r . i = id, and r is what solving i . r = e column by
+    # column gives, so one elimination of e yields the same pair
+    for e in _product_idempotents():
+        i_mat, r_mat = retract_of_idempotent(e)
+        assert i_mat.matmul(r_mat) == e
+        assert r_mat.matmul(i_mat) == SparseMatrix.identity(i_mat.cols, e.n)
+        assert i_mat.rank() == i_mat.cols
+        for j in range(e.cols):
+            assert r_mat.column(j) == i_mat.solve(e.column(j))
+
+
+def _tensor_unit_solved(A):
+    """The tensor unit's basis and action, as `base_algebras` and one exact
+    solve per (x, b) give them: the coordinates of eps^lr(e_x u_b) in A^l."""
+    basis = base_algebras(A).basis_l
+    span = SparseMatrix.from_columns(A.dim, basis, A.conductor)
+    act = SparseTensor3((A.dim, len(basis), len(basis)), A.conductor)
+    for x in range(A.dim):
+        for b, u in enumerate(basis):
+            coords = span.solve(A.eps_lr(A.mul(A.basis_elem(x), u)))
+            assert coords is not None
+            for r, v in coords.items():
+                act.add_to(x, r, b, v)
+    return basis, act
+
+
+@pytest.mark.parametrize("which", ["B(Z3,p=1)", "A(Z2,p=1)"])
+def test_tensor_unit_matches_per_coordinate_solves(which):
+    A = setup_b(3, 1)[2] if which.startswith("B") else setup_a(2, 1)[2]
+    U = tensor_unit(A)
+    basis, act = _tensor_unit_solved(A)
+    assert U._ba_basis == basis
+    assert U.action == act
+    assert validate_module(A, U).ok
+
+
 def test_fusion_rule_of_k_modules():
     for n, p in [(2, 0), (2, 1), (3, 0), (3, 1)]:
         g = cyclic_group(n)
@@ -159,6 +203,12 @@ def test_coherence_k_modules():
     V = k_module(B, g, w, 1)
     rep = coherence_check(V, V, V)
     assert rep.ok, rep.render()
+    # the zero module, the zero object of Rep A, as any of the three factors
+    zero = WHAModule(B, 0, SparseTensor3((B.dim, 0, 0), B.conductor), name="0")
+    assert validate_module(B, zero).ok
+    for factors in ((zero, V, V), (V, zero, V), (V, V, zero)):
+        rep = coherence_check(*factors)
+        assert rep.ok, rep.render()
 
 
 def test_coherence_check_builds_each_tensor_product_once(monkeypatch):

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from whalg.exactmath import Cyclotomic, SparseTensor3
+from whalg.exactmath import Cyclotomic, SparseTensor3, root_of_unity
 from whalg.builders import build_a_g_omega
-from whalg.groups import cyclic_group, standard_cocycle, trivial_cocycle
+from whalg.groups import ThreeCocycle, cyclic_group, embed_cocycle, standard_cocycle, trivial_cocycle, validate_cocycle
 from whalg.skeleton import fib_fusion_ring, pointed_skeleton
 from whalg.tube import (
     Bimodule,
@@ -185,6 +185,46 @@ def test_tube_vs_tube_prime_sign_flip_z2_trivial():
 @pytest.mark.parametrize("n,p", [(2, 0), (3, 0), (3, 1), (3, 2), (4, 1)])
 def test_solve_pivotal_then_verify(n, p):
     C, g, w = pointed(n, p)
+    t = solve_pivotal(C)
+    assert t is not None
+    rep = tube_vs_tube_prime(C, t)
+    assert rep.ok, rep.render()
+
+
+def twisted_by_coboundary(n, p, m, seed):
+    """omega_p on Z_n at conductor m, times d(beta) for a seeded 2-cochain beta:
+    beta(a, b) = +-zeta_m^k for a, b != 0, 1 when a or b is 0, and
+    d(beta)(a, b, c) = beta(b, c) beta(a, b + c) / (beta(a + b, c) beta(a, b))."""
+    g = cyclic_group(n)
+    w = embed_cocycle(standard_cocycle(n, p) if p else trivial_cocycle(g), m)
+    rng = random.Random(seed)
+    beta = {}
+    for a, b in itertools.product(range(n), repeat=2):
+        if a and b:
+            k = rng.randrange(m)
+            beta[(a, b)] = root_of_unity(m, k) * Cyclotomic.rational(m, rng.choice((1, -1)))
+        else:
+            beta[(a, b)] = Cyclotomic.one(m)
+    vals = {(a, b, c): v * beta[(b, c)] * beta[(a, (b + c) % n)] / (beta[((a + b) % n, c)] * beta[(a, b)])
+            for (a, b, c), v in w.values.items()}
+    omega = ThreeCocycle(g, vals, m, name="twisted")
+    assert validate_cocycle(g, omega).ok
+    return pointed_skeleton(g, omega)
+
+
+@pytest.mark.parametrize("n,p,m,seed", [
+    (3, 1, 6, 2),
+    (4, 1, 4, 2),
+    (4, 0, 8, 2),
+    (6, 1, 6, 2),
+    (3, 1, 3, 1),  # an odd conductor: the cocycle takes values -zeta_3^k
+])
+def test_solve_pivotal_finds_a_nontrivial_rescaling(n, p, m, seed):
+    # omega times a coboundary is cohomologous to omega, so a rescaling t
+    # exists; for these seeds it is not the all-ones one
+    C = twisted_by_coboundary(n, p, m, seed)
+    ones = {lab: Cyclotomic.one(m) for lab in C.labels}
+    assert not tube_vs_tube_prime(C, ones).ok
     t = solve_pivotal(C)
     assert t is not None
     rep = tube_vs_tube_prime(C, t)

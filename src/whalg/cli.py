@@ -360,11 +360,7 @@ def cmd_tube(args):
         return 0 if rep.ok else 1
     if args.action == "pivotal":
         C = _pointed_from_args(args)
-        t = solve_pivotal(C)
-        if t is None:
-            print("no pivotal rescaling found")
-            return 1
-        rep = tube_vs_tube_prime(C, t)
+        rep = tube_vs_tube_prime(C, solve_pivotal(C))
         _print_report(rep, args.json)
         return 0 if rep.ok else 1
     raise UsageError(f"unknown tube action {args.action!r}")

@@ -141,11 +141,16 @@ def _pair_action(terms, V, W, swap=False):
     return out
 
 
+def _product_retract(V, W):
+    """The coproduct-of-1 idempotent e on V (x) W with its (section, retraction)."""
+    e = _pair_action(V.algebra.delta_of_unit, V, W)
+    return (e,) + retract_of_idempotent(e)
+
+
 def tensor_product(V, W):
     """V . W: the retract of the coproduct-of-1 idempotent, with action."""
     A = V.algebra
-    e = _pair_action(A.delta_of_unit, V, W)
-    i_mat, r_mat = retract_of_idempotent(e)
+    e, i_mat, r_mat = _product_retract(V, W)
     d = i_mat.cols
     act = SparseTensor3((A.dim, d, d), A.conductor)
     dt, vals = A.delta_ids, A.ids.vals
@@ -473,17 +478,20 @@ def braiding_naturality(A, R, V, W):
 
 
 def reduced_R_roundtrip(A, R):
-    """Recover R from the induced braiding on the regular module."""
+    """Recover R from the induced braiding on the regular module.
+
+    Reads only the retract of V (x) V and R's flipped action on it, not the
+    product's module structure.
+    """
     V = regular_module(A)
-    prod = tensor_product(V, V)
-    c, _, _ = braiding_from_R(A, R, V, V, prod, prod)
+    _, i_mat, r_mat = _product_retract(V, V)
+    flip_R = _pair_action(R.terms, V, V, swap=True)
     one_one = {}
     for i, ci in A.unit.items():
         for j, cj in A.unit.items():
             one_one[i * A.dim + j] = ci * cj
-    v = prod.r.apply(one_one)
-    v = c.apply(v)
-    v = prod.i.apply(v)
+    # i c r (1 (x) 1) with the braiding c = r . flip_R . i, one vector at a time
+    v = i_mat.apply(r_mat.apply(flip_R.apply(i_mat.apply(r_mat.apply(one_one)))))
     swapped = {}
     for key, val in v.items():
         i, j = divmod(key, A.dim)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .exactmath import Cyclotomic, SparseTensor3, root_of_unity
+from .exactmath import Cyclotomic, SparseTensor3
 from .report import Report
 from .skeleton import SkeletonError, dual_data_pointed
 from .wha import (PlainAlgebra, _by_leg, _coded, _hom_range, _mixed_assoc_by_value,
@@ -546,113 +546,24 @@ def tube_vs_tube_prime(C, t_coeffs):
         detail = f"transported product mismatch at ({Tp.label_str(i)}, {Tp.label_str(j)})"
     rep.add("transported-multiplication-matches", detail is None, detail)
     ok = _push(phi, Tp.one()) == T.one()
-    rep.add("transported-unit-matches", ok)
+    rep.add("transported-unit-matches", ok, None if ok else "phi(1) != 1")
     return rep
 
 
 def solve_pivotal(C):
-    """Solve for label scalars t making Tube' match Tube, or None.
+    """t_w = F(w, w^-1, w) = ev_w^-1: label scalars that carry Tube' onto Tube.
 
-    Works in exponent space modulo M = lcm(2, n), n the conductor: every
-    constraint ratio is a root of unity of Q(zeta_n) by construction, so a
-    power of that group's generator (zeta_n at even n, -zeta_n at odd n).
+    `tube_vs_tube_prime` needs t_w' t_w / t_w'w = rho(w', w): the ratio of the
+    Tube' and Tube structure scalars, times kappa(w'w, x') / (kappa(w', x') kappa(w, x)).
+    Let e(w) = F(w, w^-1, w), which is ev of w^-1 by the cocycle identity at
+    (w, w^-1, w, w^-1).  The mate of w'w -> w' (x) w in the product of Tube' and
+    the ev_w = e(w)^-1 in kappa each contribute d(e)(w', w) = e(w') e(w) / e(w'w).
+    The ten associators left multiply to d(e)^-1 for every normalized cocycle:
+    at x = 1 term by term, and for any x because on the free group on
+    (w', w, x) the cocycle is a coboundary, where they cancel.  So rho = d(e),
+    which t = e solves; every other solution is e times a character of G.
     """
-    fam = TubeFamily(C)
-    pfam = TubePrimeFamily(C)
-    wc = fam.wc
-    T = fam.algebra(1)
-    Tp = pfam.algebra(1)
-    n = C.conductor
-    labels = list(C.labels)
-    lab_idx = {w: i for i, w in enumerate(labels)}
-
-    kappa = {}
-    for (w, xv, yv) in Tp.labels:
-        kappa[(w, xv[0])] = _transport_scalar(wc, w, xv[0])
-
-    # requirement: t_{w'} t_w / t_{w'w} = rho(w', w) for every nonzero pair;
-    # collect rho and check it is x-independent
-    rho = {}
-    for hi, h in enumerate(Tp.labels):
-        for gi, g in enumerate(Tp.labels):
-            pl = Tp.mu_ids.get(hi, {}).get(gi)
-            if pl is None:
-                continue
-            oi, sp = pl[0]
-            wp, xvp, _ = h
-            w, xv, _ = g
-            st = T.mu_ids[T.label_index[h]][T.label_index[g]][0][1]
-            t_lab = Tp.labels[oi]
-            ratio = (Tp.ids.vals[sp] * kappa[(t_lab[0], t_lab[1][0])]) / (
-                T.ids.vals[st] * kappa[(wp, xvp[0])] * kappa[(w, xv[0])]
-            )
-            key = (wp, w)
-            if key in rho:
-                if rho[key] != ratio:
-                    return None  # no consistent pivotal rescaling
-            else:
-                rho[key] = ratio
-
-    M = n if n % 2 == 0 else 2 * n
-    gen = root_of_unity(n, 1) if n % 2 == 0 else -root_of_unity(n, 1)  # -1 at n = 1
-    dlog = {gen ** k: k for k in range(M)}
-    eqs = []
-    for (wp, w), val in rho.items():
-        k = dlog.get(val)
-        if k is None:
-            return None
-        row = {lab_idx[wp]: 1}
-        row[lab_idx[w]] = row.get(lab_idx[w], 0) + 1
-        ww = C.fuse(wp, w)
-        row[lab_idx[ww]] = row.get(lab_idx[ww], 0) - 1
-        eqs.append(({c: v % M for c, v in row.items() if v % M}, k))
-
-    sol = _solve_mod(eqs, len(labels), M)
-    if sol is None:
-        return None
-    return {w: gen ** sol[lab_idx[w]] for w in labels}
-
-
-def _solve_mod(eqs, nunk, N):
-    """One solution of a linear system over Z_N by pruned search, or None.
-
-    Desk scale: the pivotal systems here have at most a handful of unknowns
-    (one per label) with tiny moduli, so depth-first search with constraint
-    propagation is exact and instant.
-    """
-    if N == 1:
-        for row, b in eqs:
-            if b % 1:
-                return None
-        return [0] * nunk
-    eqs = [({c: v % N for c, v in row.items() if v % N}, b % N) for row, b in eqs]
-    for row, b in eqs:
-        if not row and b:
-            return None
-    order = sorted(range(nunk), key=lambda c: -sum(1 for row, _ in eqs if c in row))
-    sol = {}
-
-    def consistent():
-        for row, b in eqs:
-            if all(c in sol for c in row):
-                if (sum(v * sol[c] for c, v in row.items()) - b) % N:
-                    return False
-        return True
-
-    def dfs(pos):
-        if pos == len(order):
-            return True
-        c = order[pos]
-        for val in range(N):
-            sol[c] = val
-            if consistent() and dfs(pos + 1):
-                return True
-            del sol[c]
-        return False
-
-    if not dfs(0):
-        return None
-    return [sol.get(c, 0) for c in range(nunk)]
+    return {w: C.assoc(w, C.ring.dual[w], w) for w in C.labels}
 
 
 # ---------------------------------------------------------------------------

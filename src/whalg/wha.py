@@ -1252,18 +1252,19 @@ def base_algebras(A):
                 break
     rep.add("counital-maps-anti-isomorphisms", detail is None, detail)
 
-    # separability idempotent p = (eps^lr (x) id) Delta(1)
+    # separability idempotent p = (eps^lr (x) id) Delta(1), off eps_t's columns
+    eps_t, vals = A.eps_t_ids, A.ids.vals
     p = {}
     for (i, j), c in A.delta_of_unit.items():
-        for k, v in A.eps_lr({i: c}).items():
-            _acc(p, (k, j), v)
+        for k, e in eps_t[i].items():
+            _acc(p, (k, j), c * vals[e])
 
     # p is in A^l (x) A^l iff it is fixed by eps^lr applied to both legs
     projected = {}
     for (i, j), c in p.items():
-        for i2, v in A.eps_lr({i: c}).items():
-            for j2, w in A.eps_lr({j: v}).items():
-                _acc(projected, (i2, j2), w)
+        for i2, e in eps_t[i].items():
+            for j2, f in eps_t[j].items():
+                _acc(projected, (i2, j2), c * vals[e] * vals[f])
     ok = projected == p
     rep.add("p-lands-in-Al-tensor-Al", ok, None if ok else "p has a leg outside A^l")
 

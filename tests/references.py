@@ -43,6 +43,11 @@ vector, and the separability laws through one product per term of p and
 every pair of p's terms.  It reports which base algebra fails closure first,
 A^l before A^r.
 
+`cup_cocycle` writes (-1)^(f(a) g(b) h(c)) for three homomorphisms to Z2,
+a cup product of 1-cocycles: the sign pullback on S3 (`s3_sign_pullback`)
+and the type II and type III cocycles on Z2^2 and Z2^3, which are no
+standard cyclic cocycles.
+
 `b_g_omega_closed` and `a_g_omega_closed` write the structure constants of
 B(G, omega) and A(G, omega) straight from the paper's closed formulas; the
 builders, which run the general A(C, M) construction, must match them
@@ -54,6 +59,7 @@ import itertools
 from fractions import Fraction
 
 from whalg.exactmath import _FIELDS, Cyclotomic, SparseMatrix, SparseTensor3
+from whalg.groups import ThreeCocycle, symmetric_group_3
 from whalg.wha import RMatrixCandidate, WeakHopfAlgebra, _acc, _push
 
 
@@ -810,3 +816,19 @@ def base_algebras_solved(A):
     checks.append(("p-idempotent-op", idempotent,
                    None if idempotent else "p not idempotent in A^l (x) (A^l)^op"))
     return checks, len(basis_l), len(basis_r)
+
+
+def cup_cocycle(G, f, g, h, name="cup"):
+    """(-1)^(f(a) g(b) h(c)) on G, for f, g, h: G -> Z2 = {0, 1} homomorphisms."""
+    one = Cyclotomic.one(2)
+    vals = {(a, b, c): -one if f(a) * g(b) * h(c) else one
+            for a, b, c in itertools.product(range(G.order), repeat=3)}
+    return ThreeCocycle(G, vals, 2, name=name)
+
+
+def s3_sign_pullback():
+    """S3 with the Z2 cocycle (-1)^(abc) pulled back along the sign."""
+    G = symmetric_group_3()
+    perms = sorted(itertools.permutations(range(3)))  # symmetric_group_3's element order
+    sign = lambda g: sum(a > b for a, b in itertools.combinations(perms[g], 2)) % 2
+    return G, cup_cocycle(G, sign, sign, sign, name="sign pullback")

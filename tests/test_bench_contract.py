@@ -90,3 +90,15 @@ def test_tracer_counts_one_elimination_per_retract_and_per_tensor_unit(tmp_path)
         assert repcat.tensor_unit(B).dim == 2
     assert tr.counts["exactmath.elim.calls"] == 1
     assert "wha.base_algebras_s" not in {span[0] for span in tr.spans}
+
+
+def test_tracer_counts_one_elimination_in_the_r_roundtrip_and_no_tensor_product(tmp_path):
+    # the roundtrip reads the retract of V (x) V and R's action on it, not
+    # the product's module structure
+    w = groups.standard_cocycle(2, 1)
+    A, R = builders.build_a_g_omega(w.group, w)
+    with tracer.Tracer(str(tmp_path)) as tr:
+        assert tr.missing == []
+        assert repcat.reduced_R_roundtrip(A, R)
+    assert tr.counts["exactmath.elim.calls"] == 1
+    assert "repcat.tensor_s" not in {span[0] for span in tr.spans}

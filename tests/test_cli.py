@@ -19,6 +19,8 @@ from whalg.skeleton import (FusionRing, SkeletalCategory, SkeletalModule, boxtim
                             regular_module, right_regular_module)
 from whalg.wha import compare_structure
 
+from references import s3_sign_pullback
+
 
 def run(*argv):
     return main(list(argv))
@@ -260,6 +262,13 @@ def test_tube_cli(tmp_path, capsys):
     assert run("tube", "chi", "--group", "z3", "--cocycle", "p=1") == 0
     assert run("tube", "morita", "--group", "z2", "--cocycle", "p=1", "--m", "1", "--n", "2") == 0
     assert run("tube", "pivotal", "--group", "z3", "--cocycle", "p=1") == 0
+
+
+def test_tube_pivotal_takes_a_cocycle_file_on_s3(tmp_path):
+    G, omega = s3_sign_pullback()
+    cocycle = tmp_path / "sign.json"
+    jsonio.write_json(str(cocycle), jsonio.cocycle_to_json(omega))
+    assert run("tube", "pivotal", "--group", "s3", "--cocycle", str(cocycle)) == 0
 
 
 def test_tube_build_from_skeleton_file(tmp_path, capsys):

@@ -5,12 +5,14 @@ import pytest
 
 from whalg.exactmath import Cyclotomic, SparseTensor3, root_of_unity
 from whalg.builders import build_a_g_omega
-from whalg.groups import ThreeCocycle, cyclic_group, embed_cocycle, standard_cocycle, trivial_cocycle, validate_cocycle
+from whalg.groups import (GROUP_CATALOG, ThreeCocycle, catalog_group, cyclic_group, embed_cocycle, product_group,
+                          standard_cocycle, symmetric_group_3, trivial_cocycle, validate_cocycle)
 from whalg.skeleton import fib_fusion_ring, pointed_skeleton
 from whalg.tube import (
     Bimodule,
     PlainAlgebra,
     TubeFamily,
+    TubePrimeFamily,
     _transport_scalar,
     build_tube,
     build_tube_bimodule,
@@ -24,7 +26,7 @@ from whalg.tube import (
 )
 from whalg.wha import center_dim
 
-from references import assoc_dense
+from references import assoc_dense, cup_cocycle, s3_sign_pullback
 
 
 def pointed(n, p):
@@ -212,13 +214,16 @@ def twisted_by_coboundary(n, p, m, seed):
     return pointed_skeleton(g, omega)
 
 
-@pytest.mark.parametrize("n,p,m,seed", [
+TWISTS = [
     (3, 1, 6, 2),
     (4, 1, 4, 2),
     (4, 0, 8, 2),
     (6, 1, 6, 2),
     (3, 1, 3, 1),  # an odd conductor: the cocycle takes values -zeta_3^k
-])
+]
+
+
+@pytest.mark.parametrize("n,p,m,seed", TWISTS)
 def test_solve_pivotal_finds_a_nontrivial_rescaling(n, p, m, seed):
     # omega times a coboundary is cohomologous to omega, so a rescaling t
     # exists; for these seeds it is not the all-ones one
@@ -229,6 +234,137 @@ def test_solve_pivotal_finds_a_nontrivial_rescaling(n, p, m, seed):
     assert t is not None
     rep = tube_vs_tube_prime(C, t)
     assert rep.ok, rep.render()
+
+
+def _z2_power_cocycle(r, legs, name):
+    """(-1)^(a_i b_j c_k) on Z2^r for legs (i, j, k); bit 0 is the first factor."""
+    G = cyclic_group(2)
+    for _ in range(r - 1):
+        G = product_group(G, cyclic_group(2))
+    f, g, h = (lambda a, k=k: (a >> (r - 1 - k)) & 1 for k in legs)
+    return G, cup_cocycle(G, f, g, h, name=name)
+
+
+def _catalog_pairs():
+    out = {}
+    for name in sorted(GROUP_CATALOG):
+        G = catalog_group(name)
+        cyclic = name.startswith("z") and "x" not in name
+        for p in range(G.order if cyclic else 1):
+            out[f"{name}-p{p}"] = lambda G=G, p=p: (G, standard_cocycle(G.order, p) if p else trivial_cocycle(G))
+    return out
+
+
+PIVOTAL_INPUTS = {
+    **_catalog_pairs(),
+    "s3-sign-pullback": s3_sign_pullback,
+    "z2xz2-type-II": lambda: _z2_power_cocycle(2, (0, 1, 1), "(-1)^(a1 b2 c2)"),
+    "z2^3-type-III": lambda: _z2_power_cocycle(3, (0, 1, 2), "(-1)^(a1 b2 c3)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIVOTAL_INPUTS))
+def test_solve_pivotal_is_f_of_w_winv_w(name):
+    G, omega = PIVOTAL_INPUTS[name]()
+    assert validate_cocycle(G, omega).ok
+    C = pointed_skeleton(G, omega)
+    t = solve_pivotal(C)
+    assert t == {w: omega(w, G.inv(w), w) for w in G.elements()}
+    rep = tube_vs_tube_prime(C, t)
+    assert rep.ok, rep.render()
+
+
+@pytest.mark.parametrize("n,p,m,seed", TWISTS)
+def test_solve_pivotal_is_f_of_w_winv_w_on_coboundary_twists(n, p, m, seed):
+    C = twisted_by_coboundary(n, p, m, seed)
+    t = solve_pivotal(C)
+    assert t == {w: C.assoc(w, (-w) % n, w) for w in range(n)}
+    assert tube_vs_tube_prime(C, t).ok
+
+
+@pytest.mark.parametrize("case", ["z3-p1", "s3-sign-pullback"])
+def test_pivotal_rescalings_differ_by_characters(case):
+    # t times a character of G still transports Tube' onto Tube; t times a
+    # function that is no character does not, at the hom kernel's first pair
+    G, omega = PIVOTAL_INPUTS[case]()
+    C = pointed_skeleton(G, omega)
+    t = solve_pivotal(C)
+    one = Cyclotomic.one(C.conductor)
+    if case == "z3-p1":
+        chi = {w: root_of_unity(3, w) for w in G.elements()}
+    else:
+        chi = {w: omega(w, w, w) for w in G.elements()}  # (-1)^sign(w)
+    rep = tube_vs_tube_prime(C, {w: t[w] * chi[w] for w in t})
+    assert rep.ok, rep.render()
+
+    bad = {w: t[w] * (one + one if w == 1 else one) for w in t}
+    check = _check(tube_vs_tube_prime(C, bad), "transported-multiplication-matches")
+    assert not check.ok
+    assert check.detail == _transport_dense(C, bad)
+
+
+def test_transported_unit_mismatch_names_phi_of_one():
+    C, g, w = pointed(2, 1)
+    t = solve_pivotal(C)
+    t[C.unit] = -t[C.unit]
+    check = _check(tube_vs_tube_prime(C, t), "transported-unit-matches")
+    assert (check.ok, check.detail) == (False, "phi(1) != 1")
+
+
+def _pivotal_identity(mul, inv, F, wp, w, x):
+    """The ten associators of rho(w', w) besides its ev factors, times
+    d(e)(w', w) = e(w') e(w) / e(w'w) with e(g) = F(g, g^-1, g), as
+    (exponent, F value) pairs whose product is 1 (see `solve_pivotal`)."""
+    t, xw = mul(wp, w), mul(x, w)
+    e = lambda g: F(g, inv(g), g)
+    return [(1, F(wp, x, inv(wp))), (1, F(xw, inv(w), inv(wp))), (1, F(wp, w, inv(t))),
+            (-1, F(wp, xw, inv(t))), (-1, F(w, inv(w), inv(wp))), (1, F(mul(wp, xw), inv(t), t)),
+            (-1, F(wp, x, w)), (1, F(mul(mul(wp, x), inv(wp)), wp, w)), (-1, F(mul(wp, x), inv(wp), wp)),
+            (-1, F(xw, inv(w), w)), (1, e(wp)), (1, e(w)), (-1, e(t))]
+
+
+def test_the_pivotal_ratio_is_the_coboundary_of_f_of_w_winv_w_for_every_cocycle():
+    # rho(w', w) as the code computes it is the ten associators times d(e)^2,
+    # and the ten associators times d(e) multiply to 1 ...
+    C = twisted_by_coboundary(4, 1, 4, 2)
+    fam, pfam = TubeFamily(C), TubePrimeFamily(C)
+    kappa = lambda w, x: _transport_scalar(fam.wc, w, x)
+    mul, inv, F = C.fuse, C.ring.dual.__getitem__, C.assoc
+    for wp, w, x in itertools.product(C.labels, repeat=3):
+        xp, y, t = mul(mul(wp, x), inv(wp)), mul(mul(inv(w), x), w), mul(wp, w)
+        h, g = (wp, (xp,), (x,)), (w, (x,), (y,))
+        rho = (pfam.mult_scalar(h, g)[1] * kappa(t, xp)
+               / (fam.compose_scalar(h, g)[1] * kappa(wp, xp) * kappa(w, x)))
+        ten = Cyclotomic.one(C.conductor)
+        for k, v in _pivotal_identity(mul, inv, F, wp, w, x)[:10]:
+            ten = ten * v if k > 0 else ten / v
+        de = F(wp, inv(wp), wp) * F(w, inv(w), w) / F(t, inv(t), t)
+        assert rho == ten * de * de
+        assert (ten * de).is_one()
+
+    # ... and the identity holds for every normalized cocycle on every group:
+    # pulled back to the free group on (w', w, x), where H^3 vanishes, the
+    # cocycle is d(h) for a normalized 2-cochain h, and the h terms cancel
+    def fmul(*words):
+        out = []
+        for letter in itertools.chain(*words):
+            if out and out[-1] == (letter[0], -letter[1]):
+                out.pop()
+            else:
+                out.append(letter)
+        return tuple(out)
+
+    finv = lambda word: tuple((a, -k) for a, k in reversed(word))
+
+    def dh(a, b, c):
+        return [(k, pair) for k, pair in ((1, (b, c)), (-1, (fmul(a, b), c)), (1, (a, fmul(b, c))), (-1, (a, b)))
+                if all(pair)]
+
+    total = {}
+    for k, terms in _pivotal_identity(fmul, finv, dh, (("u", 1),), (("v", 1),), (("x", 1),)):
+        for k2, pair in terms:
+            total[pair] = total.get(pair, 0) + k * k2
+    assert not any(total.values())
 
 
 def test_obstruction_fibonacci():

@@ -1,6 +1,7 @@
 """Command-line front end: build, verify, compare, report, plus the rep,
 tube, and double subfamilies.  Exit codes: 0 pass, 1 verified failure,
 2 usage or input error; any other error propagates with its traceback.
+`rep iso` exits 1 when no isomorphism is proven: not-isomorphic or undecided.
 """
 
 from __future__ import annotations
@@ -292,7 +293,7 @@ def cmd_rep(args):
         return 0 if rep.ok else 1
     if args.action == "iso":
         ok = modules_isomorphic(V, W)
-        print("isomorphic" if ok else "not-isomorphic")
+        print({True: "isomorphic", False: "not-isomorphic", None: "undecided"}[ok])
         return 0 if ok else 1
     if args.action == "coherence":
         U = _load_module(args.third, A) if args.third else W

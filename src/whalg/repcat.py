@@ -12,14 +12,16 @@ E = E[:, P] . R, and R . E[:, P] = id when E is idempotent
 (`retract_of_idempotent`).  The tensor unit A^l is read off the same
 factorization of the matrix of eps^lr.  The actions of Delta(1), Delta(x)
 and R on V (x) W all come from one builder, `_pair_action`.
+
+Isomorphism is decided from characters on an algebra certified semisimple
+by its trace form, and is None, undecided, otherwise (`modules_isomorphic`).
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 
-from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3
+from .exactmath import SparseMatrix, SparseTensor3
 from .report import Report
 from .wha import _acc, _by_leg, _coded, _mixed_assoc_range, _nested, _projection_matrix
 
@@ -224,46 +226,29 @@ def intertwiner_space(V, W):
     return len(basis), basis
 
 
-_ISO_SEED = 0
+def _character(V):
+    """chi_V(e_i) = Tr rho_V(e_i) by basis index, zeros left out."""
+    chi = {}
+    for (a, r, c), v in V.action.data.items():
+        if r == c:
+            _acc(chi, a, v)
+    return chi
 
 
 def modules_isomorphic(V, W):
-    """Decide V = W by hunting for an invertible intertwiner.
+    """Decide V = W from characters: True, False, or None for undecided.
 
-    Random exact combinations from the fixed seed `_ISO_SEED`, then a
-    deterministic exhaustive fallback for small intertwiner spaces; sound at
-    desk scale.
+    Isomorphic modules have equal characters, so different dimensions or
+    characters answer False over any algebra.  Over a semisimple algebra
+    (`PlainAlgebra.semisimple`) in characteristic 0, equal characters answer
+    True: the central idempotent e_j of the j-th block acts as the identity
+    on the j-th simple module S_j and as 0 on the others, so
+    chi_V(e_j) = m_j dim S_j fixes the multiplicity m_j of S_j in V.
+    Otherwise equal characters decide nothing, except between zero modules.
     """
-    if V.dim != W.dim:
+    if V.dim != W.dim or _character(V) != _character(W):
         return False
-    dim, basis = intertwiner_space(V, W)
-    if dim == 0:
-        return V.dim == 0
-    for T in basis:
-        if T.rank() == V.dim:
-            return True
-    n = V.algebra.conductor
-    rng = random.Random(_ISO_SEED)
-    for _ in range(24):
-        T = SparseMatrix(W.dim, V.dim, n)
-        for B in basis:
-            c = Cyclotomic.rational(n, rng.randint(-3, 3))
-            for (r, cc), v in B.data.items():
-                T.add_to(r, cc, v * c)
-        if T.rank() == V.dim:
-            return True
-    if dim <= 3:
-        for combo in itertools.product(range(-2, 3), repeat=dim):
-            T = SparseMatrix(W.dim, V.dim, n)
-            for c, B in zip(combo, basis):
-                if not c:
-                    continue
-                cc = Cyclotomic.rational(n, c)
-                for (r, ccol), v in B.data.items():
-                    T.add_to(r, ccol, v * cc)
-            if T.rank() == V.dim:
-                return True
-    return False
+    return True if V.dim == 0 or V.algebra.semisimple else None
 
 
 def is_module_map(T, V, W):

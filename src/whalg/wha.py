@@ -175,6 +175,31 @@ class PlainAlgebra:
         """The first associativity counterexample, or None; swept once, on `mu_generators`."""
         return _sweep(self, _assoc_range, True)
 
+    @functools.cached_property
+    def semisimple(self):
+        """Whether A is unital, associative and semisimple, by Dickson's criterion.
+
+        The regular trace form is T(x, y) = Tr L_{xy}: T(e_i, e_j) =
+        sum_k mu(i, j, k) t_k with t_k = Tr L_{e_k} = sum_j mu(k, j, j).  In
+        characteristic 0, rad A = rad T, so A is semisimple exactly when T
+        has full rank.  If x is in rad A, then xy is nilpotent, so
+        T(x, y) = 0.  T(ax, y) = T(x, ya) and T(xa, y) = T(x, ay), so rad T
+        is an ideal, and each x in it has Tr L_x^k = T(x^(k-1), x) = 0 for
+        every k >= 1, so L_x is nilpotent, and so is x: x^k = L_x^k(1).
+        """
+        if _unit_law(self) is not None or self.associativity_detail is not None:
+            return False
+        trace = {}
+        for (k, j, m), c in self.mu.data.items():
+            if j == m:
+                _acc(trace, k, c)
+        form = {}
+        for (i, j, k), c in self.mu.data.items():
+            t = trace.get(k)
+            if t is not None:
+                _acc(form, (i, j), c * t)
+        return SparseMatrix(self.dim, self.dim, self.conductor, form).rank() == self.dim
+
     # -- id-coded indexes (built once) ---------------------------------------
 
     @functools.cached_property
@@ -1229,27 +1254,15 @@ def base_algebras(A):
     rep.add("bases-mutually-commute", detail is None, detail)
 
     # eps^lr restricted to A^r and eps^rr restricted to A^l: mutually inverse
-    # algebra anti-isomorphisms
+    # algebra anti-isomorphisms; eps^lr of each basis vector of A^r is taken once
+    lr = [(u, A.eps_lr(u)) for u in basis_r]
     detail = None
-    for u in basis_r:
-        if A.eps_rr(A.eps_lr(u)) != u:
-            detail = "eps^rr . eps^lr != id on A^r"
-            break
-    if detail is None:
-        for u in basis_l:
-            if A.eps_lr(A.eps_rr(u)) != u:
-                detail = "eps^lr . eps^rr != id on A^l"
-                break
-    if detail is None:
-        for u in basis_r:
-            for v in basis_r:
-                lhs = A.eps_lr(A.mul(u, v))
-                rhs = A.mul(A.eps_lr(v), A.eps_lr(u))
-                if lhs != rhs:
-                    detail = "eps^lr not an anti-homomorphism on A^r"
-                    break
-            if detail:
-                break
+    if any(A.eps_rr(lu) != u for u, lu in lr):
+        detail = "eps^rr . eps^lr != id on A^r"
+    elif any(A.eps_lr(A.eps_rr(u)) != u for u in basis_l):
+        detail = "eps^lr . eps^rr != id on A^l"
+    elif any(A.eps_lr(A.mul(u, v)) != A.mul(lv, lu) for u, lu in lr for v, lv in lr):
+        detail = "eps^lr not an anti-homomorphism on A^r"
     rep.add("counital-maps-anti-isomorphisms", detail is None, detail)
 
     # separability idempotent p = (eps^lr (x) id) Delta(1), off eps_t's columns

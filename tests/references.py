@@ -48,6 +48,12 @@ a cup product of 1-cocycles: the sign pullback on S3 (`s3_sign_pullback`)
 and the type II and type III cocycles on Z2^2 and Z2^3, which are no
 standard cyclic cocycles.
 
+`sweedler_h4` is Sweedler's 4-dimensional Hopf algebra, a Hopf algebra
+that is not semisimple, with `h4_module` for its modules given by the
+matrices of g and x.  `isomorphic_by_hom_dims` is the exact isomorphism
+test by intertwiner dimensions over a semisimple algebra, the reference
+for the character test of `repcat.modules_isomorphic`.
+
 `b_g_omega_closed` and `a_g_omega_closed` write the structure constants of
 B(G, omega) and A(G, omega) straight from the paper's closed formulas; the
 builders, which run the general A(C, M) construction, must match them
@@ -60,6 +66,7 @@ from fractions import Fraction
 
 from whalg.exactmath import _FIELDS, Cyclotomic, SparseMatrix, SparseTensor3
 from whalg.groups import ThreeCocycle, symmetric_group_3
+from whalg.repcat import WHAModule, intertwiner_space
 from whalg.wha import RMatrixCandidate, WeakHopfAlgebra, _acc, _push
 
 
@@ -832,3 +839,52 @@ def s3_sign_pullback():
     perms = sorted(itertools.permutations(range(3)))  # symmetric_group_3's element order
     sign = lambda g: sum(a > b for a, b in itertools.combinations(perms[g], 2)) % 2
     return G, cup_cocycle(G, sign, sign, sign, name="sign pullback")
+
+
+def sweedler_h4():
+    """Sweedler's Hopf algebra H4 over Q, basis g^a x^b at index a + 2b (1, g, x, gx).
+
+    g^2 = 1, x^2 = 0, xg = -gx, Delta(x) = x (x) 1 + g (x) x, eps(x) = 0,
+    S(x) = -gx.  Its radical is spanned by x and gx, so it is not semisimple.
+    """
+    one = Cyclotomic.one(1)
+    sign = lambda k: one if k % 2 == 0 else -one
+    mu = SparseTensor3((4, 4, 4), 1)
+    delta = SparseTensor3((4, 4, 4), 1)
+    antipode = SparseMatrix(4, 4, 1)
+    for a, b, c, d in itertools.product(range(2), repeat=4):
+        if b + d < 2:  # (g^a x^b)(g^c x^d) = (-1)^(bc) g^(a+c) x^(b+d)
+            mu.add_to(a + 2 * b, c + 2 * d, (a + c) % 2 + 2 * (b + d), sign(b * c))
+    for a in range(2):
+        delta.add_to(a, a, a, one)
+        delta.add_to(a + 2, a + 2, a, one)  # g^a x (x) g^a
+        delta.add_to(a + 2, 1 - a, a + 2, one)  # g^(a+1) (x) g^a x
+        antipode.add_to(a, a, one)
+        antipode.add_to(3 - a, a + 2, sign(a + 1))  # S(g^a x) = -(-1)^a g^(a+1) x
+    return WeakHopfAlgebra(["1", "g", "x", "gx"], 1, mu, {0: one}, delta, {0: one, 1: one},
+                           antipode, name="H4")
+
+
+def h4_module(H, g, x, name):
+    """The H4-module with g and x acting by the integer matrices g and x (lists of rows)."""
+    d = len(g)
+    mat = lambda m: {(r, c): Cyclotomic.rational(1, v)
+                     for r, row in enumerate(m) for c, v in enumerate(row) if v}
+    rho = [SparseMatrix.identity(d, 1), SparseMatrix(d, d, 1, mat(g)), SparseMatrix(d, d, 1, mat(x))]
+    rho.append(rho[1].matmul(rho[2]))
+    act = SparseTensor3((4, d, d), 1)
+    for i, m in enumerate(rho):
+        for (r, c), v in m.data.items():
+            act.add_to(i, r, c, v)
+    return WHAModule(H, d, act, name=name)
+
+
+def isomorphic_by_hom_dims(V, W):
+    """V = W over a semisimple algebra iff dim End V + dim End W = 2 dim Hom(V, W).
+
+    With V = sum m_i S_i and W = sum n_i S_i, the difference is
+    sum d_i (m_i - n_i)^2 for d_i = dim End S_i > 0, over the base field with
+    no splitting; every dimension is an exact `intertwiner_space`.
+    """
+    dim = lambda X, Y: intertwiner_space(X, Y)[0]
+    return dim(V, V) + dim(W, W) == 2 * dim(V, W)

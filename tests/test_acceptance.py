@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, exact arithmetic throughout.
 
-Criteria 1, 2 and 4, the check of the generator certificate and the
-reference checks of the centre and base algebras on the catalog share one
-build of every catalog algebra (the `catalog` fixture).
+Criteria 1, 2 and 4, the check of the generator certificate, the
+semisimplicity certificate and the reference checks of the centre and base
+algebras on the catalog share one build of every catalog algebra (the
+`catalog` fixture).
 
 Every criterion prints one PASS/FAIL line (visible under pytest -s); all
 tolerances are zero because the scalars are exact cyclotomics.
@@ -178,6 +179,12 @@ def test_centre_and_base_algebras_match_their_references_on_the_catalog(catalog)
             got = ([(c.name, c.ok, c.detail) for c in ba.report.checks], ba.dim_l, ba.dim_r)
             assert got == base_algebras_solved(X), X.name
             assert center_dim(X) == center_dim_dense(X), X.name
+
+
+def test_trace_form_certifies_every_catalog_algebra_semisimple(catalog):
+    for _G, _omega, B, A, _R in catalog:
+        assert B.semisimple is True, B.name
+        assert A.semisimple is True, A.name
 
 
 def test_generator_certificate_on_the_catalog(catalog):

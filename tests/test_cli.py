@@ -19,7 +19,7 @@ from whalg.skeleton import (FusionRing, SkeletalCategory, SkeletalModule, boxtim
                             regular_module, right_regular_module)
 from whalg.wha import compare_structure
 
-from references import s3_sign_pullback
+from references import s3_sign_pullback, sweedler_h4
 
 
 def run(*argv):
@@ -393,8 +393,20 @@ def test_a_directory_as_input_exits_2_naming_it(tmp_path):
     assert proc.stderr.strip().splitlines() == [f"error: {tmp_path}: cannot read: Is a directory"]
 
 
+def test_rep_iso_on_h4_is_undecided_and_exits_1(tmp_path):
+    # H4 is not semisimple, so equal characters prove no isomorphism: exit 1
+    # as for not-isomorphic, with no traceback; two zero modules stay isomorphic
+    alg, zero = str(tmp_path / "h4.json"), str(tmp_path / "zero.json")
+    jsonio.write_json(alg, jsonio.algebra_to_json(sweedler_h4()))
+    jsonio.write_json(zero, dict(ZERO_MODULE, conductor=1))
+    proc = run_process("rep", "iso", "--algebra", alg, "--left", "regular", "--right", "regular")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "undecided\n", "")
+    proc = run_process("rep", "iso", "--algebra", alg, "--left", zero, "--right", zero)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "isomorphic\n", "")
+
+
 def test_seed_is_not_an_option(capsys):
-    # the isomorphism search always runs from the same fixed seed
+    # rep iso is decided exactly from characters: there is no search to seed
     argv = ["rep", "iso", "--algebra", "a.json", "--left", "regular", "--right", "regular"]
     assert make_parser().parse_args(argv).action == "iso"
     with pytest.raises(SystemExit) as exc:

@@ -3,8 +3,19 @@ import random
 import pytest
 
 from whalg.exactmath import Cyclotomic, SparseMatrix, SparseTensor3
-from whalg.builders import build_a_g_omega, build_b_g_omega
-from whalg.groups import cyclic_group, standard_cocycle, trivial_cocycle
+from whalg.builders import (
+    build_a_g_omega,
+    build_b_g_omega,
+    build_frobenius_double,
+    build_groupoid_algebra,
+    group_as_groupoid,
+    indiscrete_groupoid,
+    standard_frobenius,
+)
+from whalg.double import build_drinfeld_double, build_pairing
+from whalg.groups import cyclic_group, standard_cocycle, symmetric_group_3, trivial_cocycle
+from whalg.skeleton import pointed_skeleton
+from whalg.tube import build_tube, build_tube_prime
 from whalg.repcat import (
     WHAModule,
     braid_relation_check,
@@ -22,7 +33,15 @@ from whalg.repcat import (
     tensor_unit,
     validate_module,
 )
-from whalg.wha import RMatrixCandidate, base_algebras, verify_quasitriangular
+from whalg.wha import (
+    RMatrixCandidate,
+    base_algebras,
+    verify_antipode,
+    verify_quasitriangular,
+    verify_weak_bialgebra,
+)
+
+from references import h4_module, isomorphic_by_hom_dims, sweedler_h4
 
 
 def setup_b(n=2, p=0):
@@ -176,7 +195,65 @@ def test_fusion_rule_of_k_modules():
                 assert modules_isomorphic(prod, mods[g.mul(a, b)])
                 if n == 2 and a != b:
                     other = mods[g.mul(g.mul(a, b), 1)]
-                    assert not modules_isomorphic(prod, other)
+                    assert modules_isomorphic(prod, other) is False
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_character_test_agrees_with_hom_dimensions_on_k_module_products(n):
+    # over a semisimple algebra V = W iff dim End V + dim End W = 2 dim Hom(V, W)
+    for p in range(n):
+        g, w, B = setup_b(n, p)
+        assert B.semisimple is True
+        mods = [k_module(B, g, w, c) for c in g.elements()]
+        for a in g.elements():
+            for b in g.elements():
+                prod = tensor_product(mods[a], mods[b]).module
+                for c, K in enumerate(mods):
+                    got = modules_isomorphic(prod, K)
+                    assert got is isomorphic_by_hom_dims(prod, K), (n, p, a, b, c)
+                    assert got is (c == g.mul(a, b))
+
+
+def test_trace_form_certifies_every_other_kind_of_algebra_semisimple():
+    z3, z4 = standard_cocycle(3, 1), standard_cocycle(4, 1)
+    algebras = [
+        build_tube(pointed_skeleton(z4.group, z4)),
+        build_tube_prime(pointed_skeleton(z3.group, z3), 2),
+        build_drinfeld_double(build_pairing(pointed_skeleton(z4.group, z4))).algebra,
+        build_groupoid_algebra(indiscrete_groupoid(2)),
+        build_groupoid_algebra(group_as_groupoid(symmetric_group_3())),
+        build_frobenius_double(standard_frobenius("matrix", 2)),
+    ]
+    for X in algebras:
+        assert X.semisimple is True, X.name
+
+
+def _h4_modules(H):
+    """The regular module, k^4, the projective cover H (1 + g)/2 and k+ (+) k-."""
+    eye = [[int(r == c) for c in range(4)] for r in range(4)]
+    sign = [[1, 0], [0, -1]]
+    return (regular_module(H), h4_module(H, eye, [[0] * 4] * 4, "k^4"),
+            h4_module(H, sign, [[0, 0], [1, 0]], "P+"), h4_module(H, sign, [[0, 0], [0, 0]], "k+ + k-"))
+
+
+def test_sweedler_h4_is_a_hopf_algebra_the_trace_form_does_not_certify():
+    H = sweedler_h4()
+    assert verify_weak_bialgebra(H).ok and verify_antipode(H).ok
+    assert H.semisimple is False
+    for V in _h4_modules(H):
+        assert validate_module(H, V).ok, V.name
+
+
+def test_character_test_on_h4_answers_false_or_undecided_never_true():
+    H = sweedler_h4()
+    reg, k4, cover, split = _h4_modules(H)
+    assert modules_isomorphic(reg, k4) is False  # g has trace 0 on one, 4 on the other
+    # equal characters, yet no isomorphism: x acts as 0 on k+ (+) k- only
+    assert modules_isomorphic(cover, split) is None
+    assert cover.action_matrix(2).data and not split.action_matrix(2).data
+    assert modules_isomorphic(reg, reg) is None
+    zero = WHAModule(H, 0, SparseTensor3((4, 0, 0), 1), name="0")
+    assert modules_isomorphic(zero, zero) is True
 
 
 def test_intertwiner_space_dims():

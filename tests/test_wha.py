@@ -35,6 +35,7 @@ from whalg.wha import (
     _mixed_assoc_range,
     _push,
     _ScalarIds,
+    _unit_law,
     base_algebras,
     center_dim,
     compare_structure,
@@ -370,6 +371,17 @@ def test_center_dim_matches_the_dense_commutator_nullspace_on_single_entry_mu_mu
             total += 1
             larger += center_dim_dense(bad, bad.mu_generators) != full
     assert (total, larger) == (480, 96)
+
+
+def test_single_entry_mu_mutants_are_not_certified_semisimple():
+    # every mutant fails associativity, and 12 keep the unit law: the
+    # certificate answers False on each, and raises on none
+    unit_kept = 0
+    for what, bad in _single_entry_mutants(b_z2(1), ["mu"]):
+        assert bad.associativity_detail is not None, what
+        assert bad.semisimple is False, what
+        unit_kept += _unit_law(bad) is None
+    assert unit_kept == 12
 
 
 def _base_checks(X):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3
+from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3, memoized_product
 from .groups import GroupReport, validate_cocycle
 from .skeleton import (
     SkeletonError,
@@ -123,12 +123,13 @@ def _build_a_m_c(C, M, label, name, meta):
     fuse = {(b, a): C.fuse(b, a) for b in labels for a in labels}
     # each L(b,a,y) is the denominator of |M| coefficients, one per x
     den = {(b, a, y): massoc(b, a, y).inverse() for b in labels for a in labels for y in objects}
+    product = memoized_product()
 
     for a, y, x in triples:
         right = index[(a, y, x)]
         ay, ax = act(a, y), act(a, x)
         for b in labels:
-            coeff = massoc(b, a, x) * den[b, a, y]
+            coeff = product(massoc(b, a, x), den[b, a, y])
             mu.add_to(index[(b, ay, ax)], right, index[(fuse[b, a], y, x)], coeff)
 
     one = Cyclotomic.one(n)

@@ -147,7 +147,7 @@ def cmd_build(args):
     else:
         raise UsageError(f"unknown build kind {kind!r}")
     if args.out:
-        jsonio.write_json(args.out, jsonio.algebra_to_json(A))
+        jsonio.write_algebra(args.out, A)
     if R is not None and args.rmatrix_out:
         jsonio.write_json(args.rmatrix_out, jsonio.rmatrix_to_json(A, R))
     print(f"dim {A.dim} conductor {A.conductor}")
@@ -406,7 +406,7 @@ def cmd_double(args):
         rep2 = verify_antipode(D)
         rep3 = verify_quasitriangular(D, dbl.r)
         if args.out:
-            jsonio.write_json(args.out, jsonio.algebra_to_json(D))
+            jsonio.write_algebra(args.out, D)
         if args.rmatrix_out:
             # the file carries R's checked weak inverse when it has one
             R = RMatrixCandidate(dbl.r.terms, weak_inverse(D, dbl.r))

@@ -375,6 +375,27 @@ def root_of_unity(n, k=1):
     return Cyclotomic(n, _FIELDS[n].powtab[k % n], 1)
 
 
+def memoized_product():
+    """A function x, y -> x * y that multiplies each distinct pair of values once.
+
+    Structure tables repeat a few scalars over many entries (the A(Z6, p)
+    builder forms tens of thousands of products of six values), and a memo
+    hit is several times cheaper than a product.  The memo is keyed by the
+    canonical forms, which compare without a Python-level `__eq__`; a
+    repeated pair gets back the same object.
+    """
+    memo = {}
+
+    def product(x, y):
+        key = x.n, x.v, x.d, y.n, y.v, y.d
+        p = memo.get(key)
+        if p is None:
+            p = memo[key] = x * y
+        return p
+
+    return product
+
+
 # ---------------------------------------------------------------------------
 # sparse exact linear algebra
 # ---------------------------------------------------------------------------

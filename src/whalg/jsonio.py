@@ -16,8 +16,11 @@ from .skeleton import FusionRing, SkeletalCategory, SkeletalModule, SkeletonErro
 from .wha import RMatrixCandidate, WeakHopfAlgebra
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def dumps(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _encode(obj) + "\n"
 
 
 def _sorted_entries(entries):
@@ -411,6 +414,43 @@ def algebra_to_json(A):
     }
 
 
+def write_algebra(path, A):
+    """Write `algebra_to_json(A)` to `path` in the bytes `write_json` writes.
+
+    The structure tables repeat a few distinct scalars over many entries (six
+    over 54k on A(Z6, p)), so each scalar is encoded once and each entry is
+    formatted around its text, in sorted key order.  The file is written one
+    table at a time; `dumps(algebra_to_json(A))` stays the reference.
+    """
+    text = {c: _encode(c.to_json()) for c in A.ids.vals}
+    fields = {
+        "name": A.name,
+        "dim": A.dim,
+        "conductor": A.conductor,
+        "labels": [encode_label(l) for l in A.labels],
+        "meta": A.meta,
+    }
+    fields = {key: _encode(value) for key, value in fields.items()}
+    tables = {
+        "mu": ("[%d,%d,%d,%s]", A.mu.data),
+        "unit": ("[%d,%s]", {(i,): v for i, v in A.unit.items()}),
+        "delta": ("[%d,%d,%d,%s]", A.delta.data),
+        "counit": ("[%d,%s]", {(i,): v for i, v in A.counit.items()}),
+        "antipode": ("[%d,%d,%s]", A.antipode.data),
+    }
+    with open(path, "w") as fh:
+        sep = "{"
+        for key in sorted(fields.keys() | tables.keys()):
+            fh.write(f'{sep}"{key}":')
+            sep = ","
+            if key in fields:
+                fh.write(fields[key])
+            else:
+                fmt, table = tables[key]
+                fh.write("[" + ",".join([fmt % (*k, text[v]) for k, v in sorted(table.items())]) + "]")
+        fh.write("}\n")
+
+
 def algebra_from_json(obj):
     d, n = _header(obj, "algebra")
     labels = obj.get("labels")
@@ -467,7 +507,7 @@ def wha_module_from_json(obj, A):
 
     d, n = _header(obj, "module")
     if n != A.conductor:
-        raise InputError("module and algebra conductors differ")
+        raise InputError(f"module file: conductor {n} differs from the algebra's conductor {A.conductor}")
     _fields(obj, "module", "action")
     act = SparseTensor3((A.dim, d, d), n, _table(obj, "action", n, (A.dim, d, d)))
     return WHAModule(A, d, act)

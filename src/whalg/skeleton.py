@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .exactmath import Cyclotomic
+from .exactmath import Cyclotomic, memoized_product
 from .groups import GroupReport
 
 
@@ -311,9 +311,10 @@ def product_skeleton(C1, C2):
     ring = FusionRing(labels, (C1.unit, C2.unit), mult)
     F = {}
     entries2 = _assoc_entries(C2)
+    product = memoized_product()
     for (a1, b1, c1, d1), f1 in _assoc_entries(C1):
         for (a2, b2, c2, d2), f2 in entries2:
-            F[((a1, a2), (b1, b2), (c1, c2), (d1, d2))] = f1 * f2
+            F[((a1, a2), (b1, b2), (c1, c2), (d1, d2))] = product(f1, f2)
     return SkeletalCategory(ring, F, C1.conductor, name=f"{C1.name}x{C2.name}")
 
 
@@ -364,12 +365,13 @@ def boxtimes_rev_skeleton(G, omega):
     C = product_skeleton(C0, reversed_skeleton(C0))
     labels = list(G.elements())
     action = {((a, b), x): G.prod((a, x, b)) for a in labels for b in labels for x in labels}
+    inverse = {t: v.inverse() for t, v in omega.values.items()}
+    product = memoized_product()
     L = {}
     for ap, bp, a, b, x in itertools.product(labels, repeat=5):
         ax = G.mul(a, x)
-        num = omega(ap, a, x) * omega(ap, ax, b)
-        den = omega(G.mul(ap, ax), b, bp)
-        L[((ap, bp), (a, b), x)] = num / den
+        num = product(omega(ap, a, x), omega(ap, ax, b))
+        L[((ap, bp), (a, b), x)] = product(num, inverse[G.mul(ap, ax), b, bp])
     return C, SkeletalModule(C, labels, action, L, name=f"{G.name}-two-sided")
 
 

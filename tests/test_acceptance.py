@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, exact arithmetic throughout.
 
 Criteria 1, 2 and 4, the check of the generator certificate, the
-semisimplicity certificate and the reference checks of the centre and base
-algebras on the catalog share one build of every catalog algebra (the
-`catalog` fixture).
+semisimplicity certificate, the reference checks of the centre and base
+algebras and of the algebra writer on the catalog share one build of every
+catalog algebra (the `catalog` fixture).
 
 Every criterion prints one PASS/FAIL line (visible under pytest -s); all
 tolerances are zero because the scalars are exact cyclotomics.
@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from whalg import jsonio
 from whalg.exactmath import Cyclotomic
 from whalg.builders import build_a_g_omega, build_b_g_omega
 from whalg.groups import (
@@ -179,6 +180,15 @@ def test_centre_and_base_algebras_match_their_references_on_the_catalog(catalog)
             got = ([(c.name, c.ok, c.detail) for c in ba.report.checks], ba.dim_l, ba.dim_r)
             assert got == base_algebras_solved(X), X.name
             assert center_dim(X) == center_dim_dense(X), X.name
+
+
+def test_write_algebra_writes_the_reference_bytes_on_the_catalog(catalog, tmp_path):
+    # the benchmark's 27 catalog algebras: B for every cocycle, A for |G| <= 4
+    path = tmp_path / "x.json"
+    for G, _omega, B, A, _R in catalog:
+        for X in (B, A) if G.order <= 4 else (B,):
+            jsonio.write_algebra(str(path), X)
+            assert path.read_bytes() == jsonio.dumps(jsonio.algebra_to_json(X)).encode(), X.name
 
 
 def test_trace_form_certifies_every_catalog_algebra_semisimple(catalog):

@@ -463,6 +463,37 @@ def test_double_cli(tmp_path):
     assert run("verify", str(out), "--suite", "wha") == 0
 
 
+def _skeleton_and_module_files(tmp_path):
+    C, M = boxtimes_rev_skeleton(cyclic_group(2), standard_cocycle(2, 1))
+    sk, mod = str(tmp_path / "c.json"), str(tmp_path / "m.json")
+    jsonio.write_json(sk, jsonio.skeleton_to_json(C))
+    jsonio.write_json(mod, jsonio.module_to_json(M))
+    return ["--skeleton", sk, "--module", mod]
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "b-g-omega", "--group", "z3", "--cocycle", "p=1"],
+    ["build", "a-g-omega", "--group", "z2", "--cocycle", "p=1"],
+    ["build", "a-m-c", _skeleton_and_module_files],
+    ["build", "groupoid", "--indiscrete", "2"],
+    ["build", "groupoid", "--group", "s3"],
+    ["build", "frobenius-double", "--diagonal", "2"],
+    ["build", "frobenius-double", "--matrix", "2"],
+    ["double", "build", "--group", "z2", "--cocycle", "p=0"],
+], ids=lambda argv: "-".join(a for a in argv if isinstance(a, str)))
+def test_every_algebra_file_is_the_reference_encoding(tmp_path, monkeypatch, argv):
+    # `write_algebra` writes each distinct scalar's text once; the file must be
+    # the bytes of the general encoder, `dumps(algebra_to_json(A))`
+    argv = [a for arg in argv for a in (arg(tmp_path) if callable(arg) else [arg])]
+    written = []
+    write = jsonio.write_algebra
+    monkeypatch.setattr(jsonio, "write_algebra", lambda path, A: written.append(A) or write(path, A))
+    out = tmp_path / "x.json"
+    assert run(*argv, "-o", str(out)) == 0
+    [A] = written
+    assert out.read_bytes() == jsonio.dumps(jsonio.algebra_to_json(A)).encode()
+
+
 def test_double_build_artifacts_are_pinned(tmp_path):
     # no perfbench digest covers the double: pin its algebra, its R-matrix
     # with the weak inverse, and the --json reports byte for byte
@@ -869,6 +900,15 @@ def _k_module_of_a_cocycle_file(tmp_path):
             "error: algebra file: meta cocycle 'omega' is neither 'trivial' nor")
 
 
+def _module_of_another_conductor(tmp_path):
+    # Q(zeta_2) = Q, but reading a module over another conductor needs an embedding
+    alg, zero = tmp_path / "h4.json", tmp_path / "zero.json"
+    jsonio.write_json(str(alg), jsonio.algebra_to_json(sweedler_h4()))
+    jsonio.write_json(str(zero), ZERO_MODULE)
+    return (["rep", "iso", "--algebra", str(alg), "--left", str(zero), "--right", "regular"],
+            "error: module file: conductor 2 differs from the algebra's conductor 1")
+
+
 def _nonpositive_level(tmp_path):
     return (["tube", "morita", "--group", "z2", "--cocycle", "p=1", "--m", "0"],
             "error: --m must be >= 1")
@@ -877,7 +917,7 @@ def _nonpositive_level(tmp_path):
 @pytest.mark.parametrize("bad_input", [
     _malformed_json, _cocycle_out_of_range, _duplicate_labels, _group_that_is_no_group,
     _ring_with_an_unknown_label, _candidate_without_jdim, _k_module_out_of_range,
-    _k_module_of_a_cocycle_file, _nonpositive_level])
+    _k_module_of_a_cocycle_file, _module_of_another_conductor, _nonpositive_level])
 def test_bad_input_exits_2_with_one_line(tmp_path, bad_input):
     argv, message = bad_input(tmp_path)
     proc = run_process(*argv)
@@ -911,3 +951,18 @@ def test_qt_heavy_commands_reproduce_the_benchmark_digests(tmp_path, capsys):
     sha = lambda data: hashlib.sha256(data).hexdigest()
     assert {"algebra": sha(alg.read_bytes()), "rmatrix": sha(rmat.read_bytes()),
             "report": sha(capsys.readouterr().out.encode())} == expected
+
+
+@pytest.mark.parametrize("key", ["z2 p=1", "z6 p=1", "z6 p=2", "z6 p=4", "z6 p=5"])
+def test_builds_reproduce_every_benchmark_algebra_and_rmatrix_digest(tmp_path, key):
+    # every case the qt-heavy workload can draw, built in-process and written
+    # by `write_algebra` and the R-matrix writer
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "digests.json")) as fh:
+        expected = json.load(fh)[key]
+    group, p = key.split()
+    alg, rmat = tmp_path / "algebra.json", tmp_path / "rmatrix.json"
+    assert run("build", "a-g-omega", "--group", group, "--cocycle", p,
+               "-o", str(alg), "--rmatrix-out", str(rmat)) == 0
+    sha = lambda data: hashlib.sha256(data).hexdigest()
+    assert (sha(alg.read_bytes()), sha(rmat.read_bytes())) == (expected["algebra"], expected["rmatrix"])

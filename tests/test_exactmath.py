@@ -9,6 +9,7 @@ from whalg.exactmath import (
     Cyclotomic,
     SparseMatrix,
     cyclotomic_polynomial,
+    memoized_product,
     root_of_unity,
 )
 
@@ -26,6 +27,18 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == [1, 0, 1]
     assert cyclotomic_polynomial(6) == [1, -1, 1]
     assert cyclotomic_polynomial(12) == [1, 0, -1, 0, 1]
+
+
+def test_memoized_product_multiplies_each_distinct_pair_once():
+    product = memoized_product()
+    z = root_of_unity(6)
+    p = product(z, z)
+    assert p == root_of_unity(6, 2)
+    assert product(root_of_unity(6), root_of_unity(6)) is p  # equal values, new objects
+    # zeta_3 at conductor 3 has the coordinates of zeta_6 at conductor 6
+    assert root_of_unity(3).v == z.v
+    with pytest.raises(ConductorMismatch):
+        product(root_of_unity(3), z)
 
 
 def test_zeta4_squared_is_minus_one():

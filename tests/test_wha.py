@@ -1490,6 +1490,37 @@ def test_an_algebra_loaded_from_json_numbers_its_scalars_as_the_built_one(tmp_pa
     assert verify_antipode(B).to_json() == verify_antipode(A).to_json()
 
 
+def _odd_labels_and_meta():
+    """B(Z2, p=1) with non-ASCII, float and nested tuple labels, a non-ASCII
+    name and a nested meta."""
+    B = build_b_g_omega(cyclic_group(2), standard_cocycle(2, 1))
+    labels = ["\u00fcber", 0.5, -1.25e-7, ("t", 1), ("\u03b2", (2, 3.0)), "plain", 7, None]
+    meta = {"builder": "b-g-omega", "nested": {"z": [1, {"\u00e9": 2.5}], "a": None}}
+    return WeakHopfAlgebra(labels, B.conductor, B.mu, B.unit, B.delta, B.counit, B.antipode,
+                           name="\u00c4(Z2)", meta=meta)
+
+
+def _dim_zero():
+    cube = (0, 0, 0)
+    return WeakHopfAlgebra([], 1, SparseTensor3(cube, 1), {}, SparseTensor3(cube, 1), {}, SparseMatrix(0, 0, 1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: a_z2(p=1)[0],
+    _odd_labels_and_meta,
+    lambda: _shifted_basis(build_frobenius_double(standard_frobenius("matrix", 2))),
+    lambda: _shifted_basis(build_b_g_omega(cyclic_group(3), standard_cocycle(3, 1))),
+    _dim_zero,
+], ids=["object-labels", "odd-labels-and-meta", "shifted-rational", "shifted-z3", "dim-0"])
+def test_write_algebra_writes_the_bytes_of_the_general_encoder(tmp_path, make):
+    # tuple labels encode as objects; the shifted M_2 double carries +-1/2,
+    # the shifted B(Z3) many distinct irrational scalars
+    A = make()
+    path = tmp_path / "a.json"
+    jsonio.write_algebra(str(path), A)
+    assert path.read_bytes() == jsonio.dumps(jsonio.algebra_to_json(A)).encode()
+
+
 def _axiom4_eq2_dense(A):
     """Reference for "axiom4-eq2": S(x_(1)) x_(2) = 1_(1) eps(x 1_(2)) on every basis x."""
     mul = element_product(A)

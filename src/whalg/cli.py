@@ -372,15 +372,11 @@ def _run_obstruction(args):
 
     if args.ring == "fib":
         ring = fib_fusion_ring()
-    elif args.ring and os.path.exists(args.ring):
-        ring = jsonio.fusion_ring_from_json(jsonio.read_json(args.ring))
-    elif args.ring:
-        raise UsageError(f"bad ring spec {args.ring!r}")
     else:
-        raise UsageError("obstruction needs --ring (fib or a file)")
-    if args.candidates and os.path.exists(args.candidates):
+        ring = jsonio.fusion_ring_from_json(jsonio.read_json(args.ring))
+    if args.candidates is not None:
         cands = jsonio.candidates_from_json(jsonio.read_json(args.candidates))
-    elif args.ring == "fib" and not args.candidates:
+    elif args.ring == "fib":
         cands = [{"name": "z", "object": ["nu"], "jdim": 1}]
     else:
         raise UsageError("obstruction needs --candidates FILE")

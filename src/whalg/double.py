@@ -39,6 +39,7 @@ from .wha import (
     _hom_range,
     _nested,
     _product,
+    _projection_matrix,
     _prune,
     _push,
     dual,
@@ -181,15 +182,14 @@ def build_drinfeld_double(P):
     dB, dA = B.dim, A.dim
     flat = lambda i, j: i * dA + j
 
-    from .wha import base_algebras
-
-    baA = base_algebras(A)
     d1B = B.delta_of_unit
 
     gens = {}  # (generator, flat index) -> coefficient, one row per generator
     ngens = 0
-    for xsrc, side in ((baA.basis_l, "l"), (baA.basis_r, "r")):
-        for x in xsrc:
+    # A^l and A^r: the pivot columns of the matrices of eps^lr and eps^rr
+    for cols, side in ((A.eps_t_ids, "l"), (A.eps_s_prime_ids, "r")):
+        E = _projection_matrix(A, cols)
+        for x in (E.column(j) for j in E.pivot_columns()):
             pair_row = _push(P.cols, x)  # b -> <b, x>
             xa = [A.mul(x, A.basis_elem(a)) for a in range(dA)]
             # the B leg, the same for every a: sum over Delta(1) of

@@ -146,11 +146,12 @@ def standard_cocycle(n, p):
     if not 0 <= p < n:
         raise ValueError("need 0 <= p < n")
     group = cyclic_group(n)
+    roots = [root_of_unity(n, k) for k in range(n)]  # each value one object
     vals = {}
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                vals[(a, b, c)] = root_of_unity(n, p * a * ((b + c) // n))
+                vals[(a, b, c)] = roots[p * a * ((b + c) // n) % n]
     return ThreeCocycle(group, vals, n, name=f"standard(p={p})")
 
 

@@ -35,7 +35,8 @@ Three law kernels serve every caller of their law shape:
 An algebra's tensors are not edited after it is built (a mutant is a fresh
 algebra: `clone_with` in the tests, `assemble` in the benchmark), so every
 index is built once and cached on it, one per structure map and in scalar
-ids only.  Each algebra holds one scalar table, `ids` (a `_ScalarIds`): it
+ids only.  Each algebra holds one scalar table, `ids` (a `_ScalarIds`; the
+dual A* takes A's, see `dual`): it
 numbers the structure tensors' scalars when the algebra is built
 (`_scalar_table`, id 0 for zero), and its id -> scalar list `ids.vals`
 decodes an index wherever values are needed (`mul`, `coproduct`,
@@ -60,6 +61,9 @@ and R12 only.  The weak-inverse laws are products in A (x) A on `mul2`.
 
 The weak Hopf axioms are self-dual, so the coalgebra laws are not swept
 separately: the suites run the algebra sweeps above on the dual A* (`dual`).
+A* is a reading of A that forms only mu* and S*; each suite calls `dual(A)`
+and drops A* when it returns (see `dual` for what A* shares, and why it is
+not cached on A).
 
 Every law sweep runs in this process through `_sweep`: over the whole
 basis or, for mu-associativity, Axiom 1 and the two laws below, over a
@@ -86,8 +90,9 @@ Two more laws are swept on the generators, each given a precondition:
 - S(xy) = S(y)S(x) on A, once mu is associative.  If a and b pass, then
   S((ab)y) = S(a(by)) = S(by)S(a) = S(y)S(b)S(a) = S(y)S(ab), so the
   passing x are a subspace closed under products.  The law on A* is swept
-  on the whole basis: A* is rebuilt by each suite, and its associativity
-  would cost as much as the generator sweep saves.
+  on the whole basis: A* is not cached (see above), so its associativity
+  would be swept again by the antipode suite and cost as much as the
+  generator sweep saves.
 - R Delta(x) = Delta^cop(x) R, once mu is associative and Axiom 1 holds.
   For any R, if x and x' pass, then R Delta(xx') = R Delta(x) Delta(x') =
   Delta^cop(x) R Delta(x') = Delta^cop(x) Delta^cop(x') R = Delta^cop(xx') R.
@@ -1386,18 +1391,41 @@ def dual(A):
     mu* is Delta transposed, 1* = eps, Delta* is mu transposed, eps* is
     evaluation at 1 and S* is S transposed (Boehm-Nill-Szlachanyi 1999), so
     each coalgebra law of A is an algebra law of A*.
+
+    A* is a reading of A (`_Dual`): it shares A's labels, label index, unit
+    and counit, and A's scalar table `ids`, since A* has exactly A's
+    scalars; so its sweeps reuse the products that A's kernel calls
+    memoized.  Its Delta index (by first leg) is A's mu index by result,
+    and its mu index by result is A's Delta index.  Delta* is formed only
+    when read: by the dual of A*, `compare_structure` and Axiom 1 on A*.
+    A* is not cached on A: a cached A* lives as long as A, and it raised
+    the benchmark's peak RSS, so each suite builds its own A* and drops it.
     """
-    d, n = A.dim, A.conductor
-    return WeakHopfAlgebra(
-        labels=A.labels,
-        conductor=n,
-        mu=SparseTensor3((d, d, d), n, {(j, k, i): c for (i, j, k), c in A.delta.data.items()}),
-        unit=dict(A.counit),
-        delta=SparseTensor3((d, d, d), n, {(k, i, j): c for (i, j, k), c in A.mu.data.items()}),
-        counit=dict(A.unit),
-        antipode=A.antipode.transpose(),
-        name=f"{A.name}*",
-    )
+    return _Dual(A)
+
+
+class _Dual(WeakHopfAlgebra):
+    """A* read off A (see `dual`): mu* and S* are its only new tensors."""
+
+    def __init__(self, A):
+        d = A.dim
+        self._a = A
+        self.labels, self.label_index, self.dim = A.labels, A.label_index, d
+        self.conductor, self.name, self.meta = A.conductor, f"{A.name}*", {}
+        self.ids = A.ids
+        self.mu = SparseTensor3((d, d, d), A.conductor,
+                                {(j, k, i): c for (i, j, k), c in A.delta.data.items()})
+        self.unit, self.counit = A.counit, A.unit
+        self.antipode = A.antipode.transpose()
+
+    @functools.cached_property
+    def delta(self):
+        d = self.dim
+        return SparseTensor3((d, d, d), self.conductor,
+                             {(k, i, j): c for (i, j, k), c in self._a.mu.data.items()})
+
+    delta_ids = functools.cached_property(lambda D: D._a.mu_ids_by_result)
+    mu_ids_by_result = functools.cached_property(lambda D: D._a.delta_ids)
 
 
 def opposite(A):

@@ -191,6 +191,16 @@ def test_write_algebra_writes_the_reference_bytes_on_the_catalog(catalog, tmp_pa
             assert path.read_bytes() == jsonio.dumps(jsonio.algebra_to_json(X)).encode(), X.name
 
 
+def test_the_dual_of_the_dual_is_the_algebra_on_the_catalog(catalog):
+    # A* shares A's scalar table, and the dual of A* forms Delta* when it
+    # reads it: every structure tensor comes back, on the 27 catalog algebras
+    for G, _omega, B, A, _R in catalog:
+        for X in (B, A) if G.order <= 4 else (B,):
+            D = dual(X)
+            assert D.ids is X.ids, X.name
+            assert compare_structure(dual(D), X, list(range(X.dim))).ok, X.name
+
+
 def test_trace_form_certifies_every_catalog_algebra_semisimple(catalog):
     for _G, _omega, B, A, _R in catalog:
         assert B.semisimple is True, B.name

@@ -49,6 +49,18 @@ def test_tracer_times_the_double_and_its_antipode(tmp_path):
     assert not hasattr(double.solve_antipode, "__wrapped__")
 
 
+def test_a_traced_double_build_runs_no_base_algebra_suite(tmp_path):
+    # the double reads A^l and A^r off the pivot columns of the matrices of
+    # eps^lr and eps^rr, not off a `base_algebras` report
+    w = groups.standard_cocycle(2, 1)
+    P = double.build_pairing(skeleton.pointed_skeleton(w.group, w))
+    with tracer.Tracer(str(tmp_path)) as tr:
+        assert tr.missing == []
+        assert double.build_drinfeld_double(P).algebra.dim == 16
+    names = {span[0] for span in tr.spans}
+    assert "double.build_s" in names and "wha.base_algebras_s" not in names
+
+
 def test_tracer_times_every_law_sweep_of_the_weak_bialgebra_suite(tmp_path):
     # 18 of the 27 indices of B(Z3, p=1) generate it: the generator sweeps
     # (associativity on A and on A*, Axiom 1) go through `wha._sweep` too,

@@ -909,6 +909,17 @@ def _module_of_another_conductor(tmp_path):
             "error: module file: conductor 2 differs from the algebra's conductor 1")
 
 
+def _missing_candidates_file(tmp_path):
+    path = tmp_path / "missing.json"
+    return (["obstruction", "--ring", "fib", "--candidates", str(path)],
+            f"error: {path}: cannot read: ")
+
+
+def _missing_ring_file(tmp_path):
+    path = tmp_path / "missing.json"
+    return ["obstruction", "--ring", str(path)], f"error: {path}: cannot read: "
+
+
 def _nonpositive_level(tmp_path):
     return (["tube", "morita", "--group", "z2", "--cocycle", "p=1", "--m", "0"],
             "error: --m must be >= 1")
@@ -917,7 +928,8 @@ def _nonpositive_level(tmp_path):
 @pytest.mark.parametrize("bad_input", [
     _malformed_json, _cocycle_out_of_range, _duplicate_labels, _group_that_is_no_group,
     _ring_with_an_unknown_label, _candidate_without_jdim, _k_module_out_of_range,
-    _k_module_of_a_cocycle_file, _module_of_another_conductor, _nonpositive_level])
+    _k_module_of_a_cocycle_file, _module_of_another_conductor, _missing_candidates_file,
+    _missing_ring_file, _nonpositive_level])
 def test_bad_input_exits_2_with_one_line(tmp_path, bad_input):
     argv, message = bad_input(tmp_path)
     proc = run_process(*argv)

@@ -12,6 +12,7 @@ from whalg.skeleton import pointed_skeleton, pointed_to_group_cocycle, regular_m
 from whalg.wha import (
     WeakHopfAlgebra,
     compare_structure,
+    dual,
     verify_antipode,
     verify_quasitriangular,
     verify_weak_bialgebra,
@@ -95,6 +96,12 @@ def test_double_antipode_matches_linear_solve(n, p):
     solved = double_antipode_solved(D)
     assert solved is not None
     assert D.antipode.data == solved.data
+
+
+def test_the_dual_of_the_dual_is_the_z4_double():
+    C, _g, _w = pointed(4, 1)
+    D = build_drinfeld_double(build_pairing(C)).algebra
+    assert compare_structure(dual(dual(D)), D, list(range(D.dim))).ok
 
 
 def test_double_counit_of_unit():

@@ -60,6 +60,16 @@ def test_standard_cocycle_z3_exhaustive():
     assert rep.ok
 
 
+def test_standard_cocycle_holds_one_object_per_root_of_unity():
+    # equal values are one object, so by-value lookups on them hit by identity
+    for n in (2, 3, 6):
+        for p in range(n):
+            values = standard_cocycle(n, p).values
+            assert len({id(v) for v in values.values()}) <= n
+            assert values == {(a, b, c): root_of_unity(n, p * a * ((b + c) // n))
+                              for a, b, c in itertools.product(range(n), repeat=3)}
+
+
 def test_tampered_cocycle_caught():
     g = cyclic_group(3)
     omega = trivial_cocycle(g, conductor=3)

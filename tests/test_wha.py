@@ -188,6 +188,25 @@ def test_dual_is_a_weak_hopf_algebra_and_its_dual_is_the_algebra(make):
     assert D.apply_antipode(D.basis_elem(0)) == {i: c for (k, i), c in A.antipode.data.items() if k == 0}
 
 
+def test_dual_reads_its_algebra_and_copies_nothing_it_holds(monkeypatch):
+    # A* shares A's scalar table and takes A's own index lists where the
+    # indexes coincide; it starts no scalar table and forms Delta* (mu
+    # transposed) only when read.  The shifted basis gives products and
+    # coproducts of many terms
+    A = _a_z2_shifted()
+    tables = []
+    init = _ScalarIds.__init__
+    monkeypatch.setattr(_ScalarIds, "__init__", lambda ids, *args: tables.append(ids) or init(ids, *args))
+    D = dual(A)
+    assert D.ids is A.ids and D.labels is A.labels and D.label_index is A.label_index
+    assert D.delta_ids is A.mu_ids_by_result and D.mu_ids_by_result is A.delta_ids
+    assert "delta" not in D.__dict__
+    assert compare_structure(dual(D), A, list(range(A.dim))).ok
+    assert "delta" in D.__dict__ and dual(D).ids is A.ids
+    assert tables == []
+    assert not any(isinstance(v, WeakHopfAlgebra) for v in A.__dict__.values())
+
+
 # -- the coalgebra checks, swept on A*, against the direct loops they replaced
 
 COALGEBRA_REFERENCES = {
@@ -1433,7 +1452,7 @@ def test_suites_leave_only_the_shared_indexes_on_the_algebra():
 
 def test_kernel_calls_on_an_algebra_share_its_scalar_table(monkeypatch):
     # a second antipode suite meets only ids and products the first one
-    # memoized on the algebra's table, and starts no table but A*'s
+    # memoized on the algebra's table, and starts no table: A* takes A's
     A = build_b_g_omega(cyclic_group(3), standard_cocycle(3, 1))
     misses, tables = [], []
     mul = A.ids.mul
@@ -1445,7 +1464,7 @@ def test_kernel_calls_on_an_algebra_share_its_scalar_table(monkeypatch):
     init = _ScalarIds.__init__
     monkeypatch.setattr(_ScalarIds, "__init__", lambda ids, *args: tables.append(ids) or init(ids, *args))
     assert verify_antipode(A).ok
-    assert (len(A.ids.vals), len(A.ids.ids), misses, len(tables)) == (size, size, [], 1)
+    assert (len(A.ids.vals), len(A.ids.ids), misses, len(tables)) == (size, size, [], 0)
 
 
 def test_an_algebra_file_is_the_same_bytes_after_the_suites_grow_its_table():
@@ -1860,8 +1879,12 @@ def test_suites_builds_and_json_round_trips_leave_no_reference_cycles(tmp_path):
         assert verify_quasitriangular(A, R).ok
         R2 = jsonio.rmatrix_from_json(round_trip(jsonio.rmatrix_to_json(A, R)))
         assert R2.terms == R.terms
+        # A* is a reading of A; the dual of A* forms Delta*
+        D = dual(A)
+        assert compare_structure(dual(D), A, list(range(A.dim))).ok
+        assert build_pairing(pointed_skeleton(cyclic_group(2), standard_cocycle(2, 1))).report.ok
         # a cycle among live objects is reachable: drop them all first
-        del A, B, R, X, back, R2
+        del A, B, R, X, back, R2, D
         assert gc.collect() == 0
     finally:
         gc.enable()

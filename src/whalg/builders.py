@@ -116,42 +116,43 @@ def _build_a_m_c(C, M, label, name, meta):
     labels, objects = C.labels, M.objects
     triples = list(itertools.product(labels, objects, objects))
     index = {t: i for i, t in enumerate(triples)}
-    d = len(triples)
-    mu, delta = _new_tensors(d, n)
     act = M.act
     massoc = M.massoc
     fuse = {(b, a): C.fuse(b, a) for b in labels for a in labels}
     # each L(b,a,y) is the denominator of |M| coefficients, one per x
     den = {(b, a, y): massoc(b, a, y).inverse() for b in labels for a in labels for y in objects}
     product = memoized_product()
+    # the tables are written in the shape the algebra keeps them in, with
+    # shared scalar objects that the algebra codes in place (`from_rows`);
+    # the data is grouplike, so each product e_i e_j has one term
+    scalars = {}  # id -> the distinct scalar objects written
 
+    mu = {}
     for a, y, x in triples:
         right = index[(a, y, x)]
         ay, ax = act(a, y), act(a, x)
         for b in labels:
             coeff = product(massoc(b, a, x), den[b, a, y])
-            mu.add_to(index[(b, ay, ax)], right, index[(fuse[b, a], y, x)], coeff)
+            scalars[id(coeff)] = coeff
+            mu.setdefault(index[(b, ay, ax)], {})[right] = [(index[(fuse[b, a], y, x)], coeff)]
 
     one = Cyclotomic.one(n)
+    scalars[id(one)] = one
     unit = {index[(C.unit, y, x)]: one for y in objects for x in objects}
-
-    for a, y, x in triples:
-        i = index[(a, y, x)]
-        for z in objects:
-            delta.add_to(i, index[(a, y, z)], index[(a, z, x)], one)
-
+    delta = {index[(a, y, x)]: [(index[(a, y, z)], index[(a, z, x)], one) for z in objects]
+             for a, y, x in triples}
     counit = {index[(a, y, y)]: one for a in labels for y in objects}
 
-    antipode = SparseMatrix(d, d, n)
+    antipode = {}
     for a, y, x in triples:
-        i = index[(a, y, x)]
         ar = dual.right_dual(a)
         ay, ax = act(a, y), act(a, x)
         coeff = dual.coev[ar] * massoc(ar, a, x) * den[a, ar, ay] * dual.ev[ar]
-        antipode.add_to(index[(ar, ax, ay)], i, coeff)
+        scalars[id(coeff)] = coeff
+        antipode[index[(a, y, x)]] = {index[(ar, ax, ay)]: coeff}
 
-    return WeakHopfAlgebra(
-        [label(*t) for t in triples], n, mu, unit, delta, counit, antipode,
+    return WeakHopfAlgebra.from_rows(
+        [label(*t) for t in triples], n, list(scalars.values()), mu, unit, delta, counit, antipode,
         name=name, meta=meta,
     )
 

@@ -37,9 +37,9 @@ from .wha import (
     _coded,
     _first_diff,
     _hom_range,
+    _matrix,
     _nested,
     _product,
-    _projection_matrix,
     _prune,
     _push,
     dual,
@@ -188,7 +188,7 @@ def build_drinfeld_double(P):
     ngens = 0
     # A^l and A^r: the pivot columns of the matrices of eps^lr and eps^rr
     for cols, side in ((A.eps_t_ids, "l"), (A.eps_s_prime_ids, "r")):
-        E = _projection_matrix(A, cols)
+        E = _matrix(A, cols)
         for x in (E.column(j) for j in E.pivot_columns()):
             pair_row = _push(P.cols, x)  # b -> <b, x>
             xa = [A.mul(x, A.basis_elem(a)) for a in range(dA)]
@@ -233,7 +233,7 @@ def build_drinfeld_double(P):
 
     d = len(reps)
     labels = [("d", B.labels[f // dA], A.labels[f % dA]) for f in reps]
-    sinvA = A.antipode.inverse()
+    sinvA = _matrix(A, A.antipode_ids).inverse()
 
     mu = SparseTensor3((d, d, d), n)
     delta = SparseTensor3((d, d, d), n)

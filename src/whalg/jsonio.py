@@ -7,13 +7,14 @@ identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import marshal
 
-from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3
+from .exactmath import Cyclotomic, SparseTensor3
 from .groups import FiniteGroup, ThreeCocycle, ValidationError
 from .skeleton import FusionRing, SkeletalCategory, SkeletalModule, SkeletonError
-from .wha import RMatrixCandidate, WeakHopfAlgebra
+from .wha import RMatrixCandidate, WeakHopfAlgebra, _by_leg, _nested
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -324,17 +325,22 @@ def _conductor(n, what):
 def _scalar(enc, n, where):
     """The scalar of conductor n that the encoding `enc` holds.
 
-    Its conductor must be the integer n and its coefficients integer
-    [num, den] pairs with nonzero denominators.  Anything else raises
-    InputError naming `where()`, the entry the encoding came from; `where`
-    is called only then.  A shared `_Encoding` is decoded once: its scalar
-    is cached when the decode succeeds, so a bad one fails at each entry.
+    Its conductor must be the integer n, its keys no others than
+    "conductor" and "coeffs", and its coefficients integer [num, den] pairs
+    with nonzero denominators.  Anything else raises InputError naming
+    `where()`, the entry the encoding came from; `where` is called only
+    then.  A shared `_Encoding` is decoded once: its scalar is cached when
+    the decode succeeds, so a bad one fails at each entry.
     """
     cond = enc.get("conductor") if isinstance(enc, dict) else None
     if type(cond) is not int or cond != n:
         raise InputError(f"{where()}: scalar conductor {cond} differs from the file's conductor {n}")
     v = getattr(enc, "value", None)
     if v is None:
+        extra = enc.keys() - {"conductor", "coeffs"}
+        if extra:
+            raise InputError(f"{where()}: bad scalar encoding: unexpected key "
+                             f"{', '.join(map(repr, sorted(extra)))}")
         try:
             v = Cyclotomic.from_json(enc)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -362,36 +368,43 @@ def _header(obj, what):
     return d, n
 
 
-def _table(obj, table, n, bounds):
-    """{indices: scalar} of the [*indices, encoding] entries of obj[table].
+def _entries_of(obj, table, n, bounds, decoded):
+    """(indices, scalar) of the nonzero [*indices, encoding] entries of obj[table].
 
     Each entry carries one integer index per bound, inside it, and a scalar
     of the file's conductor n (see `_scalar`); no indices repeat.  Anything
-    else raises InputError naming the table and the entry.  Zero scalars are
-    dropped.
+    else raises InputError naming the table and the entry.  `decoded` maps
+    id(encoding) -> scalar for the encodings met so far in one load call,
+    so each distinct encoding object is decoded once per call and its
+    entries share one scalar object; nothing is kept on the shared
+    `_Encoding`, which another load of the same parsed file may meet.
     """
     entries = obj.get(table)
     if not isinstance(entries, list):
         raise InputError(f"{table}: expected a list of entries")
     arity = len(bounds)
-    out = {}
-    zeros = set()
+    seen = set()
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != arity + 1:
             raise InputError(f"{table}: entry {entry!r:.80} is not [{arity} indices, scalar]")
-        *idx, enc = entry
-        key = tuple(idx)
+        key = tuple(entry[:arity])
         for i, bound in zip(key, bounds):
             if type(i) is not int or not 0 <= i < bound:
                 raise InputError(f"{_where(table, key)}: index {i!r} is outside 0..{bound - 1}")
-        if key in out or key in zeros:
+        if key in seen:
             raise InputError(f"{_where(table, key)}: duplicate entry")
-        v = _scalar(enc, n, lambda: _where(table, key))
-        if v:
-            out[key] = v
-        else:
-            zeros.add(key)
-    return out
+        seen.add(key)
+        enc = entry[arity]
+        v = decoded.get(id(enc))
+        if v is None:  # zero is kept as False
+            v = decoded[id(enc)] = _scalar(enc, n, lambda: _where(table, key)) or False
+        if v is not False:
+            yield key, v
+
+
+def _table(obj, table, n, bounds):
+    """{indices: scalar} of the nonzero entries of obj[table] (see `_entries_of`)."""
+    return dict(_entries_of(obj, table, n, bounds, {}))
 
 
 def _where(table, key):
@@ -414,15 +427,19 @@ def algebra_to_json(A):
     }
 
 
+_CHUNK = 4096  # entries per write of `write_algebra`
+
+
 def write_algebra(path, A):
     """Write `algebra_to_json(A)` to `path` in the bytes `write_json` writes.
 
     The structure tables repeat a few distinct scalars over many entries (six
-    over 54k on A(Z6, p)), so each scalar is encoded once and each entry is
-    formatted around its text, in sorted key order.  The file is written one
-    table at a time; `dumps(algebra_to_json(A))` stays the reference.
+    over 54k on A(Z6, p)), so each scalar is encoded once, its text looked up
+    by id, and each entry is formatted around it, read in sorted key order
+    from A's id-coded rows.  The file is written a bounded number of entries
+    at a time; `dumps(algebra_to_json(A))` stays the reference.
     """
-    text = {c: _encode(c.to_json()) for c in A.ids.vals}
+    text = [_encode(c.to_json()) for c in A.ids.vals]
     fields = {
         "name": A.name,
         "dim": A.dim,
@@ -431,12 +448,15 @@ def write_algebra(path, A):
         "meta": A.meta,
     }
     fields = {key: _encode(value) for key, value in fields.items()}
+    mu, dt = A.mu_ids, A.delta_ids
     tables = {
-        "mu": ("[%d,%d,%d,%s]", A.mu.data),
-        "unit": ("[%d,%s]", {(i,): v for i, v in A.unit.items()}),
-        "delta": ("[%d,%d,%d,%s]", A.delta.data),
-        "counit": ("[%d,%s]", {(i,): v for i, v in A.counit.items()}),
-        "antipode": ("[%d,%d,%s]", A.antipode.data),
+        "mu": ("[%d,%d,%d,%s]" % (i, j, k, text[c]) for i in sorted(mu) for j in sorted(mu[i])
+               for k, c in sorted(mu[i][j])),
+        "unit": ("[%d,%s]" % (i, _encode(v.to_json())) for i, v in sorted(A.unit.items())),
+        "delta": ("[%d,%d,%d,%s]" % (i, j, k, text[c]) for i in sorted(dt) for j, k, c in sorted(dt[i])),
+        "counit": ("[%d,%s]" % (i, _encode(v.to_json())) for i, v in sorted(A.counit.items())),
+        "antipode": ("[%d,%d,%s]" % (k, i, text[c]) for k, i, c in
+                     sorted((k, i, c) for i, col in A.antipode_ids.items() for k, c in col.items())),
     }
     with open(path, "w") as fh:
         sep = "{"
@@ -445,9 +465,15 @@ def write_algebra(path, A):
             sep = ","
             if key in fields:
                 fh.write(fields[key])
-            else:
-                fmt, table = tables[key]
-                fh.write("[" + ",".join([fmt % (*k, text[v]) for k, v in sorted(table.items())]) + "]")
+                continue
+            entries = tables[key]
+            fh.write("[")
+            between = ""
+            while chunk := list(itertools.islice(entries, _CHUNK)):
+                fh.write(between)
+                fh.write(",".join(chunk))
+                between = ","
+            fh.write("]")
         fh.write("}\n")
 
 
@@ -462,16 +488,21 @@ def algebra_from_json(obj):
     for pos, lab in enumerate(labels):
         if first.setdefault(lab, pos) != pos:
             raise InputError(f"labels[{pos}]: {lab!r:.80} repeats labels[{first[lab]}]")
+    # the rows are written in the shape the algebra keeps them in, from the
+    # one validating pass over each table, and coded in place (`from_rows`)
+    decoded = {}
     cube = (d, d, d)
-    return WeakHopfAlgebra(
-        labels, n,
-        mu=SparseTensor3(cube, n, _table(obj, "mu", n, cube)),
-        unit={i: v for (i,), v in _table(obj, "unit", n, (d,)).items()},
-        delta=SparseTensor3(cube, n, _table(obj, "delta", n, cube)),
-        counit={i: v for (i,), v in _table(obj, "counit", n, (d,)).items()},
-        antipode=SparseMatrix(d, d, n, _table(obj, "antipode", n, (d, d))),
-        name=obj.get("name", "A"),
-        meta=obj.get("meta", {}),
+    mu = _nested(_entries_of(obj, "mu", n, cube, decoded))
+    unit = {i: v for (i,), v in _entries_of(obj, "unit", n, (d,), decoded)}
+    delta = _by_leg(_entries_of(obj, "delta", n, cube, decoded), 0)
+    counit = {i: v for (i,), v in _entries_of(obj, "counit", n, (d,), decoded)}
+    antipode = {i: {} for i in range(d)}
+    for (k, i), v in _entries_of(obj, "antipode", n, (d, d), decoded):
+        antipode[i][k] = v
+    scalars = {id(v): v for v in decoded.values() if v is not False}
+    return WeakHopfAlgebra.from_rows(
+        labels, n, list(scalars.values()), mu, unit, delta, counit, antipode,
+        name=obj.get("name", "A"), meta=obj.get("meta", {}),
     )
 
 

@@ -23,7 +23,7 @@ import itertools
 
 from .exactmath import SparseMatrix, SparseTensor3
 from .report import Report
-from .wha import _acc, _by_leg, _coded, _mixed_assoc_range, _nested, _projection_matrix
+from .wha import _acc, _by_leg, _coded, _matrix, _mixed_assoc_range, _nested
 
 
 class WHAModule:
@@ -77,10 +77,10 @@ def validate_module(A, V):
 
 
 def regular_module(A):
-    act = SparseTensor3((A.dim, A.dim, A.dim), A.conductor)
-    for (i, j, k), c in A.mu.data.items():
-        act.add_to(i, k, j, c)
-    return WHAModule(A, A.dim, act, name=f"{A.name}-regular")
+    vals = A.ids.vals
+    act = {(i, k, j): vals[c] for i, row in A.mu_ids.items() for j, terms in row.items() for k, c in terms}
+    return WHAModule(A, A.dim, SparseTensor3((A.dim, A.dim, A.dim), A.conductor, act),
+                     name=f"{A.name}-regular")
 
 
 def k_module(A, G, omega, g):
@@ -171,7 +171,7 @@ def tensor_unit(A):
     A^l = im E has i's columns as basis, and eps^lr(w) = i (r w), so the
     coordinates of eps^lr(x u) in that basis are r (x u).
     """
-    i_mat, r_mat = retract_of_idempotent(_projection_matrix(A, A.eps_t_ids))
+    i_mat, r_mat = retract_of_idempotent(_matrix(A, A.eps_t_ids))
     d = i_mat.cols
     basis = [i_mat.column(b) for b in range(d)]
     act = SparseTensor3((A.dim, d, d), A.conductor)

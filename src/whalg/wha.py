@@ -36,20 +36,34 @@ An algebra's tensors are not edited after it is built (a mutant is a fresh
 algebra: `clone_with` in the tests, `assemble` in the benchmark), so every
 index is built once and cached on it, one per structure map and in scalar
 ids only.  Each algebra holds one scalar table, `ids` (a `_ScalarIds`; the
-dual A* takes A's, see `dual`): it
-numbers the structure tensors' scalars when the algebra is built
-(`_scalar_table`, id 0 for zero), and its id -> scalar list `ids.vals`
-decodes an index wherever values are needed (`mul`, `coproduct`,
-`apply_antipode`, `eps_lr`, ...).  The indexes are mu's (`mu_ids` and its
-companions), Delta's (`delta_ids`, `delta_left_ids`), S's columns
-(`antipode_ids`), the rows of eps(x w) (`eps_right_ids`) and the counital
-maps eps_t, eps_s and eps'_s by columns, each built in one pass over
-Delta(1) (`eps_t_ids`, `eps_s_ids`, `eps_s_prime_ids`).  Every kernel call
-on the algebra reads them and shares the table's memo of products and sums,
-so the sweeps hash ints, not cyclotomic values, and a product met by one
-call is not recomputed by the next.  A table that belongs to no algebra is
-coded in a fresh `_ScalarIds` (`_coded`).  The sweeps on ids are the three
-kernels above and Axioms 1 and 2.
+dual A* takes A's, see `dual`), and mu, Delta and S are stored in its ids
+only: `mu_ids` (i -> {j: [(k, id)]}), `delta_ids` (i -> [(j, k, id)]) and
+`antipode_ids` (S by columns, i -> {k: id}), with the unit and counit as
+small {i: scalar} dicts.  The value tensors `mu`, `delta` and `antipode`
+are formed from the ids only when something reads them (the JSON dict
+`algebra_to_json`, `compare_structure`, the tests).  There are three ways
+in, and one store (`PlainAlgebra._store`): the JSON loader writes the
+rows in its one validating pass and the A(C, M) builder writes them as it
+forms the products, each in the shape they are kept in, holding shared
+scalar objects; `WeakHopfAlgebra.from_rows` numbers the objects
+canonically (`_numbered`: 0 for zero, then the distinct nonzero values
+sorted by their canonical form) and codes the rows in place by object
+identity, so no value is hashed per entry and the loaded and the built
+algebra get the same table and rows.  The public constructor takes value
+tables and indexes them into the same store, through `_numbered`, when
+the store is first read (`_index_values`).  The id -> scalar list
+`ids.vals` decodes an index wherever values are needed (`mul`,
+`coproduct`, `apply_antipode`, `eps_lr`, ...).  The other indexes are
+derived from the stored ones: mu's companions (`mu_ids_by_right`,
+`mu_ids_by_result`), `delta_left_ids`, the rows of eps(x w)
+(`eps_right_ids`, read off the products onto the counit's support) and the
+counital maps eps_t, eps_s and eps'_s by columns, each built in one pass
+over Delta(1) (`eps_t_ids`, `eps_s_ids`, `eps_s_prime_ids`).  Every kernel
+call on the algebra reads them and shares the table's memo of products and
+sums, so the sweeps hash ints, not cyclotomic values, and a product met by
+one call is not recomputed by the next.  A table that belongs to no algebra
+is coded in a fresh `_ScalarIds` (`_coded`).  The sweeps on ids are the
+three kernels above and Axioms 1 and 2.
 The quasi-triangular suite runs on scalar values: its intertwining law is
 two `mul2` products for each x it sweeps (see below), and the rest is a few
 products of whole tensors rather than a sweep over the basis.  R's two-leg
@@ -112,7 +126,9 @@ and eps(x y z) has V(w, z) = the coefficient of e_w in y z.  If the rows of
 a matrix Q span E's row space, then E d = 0 exactly when Q d = 0, since
 each row of either is a combination of the rows of the other.  So the two
 sides agree for all (x, z) exactly when Q V agrees, keyed (i, z) for the
-rows i of Q.  Q is the reduced echelon form of E (`SparseMatrix.rref`).
+rows i of Q.  Q is the reduced echelon form of E (`SparseMatrix.rref`), taken
+of E's distinct nonzero rows only: equal id rows hold equal values, and a
+row space has one reduced echelon form, however many times a row repeats.
 Once the law holds at y = 1, eps(x w) = eps(x eps_t(w)), so E factors
 through eps_t and rank E is at most dim A^l: |G| for the paper's
 algebras, 6 rows instead of 1296 x for A(Z6, p=1).  Each y's reduced test is equivalent to its full one, so the
@@ -145,30 +161,65 @@ from .report import Report
 _NO_ROW = {}  # the row of an index absent from a nested id table; never written
 
 
-def _id_rows(tensor, leg):
-    """A cached property: the sparse tensor `tensor` in scalar ids, by one leg (`_by_leg`)."""
-    return functools.cached_property(
-        lambda A: _by_leg(_coded(getattr(A, tensor).data, A.ids.scalar_id), leg))
+def _stored(attr):
+    """A store attribute: set by `_store`, or, on an algebra made from value
+    tables, formed with the whole store when first read (`_index_values`)."""
+    return functools.cached_property(lambda A: A._index_values()[attr])
 
 
 class PlainAlgebra:
-    """Associative unital algebra by sparse structure constants, not edited once built."""
+    """Associative unital algebra by sparse structure constants, not edited once built.
+
+    mu is stored once, in scalar ids (`mu_ids`), with the scalar table `ids`
+    and the unit as a small {i: scalar} dict; the value tensor `mu` is formed
+    from `mu_ids` only when something reads it.  The builder and the JSON
+    loader write the store's rows themselves (`WeakHopfAlgebra.from_rows`);
+    the constructor takes value tables and indexes them in ids when the
+    store is first read (`_index_values`): constructing keeps the tables,
+    and the indexes are built by the first reader, usually a verifier.
+    Every way in numbers its scalars through `_numbered` and ends in
+    `_store`.
+    """
 
     def __init__(self, labels, conductor, mu, unit, name="T"):
+        self._labeled(labels, conductor, name)
+        self._values = (mu.data, unit)
+
+    def _labeled(self, labels, conductor, name):
         self.labels = list(labels)
         self.dim = len(self.labels)
         self.conductor = conductor
-        self.mu = mu            # SparseTensor3: (i, j, k) -> coeff of e_k in e_i e_j
-        self.unit = unit        # sparse vector {i: coeff}
         self.name = name
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self.label_index) != self.dim:
             raise ValueError("labels must be distinct")
-        self.ids = _ScalarIds(_scalar_table(conductor, self._scalar_tables()))
 
-    def _scalar_tables(self):
-        """The sparse {key: scalar} tables that `ids` numbers when the algebra is built."""
-        return (self.mu.data, self.unit)
+    def _index_values(self):
+        """Index the constructor's value tables into the store; returns the instance dict."""
+        mu, unit = self.__dict__.pop("_values")
+        ids, of = _numbered(self.conductor, _distinct(mu, unit))
+        self._store(ids, _nested(_coded_by(mu, of)), _code_vector(unit, of, ids.vals))
+        return self.__dict__
+
+    def _store(self, ids, mu_ids, unit):
+        """The store of every algebra: its scalar table `ids` (`_numbered`),
+        mu in those ids, i -> {j: [(k, id)]}, and the unit, {i: scalar}."""
+        self.ids = ids
+        self.mu_ids = mu_ids
+        self.unit = unit  # sparse vector {i: coeff}
+
+    ids = _stored("ids")
+    mu_ids = _stored("mu_ids")
+    unit = _stored("unit")
+
+    @functools.cached_property
+    def mu(self):
+        """mu as a value tensor, (i, j, k) -> coeff of e_k in e_i e_j; formed from `mu_ids` when read."""
+        vals = self.ids.vals
+        d = self.dim
+        return SparseTensor3((d, d, d), self.conductor,
+                             {(i, j, k): vals[c] for i, row in self.mu_ids.items()
+                              for j, terms in row.items() for k, c in terms})
 
     @functools.cached_property
     def mu_generators(self):
@@ -194,34 +245,44 @@ class PlainAlgebra:
         """
         if _unit_law(self) is not None or self.associativity_detail is not None:
             return False
+        vals = self.ids.vals
         trace = {}
-        for (k, j, m), c in self.mu.data.items():
-            if j == m:
-                _acc(trace, k, c)
+        for k, row in self.mu_ids.items():
+            for j, terms in row.items():
+                for m, c in terms:
+                    if j == m:
+                        _acc(trace, k, vals[c])
         form = {}
-        for (i, j, k), c in self.mu.data.items():
-            t = trace.get(k)
-            if t is not None:
-                _acc(form, (i, j), c * t)
+        for i, row in self.mu_ids.items():
+            for j, terms in row.items():
+                for k, c in terms:
+                    t = trace.get(k)
+                    if t is not None:
+                        _acc(form, (i, j), vals[c] * t)
         return SparseMatrix(self.dim, self.dim, self.conductor, form).rank() == self.dim
 
-    # -- id-coded indexes (built once) ---------------------------------------
-
-    @functools.cached_property
-    def mu_ids(self):
-        """mu in scalar ids: i -> {j: [(k, id)]}, zero terms left out.
-
-        The one index of mu: the keys of row i are the right companions of
-        i, the j with e_i e_j != 0, and `mu_ids_by_right` gives the left ones.
-        """
-        return _nested(_coded(self.mu.data, self.ids.scalar_id))
+    # -- id-coded indexes derived from `mu_ids` (built once) -----------------
+    # the keys of row i of `mu_ids` are the right companions of i, the j with
+    # e_i e_j != 0, and `mu_ids_by_right` gives the left ones
 
     @functools.cached_property
     def mu_ids_by_right(self):
         """`mu_ids` keyed by the right factor, j -> {i: [(k, id)]}; shares its term lists."""
         return _flipped(self.mu_ids)
 
-    mu_ids_by_result = _id_rows("mu", 2)  # k -> [(i, j, id)]
+    @functools.cached_property
+    def mu_ids_by_result(self):
+        """`mu_ids` keyed by the result, k -> [(i, j, id)]."""
+        out = {}
+        for i, row in self.mu_ids.items():
+            for j, terms in row.items():
+                for k, c in terms:
+                    t = out.get(k)
+                    if t is None:
+                        out[k] = [(i, j, c)]
+                    else:
+                        t.append((i, j, c))
+        return out
 
     # -- element arithmetic ---------------------------------------------------
 
@@ -310,21 +371,77 @@ class PlainAlgebra:
 
 
 class WeakHopfAlgebra(PlainAlgebra):
-    """A `PlainAlgebra` plus sparse structure tensors for Delta, eps and S.
+    """A `PlainAlgebra` plus Delta, eps and S.
 
-    Nothing is assumed at construction: the verifier suites below establish
-    (or refute) every axiom.
+    Delta and S are stored in scalar ids only (`delta_ids`, `antipode_ids`)
+    and the counit as a small {i: scalar} dict; the value tensors `delta` and
+    `antipode` are formed when read, as `mu` is.  Nothing is assumed at
+    construction: the verifier suites below establish (or refute) every
+    axiom.
     """
 
     def __init__(self, labels, conductor, mu, unit, delta, counit, antipode, name="A", meta=None):
-        self.delta = delta      # SparseTensor3: (i, j, k) -> coeff of e_j (x) e_k in Delta(e_i)
-        self.counit = counit    # sparse covector {i: coeff}
-        self.antipode = antipode  # SparseMatrix: (k, i) -> coeff of e_k in S(e_i)
+        self._labeled(labels, conductor, name)
         self.meta = meta or {}
-        super().__init__(labels, conductor, mu, unit, name)
+        self._values = (mu.data, unit, delta.data, counit, antipode.data)
 
-    def _scalar_tables(self):
-        return (self.mu.data, self.unit, self.delta.data, self.counit, self.antipode.data)
+    def _index_values(self):
+        mu, unit, delta, counit, antipode = self.__dict__.pop("_values")
+        ids, of = _numbered(self.conductor, _distinct(mu, unit, delta, counit, antipode))
+        cols = {i: {} for i in range(self.dim)}
+        for (k, i), c in _coded_by(antipode, of):
+            cols[i][k] = c
+        vals = ids.vals
+        self._store(ids, _nested(_coded_by(mu, of)), _code_vector(unit, of, vals),
+                    _by_leg(_coded_by(delta, of), 0), _code_vector(counit, of, vals), cols)
+        return self.__dict__
+
+    @classmethod
+    def from_rows(cls, labels, conductor, scalars, mu, unit, delta, counit, antipode, name="A", meta=None):
+        """The algebra of tables written in the shape it keeps them in.
+
+        mu comes as rows i -> {j: [(k, scalar)]}, Delta as i -> [(j, k,
+        scalar)], S by columns, i -> {k: scalar} for every i, and the unit
+        and counit as {i: scalar}, with no scalar zero; `scalars` lists the
+        distinct scalar objects they hold.  The rows are coded in place, by
+        object identity, so no table is copied and no value is hashed per
+        entry.
+        """
+        A = cls.__new__(cls)
+        A._labeled(labels, conductor, name)
+        A.meta = meta or {}
+        ids, of = _numbered(conductor, scalars)
+        vals = ids.vals
+        A._store(ids, _code_rows(mu, of), _code_vector(unit, of, vals), _code_terms(delta, of),
+                 _code_vector(counit, of, vals), _code_columns(antipode, of))
+        return A
+
+    def _store(self, ids, mu_ids, unit, delta_ids, counit, antipode_ids):
+        """`PlainAlgebra._store`, plus Delta in ids, i -> [(j, k, id)], the
+        counit, {i: scalar}, and S by columns in ids, i -> {k: id}."""
+        super()._store(ids, mu_ids, unit)
+        self.delta_ids = delta_ids
+        self.counit = counit  # sparse covector {i: coeff}
+        self.antipode_ids = antipode_ids
+
+    delta_ids = _stored("delta_ids")
+    counit = _stored("counit")
+    antipode_ids = _stored("antipode_ids")
+
+    @functools.cached_property
+    def delta(self):
+        """Delta as a value tensor, (i, j, k) -> coeff of e_j (x) e_k in
+        Delta(e_i); formed from `delta_ids` when read."""
+        vals = self.ids.vals
+        d = self.dim
+        return SparseTensor3((d, d, d), self.conductor,
+                             {(i, j, k): vals[c] for i, terms in self.delta_ids.items()
+                              for j, k, c in terms})
+
+    @functools.cached_property
+    def antipode(self):
+        """S as a value matrix, (k, i) -> coeff of e_k in S(e_i); formed from `antipode_ids` when read."""
+        return _matrix(self, self.antipode_ids)
 
     @functools.cached_property
     def delta_of_unit(self):
@@ -339,16 +456,18 @@ class WeakHopfAlgebra(PlainAlgebra):
 
     # -- id-coded indexes of the law kernels (built once) --------------------
 
-    delta_ids = _id_rows("delta", 0)  # i -> [(j, k, id)]
-    delta_left_ids = _id_rows("delta", 1)  # j -> [(i, k, id)]
-
     @functools.cached_property
-    def antipode_ids(self):
-        """S by columns, i -> {k: id} over the terms c e_k of S(e_i)."""
-        cols = {i: {} for i in range(self.dim)}
-        for (k, i), c in _coded(self.antipode.data, self.ids.scalar_id):
-            cols[i][k] = c
-        return cols
+    def delta_left_ids(self):
+        """`delta_ids` keyed by the left leg, j -> [(i, k, id)]."""
+        out = {}
+        for i, terms in self.delta_ids.items():
+            for j, k, c in terms:
+                t = out.get(j)
+                if t is None:
+                    out[j] = [(i, k, c)]
+                else:
+                    t.append((i, k, c))
+        return out
 
     @functools.cached_property
     def eps_right_ids(self):
@@ -472,21 +591,69 @@ def _image(cols, vals, u):
     return out
 
 
-def _scalar_table(conductor, tables):
-    """Intern the scalars of the sparse tables in place, and number them:
-    {value: id} in id order, zero 0, then the distinct nonzero values sorted
-    by their canonical form, whatever the order of the entries."""
-    shared = {}
+def _distinct(*tables):
+    """The distinct scalar objects of sparse {key: scalar} tables."""
+    objs = {}
     for table in tables:
-        for key, c in table.items():
-            s = shared.setdefault(c, c)
-            if s is not c:
-                table[key] = s
-    nonzero = sorted((c for c in shared if c), key=lambda c: (c.v, c.d))
-    ids = {Cyclotomic.zero(conductor): 0}
-    for c in nonzero:
-        ids[c] = len(ids)
-    return ids
+        values = table.values()
+        objs.update(zip(map(id, values), values))
+    return list(objs.values())
+
+
+def _numbered(conductor, scalars):
+    """(ids, of): the scalar table of an algebra whose tables hold the scalar
+    objects `scalars`, and of[id(c)], the id of each (0 for a zero).
+
+    Zero is 0, then the distinct nonzero values take 1.. sorted by their
+    canonical form, whatever order they were met in, so every way of
+    building an algebra numbers its scalars alike; equal values under two
+    objects get one id.  Each value is hashed once per object, not once per
+    entry.
+    """
+    table = {Cyclotomic.zero(conductor): 0}
+    for c in sorted({c: None for c in scalars if c}, key=lambda c: (c.v, c.d)):
+        table[c] = len(table)
+    return _ScalarIds(table), {id(c): table[c] for c in scalars}
+
+
+def _coded_by(table, of):
+    """The entries of a sparse {key: scalar} table as (key, id) pairs through
+    of = {id(scalar): id} (`_numbered`), zeros left out."""
+    return ((key, i) for key, c in table.items() if (i := of[id(c)]))
+
+
+# The coders below replace each scalar of a table in the store's shape by
+# its id, in place, through of = {id(scalar): id}.
+
+
+def _code_rows(rows, of):
+    """Rows x -> {y: [(w, scalar)]} in ids."""
+    for row in rows.values():
+        for terms in row.values():
+            for t, (w, c) in enumerate(terms):
+                terms[t] = (w, of[id(c)])
+    return rows
+
+
+def _code_terms(rows, of):
+    """Rows x -> [(y, w, scalar)] in ids."""
+    for terms in rows.values():
+        for t, (y, w, c) in enumerate(terms):
+            terms[t] = (y, w, of[id(c)])
+    return rows
+
+
+def _code_columns(cols, of):
+    """Columns x -> {k: scalar} in ids."""
+    for col in cols.values():
+        for k, c in col.items():
+            col[k] = of[id(c)]
+    return cols
+
+
+def _code_vector(vec, of, vals):
+    """A small {i: scalar} table with each value the table's own object, vals[id], zeros left out."""
+    return {i: vals[q] for i, c in vec.items() if (q := of[id(c)])}
 
 
 def _coded(table, scalar_id):
@@ -497,10 +664,22 @@ def _coded(table, scalar_id):
 
 
 def _nested(terms):
-    """Id-coded bilinear terms ((x, y, w), id) as x -> {y: [(w, id)]}."""
+    """Id-coded bilinear terms ((x, y, w), id) as x -> {y: [(w, id)]}.
+
+    Rows and term lists are made only when first met (`get`, not
+    `setdefault`, which would make and drop one of each per term).
+    """
     out = {}
     for (x, y, w), i in terms:
-        out.setdefault(x, {}).setdefault(y, []).append((w, i))
+        row = out.get(x)
+        if row is None:
+            out[x] = {y: [(w, i)]}
+            continue
+        t = row.get(y)
+        if t is None:
+            row[y] = [(w, i)]
+        else:
+            t.append((w, i))
     return out
 
 
@@ -509,7 +688,11 @@ def _flipped(rows):
     out = {}
     for x, row in rows.items():
         for y, terms in row.items():
-            out.setdefault(y, {})[x] = terms
+            col = out.get(y)
+            if col is None:
+                out[y] = {x: terms}
+            else:
+                col[x] = terms
     return out
 
 
@@ -517,7 +700,12 @@ def _by_leg(terms, leg):
     """Id-coded terms ((a, b, c), id) by one leg: key[leg] -> [(other two legs, id)]."""
     out = {}
     for key, i in terms:
-        out.setdefault(key[leg], []).append((*key[:leg], *key[leg + 1:], i))
+        term = (*key[:leg], *key[leg + 1:], i)
+        t = out.get(key[leg])
+        if t is None:
+            out[key[leg]] = [term]
+        else:
+            t.append(term)
     return out
 
 
@@ -599,7 +787,7 @@ class _ScalarIds:
     """Small-int ids for scalars, with a memo of their products and sums.
 
     Each algebra holds one, `ids`, started from the numbering of its
-    structure tensors (`_scalar_table`): its id-coded indexes and every
+    structure tensors (`_numbered`): its id-coded indexes and every
     kernel call on it share that table and memo.  A table that belongs to
     no algebra starts empty.  Each new value takes the next id, 0 for zero,
     so two ids are equal exactly when their scalars are and `_first_diff`
@@ -852,10 +1040,12 @@ def _counit_weak_mult_range(A, ys):
                     rhs[key] = c
         return rhs
 
-    # E's row x is epsR[x], w -> eps(x w)
+    # E's row x is epsR[x], w -> eps(x w).  Equal id rows hold equal values,
+    # so only E's distinct nonzero rows are eliminated: they span its row space
     vals = ids.vals
-    E = SparseMatrix(A.dim, A.dim, A.conductor,
-                     {(x, w): vals[c] for x, row in epsR.items() for w, c in row.items()})
+    rows = list({frozenset(row.items()): row for row in epsR.values() if row}.values())
+    E = SparseMatrix(len(rows), A.dim, A.conductor,
+                     {(x, w): vals[c] for x, row in enumerate(rows) for w, c in row.items()})
     lefts, right = terms_by_y(columns([dict(_coded(row, ids.scalar_id)) for row in E.rref()[0]]))
     for y in ys:
         rhs = right_side(right.get(y, ()))
@@ -868,15 +1058,29 @@ def _counit_weak_mult_range(A, ys):
 
 
 def _eps_rows(A, leg):
-    """eps(e_i e_j) in A's ids by one factor: i -> {j: id} for leg 0, j -> {i: id} for leg 1."""
+    """eps(e_i e_j) in A's ids by one factor: i -> {j: id} for leg 0, j -> {i: id} for leg 1.
+
+    Read from the products e_i e_j by result, over the counit's support only.
+    """
+    ids = A.ids
+    products = ids.products
+    mul = ids.mul
+    add_into = ids.add_into
+    by_result = A.mu_ids_by_result
     out = {i: {} for i in range(A.dim)}
-    eps = A.counit
-    for (i, j, k), c in A.mu.data.items():
-        e = eps.get(k)
-        if e:
+    for k, e in A.counit.items():
+        e = ids.scalar_id(e)
+        for i, j, c in by_result.get(k, ()):
+            v = products[c].get(e)
+            if v is None:
+                v = mul(c, e)
             x, w = (j, i) if leg else (i, j)
-            _acc(out[x], w, c * e)
-    return {i: dict(_coded(row, A.ids.scalar_id)) for i, row in out.items()}
+            row = out[x]
+            if w in row:
+                add_into(row, w, v)
+            else:
+                row[w] = v
+    return out
 
 
 def _counital_map(A, eps_rows, d1):
@@ -1058,12 +1262,16 @@ def _hom_range(phi, A, B, xs, anti=False):
     e_k: the left through A's products e_i e_j and phi's images, the right
     through B's products of each b in supp phi(e_i) with its partners b2,
     met with the j whose image holds b2.  Keys order by j first, so the
-    least differing key names the least j.  phi's images and B's mu are coded
-    per call.
+    least differing key names the least j.  phi's images are coded per call,
+    and B's mu rows are recoded into A's ids through one id per scalar of B's.
     """
     ids = A.ids
     images = [dict(_coded(phi[j], ids.scalar_id)) for j in range(A.dim)]
-    b_rows = _nested(_coded(B.mu.data, ids.scalar_id))
+    b_rows = B.mu_ids
+    if B.ids is not ids:
+        recode = [ids.scalar_id(c) for c in B.ids.vals]
+        b_rows = {x: {y: [(w, recode[c]) for w, c in terms] for y, terms in row.items()}
+                  for x, row in b_rows.items()}
     return _hom_ids(ids, A.mu_ids, images, _flipped(b_rows) if anti else b_rows, xs)
 
 
@@ -1148,7 +1356,7 @@ def verify_antipode(A, threads=None):
     detail = _sweep(A, _axiom4_eq3_range, False)
     rep.add("axiom4-eq3", detail is None, detail)
 
-    invertible = A.antipode.rank() == A.dim
+    invertible = _matrix(A, A.antipode_ids).rank() == A.dim
     rep.add("antipode-invertible", invertible, None if invertible else "S has nontrivial kernel")
 
     detail = _sweep(A, _antihom_range, A.associativity_detail is None)
@@ -1192,7 +1400,8 @@ class BaseAlgebraReport:
         return len(self.basis_r)
 
 
-def _projection_matrix(A, cols):
+def _matrix(A, cols):
+    """The value matrix of A's id-coded columns x -> {i: id}: S, eps_t, eps'_s, ..."""
     vals = A.ids.vals
     data = {(i, x): vals[v] for x, col in cols.items() for i, v in col.items()}
     return SparseMatrix(A.dim, A.dim, A.conductor, data)
@@ -1225,8 +1434,8 @@ def base_algebras(A):
     basis (`_span_test`), not one solve per vector.
     """
     rep = Report(A.name, "base-algebras")
-    E_lr = _projection_matrix(A, A.eps_t_ids)
-    E_rr = _projection_matrix(A, A.eps_s_prime_ids)
+    E_lr = _matrix(A, A.eps_t_ids)
+    E_rr = _matrix(A, A.eps_s_prime_ids)
 
     rep.add("eps-lr-idempotent", E_lr.matmul(E_lr) == E_lr)
     rep.add("eps-rr-idempotent", E_rr.matmul(E_rr) == E_rr)
@@ -1395,9 +1604,10 @@ def dual(A):
     A* is a reading of A (`_Dual`): it shares A's labels, label index, unit
     and counit, and A's scalar table `ids`, since A* has exactly A's
     scalars; so its sweeps reuse the products that A's kernel calls
-    memoized.  Its Delta index (by first leg) is A's mu index by result,
-    and its mu index by result is A's Delta index.  Delta* is formed only
-    when read: by the dual of A*, `compare_structure` and Axiom 1 on A*.
+    memoized.  Its mu rows are formed from A's Delta index, its Delta index
+    (by first leg) is A's mu index by result, and its mu index by result is
+    A's Delta index.  Its value tensors, Delta* among them, are formed from
+    these only when read, as any algebra's are.
     A* is not cached on A: a cached A* lives as long as A, and it raised
     the benchmark's peak RSS, so each suite builds its own A* and drops it.
     """
@@ -1405,63 +1615,22 @@ def dual(A):
 
 
 class _Dual(WeakHopfAlgebra):
-    """A* read off A (see `dual`): mu* and S* are its only new tensors."""
+    """A* read off A (see `dual`): the mu* rows and S*'s columns are its only new indexes."""
 
     def __init__(self, A):
-        d = A.dim
         self._a = A
-        self.labels, self.label_index, self.dim = A.labels, A.label_index, d
+        self.labels, self.label_index, self.dim = A.labels, A.label_index, A.dim
         self.conductor, self.name, self.meta = A.conductor, f"{A.name}*", {}
         self.ids = A.ids
-        self.mu = SparseTensor3((d, d, d), A.conductor,
-                                {(j, k, i): c for (i, j, k), c in A.delta.data.items()})
         self.unit, self.counit = A.counit, A.unit
-        self.antipode = A.antipode.transpose()
-
-    @functools.cached_property
-    def delta(self):
-        d = self.dim
-        return SparseTensor3((d, d, d), self.conductor,
-                             {(k, i, j): c for (i, j, k), c in self._a.mu.data.items()})
+        self.mu_ids = _nested(((j, k, i), c) for i, terms in A.delta_ids.items() for j, k, c in terms)
+        self.antipode_ids = cols = {i: {} for i in range(A.dim)}  # S* = S transposed
+        for i, col in A.antipode_ids.items():
+            for k, c in col.items():
+                cols[k][i] = c
 
     delta_ids = functools.cached_property(lambda D: D._a.mu_ids_by_result)
     mu_ids_by_result = functools.cached_property(lambda D: D._a.delta_ids)
-
-
-def opposite(A):
-    """Reversed multiplication with antipode S^-1."""
-    mu = SparseTensor3((A.dim, A.dim, A.dim), A.conductor)
-    for (i, j, k), c in A.mu.data.items():
-        mu.add_to(j, i, k, c)
-    return WeakHopfAlgebra(
-        labels=list(A.labels),
-        conductor=A.conductor,
-        mu=mu,
-        unit=dict(A.unit),
-        delta=SparseTensor3((A.dim, A.dim, A.dim), A.conductor, dict(A.delta.data)),
-        counit=dict(A.counit),
-        antipode=A.antipode.inverse(),
-        name=A.name + "^op",
-        meta=dict(A.meta),
-    )
-
-
-def coopposite(A):
-    """Reversed comultiplication with antipode S^-1."""
-    delta = SparseTensor3((A.dim, A.dim, A.dim), A.conductor)
-    for (i, j, k), c in A.delta.data.items():
-        delta.add_to(i, k, j, c)
-    return WeakHopfAlgebra(
-        labels=list(A.labels),
-        conductor=A.conductor,
-        mu=SparseTensor3((A.dim, A.dim, A.dim), A.conductor, dict(A.mu.data)),
-        unit=dict(A.unit),
-        delta=delta,
-        counit=dict(A.counit),
-        antipode=A.antipode.inverse(),
-        name=A.name + "^cop",
-        meta=dict(A.meta),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,9 @@ matrices of g and x.  `isomorphic_by_hom_dims` is the exact isomorphism
 test by intertwiner dimensions over a semisimple algebra, the reference
 for the character test of `repcat.modules_isomorphic`.
 
+`opposite` and `coopposite` are A with reversed multiplication or
+comultiplication and antipode S^-1, built from A's value tensors.
+
 `b_g_omega_closed` and `a_g_omega_closed` write the structure constants of
 B(G, omega) and A(G, omega) straight from the paper's closed formulas; the
 builders, which run the general A(C, M) construction, must match them
@@ -888,3 +891,19 @@ def isomorphic_by_hom_dims(V, W):
     """
     dim = lambda X, Y: intertwiner_space(X, Y)[0]
     return dim(V, V) + dim(W, W) == 2 * dim(V, W)
+
+
+def opposite(A):
+    """Reversed multiplication with antipode S^-1."""
+    mu = SparseTensor3((A.dim, A.dim, A.dim), A.conductor,
+                       {(j, i, k): c for (i, j, k), c in A.mu.data.items()})
+    return WeakHopfAlgebra(A.labels, A.conductor, mu, A.unit, A.delta, A.counit,
+                           A.antipode.inverse(), name=A.name + "^op", meta=dict(A.meta))
+
+
+def coopposite(A):
+    """Reversed comultiplication with antipode S^-1."""
+    delta = SparseTensor3((A.dim, A.dim, A.dim), A.conductor,
+                          {(i, k, j): c for (i, j, k), c in A.delta.data.items()})
+    return WeakHopfAlgebra(A.labels, A.conductor, A.mu, A.unit, delta, A.counit,
+                           A.antipode.inverse(), name=A.name + "^cop", meta=dict(A.meta))

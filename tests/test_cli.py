@@ -640,6 +640,82 @@ def test_a_bad_spelling_of_a_shared_scalar_exits_2_naming_its_first_entry(
     assert capsys.readouterr() == ("", f"error: {where}: {message}\n")
 
 
+def _zero_first_copy(obj):
+    # mu[0] and a later copy of its indices; the first copy holds zero
+    i, j, k, enc = obj["mu"][0]
+    _respell(obj, "mu", 0, coeffs=[[0, 1]] * len(enc["coeffs"]))
+    obj["mu"].append([i, j, k, enc])
+    return f"mu[{i}, {j}, {k}]: duplicate entry"
+
+
+def _bad_in_two_tables(obj):
+    # the file lists antipode before delta, but delta is loaded first
+    bad = {"conductor": obj["conductor"], "coeffs": [[1, 0]] + [[0, 1]] * (obj["conductor"] - 1)}
+    for table in ("antipode", "delta"):
+        obj[table][1] = [*obj[table][1][:-1], bad]
+    return f"delta[{', '.join(map(str, obj['delta'][1][:-1]))}]: bad scalar encoding: zero denominator in a scalar encoding"
+
+
+def _extra_key(obj):
+    pos = next(p for p, e in enumerate(obj["mu"]) if e[-1]["coeffs"] == [[1, 1], [0, 1]])
+    return _respell(obj, "mu", pos, x=1) + ": bad scalar encoding: unexpected key 'x'"
+
+
+def _index_outside(obj):
+    obj["mu"][2][1] = 16
+    return f"mu[{obj['mu'][2][0]}, 16, {obj['mu'][2][2]}]: index 16 is outside 0..15"
+
+
+def _short_entry(obj):
+    obj["unit"][0] = obj["unit"][0][1:]
+    return f"unit: entry {obj['unit'][0]!r:.80} is not [1 indices, scalar]"
+
+
+@pytest.mark.parametrize("tamper", [_zero_first_copy, _bad_in_two_tables, _extra_key, _index_outside,
+                                    _short_entry])
+def test_a_bad_algebra_entry_exits_2_with_its_message(tmp_path, capsys, tamper):
+    # A(Z2, p=1), written and read back, so the encodings are shared as in a real file
+    out = tmp_path / "a2.json"
+    assert run("build", "a-g-omega", "--group", "z2", "--cocycle", "p=1", "-o", str(out)) == 0
+    obj = jsonio.read_json(str(out))
+    message = tamper(obj)
+    bad = tmp_path / "bad.json"
+    jsonio.write_json(str(bad), obj)
+    capsys.readouterr()
+    assert run("verify", str(bad), "--suite", "wha") == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_scalar_encoding_only_in_meta_is_not_read(tmp_path, capsys):
+    # the loader decodes the structure tables' scalars; meta is carried as it is
+    out = tmp_path / "a2.json"
+    assert run("build", "a-g-omega", "--group", "z2", "--cocycle", "p=1", "-o", str(out)) == 0
+    obj = jsonio.read_json(str(out))
+    obj["meta"]["note"] = [{"conductor": 2, "coeffs": [[1, 1], [0, 1]]},
+                           {"conductor": 7, "coeffs": [[1, 0]]}]
+    path = tmp_path / "meta.json"
+    jsonio.write_json(str(path), obj)
+    capsys.readouterr()
+    assert run("verify", str(path), "--suite", "wha") == 0
+    A = jsonio.algebra_from_json(jsonio.read_json(str(path)))
+    assert A.meta["note"][1] == {"conductor": 7, "coeffs": [[1, 0]]}
+
+
+def test_rmatrix_and_module_files_refuse_an_encoding_with_an_extra_key():
+    A, R = build_a_g_omega(cyclic_group(2), standard_cocycle(2, 1))
+    robj = jsonio.rmatrix_to_json(A, R)
+    i, j, enc = robj["terms"][0]
+    robj["terms"][0] = [i, j, dict(enc, x=1)]
+    with pytest.raises(jsonio.InputError, match=re.escape(f"terms[{i}, {j}]: bad scalar encoding: "
+                                                          "unexpected key 'x'")):
+        jsonio.rmatrix_from_json(robj)
+    mobj = {"algebra": "", "dim": 1, "conductor": 2,
+            "action": [[0, 0, 0, {"conductor": 2, "coeffs": [[1, 1], [0, 1]], "y": 0}]]}
+    with pytest.raises(jsonio.InputError, match=re.escape("action[0, 0, 0]: bad scalar encoding: "
+                                                          "unexpected key 'y'")):
+        jsonio.wha_module_from_json(mobj, A)
+
+
 def test_rmatrix_of_another_dim_exits_2(tmp_path, capsys):
     a2, r2 = tmp_path / "a2.json", tmp_path / "r2.json"
     assert run("build", "a-g-omega", "--group", "z2", "--cocycle", "p=1",

@@ -39,10 +39,8 @@ from whalg.wha import (
     base_algebras,
     center_dim,
     compare_structure,
-    coopposite,
     dual,
     is_cocommutative,
-    opposite,
     verify_antipode,
     verify_quasitriangular,
     verify_weak_bialgebra,
@@ -62,6 +60,7 @@ from references import (
     center_dim_dense,
     coalgebra_antihom_loop,
     coassociativity_loop,
+    coopposite,
     counit_law_loop,
     delta_s_fails,
     element_product,
@@ -72,6 +71,7 @@ from references import (
     generated_indices,
     hom_range_loop,
     intertwining_loop,
+    opposite,
     pairs_index,
     unit_law_loop,
     weak_inverse_solved,
@@ -190,19 +190,22 @@ def test_dual_is_a_weak_hopf_algebra_and_its_dual_is_the_algebra(make):
 
 def test_dual_reads_its_algebra_and_copies_nothing_it_holds(monkeypatch):
     # A* shares A's scalar table and takes A's own index lists where the
-    # indexes coincide; it starts no scalar table and forms Delta* (mu
-    # transposed) only when read.  The shifted basis gives products and
-    # coproducts of many terms
+    # indexes coincide; it starts no scalar table and forms its value
+    # tensors, Delta* (mu transposed) among them, only when read: the dual
+    # of A* reads A*'s indexes, not its tensors.  The shifted basis gives
+    # products and coproducts of many terms
     A = _a_z2_shifted()
+    assert A.ids  # made from value tables, A indexes them when its store is first read
     tables = []
     init = _ScalarIds.__init__
     monkeypatch.setattr(_ScalarIds, "__init__", lambda ids, *args: tables.append(ids) or init(ids, *args))
     D = dual(A)
     assert D.ids is A.ids and D.labels is A.labels and D.label_index is A.label_index
     assert D.delta_ids is A.mu_ids_by_result and D.mu_ids_by_result is A.delta_ids
-    assert "delta" not in D.__dict__
+    assert not {"mu", "delta", "antipode"} & D.__dict__.keys()
     assert compare_structure(dual(D), A, list(range(A.dim))).ok
-    assert "delta" in D.__dict__ and dual(D).ids is A.ids
+    assert not {"mu", "delta", "antipode"} & D.__dict__.keys() and dual(D).ids is A.ids
+    assert D.delta.data == {(k, i, j): c for (i, j, k), c in A.mu.data.items()}
     assert tables == []
     assert not any(isinstance(v, WeakHopfAlgebra) for v in A.__dict__.values())
 
@@ -1425,18 +1428,18 @@ def test_antipode_and_qt_suites_report_the_same_alone_or_after_the_weak_bialgebr
 
 def test_suites_leave_only_the_shared_indexes_on_the_algebra():
     # the dual A* and Axiom 2's row-space basis are locals of one sweep or
-    # suite: the algebra keeps its structure tensors, its one scalar table
-    # with the memo every kernel call shares, one index per structure map,
-    # in ids only, Delta(1), the generators of mu and the results of the two
-    # laws that the later suites take as preconditions, nothing per call.
+    # suite: the algebra keeps its store (its one scalar table with the memo
+    # every kernel call shares, mu, Delta and S in ids, the unit and counit),
+    # one index per structure map, in ids only, Delta(1), the generators of
+    # mu and the results of the two laws that the later suites take as
+    # preconditions, nothing per call.  No suite forms a value tensor.
     # eps(x s) by s is read only while eps_s is built, so it is not kept, and
     # the base algebras' echelon bases, p's leg indexes and the centre's
     # commutator rows are locals of one call
-    structure = {"labels", "dim", "conductor", "mu", "unit", "name", "label_index",
-                 "delta", "counit", "antipode", "meta", "ids"}
-    indexes = {"mu_ids", "mu_ids_by_result", "mu_ids_by_right", "delta_ids", "delta_left_ids",
-               "antipode_ids", "eps_right_ids", "eps_t_ids", "eps_s_ids", "eps_s_prime_ids",
-               "delta_of_unit", "mu_generators"}
+    structure = {"labels", "dim", "conductor", "name", "label_index", "meta", "ids",
+                 "mu_ids", "unit", "delta_ids", "counit", "antipode_ids"}
+    indexes = {"mu_ids_by_result", "mu_ids_by_right", "delta_left_ids", "eps_right_ids",
+               "eps_t_ids", "eps_s_ids", "eps_s_prime_ids", "delta_of_unit", "mu_generators"}
     law_results = {"associativity_detail", "axiom1_detail"}
     for A, R in (a_z2(p=1), (build_b_g_omega(cyclic_group(4), standard_cocycle(4, 1)), None)):
         assert verify_weak_bialgebra(A).ok
@@ -1484,11 +1487,11 @@ def test_an_algebra_file_is_the_same_bytes_after_the_suites_grow_its_table():
 
 
 def test_an_algebra_loaded_from_json_numbers_its_scalars_as_the_built_one(tmp_path):
-    # the loader decodes each distinct encoding of its file once, so it hands
-    # out one scalar object per distinct value; the build numbers the distinct
-    # values in a canonical order, so the loaded algebra gets the built one's
-    # table whatever the order of its entries, and its file, each table scalar
-    # encoded once, is the same bytes
+    # the loader numbers each distinct encoding of its file once, and the
+    # store numbers the distinct values in a canonical order, so the loaded
+    # algebra gets the built one's table and rows whatever the order of its
+    # entries; the unit and counit hold the table's own objects, and the
+    # file, each table scalar encoded once, is the same bytes
     A, _ = build_a_g_omega(cyclic_group(3), standard_cocycle(3, 1))
     text = jsonio.dumps(jsonio.algebra_to_json(A))
     path = tmp_path / "a3.json"
@@ -1499,14 +1502,55 @@ def test_an_algebra_loaded_from_json_numbers_its_scalars_as_the_built_one(tmp_pa
     assert len({id(c) for c in loaded_mu.values()}) == len(set(loaded_mu.values())) < len(loaded_mu)
     B = jsonio.algebra_from_json(obj)
     assert list(B.ids.ids.items()) == list(A.ids.ids.items())
-    assert list(B.mu.data) != list(A.mu.data)  # the file lists the entries sorted
+    assert (B.mu_ids, B.delta_ids, B.antipode_ids) == (A.mu_ids, A.delta_ids, A.antipode_ids)
+    assert list(B.mu_ids) != list(A.mu_ids)  # the file lists the entries sorted
     for X in (A, B):
-        held = [*X.mu.data.values(), *X.delta.data.values(), *X.unit.values(),
-                *X.counit.values(), *X.antipode.data.values()]
-        assert len({id(c) for c in held}) == len(X.ids.vals) - 1  # one object per nonzero value
+        table = {id(c) for c in X.ids.vals}
+        assert {id(c) for c in (*X.unit.values(), *X.counit.values())} <= table
     assert jsonio.dumps(jsonio.algebra_to_json(B)) == text
     assert verify_weak_bialgebra(B).to_json() == verify_weak_bialgebra(A).to_json()
     assert verify_antipode(B).to_json() == verify_antipode(A).to_json()
+
+
+def _catalog_up_to_order_3():
+    """Every catalog B(G, omega) and A(G, omega) with |G| <= 3, each cocycle p."""
+    for n in (2, 3):
+        g = cyclic_group(n)
+        for p in range(n):
+            w = standard_cocycle(n, p) if p else trivial_cocycle(g)
+            yield build_b_g_omega(g, w)
+            yield build_a_g_omega(g, w)[0]
+
+
+def test_the_loaded_and_the_built_algebra_hold_the_same_store(tmp_path):
+    # the builder writes its rows in provisional ids and the loader writes
+    # the file's; both are numbered canonically by the one setup
+    path = str(tmp_path / "x.json")
+    for X in _catalog_up_to_order_3():
+        jsonio.write_algebra(path, X)
+        Y = jsonio.algebra_from_json(jsonio.read_json(path))
+        assert Y.ids.vals == X.ids.vals, X.name
+        assert (Y.mu_ids, Y.delta_ids, Y.antipode_ids) == (X.mu_ids, X.delta_ids, X.antipode_ids), X.name
+        assert (Y.unit, Y.counit) == (X.unit, X.counit), X.name
+
+
+def test_the_cli_path_forms_no_value_tensor(tmp_path):
+    # mu, Delta and S are held in ids only: the four suites of
+    # `whalg verify --suite all` and the file writer read the ids
+    A, R = build_a_g_omega(cyclic_group(3), standard_cocycle(3, 1))
+    path = tmp_path / "a3.json"
+    jsonio.write_algebra(str(path), A)
+    tensors = {"mu", "delta", "antipode"}
+    assert not tensors & A.__dict__.keys()
+    B = jsonio.algebra_from_json(jsonio.read_json(str(path)))
+    assert not tensors & B.__dict__.keys()
+    assert verify_weak_bialgebra(B).ok and verify_antipode(B).ok
+    assert base_algebras(B).report.ok and verify_quasitriangular(B, R).ok
+    assert not tensors & B.__dict__.keys()
+    # read, the value tensors are formed from the ids, one object per value
+    assert compare_structure(B, A, list(range(A.dim))).ok and tensors <= B.__dict__.keys()
+    held = [*B.mu.data.values(), *B.delta.data.values(), *B.antipode.data.values()]
+    assert {id(c) for c in held} == {id(c) for c in B.ids.vals[1:len(A.ids.vals)]}
 
 
 def _odd_labels_and_meta():
@@ -1535,6 +1579,16 @@ def test_write_algebra_writes_the_bytes_of_the_general_encoder(tmp_path, make):
     # tuple labels encode as objects; the shifted M_2 double carries +-1/2,
     # the shifted B(Z3) many distinct irrational scalars
     A = make()
+    path = tmp_path / "a.json"
+    jsonio.write_algebra(str(path), A)
+    assert path.read_bytes() == jsonio.dumps(jsonio.algebra_to_json(A)).encode()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64, 65])
+def test_write_algebra_writes_the_same_bytes_in_any_chunk_size(tmp_path, monkeypatch, chunk):
+    # A(Z2, p=1) has 64 mu entries: chunks of one, of a remainder, exact and larger
+    A = a_z2(p=1)[0]
+    monkeypatch.setattr(jsonio, "_CHUNK", chunk)
     path = tmp_path / "a.json"
     jsonio.write_algebra(str(path), A)
     assert path.read_bytes() == jsonio.dumps(jsonio.algebra_to_json(A)).encode()

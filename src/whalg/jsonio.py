@@ -13,7 +13,7 @@ import marshal
 
 from .exactmath import Cyclotomic, SparseTensor3
 from .groups import FiniteGroup, ThreeCocycle, ValidationError
-from .skeleton import FusionRing, SkeletalCategory, SkeletalModule, SkeletonError
+from .skeleton import FusionRing, SkeletalCategory, SkeletalModule, SkeletonError, action_detail
 from .wha import RMatrixCandidate, WeakHopfAlgebra, _by_leg, _nested
 
 
@@ -175,12 +175,24 @@ def skeleton_to_json(C):
 
 
 def skeleton_from_json(obj):
-    ring = _ring_from_json(obj, "skeleton")
-    cond, f_entries = _fields(obj, "skeleton", "conductor", "F")
-    _conductor(cond, "skeleton")
+    """The category of a skeleton file: its ring must pass `validate`, and each
+    F entry (a, b, c, d) be given once, on the labels, with d in (a b) c."""
+    what = "skeleton"
+    ring = _ring_from_json(obj, what)
+    rep = ring.validate()
+    if not rep.ok:
+        raise InputError(f"{what} file: {rep.first_failure}")
+    cond, f_entries = _fields(obj, what, "conductor", "F")
+    _conductor(cond, what)
+    labels = set(ring.labels)
     F = {}
-    for pos, (*key, enc) in enumerate(_entries(f_entries, "skeleton", "F", 5)):
-        F[_labels(key, "skeleton", f"F[{pos}]")] = _invertible(enc, cond, lambda: f"F[{pos}]")
+    for pos, (*key, enc) in enumerate(_entries(f_entries, what, "F", 5)):
+        where = f"F[{pos}]"
+        a, b, c, d = key = tuple(_known(lab, labels, what, where) for lab in _labels(key, what, where))
+        if not any(d in ring.products(e, c) for e in ring.products(a, b)):
+            raise InputError(f"{what} file: {where}: {d!r} is not a product of ({a!r} {b!r}) {c!r}")
+        _once(key, F, what, where)
+        F[key] = _invertible(enc, cond, lambda: where)
     return SkeletalCategory(ring, F, cond)
 
 
@@ -200,17 +212,30 @@ def module_to_json(M):
 
 
 def module_from_json(obj, C):
+    """The module over the grouplike C of a skeletal module file: its action
+    must be one, and each L entry (a, b, x) given once, on C's labels and M's objects."""
     what = "skeletal module"
     objects, action_entries, l_entries = _fields(obj, what, "objects", "action", "L")
     objects = _labels(_entries(objects, what, "objects"), what, "objects")
     action = {}
     for pos, entry in enumerate(_entries(action_entries, what, "action", 3)):
         a, x, y = _labels(entry, what, f"action[{pos}]")
+        _once((a, x), action, what, f"action[{pos}]")
         action[(a, x)] = y
-    L = {}
+    M = SkeletalModule(C, objects, action, {})
+    detail = action_detail(M)
+    if detail is not None:
+        raise InputError(f"{what} file: {detail}")
+    labels, object_set = set(C.labels), set(objects)
     for pos, (*key, enc) in enumerate(_entries(l_entries, what, "L", 4)):
-        L[_labels(key, what, f"L[{pos}]")] = _invertible(enc, C.conductor, lambda: f"L[{pos}]")
-    return SkeletalModule(C, objects, action, L)
+        where = f"L[{pos}]"
+        a, b, x = key = _labels(key, what, where)
+        _known(a, labels, what, where)
+        _known(b, labels, what, where)
+        _known(x, object_set, what, where, "objects")
+        _once(key, M.L, what, where)
+        M.L[key] = _invertible(enc, C.conductor, lambda: where)
+    return M
 
 
 def fusion_ring_to_json(ring):
@@ -244,11 +269,17 @@ def _ring_from_json(obj, what):
         raise InputError(f"{what} file: {exc}") from None
 
 
-def _known(lab, labels, what, where):
+def _known(lab, labels, what, where, kind="labels"):
     """`lab`, which must be one of `labels`; InputError names `where` otherwise."""
     if lab not in labels:
-        raise InputError(f"{what} file: {where}: {lab!r} is not one of the labels")
+        raise InputError(f"{what} file: {where}: {lab!r} is not one of the {kind}")
     return lab
+
+
+def _once(key, table, what, where):
+    """Raise InputError naming `where` if `key` is already in `table`."""
+    if key in table:
+        raise InputError(f"{what} file: {where}: duplicate entry")
 
 
 def candidates_from_json(obj):

@@ -5,12 +5,19 @@ every admissible composite hom space is one-dimensional, which holds for all
 pointed (grouplike) inputs this package constructs, with every hom gauge
 fixed to 1.  Fusion rings are more general (any multiplicity-free ring, e.g.
 the Fibonacci ring) but only feed the ring-level obstruction detector.
+
+The product C1 x C2 (`product_skeleton`, the C x C^rev of A(G, omega)) holds
+its ring of pairs and its two factors, not an F table: `assoc` multiplies
+the factors' scalars, each distinct pair once, so it reads a tampered
+factor.  The |C1|^3 |C2|^3 entries of `F` are formed only when `F` itself
+is read (`jsonio.skeleton_to_json`), and then kept.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import cache, cached_property
 
 from .exactmath import Cyclotomic, memoized_product
 from .groups import GroupReport
@@ -190,10 +197,11 @@ def validate_pentagon(C):
     """All scalar pentagon instances of a grouplike skeletal category."""
     if not C.ring.is_grouplike():
         return GroupReport(False, "pentagon validator needs grouplike fusion")
+    assoc = cache(C.assoc)  # |C|^3 triples, read 5 |C|^4 times
     for a, b, c, d in itertools.product(C.labels, repeat=4):
         try:
-            lhs = C.assoc(a, b, c) * C.assoc(a, C.fuse(b, c), d) * C.assoc(b, c, d)
-            rhs = C.assoc(C.fuse(a, b), c, d) * C.assoc(a, b, C.fuse(c, d))
+            lhs = assoc(a, b, c) * assoc(a, C.fuse(b, c), d) * assoc(b, c, d)
+            rhs = assoc(C.fuse(a, b), c, d) * assoc(a, b, C.fuse(c, d))
         except SkeletonError as exc:
             return GroupReport(False, str(exc))
         if lhs != rhs:
@@ -212,7 +220,7 @@ def validate_module_pentagon(M):
     C = M.over
     if not C.ring.is_grouplike():
         return GroupReport(False, "module validator needs grouplike fusion")
-    detail = _action_detail(M)
+    detail = action_detail(M)
     if detail is not None:
         return GroupReport(False, detail)
     for a, b, c in itertools.product(C.labels, repeat=3):
@@ -232,7 +240,7 @@ def validate_module_pentagon(M):
     return GroupReport(True)
 
 
-def _action_detail(M):
+def action_detail(M):
     """The first way M's action fails to be an action of C on M.objects, or None.
 
     The objects must be distinct, a . x must be defined on every label a and
@@ -308,20 +316,30 @@ def product_skeleton(C1, C2):
     mult = {}
     for (a1, b1), (a2, b2) in itertools.product(labels, repeat=2):
         mult[((a1, b1), (a2, b2), (C1.fuse(a1, a2), C2.fuse(b1, b2)))] = 1
-    ring = FusionRing(labels, (C1.unit, C2.unit), mult)
-    F = {}
-    entries2 = _assoc_entries(C2)
-    product = memoized_product()
-    for (a1, b1, c1, d1), f1 in _assoc_entries(C1):
-        for (a2, b2, c2, d2), f2 in entries2:
-            F[((a1, a2), (b1, b2), (c1, c2), (d1, d2))] = product(f1, f2)
-    return SkeletalCategory(ring, F, C1.conductor, name=f"{C1.name}x{C2.name}")
+    return ProductCategory(C1, C2, FusionRing(labels, (C1.unit, C2.unit), mult))
 
 
-def _assoc_entries(C):
-    """((a, b, c, (ab)c), F(a,b,c)) for every label triple of a grouplike C."""
-    return [((a, b, c, C.fuse(C.fuse(a, b), c)), C.assoc(a, b, c))
-            for a, b, c in itertools.product(C.labels, repeat=3)]
+class ProductCategory(SkeletalCategory):
+    """C1 x C2 on the ring of pairs, holding the factors and no F table:
+    `assoc` reads the factors, and `F` is formed from it when read, then kept."""
+
+    def __init__(self, C1, C2, ring):
+        self.ring = ring
+        self.factors = C1, C2
+        self.conductor = C1.conductor
+        self.name = f"{C1.name}x{C2.name}"
+        self._product = memoized_product()
+
+    def assoc(self, a, b, c):
+        (a1, a2), (b1, b2), (c1, c2) = a, b, c
+        C1, C2 = self.factors
+        return self._product(C1.assoc(a1, b1, c1), C2.assoc(a2, b2, c2))
+
+    @cached_property
+    def F(self):
+        fuse = self.fuse
+        return {(a, b, c, fuse(fuse(a, b), c)): self.assoc(a, b, c)
+                for a, b, c in itertools.product(self.labels, repeat=3)}
 
 
 def regular_module(C):

@@ -57,6 +57,10 @@ for the character test of `repcat.modules_isomorphic`.
 `opposite` and `coopposite` are A with reversed multiplication or
 comultiplication and antipode S^-1, built from A's value tensors.
 
+`product_assoc_table` is the F table of the product of two grouplike
+skeleta, written out entry by entry as `skeleton.product_skeleton` did
+before its F was read from the factors.
+
 `b_g_omega_closed` and `a_g_omega_closed` write the structure constants of
 B(G, omega) and A(G, omega) straight from the paper's closed formulas; the
 builders, which run the general A(C, M) construction, must match them
@@ -67,7 +71,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from whalg.exactmath import _FIELDS, Cyclotomic, SparseMatrix, SparseTensor3
+from whalg.exactmath import _FIELDS, Cyclotomic, SparseMatrix, SparseTensor3, memoized_product
 from whalg.groups import ThreeCocycle, symmetric_group_3
 from whalg.repcat import WHAModule, intertwiner_space
 from whalg.wha import RMatrixCandidate, WeakHopfAlgebra, _acc, _push
@@ -907,3 +911,19 @@ def coopposite(A):
                           {(i, k, j): c for (i, j, k), c in A.delta.data.items()})
     return WeakHopfAlgebra(A.labels, A.conductor, A.mu, A.unit, delta, A.counit,
                            A.antipode.inverse(), name=A.name + "^cop", meta=dict(A.meta))
+
+
+def product_assoc_table(C1, C2):
+    """F of C1 x C2 as a dict over every pair of component triples:
+    F((a1,a2),(b1,b2),(c1,c2);(d1,d2)) = F1(a1,b1,c1;d1) F2(a2,b2,c2;d2)."""
+    def entries(C):
+        return [((a, b, c, C.fuse(C.fuse(a, b), c)), C.assoc(a, b, c))
+                for a, b, c in itertools.product(C.labels, repeat=3)]
+
+    F = {}
+    entries2 = entries(C2)
+    product = memoized_product()
+    for (a1, b1, c1, d1), f1 in entries(C1):
+        for (a2, b2, c2, d2), f2 in entries2:
+            F[((a1, a2), (b1, b2), (c1, c2), (d1, d2))] = product(f1, f2)
+    return F

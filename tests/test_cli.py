@@ -859,6 +859,13 @@ BAD_VALUES = [
     pytest.param("skeleton", lambda o: o.update(conductor="2"),
                  "skeleton file: conductor must be a positive integer, not '2'",
                  id="skeleton-conductor"),
+    pytest.param("skeleton", lambda o: o["F"].append([9, 9, 9, 9, o["F"][0][-1]]),
+                 "skeleton file: F[64]: 9 is not one of the labels", id="skeleton-F-off-labels"),
+    pytest.param("skeleton", lambda o: o["F"].append(o["F"][0]),
+                 "skeleton file: F[64]: duplicate entry", id="skeleton-F-repeated"),
+    pytest.param("skeleton", lambda o: o["F"][0].__setitem__(3, {"t": [1, 1]}),
+                 "skeleton file: F[0]: (1, 1) is not a product of ((0, 0) (0, 0)) (0, 0)",
+                 id="skeleton-F-unreached"),
     pytest.param("fusion ring", lambda o: o.update(mult={}),
                  "fusion ring file: mult must be a list, not dict", id="ring-mult"),
     pytest.param("fusion ring", lambda o: o.update(unit=[0]),
@@ -871,6 +878,14 @@ BAD_VALUES = [
                  "skeletal module file: L[0] is not a list of 4 items", id="module-L"),
     pytest.param("skeletal module", lambda o: _zero_scalar(o["L"][0][-1]), "L[0]: zero scalar",
                  id="module-zero"),
+    pytest.param("skeletal module", lambda o: o["action"].append(o["action"][0]),
+                 "skeletal module file: action[8]: duplicate entry", id="module-action-repeated"),
+    pytest.param("skeletal module", lambda o: o["L"].append([9, *o["L"][0][1:]]),
+                 "skeletal module file: L[32]: 9 is not one of the labels", id="module-L-off-labels"),
+    pytest.param("skeletal module", lambda o: o["L"].append([*o["L"][0][:2], 5, o["L"][0][3]]),
+                 "skeletal module file: L[32]: 5 is not one of the objects", id="module-L-off-objects"),
+    pytest.param("skeletal module", lambda o: o["L"].append(o["L"][0]),
+                 "skeletal module file: L[32]: duplicate entry", id="module-L-repeated"),
 ]
 
 

@@ -3,10 +3,14 @@ import random
 
 import pytest
 
+from references import product_assoc_table, s3_sign_pullback
+from whalg import builders, jsonio, skeleton
+from whalg.builders import build_a_g_omega
 from whalg.exactmath import Cyclotomic, root_of_unity
 from whalg.groups import catalog_group, cyclic_group, standard_cocycle, trivial_cocycle, validate_cocycle
 from whalg.skeleton import (
     FusionRing,
+    SkeletalCategory,
     SkeletonError,
     boxtimes_rev_skeleton,
     dual_data_pointed,
@@ -20,6 +24,7 @@ from whalg.skeleton import (
     validate_pentagon,
     verify_zigzags,
 )
+from whalg.tube import chi_iso
 
 
 def _associativity_loop(ring):
@@ -136,6 +141,58 @@ def test_reversed_and_product_skeleton():
     assert P.fuse((1, 1), (2, 3)) == (C.fuse(1, 2), R.fuse(1, 3))
 
 
+def _trivial(name):
+    G = catalog_group(name)
+    return G, trivial_cocycle(G)
+
+
+@pytest.mark.parametrize("case", [
+    *(pytest.param(lambda n=n, p=p: (cyclic_group(n), standard_cocycle(n, p)), id=f"z{n}-p{p}")
+      for n in (2, 3, 4) for p in (0, 1)),
+    pytest.param(lambda: _trivial("z2xz2"), id="z2xz2"),
+    pytest.param(lambda: _trivial("s3"), id="s3"),
+    pytest.param(s3_sign_pullback, id="s3-sign-pullback"),
+])
+def test_product_f_read_from_the_factors_is_the_table_written_out(case):
+    # C x C^rev reads its associator from its factors; the table written out
+    # entry by entry is the reference, for `assoc`, for `F` and for the file
+    G, omega = case()
+    C0 = pointed_skeleton(G, omega)
+    reference = product_assoc_table(C0, reversed_skeleton(C0))
+    C, _M = boxtimes_rev_skeleton(G, omega)
+    assert all(C.assoc(a, b, c) == v for (a, b, c, _d), v in reference.items())
+    assert "F" not in C.__dict__
+    assert C.F == reference
+    if G.order <= 4:  # the file of S3's 6^6 entries takes 1 s to sort
+        written_out = SkeletalCategory(C.ring, reference, C.conductor)
+        assert jsonio.dumps(jsonio.skeleton_to_json(C)) == jsonio.dumps(jsonio.skeleton_to_json(written_out))
+
+
+def test_the_build_path_forms_no_product_table(monkeypatch):
+    # A(G, omega) and chi read three associator values per label of C x C^rev
+    # (the dual data), not its |G|^6 table; the pentagon reads the factors,
+    # so it sees a tampered one
+    made = []
+
+    def recording(G, omega):
+        C, M = boxtimes_rev_skeleton(G, omega)
+        made.append(C)
+        return C, M
+
+    monkeypatch.setattr(builders, "boxtimes_rev_skeleton", recording)
+    monkeypatch.setattr(skeleton, "boxtimes_rev_skeleton", recording)
+    w = standard_cocycle(3, 1)
+    build_a_g_omega(w.group, w)
+    assert chi_iso(pointed_skeleton(w.group, w))[2].ok
+    assert len(made) == 2 and not any("F" in C.__dict__ for C in made)
+    C = made[0]
+    assert validate_pentagon(C).ok and "F" not in C.__dict__
+    F = C.factors[0].F
+    F[(1, 1, 1, 0)] = -F[(1, 1, 1, 0)]
+    rep = validate_pentagon(C)
+    assert not rep.ok and "pentagon fails" in rep.first_failure
+
+
 @pytest.mark.parametrize("n,ps", [(2, range(2)), (3, range(3))])
 def test_boxtimes_passes_validators(n, ps):
     for p in ps:
@@ -184,8 +241,6 @@ def test_dual_data_zigzags_catalog():
 
 def test_fib_not_usable_as_grouplike():
     fib = fib_fusion_ring()
-    from whalg.skeleton import SkeletalCategory
-
     C = SkeletalCategory(fib, {}, 1)
     with pytest.raises(SkeletonError):
         C.fuse("nu", "nu")

@@ -27,9 +27,7 @@ from .wha import (
     PlainAlgebra,
     RMatrixCandidate,
     WeakHopfAlgebra,
-    _NO_ROW,
     _acc,
-    _first_diff,
     _separability_laws,
 )
 
@@ -122,37 +120,31 @@ def _build_a_m_c(C, M, label, name, meta):
     # each L(b,a,y) is the denominator of |M| coefficients, one per x
     den = {(b, a, y): massoc(b, a, y).inverse() for b in labels for a in labels for y in objects}
     product = memoized_product()
-    # the tables are written in the shape the algebra keeps them in, with
-    # shared scalar objects that the algebra codes in place (`from_rows`);
-    # the data is grouplike, so each product e_i e_j has one term
-    scalars = {}  # id -> the distinct scalar objects written
-
-    mu = {}
-    for a, y, x in triples:
-        right = index[(a, y, x)]
-        ay, ax = act(a, y), act(a, x)
-        for b in labels:
-            coeff = product(massoc(b, a, x), den[b, a, y])
-            scalars[id(coeff)] = coeff
-            mu.setdefault(index[(b, ay, ax)], {})[right] = [(index[(fuse[b, a], y, x)], coeff)]
-
     one = Cyclotomic.one(n)
-    scalars[id(one)] = one
-    unit = {index[(C.unit, y, x)]: one for y in objects for x in objects}
-    delta = {index[(a, y, x)]: [(index[(a, y, z)], index[(a, z, x)], one) for z in objects]
-             for a, y, x in triples}
-    counit = {index[(a, y, y)]: one for a in labels for y in objects}
 
-    antipode = {}
-    for a, y, x in triples:
-        ar = dual.right_dual(a)
-        ay, ax = act(a, y), act(a, x)
-        coeff = dual.coev[ar] * massoc(ar, a, x) * den[a, ar, ay] * dual.ev[ar]
-        scalars[id(coeff)] = coeff
-        antipode[index[(a, y, x)]] = {index[(ar, ax, ay)]: coeff}
+    # the entries are generated as the algebra stores them (`from_entries`);
+    # the data is grouplike, so each product e_i e_j has one term
+    def mu():
+        for right, (a, y, x) in enumerate(triples):
+            ay, ax = act(a, y), act(a, x)
+            for b in labels:
+                yield ((index[(b, ay, ax)], right, index[(fuse[b, a], y, x)]),
+                       product(massoc(b, a, x), den[b, a, y]))
 
-    return WeakHopfAlgebra.from_rows(
-        [label(*t) for t in triples], n, list(scalars.values()), mu, unit, delta, counit, antipode,
+    def antipode():
+        for i, (a, y, x) in enumerate(triples):
+            ar, ay = dual.right_dual(a), act(a, y)
+            yield ((index[(ar, act(a, x), ay)], i),
+                   dual.coev[ar] * massoc(ar, a, x) * den[a, ar, ay] * dual.ev[ar])
+
+    return WeakHopfAlgebra.from_entries(
+        [label(*t) for t in triples], n,
+        mu(),
+        ((index[(C.unit, y, x)], one) for y in objects for x in objects),
+        (((i, index[(a, y, z)], index[(a, z, x)]), one)
+         for i, (a, y, x) in enumerate(triples) for z in objects),
+        ((index[(a, y, y)], one) for a in labels for y in objects),
+        antipode(),
         name=name, meta=meta,
     )
 
@@ -311,27 +303,21 @@ class SeparableFrobenius(PlainAlgebra):
         one = Cyclotomic.one(self.conductor)
         d = self.dim
 
-        # s(xy), s(x) y and x s(y) as tables (x, y, a, b) -> coeff of e_a (x) e_b
-        mp, by_right, vals = self.mu_ids, self.mu_ids_by_right, self.ids.vals
-        s_xy, s_x_y, x_s_y = {}, {}, {}
-        for x, row in mp.items():
-            for y, terms in row.items():
-                for k, c in terms:
-                    for a, b, cs in self.s_terms.get(k, ()):
-                        _acc(s_xy, (x, y, a, b), vals[c] * cs)
-        for z, terms in self.s_terms.items():
-            for a, b, c in terms:
-                for y, products in mp.get(b, _NO_ROW).items():
-                    for k, cm in products:
-                        _acc(s_x_y, (z, y, a, k), c * vals[cm])
-                for x, products in by_right.get(a, _NO_ROW).items():
-                    for k, cm in products:
-                        _acc(x_s_y, (x, z, k, b), c * vals[cm])
-        bad = [_first_diff(s_xy, t) for t in (s_x_y, x_s_y) if t != s_xy]
+        # s(xy) = s(x) y = x s(y) on every basis pair, least (x, y) first
         detail = None
-        if bad:
-            x, y = min(bad)[:2]
-            detail = f"s is not a bimodule map at ({x}, {y})"
+        for x, y in itertools.product(range(d), repeat=2):
+            ex, ey = {x: one}, {y: one}
+            s_xy = self.s_of(self.mul(ex, ey))
+            s_x_y, x_s_y = {}, {}
+            for (a, b), c in self.s_of(ex).items():
+                for k, v in self.mul({b: c}, ey).items():
+                    _acc(s_x_y, (a, k), v)
+            for (a, b), c in self.s_of(ey).items():
+                for k, v in self.mul(ex, {a: c}).items():
+                    _acc(x_s_y, (k, b), v)
+            if s_x_y != s_xy or x_s_y != s_xy:
+                detail = f"s is not a bimodule map at ({x}, {y})"
+                break
         rep.add("s-bimodule-map", detail is None, detail)
 
         detail = None
@@ -400,14 +386,14 @@ def build_frobenius_double(B):
     one = Cyclotomic.one(n)
     mu, delta = _new_tensors(d, n)
 
-    mp, vals = B.mu_ids, B.ids.vals
+    e = [B.basis_elem(i) for i in range(db)]
     for (i1, j1) in itertools.product(range(db), repeat=2):
         for (i2, j2) in itertools.product(range(db), repeat=2):
             left = index[("t", i1, j1)]
             right = index[("t", i2, j2)]
-            for k1, c1 in mp.get(i1, _NO_ROW).get(i2, ()):
-                for k2, c2 in mp.get(j2, _NO_ROW).get(j1, ()):
-                    mu.add_to(left, right, index[("t", k1, k2)], vals[c1] * vals[c2])
+            for k1, c1 in B.mul(e[i1], e[i2]).items():
+                for k2, c2 in B.mul(e[j2], e[j1]).items():
+                    mu.add_to(left, right, index[("t", k1, k2)], c1 * c2)
 
     unit = {}
     for i, ci in B.unit.items():

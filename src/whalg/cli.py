@@ -374,7 +374,7 @@ def _run_obstruction(args):
     else:
         ring = jsonio.fusion_ring_from_json(jsonio.read_json(args.ring))
     if args.candidates is not None:
-        cands = jsonio.candidates_from_json(jsonio.read_json(args.candidates))
+        cands = jsonio.candidates_from_json(jsonio.read_json(args.candidates), ring)
     elif args.ring == "fib":
         cands = [{"name": "z", "object": ["nu"], "jdim": 1}]
     else:

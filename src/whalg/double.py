@@ -29,19 +29,15 @@ from .skeleton import (
     right_regular_module,
 )
 from .wha import (
+    PlainAlgebra,
     RMatrixCandidate,
     WeakHopfAlgebra,
-    _NO_ROW,
-    _ScalarIds,
     _acc,
-    _coded,
     _first_diff,
     _hom_range,
-    _matrix,
-    _nested,
-    _product,
     _prune,
     _push,
+    counital_matrices,
     dual,
 )
 
@@ -187,8 +183,7 @@ def build_drinfeld_double(P):
     gens = {}  # (generator, flat index) -> coefficient, one row per generator
     ngens = 0
     # A^l and A^r: the pivot columns of the matrices of eps^lr and eps^rr
-    for cols, side in ((A.eps_t_ids, "l"), (A.eps_s_prime_ids, "r")):
-        E = _matrix(A, cols)
+    for E, side in zip(counital_matrices(A), "lr"):
         for x in (E.column(j) for j in E.pivot_columns()):
             pair_row = _push(P.cols, x)  # b -> <b, x>
             xa = [A.mul(x, A.basis_elem(a)) for a in range(dA)]
@@ -233,7 +228,7 @@ def build_drinfeld_double(P):
 
     d = len(reps)
     labels = [("d", B.labels[f // dA], A.labels[f % dA]) for f in reps]
-    sinvA = _matrix(A, A.antipode_ids).inverse()
+    sinvA = A.antipode.inverse()
 
     mu = SparseTensor3((d, d, d), n)
     delta = SparseTensor3((d, d, d), n)
@@ -248,8 +243,7 @@ def build_drinfeld_double(P):
         by_a.setdefault(a, []).append((t, b))
         by_b.setdefault(b, []).append((t, a))
     d2B = {b: B.coproduct2(B.basis_elem(b)) for b in by_b}
-    a_rows, a_vals = A.mu_ids, A.ids.vals
-    b_rows, b_vals = B.mu_ids, B.ids.vals
+    a_products, b_products = _basis_products(A), _basis_products(B)
     for ap, lefts in by_a.items():
         d2ap = A.coproduct2(A.basis_elem(ap))
         for b, rights in by_b.items():
@@ -264,16 +258,15 @@ def build_drinfeld_double(P):
             if not exchange:
                 continue
             for t1, bp in lefts:
-                left_row = b_rows.get(bp, _NO_ROW)
                 for t2, a in rights:
                     out = {}
                     for (b2, a2), x in exchange.items():
-                        right = a_rows.get(a2, _NO_ROW).get(a)
+                        right = a_products.get((a2, a))
                         if right is None:
                             continue
-                        for kb, ckb in left_row.get(b2, ()):
+                        for kb, ckb in b_products.get((bp, b2), ()):
                             for ka, cka in right:
-                                _acc(out, flat(kb, ka), x * b_vals[ckb] * a_vals[cka])
+                                _acc(out, flat(kb, ka), x * ckb * cka)
                     for k, v in project(out).items():
                         mu.add_to(t1, t2, k, v)
 
@@ -321,6 +314,16 @@ def build_drinfeld_double(P):
     return DoubleAlgebra(D, RMatrixCandidate(r_terms), project, reps, P)
 
 
+def _basis_products(X):
+    """{(i, j): [(k, coeff)]}, the products e_i e_j of X, read once: through
+    `mul`, the Z4 double's exchange loop took 0.02 s more per build."""
+    vals, tables = X.sorted_entries()
+    out = {}
+    for i, j, k, c in tables["mu"]:
+        out.setdefault((i, j), []).append((k, vals[c]))
+    return out
+
+
 def solve_antipode(P, project, reps, mu):
     """The double's antipode in closed form, S[b (x) a] = [1 (x) S_A a][S_B b (x) 1].
 
@@ -330,8 +333,7 @@ def solve_antipode(P, project, reps, mu):
     """
     B, A = P.B, P.A
     dA = A.dim
-    ids = _ScalarIds()  # the double's mu belongs to no algebra yet: coded once here
-    rows = _nested(_coded(mu.data, ids.scalar_id))
+    mul = PlainAlgebra(range(len(reps)), B.conductor, mu, {}).mul  # the double's mu, before D exists
     left, right = {}, {}  # a -> [1 (x) S_A a], b -> [S_B b (x) 1]
     for f in reps:
         b, a = divmod(f, dA)
@@ -344,7 +346,7 @@ def solve_antipode(P, project, reps, mu):
     smat = SparseMatrix(len(reps), len(reps), B.conductor)
     for t, f in enumerate(reps):
         b, a = divmod(f, dA)
-        for k, c in _product(rows, ids.vals, left[a], right[b]).items():
+        for k, c in mul(left[a], right[b]).items():
             smat.set(k, t, c)
     return smat
 

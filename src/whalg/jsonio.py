@@ -14,7 +14,7 @@ import marshal
 from .exactmath import Cyclotomic, SparseTensor3
 from .groups import FiniteGroup, ThreeCocycle, ValidationError
 from .skeleton import FusionRing, SkeletalCategory, SkeletalModule, SkeletonError, action_detail
-from .wha import RMatrixCandidate, WeakHopfAlgebra, _by_leg, _nested
+from .wha import RMatrixCandidate, WeakHopfAlgebra
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -179,9 +179,6 @@ def skeleton_from_json(obj):
     F entry (a, b, c, d) be given once, on the labels, with d in (a b) c."""
     what = "skeleton"
     ring = _ring_from_json(obj, what)
-    rep = ring.validate()
-    if not rep.ok:
-        raise InputError(f"{what} file: {rep.first_failure}")
     cond, f_entries = _fields(obj, what, "conductor", "F")
     _conductor(cond, what)
     labels = set(ring.labels)
@@ -255,7 +252,8 @@ def fusion_ring_from_json(obj):
 
 
 def _ring_from_json(obj, what):
-    """The fusion ring of the labels, unit and mult of a `what` file."""
+    """The fusion ring of the labels, unit and mult of a `what` file; it must
+    pass `FusionRing.validate`."""
     labels, unit, mult_entries = _fields(obj, what, "labels", "unit", "mult")
     labels = _labels(_entries(labels, what, "labels"), what, "labels")
     unit = _known(_label(unit, what, "unit"), labels, what, "unit")
@@ -264,9 +262,13 @@ def _ring_from_json(obj, what):
         where = f"mult[{pos}]"
         mult[tuple(_known(lab, labels, what, where) for lab in _labels(entry, what, where))] = 1
     try:
-        return FusionRing(labels, unit, mult)
+        ring = FusionRing(labels, unit, mult)
     except SkeletonError as exc:
         raise InputError(f"{what} file: {exc}") from None
+    rep = ring.validate()
+    if not rep.ok:
+        raise InputError(f"{what} file: {rep.first_failure}")
+    return ring
 
 
 def _known(lab, labels, what, where, kind="labels"):
@@ -282,18 +284,21 @@ def _once(key, table, what, where):
         raise InputError(f"{what} file: {where}: duplicate entry")
 
 
-def candidates_from_json(obj):
+def candidates_from_json(obj, ring):
     """The candidates of an obstruction candidates file: a list of objects,
-    each with a list of labels under "object" and an integer "jdim"."""
+    each with a list of the ring's labels under "object" and an integer "jdim"."""
     if not isinstance(obj, list):
         raise InputError(f"candidates file: expected a JSON list, not a {type(obj).__name__}")
+    labels = set(ring.labels)
     out = []
     for pos, z in enumerate(obj):
         if not (isinstance(z, dict) and isinstance(z.get("object"), list)
                 and type(z.get("jdim")) is int):
             raise InputError(f"candidates file: [{pos}] is not an object with an \"object\" list "
                              f"and an integer \"jdim\": {z!r:.80}")
-        out.append(dict(z, object=list(_labels(z["object"], "candidates", f"[{pos}].object"))))
+        where = f"[{pos}].object"
+        out.append(dict(z, object=[_known(lab, labels, "candidates", f"{where}[{i}]")
+                                   for i, lab in enumerate(_labels(z["object"], "candidates", where))]))
     return out
 
 
@@ -400,15 +405,17 @@ def _header(obj, what):
 
 
 def _entries_of(obj, table, n, bounds, decoded):
-    """(indices, scalar) of the nonzero [*indices, encoding] entries of obj[table].
+    """(indices, scalar) of the nonzero [*indices, encoding] entries of obj[table];
+    a table with one index gives it bare, (i, scalar).
 
     Each entry carries one integer index per bound, inside it, and a scalar
     of the file's conductor n (see `_scalar`); no indices repeat.  Anything
     else raises InputError naming the table and the entry.  `decoded` maps
-    id(encoding) -> scalar for the encodings met so far in one load call,
-    so each distinct encoding object is decoded once per call and its
-    entries share one scalar object; nothing is kept on the shared
-    `_Encoding`, which another load of the same parsed file may meet.
+    id(encoding) -> scalar for the encodings met so far in one load call:
+    it is the fast path, one dict probe per entry, and makes the entries of
+    each encoding object share one scalar object.  A shared `_Encoding`
+    also caches its scalar (`_scalar`), which the cocycle, F and L loaders
+    read, so another load of the same parsed file decodes it no more.
     """
     entries = obj.get(table)
     if not isinstance(entries, list):
@@ -430,7 +437,7 @@ def _entries_of(obj, table, n, bounds, decoded):
         if v is None:  # zero is kept as False
             v = decoded[id(enc)] = _scalar(enc, n, lambda: _where(table, key)) or False
         if v is not False:
-            yield key, v
+            yield (key if arity > 1 else key[0]), v
 
 
 def _table(obj, table, n, bounds):
@@ -442,20 +449,19 @@ def _where(table, key):
     return f"{table}[{', '.join(map(str, key))}]"
 
 
+def _algebra_fields(A):
+    """The fields of an algebra file other than its tables."""
+    return {"name": A.name, "dim": A.dim, "conductor": A.conductor,
+            "labels": [encode_label(l) for l in A.labels], "meta": A.meta}
+
+
 def algebra_to_json(A):
-    enc = {c: c.to_json() for c in A.ids.vals}  # one shared encoding per scalar
-    return {
-        "name": A.name,
-        "dim": A.dim,
-        "conductor": A.conductor,
-        "labels": [encode_label(l) for l in A.labels],
-        "mu": sorted([i, j, k, enc[v]] for (i, j, k), v in A.mu.data.items()),
-        "unit": sorted([i, enc[v]] for i, v in A.unit.items()),
-        "delta": sorted([i, j, k, enc[v]] for (i, j, k), v in A.delta.data.items()),
-        "counit": sorted([i, enc[v]] for i, v in A.counit.items()),
-        "antipode": sorted([k, i, enc[v]] for (k, i), v in A.antipode.data.items()),
-        "meta": A.meta,
-    }
+    vals, tables = A.sorted_entries()
+    enc = [c.to_json() for c in vals]  # one shared encoding per scalar
+    out = _algebra_fields(A)
+    for key, entries in tables.items():
+        out[key] = [[*e[:-1], enc[e[-1]]] for e in entries]
+    return out
 
 
 _CHUNK = 4096  # entries per write of `write_algebra`
@@ -466,38 +472,29 @@ def write_algebra(path, A):
 
     The structure tables repeat a few distinct scalars over many entries (six
     over 54k on A(Z6, p)), so each scalar is encoded once, its text looked up
-    by id, and each entry is formatted around it, read in sorted key order
-    from A's id-coded rows.  The file is written a bounded number of entries
-    at a time; `dumps(algebra_to_json(A))` stays the reference.
+    by id, and each entry is formatted around it, read in sorted order from
+    A's store (`sorted_entries`).  The file is written a bounded number of
+    entries at a time; `dumps(algebra_to_json(A))` stays the reference.
     """
-    text = [_encode(c.to_json()) for c in A.ids.vals]
-    fields = {
-        "name": A.name,
-        "dim": A.dim,
-        "conductor": A.conductor,
-        "labels": [encode_label(l) for l in A.labels],
-        "meta": A.meta,
-    }
-    fields = {key: _encode(value) for key, value in fields.items()}
-    mu, dt = A.mu_ids, A.delta_ids
-    tables = {
-        "mu": ("[%d,%d,%d,%s]" % (i, j, k, text[c]) for i in sorted(mu) for j in sorted(mu[i])
-               for k, c in sorted(mu[i][j])),
-        "unit": ("[%d,%s]" % (i, _encode(v.to_json())) for i, v in sorted(A.unit.items())),
-        "delta": ("[%d,%d,%d,%s]" % (i, j, k, text[c]) for i in sorted(dt) for j, k, c in sorted(dt[i])),
-        "counit": ("[%d,%s]" % (i, _encode(v.to_json())) for i, v in sorted(A.counit.items())),
-        "antipode": ("[%d,%d,%s]" % (k, i, text[c]) for k, i, c in
-                     sorted((k, i, c) for i, col in A.antipode_ids.items() for k, c in col.items())),
+    vals, tables = A.sorted_entries()
+    text = [_encode(c.to_json()) for c in vals]
+    fields = {key: _encode(value) for key, value in _algebra_fields(A).items()}
+    lines = {  # each table's entries as text
+        "mu": ("[%d,%d,%d,%s]" % (i, j, k, text[c]) for i, j, k, c in tables["mu"]),
+        "unit": ("[%d,%s]" % (i, text[c]) for i, c in tables["unit"]),
+        "delta": ("[%d,%d,%d,%s]" % (i, j, k, text[c]) for i, j, k, c in tables["delta"]),
+        "counit": ("[%d,%s]" % (i, text[c]) for i, c in tables["counit"]),
+        "antipode": ("[%d,%d,%s]" % (k, i, text[c]) for k, i, c in tables["antipode"]),
     }
     with open(path, "w") as fh:
         sep = "{"
-        for key in sorted(fields.keys() | tables.keys()):
+        for key in sorted(fields.keys() | lines.keys()):
             fh.write(f'{sep}"{key}":')
             sep = ","
             if key in fields:
                 fh.write(fields[key])
                 continue
-            entries = tables[key]
+            entries = lines[key]
             fh.write("[")
             between = ""
             while chunk := list(itertools.islice(entries, _CHUNK)):
@@ -519,20 +516,16 @@ def algebra_from_json(obj):
     for pos, lab in enumerate(labels):
         if first.setdefault(lab, pos) != pos:
             raise InputError(f"labels[{pos}]: {lab!r:.80} repeats labels[{first[lab]}]")
-    # the rows are written in the shape the algebra keeps them in, from the
-    # one validating pass over each table, and coded in place (`from_rows`)
+    # each table's one validating pass, read in the file's table order
     decoded = {}
     cube = (d, d, d)
-    mu = _nested(_entries_of(obj, "mu", n, cube, decoded))
-    unit = {i: v for (i,), v in _entries_of(obj, "unit", n, (d,), decoded)}
-    delta = _by_leg(_entries_of(obj, "delta", n, cube, decoded), 0)
-    counit = {i: v for (i,), v in _entries_of(obj, "counit", n, (d,), decoded)}
-    antipode = {i: {} for i in range(d)}
-    for (k, i), v in _entries_of(obj, "antipode", n, (d, d), decoded):
-        antipode[i][k] = v
-    scalars = {id(v): v for v in decoded.values() if v is not False}
-    return WeakHopfAlgebra.from_rows(
-        labels, n, list(scalars.values()), mu, unit, delta, counit, antipode,
+    return WeakHopfAlgebra.from_entries(
+        labels, n,
+        _entries_of(obj, "mu", n, cube, decoded),
+        _entries_of(obj, "unit", n, (d,), decoded),
+        _entries_of(obj, "delta", n, cube, decoded),
+        _entries_of(obj, "counit", n, (d,), decoded),
+        _entries_of(obj, "antipode", n, (d, d), decoded),
         name=obj.get("name", "A"), meta=obj.get("meta", {}),
     )
 

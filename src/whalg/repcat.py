@@ -23,7 +23,7 @@ import itertools
 
 from .exactmath import SparseMatrix, SparseTensor3
 from .report import Report
-from .wha import _acc, _by_leg, _coded, _matrix, _mixed_assoc_range, _nested
+from .wha import _acc, _action_range, counital_matrices
 
 
 class WHAModule:
@@ -64,10 +64,7 @@ def validate_module(A, V):
     ok = V.rho(A.one()) == idm
     rep.add("unit-acts-as-identity", ok, None if ok else "eta(1) does not act as id")
 
-    mu, ids = A.mu_ids, A.ids
-    act = list(_coded({(a, c, r): v for (a, r, c), v in V.action.data.items()}, ids.scalar_id))
-    rows = _nested(act)
-    bad = _mixed_assoc_range(ids, rows, mu, rows, _by_leg(act, 2), range(A.dim))
+    bad = _action_range(A, {(a, c, r): v for (a, r, c), v in V.action.data.items()}, range(A.dim))
     detail = None
     if bad is not None:
         i, j, _v = bad
@@ -77,8 +74,8 @@ def validate_module(A, V):
 
 
 def regular_module(A):
-    vals = A.ids.vals
-    act = {(i, k, j): vals[c] for i, row in A.mu_ids.items() for j, terms in row.items() for k, c in terms}
+    act = {(i, k, j): c for i in range(A.dim) for j in range(A.dim)
+           for k, c in A.mul(A.basis_elem(i), A.basis_elem(j)).items()}
     return WHAModule(A, A.dim, SparseTensor3((A.dim, A.dim, A.dim), A.conductor, act),
                      name=f"{A.name}-regular")
 
@@ -155,9 +152,8 @@ def tensor_product(V, W):
     e, i_mat, r_mat = _product_retract(V, W)
     d = i_mat.cols
     act = SparseTensor3((A.dim, d, d), A.conductor)
-    dt, vals = A.delta_ids, A.ids.vals
     for x in range(A.dim):
-        big = _pair_action({(j, k): vals[c] for j, k, c in dt.get(x, ())}, V, W)
+        big = _pair_action(A.coproduct(A.basis_elem(x)), V, W)
         for (r, c), v in r_mat.matmul(big).matmul(i_mat).data.items():
             act.add_to(x, r, c, v)
     mod = WHAModule(A, d, act, name=f"({V.name}.{W.name})")
@@ -171,7 +167,7 @@ def tensor_unit(A):
     A^l = im E has i's columns as basis, and eps^lr(w) = i (r w), so the
     coordinates of eps^lr(x u) in that basis are r (x u).
     """
-    i_mat, r_mat = retract_of_idempotent(_matrix(A, A.eps_t_ids))
+    i_mat, r_mat = retract_of_idempotent(next(counital_matrices(A)))
     d = i_mat.cols
     basis = [i_mat.column(b) for b in range(d)]
     act = SparseTensor3((A.dim, d, d), A.conductor)
@@ -187,12 +183,11 @@ def tensor_unit(A):
 def dual_module(V):
     """Left dual space, with the antipode-transpose action."""
     A = V.algebra
-    vals = A.ids.vals
     act = SparseTensor3((A.dim, V.dim, V.dim), A.conductor)
-    for i, col in A.antipode_ids.items():
-        for k, c in col.items():
+    for i in range(A.dim):
+        for k, c in A.apply_antipode(A.basis_elem(i)).items():
             for (r, cc), v in V.action_matrix(k).data.items():
-                act.add_to(i, cc, r, vals[c] * v)  # transpose
+                act.add_to(i, cc, r, c * v)  # transpose
     return WHAModule(A, V.dim, act, name=f"{V.name}^L")
 
 
@@ -469,7 +464,7 @@ def reduced_R_roundtrip(A, R):
     product's module structure.
     """
     V = regular_module(A)
-    _, i_mat, r_mat = _product_retract(V, V)
+    i_mat, r_mat = _product_retract(V, V)[1:]  # the idempotent itself is not kept
     flip_R = _pair_action(R.terms, V, V, swap=True)
     one_one = {}
     for i, ci in A.unit.items():

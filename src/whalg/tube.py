@@ -14,8 +14,7 @@ import itertools
 from .exactmath import Cyclotomic, SparseTensor3
 from .report import Report
 from .skeleton import SkeletonError, dual_data_pointed
-from .wha import (PlainAlgebra, _by_leg, _coded, _hom_range, _mixed_assoc_by_value,
-                  _mixed_assoc_range, _nested, _product, _push, _ScalarIds)
+from .wha import PlainAlgebra, _acc, _hom_range, _mixed_assoc_by_value, _push
 
 
 # ---------------------------------------------------------------------------
@@ -157,26 +156,30 @@ class Bimodule:
 
     def validate(self):
         rep = Report(self.name, "bimodule")
-        # both actions coded once, in one table, for the unit laws and (a m) b = a (m b)
-        ids = _ScalarIds()
-        l_act = list(_coded(self.left_action, ids.scalar_id))
-        r_act = list(_coded(self.right_action, ids.scalar_id))
-        left, right = _nested(l_act), _nested(r_act)
-
+        # 1 m and m 1 for every m, each in one pass over its action
+        left_one, right_one = self.left_alg.one(), self.right_alg.one()
+        one_m, m_one = {}, {}
+        for (a, m, w), c in self.left_action.items():
+            if a in left_one:
+                _acc(one_m.setdefault(m, {}), w, left_one[a] * c)
+        for (m, b, w), c in self.right_action.items():
+            if b in right_one:
+                _acc(m_one.setdefault(m, {}), w, c * right_one[b])
         one = Cyclotomic.one(self.left_alg.conductor)
         detail = None
         for m in range(self.dim):
             mv = {m: one}
-            if _product(left, ids.vals, self.left_alg.one(), mv) != mv:
+            if one_m.get(m, {}) != mv:
                 detail = f"left unit law fails at {m}"
                 break
-            if _product(right, ids.vals, mv, self.right_alg.one()) != mv:
+            if m_one.get(m, {}) != mv:
                 detail = f"right unit law fails at {m}"
                 break
         rep.add("unit-laws", detail is None, detail)
 
         # (a m) b = a (m b), least (a, m, b) first
-        bad = _mixed_assoc_range(ids, right, left, left, _by_leg(r_act, 2), range(self.left_alg.dim))
+        bad = _mixed_assoc_by_value(self.right_action, self.left_action, self.left_action,
+                                    self.right_action, range(self.left_alg.dim))
         detail = None
         if bad is not None:
             a, m, b = bad

@@ -40,25 +40,26 @@ dual A* takes A's, see `dual`), and mu, Delta and S are stored in its ids
 only: `mu_ids` (i -> {j: [(k, id)]}), `delta_ids` (i -> [(j, k, id)]) and
 `antipode_ids` (S by columns, i -> {k: id}), with the unit and counit as
 small {i: scalar} dicts.  The value tensors `mu`, `delta` and `antipode`
-are formed from the ids only when something reads them (the JSON dict
-`algebra_to_json`, `compare_structure`, the tests).  There are three ways
-in, and one store (`PlainAlgebra._store`): the JSON loader writes the
-rows in its one validating pass and the A(C, M) builder writes them as it
-forms the products, each in the shape they are kept in, holding shared
-scalar objects; `WeakHopfAlgebra.from_rows` numbers the objects
-canonically (`_numbered`: 0 for zero, then the distinct nonzero values
-sorted by their canonical form) and codes the rows in place by object
-identity, so no value is hashed per entry and the loaded and the built
-algebra get the same table and rows.  The public constructor takes value
-tables and indexes them into the same store, through `_numbered`, when
-the store is first read (`_index_values`).  The id -> scalar list
-`ids.vals` decodes an index wherever values are needed (`mul`,
-`coproduct`, `apply_antipode`, `eps_lr`, ...).  The other indexes are
-derived from the stored ones: mu's companions (`mu_ids_by_right`,
-`mu_ids_by_result`), `delta_left_ids`, the rows of eps(x w)
-(`eps_right_ids`, read off the products onto the counit's support) and the
-counital maps eps_t, eps_s and eps'_s by columns, each built in one pass
-over Delta(1) (`eps_t_ids`, `eps_s_ids`, `eps_s_prime_ids`).  Every kernel
+are formed from the ids only when something reads them (`compare_structure`,
+the tests).
+
+That layout is this module's alone.  One way in, `_store_entries`, takes
+each table as flat entries, ((i, j, k), scalar) for mu and Delta, (i,
+scalar) for the unit and counit and ((k, i), scalar) for S, and numbers the
+distinct scalars canonically (`_numbered`: 0 for zero, then the nonzero
+values sorted by their canonical form), so the loaded and the built algebra
+get the same table and rows.  One way out, `sorted_entries`, gives the
+scalar list and each table's sorted (indices..., id) entries.  Other
+modules use the element arithmetic (`mul`, `coproduct`, `apply_antipode`,
+`eps_lr`, `eps_rr`) and the value-level entry points (`_hom_range`,
+`_mixed_assoc_by_value`, `_action_range`, `counital_matrices`);
+`tests/test_layering.py` holds them to it.  Inside, `ids.vals` decodes an
+index where values are needed, and the other indexes are derived from the
+stored ones: mu's companions (`mu_ids_by_right`, `mu_ids_by_result`),
+`delta_left_ids`, the rows of eps(x w) (`eps_right_ids`, read off the
+products onto the counit's support) and the counital maps eps_t, eps_s and
+eps'_s by columns, each built in one pass over Delta(1) (`eps_t_ids`,
+`eps_s_ids`, `eps_s_prime_ids`).  Every kernel
 call on the algebra reads them and shares the table's memo of products and
 sums, so the sweeps hash ints, not cyclotomic values, and a product met by
 one call is not recomputed by the next.  A table that belongs to no algebra
@@ -162,8 +163,8 @@ _NO_ROW = {}  # the row of an index absent from a nested id table; never written
 
 
 def _stored(attr):
-    """A store attribute: set by `_store`, or, on an algebra made from value
-    tables, formed with the whole store when first read (`_index_values`)."""
+    """A store attribute: set by `_store_entries`, or, on an algebra made from
+    value tables, formed with the whole store when first read (`_index_values`)."""
     return functools.cached_property(lambda A: A._index_values()[attr])
 
 
@@ -172,18 +173,13 @@ class PlainAlgebra:
 
     mu is stored once, in scalar ids (`mu_ids`), with the scalar table `ids`
     and the unit as a small {i: scalar} dict; the value tensor `mu` is formed
-    from `mu_ids` only when something reads it.  The builder and the JSON
-    loader write the store's rows themselves (`WeakHopfAlgebra.from_rows`);
-    the constructor takes value tables and indexes them in ids when the
-    store is first read (`_index_values`): constructing keeps the tables,
-    and the indexes are built by the first reader, usually a verifier.
-    Every way in numbers its scalars through `_numbered` and ends in
-    `_store`.
+    from `mu_ids` only when something reads it.  The constructor keeps its
+    value tables and stores them when the store is first read.
     """
 
     def __init__(self, labels, conductor, mu, unit, name="T"):
         self._labeled(labels, conductor, name)
-        self._values = (mu.data, unit)
+        self._values = (mu.data.items(), unit.items())
 
     def _labeled(self, labels, conductor, name):
         self.labels = list(labels)
@@ -195,18 +191,11 @@ class PlainAlgebra:
             raise ValueError("labels must be distinct")
 
     def _index_values(self):
-        """Index the constructor's value tables into the store; returns the instance dict."""
-        mu, unit = self.__dict__.pop("_values")
-        ids, of = _numbered(self.conductor, _distinct(mu, unit))
-        self._store(ids, _nested(_coded_by(mu, of)), _code_vector(unit, of, ids.vals))
+        """Store the value tables; returns the instance dict.  Lazy, since storing
+        at construction doubled mutants' `build_s` (0.029 to 0.058 s) for 0.03 s
+        less `verify_s`, and raised tower's `peak_rss_mb` (32.04 to 32.30 MB)."""
+        _store_entries(self, *self.__dict__.pop("_values"))
         return self.__dict__
-
-    def _store(self, ids, mu_ids, unit):
-        """The store of every algebra: its scalar table `ids` (`_numbered`),
-        mu in those ids, i -> {j: [(k, id)]}, and the unit, {i: scalar}."""
-        self.ids = ids
-        self.mu_ids = mu_ids
-        self.unit = unit  # sparse vector {i: coeff}
 
     ids = _stored("ids")
     mu_ids = _stored("mu_ids")
@@ -383,46 +372,29 @@ class WeakHopfAlgebra(PlainAlgebra):
     def __init__(self, labels, conductor, mu, unit, delta, counit, antipode, name="A", meta=None):
         self._labeled(labels, conductor, name)
         self.meta = meta or {}
-        self._values = (mu.data, unit, delta.data, counit, antipode.data)
-
-    def _index_values(self):
-        mu, unit, delta, counit, antipode = self.__dict__.pop("_values")
-        ids, of = _numbered(self.conductor, _distinct(mu, unit, delta, counit, antipode))
-        cols = {i: {} for i in range(self.dim)}
-        for (k, i), c in _coded_by(antipode, of):
-            cols[i][k] = c
-        vals = ids.vals
-        self._store(ids, _nested(_coded_by(mu, of)), _code_vector(unit, of, vals),
-                    _by_leg(_coded_by(delta, of), 0), _code_vector(counit, of, vals), cols)
-        return self.__dict__
+        self._values = (mu.data.items(), unit.items(), delta.data.items(), counit.items(),
+                        antipode.data.items())
 
     @classmethod
-    def from_rows(cls, labels, conductor, scalars, mu, unit, delta, counit, antipode, name="A", meta=None):
-        """The algebra of tables written in the shape it keeps them in.
-
-        mu comes as rows i -> {j: [(k, scalar)]}, Delta as i -> [(j, k,
-        scalar)], S by columns, i -> {k: scalar} for every i, and the unit
-        and counit as {i: scalar}, with no scalar zero; `scalars` lists the
-        distinct scalar objects they hold.  The rows are coded in place, by
-        object identity, so no table is copied and no value is hashed per
-        entry.
-        """
+    def from_entries(cls, labels, conductor, mu, unit, delta, counit, antipode, name="A", meta=None):
+        """The algebra of the flat entries of its tables, stored at once (`_store_entries`)."""
         A = cls.__new__(cls)
         A._labeled(labels, conductor, name)
         A.meta = meta or {}
-        ids, of = _numbered(conductor, scalars)
-        vals = ids.vals
-        A._store(ids, _code_rows(mu, of), _code_vector(unit, of, vals), _code_terms(delta, of),
-                 _code_vector(counit, of, vals), _code_columns(antipode, of))
+        _store_entries(A, mu, unit, delta, counit, antipode)
         return A
 
-    def _store(self, ids, mu_ids, unit, delta_ids, counit, antipode_ids):
-        """`PlainAlgebra._store`, plus Delta in ids, i -> [(j, k, id)], the
-        counit, {i: scalar}, and S by columns in ids, i -> {k: id}."""
-        super()._store(ids, mu_ids, unit)
-        self.delta_ids = delta_ids
-        self.counit = counit  # sparse covector {i: coeff}
-        self.antipode_ids = antipode_ids
+    def sorted_entries(self):
+        """(vals, tables): the id -> scalar list and each table's entries as
+        sorted (indices..., id), by table name in file order."""
+        mu, dt, cols, code = self.mu_ids, self.delta_ids, self.antipode_ids, self.ids.ids
+        return self.ids.vals, {
+            "mu": ((i, j, k, c) for i in sorted(mu) for j in sorted(mu[i]) for k, c in sorted(mu[i][j])),
+            "unit": ((i, code[v]) for i, v in sorted(self.unit.items())),
+            "delta": ((i, j, k, c) for i in sorted(dt) for j, k, c in sorted(dt[i])),
+            "counit": ((i, code[v]) for i, v in sorted(self.counit.items())),
+            "antipode": sorted((k, i, c) for i, col in cols.items() for k, c in col.items()),
+        }
 
     delta_ids = _stored("delta_ids")
     counit = _stored("counit")
@@ -591,35 +563,55 @@ def _image(cols, vals, u):
     return out
 
 
-def _distinct(*tables):
-    """The distinct scalar objects of sparse {key: scalar} tables."""
-    objs = {}
-    for table in tables:
-        values = table.values()
-        objs.update(zip(map(id, values), values))
-    return list(objs.values())
+def _store_entries(A, mu, unit, *coalgebra):
+    """Store the flat entries of mu, the unit and, on a `WeakHopfAlgebra`,
+    Delta, the counit and S on A, each table read once in that order and
+    shaped as it is kept, zeros left out; the distinct scalar objects are
+    then numbered and the tables coded in place by object identity."""
+    met = {}
+    mu, unit = _nested(_nonzero(mu, met)), dict(_nonzero(unit, met))
+    if coalgebra:
+        delta, counit, antipode = coalgebra
+        delta, counit = _by_leg(_nonzero(delta, met), 0), dict(_nonzero(counit, met))
+        cols = {i: {} for i in range(A.dim)}
+        for (k, i), c in _nonzero(antipode, met):
+            cols[i][k] = c
+    ids, of = _numbered(A.conductor, met.values())
+    own = lambda vec: {i: ids.vals[of[id(c)]] for i, c in vec.items()}  # the table's own objects
+    A.ids, A.mu_ids, A.unit = ids, _code_rows(mu, of), own(unit)
+    if coalgebra:
+        A.delta_ids, A.counit, A.antipode_ids = _code_terms(delta, of), own(counit), _code_columns(cols, of)
+
+
+def _nonzero(entries, met):
+    """The entries with a nonzero scalar, each distinct object tested once and
+    kept in met (id -> scalar) or, while the entries are read, in zeros."""
+    zeros = {}
+    for entry in entries:
+        c = entry[1]
+        if id(c) not in met:
+            if id(c) in zeros:
+                continue
+            if not c:
+                zeros[id(c)] = c
+                continue
+            met[id(c)] = c
+        yield entry
 
 
 def _numbered(conductor, scalars):
-    """(ids, of): the scalar table of an algebra whose tables hold the scalar
-    objects `scalars`, and of[id(c)], the id of each (0 for a zero).
+    """(ids, of): the scalar table of an algebra whose tables hold the nonzero
+    scalar objects `scalars`, and of[id(c)], the id of each.
 
-    Zero is 0, then the distinct nonzero values take 1.. sorted by their
-    canonical form, whatever order they were met in, so every way of
-    building an algebra numbers its scalars alike; equal values under two
-    objects get one id.  Each value is hashed once per object, not once per
-    entry.
+    Zero is 0, then the distinct values take 1.. sorted by their canonical
+    form, whatever order they were met in, so every way of building an
+    algebra numbers its scalars alike; equal values under two objects get
+    one id.  Each value is hashed once per object, not once per entry.
     """
     table = {Cyclotomic.zero(conductor): 0}
-    for c in sorted({c: None for c in scalars if c}, key=lambda c: (c.v, c.d)):
+    for c in sorted(dict.fromkeys(scalars), key=lambda c: (c.v, c.d)):
         table[c] = len(table)
     return _ScalarIds(table), {id(c): table[c] for c in scalars}
-
-
-def _coded_by(table, of):
-    """The entries of a sparse {key: scalar} table as (key, id) pairs through
-    of = {id(scalar): id} (`_numbered`), zeros left out."""
-    return ((key, i) for key, c in table.items() if (i := of[id(c)]))
 
 
 # The coders below replace each scalar of a table in the store's shape by
@@ -649,11 +641,6 @@ def _code_columns(cols, of):
         for k, c in col.items():
             col[k] = of[id(c)]
     return cols
-
-
-def _code_vector(vec, of, vals):
-    """A small {i: scalar} table with each value the table's own object, vals[id], zeros left out."""
-    return {i: vals[q] for i, c in vec.items() if (q := of[id(c)])}
 
 
 def _coded(table, scalar_id):
@@ -883,6 +870,15 @@ def _mixed_assoc_by_value(f, g, h, k, xs):
     coded = {i: list(_coded(t, ids.scalar_id)) for i, t in {id(t): t for t in (f, g, h, k)}.items()}
     rows = {i: _nested(coded[i]) for i in {id(f), id(g), id(h)}}
     return _mixed_assoc_range(ids, rows[id(f)], rows[id(g)], rows[id(h)], _by_leg(coded[id(k)], 2), xs)
+
+
+def _action_range(A, action, xs):
+    """Least (x, y, v), x in the increasing xs, with (xy).v != x.(y.v) for the
+    action {(x, v, w): coeff of e_w in x.e_v}, coded in A's ids."""
+    ids = A.ids
+    act = list(_coded(action, ids.scalar_id))
+    rows = _nested(act)
+    return _mixed_assoc_range(ids, rows, A.mu_ids, rows, _by_leg(act, 2), xs)
 
 
 def _assoc_range(A, xs):
@@ -1427,6 +1423,12 @@ def _span_test(A, basis):
     return in_span
 
 
+def counital_matrices(A):
+    """The value matrices of eps^lr = eps_t and eps^rr = eps'_s, by columns, in turn."""
+    yield _matrix(A, A.eps_t_ids)
+    yield _matrix(A, A.eps_s_prime_ids)
+
+
 def base_algebras(A):
     """Base counital subalgebras, their interplay, and the idempotent p.
 
@@ -1434,8 +1436,7 @@ def base_algebras(A):
     basis (`_span_test`), not one solve per vector.
     """
     rep = Report(A.name, "base-algebras")
-    E_lr = _matrix(A, A.eps_t_ids)
-    E_rr = _matrix(A, A.eps_s_prime_ids)
+    E_lr, E_rr = counital_matrices(A)
 
     rep.add("eps-lr-idempotent", E_lr.matmul(E_lr) == E_lr)
     rep.add("eps-rr-idempotent", E_rr.matmul(E_rr) == E_rr)

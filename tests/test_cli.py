@@ -967,6 +967,24 @@ def _ring_with_an_unknown_label(tmp_path):
             "error: fusion ring file: mult[0]: 9 is not one of the labels")
 
 
+def _ring_that_is_not_associative(tmp_path):
+    # a (x) a = b (x) b = 1, a (x) b = a and b (x) a = b: (a a) b = b but a (a b) = 1
+    mult = ([["1", x, x] for x in "1ab"] + [[x, "1", x] for x in "ab"]
+            + [["a", "a", "1"], ["b", "b", "1"], ["a", "b", "a"], ["b", "a", "b"]])
+    path, cands = tmp_path / "ring.json", tmp_path / "c.json"
+    jsonio.write_json(str(path), {"labels": ["1", "a", "b"], "unit": "1", "mult": mult})
+    jsonio.write_json(str(cands), [{"name": "z", "object": ["a"], "jdim": 1}])
+    return (["obstruction", "--ring", str(path), "--candidates", str(cands)],
+            "error: fusion ring file: associativity fails at (a,a,b;1)")
+
+
+def _candidate_off_the_ring(tmp_path):
+    path = tmp_path / "c.json"
+    jsonio.write_json(str(path), [{"name": "z", "object": ["nope"], "jdim": 1}])
+    return (["obstruction", "--ring", "fib", "--candidates", str(path)],
+            "error: candidates file: [0].object[0]: 'nope' is not one of the labels")
+
+
 def _candidate_without_jdim(tmp_path):
     path = tmp_path / "c.json"
     jsonio.write_json(str(path), [{"name": "z", "object": ["nu"]}])
@@ -1018,7 +1036,8 @@ def _nonpositive_level(tmp_path):
 
 @pytest.mark.parametrize("bad_input", [
     _malformed_json, _cocycle_out_of_range, _duplicate_labels, _group_that_is_no_group,
-    _ring_with_an_unknown_label, _candidate_without_jdim, _k_module_out_of_range,
+    _ring_with_an_unknown_label, _ring_that_is_not_associative, _candidate_off_the_ring,
+    _candidate_without_jdim, _k_module_out_of_range,
     _k_module_of_a_cocycle_file, _module_of_another_conductor, _missing_candidates_file,
     _missing_ring_file, _nonpositive_level])
 def test_bad_input_exits_2_with_one_line(tmp_path, bad_input):

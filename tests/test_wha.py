@@ -1534,6 +1534,40 @@ def test_the_loaded_and_the_built_algebra_hold_the_same_store(tmp_path):
         assert (Y.unit, Y.counit) == (X.unit, X.counit), X.name
 
 
+def test_the_value_constructor_stores_what_the_builder_stores():
+    # one way in: value tables, however ordered and with a stored zero, are
+    # shaped, stripped of zeros, numbered and coded as the builder's entries
+    A, _ = build_a_g_omega(cyclic_group(3), standard_cocycle(3, 1))
+    d, n = A.dim, A.conductor
+    reverse = lambda table: dict(reversed(list(table.items())))
+    mu = reverse(A.mu.data)
+    absent = next(j for j in range(d) if j not in A.mu_ids[0])  # e_0 e_j = 0
+    mu[(0, absent, 0)] = Cyclotomic.zero(n)
+    B = WeakHopfAlgebra(A.labels, n, SparseTensor3((d, d, d), n, mu), reverse(A.unit),
+                        SparseTensor3((d, d, d), n, reverse(A.delta.data)), reverse(A.counit),
+                        SparseMatrix(d, d, n, reverse(A.antipode.data)))
+    assert B.ids.vals == A.ids.vals
+    assert B.mu_ids == A.mu_ids and absent not in B.mu_ids[0]
+    terms = lambda X: {i: sorted(t) for i, t in X.delta_ids.items()}
+    assert terms(B) == terms(A) and B.antipode_ids == A.antipode_ids
+    assert (B.unit, B.counit) == (A.unit, A.counit)
+    table = {id(c) for c in B.ids.vals}
+    assert {id(c) for c in (*B.unit.values(), *B.counit.values())} <= table
+
+
+def test_a_file_with_two_bad_tables_names_its_first_bad_entry(tmp_path, capsys):
+    # the loader's entries are read in the file's table order, mu first
+    from whalg import cli
+
+    obj = jsonio.algebra_to_json(b_z2())
+    obj["mu"][3][0] = 99
+    obj["unit"][0][0] = -1
+    path = tmp_path / "bad.json"
+    jsonio.write_json(str(path), obj)
+    assert cli.main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: mu[99, ")
+
+
 def test_the_cli_path_forms_no_value_tensor(tmp_path):
     # mu, Delta and S are held in ids only: the four suites of
     # `whalg verify --suite all` and the file writer read the ids

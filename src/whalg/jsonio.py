@@ -24,10 +24,31 @@ def dumps(obj):
     return _encode(obj) + "\n"
 
 
-def _sorted_entries(entries):
-    # mixed-structure entries (labels may encode as objects) sort by their
-    # canonical JSON text, which is deterministic
-    return sorted(entries, key=lambda e: json.dumps(e, sort_keys=True))
+def _sorted_entries(items):
+    """`[label, ..., scalar]` entries for (labels, scalar) items, the scalar
+    column left out where it is None, in the order of their canonical JSON.
+
+    Labels may encode as objects, so the entries sort by the deterministic
+    text `json.dumps(entry, sort_keys=True)`.  That text is joined from the
+    text of each distinct label and scalar, each encoded once.
+    """
+    encoded = {}
+
+    def part(x, encode):
+        got = encoded.get((encode, x))
+        if got is None:
+            obj = encode(x)
+            got = encoded[(encode, x)] = (obj, json.dumps(obj, sort_keys=True))
+        return got
+
+    keyed = []
+    for labels, v in items:
+        parts = [part(lab, encode_label) for lab in labels]
+        if v is not None:
+            parts.append(part(v, Cyclotomic.to_json))
+        keyed.append(("[" + ", ".join(text for _, text in parts) + "]", [obj for obj, _ in parts]))
+    keyed.sort(key=lambda e: e[0])
+    return [entry for _, entry in keyed]
 
 
 def write_json(path, obj):
@@ -161,16 +182,8 @@ def skeleton_to_json(C):
         "conductor": C.conductor,
         "labels": [encode_label(l) for l in ring.labels],
         "unit": encode_label(ring.unit),
-        "mult": _sorted_entries(
-            [encode_label(a), encode_label(b), encode_label(c)]
-            for (a, b, c), v in ring.mult.items()
-            if v
-        ),
-        "F": _sorted_entries(
-            [encode_label(a), encode_label(b), encode_label(c), encode_label(d),
-             v.to_json()]
-            for (a, b, c, d), v in C.F.items()
-        ),
+        "mult": _sorted_entries((key, None) for key, v in ring.mult.items() if v),
+        "F": _sorted_entries(C.F.items()),
     }
 
 
@@ -197,14 +210,8 @@ def module_to_json(M):
     return {
         "conductor": M.over.conductor,
         "objects": [encode_label(x) for x in M.objects],
-        "action": _sorted_entries(
-            [encode_label(a), encode_label(x), encode_label(y)]
-            for (a, x), y in M.action.items()
-        ),
-        "L": _sorted_entries(
-            [encode_label(a), encode_label(b), encode_label(x), v.to_json()]
-            for (a, b, x), v in M.L.items()
-        ),
+        "action": _sorted_entries(((a, x, y), None) for (a, x), y in M.action.items()),
+        "L": _sorted_entries(M.L.items()),
     }
 
 
@@ -239,11 +246,7 @@ def fusion_ring_to_json(ring):
     return {
         "labels": [encode_label(l) for l in ring.labels],
         "unit": encode_label(ring.unit),
-        "mult": _sorted_entries(
-            [encode_label(a), encode_label(b), encode_label(c)]
-            for (a, b, c), v in ring.mult.items()
-            if v
-        ),
+        "mult": _sorted_entries((key, None) for key, v in ring.mult.items() if v),
     }
 
 

@@ -5,6 +5,14 @@ All structure constants are evaluated mechanically in the strict-skeletal
 picture: objects are bracket trees of labels, morphisms are scalars, and
 every re-bracketing contributes the corresponding associator value.  The
 coherence validators run upstream, so the evaluation is path-independent.
+
+A re-bracketing src -> dst is the scalar of src -> left comb over that of
+dst -> left comb.  Each family's `WordCalc` keeps that scalar for every
+bracket tree it meets in one table, so the subtrees an algebra's products
+share (444 distinct ones over the 729 products of Tube'^(2) on Z3) have their
+associator products formed once.  The table lives on the family object, for
+one call such as `build_tube_prime` or `chi_iso`; nothing is kept on C or in
+the module, so a second call on the same C does the same work again.
 """
 
 from __future__ import annotations
@@ -30,13 +38,6 @@ def node(a, b):
     return ("*", (a, b))
 
 
-def leafs(t):
-    if _is_node(t):
-        l, r = t[1]
-        return leafs(l) + leafs(r)
-    return (t,)
-
-
 def lc(word):
     """Left-comb tree of a word of labels."""
     if not word:
@@ -48,7 +49,16 @@ def lc(word):
 
 
 class WordCalc:
-    """Scalar evaluation helpers for one grouplike category with duals."""
+    """Scalar evaluation helpers for one grouplike category with duals.
+
+    `table` maps each bracket tree met so far to its word and the scalar of
+    the coherence iso from it to the left comb of that word.  A node's entry
+    joins its children's words and multiplies their scalars by one `_merge`,
+    so each subtree's associator product is formed once however often the
+    tree recurs.  The table belongs to this object, which each tube family
+    makes for itself, so it lives for one family's call and is never shared
+    between categories or calls.
+    """
 
     def __init__(self, C):
         if not C.ring.is_grouplike():
@@ -56,20 +66,24 @@ class WordCalc:
         self.C = C
         self.dd = dual_data_pointed(C)
         self.one = Cyclotomic.one(C.conductor)
-
-    def prod(self, t):
-        return self.C.fuse_all(leafs(t))
+        self.table = {}
 
     def inv(self, g):
         return self.C.ring.dual[g]
 
-    def comb_scalar(self, t):
-        """Scalar of the coherence iso t -> left-comb of its word."""
-        if not _is_node(t):
-            return self.one
-        l, r = t[1]
-        s = self.comb_scalar(l) * self.comb_scalar(r)
-        return s * self._merge(self.prod(l), leafs(r))
+    def entry(self, t):
+        """(word, scalar of the coherence iso t -> left comb of the word)."""
+        e = self.table.get(t)
+        if e is None:
+            if _is_node(t):
+                l, r = t[1]
+                lw, ls = self.entry(l)
+                rw, rs = self.entry(r)
+                e = (lw + rw, ls * rs * self._merge(self.C.fuse_all(lw), rw))
+            else:
+                e = ((t,), self.one)
+            self.table[t] = e
+        return e
 
     def _merge(self, x_label, r_word):
         # scalar of LC([x]) (x) LC(r_word) -> LC([x] + r_word)
@@ -82,9 +96,11 @@ class WordCalc:
 
     def rebracket(self, src, dst):
         """Scalar of the canonical iso src -> dst (same underlying word)."""
-        if leafs(src) != leafs(dst):
+        src_word, src_scalar = self.entry(src)
+        dst_word, dst_scalar = self.entry(dst)
+        if src_word != dst_word:
             raise ValueError("rebracket between different words")
-        return self.comb_scalar(src) / self.comb_scalar(dst)
+        return src_scalar / dst_scalar
 
     # right-dual pairings: ev'_g: g (x) g^R -> 1, coev'_g: 1 -> g^R (x) g
     def ev_right(self, g):
@@ -419,12 +435,15 @@ class TubePrimeFamily(_TubeSpaces):
         b = self.basis(n_level, n_level)
         idx = {lab: i for i, lab in enumerate(b)}
         d = len(b)
+        # h g is nonzero only where g's x legs are h's y legs; each list of
+        # by_x keeps b's order, so mu's entries come in (h, g) order
+        by_x = {}
+        for gi, g in enumerate(b):
+            by_x.setdefault(g[1], []).append((gi, g))
         mu = SparseTensor3((d, d, d), self.C.conductor)
         for hi, h in enumerate(b):
-            for gi, g in enumerate(b):
+            for gi, g in by_x.get(h[2], ()):
                 lab, s = self.mult_scalar(h, g)
-                if lab is None:
-                    continue
                 mu.add_to(hi, gi, idx[lab], s)
         return self._algebra(b, mu, f"Tube'^({n_level})[{self.C.name}]")
 

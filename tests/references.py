@@ -61,6 +61,17 @@ comultiplication and antipode S^-1, built from A's value tensors.
 skeleta, written out entry by entry as `skeleton.product_skeleton` did
 before its F was read from the factors.
 
+`comb_scalar_recursive` and `rebracket_recursive` are the bracket-tree
+calculus of `tube.WordCalc` as it ran before each tree's scalar was read
+from the family's table: the whole recursion on every call, one associator
+inverse per leaf of each right subtree, and the word compared first.  Both
+take the `WordCalc` as their first argument, so `rebracket_recursive` can
+stand in for `WordCalc.rebracket`.
+
+`sorted_by_json_text` is the sort of `jsonio`'s sparse entries as it ran
+before each distinct label and scalar was encoded once: one `json.dumps`
+per entry.
+
 `b_g_omega_closed` and `a_g_omega_closed` write the structure constants of
 B(G, omega) and A(G, omega) straight from the paper's closed formulas; the
 builders, which run the general A(C, M) construction, must match them
@@ -69,6 +80,7 @@ entrywise.
 
 import functools
 import itertools
+import json
 from fractions import Fraction
 
 from whalg.exactmath import _FIELDS, Cyclotomic, SparseMatrix, SparseTensor3, memoized_product
@@ -927,3 +939,39 @@ def product_assoc_table(C1, C2):
         for (a2, b2, c2, d2), f2 in entries2:
             F[((a1, a2), (b1, b2), (c1, c2), (d1, d2))] = product(f1, f2)
     return F
+
+
+def _leafs(t):
+    if isinstance(t, tuple) and len(t) == 2 and t[0] == "*":
+        l, r = t[1]
+        return _leafs(l) + _leafs(r)
+    return (t,)
+
+
+def _merge_recursive(C, one, x, r_word):
+    """Scalar of LC([x]) (x) LC(r_word) -> LC([x] + r_word)."""
+    if len(r_word) == 1:
+        return one
+    head = r_word[:-1]
+    return C.assoc(x, C.fuse_all(head), r_word[-1]).inverse() * _merge_recursive(C, one, x, head)
+
+
+def comb_scalar_recursive(wc, t):
+    """Scalar of the coherence iso t -> left comb of its word."""
+    if not (isinstance(t, tuple) and len(t) == 2 and t[0] == "*"):
+        return wc.one
+    l, r = t[1]
+    s = comb_scalar_recursive(wc, l) * comb_scalar_recursive(wc, r)
+    return s * _merge_recursive(wc.C, wc.one, wc.C.fuse_all(_leafs(l)), _leafs(r))
+
+
+def rebracket_recursive(wc, src, dst):
+    """Scalar of the canonical iso src -> dst (same underlying word)."""
+    if _leafs(src) != _leafs(dst):
+        raise ValueError("rebracket between different words")
+    return comb_scalar_recursive(wc, src) / comb_scalar_recursive(wc, dst)
+
+
+def sorted_by_json_text(entries):
+    """Entries (lists of JSON values) in the order of their canonical JSON text."""
+    return sorted(entries, key=lambda e: json.dumps(e, sort_keys=True))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from references import product_assoc_table, s3_sign_pullback
+from references import product_assoc_table, s3_sign_pullback, sorted_by_json_text
 from whalg import builders, jsonio, skeleton
 from whalg.builders import build_a_g_omega
 from whalg.exactmath import Cyclotomic, root_of_unity
@@ -163,9 +163,22 @@ def test_product_f_read_from_the_factors_is_the_table_written_out(case):
     assert all(C.assoc(a, b, c) == v for (a, b, c, _d), v in reference.items())
     assert "F" not in C.__dict__
     assert C.F == reference
-    if G.order <= 4:  # the file of S3's 6^6 entries takes 1 s to sort
-        written_out = SkeletalCategory(C.ring, reference, C.conductor)
-        assert jsonio.dumps(jsonio.skeleton_to_json(C)) == jsonio.dumps(jsonio.skeleton_to_json(written_out))
+    written_out = SkeletalCategory(C.ring, reference, C.conductor)
+    assert jsonio.dumps(jsonio.skeleton_to_json(C)) == jsonio.dumps(jsonio.skeleton_to_json(written_out))
+
+
+def test_sparse_entries_sort_by_their_json_text():
+    # labels whose texts are prefixes of one another (1, 10, "1"), tuples and
+    # repeated scalars, with and without a scalar column
+    rng = random.Random(5)
+    labels = [0, 1, 2, 10, 12, "1", "a", "a b", (1,), (1, 0), (10,), ("a", 2)]
+    scalars = [root_of_unity(3, k) * Cyclotomic.rational(3, c) for k in range(3) for c in (1, -2)]
+    for width in (1, 3, 4):
+        keys = {tuple(rng.choice(labels) for _ in range(width)) for _ in range(300)}
+        for items in ([(key, None) for key in keys], [(key, rng.choice(scalars)) for key in keys]):
+            entries = [[jsonio.encode_label(x) for x in key] + ([] if v is None else [v.to_json()])
+                       for key, v in items]
+            assert jsonio._sorted_entries(items) == sorted_by_json_text(entries)
 
 
 def test_the_build_path_forms_no_product_table(monkeypatch):

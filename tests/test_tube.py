@@ -13,20 +13,24 @@ from whalg.tube import (
     PlainAlgebra,
     TubeFamily,
     TubePrimeFamily,
+    WordCalc,
     _transport_scalar,
     build_tube,
     build_tube_bimodule,
     build_tube_prime,
     chi_iso,
+    node,
     solve_pivotal,
     tube_generalized_associativity,
     tube_vs_tube_prime,
     verify_morita_section,
     weak_bialgebra_obstruction,
 )
+from whalg import tube
 from whalg.wha import center_dim
 
-from references import assoc_dense, cup_cocycle, s3_sign_pullback
+from references import (assoc_dense, comb_scalar_recursive, cup_cocycle, rebracket_recursive,
+                        s3_sign_pullback)
 
 
 def pointed(n, p):
@@ -93,12 +97,14 @@ def test_tube_z2_trivial_commutative_center():
     assert center_dim(T) == 4
 
 
-@pytest.mark.parametrize("n,p,lvl,expect", [(2, 0, 1, 4), (2, 0, 2, 16), (2, 1, 2, 16), (3, 1, 2, 81)])
+@pytest.mark.parametrize("n,p,lvl,expect", [(2, 0, 1, 4), (2, 0, 2, 16), (2, 1, 2, 16), (3, 1, 2, 81),
+                                             (4, 1, 2, 256), (4, 3, 2, 256)])
 def test_tube_prime_dims_and_laws(n, p, lvl, expect):
     C, g, w = pointed(n, p)
     Tp = build_tube_prime(C, lvl)
     assert Tp.dim == expect
     assert Tp.validate().ok
+    assert center_dim(Tp) == n * n
 
 
 def test_tube_prime_level1_equals_multiplication_of_family():
@@ -132,7 +138,7 @@ def test_generalized_associativity():
     assert tube_generalized_associativity(C, instances).ok
 
 
-@pytest.mark.parametrize("n,p", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+@pytest.mark.parametrize("n,p", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (4, 1), (4, 3)])
 def test_chi_isomorphism(n, p):
     C, g, w = pointed(n, p)
     chi_map, Tp2, rep = chi_iso(C)
@@ -402,6 +408,92 @@ def test_obstruction_monotone():
     small_keys = {(id0["name"], id1["name"]) for id0, id1, _, _ in pairs_small}
     big_keys = {(id0["name"], id1["name"]) for id0, id1, _, _ in pairs_big}
     assert small_keys <= big_keys
+
+
+# ---------------------------------------------------------------------------
+# the word calculus's table against the recursion it replaced
+# ---------------------------------------------------------------------------
+
+
+def _random_tree(rng, word):
+    if len(word) == 1:
+        return word[0]
+    k = rng.randrange(1, len(word))
+    return node(_random_tree(rng, word[:k]), _random_tree(rng, word[k:]))
+
+
+WORD_CALC_INPUTS = {
+    "z3-p1": lambda: pointed(3, 1)[0],
+    "z4-p3": lambda: pointed(4, 3)[0],
+    "s3-trivial": lambda: pointed_skeleton(symmetric_group_3(), trivial_cocycle(symmetric_group_3())),
+    "s3-sign-pullback": lambda: pointed_skeleton(*s3_sign_pullback()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_CALC_INPUTS))
+def test_rebracket_matches_the_recursive_reference(name):
+    # one calculus for all trials, so later trees meet subtrees already in
+    # its table; words of one to seven labels, random bracketings
+    C = WORD_CALC_INPUTS[name]()
+    wc = WordCalc(C)
+    rng = random.Random(name)
+    for _ in range(300):
+        word = tuple(rng.choice(C.labels) for _ in range(rng.randint(1, 7)))
+        src, dst = _random_tree(rng, word), _random_tree(rng, word)
+        assert wc.rebracket(src, dst) == rebracket_recursive(wc, src, dst)
+        assert wc.entry(src) == (word, comb_scalar_recursive(wc, src))
+
+        other = list(word)
+        if rng.random() < 0.5:
+            k = rng.randrange(len(word))
+            other[k] = rng.choice([x for x in C.labels if x != word[k]])
+        else:
+            other.append(rng.choice(C.labels))
+        bad = _random_tree(rng, tuple(other))
+        for calc in (wc.rebracket, lambda a, b: rebracket_recursive(wc, a, b)):
+            with pytest.raises(ValueError, match="different words"):
+                calc(src, bad)
+            with pytest.raises(ValueError, match="different words"):
+                calc(bad, dst)
+
+
+def _tube_outputs(C):
+    """Every product table, the chi map and the section verdicts, entry order kept."""
+    tables = [list(T.mu.data.items()) for T in
+              (build_tube(C), build_tube_prime(C, 1), build_tube_prime(C, 2))]
+    chi_map, _Tp2, rep = chi_iso(C)
+    sections = [(c.name, c.ok, c.detail) for m, n in ((1, 1), (1, 2), (2, 1))
+                for c in verify_morita_section(C, m, n).checks]
+    return tables, chi_map, [(c.name, c.ok, c.detail) for c in rep.checks], sections
+
+
+@pytest.mark.parametrize("n,p", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_tube_outputs_match_the_recursive_calculus(monkeypatch, n, p):
+    C, _, _ = pointed(n, p)
+    got = _tube_outputs(C)
+    for table in got[0]:  # entries in (h, g) order
+        assert [key for key, _ in table] == sorted(key for key, _ in table)
+    monkeypatch.setattr(WordCalc, "rebracket", rebracket_recursive)
+    assert got == _tube_outputs(C)
+
+
+def test_no_word_table_outlives_a_call():
+    # the table lives on the family's WordCalc: nothing is left on C or in
+    # the module after a build, and the next family starts empty
+    C, _, _ = pointed(3, 1)
+    held = dict(vars(C))
+    sizes = {k: len(v) for k, v in held.items() if hasattr(v, "__len__")}
+    module = dict(vars(tube))
+    build_tube_prime(C, 2)
+    chi_iso(C)
+    assert vars(C).keys() == held.keys() and all(vars(C)[k] is v for k, v in held.items())
+    assert {k: len(v) for k, v in vars(C).items() if hasattr(v, "__len__")} == sizes
+    assert vars(tube) == module
+    fam = TubePrimeFamily(C)
+    assert fam.wc.table == {}
+    fam.algebra(2)
+    assert len(fam.wc.table) == 444  # the distinct subtrees of Tube'^(2) on Z3
+    assert TubePrimeFamily(C).wc.table == {}
 
 
 # ---------------------------------------------------------------------------

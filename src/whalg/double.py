@@ -15,7 +15,17 @@ product on representatives is
     [b' (x) a'][b (x) a] = b' X(a', b) a,
     X(a', b) = <b_(1), a'_(1)> <b_(3), S^-1 a'_(3)> b_(2) (x) a'_(2),
 
-with each exchange X(a', b) computed once.
+with each exchange X(a', b) computed once.  The exchange is a join on the
+pairing's support: Delta^2(a')'s terms are grouped by their first leg, and
+each term b_(1) (x) b_(2) (x) b_(3) of Delta^2(b) meets only the terms whose
+a'_(1) is in the support of the row <b_(1), ->.
+
+The double is B (x) A modulo the ideal that the relations of A^l and A^r
+generate, one row per x of their bases and per flat basis vector b (x) a.
+Only the distinct nonzero relation rows are eliminated, since the RREF of a
+row space does not depend on which spanning rows it is given.  Each flat
+basis vector is then projected once onto the quotient's coordinates, and
+every later projection reads that table.
 """
 
 from __future__ import annotations
@@ -145,9 +155,9 @@ def build_pairing(C, B=None, A=None):
 
 def copairing(P):
     """Theta = sum_t a (x) b with the inverse matrix relation, snake-checked."""
-    X = P.matrix.inverse()  # X[j, i]: coefficient of a_j (x) b_i ... see below
     # With M[k, i] = <b_k, a_i>, Theta = sum_{i,j} X[i, j] a_i (x) b_j needs
     # M X = I, i.e. X = M^-1.
+    X = P.matrix.inverse()
     terms = {(i, j): v for (i, j), v in X.data.items()}
     rep = Report(f"copairing[{P.B.name}]", "copairing")
 
@@ -171,59 +181,89 @@ class DoubleAlgebra:
         self.pairing = pairing
 
 
+def _relation_rows(P, x, side):
+    """The ideal's rows for one x of A^l (side "l") or A^r (side "r").
+
+    One row per (b, a), in flat coordinates: b (x) x a minus the B leg
+    sum <1_(1), x> b 1_(2) (x) a (side l) or sum <1_(2), x> b 1_(1) (x) a
+    (side r), summed over Delta(1) of B.  Rows that cancel come out empty.
+    """
+    B, A = P.B, P.A
+    dA = A.dim
+    pair_row = _push(P.cols, x)  # b -> <b, x>
+    xa = [A.mul(x, A.basis_elem(a)) for a in range(dA)]
+    # the B leg is the same for every a
+    paired = []
+    for (p, q), c in B.delta_of_unit.items():
+        val, other = (pair_row.get(p), q) if side == "l" else (pair_row.get(q), p)
+        if val:
+            paired.append((other, val * c))
+    for b in range(B.dim):
+        eb = B.basis_elem(b)
+        by = {}
+        for other, vc in paired:
+            for k, ck in B.mul(eb, B.basis_elem(other)).items():
+                _acc(by, k, vc * ck)
+        b_leg = [(k * dA, -ck) for k, ck in by.items()]
+        for a in range(dA):
+            row = {b * dA + k: ck for k, ck in xa[a].items()}
+            for f, ck in b_leg:
+                _acc(row, f + a, ck)
+            yield row
+
+
+def _projection_table(P):
+    """(reps, table): the flat indices kept as the quotient's basis, and for
+    every flat index f the image of e_f as a list of (coordinate, coefficient).
+
+    The ideal is spanned by the relation rows of every x in the bases of A^l
+    and A^r (the pivot columns of the matrices of eps^lr and eps^rr).  Only
+    the distinct nonzero rows are eliminated: the RREF of a row space does not
+    depend on which spanning rows it is given.  A flat index is a pivot of the
+    RREF or a representative; a pivot's image is minus the rest of its row.
+    """
+    A = P.A
+    n = A.conductor
+    ncols = P.B.dim * A.dim
+    distinct = {}  # the entries of a nonzero row -> that row, first seen first
+    for E, side in zip(counital_matrices(A), "lr"):
+        for j in E.pivot_columns():
+            for row in _relation_rows(P, E.column(j), side):
+                if row:
+                    distinct.setdefault(frozenset(row.items()), row)
+    gens = SparseMatrix(len(distinct), ncols, n, {
+        (r, f): c for r, row in enumerate(distinct.values()) for f, c in row.items()
+    })
+    del distinct  # its keys hold every row a second time: free them before the elimination
+    ech, pivots = gens.rref()
+    piv_row = dict(zip(pivots, ech))
+    reps = [f for f in range(ncols) if f not in piv_row]
+    rep_index = {f: t for t, f in enumerate(reps)}
+    one = Cyclotomic.one(n)
+    table = []
+    for f in range(ncols):
+        row = piv_row.get(f)
+        if row is None:
+            table.append([(rep_index[f], one)])
+        else:
+            table.append([(rep_index[f2], -c2) for f2, c2 in row.items() if f2 != f])
+    return reps, table
+
+
 def build_drinfeld_double(P):
     """Quotient presentation of the double with its closed-form antipode and R."""
     B, A = P.B, P.A
     n = B.conductor
-    dB, dA = B.dim, A.dim
+    dA = A.dim
     flat = lambda i, j: i * dA + j
 
-    d1B = B.delta_of_unit
-
-    gens = {}  # (generator, flat index) -> coefficient, one row per generator
-    ngens = 0
-    # A^l and A^r: the pivot columns of the matrices of eps^lr and eps^rr
-    for E, side in zip(counital_matrices(A), "lr"):
-        for x in (E.column(j) for j in E.pivot_columns()):
-            pair_row = _push(P.cols, x)  # b -> <b, x>
-            xa = [A.mul(x, A.basis_elem(a)) for a in range(dA)]
-            # the B leg, the same for every a: sum over Delta(1) of
-            # <1_(1), x> b 1_(2) (side l) or <1_(2), x> b 1_(1) (side r)
-            paired = []
-            for (p, q), c in d1B.items():
-                val, other = (pair_row.get(p), q) if side == "l" else (pair_row.get(q), p)
-                if val:
-                    paired.append((other, val * c))
-            for b in range(dB):
-                eb = B.basis_elem(b)
-                by = {}
-                for other, vc in paired:
-                    for k, ck in B.mul(eb, B.basis_elem(other)).items():
-                        _acc(by, k, vc * ck)
-                for a in range(dA):
-                    for k, ck in xa[a].items():
-                        _acc(gens, (ngens, flat(b, k)), ck)
-                    for k, ck in by.items():
-                        _acc(gens, (ngens, flat(k, a)), -ck)
-                    ngens += 1
-
-    ech, pivots = SparseMatrix(ngens, dB * dA, n, gens).rref()
-    pivot_set = set(pivots)
-    piv_row = {p: r for r, p in enumerate(pivots)}
-    reps = [f for f in range(dB * dA) if f not in pivot_set]
-    rep_index = {f: t for t, f in enumerate(reps)}
+    reps, table = _projection_table(P)
 
     def project(vec):
         out = {}
         for f, c in vec.items():
-            if f in pivot_set:
-                row = ech[piv_row[f]]
-                for f2, c2 in row.items():
-                    if f2 == f:
-                        continue
-                    _acc(out, rep_index[f2], -(c * c2))
-            else:
-                _acc(out, rep_index[f], c)
+            for t, v in table[f]:
+                _acc(out, t, c * v)
         return out
 
     d = len(reps)
@@ -245,16 +285,19 @@ def build_drinfeld_double(P):
     d2B = {b: B.coproduct2(B.basis_elem(b)) for b in by_b}
     a_products, b_products = _basis_products(A), _basis_products(B)
     for ap, lefts in by_a.items():
-        d2ap = A.coproduct2(A.basis_elem(ap))
+        # Delta^2(a')'s terms by their first leg, joined to each B term
+        # (b1, b2, b3) through the support of the pairing's row b1
+        by_first = {}
+        for (a1, a2, a3), ca in A.coproduct2(A.basis_elem(ap)).items():
+            by_first.setdefault(a1, []).append((a2, a3, ca))
         for b, rights in by_b.items():
             exchange = {}
             for (b1, b2, b3), cb in d2B[b].items():
-                row1 = P.rows[b1]
-                for (a1, a2, a3), ca in d2ap.items():
-                    v1 = row1.get(a1)
-                    v3 = pair_sinv[a3].get(b3)
-                    if v1 is not None and v3 is not None:
-                        _acc(exchange, (b2, a2), cb * v1 * v3 * ca)
+                for a1, v1 in P.rows[b1].items():
+                    for a2, a3, ca in by_first.get(a1, ()):
+                        v3 = pair_sinv[a3].get(b3)
+                        if v3 is not None:
+                            _acc(exchange, (b2, a2), cb * v1 * v3 * ca)
             if not exchange:
                 continue
             for t1, bp in lefts:
@@ -266,7 +309,9 @@ def build_drinfeld_double(P):
                             continue
                         for kb, ckb in b_products.get((bp, b2), ()):
                             for ka, cka in right:
-                                _acc(out, flat(kb, ka), x * ckb * cka)
+                                f = flat(kb, ka)
+                                if table[f]:
+                                    _acc(out, f, x * ckb * cka)
                     for k, v in project(out).items():
                         mu.add_to(t1, t2, k, v)
 
@@ -281,10 +326,14 @@ def build_drinfeld_double(P):
         out = {}
         for (b1, b2), cb in B.coproduct(B.basis_elem(b)).items():
             for (a1, a2), ca in A.coproduct(A.basis_elem(a)).items():
-                left = project({flat(b1, a1): cb * ca})
-                right = project({flat(b2, a2): Cyclotomic.one(n)})
-                for k1, v1 in left.items():
-                    for k2, v2 in right.items():
+                left = table[flat(b1, a1)]
+                if not left:
+                    continue
+                c = cb * ca
+                right = table[flat(b2, a2)]
+                for k1, v1 in left:
+                    v1 = c * v1
+                    for k2, v2 in right:
                         _acc(out, (k1, k2), v1 * v2)
         for (k1, k2), v in out.items():
             delta.add_to(t, k1, k2, v)

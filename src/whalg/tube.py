@@ -401,7 +401,16 @@ def tube_generalized_associativity(C, instances=((1, 1, 1, 1),)):
 
 
 class TubePrimeFamily(_TubeSpaces):
-    """Tube' spaces C(x_1..x_n, w y_1..y_n w^R) with their multiplication."""
+    """Tube' spaces C(x_1..x_n, w y_1..y_n w^R) with their multiplication.
+
+    `mates` keeps the right mate that every product h g with w-labels
+    (w', w) needs, which depends on (w', w) alone; like `WordCalc.table`, it
+    lives on this object for one call.
+    """
+
+    def __init__(self, C):
+        super().__init__(C)
+        self.mates = {}  # (w', w) -> scalar of the right mate of id on w' w
 
     def mult_scalar(self, h, g):
         """h = (w', x'vec, y'vec), g = (w, xvec, yvec); needs xvec == y'vec."""
@@ -425,7 +434,10 @@ class TubePrimeFamily(_TubeSpaces):
         T4 = node(node(wp, w), node(lc(tuple(yg)), node(wR, wpR)))
         s = s * wc.rebracket(T3, T4)
         # P_t (x) 1 (x) mate(I_t): collapse both ends
-        s = s * wc.right_mate(t, (wp, w), wc.one)
+        mate = self.mates.get((wp, w))
+        if mate is None:
+            mate = self.mates[(wp, w)] = wc.right_mate(t, (wp, w), wc.one)
+        s = s * mate
         T5 = node(t, node(lc(tuple(yg)), tR))
         T6 = lc((t,) + tuple(yg) + (tR,))
         s = s * wc.rebracket(T5, T6)

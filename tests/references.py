@@ -23,6 +23,12 @@ every coproduct term, value of eps(x s) and column of S likewise through
 `A.delta.data`, `A.mu.data` with `A.counit`, and `A.antipode.data`.  So no
 reference reads an index of the code it checks.
 
+`drinfeld_double_reference` is the Drinfeld double as `double` built it
+before the quotient and the exchange read the sparsity of their inputs:
+every relation row, zero and repeated ones included, goes through one
+`SparseMatrix.rref`, every projection walks the RREF rows, and each
+exchange X(a', b) sweeps every pair of Delta^2 terms.
+
 `double_antipode_solved` and `weak_inverse_solved` are the exact linear
 solves that the closed forms replaced: the Drinfeld double's antipode from
 Axiom 4, and a weak inverse of R over all d^2 unknowns.
@@ -83,10 +89,11 @@ import itertools
 import json
 from fractions import Fraction
 
+from whalg.double import DoubleAlgebra, copairing, solve_antipode
 from whalg.exactmath import _FIELDS, Cyclotomic, SparseMatrix, SparseTensor3, memoized_product
 from whalg.groups import ThreeCocycle, symmetric_group_3
 from whalg.repcat import WHAModule, intertwiner_space
-from whalg.wha import RMatrixCandidate, WeakHopfAlgebra, _acc, _push
+from whalg.wha import RMatrixCandidate, WeakHopfAlgebra, _acc, _push, counital_matrices
 
 
 def pairs_index(A):
@@ -452,6 +459,125 @@ def intertwining_loop(A, R):
         if mul2(R, dx) != mul2({(j, i): c for (i, j), c in dx.items()}, R):
             return f"R Delta(x) != Delta^cop(x) R at x = {A.label_str(x)}"
     return None
+
+
+def drinfeld_double_reference(P):
+    """The double of the pairing P through the full generator matrix: one
+    row per (x, b, a), and the 16 x 16 sweep of Delta^2 terms per exchange."""
+    B, A = P.B, P.A
+    n = B.conductor
+    dB, dA = B.dim, A.dim
+    flat = lambda i, j: i * dA + j
+
+    gens = {}  # (generator, flat index) -> coefficient, one row per generator
+    ngens = 0
+    for E, side in zip(counital_matrices(A), "lr"):
+        for x in (E.column(j) for j in E.pivot_columns()):
+            pair_row = _push(P.cols, x)
+            xa = [A.mul(x, A.basis_elem(a)) for a in range(dA)]
+            paired = []
+            for (p, q), c in B.delta_of_unit.items():
+                val, other = (pair_row.get(p), q) if side == "l" else (pair_row.get(q), p)
+                if val:
+                    paired.append((other, val * c))
+            for b in range(dB):
+                eb = B.basis_elem(b)
+                by = {}
+                for other, vc in paired:
+                    for k, ck in B.mul(eb, B.basis_elem(other)).items():
+                        _acc(by, k, vc * ck)
+                for a in range(dA):
+                    for k, ck in xa[a].items():
+                        _acc(gens, (ngens, flat(b, k)), ck)
+                    for k, ck in by.items():
+                        _acc(gens, (ngens, flat(k, a)), -ck)
+                    ngens += 1
+
+    ech, pivots = SparseMatrix(ngens, dB * dA, n, gens).rref()
+    pivot_set = set(pivots)
+    piv_row = {p: r for r, p in enumerate(pivots)}
+    reps = [f for f in range(dB * dA) if f not in pivot_set]
+    rep_index = {f: t for t, f in enumerate(reps)}
+
+    def project(vec):
+        out = {}
+        for f, c in vec.items():
+            if f in pivot_set:
+                for f2, c2 in ech[piv_row[f]].items():
+                    if f2 != f:
+                        _acc(out, rep_index[f2], -(c * c2))
+            else:
+                _acc(out, rep_index[f], c)
+        return out
+
+    d = len(reps)
+    labels = [("d", B.labels[f // dA], A.labels[f % dA]) for f in reps]
+    sinvA = A.antipode.inverse()
+    mu = SparseTensor3((d, d, d), n)
+    delta = SparseTensor3((d, d, d), n)
+
+    pair_sinv = [_push(P.cols, sinvA.column(k)) for k in range(dA)]
+    by_a, by_b = {}, {}
+    for t, f in enumerate(reps):
+        b, a = divmod(f, dA)
+        by_a.setdefault(a, []).append((t, b))
+        by_b.setdefault(b, []).append((t, a))
+    d2B = {b: B.coproduct2(B.basis_elem(b)) for b in by_b}
+    a_products, b_products = pairs_index(A), pairs_index(B)
+    for ap, lefts in by_a.items():
+        d2ap = A.coproduct2(A.basis_elem(ap))
+        for b, rights in by_b.items():
+            exchange = {}
+            for (b1, b2, b3), cb in d2B[b].items():
+                row1 = P.rows[b1]
+                for (a1, a2, a3), ca in d2ap.items():
+                    v1 = row1.get(a1)
+                    v3 = pair_sinv[a3].get(b3)
+                    if v1 is not None and v3 is not None:
+                        _acc(exchange, (b2, a2), cb * v1 * v3 * ca)
+            for t1, bp in lefts:
+                for t2, a in rights:
+                    out = {}
+                    for (b2, a2), x in exchange.items():
+                        for kb, ckb in b_products.get((bp, b2), ()):
+                            for ka, cka in a_products.get((a2, a), ()):
+                                _acc(out, flat(kb, ka), x * ckb * cka)
+                    for k, v in project(out).items():
+                        mu.add_to(t1, t2, k, v)
+
+    unit = project({flat(i, j): ci * cj for i, ci in B.unit.items() for j, cj in A.unit.items()})
+
+    for t, f in enumerate(reps):
+        b, a = divmod(f, dA)
+        out = {}
+        for (b1, b2), cb in B.coproduct(B.basis_elem(b)).items():
+            for (a1, a2), ca in A.coproduct(A.basis_elem(a)).items():
+                left = project({flat(b1, a1): cb * ca})
+                right = project({flat(b2, a2): Cyclotomic.one(n)})
+                for k1, v1 in left.items():
+                    for k2, v2 in right.items():
+                        _acc(out, (k1, k2), v1 * v2)
+        for (k1, k2), v in out.items():
+            delta.add_to(t, k1, k2, v)
+
+    counit = {}
+    for t, f in enumerate(reps):
+        b, a = divmod(f, dA)
+        val = P.pair({b: Cyclotomic.one(n)}, A.eps_rr(A.basis_elem(a)))
+        if val:
+            counit[t] = val
+
+    D = WeakHopfAlgebra(labels, n, mu, unit, delta, counit, solve_antipode(P, project, reps, mu),
+                        name=f"D[{A.name}]")
+    theta, _ = copairing(P)
+    r_terms = {}
+    for (ai, bi), c in theta.items():
+        left = project({flat(i, ai): ci for i, ci in B.unit.items()})
+        right = project({flat(bi, j): cj for j, cj in A.unit.items()})
+        for k1, v1 in left.items():
+            for k2, v2 in right.items():
+                _acc(r_terms, (k1, k2), c * v1 * v2)
+    return DoubleAlgebra(D, RMatrixCandidate(r_terms), project, reps, P)
 
 
 def double_antipode_solved(D):

@@ -509,6 +509,18 @@ def test_double_build_artifacts_are_pinned(tmp_path):
         "c6fd9298d9559eebc237fecb60e6724c243448c7e28695790bcecab2812d5d2f"
 
 
+def test_z3_double_build_files_are_pinned(tmp_path):
+    # the algebra and R-matrix files of the Z3 double, byte for byte
+    proc = run_process("double", "build", "--group", "z3", "--cocycle", "p=1",
+                       "-o", "d.json", "--rmatrix-out", "r.json", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    sha = lambda data: hashlib.sha256(data).hexdigest()
+    assert sha((tmp_path / "d.json").read_bytes()) == \
+        "1e20c9aa7c99afba808620e2b1f093f3a4bc5fdf91094d2f8d592234a7f03a7d"
+    assert sha((tmp_path / "r.json").read_bytes()) == \
+        "748633163f44e33140525e81d58a80d3a6cc5bb6d1acc25208b376802e4bee9a"
+
+
 def test_json_flag_byte_stable(tmp_path, capsys):
     out = tmp_path / "b.json"
     run("build", "b-g-omega", "--group", "z2", "--cocycle", "p=1", "-o", str(out))

@@ -18,7 +18,7 @@ from whalg.wha import (
     verify_weak_bialgebra,
 )
 
-from references import b_g_omega_closed, delta_index, double_antipode_solved
+from references import b_g_omega_closed, delta_index, double_antipode_solved, drinfeld_double_reference
 
 
 def pointed(n, p):
@@ -378,9 +378,69 @@ def _double_mu_reference(P, dbl):
     return mu.data
 
 
-@pytest.mark.parametrize("n,p", [(2, 0), (2, 1), (3, 1)])
+@pytest.mark.parametrize("n,p", [(2, 0), (2, 1), (3, 1), (3, 2)])
 def test_double_product_matches_per_pair_reference(n, p):
     C, g, w = pointed(n, p)
     P = build_pairing(C)
     dbl = build_drinfeld_double(P)
     assert dbl.algebra.mu.data == _double_mu_reference(P, dbl)
+
+
+@pytest.mark.parametrize("n,p", [(2, 0), (2, 1), (3, 1), (3, 2), (4, 1)])
+def test_double_matches_the_full_elimination_reference(n, p):
+    C, g, w = pointed(n, p)
+    P = build_pairing(C)
+    dbl, ref = build_drinfeld_double(P), drinfeld_double_reference(P)
+    assert dbl.reps == ref.reps
+    one = Cyclotomic.one(C.conductor)
+    for f in range(P.B.dim * P.A.dim):
+        assert dbl.projection({f: one}) == ref.projection({f: one}), f
+    D, R = dbl.algebra, ref.algebra
+    assert D.mu.data == R.mu.data
+    assert D.delta.data == R.delta.data
+    assert (D.unit, D.counit) == (R.unit, R.counit)
+    assert D.antipode.data == R.antipode.data
+    assert dbl.r.terms == ref.r.terms
+
+
+def test_a_sign_error_in_one_relation_row_changes_the_double(monkeypatch):
+    # on Z2 p=1 every nonzero relation row is a single flat index, and each
+    # comes from several x, so dropping one x of A^l leaves the quotient as
+    # it is; flipping the B leg of a row whose two legs cancel does not
+    C, g, w = pointed(2, 1)
+    P = build_pairing(C)
+    A, dA = P.A, P.A.dim
+    ref = drinfeld_double_reference(P)
+    rows = whalg.double._relation_rows
+    first_l = []
+
+    def drop_one_x(P, x, side):
+        if side == "l" and not first_l:
+            first_l.append(x)
+            return iter(())
+        return rows(P, x, side)
+
+    monkeypatch.setattr(whalg.double, "_relation_rows", drop_one_x)
+    assert build_drinfeld_double(P).reps == ref.reps and first_l
+
+    flipped = []
+
+    def flip_one_b_leg(P, x, side):
+        for m, row in enumerate(rows(P, x, side)):
+            b, a = divmod(m, dA)
+            a_leg = {b * dA + k: c for k, c in A.mul(x, A.basis_elem(a)).items()}
+            if not flipped and not row and a_leg:
+                # the row is A leg + B leg, so A leg - B leg is 2 (A leg) - row
+                flipped.append((side, b, a))
+                row = {f: c + c for f, c in a_leg.items()}
+            yield row
+
+    monkeypatch.setattr(whalg.double, "_relation_rows", flip_one_b_leg)
+    dbl = build_drinfeld_double(P)
+    assert flipped == [("l", 0, 0)]
+    assert dbl.reps != ref.reps
+    D = dbl.algebra
+    assert D.dim == 15
+    assert not verify_weak_bialgebra(D).ok
+    assert not verify_antipode(D).ok
+    assert not sharp_iso(C, double=dbl, pairing=P)[0].ok

@@ -478,8 +478,9 @@ def test_tube_outputs_match_the_recursive_calculus(monkeypatch, n, p):
 
 
 def test_no_word_table_outlives_a_call():
-    # the table lives on the family's WordCalc: nothing is left on C or in
-    # the module after a build, and the next family starts empty
+    # the table lives on the family's WordCalc and the right mates on the
+    # family: nothing is left on C or in the module after a build, and the
+    # next family starts empty
     C, _, _ = pointed(3, 1)
     held = dict(vars(C))
     sizes = {k: len(v) for k, v in held.items() if hasattr(v, "__len__")}
@@ -490,10 +491,13 @@ def test_no_word_table_outlives_a_call():
     assert {k: len(v) for k, v in vars(C).items() if hasattr(v, "__len__")} == sizes
     assert vars(tube) == module
     fam = TubePrimeFamily(C)
-    assert fam.wc.table == {}
+    assert fam.wc.table == {} and fam.mates == {}
     fam.algebra(2)
     assert len(fam.wc.table) == 444  # the distinct subtrees of Tube'^(2) on Z3
-    assert TubePrimeFamily(C).wc.table == {}
+    assert len(fam.mates) == 9  # one right mate per pair (w', w)
+    assert set(vars(fam)) == {"wc", "C", "unit", "mates"}
+    fresh = TubePrimeFamily(C)
+    assert fresh.wc.table == {} and fresh.mates == {}
 
 
 # ---------------------------------------------------------------------------

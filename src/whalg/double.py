@@ -7,10 +7,10 @@ form, the double is an exact quotient whose antipode is the closed form
 S[b (x) a] = [1 (x) S_A a][S_B b (x) 1], and the identification map carries
 its R-matrix to the closed-form one.
 
-The pairing laws are algebra-map laws checked by the homomorphism kernel:
-the rows of the pairing matrix map B into the dual A* (`wha.dual`: Delta_A
-transposed, unit eps_A) and its columns anti-map A into B*.  The double's
-product on representatives is
+The pairing laws are the laws of a weak Hopf map, checked by
+`wha.verify_morphism`: the columns of the pairing matrix anti-map A into the
+dual B* (`wha.dual`: Delta_B transposed, unit eps_B).  The double's product
+on representatives is
 
     [b' (x) a'][b (x) a] = b' X(a', b) a,
     X(a', b) = <b_(1), a'_(1)> <b_(3), S^-1 a'_(3)> b_(2) (x) a'_(2),
@@ -43,12 +43,10 @@ from .wha import (
     RMatrixCandidate,
     WeakHopfAlgebra,
     _acc,
-    _first_diff,
-    _hom_range,
-    _prune,
     _push,
     counital_matrices,
     dual,
+    verify_morphism,
 )
 
 
@@ -82,10 +80,10 @@ def build_pairing(C, B=None, A=None):
     """The closed-form pairing matrix, with all four laws verified.
 
     B and A default to the general builder on the left-regular and
-    right-regular module data of the pointed skeleton C.  The rows of the
-    matrix are a map B -> A* and its columns a map A -> B*; the pairing laws
-    say the first is a unital algebra map and the second a unital algebra
-    anti-map, and are checked as such by the homomorphism kernel.
+    right-regular module data of the pointed skeleton C.  The pairing laws
+    say that the columns a -> <-, a> are a unital, counital, comultiplicative
+    algebra anti-map A -> B*; `wha.verify_morphism` checks them as one, with
+    nondegeneracy as bijectivity and <S_B b, S_A a> = <b, a> as its antipode law.
     """
     G, omega = pointed_to_group_cocycle(C)
     if B is None:
@@ -108,48 +106,8 @@ def build_pairing(C, B=None, A=None):
             j = A.label_index[("f", a2, y2, x2)]
         mat.set(i, j, omega(a1, y1, a2))
 
-    ok = mat.rank() == B.dim == A.dim
-    rep.add("pairing-nondegenerate", ok, None if ok else "pairing matrix is rank-deficient")
-
     P = PairingForm(B, A, mat, rep)
-    rows, cols = P.rows, P.cols
-    dualA, dualB = dual(A), dual(B)
-
-    # <1_B, a> = eps_A(a)
-    lhs, rhs = _push(rows, B.one()), _prune(A.counit)
-    detail = None if lhs == rhs else f"<1_B, a> != eps_A(a) at {A.label_str(_first_diff(lhs, rhs))}"
-    rep.add("pairing-unit-counit-B", detail is None, detail)
-
-    # <b, 1_A> = eps_B(b)
-    lhs, rhs = _push(cols, A.one()), _prune(B.counit)
-    detail = None if lhs == rhs else f"<b, 1_A> != eps_B(b) at {B.label_str(_first_diff(lhs, rhs))}"
-    rep.add("pairing-unit-counit-A", detail is None, detail)
-
-    # <b, a_(1)> <b', a_(2)> = <b b', a>: the rows multiply
-    detail = None
-    bad = _hom_range(rows, B, dualA, range(B.dim))
-    if bad is not None:
-        i1, i2 = bad
-        j = _first_diff(_push(rows, B.mul(B.basis_elem(i1), B.basis_elem(i2))),
-                        dualA.mul(rows[i1], rows[i2]))
-        detail = (
-            f"<b,a_(1)><b',a_(2)> != <bb',a> at "
-            f"({B.label_str(i1)}, {B.label_str(i2)}, {A.label_str(j)})"
-        )
-    rep.add("pairing-multiplicative-in-B", detail is None, detail)
-
-    # <b_(1), a> <b_(2), a'> = <b, a' a>: the columns anti-multiply
-    detail = None
-    bad = _hom_range(cols, A, dualB, range(A.dim), anti=True)
-    if bad is not None:
-        j2, j1 = bad  # (a', a)
-        i = _first_diff(_push(cols, A.mul(A.basis_elem(j2), A.basis_elem(j1))),
-                        dualB.mul(cols[j1], cols[j2]))
-        detail = (
-            f"<b_(1),a><b_(2),a'> != <b,a'a> at "
-            f"({B.label_str(i)}, {A.label_str(j1)}, {A.label_str(j2)})"
-        )
-    rep.add("pairing-comultiplicative-in-B", detail is None, detail)
+    verify_morphism(rep, "pairing", P.cols, A, dual(B), anti=True)
     return P
 
 
@@ -403,9 +361,11 @@ def solve_antipode(P, project, reps, mu):
 def sharp_iso(C, double=None, pairing=None):
     """The identification of the double with the |G|^4 algebra, verified.
 
-    Evaluates the delta-and-composition map on flat representatives, checks
-    well-definedness on the ideal, the algebra-map laws, bijectivity, and
-    that the copairing R-matrix is carried to the closed-form one.
+    Evaluates the delta-and-composition map on flat representatives and
+    checks that it is well defined on the ideal, that it is a weak Hopf
+    isomorphism D -> A(G, omega) (`wha.verify_morphism`: the algebra laws,
+    and the coalgebra and antipode laws without which Rep D ~ Rep A(G, omega)
+    need not be monoidal), and that it carries the copairing R to the closed form.
     """
     from .builders import build_a_g_omega
 
@@ -460,23 +420,8 @@ def sharp_iso(C, double=None, pairing=None):
             break
     rep.add("sharp-well-defined", detail is None, detail)
 
-    def push_quot(vec):
-        return push_flat(lift(vec))
-
-    images = [push_quot(D.basis_elem(t)) for t in range(D.dim)]
-    img_mat = SparseMatrix(Abox.dim, D.dim, n)
-    for t, img in enumerate(images):
-        for k, v in img.items():
-            img_mat.add_to(k, t, v)
-    ok = D.dim == Abox.dim and img_mat.rank() == Abox.dim
-    rep.add("sharp-bijective", ok, None if ok else "sharp is not a bijection")
-
-    ok = push_quot(D.one()) == Abox.one()
-    rep.add("sharp-unital", ok, None if ok else "sharp(1) != unit")
-
-    bad = _hom_range(images, D, Abox, range(D.dim))
-    detail = None if bad is None else f"sharp(uv) != sharp(u)sharp(v) at ({bad[0]}, {bad[1]})"
-    rep.add("sharp-multiplicative", detail is None, detail)
+    images = [push_flat(lift(D.basis_elem(t))) for t in range(D.dim)]
+    verify_morphism(rep, "sharp", images, D, Abox)
 
     # R-matrix transport
     r_img = {}

@@ -22,7 +22,7 @@ import itertools
 from .exactmath import Cyclotomic, SparseTensor3
 from .report import Report
 from .skeleton import SkeletonError, dual_data_pointed
-from .wha import PlainAlgebra, _acc, _hom_range, _mixed_assoc_by_value, _push
+from .wha import PlainAlgebra, _acc, _mixed_assoc_by_value, verify_morphism
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +472,8 @@ def build_tube_prime(C, n=1):
 
 
 def chi_iso(C, A=None):
-    """chi: A -> Tube'^(2); verifies it is a unital algebra isomorphism.
+    """chi: A -> Tube'^(2); verifies it is a unital algebra isomorphism
+    (`wha.verify_morphism`; Tube' is a plain algebra, so only the algebra laws).
 
     A defaults to the general builder applied to the two-sided module data
     recovered from C; a closed-form |G|^4 algebra may be passed instead.
@@ -524,21 +525,7 @@ def chi_iso(C, A=None):
         s = s * wc.rebracket(T6, lc((a, y, xR, aR)))
         chi_map[i] = (Tp2.label_index[t_lab], s)
 
-    # bijectivity: chi is monomial with nonzero scalars; check label bijection
-    images = [v[0] for v in chi_map.values()]
-    ok = sorted(images) == list(range(Tp2.dim)) and all(s for _, s in chi_map.values())
-    rep.add("chi-bijective", ok, None if ok else "chi is not a bijection")
-
-    phi = {i: {j: s} for i, (j, s) in chi_map.items()}
-    ok = _push(phi, A.one()) == Tp2.one()
-    rep.add("chi-unital", ok, None if ok else "chi(1) != 1")
-
-    bad = _hom_range(phi, A, Tp2, range(A.dim))
-    detail = None
-    if bad is not None:
-        i, j = bad
-        detail = f"chi(uv) != chi(u)chi(v) at ({A.label_str(i)}, {A.label_str(j)})"
-    rep.add("chi-multiplicative", detail is None, detail)
+    verify_morphism(rep, "chi", [{j: s} for j, s in chi_map.values()], A, Tp2)
     return chi_map, Tp2, rep
 
 
@@ -559,7 +546,8 @@ def _transport_scalar(wc, w, x):
 
 
 def tube_vs_tube_prime(C, t_coeffs):
-    """Compare Tube' transported through the t-rescaled identification."""
+    """Check that the t-rescaled identification Tube' -> Tube is a unital
+    algebra isomorphism (`wha.verify_morphism`, checks `transport-*`)."""
     fam = TubeFamily(C)
     pfam = TubePrimeFamily(C)
     wc = fam.wc
@@ -568,19 +556,12 @@ def tube_vs_tube_prime(C, t_coeffs):
     rep = Report(f"Tube vs Tube'[{C.name}]", "pivotal-transport")
 
     # both families share the label set (w, (x,), (y,))
-    phi = {}
-    for i, (w, xv, yv) in enumerate(Tp.labels):
+    phi = []
+    for w, xv, yv in Tp.labels:
         s = t_coeffs[w] * _transport_scalar(wc, w, xv[0])
-        phi[i] = {T.label_index[(w, xv, yv)]: s}
+        phi.append({T.label_index[(w, xv, yv)]: s})
 
-    bad = _hom_range(phi, Tp, T, range(Tp.dim))
-    detail = None
-    if bad is not None:
-        i, j = bad
-        detail = f"transported product mismatch at ({Tp.label_str(i)}, {Tp.label_str(j)})"
-    rep.add("transported-multiplication-matches", detail is None, detail)
-    ok = _push(phi, Tp.one()) == T.one()
-    rep.add("transported-unit-matches", ok, None if ok else "phi(1) != 1")
+    verify_morphism(rep, "transport", phi, Tp, T)
     return rep
 
 

@@ -21,8 +21,10 @@ Three law kernels serve every caller of their law shape:
 
 - `_hom_range`, the homomorphism kernel: the least basis pair on which a
   linear map given by its basis images fails to be an algebra
-  (anti-)homomorphism.  It runs the antipode's anti-homomorphism law, `chi`,
-  the Tube/Tube' transport and the Drinfeld double's sharp map.
+  (anti-)homomorphism.  It runs the antipode's anti-homomorphism law and
+  the multiplicative law of `verify_morphism`, the one check of a linear
+  map as a morphism (the double's pairing and sharp map, `chi` and the
+  Tube/Tube' transport).
 - `_mixed_assoc_range`, the mixed-associativity kernel: the least basis
   triple on which f(g(x, y), z) != h(x, k(y, z)) for four id-coded
   bilinear tables (`_nested`, `_by_leg`).  It runs mu-associativity, the tube
@@ -40,7 +42,7 @@ dual A* takes A's, see `dual`), and mu, Delta and S are stored in its ids
 only: `mu_ids` (i -> {j: [(k, id)]}), `delta_ids` (i -> [(j, k, id)]) and
 `antipode_ids` (S by columns, i -> {k: id}), with the unit and counit as
 small {i: scalar} dicts.  The value tensors `mu`, `delta` and `antipode`
-are formed from the ids only when something reads them (`compare_structure`,
+are formed from the ids only when something reads them (the double's S^-1,
 the tests).
 
 That layout is this module's alone.  One way in, `_store_entries`, takes
@@ -51,7 +53,7 @@ values sorted by their canonical form), so the loaded and the built algebra
 get the same table and rows.  One way out, `sorted_entries`, gives the
 scalar list and each table's sorted (indices..., id) entries.  Other
 modules use the element arithmetic (`mul`, `coproduct`, `apply_antipode`,
-`eps_lr`, `eps_rr`) and the value-level entry points (`_hom_range`,
+`eps_lr`, `eps_rr`) and the value-level entry points (`verify_morphism`,
 `_mixed_assoc_by_value`, `_action_range`, `counital_matrices`);
 `tests/test_layering.py` holds them to it.  Inside, `ids.vals` decodes an
 index where values are needed, and the other indexes are derived from the
@@ -1797,33 +1799,85 @@ def weak_inverse(A, cand):
 
 
 # ---------------------------------------------------------------------------
-# structure-constant comparison
+# morphisms
 # ---------------------------------------------------------------------------
 
 
-def compare_structure(A, B, index_map):
-    """Entrywise equality of all structure tensors under a basis bijection.
+def verify_morphism(rep, prefix, phi, A, B, *, anti=False):
+    """Add to `rep` the checks `<prefix>-<law>` that the linear map phi: A -> B,
+    phi[i] the sparse image of A's basis element i, is an isomorphism of
+    every structure that A and B both carry.
 
-    index_map: list with index_map[i] = index in B of A's basis vector i.
+    The laws are bijective (equal dims and full rank), unital, multiplicative
+    (phi(xy) = phi(x) phi(y), or phi(y) phi(x) with `anti`, on `_hom_range`
+    over every x) and, only when A and B are both `WeakHopfAlgebra`s,
+    counital, comultiplicative (Delta_B phi = (phi (x) phi) Delta_A) and
+    antipode (phi S_A = S_B phi).  With `anti`, phi is a map from A^op, which
+    has A's coalgebra and the antipode S_A^-1, so that law reads
+    S_B phi S_A = phi.  Where S_B^2 = id the two forms agree, and S^2 = id on
+    every algebra probed (B, A and the double over Z3 p=1 and Z4 p=1).  Each
+    detail names the least counterexample by labels: a basis element of A
+    (or pair), or for phi(1) != 1 a basis element of B.
+
+    `double.build_pairing` checks its columns a -> <-, a> as such a map
+    A -> B* with `anti`.  B* (`dual`) has unit eps_B, counit evaluation at
+    1_B, product Delta_B transposed and coproduct mu_B transposed, so the
+    four pairing laws are exactly the map's laws: <b, 1_A> = eps_B(b) is
+    unital, <1_B, a> = eps_A(a) counital, <bb', a> = <b, a_(1)> <b', a_(2)>
+    comultiplicative and <b, a'a> = <b_(1), a> <b_(2), a'> multiplicative
+    under `anti`.  The rows b -> <b, -> multiply into A*, but the last law
+    makes them comultiplicative only into (A*)^cop, A* with its coproduct's
+    legs swapped.
     """
-    rep = Report(f"{A.name} vs {B.name}", "compare")
+    phi = [_prune(img) for img in phi]
+    # a column outside the pivots of a reduced echelon form is in the span of those before it
+    pivots = set(SparseMatrix.from_columns(B.dim, phi, A.conductor).pivot_columns())
+    x = next((x for x in range(A.dim) if x not in pivots), None)
+    detail = None if x is None else f"phi(x) is in the span of the earlier images at {A.label_str(x)}"
     if A.dim != B.dim:
-        rep.add("dimensions-match", False, f"{A.dim} != {B.dim}")
-        return rep
-    rep.add("dimensions-match", True)
-    if sorted(index_map) != list(range(A.dim)):
-        rep.add("map-bijective", False, "index map is not a bijection")
-        return rep
-    rep.add("map-bijective", True)
-    m = index_map
-    mu_ok = {(m[i], m[j], m[k]): c for (i, j, k), c in A.mu.data.items()} == B.mu.data
-    rep.add("mu-equal", mu_ok, None if mu_ok else "multiplication tensors differ")
-    unit_ok = {m[i]: c for i, c in A.unit.items()} == B.unit
-    rep.add("unit-equal", unit_ok, None if unit_ok else "unit vectors differ")
-    delta_ok = {(m[i], m[j], m[k]): c for (i, j, k), c in A.delta.data.items()} == B.delta.data
-    rep.add("delta-equal", delta_ok, None if delta_ok else "comultiplication tensors differ")
-    counit_ok = {m[i]: c for i, c in A.counit.items()} == B.counit
-    rep.add("counit-equal", counit_ok, None if counit_ok else "counit covectors differ")
-    s_ok = {(m[k], m[i]): c for (k, i), c in A.antipode.data.items()} == B.antipode.data
-    rep.add("antipode-equal", s_ok, None if s_ok else "antipode matrices differ")
+        detail = f"dim {A.dim} != dim {B.dim}"
+    rep.add(f"{prefix}-bijective", detail is None, detail)
+
+    lhs, rhs = _push(phi, A.unit), _prune(B.unit)
+    detail = None if lhs == rhs else f"phi(1) != 1 at {B.label_str(_first_diff(lhs, rhs))}"
+    rep.add(f"{prefix}-unital", detail is None, detail)
+
+    bad = _hom_range(phi, A, B, range(A.dim), anti)
+    rhs = "phi(v)phi(u)" if anti else "phi(u)phi(v)"
+    detail = None if bad is None else f"phi(uv) != {rhs} at ({A.label_str(bad[0])}, {A.label_str(bad[1])})"
+    rep.add(f"{prefix}-multiplicative", detail is None, detail)
+    if not (isinstance(A, WeakHopfAlgebra) and isinstance(B, WeakHopfAlgebra)):
+        return
+
+    def tensor_image(x):
+        out = {}
+        for (s, t), c in A.coproduct(A.basis_elem(x)).items():
+            for k1, v1 in phi[s].items():
+                for k2, v2 in phi[t].items():
+                    _acc(out, (k1, k2), c * v1 * v2)
+        return out
+
+    def antipode(x):
+        s_phi = _push(phi, A.apply_antipode(A.basis_elem(x)))
+        return B.apply_antipode(s_phi) == phi[x] if anti else s_phi == B.apply_antipode(phi[x])
+
+    laws = [
+        ("counital", "eps(phi(x)) != eps(x)",
+         lambda x: B.apply_counit(phi[x]) == A.apply_counit(A.basis_elem(x))),
+        ("comultiplicative", "Delta(phi(x)) != (phi (x) phi)(Delta(x))",
+         lambda x: B.coproduct(phi[x]) == tensor_image(x)),
+        ("antipode", "S(phi(S(x))) != phi(x)" if anti else "phi(S(x)) != S(phi(x))", antipode),
+    ]
+    for name, law, holds in laws:
+        x = next((x for x in range(A.dim) if not holds(x)), None)
+        detail = None if x is None else f"{law} at {A.label_str(x)}"
+        rep.add(f"{prefix}-{name}", detail is None, detail)
+
+
+def compare_structure(A, B, index_map):
+    """Entrywise equality of all structure tensors under the basis bijection
+    index_map (index_map[i] = index in B of A's basis vector i): the map
+    e_i -> e_index_map[i] is then a weak Hopf isomorphism (`verify_morphism`)."""
+    rep = Report(f"{A.name} vs {B.name}", "compare")
+    verify_morphism(rep, "map", [{j: A.one_scalar()} for j in index_map], A, B)
     return rep

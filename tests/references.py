@@ -8,6 +8,9 @@ element products per basis element.  The coalgebra loops (`counit_law_loop`,
 `coassociativity_loop`, `axiom3_loop`, `coalgebra_antihom_loop`) are the
 direct loops the suites ran before the coalgebra laws moved onto the dual
 A*: they keep their own detail strings, so only their verdicts are compared.
+`morphism_laws_dense` is every law of `wha.verify_morphism` swept over
+every basis element and pair, with bijectivity as one rank per prefix of
+the images; `assert_morphism_laws_match` compares a report's checks to it.
 `hom_range_loop`, the `axiom4_eq*_loop`s and `intertwining_loop` are the
 kernels that multiplied cyclotomic values term by term before the sweeps
 moved onto scalar ids; their verdicts and details are compared.
@@ -387,6 +390,98 @@ def hom_range_loop(phi, A, B, lo, hi, anti=False):
             if lhs != rhs:
                 return i, j
     return None
+
+
+def morphism_laws_dense(phi, A, B, anti=False):
+    """Reference for `wha.verify_morphism`: law -> the first-counterexample
+    detail of that check, or None, over every basis element and pair.
+
+    Bijectivity scans the images in order, one rank per prefix; the unit is
+    compared on every basis element of B; multiplicativity takes every pair
+    (i, j), least i first, through the element products; the counit,
+    coproduct and antipode laws, present when A and B are both weak Hopf
+    algebras, take every x, through `delta_index` and `antipode_columns`.
+    """
+    n = A.conductor
+    zero, one = Cyclotomic.zero(n), Cyclotomic.one(n)
+    out = {}
+
+    detail = None
+    if A.dim != B.dim:
+        detail = f"dim {A.dim} != dim {B.dim}"
+    else:
+        for k in range(1, A.dim + 1):
+            if SparseMatrix.from_columns(B.dim, phi[:k], n).rank() < k:
+                detail = f"phi(x) is in the span of the earlier images at {A.label_str(k - 1)}"
+                break
+    out["bijective"] = detail
+
+    lhs = _push(phi, {i: c for i, c in A.unit.items() if c})
+    detail = None
+    for k in range(B.dim):
+        if lhs.get(k, zero) != B.unit.get(k, zero):
+            detail = f"phi(1) != 1 at {B.label_str(k)}"
+            break
+    out["unital"] = detail
+
+    a_mul, b_mul = element_product(A), element_product(B)
+    detail = None
+    for i, j in itertools.product(range(A.dim), repeat=2):
+        left = _push(phi, a_mul({i: one}, {j: one}))
+        if left != (b_mul(phi[j], phi[i]) if anti else b_mul(phi[i], phi[j])):
+            rhs = "phi(v)phi(u)" if anti else "phi(u)phi(v)"
+            detail = f"phi(uv) != {rhs} at ({A.label_str(i)}, {A.label_str(j)})"
+            break
+    out["multiplicative"] = detail
+    if not (isinstance(A, WeakHopfAlgebra) and isinstance(B, WeakHopfAlgebra)):
+        return out
+
+    a_delta, b_delta = delta_index(A), delta_index(B)
+    a_s, b_s = antipode_columns(A), antipode_columns(B)
+    image = {x: {k: c for k, c in phi[x].items() if c} for x in range(A.dim)}
+
+    def counit(X, u):
+        tot = zero
+        for k, c in u.items():
+            tot = tot + c * X.counit.get(k, zero)
+        return tot
+
+    def coproduct(terms, u, f):
+        # (f (x) f)(Delta(u)) through the terms of Delta
+        acc = {}
+        for i, ci in u.items():
+            for j, k, c in terms[i]:
+                for j2, cj in f(j).items():
+                    for k2, ck in f(k).items():
+                        _acc(acc, (j2, k2), ci * c * cj * ck)
+        return acc
+
+    texts = {"counital": "eps(phi(x)) != eps(x)",
+             "comultiplicative": "Delta(phi(x)) != (phi (x) phi)(Delta(x))",
+             "antipode": "S(phi(S(x))) != phi(x)" if anti else "phi(S(x)) != S(phi(x))"}
+    out.update(dict.fromkeys(texts))
+    for x in range(A.dim):
+        img, ex = image[x], {x: one}
+        s_img = _push(image, a_s[x])
+        holds = {
+            "counital": counit(B, img) == counit(A, ex),
+            "comultiplicative": coproduct(b_delta, img, lambda k: {k: one}) == coproduct(a_delta, ex, image.get),
+            "antipode": _push(b_s, s_img) == img if anti else s_img == _push(b_s, img),
+        }
+        for law, ok in holds.items():
+            if not ok and out[law] is None:
+                out[law] = f"{texts[law]} at {A.label_str(x)}"
+    return out
+
+
+def assert_morphism_laws_match(rep, prefix, phi, A, B, anti=False):
+    """Assert that every `<prefix>-<law>` check of rep has the verdict and
+    detail of `morphism_laws_dense`; returns the dense details."""
+    dense = morphism_laws_dense(phi, A, B, anti)
+    checks = {c.name: (c.ok, c.detail) for c in rep.checks}
+    for law, detail in dense.items():
+        assert checks[f"{prefix}-{law}"] == (detail is None, detail), law
+    return dense
 
 
 def axiom4_eq1_loop(A):

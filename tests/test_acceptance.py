@@ -321,6 +321,10 @@ def test_criterion_9_double():
             ok = ok and verify_quasitriangular(D, dbl.r).ok
             rep, _, _ = sharp_iso(C, double=dbl, pairing=P)
             ok = ok and rep.ok
+            # sharp is a weak Hopf map: its coalgebra laws are checked and pass
+            checks = {c.name: c.ok for c in rep.checks}
+            ok = ok and all(checks.get(f"sharp-{law}") is True
+                            for law in ("counital", "comultiplicative", "antipode"))
             if not ok:
                 break
         if not ok:

@@ -463,6 +463,14 @@ def test_double_cli(tmp_path):
     assert run("verify", str(out), "--suite", "wha") == 0
 
 
+def test_double_sharp_json_lists_the_coalgebra_laws(capsys):
+    # the sharp map is checked as a weak Hopf map, not only as an algebra map
+    assert run("--json", "double", "sharp", "--group", "z2", "--cocycle", "p=1") == 0
+    checks = {c["name"]: c["ok"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    for law in ("counital", "comultiplicative", "antipode"):
+        assert checks[f"sharp-{law}"] is True, law
+
+
 def _skeleton_and_module_files(tmp_path):
     C, M = boxtimes_rev_skeleton(cyclic_group(2), standard_cocycle(2, 1))
     sk, mod = str(tmp_path / "c.json"), str(tmp_path / "m.json")
@@ -506,7 +514,7 @@ def test_double_build_artifacts_are_pinned(tmp_path):
     assert sha((tmp_path / "r.json").read_bytes()) == \
         "d403f6932a1a891bfea125cdf051ddd352565402b33fc072c5fcc0cd1b57e883"
     assert sha(proc.stdout.encode()) == \
-        "c6fd9298d9559eebc237fecb60e6724c243448c7e28695790bcecab2812d5d2f"
+        "ceaabb97b800c6635bc14ab7faeaacfe6a5959eacad70130108777a176287a90"
 
 
 def test_z3_double_build_files_are_pinned(tmp_path):

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+import whalg.builders
 import whalg.double
+import whalg.wha
 
-from whalg.builders import build_a_m_c
+from whalg.builders import build_a_g_omega, build_a_m_c
 from whalg.double import DoubleAlgebra, build_drinfeld_double, build_pairing, copairing, sharp_iso
-from whalg.exactmath import Cyclotomic, SparseTensor3
+from whalg.exactmath import Cyclotomic, SparseMatrix, SparseTensor3
 from whalg.groups import cyclic_group, standard_cocycle, trivial_cocycle
 from whalg.skeleton import pointed_skeleton, pointed_to_group_cocycle, regular_module, right_regular_module
 from whalg.wha import (
@@ -18,7 +20,8 @@ from whalg.wha import (
     verify_weak_bialgebra,
 )
 
-from references import b_g_omega_closed, delta_index, double_antipode_solved, drinfeld_double_reference
+from references import (assert_morphism_laws_match, b_g_omega_closed, double_antipode_solved,
+                        drinfeld_double_reference)
 
 
 def pointed(n, p):
@@ -62,7 +65,7 @@ def test_pairing_realizes_dual_cop():
     C, g, w = pointed(3, 1)
     P = build_pairing(C)
     names = {c.name: c.ok for c in P.report.checks}
-    assert names["pairing-comultiplicative-in-B"]
+    assert names["pairing-comultiplicative"]
 
 
 @pytest.mark.parametrize("n,p", [(2, 0), (3, 2)])
@@ -135,18 +138,17 @@ def test_double_general_vs_closed_sides_agree():
     assert compare_structure(A_gen, B_closed, index_map).ok
 
 
-def _sharp_mult_dense(images, D, Abox):
-    """Reference for "sharp-multiplicative": every basis pair (t1, t2)."""
-    for t1 in range(D.dim):
-        for t2 in range(D.dim):
-            lhs = {}
-            for k, c in D.mul(D.basis_elem(t1), D.basis_elem(t2)).items():
-                for b, s in images[k].items():
-                    lhs[b] = lhs[b] + c * s if b in lhs else c * s
-            lhs = {b: c for b, c in lhs.items() if c}
-            if lhs != Abox.mul(images[t1], images[t2]):
-                return f"sharp(uv) != sharp(u)sharp(v) at ({t1}, {t2})"
-    return None
+def _spy_on_morphism_maps(monkeypatch):
+    """The list that collects each map that `verify_morphism` hands to the homomorphism kernel."""
+    seen = []
+    kernel = whalg.wha._hom_range
+
+    def spy(phi, *args):
+        seen.append(phi)
+        return kernel(phi, *args)
+
+    monkeypatch.setattr(whalg.wha, "_hom_range", spy)
+    return seen
 
 
 def test_sharp_matches_dense_reference_on_tampered_double_mu(monkeypatch):
@@ -155,14 +157,7 @@ def test_sharp_matches_dense_reference_on_tampered_double_mu(monkeypatch):
     dbl = build_drinfeld_double(P)
     D = dbl.algebra
     # the basis images of sharp, as handed to the homomorphism kernel
-    seen = []
-    kernel = whalg.double._hom_range
-
-    def spy(phi, *args):
-        seen.append(phi)
-        return kernel(phi, *args)
-
-    monkeypatch.setattr(whalg.double, "_hom_range", spy)
+    seen = _spy_on_morphism_maps(monkeypatch)
     two = Cyclotomic.rational(D.conductor, 2)
     for key in random.Random(2).sample(sorted(D.mu.data), 3):
         scaled = dict(D.mu.data)
@@ -175,92 +170,35 @@ def test_sharp_matches_dense_reference_on_tampered_double_mu(monkeypatch):
                                   dict(D.counit), D.antipode.copy(), name="bad")
             tampered = DoubleAlgebra(bad, dbl.r, dbl.projection, dbl.reps, P)
             rep, _, Abox = sharp_iso(C, double=tampered, pairing=P)
-            check = next(c for c in rep.checks if c.name == "sharp-multiplicative")
-            assert not check.ok
-            assert check.detail == _sharp_mult_dense(seen[-1], bad, Abox)
+            assert not next(c for c in rep.checks if c.name == "sharp-multiplicative").ok
+            assert_morphism_laws_match(rep, "sharp", seen[-1], bad, Abox)
 
 
-# -- dense references for the four pairing laws, iterated in the order the
-# homomorphism kernel reports: the least (b, b') then a, the least (a', a) then b
-
-
-def _pairing_laws_dense(mat, B, A):
-    """Reference for the pairing laws: every (i1, i2, j) and (j2, j1, i) in
-    turn, each side summed in full.  The matrix is read by sparse rows and
-    columns, so only its nonzero entries enter a sum."""
-    n = B.conductor
-    zero = Cyclotomic.zero(n)
-    rows, cols = {}, {}
-    for (i, j), v in mat.data.items():
-        rows.setdefault(i, {})[j] = v
-        cols.setdefault(j, {})[i] = v
-    a_delta, b_delta = delta_index(A), delta_index(B)
-
-    def pair(b_vec, a_vec):
-        tot = zero
-        for i, ci in b_vec.items():
-            row = rows.get(i, {})
-            for j, cj in a_vec.items():
-                if j in row:
-                    tot = tot + ci * cj * row[j]
-        return tot
-
-    def leg_sum(terms, first, second):
-        # sum of first[s] c second[t] over the terms (s, t, c)
-        tot = zero
-        for s, t, c in terms:
-            if s in first and t in second:
-                tot = tot + first[s] * c * second[t]
-        return tot
-
-    out = {}
-    detail = None
-    for j in range(A.dim):
-        if pair(B.one(), A.basis_elem(j)) != A.apply_counit(A.basis_elem(j)):
-            detail = f"<1_B, a> != eps_A(a) at {A.label_str(j)}"
-            break
-    out["pairing-unit-counit-B"] = detail
-
-    detail = None
-    for i in range(B.dim):
-        if pair(B.basis_elem(i), A.one()) != B.apply_counit(B.basis_elem(i)):
-            detail = f"<b, 1_A> != eps_B(b) at {B.label_str(i)}"
-            break
-    out["pairing-unit-counit-A"] = detail
-
-    def multiplicative():
-        for i1 in range(B.dim):
-            for i2 in range(B.dim):
-                # <e_i1 e_i2, a_j> for every j, through the rows of the product's support
-                rhs = {}
-                for i, c in B.mul(B.basis_elem(i1), B.basis_elem(i2)).items():
-                    for j, v in rows.get(i, {}).items():
-                        rhs[j] = rhs.get(j, zero) + c * v
-                r1, r2 = rows.get(i1, {}), rows.get(i2, {})
-                for j in range(A.dim):
-                    if leg_sum(a_delta[j], r1, r2) != rhs.get(j, zero):
-                        return (f"<b,a_(1)><b',a_(2)> != <bb',a> at "
-                                f"({B.label_str(i1)}, {B.label_str(i2)}, {A.label_str(j)})")
-        return None
-
-    def comultiplicative():
-        for j2 in range(A.dim):
-            for j1 in range(A.dim):
-                # <b_i, a_j2 a_j1> for every i, through the columns of the product's support
-                rhs = {}
-                for j, c in A.mul(A.basis_elem(j2), A.basis_elem(j1)).items():
-                    for i, v in cols.get(j, {}).items():
-                        rhs[i] = rhs.get(i, zero) + v * c
-                c1, c2 = cols.get(j1, {}), cols.get(j2, {})
-                for i in range(B.dim):
-                    if leg_sum(b_delta[i], c1, c2) != rhs.get(i, zero):
-                        return (f"<b_(1),a><b_(2),a'> != <b,a'a> at "
-                                f"({B.label_str(i)}, {A.label_str(j1)}, {A.label_str(j2)})")
-        return None
-
-    out["pairing-multiplicative-in-B"] = multiplicative()
-    out["pairing-comultiplicative-in-B"] = comultiplicative()
-    return out
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("table,law", [("delta", "comultiplicative"), ("counit", "counital"),
+                                       ("antipode", "antipode")])
+def test_sharp_rejects_a_target_tampered_off_mu(n, table, law, monkeypatch):
+    # one entry of the target's Delta, eps or S doubled, mu left alone: sharp
+    # is still an algebra isomorphism that carries R, and only its coalgebra
+    # laws reject it, at the dense reference's first basis element
+    C, g, w = pointed(n, 1)
+    P = build_pairing(C)
+    dbl = build_drinfeld_double(P)
+    Abox, Rbox = build_a_g_omega(g, w)
+    m = Abox.conductor
+    tables = {"delta": dict(Abox.delta.data), "counit": dict(Abox.counit),
+              "antipode": dict(Abox.antipode.data)}
+    key = random.Random(n).choice(sorted(tables[table]))
+    tables[table][key] = tables[table][key] * Cyclotomic.rational(m, 2)
+    bad = WeakHopfAlgebra(Abox.labels, m, Abox.mu, dict(Abox.unit),
+                          SparseTensor3(Abox.delta.dims, m, tables["delta"]), tables["counit"],
+                          SparseMatrix(Abox.dim, Abox.dim, m, tables["antipode"]), name="bad")
+    monkeypatch.setattr(whalg.builders, "build_a_g_omega", lambda G, omega: (bad, Rbox))
+    seen = _spy_on_morphism_maps(monkeypatch)
+    rep, _, target = sharp_iso(C, double=dbl, pairing=P)
+    assert target is bad
+    assert [c.name for c in rep.checks if not c.ok] == [f"sharp-{law}"]
+    assert_morphism_laws_match(rep, "sharp", seen[-1], dbl.algebra, bad)
 
 
 def _one_sided(n, p):
@@ -293,12 +231,10 @@ def _tamperings(table, rnd, count):
 
 
 def _assert_pairing_matches_dense(P):
-    dense = _pairing_laws_dense(P.matrix, P.B, P.A)
-    got = {c.name: c for c in P.report.checks if c.name in dense}
-    assert set(got) == set(dense)
-    for name, detail in dense.items():
-        assert (got[name].ok, got[name].detail) == (detail is None, detail), name
-    return dense
+    assert [c.name for c in P.report.checks] == [
+        f"pairing-{law}" for law in ("bijective", "unital", "multiplicative", "counital",
+                                     "comultiplicative", "antipode")]
+    return assert_morphism_laws_match(P.report, "pairing", P.cols, P.A, dual(P.B), anti=True)
 
 
 @pytest.mark.parametrize("n,p", [(2, 1), (3, 1)])

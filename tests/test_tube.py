@@ -29,8 +29,8 @@ from whalg.tube import (
 from whalg import tube
 from whalg.wha import center_dim
 
-from references import (assoc_dense, comb_scalar_recursive, cup_cocycle, rebracket_recursive,
-                        s3_sign_pullback)
+from references import (assert_morphism_laws_match, assoc_dense, comb_scalar_recursive, cup_cocycle,
+                        rebracket_recursive, s3_sign_pullback)
 
 
 def pointed(n, p):
@@ -162,16 +162,14 @@ def test_tube_vs_tube_prime_trivial_omega(n):
     assert rep.ok, rep.render()
 
 
-def _transport_dense(C, t):
-    """Reference for "transported-multiplication-matches": every basis pair."""
+def _transport_map(C, t):
+    """(phi, Tube', Tube): the t-rescaled identification, for the dense reference."""
     fam = TubeFamily(C)
     wc = fam.wc
     T = fam.algebra(1)
     Tp = build_tube_prime(C, 1)
-    phi = {i: {T.label_index[lab]: t[lab[0]] * _transport_scalar(wc, lab[0], lab[1][0])}
-           for i, lab in enumerate(Tp.labels)}
-    bad = _hom_dense(phi, Tp, T)
-    return bad and f"transported product mismatch at ({Tp.label_str(bad[0])}, {Tp.label_str(bad[1])})"
+    phi = [{T.label_index[lab]: t[lab[0]] * _transport_scalar(wc, lab[0], lab[1][0])} for lab in Tp.labels]
+    return phi, Tp, T
 
 
 def test_tube_vs_tube_prime_sign_flip_z2_trivial():
@@ -181,13 +179,15 @@ def test_tube_vs_tube_prime_sign_flip_z2_trivial():
     one = Cyclotomic.one(C.conductor)
     rep = tube_vs_tube_prime(C, {0: one, 1: -one})
     assert rep.ok, rep.render()
-    assert _transport_dense(C, {0: one, 1: -one}) is None
+    dense = assert_morphism_laws_match(rep, "transport", *_transport_map(C, {0: one, 1: -one}))
+    assert not any(dense.values())
 
     t = {0: one, 1: one + one}
-    check = _check(tube_vs_tube_prime(C, t), "transported-multiplication-matches")
+    rep = tube_vs_tube_prime(C, t)
+    check = _check(rep, "transport-multiplicative")
     assert not check.ok
-    assert check.detail == _transport_dense(C, t)
-    assert check.detail == "transported product mismatch at ((1, (0,), (0,)), (1, (0,), (0,)))"
+    assert_morphism_laws_match(rep, "transport", *_transport_map(C, t))
+    assert check.detail == "phi(uv) != phi(u)phi(v) at ((1, (0,), (0,)), (1, (0,), (0,)))"
 
 
 @pytest.mark.parametrize("n,p", [(2, 0), (3, 0), (3, 1), (3, 2), (4, 1)])
@@ -304,17 +304,17 @@ def test_pivotal_rescalings_differ_by_characters(case):
     assert rep.ok, rep.render()
 
     bad = {w: t[w] * (one + one if w == 1 else one) for w in t}
-    check = _check(tube_vs_tube_prime(C, bad), "transported-multiplication-matches")
-    assert not check.ok
-    assert check.detail == _transport_dense(C, bad)
+    rep = tube_vs_tube_prime(C, bad)
+    assert not _check(rep, "transport-multiplicative").ok
+    assert_morphism_laws_match(rep, "transport", *_transport_map(C, bad))
 
 
 def test_transported_unit_mismatch_names_phi_of_one():
     C, g, w = pointed(2, 1)
     t = solve_pivotal(C)
     t[C.unit] = -t[C.unit]
-    check = _check(tube_vs_tube_prime(C, t), "transported-unit-matches")
-    assert (check.ok, check.detail) == (False, "phi(1) != 1")
+    check = _check(tube_vs_tube_prime(C, t), "transport-unital")
+    assert (check.ok, check.detail) == (False, "phi(1) != 1 at (0, (0,), (0,))")
 
 
 def _pivotal_identity(mul, inv, F, wp, w, x):
@@ -553,24 +553,6 @@ def test_plain_algebra_rejects_duplicate_labels():
 # ---------------------------------------------------------------------------
 
 
-def _push_dense(phi, vec):
-    out = {}
-    for i, c in vec.items():
-        for k, s in phi[i].items():
-            out[k] = out[k] + c * s if k in out else c * s
-    return {k: c for k, c in out.items() if c}
-
-
-def _hom_dense(phi, A, B):
-    """Least (i, j) with phi(e_i e_j) != phi(e_i) phi(e_j), over every basis pair."""
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = _push_dense(phi, A.mul(A.basis_elem(i), A.basis_elem(j)))
-            if lhs != B.mul(phi[i], phi[j]):
-                return i, j
-    return None
-
-
 def _scaled(terms, key, factor):
     out = dict(terms)
     out[key] = out[key] * factor
@@ -677,8 +659,6 @@ def test_chi_matches_dense_reference_on_tampered_mu(n):
             mu = SparseTensor3(A.mu.dims, A.conductor, data)
             bad = PlainAlgebra(A.labels, A.conductor, mu, dict(A.unit), name="bad")
             chi_map, Tp2, rep = chi_iso(C, bad)
-            phi = {i: {j: s} for i, (j, s) in chi_map.items()}
-            i, j = _hom_dense(phi, bad, Tp2)
-            check = _check(rep, "chi-multiplicative")
-            assert not check.ok
-            assert check.detail == f"chi(uv) != chi(u)chi(v) at ({bad.label_str(i)}, {bad.label_str(j)})"
+            phi = [{j: s} for j, s in chi_map.values()]
+            assert not _check(rep, "chi-multiplicative").ok
+            assert_morphism_laws_match(rep, "chi", phi, bad, Tp2)

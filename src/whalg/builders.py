@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3, memoized_product
+from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3, acc, memoized_product
 from .groups import GroupReport, validate_cocycle
 from .skeleton import (
     SkeletonError,
@@ -27,8 +27,7 @@ from .wha import (
     PlainAlgebra,
     RMatrixCandidate,
     WeakHopfAlgebra,
-    _acc,
-    _separability_laws,
+    separability_laws,
 )
 
 
@@ -282,7 +281,7 @@ class SeparableFrobenius(PlainAlgebra):
         out = {}
         for i, ci in u.items():
             for j, k, c in self.s_terms.get(i, ()):
-                _acc(out, (j, k), ci * c)
+                acc(out, (j, k), ci * c)
         return out
 
     def delta_of(self, u):
@@ -311,10 +310,10 @@ class SeparableFrobenius(PlainAlgebra):
             s_x_y, x_s_y = {}, {}
             for (a, b), c in self.s_of(ex).items():
                 for k, v in self.mul({b: c}, ey).items():
-                    _acc(s_x_y, (a, k), v)
+                    acc(s_x_y, (a, k), v)
             for (a, b), c in self.s_of(ey).items():
                 for k, v in self.mul(ex, {a: c}).items():
-                    _acc(x_s_y, (k, b), v)
+                    acc(x_s_y, (k, b), v)
             if s_x_y != s_xy or x_s_y != s_xy:
                 detail = f"s is not a bimodule map at ({x}, {y})"
                 break
@@ -325,13 +324,13 @@ class SeparableFrobenius(PlainAlgebra):
             ms = {}
             for (a, b), c in self.s_of({x: one}).items():
                 for k, v in self.mul({a: c}, {b: one}).items():
-                    _acc(ms, k, v)
+                    acc(ms, k, v)
             if ms != {x: one}:
                 detail = f"m . s != id at basis {x}"
                 break
         rep.add("s-splits-mu", detail is None, detail)
 
-        bad, unital, idempotent = _separability_laws(self, self.p(), [{x: one} for x in range(d)])
+        bad, unital, idempotent = separability_laws(self, self.p(), [{x: one} for x in range(d)])
         detail = None if bad is None else f"x p(1) (x) p(2) != p(1) (x) p(2) x at basis {bad}"
         rep.add("p-balances", detail is None, detail)
         rep.add("p-contracts-to-unit", unital)
@@ -419,7 +418,7 @@ def build_frobenius_double(B):
         for (p1, p2), c in p.items():
             val = B.delta_of(B.mul({i: one}, {p2: c}))
             if val:
-                _acc(img, p1, val)
+                acc(img, p1, val)
         tau[i] = img
 
     antipode = SparseMatrix(d, d, n)

@@ -30,7 +30,9 @@ every later projection reads that table.
 
 from __future__ import annotations
 
-from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3
+import functools
+
+from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3, acc, push
 from .report import Report
 from .builders import build_a_m_c
 from .skeleton import (
@@ -42,8 +44,6 @@ from .wha import (
     PlainAlgebra,
     RMatrixCandidate,
     WeakHopfAlgebra,
-    _acc,
-    _push,
     counital_matrices,
     dual,
     verify_morphism,
@@ -67,7 +67,7 @@ class PairingForm:
         self.cols = matrix.transpose().row_dicts()  # a_j -> the functional <-, a_j> on B
 
     def pair(self, b_vec, a_vec):
-        f = _push(self.rows, b_vec)
+        f = push(self.rows, b_vec)
         tot = Cyclotomic.zero(self.B.conductor)
         for j, cj in a_vec.items():
             v = f.get(j)
@@ -148,7 +148,7 @@ def _relation_rows(P, x, side):
     """
     B, A = P.B, P.A
     dA = A.dim
-    pair_row = _push(P.cols, x)  # b -> <b, x>
+    pair_row = push(P.cols, x)  # b -> <b, x>
     xa = [A.mul(x, A.basis_elem(a)) for a in range(dA)]
     # the B leg is the same for every a
     paired = []
@@ -161,12 +161,12 @@ def _relation_rows(P, x, side):
         by = {}
         for other, vc in paired:
             for k, ck in B.mul(eb, B.basis_elem(other)).items():
-                _acc(by, k, vc * ck)
+                acc(by, k, vc * ck)
         b_leg = [(k * dA, -ck) for k, ck in by.items()]
         for a in range(dA):
             row = {b * dA + k: ck for k, ck in xa[a].items()}
             for f, ck in b_leg:
-                _acc(row, f + a, ck)
+                acc(row, f + a, ck)
             yield row
 
 
@@ -218,10 +218,12 @@ def build_drinfeld_double(P):
     reps, table = _projection_table(P)
 
     def project(vec):
+        # not `push`: the double keeps this table, and as {coordinate:
+        # coefficient} dicts it raised tower's traced heap peak by 57 KB
         out = {}
         for f, c in vec.items():
             for t, v in table[f]:
-                _acc(out, t, c * v)
+                acc(out, t, c * v)
         return out
 
     d = len(reps)
@@ -234,14 +236,19 @@ def build_drinfeld_double(P):
     # [b' (x) a'][b (x) a] = b' X(a', b) a (see the module docstring): each
     # exchange X(a', b) is computed once, then multiplied out for every
     # representative with that a' on the left and that b on the right
-    pair_sinv = [_push(P.cols, sinvA.column(k)) for k in range(dA)]  # a -> <-, S^-1 a>
+    pair_sinv = [push(P.cols, sinvA.column(k)) for k in range(dA)]  # a -> <-, S^-1 a>
     by_a, by_b = {}, {}
     for t, f in enumerate(reps):
         b, a = divmod(f, dA)
         by_a.setdefault(a, []).append((t, b))
         by_b.setdefault(b, []).append((t, a))
     d2B = {b: B.coproduct2(B.basis_elem(b)) for b in by_b}
-    a_products, b_products = _basis_products(A), _basis_products(B)
+    # the products e_i e_j as (i, j) -> [(k, coeff)], read once: through
+    # `mul`, the Z4 double's exchange loop took 0.02 s more per build
+    a_products, b_products = {}, {}
+    for X, products in ((A, a_products), (B, b_products)):
+        for (i, j, k), c in X.mu_entries():
+            products.setdefault((i, j), []).append((k, c))
     for ap, lefts in by_a.items():
         # Delta^2(a')'s terms by their first leg, joined to each B term
         # (b1, b2, b3) through the support of the pairing's row b1
@@ -255,7 +262,7 @@ def build_drinfeld_double(P):
                     for a2, a3, ca in by_first.get(a1, ()):
                         v3 = pair_sinv[a3].get(b3)
                         if v3 is not None:
-                            _acc(exchange, (b2, a2), cb * v1 * v3 * ca)
+                            acc(exchange, (b2, a2), cb * v1 * v3 * ca)
             if not exchange:
                 continue
             for t1, bp in lefts:
@@ -269,7 +276,7 @@ def build_drinfeld_double(P):
                             for ka, cka in right:
                                 f = flat(kb, ka)
                                 if table[f]:
-                                    _acc(out, f, x * ckb * cka)
+                                    acc(out, f, x * ckb * cka)
                     for k, v in project(out).items():
                         mu.add_to(t1, t2, k, v)
 
@@ -292,7 +299,7 @@ def build_drinfeld_double(P):
                 for k1, v1 in left:
                     v1 = c * v1
                     for k2, v2 in right:
-                        _acc(out, (k1, k2), v1 * v2)
+                        acc(out, (k1, k2), v1 * v2)
         for (k1, k2), v in out.items():
             delta.add_to(t, k1, k2, v)
 
@@ -317,18 +324,8 @@ def build_drinfeld_double(P):
         right = project({flat(bi, j): cj for j, cj in A.unit.items()})
         for k1, v1 in left.items():
             for k2, v2 in right.items():
-                _acc(r_terms, (k1, k2), c * v1 * v2)
+                acc(r_terms, (k1, k2), c * v1 * v2)
     return DoubleAlgebra(D, RMatrixCandidate(r_terms), project, reps, P)
-
-
-def _basis_products(X):
-    """{(i, j): [(k, coeff)]}, the products e_i e_j of X, read once: through
-    `mul`, the Z4 double's exchange loop took 0.02 s more per build."""
-    vals, tables = X.sorted_entries()
-    out = {}
-    for i, j, k, c in tables["mu"]:
-        out.setdefault((i, j), []).append((k, vals[c]))
-    return out
 
 
 def solve_antipode(P, project, reps, mu):
@@ -379,8 +376,8 @@ def sharp_iso(C, double=None, pairing=None):
     Abox, Rbox = build_a_g_omega(G, omega)
     rep = Report(f"sharp[{C.name}]", "double-vs-closed-form")
 
-    # sharp on flat coordinates
-    sharp_flat = {}
+    # sharp on flat coordinates; the flat indices it kills share one empty image
+    sharp_flat = [{}] * (B.dim * dA)
     for i, lab_b in enumerate(B.labels):
         a1, y1, x1 = _decode3(lab_b)
         for j, lab_a in enumerate(A.labels):
@@ -389,29 +386,15 @@ def sharp_iso(C, double=None, pairing=None):
                 continue
             coeff = omega(a1, x2, a2) / omega(a1, y2, a2)
             target = Abox.label_index[("e", a1, a2, y2, x2)]
-            sharp_flat[i * dA + j] = (target, coeff)
-
-    def push_flat(vec):
-        out = {}
-        for f, c in vec.items():
-            hit = sharp_flat.get(f)
-            if hit is None:
-                continue
-            t, s = hit
-            _acc(out, t, c * s)
-        return out
+            sharp_flat[i * dA + j] = {target: coeff}
+    push_flat = functools.partial(push, sharp_flat)
 
     # well-definedness: the ideal maps to zero.  The ideal is the kernel of
     # the projection, so check sharp(v) = sharp(reps(project(v))) on flat
     # basis vectors.
-    def lift(qvec):
-        out = {}
-        for t, c in qvec.items():
-            _acc(out, dbl.reps[t], c)
-        return out
-
-    detail = None
     one = Cyclotomic.one(n)
+    lift = functools.partial(push, [{f: one} for f in dbl.reps])
+    detail = None
     for f in range(B.dim * dA):
         direct = push_flat({f: one})
         via_quot = push_flat(lift(dbl.projection({f: one})))
@@ -428,7 +411,7 @@ def sharp_iso(C, double=None, pairing=None):
     for (t1, t2), c in dbl.r.terms.items():
         for k1, v1 in images[t1].items():
             for k2, v2 in images[t2].items():
-                _acc(r_img, (k1, k2), c * v1 * v2)
+                acc(r_img, (k1, k2), c * v1 * v2)
     ok = r_img == Rbox.terms
     rep.add("sharp-carries-R", ok, None if ok else "transported R differs from the closed form")
     return rep, dbl, Abox

@@ -11,6 +11,13 @@ one positive common denominator with gcd(d, *v) = 1 (FLINT's `fmpq_poly`
 form).  Zero is (0, ..., 0) over 1.  Phi_N is monic over Z, so reducing a
 product mod Phi_N keeps the coordinates integral, and the gcd is only taken
 when d != 1.
+
+A sparse vector is a dict from index to a nonzero `Cyclotomic`, with no
+stored zeros; its indices may be ints or tuples (the terms of a tensor).
+`acc` and `push` own that format: every module accumulates into a sparse
+vector through `acc`, which drops a key whose sum cancels, and applies a
+linear map given by its sparse basis images through `push`.  The `data` of
+`SparseMatrix` and `SparseTensor3` is such a vector keyed by index tuples.
 """
 
 from __future__ import annotations
@@ -401,6 +408,31 @@ def memoized_product():
 # ---------------------------------------------------------------------------
 
 
+def acc(d, key, v):
+    """d[key] += v on the sparse vector d, storing no zero: a zero v is not
+    stored at an absent key, and a key whose sum cancels is deleted."""
+    cur = d.get(key)
+    if cur is None:
+        if v:
+            d[key] = v
+    else:
+        s = cur + v
+        if s:
+            d[key] = s
+        else:
+            del d[key]
+
+
+def push(images, u):
+    """Image of the sparse vector u under the linear map whose basis element i
+    has the sparse image images[i]."""
+    out = {}
+    for i, ci in u.items():
+        for k, c in images[i].items():
+            acc(out, k, ci * c)
+    return out
+
+
 class SparseMatrix:
     """Sparse matrix over a fixed cyclotomic field; no stored zeros."""
 
@@ -427,14 +459,7 @@ class SparseMatrix:
         self._colidx = self._rowidx = None
 
     def add_to(self, i, j, v):
-        if not v:
-            return
-        cur = self.data.get((i, j))
-        s = cur + v if cur is not None else v
-        if s:
-            self.data[(i, j)] = s
-        else:
-            del self.data[(i, j)]
+        acc(self.data, (i, j), v)
         self._colidx = self._rowidx = None
 
     def get(self, i, j):
@@ -615,14 +640,7 @@ class SparseTensor3:
             self.data.pop((i, j, k), None)
 
     def add_to(self, i, j, k, v):
-        if not v:
-            return
-        cur = self.data.get((i, j, k))
-        s = cur + v if cur is not None else v
-        if s:
-            self.data[(i, j, k)] = s
-        else:
-            del self.data[(i, j, k)]
+        acc(self.data, (i, j, k), v)
 
     def __eq__(self, other):
         return (

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import itertools
 
-from .exactmath import SparseMatrix, SparseTensor3
+from .exactmath import SparseMatrix, SparseTensor3, acc
 from .report import Report
-from .wha import _acc, _action_range, counital_matrices
+from .wha import action_failure, counital_matrices
 
 
 class WHAModule:
@@ -64,7 +64,7 @@ def validate_module(A, V):
     ok = V.rho(A.one()) == idm
     rep.add("unit-acts-as-identity", ok, None if ok else "eta(1) does not act as id")
 
-    bad = _action_range(A, {(a, c, r): v for (a, r, c), v in V.action.data.items()}, range(A.dim))
+    bad = action_failure(A, {(a, c, r): v for (a, r, c), v in V.action.data.items()}, range(A.dim))
     detail = None
     if bad is not None:
         i, j, _v = bad
@@ -74,8 +74,8 @@ def validate_module(A, V):
 
 
 def regular_module(A):
-    act = {(i, k, j): c for i in range(A.dim) for j in range(A.dim)
-           for k, c in A.mul(A.basis_elem(i), A.basis_elem(j)).items()}
+    """A acting on itself by left multiplication, read in one pass over mu."""
+    act = {(i, k, j): c for (i, j, k), c in A.mu_entries()}
     return WHAModule(A, A.dim, SparseTensor3((A.dim, A.dim, A.dim), A.conductor, act),
                      name=f"{A.name}-regular")
 
@@ -208,10 +208,10 @@ def intertwiner_space(V, W):
         mw = W.action_matrix(x)
         for (j, c), v in mv.data.items():
             for r in range(W.dim):
-                _acc(data, (row_of.setdefault((x, r, c), len(row_of)), col(r, j)), v)
+                acc(data, (row_of.setdefault((x, r, c), len(row_of)), col(r, j)), v)
         for (r, j), v in mw.data.items():
             for c in range(V.dim):
-                _acc(data, (row_of.setdefault((x, r, c), len(row_of)), col(j, c)), -v)
+                acc(data, (row_of.setdefault((x, r, c), len(row_of)), col(j, c)), -v)
     basis = []
     for vec in SparseMatrix(len(row_of), W.dim * V.dim, n, data).nullspace_basis():
         T = SparseMatrix(W.dim, V.dim, n)
@@ -226,7 +226,7 @@ def _character(V):
     chi = {}
     for (a, r, c), v in V.action.data.items():
         if r == c:
-            _acc(chi, a, v)
+            acc(chi, a, v)
     return chi
 
 

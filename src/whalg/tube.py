@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import itertools
 
-from .exactmath import Cyclotomic, SparseTensor3
+from .exactmath import Cyclotomic, SparseTensor3, acc
 from .report import Report
 from .skeleton import SkeletonError, dual_data_pointed
-from .wha import PlainAlgebra, _acc, _mixed_assoc_by_value, verify_morphism
+from .wha import PlainAlgebra, mixed_assoc_failure, verify_morphism
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +177,10 @@ class Bimodule:
         one_m, m_one = {}, {}
         for (a, m, w), c in self.left_action.items():
             if a in left_one:
-                _acc(one_m.setdefault(m, {}), w, left_one[a] * c)
+                acc(one_m.setdefault(m, {}), w, left_one[a] * c)
         for (m, b, w), c in self.right_action.items():
             if b in right_one:
-                _acc(m_one.setdefault(m, {}), w, c * right_one[b])
+                acc(m_one.setdefault(m, {}), w, c * right_one[b])
         one = Cyclotomic.one(self.left_alg.conductor)
         detail = None
         for m in range(self.dim):
@@ -194,8 +194,8 @@ class Bimodule:
         rep.add("unit-laws", detail is None, detail)
 
         # (a m) b = a (m b), least (a, m, b) first
-        bad = _mixed_assoc_by_value(self.right_action, self.left_action, self.left_action,
-                                    self.right_action, range(self.left_alg.dim))
+        bad = mixed_assoc_failure(self.right_action, self.left_action, self.left_action,
+                                  self.right_action, range(self.left_alg.dim))
         detail = None
         if bad is not None:
             a, m, b = bad
@@ -386,7 +386,7 @@ def tube_generalized_associativity(C, instances=((1, 1, 1, 1),)):
         c_mkl = fam.compose_map(m, k, l)[0]
         # (h.g).f = h.(g.f) for h, g, f in Tube^(k,l), Tube^(n,k), Tube^(m,n)
         tables = [_compose_terms(c) for c in (c_mnl, c_nkl, c_mkl, c_mnk)]
-        bad = _mixed_assoc_by_value(*tables, range(len(b_kl)))
+        bad = mixed_assoc_failure(*tables, range(len(b_kl)))
         if bad is not None:
             hi, gi, fi = bad
             detail = f"tower associativity fails at {(m, n, k, l)}: {b_kl[hi]}, {b_nk[gi]}, {b_mn[fi]}"

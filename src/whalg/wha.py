@@ -50,11 +50,13 @@ each table as flat entries, ((i, j, k), scalar) for mu and Delta, (i,
 scalar) for the unit and counit and ((k, i), scalar) for S, and numbers the
 distinct scalars canonically (`_numbered`: 0 for zero, then the nonzero
 values sorted by their canonical form), so the loaded and the built algebra
-get the same table and rows.  One way out, `sorted_entries`, gives the
-scalar list and each table's sorted (indices..., id) entries.  Other
-modules use the element arithmetic (`mul`, `coproduct`, `apply_antipode`,
-`eps_lr`, `eps_rr`) and the value-level entry points (`verify_morphism`,
-`_mixed_assoc_by_value`, `_action_range`, `counital_matrices`);
+get the same table and rows.  Two ways out: `sorted_entries` gives the scalar
+list and each table's sorted (indices..., id) entries, and `mu_entries`
+mu's ((i, j, k), scalar) entries in store order.
+Other modules use the element arithmetic (`mul`, `coproduct`,
+`apply_antipode`, `eps_lr`, `eps_rr`) and the public value-level entry
+points (`verify_morphism`, `mixed_assoc_failure`, `action_failure`,
+`separability_laws`, `counital_matrices`);
 `tests/test_layering.py` holds them to it.  Inside, `ids.vals` decodes an
 index where values are needed, and the other indexes are derived from the
 stored ones: mu's companions (`mu_ids_by_right`, `mu_ids_by_result`),
@@ -157,7 +159,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3
+from .exactmath import Cyclotomic, SparseMatrix, SparseTensor3, acc, push
 from .report import Report
 
 
@@ -203,14 +205,17 @@ class PlainAlgebra:
     mu_ids = _stored("mu_ids")
     unit = _stored("unit")
 
+    def mu_entries(self):
+        """mu's nonzero entries ((i, j, k), scalar) in store order, not cached."""
+        vals = self.ids.vals
+        return (((i, j, k), vals[c]) for i, row in self.mu_ids.items()
+                for j, terms in row.items() for k, c in terms)
+
     @functools.cached_property
     def mu(self):
-        """mu as a value tensor, (i, j, k) -> coeff of e_k in e_i e_j; formed from `mu_ids` when read."""
-        vals = self.ids.vals
+        """mu as a value tensor, formed from `mu_entries` when read."""
         d = self.dim
-        return SparseTensor3((d, d, d), self.conductor,
-                             {(i, j, k): vals[c] for i, row in self.mu_ids.items()
-                              for j, terms in row.items() for k, c in terms})
+        return SparseTensor3((d, d, d), self.conductor, dict(self.mu_entries()))
 
     @functools.cached_property
     def mu_generators(self):
@@ -242,14 +247,14 @@ class PlainAlgebra:
             for j, terms in row.items():
                 for m, c in terms:
                     if j == m:
-                        _acc(trace, k, vals[c])
+                        acc(trace, k, vals[c])
         form = {}
         for i, row in self.mu_ids.items():
             for j, terms in row.items():
                 for k, c in terms:
                     t = trace.get(k)
                     if t is not None:
-                        _acc(form, (i, j), vals[c] * t)
+                        acc(form, (i, j), vals[c] * t)
         return SparseMatrix(self.dim, self.dim, self.conductor, form).rank() == self.dim
 
     # -- id-coded indexes derived from `mu_ids` (built once) -----------------
@@ -333,7 +338,7 @@ class PlainAlgebra:
                                     c = c * vals[ck]
                                 # the key from a list, not a generator: a generator
                                 # object per term fragments the small-object heap
-                                _acc(out, tuple([k for k, _ck in combo]), c)
+                                acc(out, tuple([k for k, _ck in combo]), c)
         return out
 
     def mul2(self, U, V):
@@ -472,7 +477,7 @@ class WeakHopfAlgebra(PlainAlgebra):
         dt, vals = self.delta_ids, self.ids.vals
         for i, ci in u.items():
             for j, k, c in dt.get(i, ()):
-                _acc(out, (j, k), ci * vals[c])
+                acc(out, (j, k), ci * vals[c])
         return out
 
     def coproduct2(self, u):
@@ -481,7 +486,7 @@ class WeakHopfAlgebra(PlainAlgebra):
         dt, vals = self.delta_ids, self.ids.vals
         for (j, k), c in self.coproduct(u).items():
             for a, b, c2 in dt.get(j, ()):
-                _acc(out, (a, b, k), c * vals[c2])
+                acc(out, (a, b, k), c * vals[c2])
         return out
 
     def apply_counit(self, u):
@@ -508,19 +513,6 @@ class WeakHopfAlgebra(PlainAlgebra):
         return f"WeakHopfAlgebra({self.name}, dim={self.dim}, conductor={self.conductor})"
 
 
-def _acc(d, k, v):
-    cur = d.get(k)
-    if cur is None:
-        if v:
-            d[k] = v
-    else:
-        s = cur + v
-        if s:
-            d[k] = s
-        else:
-            del d[k]
-
-
 def _prune(d):
     return {k: v for k, v in d.items() if v}
 
@@ -543,25 +535,16 @@ def _product(rows, vals, u, v):
             if terms:
                 cij = ci * cj
                 for k, c in terms:
-                    _acc(out, k, cij * vals[c])
-    return out
-
-
-def _push(phi, u):
-    """Image of a sparse vector under the linear map with basis images phi."""
-    out = {}
-    for i, ci in u.items():
-        for k, c in phi[i].items():
-            _acc(out, k, ci * c)
+                    acc(out, k, cij * vals[c])
     return out
 
 
 def _image(cols, vals, u):
-    """`_push` through id-coded columns x -> {k: id} whose ids index the scalar list vals."""
+    """`push` through id-coded columns x -> {k: id} whose ids index the scalar list vals."""
     out = {}
     for i, ci in u.items():
         for k, c in cols[i].items():
-            _acc(out, k, ci * vals[c])
+            acc(out, k, ci * vals[c])
     return out
 
 
@@ -760,11 +743,11 @@ def _unit_law(A):
         for j, terms in A.mu_ids.get(u, _NO_ROW).items():
             out = left.setdefault(j, {})
             for k, c in terms:
-                _acc(out, k, cu * vals[c])
+                acc(out, k, cu * vals[c])
         for i, terms in A.mu_ids_by_right.get(u, _NO_ROW).items():
             out = right.setdefault(i, {})
             for k, c in terms:
-                _acc(out, k, vals[c] * cu)
+                acc(out, k, vals[c] * cu)
     for x in range(A.dim):
         ex = A.basis_elem(x)
         if left.get(x, {}) != ex or right.get(x, {}) != ex:
@@ -865,7 +848,7 @@ def _mixed_assoc_range(ids, f, g, h, k, xs):
     return None
 
 
-def _mixed_assoc_by_value(f, g, h, k, xs):
+def mixed_assoc_failure(f, g, h, k, xs):
     """`_mixed_assoc_range` on sparse bilinear tables {(x, y, w): scalar} that
     belong to no algebra, each distinct table coded once in one fresh `_ScalarIds`."""
     ids = _ScalarIds()
@@ -874,9 +857,9 @@ def _mixed_assoc_by_value(f, g, h, k, xs):
     return _mixed_assoc_range(ids, rows[id(f)], rows[id(g)], rows[id(h)], _by_leg(coded[id(k)], 2), xs)
 
 
-def _action_range(A, action, xs):
+def action_failure(A, action, xs):
     """Least (x, y, v), x in the increasing xs, with (xy).v != x.(y.v) for the
-    action {(x, v, w): coeff of e_w in x.e_v}, coded in A's ids."""
+    action {(x, v, w): coeff of e_w in x.e_v}, coded in A's ids; or None."""
     ids = A.ids
     act = list(_coded(action, ids.scalar_id))
     rows = _nested(act)
@@ -1091,7 +1074,7 @@ def _counital_map(A, eps_rows, d1):
     out = {x: {} for x in range(A.dim)}
     for (a, b), c in d1.items():
         for x, e in eps_rows[a].items():
-            _acc(out[x], b, c * vals[e])
+            acc(out[x], b, c * vals[e])
     return {x: dict(_coded(col, A.ids.scalar_id)) for x, col in out.items()}
 
 
@@ -1354,8 +1337,11 @@ def verify_antipode(A, threads=None):
     detail = _sweep(A, _axiom4_eq3_range, False)
     rep.add("axiom4-eq3", detail is None, detail)
 
-    invertible = _matrix(A, A.antipode_ids).rank() == A.dim
-    rep.add("antipode-invertible", invertible, None if invertible else "S has nontrivial kernel")
+    # a column outside the pivots of a reduced echelon form is in the span of those before it
+    pivots = set(_matrix(A, A.antipode_ids).pivot_columns())
+    x = next((x for x in range(A.dim) if x not in pivots), None)
+    detail = None if x is None else f"S(x) is in the span of the earlier images at {A.label_str(x)}"
+    rep.add("antipode-invertible", detail is None, detail)
 
     detail = _sweep(A, _antihom_range, A.associativity_detail is None)
     rep.add("antipode-algebra-antihom", detail is None, detail)
@@ -1419,7 +1405,7 @@ def _span_test(A, basis):
             c = vec.get(p)
             if c:
                 for i, v in row.items():
-                    _acc(rest, i, -(c * v))
+                    acc(rest, i, -(c * v))
         return not rest
 
     return in_span
@@ -1487,18 +1473,18 @@ def base_algebras(A):
     p = {}
     for (i, j), c in A.delta_of_unit.items():
         for k, e in eps_t[i].items():
-            _acc(p, (k, j), c * vals[e])
+            acc(p, (k, j), c * vals[e])
 
     # p is in A^l (x) A^l iff it is fixed by eps^lr applied to both legs
     projected = {}
     for (i, j), c in p.items():
         for i2, e in eps_t[i].items():
             for j2, f in eps_t[j].items():
-                _acc(projected, (i2, j2), c * vals[e] * vals[f])
+                acc(projected, (i2, j2), c * vals[e] * vals[f])
     ok = projected == p
     rep.add("p-lands-in-Al-tensor-Al", ok, None if ok else "p has a leg outside A^l")
 
-    bad, unital, idempotent = _separability_laws(A, p, basis_l)
+    bad, unital, idempotent = separability_laws(A, p, basis_l)
     rep.add("p-balances-Al", bad is None,
             None if bad is None else "x p(1) (x) p(2) != p(1) (x) p(2) x on A^l")
     rep.add("p-contracts-to-unit", unital, None if unital else "p(1) p(2) != 1")
@@ -1508,7 +1494,7 @@ def base_algebras(A):
     return BaseAlgebraReport(E_lr, E_rr, basis_l, basis_r, p, rep)
 
 
-def _separability_laws(A, p, elems):
+def separability_laws(A, p, elems):
     """The separability laws of p = sum p(1) (x) p(2) in A (x) A.
 
     Returns the index in `elems` of the first x with
@@ -1534,13 +1520,13 @@ def _separability_laws(A, p, elems):
                 for j, c in by_first[i]:
                     cc = ca * c
                     for k, v in row[i]:
-                        _acc(lhs, (k, j), cc * vals[v])
+                        acc(lhs, (k, j), cc * vals[v])
             col = by_right.get(a, _NO_ROW)  # e_j e_a
             for j in by_second.keys() & col.keys():
                 for i, c in by_second[j]:
                     cc = c * ca
                     for k, v in col[j]:
-                        _acc(rhs, (i, k), cc * vals[v])
+                        acc(rhs, (i, k), cc * vals[v])
         if lhs != rhs:
             bad = t
             break
@@ -1548,7 +1534,7 @@ def _separability_laws(A, p, elems):
     contracted = {}
     for (i, j), c in p.items():
         for k, v in mp.get(i, _NO_ROW).get(j, ()):
-            _acc(contracted, k, c * vals[v])
+            acc(contracted, k, c * vals[v])
 
     sq = {}
     for (i, j), c in p.items():
@@ -1562,7 +1548,7 @@ def _separability_laws(A, p, elems):
                 cc = c * c2
                 for k1, a in t1:
                     for k2, b in t2:
-                        _acc(sq, (k1, k2), cc * vals[a] * vals[b])
+                        acc(sq, (k1, k2), cc * vals[a] * vals[b])
     return bad, contracted == A.one(), sq == p
 
 
@@ -1584,10 +1570,10 @@ def center_dim(A):
     for x in xs:
         for z, terms in A.mu_ids_by_right.get(x, _NO_ROW).items():  # z e_x
             for k, c in terms:
-                _acc(data, (row_of.setdefault((x, k), len(row_of)), z), vals[c])
+                acc(data, (row_of.setdefault((x, k), len(row_of)), z), vals[c])
         for z, terms in A.mu_ids.get(x, _NO_ROW).items():  # e_x z
             for k, c in terms:
-                _acc(data, (row_of.setdefault((x, k), len(row_of)), z), -vals[c])
+                acc(data, (row_of.setdefault((x, k), len(row_of)), z), -vals[c])
     return SparseMatrix(len(row_of), A.dim, A.conductor, data).nullspace_dim()
 
 
@@ -1670,14 +1656,14 @@ def verify_quasitriangular(A, cand, threads=None):
     lhs = {}
     for (i, j), c in R.items():
         for a, b, c2 in dt.get(i, ()):
-            _acc(lhs, (a, b, j), c * vals[c2])
+            acc(lhs, (a, b, j), c * vals[c2])
     ok = lhs == r13r23
     rep.add("delta-leg-one", ok, None if ok else "(Delta (x) id)(R) != R13 R23")
 
     lhs = {}
     for (i, j), c in R.items():
         for a, b, c2 in dt.get(j, ()):
-            _acc(lhs, (i, a, b), c * vals[c2])
+            acc(lhs, (i, a, b), c * vals[c2])
     ok = lhs == r13r12
     rep.add("delta-leg-two", ok, None if ok else "(id (x) Delta)(R) != R13 R12")
 
@@ -1742,7 +1728,7 @@ def _r_products(A, R):
             for target, image in ((rho_of, rho[y]), (lam_of, lam[y])):
                 row = target.setdefault(x, {})
                 for k, ck in image.items():
-                    _acc(row, k, c * ck)
+                    acc(row, k, c * ck)
         joined = {}  # (x x', rho, lambda) -> coeff
         for x1, row1 in rho_of.items():
             mu_row = mp.get(x1, _NO_ROW)
@@ -1752,7 +1738,7 @@ def _r_products(A, R):
                     for r, cr in row1.items():
                         cmr = vals[cm] * cr
                         for l, cl in row2.items():
-                            _acc(joined, (k, r, l), cmr * cl)
+                            acc(joined, (k, r, l), cmr * cl)
         out.append(joined)
     on_first, on_second = out
     return (
@@ -1792,7 +1778,7 @@ def weak_inverse(A, cand):
         rb = {}
         for (i, j), c in R.items():
             for k, v in A.apply_antipode({i: c}).items():
-                _acc(rb, (k, j), v)
+                acc(rb, (k, j), v)
     if A.mul2(R, rb) == d1cop and A.mul2(rb, R) == d1 and A.mul2(rb, d1cop) == rb:
         return rb
     return None
@@ -1838,7 +1824,7 @@ def verify_morphism(rep, prefix, phi, A, B, *, anti=False):
         detail = f"dim {A.dim} != dim {B.dim}"
     rep.add(f"{prefix}-bijective", detail is None, detail)
 
-    lhs, rhs = _push(phi, A.unit), _prune(B.unit)
+    lhs, rhs = push(phi, A.unit), _prune(B.unit)
     detail = None if lhs == rhs else f"phi(1) != 1 at {B.label_str(_first_diff(lhs, rhs))}"
     rep.add(f"{prefix}-unital", detail is None, detail)
 
@@ -1854,11 +1840,11 @@ def verify_morphism(rep, prefix, phi, A, B, *, anti=False):
         for (s, t), c in A.coproduct(A.basis_elem(x)).items():
             for k1, v1 in phi[s].items():
                 for k2, v2 in phi[t].items():
-                    _acc(out, (k1, k2), c * v1 * v2)
+                    acc(out, (k1, k2), c * v1 * v2)
         return out
 
     def antipode(x):
-        s_phi = _push(phi, A.apply_antipode(A.basis_elem(x)))
+        s_phi = push(phi, A.apply_antipode(A.basis_elem(x)))
         return B.apply_antipode(s_phi) == phi[x] if anti else s_phi == B.apply_antipode(phi[x])
 
     laws = [

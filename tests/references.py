@@ -93,10 +93,10 @@ import json
 from fractions import Fraction
 
 from whalg.double import DoubleAlgebra, copairing, solve_antipode
-from whalg.exactmath import _FIELDS, Cyclotomic, SparseMatrix, SparseTensor3, memoized_product
+from whalg.exactmath import _FIELDS, Cyclotomic, SparseMatrix, SparseTensor3, acc, memoized_product, push
 from whalg.groups import ThreeCocycle, symmetric_group_3
 from whalg.repcat import WHAModule, intertwiner_space
-from whalg.wha import RMatrixCandidate, WeakHopfAlgebra, _acc, _push, counital_matrices
+from whalg.wha import RMatrixCandidate, WeakHopfAlgebra, counital_matrices
 
 
 def pairs_index(A):
@@ -121,7 +121,7 @@ def eps_by_right_factor(A):
     for (x, s, k), c in A.mu.data.items():
         e = A.counit.get(k)
         if e:
-            _acc(out[s], x, c * e)
+            acc(out[s], x, c * e)
     return out
 
 
@@ -139,7 +139,7 @@ def _product(pairs, u, v):
     for i, ci in u.items():
         for j, cj in v.items():
             for k, c in pairs.get((i, j), ()):
-                _acc(out, k, ci * cj * c)
+                acc(out, k, ci * cj * c)
     return out
 
 
@@ -224,7 +224,7 @@ def axiom1_dense(A):
                     second = mul(xs, yt)
                     for k, a in st.items():
                         for k2, b in second.items():
-                            _acc(lhs, (k, k2), a * b)
+                            acc(lhs, (k, k2), a * b)
             if lhs != A.coproduct(prod[x][y]):
                 return (
                     f"Delta(x)Delta(y) != Delta(xy) at (x, y) = "
@@ -283,10 +283,10 @@ def counit_law_loop(A):
         for j, k, c in dt[x]:
             e = A.counit.get(j)
             if e:
-                _acc(lhs, k, e * c)
+                acc(lhs, k, e * c)
             e = A.counit.get(k)
             if e:
-                _acc(rhs, j, c * e)
+                acc(rhs, j, c * e)
         if lhs != A.basis_elem(x) or rhs != A.basis_elem(x):
             return f"counit law fails at {A.label_str(x)}"
     return None
@@ -300,9 +300,9 @@ def coassociativity_loop(A):
         rhs = {}
         for j, k, c in dt[x]:
             for a, b, c2 in dt[j]:
-                _acc(lhs, (a, b, k), c * c2)
+                acc(lhs, (a, b, k), c * c2)
             for a, b, c2 in dt[k]:
-                _acc(rhs, (j, a, b), c * c2)
+                acc(rhs, (j, a, b), c * c2)
         if lhs != rhs:
             return f"coassociativity fails at {A.label_str(x)}"
     return None
@@ -315,16 +315,16 @@ def axiom3_loop(A):
     d2 = {}
     for (j, k), c in d1.items():
         for a, b, c2 in dt[j]:
-            _acc(d2, (a, b, k), c * c2)
+            acc(d2, (a, b, k), c * c2)
     mp = pairs_index(A)
     lhs1 = {}
     lhs2 = {}
     for (j, k), c in d1.items():
         for (j2, k2), c2 in d1.items():
             for kk, cm in mp.get((k, j2), ()):
-                _acc(lhs1, (j, kk, k2), c * c2 * cm)
+                acc(lhs1, (j, kk, k2), c * c2 * cm)
             for kk, cm in mp.get((j2, k), ()):
-                _acc(lhs2, (j, kk, k2), c2 * c * cm)
+                acc(lhs2, (j, kk, k2), c2 * c * cm)
     if lhs1 != d2:
         return "(Delta(1) (x) 1)(1 (x) Delta(1)) != Delta^2(1)"
     if lhs2 != d2:
@@ -341,7 +341,7 @@ def delta_s_fails(A, x):
         sj = A.apply_antipode(A.basis_elem(j))
         for a, va in sk.items():
             for b, vb in sj.items():
-                _acc(rhs, (a, b), va * vb)
+                acc(rhs, (a, b), va * vb)
     return lhs != rhs
 
 
@@ -385,7 +385,7 @@ def hom_range_loop(phi, A, B, lo, hi, anti=False):
             for b2 in partners.get(b, ()):
                 cand.update(holders.get(b2, ()))
         for j in sorted(cand):
-            lhs = _push(phi, dict(mp.get((i, j), ())))
+            lhs = push(phi, dict(mp.get((i, j), ())))
             rhs = b_mul(phi[j], pi) if anti else b_mul(pi, phi[j])
             if lhs != rhs:
                 return i, j
@@ -416,7 +416,7 @@ def morphism_laws_dense(phi, A, B, anti=False):
                 break
     out["bijective"] = detail
 
-    lhs = _push(phi, {i: c for i, c in A.unit.items() if c})
+    lhs = push(phi, {i: c for i, c in A.unit.items() if c})
     detail = None
     for k in range(B.dim):
         if lhs.get(k, zero) != B.unit.get(k, zero):
@@ -427,7 +427,7 @@ def morphism_laws_dense(phi, A, B, anti=False):
     a_mul, b_mul = element_product(A), element_product(B)
     detail = None
     for i, j in itertools.product(range(A.dim), repeat=2):
-        left = _push(phi, a_mul({i: one}, {j: one}))
+        left = push(phi, a_mul({i: one}, {j: one}))
         if left != (b_mul(phi[j], phi[i]) if anti else b_mul(phi[i], phi[j])):
             rhs = "phi(v)phi(u)" if anti else "phi(u)phi(v)"
             detail = f"phi(uv) != {rhs} at ({A.label_str(i)}, {A.label_str(j)})"
@@ -448,13 +448,13 @@ def morphism_laws_dense(phi, A, B, anti=False):
 
     def coproduct(terms, u, f):
         # (f (x) f)(Delta(u)) through the terms of Delta
-        acc = {}
+        total = {}
         for i, ci in u.items():
             for j, k, c in terms[i]:
                 for j2, cj in f(j).items():
                     for k2, ck in f(k).items():
-                        _acc(acc, (j2, k2), ci * c * cj * ck)
-        return acc
+                        acc(total, (j2, k2), ci * c * cj * ck)
+        return total
 
     texts = {"counital": "eps(phi(x)) != eps(x)",
              "comultiplicative": "Delta(phi(x)) != (phi (x) phi)(Delta(x))",
@@ -462,11 +462,11 @@ def morphism_laws_dense(phi, A, B, anti=False):
     out.update(dict.fromkeys(texts))
     for x in range(A.dim):
         img, ex = image[x], {x: one}
-        s_img = _push(image, a_s[x])
+        s_img = push(image, a_s[x])
         holds = {
             "counital": counit(B, img) == counit(A, ex),
             "comultiplicative": coproduct(b_delta, img, lambda k: {k: one}) == coproduct(a_delta, ex, image.get),
-            "antipode": _push(b_s, s_img) == img if anti else s_img == _push(b_s, img),
+            "antipode": push(b_s, s_img) == img if anti else s_img == push(b_s, img),
         }
         for law, ok in holds.items():
             if not ok and out[law] is None:
@@ -493,7 +493,7 @@ def axiom4_eq1_loop(A):
         for s, t, c in dt[x]:
             st = mul({s: c}, A.apply_antipode({t: A.one_scalar()}))
             for k, v in st.items():
-                _acc(lhs, k, v)
+                acc(lhs, k, v)
         if lhs != eps_t_per_element(A, A.basis_elem(x)):
             return f"x_(1) S(x_(2)) != eps^lr(x) at {A.label_str(x)}"
     return None
@@ -508,12 +508,12 @@ def axiom4_eq2_loop(A):
         for s, t, c in dt[x]:
             st = mul(A.apply_antipode({s: c}), {t: A.one_scalar()})
             for k, v in st.items():
-                _acc(lhs, k, v)
+                acc(lhs, k, v)
         rhs = {}
         for (p, q), c in A.delta_of_unit.items():
             val = eps_left[q].get(x)  # eps(x q)
             if val:
-                _acc(rhs, p, c * val)
+                acc(rhs, p, c * val)
         if lhs != rhs:
             return f"S(x_(1)) x_(2) != 1_(1) eps(x 1_(2)) at {A.label_str(x)}"
     return None
@@ -530,7 +530,7 @@ def axiom4_eq3_loop(A):
                 A.apply_antipode({u: A.one_scalar()}),
             )
             for k, v in term.items():
-                _acc(lhs, k, v)
+                acc(lhs, k, v)
         if lhs != A.apply_antipode(A.basis_elem(x)):
             return f"S(x_(1)) x_(2) S(x_(3)) != S(x) at {A.label_str(x)}"
     return None
@@ -546,7 +546,7 @@ def intertwining_loop(A, R):
             for (a2, b2), c2 in V.items():
                 for k1, x1 in mp.get((a, a2), ()):
                     for k2, x2 in mp.get((b, b2), ()):
-                        _acc(out, (k1, k2), c * c2 * x1 * x2)
+                        acc(out, (k1, k2), c * c2 * x1 * x2)
         return out
 
     for x in range(A.dim):
@@ -568,7 +568,7 @@ def drinfeld_double_reference(P):
     ngens = 0
     for E, side in zip(counital_matrices(A), "lr"):
         for x in (E.column(j) for j in E.pivot_columns()):
-            pair_row = _push(P.cols, x)
+            pair_row = push(P.cols, x)
             xa = [A.mul(x, A.basis_elem(a)) for a in range(dA)]
             paired = []
             for (p, q), c in B.delta_of_unit.items():
@@ -580,12 +580,12 @@ def drinfeld_double_reference(P):
                 by = {}
                 for other, vc in paired:
                     for k, ck in B.mul(eb, B.basis_elem(other)).items():
-                        _acc(by, k, vc * ck)
+                        acc(by, k, vc * ck)
                 for a in range(dA):
                     for k, ck in xa[a].items():
-                        _acc(gens, (ngens, flat(b, k)), ck)
+                        acc(gens, (ngens, flat(b, k)), ck)
                     for k, ck in by.items():
-                        _acc(gens, (ngens, flat(k, a)), -ck)
+                        acc(gens, (ngens, flat(k, a)), -ck)
                     ngens += 1
 
     ech, pivots = SparseMatrix(ngens, dB * dA, n, gens).rref()
@@ -600,9 +600,9 @@ def drinfeld_double_reference(P):
             if f in pivot_set:
                 for f2, c2 in ech[piv_row[f]].items():
                     if f2 != f:
-                        _acc(out, rep_index[f2], -(c * c2))
+                        acc(out, rep_index[f2], -(c * c2))
             else:
-                _acc(out, rep_index[f], c)
+                acc(out, rep_index[f], c)
         return out
 
     d = len(reps)
@@ -611,7 +611,7 @@ def drinfeld_double_reference(P):
     mu = SparseTensor3((d, d, d), n)
     delta = SparseTensor3((d, d, d), n)
 
-    pair_sinv = [_push(P.cols, sinvA.column(k)) for k in range(dA)]
+    pair_sinv = [push(P.cols, sinvA.column(k)) for k in range(dA)]
     by_a, by_b = {}, {}
     for t, f in enumerate(reps):
         b, a = divmod(f, dA)
@@ -629,14 +629,14 @@ def drinfeld_double_reference(P):
                     v1 = row1.get(a1)
                     v3 = pair_sinv[a3].get(b3)
                     if v1 is not None and v3 is not None:
-                        _acc(exchange, (b2, a2), cb * v1 * v3 * ca)
+                        acc(exchange, (b2, a2), cb * v1 * v3 * ca)
             for t1, bp in lefts:
                 for t2, a in rights:
                     out = {}
                     for (b2, a2), x in exchange.items():
                         for kb, ckb in b_products.get((bp, b2), ()):
                             for ka, cka in a_products.get((a2, a), ()):
-                                _acc(out, flat(kb, ka), x * ckb * cka)
+                                acc(out, flat(kb, ka), x * ckb * cka)
                     for k, v in project(out).items():
                         mu.add_to(t1, t2, k, v)
 
@@ -651,7 +651,7 @@ def drinfeld_double_reference(P):
                 right = project({flat(b2, a2): Cyclotomic.one(n)})
                 for k1, v1 in left.items():
                     for k2, v2 in right.items():
-                        _acc(out, (k1, k2), v1 * v2)
+                        acc(out, (k1, k2), v1 * v2)
         for (k1, k2), v in out.items():
             delta.add_to(t, k1, k2, v)
 
@@ -671,7 +671,7 @@ def drinfeld_double_reference(P):
         right = project({flat(bi, j): cj for j, cj in A.unit.items()})
         for k1, v1 in left.items():
             for k2, v2 in right.items():
-                _acc(r_terms, (k1, k2), c * v1 * v2)
+                acc(r_terms, (k1, k2), c * v1 * v2)
     return DoubleAlgebra(D, RMatrixCandidate(r_terms), project, reps, P)
 
 
@@ -690,7 +690,7 @@ def double_antipode_solved(D):
 
     def add(key, col, coeff):
         row = rows.setdefault(key, {})
-        _acc(row, col, coeff)
+        acc(row, col, coeff)
 
     mp = pairs_index(D)
     right_of, left_of = {}, {}  # s -> sorted l with (s, l) in mp; t -> sorted l with (l, t)
@@ -714,7 +714,7 @@ def double_antipode_solved(D):
         for (p, q), c in D.delta_of_unit.items():
             val = D.apply_counit(_product(mp, D.basis_elem(x), {q: c}))
             if val:
-                _acc(target, p, val)
+                acc(target, p, val)
         for s, t, c in dt[x]:
             for l in left_of.get(t, ()):
                 for k, cm in mp[(l, t)]:
@@ -763,13 +763,13 @@ def weak_inverse_solved(A, R):
                 p1, p2 = (prod[a][i], prod[b][j]) if known_left else (prod[i][a], prod[j][b])
                 for k1, x1 in p1.items():
                     for k2, x2 in p2.items():
-                        _acc(rows.setdefault((law, k1, k2), {}), col, c * x1 * x2)
+                        acc(rows.setdefault((law, k1, k2), {}), col, c * x1 * x2)
 
     times(R, 0, True)
     times(R, 1, False)
     times(d1cop, 2, False)
     for col, (i, j) in enumerate(unknowns):
-        _acc(rows.setdefault((2, i, j), {}), col, -A.one_scalar())
+        acc(rows.setdefault((2, i, j), {}), col, -A.one_scalar())
     rhs = {(0, *k): v for k, v in d1cop.items()}
     rhs.update({(1, *k): v for k, v in d1.items()})
     keys = sorted(set(rows) | set(rhs))
@@ -910,12 +910,12 @@ def cyclotomic_inverse_solved(x):
 
 def eps_t_per_element(A, u):
     """eps_t(u) = eps(1_(1) u) 1_(2)."""
-    eps_u = _push(eps_by_right_factor(A), u)  # x -> eps(x u)
+    eps_u = push(eps_by_right_factor(A), u)  # x -> eps(x u)
     out = {}
     for (p, q), c in A.delta_of_unit.items():
         val = eps_u.get(p)
         if val:
-            _acc(out, q, c * val)
+            acc(out, q, c * val)
     return out
 
 
@@ -927,18 +927,18 @@ def eps_s_per_element(A, u):
         val = sum((cu * e for x, cu in u.items() if (e := eps_left[q].get(x))),
                   A.zero_scalar())  # eps(u q)
         if val:
-            _acc(out, p, c * val)
+            acc(out, p, c * val)
     return out
 
 
 def eps_s_prime_per_element(A, u):
     """eps'_s(u) = 1_(1) eps(1_(2) u)."""
-    eps_u = _push(eps_by_right_factor(A), u)  # x -> eps(x u)
+    eps_u = push(eps_by_right_factor(A), u)  # x -> eps(x u)
     out = {}
     for (p, q), c in A.delta_of_unit.items():
         val = eps_u.get(q)
         if val:
-            _acc(out, p, c * val)
+            acc(out, p, c * val)
     return out
 
 
@@ -950,9 +950,9 @@ def center_dim_dense(A, xs=None):
     data = {}
     for (i, j, k), c in A.mu.data.items():
         if j in xs:  # z = e_i, e_x = e_j: z e_x
-            _acc(data, (row_of.setdefault((j, k), len(row_of)), i), c)
+            acc(data, (row_of.setdefault((j, k), len(row_of)), i), c)
         if i in xs:  # e_x = e_i, z = e_j: e_x z
-            _acc(data, (row_of.setdefault((i, k), len(row_of)), j), -c)
+            acc(data, (row_of.setdefault((i, k), len(row_of)), j), -c)
     return SparseMatrix(len(row_of), A.dim, A.conductor, data).nullspace_dim()
 
 
@@ -963,17 +963,17 @@ def _counital_columns(A):
     dt = delta_index(A)
     for u, cu in A.unit.items():
         for j, k, c in dt[u]:
-            _acc(d1, (j, k), cu * c)
+            acc(d1, (j, k), cu * c)
     eps_t = {x: {} for x in range(A.dim)}
     eps_s_prime = {x: {} for x in range(A.dim)}
     for x, col in eps_by_right_factor(A).items():  # col: p -> eps(p x)
         for (p, q), c in d1.items():
             e = col.get(p)
             if e:
-                _acc(eps_t[x], q, c * e)  # eps(1_(1) x) 1_(2)
+                acc(eps_t[x], q, c * e)  # eps(1_(1) x) 1_(2)
             e = col.get(q)
             if e:
-                _acc(eps_s_prime[x], p, c * e)  # 1_(1) eps(1_(2) x)
+                acc(eps_s_prime[x], p, c * e)  # 1_(1) eps(1_(2) x)
     return eps_t, eps_s_prime, d1
 
 
@@ -982,8 +982,8 @@ def base_algebras_solved(A):
     mul = element_product(A)
     n, d = A.conductor, A.dim
     eps_t, eps_s_prime, d1 = _counital_columns(A)
-    eps_lr = functools.partial(_push, eps_t)
-    eps_rr = functools.partial(_push, eps_s_prime)
+    eps_lr = functools.partial(push, eps_t)
+    eps_rr = functools.partial(push, eps_s_prime)
     E_lr, E_rr = (SparseMatrix(d, d, n, {(i, x): c for x, col in cols.items() for i, c in col.items()})
                   for cols in (eps_t, eps_s_prime))
     checks = [("eps-lr-idempotent", E_lr.matmul(E_lr) == E_lr, None),
@@ -1023,12 +1023,12 @@ def base_algebras_solved(A):
     p = {}
     for (i, j), c in d1.items():
         for k, v in eps_lr({i: c}).items():
-            _acc(p, (k, j), v)
+            acc(p, (k, j), v)
     projected = {}
     for (i, j), c in p.items():
         for i2, v in eps_lr({i: c}).items():
             for j2, w in eps_lr({j: v}).items():
-                _acc(projected, (i2, j2), w)
+                acc(projected, (i2, j2), w)
     ok = projected == p
     checks.append(("p-lands-in-Al-tensor-Al", ok, None if ok else "p has a leg outside A^l"))
 
@@ -1037,9 +1037,9 @@ def base_algebras_solved(A):
         lhs, rhs = {}, {}
         for (i, j), c in p.items():
             for k, v in mul(x, {i: c}).items():
-                _acc(lhs, (k, j), v)
+                acc(lhs, (k, j), v)
             for k, v in mul({j: c}, x).items():
-                _acc(rhs, (i, k), v)
+                acc(rhs, (i, k), v)
         if lhs != rhs:
             balanced = False
             break
@@ -1049,7 +1049,7 @@ def base_algebras_solved(A):
     contracted = {}
     for (i, j), c in p.items():
         for k, v in mul({i: c}, A.basis_elem(j)).items():
-            _acc(contracted, k, v)
+            acc(contracted, k, v)
     unital = contracted == one
     checks.append(("p-contracts-to-unit", unital, None if unital else "p(1) p(2) != 1"))
 
@@ -1058,7 +1058,7 @@ def base_algebras_solved(A):
         for (i2, j2), c2 in p.items():
             for k1, a in mul({i: c}, {i2: c2}).items():
                 for k2, b in mul(A.basis_elem(j2), A.basis_elem(j)).items():
-                    _acc(sq, (k1, k2), a * b)
+                    acc(sq, (k1, k2), a * b)
     idempotent = sq == p
     checks.append(("p-idempotent-op", idempotent,
                    None if idempotent else "p not idempotent in A^l (x) (A^l)^op"))
@@ -1117,6 +1117,14 @@ def h4_module(H, g, x, name):
         for (r, c), v in m.data.items():
             act.add_to(i, r, c, v)
     return WHAModule(H, d, act, name=name)
+
+
+def regular_module_by_products(A):
+    """The regular module of A read off one `mul` per basis pair (dim^2 products)."""
+    act = {(i, k, j): c for i in range(A.dim) for j in range(A.dim)
+           for k, c in A.mul(A.basis_elem(i), A.basis_elem(j)).items()}
+    return WHAModule(A, A.dim, SparseTensor3((A.dim, A.dim, A.dim), A.conductor, act),
+                     name=f"{A.name}-regular")
 
 
 def isomorphic_by_hom_dims(V, W):

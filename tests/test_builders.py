@@ -261,6 +261,36 @@ def test_separable_frobenius_bimodule_law_matches_dense_reference_when_tampered(
     assert {"p-balances", "p-contracts-to-unit", "p-idempotent-op"} <= failed
 
 
+def _s_splits_dense(B):
+    """Reference for "s-splits-mu": m(s(x)) = x on every basis element, least x first,
+    with products read from `B.mu.data`."""
+    one = Cyclotomic.one(B.conductor)
+    for x in range(B.dim):
+        sx = B.s_of({x: one})
+        ms = {}
+        for (i, j, k), v in B.mu.data.items():
+            if (i, j) in sx:
+                ms[k] = ms[k] + sx[(i, j)] * v if k in ms else sx[(i, j)] * v
+        if {k: v for k, v in ms.items() if v} != {x: one}:
+            return f"m . s != id at basis {x}"
+    return None
+
+
+def test_s_splits_mu_matches_dense_reference_on_a_tampered_s():
+    B = standard_frobenius("matrix", 2)
+    assert _s_splits_dense(B) is None
+    rng = random.Random(37)
+    i = rng.choice(sorted(B.s_terms))
+    t = rng.randrange(len(B.s_terms[i]))
+    s_terms = {key: list(v) for key, v in B.s_terms.items()}
+    j, k, c = s_terms[i][t]
+    s_terms[i][t] = (j, k, c * Cyclotomic.rational(1, 2))
+    bad = SeparableFrobenius(B.labels, 1, B.mu, B.unit, s_terms, B.delta)
+    check = next(c for c in bad.validate().checks if c.name == "s-splits-mu")
+    assert not check.ok
+    assert check.detail == _s_splits_dense(bad) == f"m . s != id at basis {i}"
+
+
 def test_frobenius_double_diagonal():
     B = standard_frobenius("diagonal", 2)
     A = build_frobenius_double(B)

@@ -8,8 +8,10 @@ from whalg.exactmath import (
     ConductorMismatch,
     Cyclotomic,
     SparseMatrix,
+    acc,
     cyclotomic_polynomial,
     memoized_product,
+    push,
     root_of_unity,
 )
 
@@ -539,3 +541,35 @@ def test_matmul_after_writes_to_the_right_operand():
     rows = b.row_dicts()
     rows[1].clear()
     assert a.matmul(b) == _matmul_naive(a, b) and b.row_dicts()[1]
+
+
+def test_acc_drops_a_cancelling_sum_and_stores_no_zero():
+    one, zero, z = Cyclotomic.one(3), Cyclotomic.zero(3), root_of_unity(3)
+    d = {}
+    acc(d, (0, 1), zero)
+    assert d == {}
+    acc(d, (0, 1), one)
+    acc(d, 2, z)
+    acc(d, (0, 1), -one)
+    assert d == {2: z}
+    acc(d, 2, zero)
+    acc(d, 2, z)
+    assert d == {2: z + z}
+
+
+@st.composite
+def _sparse_map(draw):
+    """(n, images, u): the sparse images in k^4 of the basis of k^dim, and a
+    sparse vector u of k^dim, over Q(zeta_n); zeros left out of both."""
+    n = draw(st.sampled_from([1, 3, 4]))
+    value = _value_pairs(n).map(lambda pairs: Cyclotomic.from_pairs(n, pairs)).filter(bool)
+    vector = lambda size: st.dictionaries(st.integers(0, size - 1), value, max_size=size)
+    dim = draw(st.integers(1, 5))
+    return n, draw(st.lists(vector(4), min_size=dim, max_size=dim)), draw(vector(dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_map())
+def test_push_applies_the_matrix_whose_columns_are_the_images(case):
+    n, images, u = case
+    assert push(images, u) == SparseMatrix.from_columns(4, images, n).apply(u)

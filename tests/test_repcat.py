@@ -41,7 +41,7 @@ from whalg.wha import (
     verify_weak_bialgebra,
 )
 
-from references import h4_module, isomorphic_by_hom_dims, sweedler_h4
+from references import h4_module, isomorphic_by_hom_dims, regular_module_by_products, sweedler_h4
 
 
 def setup_b(n=2, p=0):
@@ -110,6 +110,13 @@ def test_action_law_matches_dense_reference_on_tampered_action(which):
 def test_regular_module_validates():
     _, _, A, _ = setup_a(2, 1)
     assert validate_module(A, regular_module(A)).ok
+
+
+def test_regular_module_is_read_off_the_basis_products():
+    C = pointed_skeleton(cyclic_group(3), standard_cocycle(3, 1))
+    for A in (setup_a(3, 1)[2], setup_b(2, 1)[2], build_tube(C)):
+        V, ref = regular_module(A), regular_module_by_products(A)
+        assert (V.dim, V.name, V.action) == (ref.dim, ref.name, ref.action), A.name
 
 
 def test_tensor_unit_validates_and_dim():

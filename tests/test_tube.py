@@ -598,6 +598,67 @@ def test_bimodule_commute_matches_dense_reference_on_tampered_actions():
             assert check.detail == _bimodule_commute_dense(bad)
 
 
+def _bimodule_unit_dense(M):
+    """Reference for "unit-laws": 1 m = m = m 1, least m first, the left law first."""
+    one = Cyclotomic.one(M.left_alg.conductor)
+    for m in range(M.dim):
+        mv = {m: one}
+        if _act_dense(M.left_action, M.left_alg.one(), mv) != mv:
+            return f"left unit law fails at {m}"
+        if _act_dense(M.right_action, mv, M.right_alg.one()) != mv:
+            return f"right unit law fails at {m}"
+    return None
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_bimodule_unit_laws_match_dense_reference_on_a_tampered_action(side):
+    C, _, _ = pointed(2, 1)
+    M = build_tube_bimodule(C, 1, 2)
+    assert _bimodule_unit_dense(M) is None
+    action, alg, leg = (M.left_action, M.left_alg, 0) if side == "left" else (M.right_action, M.right_alg, 1)
+    # an entry through which the unit acts on m = key[1 - leg]
+    key = random.Random(37).choice(sorted(k for k in action if k[leg] in alg.unit))
+    tampered = {"left_action": M.left_action, "right_action": M.right_action}
+    tampered[side + "_action"] = _scaled(action, key, Cyclotomic.rational(C.conductor, 2))
+    bad = Bimodule(M.left_alg, M.right_alg, M.labels, name="bad", **tampered)
+    check = _check(bad.validate(), "unit-laws")
+    assert not check.ok
+    assert check.detail == _bimodule_unit_dense(bad) == f"{side} unit law fails at {key[1 - leg]}"
+
+
+def _section_dense(fam, m, n):
+    """Reference for "section-splits-composition": compose^{nmn}(s(g)) = g, least g first."""
+    comp, _, _, bout = fam.compose_map(n, m, n)
+    sec = fam.section(m, n)
+    for gi, g in enumerate(fam.basis(n, n)):
+        (i1, i2), s = sec[gi]
+        if (i1, i2) not in comp:
+            return f"compose^{{{n}{m}{n}}} . s misses basis {g!r}"
+        oi, cs = comp[(i1, i2)]
+        if {bout[oi]: cs * s} != {g: fam.wc.one}:
+            return f"compose . s != id at basis {g!r}"
+    return None
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 1)])
+def test_section_check_matches_dense_reference_on_a_tampered_scalar(monkeypatch, m, n):
+    C, _, _ = pointed(2, 1)
+    assert _section_dense(TubeFamily(C), m, n) is None
+    original = TubeFamily.section
+    pick = random.Random(37 + m).randrange(len(TubeFamily(C).basis(n, n)))
+
+    def section(self, m2, n2):
+        sec = original(self, m2, n2)
+        pair, s = sec[pick]
+        return {**sec, pick: (pair, s * Cyclotomic.rational(C.conductor, 2))}
+
+    monkeypatch.setattr(TubeFamily, "section", section)
+    check = _check(verify_morita_section(C, m, n), "section-splits-composition")
+    assert not check.ok
+    expected = f"compose . s != id at basis {TubeFamily(C).basis(n, n)[pick]!r}"
+    assert check.detail == _section_dense(TubeFamily(C), m, n) == expected
+
+
 def _tower_dense(C, instances):
     """Reference for "compose-tower-associative": every (h, g, f) of each instance."""
     fam = TubeFamily(C)

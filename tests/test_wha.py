@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from whalg import jsonio
-from whalg.exactmath import Cyclotomic, SparseMatrix, SparseTensor3
+from whalg.exactmath import Cyclotomic, SparseMatrix, SparseTensor3, push
 from whalg.builders import (
     build_a_g_omega,
     build_b_g_omega,
@@ -33,7 +33,6 @@ from whalg.wha import (
     _hom_range,
     _intertwining_failure,
     _mixed_assoc_range,
-    _push,
     _ScalarIds,
     _unit_law,
     base_algebras,
@@ -116,6 +115,23 @@ def test_identity_antipode_fails_eq1():
     rep = verify_antipode(clone_with(B, antipode=SparseMatrix.identity(B.dim, B.conductor)))
     assert not rep.ok
     assert rep.first_failure.name == "axiom4-eq1"
+
+
+def test_singular_antipode_names_the_first_image_in_the_span_of_the_earlier_ones():
+    B = build_b_g_omega(cyclic_group(3), standard_cocycle(3, 1))
+    rng = random.Random(37)
+    x = rng.randrange(1, B.dim)
+    y = rng.randrange(x)
+    # S(e_x) := S(e_y)
+    data = {(k, i): c for (k, i), c in B.antipode.data.items() if i != x}
+    data.update({(k, x): c for (k, i), c in B.antipode.data.items() if i == y})
+    bad = clone_with(B, antipode=SparseMatrix(B.dim, B.dim, B.conductor, data))
+    cols = antipode_columns(bad)
+    rank = lambda xs: SparseMatrix.from_columns(B.dim, [cols[i] for i in xs], B.conductor).rank()
+    assert next(i for i in range(B.dim) if rank(range(i + 1)) == rank(range(i))) == x
+    check = next(c for c in verify_antipode(bad).checks if c.name == "antipode-invertible")
+    assert not check.ok
+    assert check.detail == f"S(x) is in the span of the earlier images at {B.label_str(x)}"
 
 
 def test_tampered_mu_caught_with_counterexample():
@@ -1534,6 +1550,20 @@ def test_the_loaded_and_the_built_algebra_hold_the_same_store(tmp_path):
         assert (Y.unit, Y.counit) == (X.unit, X.counit), X.name
 
 
+def test_mu_entries_are_mu_in_store_order(tmp_path):
+    path = str(tmp_path / "a3.json")
+    jsonio.write_algebra(path, build_a_g_omega(cyclic_group(3), standard_cocycle(3, 1))[0])
+    obj = jsonio.read_json(path)
+    loaded = jsonio.algebra_from_json(obj)
+    d = loaded.dim
+    assert dict(loaded.mu_entries()) == jsonio._table(obj, "mu", loaded.conductor, (d, d, d))
+    for X in [*_catalog_up_to_order_3(), loaded]:
+        entries = list(X.mu_entries())
+        assert [(i, j) for (i, j, _k), _c in entries] == [
+            (i, j) for i, row in X.mu_ids.items() for j, terms in row.items() for _t in terms], X.name
+        assert entries == list(X.mu.data.items()), X.name
+
+
 def test_the_value_constructor_stores_what_the_builder_stores():
     # one way in: value tables, however ordered and with a stored zero, are
     # shaped, stripped of zeros, numbered and coded as the builder's entries
@@ -1781,7 +1811,7 @@ def _hom_failing_js(phi, A, B, i, anti):
     a_mul, b_mul = element_product(A), element_product(B)
     out = []
     for j in range(A.dim):
-        lhs = _push(phi, a_mul(A.basis_elem(i), A.basis_elem(j)))
+        lhs = push(phi, a_mul(A.basis_elem(i), A.basis_elem(j)))
         if lhs != (b_mul(phi[j], phi[i]) if anti else b_mul(phi[i], phi[j])):
             out.append(j)
     return out

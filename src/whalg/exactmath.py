@@ -459,6 +459,8 @@ class SparseMatrix:
         self._colidx = self._rowidx = None
 
     def add_to(self, i, j, v):
+        if not v:
+            return
         acc(self.data, (i, j), v)
         self._colidx = self._rowidx = None
 

@@ -557,6 +557,16 @@ def test_acc_drops_a_cancelling_sum_and_stores_no_zero():
     assert d == {2: z + z}
 
 
+def test_adding_zero_to_a_matrix_keeps_its_indexes():
+    one, z = Cyclotomic.one(3), root_of_unity(3)
+    m = SparseMatrix(2, 2, 3, {(0, 1): one, (1, 0): z})
+    cols, rows = m._cols(), m._rows()
+    m.add_to(0, 0, Cyclotomic.zero(3))
+    assert m._cols() is cols and m._rows() is rows and (0, 0) not in m.data
+    m.add_to(0, 0, one)
+    assert m._cols() is not cols and m._rows() is not rows
+
+
 @st.composite
 def _sparse_map(draw):
     """(n, images, u): the sparse images in k^4 of the basis of k^dim, and a

@@ -1550,18 +1550,43 @@ def test_the_loaded_and_the_built_algebra_hold_the_same_store(tmp_path):
         assert (Y.unit, Y.counit) == (X.unit, X.counit), X.name
 
 
-def test_mu_entries_are_mu_in_store_order(tmp_path):
+def _store_order(entries):
+    """The nonzero entries grouped by i, then by j, each in first-met order:
+    the order in which an algebra keeps the mu entries it is given."""
+    rows = {}
+    for (i, j, k), c in entries:
+        if c:
+            rows.setdefault(i, {}).setdefault(j, []).append(((i, j, k), c))
+    return [e for row in rows.values() for terms in row.values() for e in terms]
+
+
+def test_mu_entries_are_the_given_entries_in_store_order(tmp_path, monkeypatch):
+    # against the entries each algebra was built from: the builder's, the
+    # loader's (the file lists them sorted), and a value tensor's, shuffled
+    # and holding a stored zero
+    given = []
+    build = WeakHopfAlgebra.from_entries.__func__
+
+    def spy(cls, labels, conductor, mu, *tables, **kw):
+        given.append(list(mu))
+        return build(cls, labels, conductor, given[-1], *tables, **kw)
+
+    monkeypatch.setattr(WeakHopfAlgebra, "from_entries", classmethod(spy))
+    algebras = list(_catalog_up_to_order_3())
+    A = algebras[-1]
     path = str(tmp_path / "a3.json")
-    jsonio.write_algebra(path, build_a_g_omega(cyclic_group(3), standard_cocycle(3, 1))[0])
-    obj = jsonio.read_json(path)
-    loaded = jsonio.algebra_from_json(obj)
-    d = loaded.dim
-    assert dict(loaded.mu_entries()) == jsonio._table(obj, "mu", loaded.conductor, (d, d, d))
-    for X in [*_catalog_up_to_order_3(), loaded]:
-        entries = list(X.mu_entries())
-        assert [(i, j) for (i, j, _k), _c in entries] == [
-            (i, j) for i, row in X.mu_ids.items() for j, terms in row.items() for _t in terms], X.name
-        assert entries == list(X.mu.data.items()), X.name
+    jsonio.write_algebra(path, A)
+    algebras.append(jsonio.algebra_from_json(jsonio.read_json(path)))
+    items = list(A.mu.data.items())
+    random.Random(37).shuffle(items)
+    absent = next(key for key in itertools.product(range(A.dim), repeat=3) if key not in A.mu.data)
+    items.insert(len(items) // 2, (absent, Cyclotomic.zero(A.conductor)))
+    given.append(items)
+    algebras.append(PlainAlgebra(A.labels, A.conductor, SparseTensor3(A.mu.dims, A.conductor, dict(items)), A.unit))
+    assert len(given) == len(algebras)
+    for X, entries in zip(algebras, given):
+        assert list(X.mu_entries()) == _store_order(entries), X.name
+    assert [e for e, _c in algebras[-2].mu_entries()] != [e for e, _c in A.mu_entries()]
 
 
 def test_the_value_constructor_stores_what_the_builder_stores():
